@@ -6,15 +6,11 @@ from .conditional import (
     ConditionalCurve,
     DStatResult,
     JointSample,
-    KdeGrid,
-    conditional_grid,
     d_statistic,
     evaluation_grid,
     joint_samples,
-    kde_joint,
     krr_conditional_expectation,
     permutation_test,
-    scott_bandwidth,
     scott_bandwidth_1d,
 )
 from .decomposition import (

@@ -27,6 +27,7 @@ from .conditional import (
     DEFAULT_GRID_SIZE,
     DEFAULT_RIDGE_SCALE,
     DEFAULT_TRIM_PERCENTILES,
+    PIVOT_TOL,
     JointSample,
     joint_samples,
     permutation_test,
@@ -254,6 +255,10 @@ def cmd_decompose(args: argparse.Namespace) -> None:
 
 
 def cmd_conditional(args: argparse.Namespace) -> None:
+    if args.bins < 2:
+        raise ValidationError(f"--bins must be at least 2, got {args.bins}")
+    if args.subsample < 0:
+        raise ValidationError(f"--subsample must be nonnegative (0 = off), got {args.subsample}")
     store = load_store(args.manifest)
     pair = _resolve_pair(store, args.pair)
     members = _resolve_members(store, args.members, pair)
@@ -308,6 +313,9 @@ def cmd_conditional(args: argparse.Namespace) -> None:
                 "ridge_ind": result.curve_ind.ridge,
                 "ridge_ood": result.curve_ood.ridge,
                 "ridge_scale": DEFAULT_RIDGE_SCALE,
+                "krr_rank_ind": result.curve_ind.rank,
+                "krr_rank_ood": result.curve_ood.rank,
+                "pivot_tol": PIVOT_TOL,
                 "regressor": "kernel_ridge",
                 "subsample": args.subsample,
                 "nll_eps": NLL_EPS,

@@ -26,6 +26,7 @@ RIDGE_FLOOR = 1e-8
 DEFAULT_GRID_SIZE = 100
 DEFAULT_TRIM_PERCENTILES = (1.0, 99.0)
 MAX_RIDGE_ESCALATIONS = 3
+PIVOT_TOL = 1e-13
 
 
 @dataclass
@@ -59,7 +60,7 @@ def joint_samples(members: Sequence[np.ndarray], family: str = "quadratic", sour
 
 
 def scott_bandwidth_1d(x: np.ndarray) -> float:
-    """Per-dimension bandwidth for a 2-d KDE: n^(-1/6) times the sample std."""
+    """Scott-rule bandwidth of the KRR kernel: n^(-1/6) times the sample std."""
     x = np.asarray(x, dtype=np.float64)
     if x.size < 2:
         raise ValidationError("bandwidth needs at least two points")
@@ -69,92 +70,54 @@ def scott_bandwidth_1d(x: np.ndarray) -> float:
     return float(x.size ** (-1.0 / 6.0) * std)
 
 
-def scott_bandwidth(sample: JointSample) -> tuple[float, float]:
-    return scott_bandwidth_1d(sample.avg), scott_bandwidth_1d(sample.div)
-
-
-@dataclass
-class KdeGrid:
-    """Product-Gaussian density estimate evaluated on a rectangular grid.
-
-    density[i, j] pairs x_grid[i] with y_grid[j]. After conditional
-    normalization each x-slice with nonzero mass sums to 1.
-    """
-
-    x_grid: np.ndarray
-    y_grid: np.ndarray
-    density: np.ndarray
-    bandwidth: tuple[float, float]
-
-
-def _gauss_profile(grid: np.ndarray, points: np.ndarray, h: float) -> np.ndarray:
-    z = (grid[:, None] - points[None, :]) / h
-    return np.exp(-0.5 * z * z) / (h * np.sqrt(2.0 * np.pi))
-
-
-def kde_joint(
-    sample: JointSample,
-    x_grid: np.ndarray,
-    y_grid: np.ndarray,
-    bandwidth: tuple[float, float] | None = None,
-) -> KdeGrid:
-    """Kernel density estimate with a product Gaussian kernel.
-
-    Bandwidths default to the per-dimension Scott rule. The estimate is a
-    proper density, so it integrates to 1 over a grid wide enough to cover
-    the kernels' support.
-    """
-    x_grid = np.asarray(x_grid, dtype=np.float64)
-    y_grid = np.asarray(y_grid, dtype=np.float64)
-    if bandwidth is None:
-        bandwidth = scott_bandwidth(sample)
-    hx, hy = bandwidth
-    if hx <= 0 or hy <= 0:
-        raise ValidationError("bandwidths must be positive")
-    kx = _gauss_profile(x_grid, sample.avg, hx)
-    ky = _gauss_profile(y_grid, sample.div, hy)
-    density = kx @ ky.T / sample.n
-    return KdeGrid(x_grid, y_grid, density, (float(hx), float(hy)))
-
-
-def conditional_grid(grid: KdeGrid, tol: float = 1e-12) -> tuple[KdeGrid, np.ndarray]:
-    """Normalize each x-slice to unit sum, approximating p(y | x).
-
-    Slices whose total mass falls below `tol` are zeroed and flagged in the
-    returned boolean array.
-    """
-    totals = grid.density.sum(axis=1)
-    empty = totals < tol
-    safe = np.where(empty, 1.0, totals)
-    density = np.where(empty[:, None], 0.0, grid.density / safe[:, None])
-    return KdeGrid(grid.x_grid, grid.y_grid, density, grid.bandwidth), empty
-
-
 @dataclass
 class ConditionalCurve:
-    """Kernel ridge estimate of E[diversity | avg] on an evaluation grid."""
+    """Kernel ridge estimate of E[diversity | avg] on an evaluation grid.
+
+    rank is the number of pivots in the low-rank kernel factor; None for
+    curves not produced by the regression.
+    """
 
     x_grid: np.ndarray
     y_hat: np.ndarray
     bandwidth: float
     ridge: float
+    rank: int | None = None
 
 
-def _krr_weights(x: np.ndarray, y: np.ndarray, bandwidth: float, ridge: float) -> tuple[np.ndarray, float]:
+def _pivoted_cholesky(x: np.ndarray, x_eval: np.ndarray, bandwidth: float) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy pivoted Cholesky of the Gaussian kernel on x and x_eval jointly.
+
+    Each step pivots on the point with the largest residual diagonal entry
+    and stops once the residual trace is at most PIVOT_TOL per point. The
+    evaluation points take part, so their kernel columns are as accurate as
+    the training ones; pivoting on training points alone leaves them
+    unchecked where the data are sparse. Returns L (r x n) and L_eval
+    (r x m) with K(x, x) ~= L.T @ L and K(x_eval, x) ~= L_eval.T @ L, in
+    O((n + m) r^2) time and O((n + m) r) memory.
+    """
     n = x.shape[0]
-    d = x[:, None] - x[None, :]
-    k = np.exp(-(d * d) / (2.0 * bandwidth * bandwidth))
-    base = ridge if ridge > 0 else 1e-12
-    attempt = ridge
-    for step in range(MAX_RIDGE_ESCALATIONS + 1):
-        try:
-            factor = cho_factor(k + attempt * n * np.eye(n), lower=True)
-            return cho_solve(factor, y), attempt
-        except LinAlgError:
-            attempt = base * 10.0 ** (step + 1)
-    raise NumericalError(
-        f"kernel system not positive definite after {MAX_RIDGE_ESCALATIONS} ridge escalations"
-    )
+    points = np.concatenate([x, x_eval])
+    size = points.shape[0]
+    scale = -0.5 / (bandwidth * bandwidth)
+    rows = np.empty((min(size, 64), size))
+    resid = np.ones(size)
+    stop = PIVOT_TOL * size
+    r = 0
+    while r < size and resid.sum() > stop:
+        if r == rows.shape[0]:
+            grown = np.empty((min(size, 2 * r), size))
+            grown[:r] = rows
+            rows = grown
+        p = int(np.argmax(resid))
+        d = points - points[p]
+        row = np.exp(scale * d * d)
+        row -= rows[:r, p] @ rows[:r]
+        row /= np.sqrt(resid[p])
+        rows[r] = row
+        resid -= row * row
+        r += 1
+    return rows[:r, :n], rows[:r, n:]
 
 
 def krr_conditional_expectation(
@@ -166,10 +129,14 @@ def krr_conditional_expectation(
 ) -> ConditionalCurve:
     """Fit kernel ridge regression of y on x and evaluate on a grid.
 
-    Solves (K + ridge * n * I) alpha = y with a Gaussian kernel via Cholesky,
-    escalating the ridge tenfold up to three times if factorization fails.
-    The ridge scales with n, so duplicating every observation leaves the
-    fitted curve unchanged. Defaults: Scott bandwidth of x, ridge
+    The Gaussian kernel is factored by pivoted Cholesky, K ~= L.T @ L, and
+    the fit is y_hat = L_eval.T (L L.T + ridge * n * I)^-1 L y, which equals
+    K_eval (K + ridge * n * I)^-1 y up to the pivot tolerance. The ridge
+    scales with n, so duplicating every observation leaves the fitted curve
+    unchanged. A solve fails when ridge <= machine epsilon or the r x r
+    factorization is not positive definite; the ridge is then escalated
+    tenfold up to three times, starting from 1e-12 when it is zero, so
+    ridge=0 means a ridge of 1e-11. Defaults: Scott bandwidth of x, ridge
     1e-3 * var(y) floored at 1e-8 against the unit-scale kernel diagonal.
     Without the floor, near-constant targets drive the solve toward exact
     interpolation and the curve can swing far outside the data range.
@@ -189,10 +156,24 @@ def krr_conditional_expectation(
         ridge = max(DEFAULT_RIDGE_SCALE * float(y.var()), RIDGE_FLOOR)
     if ridge < 0:
         raise ValidationError("ridge must be nonnegative")
-    alpha, used = _krr_weights(x, y, float(bandwidth), float(ridge))
-    d = x_eval[:, None] - x[None, :]
-    k_eval = np.exp(-(d * d) / (2.0 * bandwidth * bandwidth))
-    return ConditionalCurve(x_eval, k_eval @ alpha, float(bandwidth), float(used))
+    factor, factor_eval = _pivoted_cholesky(x, x_eval, float(bandwidth))
+    rank = factor.shape[0]
+    gram = factor @ factor.T
+    rhs = factor @ y
+    base = ridge if ridge > 0 else 1e-12
+    attempt = float(ridge)
+    for step in range(MAX_RIDGE_ESCALATIONS + 1):
+        if attempt > np.finfo(float).eps:
+            try:
+                chol = cho_factor(gram + attempt * x.size * np.eye(rank), lower=True)
+                y_hat = cho_solve(chol, rhs) @ factor_eval
+                return ConditionalCurve(x_eval, y_hat, float(bandwidth), attempt, rank)
+            except LinAlgError:
+                pass
+        attempt = base * 10.0 ** (step + 1)
+    raise NumericalError(
+        f"kernel system not positive definite after {MAX_RIDGE_ESCALATIONS} ridge escalations"
+    )
 
 
 def fit_sample_curve(sample: JointSample, x_eval: np.ndarray, ridge: float | None = None) -> ConditionalCurve:
@@ -227,6 +208,8 @@ def d_statistic(curve_ind: ConditionalCurve, curve_ood: ConditionalCurve, integr
     if not np.array_equal(curve_ind.x_grid, curve_ood.x_grid):
         raise ValidationError("curves must share one evaluation grid")
     if integral:
+        if np.any(curve_ind.y_hat <= 0.0):
+            raise NumericalError("InD curve is nonpositive on the grid; integral d is undefined")
         rel = (curve_ood.y_hat - curve_ind.y_hat) / curve_ind.y_hat
         return float(trapezoid(rel, curve_ind.x_grid))
     denom = float(curve_ind.y_hat.sum())

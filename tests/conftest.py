@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from ensdiag.conditional import JointSample, joint_samples
+from ensdiag.simulate import SyntheticSpec, simulate_store
 from ensdiag.store import PredictionStore
 
 
@@ -27,6 +29,19 @@ def build_store(rng, datasets=("ind", "ood"), models=("m0", "m1", "m2", "m3"),
     if len(datasets) >= 2:
         store.pairs.append((datasets[0], datasets[1]))
     return store
+
+
+def split_samples(seed: int) -> tuple[JointSample, JointSample]:
+    """InD and OOD joint samples of a shift-free 500-point simulated store."""
+    spec = SyntheticSpec(
+        n_points=500, n_classes=2, n_models=4,
+        member_noise_scale=0.25, shift_strength=0.0, seed=seed,
+    )
+    store = simulate_store(spec)
+    ids = sorted(store.model_ids)
+    si = joint_samples(store.member_probs(ids, "ind"), source="ind")
+    so = joint_samples(store.member_probs(ids, "ood"), source="ood")
+    return si, so
 
 
 # Populated by tests/test_acceptance.py; one line per criterion so the

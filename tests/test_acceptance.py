@@ -11,10 +11,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import ACCEPTANCE_LINES
+from conftest import ACCEPTANCE_LINES, split_samples
 
 from ensdiag.cli import main as cli_main
-from ensdiag.conditional import JointSample, joint_samples, permutation_test
+from ensdiag.conditional import JointSample, permutation_test
 from ensdiag.decomposition import (
     brier_jensen_gap,
     decompose_entropy,
@@ -28,7 +28,6 @@ from ensdiag.improvement import (
     mmd_threshold,
 )
 from ensdiag.metrics import calibration
-from ensdiag.simulate import SyntheticSpec, simulate_store
 from ensdiag.store import load_store
 from ensdiag.trends import fit_trend_xy, trend_points, trend_table
 
@@ -119,24 +118,12 @@ def test_resce_dominates_ece():
     )
 
 
-def _split_samples(seed: int) -> tuple[JointSample, JointSample]:
-    spec = SyntheticSpec(
-        n_points=500, n_classes=2, n_models=4,
-        member_noise_scale=0.25, shift_strength=0.0, seed=seed,
-    )
-    store = simulate_store(spec)
-    ids = sorted(store.model_ids)
-    si = joint_samples(store.member_probs(ids, "ind"), source="ind")
-    so = joint_samples(store.member_probs(ids, "ood"), source="ood")
-    return si, so
-
-
 def test_null_shift_rejection_rate_is_calibrated():
     t0 = time.monotonic()
     rejects = 0
     small_d = 0
     for seed in range(100):
-        si, so = _split_samples(seed)
+        si, so = split_samples(seed)
         res = permutation_test(si, so, n_surrogates=100, seed=seed)
         rejects += res.p_value < 0.05
         small_d += abs(res.d) < 0.02
@@ -152,7 +139,7 @@ def test_null_shift_rejection_rate_is_calibrated():
 def test_strong_shift_is_detected():
     hits = 0
     for seed in range(100):
-        si, so = _split_samples(seed)
+        si, so = split_samples(seed)
         pooled_std = np.concatenate([si.div, so.div]).std(ddof=1)
         shifted = JointSample(so.avg, so.div + 5.0 * pooled_std, "ood")
         res = permutation_test(si, shifted, n_surrogates=100, seed=seed)

@@ -107,6 +107,9 @@ class TestConditionalCommand:
         for key in ("bandwidth_ind", "bandwidth_ood", "ridge_ind", "ridge_ood",
                     "grid_size", "trim_percentiles", "nll_eps"):
             assert key in settings
+        assert 1 <= settings["krr_rank_ind"] < 60
+        assert 1 <= settings["krr_rank_ood"] < 60
+        assert settings["pivot_tol"] == 1e-13
         assert settings["grid_size"] == 50
         assert (out / "conditional.svg").is_file()
 
@@ -116,6 +119,18 @@ class TestConditionalCommand:
             "--family", "renyi", "--out", tmp_path / "x",
         ])
         assert code == 1
+
+    @pytest.mark.parametrize("flag,value", [("--bins", 0), ("--bins", 1), ("--subsample", -5)])
+    def test_bad_argument_names_flag(self, sim_dir, tmp_path, capsys, flag, value):
+        code = run([
+            "conditional", "--manifest", sim_dir / "manifest.json",
+            flag, value, "--out", tmp_path / "x",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and flag in err[0]
+        assert not (tmp_path / "x").exists()
 
 
 class TestTrendsCommand:

@@ -1,30 +1,47 @@
-"""Conditional-diversity pipeline: KDE grids, KRR curves, and the d statistic."""
+"""Conditional-diversity pipeline: KRR curves, their dense oracle, and the d statistic."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import trapezoid
+from scipy.linalg import cho_factor, cho_solve
 
-from conftest import member_stack
+from conftest import member_stack, split_samples
+from ensdiag import conditional
 from ensdiag.conditional import (
+    DEFAULT_RIDGE_SCALE,
+    RIDGE_FLOOR,
     ConditionalCurve,
     JointSample,
-    KdeGrid,
-    conditional_grid,
     d_statistic,
     evaluation_grid,
     joint_samples,
-    kde_joint,
     krr_conditional_expectation,
     permutation_test,
-    scott_bandwidth,
     scott_bandwidth_1d,
 )
 from ensdiag.errors import NumericalError, ValidationError
 from ensdiag.simulate import SyntheticSpec, simulate_store
 
 TWO_ONE_HOT = [np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])]
+
+
+def dense_krr_curve(x, y, x_eval, bandwidth=None, ridge=None):
+    """Exact oracle for the low-rank fit: the full n x n Gram matrix solved by
+    dense Cholesky, then K_eval @ alpha. Same default bandwidth and ridge."""
+    if bandwidth is None:
+        bandwidth = scott_bandwidth_1d(x)
+    if ridge is None:
+        ridge = max(DEFAULT_RIDGE_SCALE * float(y.var()), RIDGE_FLOOR)
+    n = x.shape[0]
+    d = x[:, None] - x[None, :]
+    gram = np.exp(-(d * d) / (2.0 * bandwidth * bandwidth))
+    alpha = cho_solve(cho_factor(gram + ridge * n * np.eye(n), lower=True), y)
+    d = x_eval[:, None] - x[None, :]
+    k_eval = np.exp(-(d * d) / (2.0 * bandwidth * bandwidth))
+    return ConditionalCurve(x_eval, k_eval @ alpha, float(bandwidth), float(ridge))
 
 
 def linear_sample(rng, n=200, slope=0.3, noise=0.02):
@@ -103,85 +120,6 @@ class TestScottBandwidth:
         with pytest.raises(ValidationError):
             scott_bandwidth_1d(np.full(10, 3.0))
 
-    def test_pairwise_matches_1d(self, rng):
-        sample = linear_sample(rng)
-        hx, hy = scott_bandwidth(sample)
-        assert hx == scott_bandwidth_1d(sample.avg)
-        assert hy == scott_bandwidth_1d(sample.div)
-
-
-class TestKdeJoint:
-    def test_single_point_peaks_at_nearest_node(self):
-        sample = JointSample(np.array([0.43, 0.43]), np.array([0.21, 0.21]))
-        xg = np.linspace(0.0, 1.0, 21)
-        yg = np.linspace(0.0, 1.0, 21)
-        grid = kde_joint(sample, xg, yg, bandwidth=(0.05, 0.05))
-        i, j = np.unravel_index(np.argmax(grid.density), grid.density.shape)
-        assert xg[i] == pytest.approx(0.45)
-        assert yg[j] == pytest.approx(0.20)
-
-    def test_density_nonnegative(self, rng):
-        sample = linear_sample(rng)
-        grid = kde_joint(sample, np.linspace(0, 1, 50), np.linspace(0, 1, 50))
-        assert np.all(grid.density >= 0.0)
-
-    def test_integrates_to_one(self, rng):
-        sample = linear_sample(rng)
-        hx, hy = scott_bandwidth(sample)
-        xg = np.linspace(sample.avg.min() - 5 * hx, sample.avg.max() + 5 * hx, 200)
-        yg = np.linspace(sample.div.min() - 5 * hy, sample.div.max() + 5 * hy, 200)
-        grid = kde_joint(sample, xg, yg)
-        total = trapezoid(trapezoid(grid.density, yg, axis=1), xg)
-        assert abs(total - 1.0) < 0.02
-
-    def test_translation_equivariance(self, rng):
-        sample = linear_sample(rng, n=50)
-        xg = np.linspace(0.0, 1.0, 40)
-        yg = np.linspace(0.0, 0.5, 40)
-        base = kde_joint(sample, xg, yg, bandwidth=(0.1, 0.05))
-        shifted = kde_joint(
-            JointSample(sample.avg + 2.0, sample.div - 1.0),
-            xg + 2.0,
-            yg - 1.0,
-            bandwidth=(0.1, 0.05),
-        )
-        np.testing.assert_allclose(shifted.density, base.density, atol=1e-12)
-
-    def test_nonpositive_bandwidth_rejected(self, rng):
-        sample = linear_sample(rng, n=10)
-        with pytest.raises(ValidationError):
-            kde_joint(sample, np.linspace(0, 1, 5), np.linspace(0, 1, 5), bandwidth=(0.0, 0.1))
-
-
-class TestConditionalGrid:
-    def test_nonzero_slices_sum_to_one(self, rng):
-        sample = linear_sample(rng)
-        grid = kde_joint(sample, np.linspace(0, 1, 30), np.linspace(0, 1, 30))
-        cond, empty = conditional_grid(grid)
-        sums = cond.density.sum(axis=1)
-        np.testing.assert_allclose(sums[~empty], 1.0, atol=1e-9)
-
-    def test_already_normalized_unchanged(self):
-        density = np.full((4, 5), 0.2)
-        grid = KdeGrid(np.arange(4.0), np.arange(5.0), density, (1.0, 1.0))
-        cond, empty = conditional_grid(grid)
-        np.testing.assert_allclose(cond.density, density, atol=1e-15)
-        assert not empty.any()
-
-    def test_equal_slice_becomes_uniform(self):
-        density = np.array([[3.0, 3.0, 3.0, 3.0]])
-        grid = KdeGrid(np.zeros(1), np.arange(4.0), density, (1.0, 1.0))
-        cond, _ = conditional_grid(grid)
-        np.testing.assert_allclose(cond.density, np.full((1, 4), 0.25))
-
-    def test_zero_slice_flagged(self):
-        density = np.array([[0.0, 0.0], [0.3, 0.1]])
-        grid = KdeGrid(np.arange(2.0), np.arange(2.0), density, (1.0, 1.0))
-        cond, empty = conditional_grid(grid)
-        assert empty.tolist() == [True, False]
-        np.testing.assert_array_equal(cond.density[0], [0.0, 0.0])
-        np.testing.assert_allclose(cond.density[1], [0.75, 0.25])
-
 
 class TestKrr:
     def test_constant_target(self):
@@ -225,6 +163,12 @@ class TestKrr:
                 bandwidth=1.0, ridge=1e-30,
             )
 
+    def test_ridge_at_machine_epsilon_escalates(self):
+        # 1e-17 and 1e-16 are below machine epsilon and count as failed solves.
+        x = np.linspace(0.0, 1.0, 30)
+        curve = krr_conditional_expectation(x, np.sin(x), x, ridge=1e-17)
+        assert curve.ridge == pytest.approx(1e-15)
+
     def test_default_ridge_floor(self):
         x = np.linspace(0.0, 1.0, 50)
         curve = krr_conditional_expectation(x, np.full(50, 1e-4), x)
@@ -249,6 +193,61 @@ class TestKrr:
         grid = np.linspace(0.25, 0.75, 50)
         curve = krr_conditional_expectation(sample.avg, sample.div, grid)
         assert np.all(np.isfinite(curve.y_hat))
+
+
+class TestLowRankMatchesDense:
+    @pytest.mark.parametrize("n", [50, 500, 4000])
+    @pytest.mark.parametrize("draw", ["beta", "normal"])
+    def test_curves_agree(self, n, draw):
+        # Normal draws at n=4000 need more than the factor's first 64 rows.
+        rng = np.random.default_rng(n)
+        x = rng.beta(0.7, 2.0, n) if draw == "beta" else rng.normal(0.3, 0.1, n)
+        y = 0.3 * x + 0.1 * np.sin(8.0 * x) + rng.normal(0.0, 0.05, n)
+        x_eval = np.linspace(np.percentile(x, 1.0), np.percentile(x, 99.0), 100)
+        fast = krr_conditional_expectation(x, y, x_eval)
+        exact = dense_krr_curve(x, y, x_eval)
+        assert fast.ridge == exact.ridge
+        assert fast.rank < n
+        assert np.abs(fast.y_hat - exact.y_hat).max() <= 1e-9
+
+    def test_factor_reproduces_kernel(self, rng):
+        x = rng.beta(0.7, 2.0, 300)
+        x_eval = np.linspace(0.05, 0.6, 40)
+        h = scott_bandwidth_1d(x)
+        factor, factor_eval = conditional._pivoted_cholesky(x, x_eval, h)
+        gram = np.exp(-((x[:, None] - x[None, :]) ** 2) / (2.0 * h * h))
+        k_eval = np.exp(-((x_eval[:, None] - x[None, :]) ** 2) / (2.0 * h * h))
+        assert factor.shape == (factor_eval.shape[0], 300)
+        assert np.abs(factor.T @ factor - gram).max() <= 1e-10
+        assert np.abs(factor_eval.T @ factor - k_eval).max() <= 1e-10
+
+    def test_permutation_test_agrees(self, monkeypatch):
+        fast = [permutation_test(*split_samples(seed), n_surrogates=100, seed=seed)
+                for seed in range(10)]
+        monkeypatch.setattr(conditional, "krr_conditional_expectation", dense_krr_curve)
+        for seed, res in enumerate(fast):
+            exact = permutation_test(*split_samples(seed), n_surrogates=100, seed=seed)
+            assert abs(res.d - exact.d) <= 1e-8
+            assert res.p_value == exact.p_value
+            np.testing.assert_allclose(res.d_surrogates, exact.d_surrogates, rtol=0, atol=1e-8)
+
+    def test_memory_linear_at_paper_scale(self):
+        # The dense Gram matrix alone would take 20 GB at n=50,000. These
+        # draws need a rank above 64, so the factor grows once on the way.
+        rng = np.random.default_rng(50)
+        n = 50_000
+        x = rng.beta(2.0, 5.0, n)
+        y = 0.2 * x + rng.normal(0.0, 0.02, n)
+        x_eval = np.linspace(0.05, 0.6, 100)
+        tracemalloc.start()
+        try:
+            curve = krr_conditional_expectation(x, y, x_eval)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert curve.rank > 64
+        assert np.all(np.isfinite(curve.y_hat))
+        assert peak < 100 * 2**20
 
 
 class TestEvaluationGrid:
@@ -306,6 +305,15 @@ class TestDStatistic:
         a = ConditionalCurve(x, np.ones(100), 0.1, 1e-6)
         b = ConditionalCurve(x, np.full(100, 1.2), 0.1, 1e-6)
         assert d_statistic(a, b, integral=True) == pytest.approx(0.4, abs=1e-12)
+
+    def test_integral_form_needs_positive_ind_curve(self):
+        x = np.linspace(0.0, 1.0, 10)
+        y = np.ones(10)
+        y[4] = 0.0
+        a = ConditionalCurve(x, y, 0.1, 1e-6)
+        b = ConditionalCurve(x, np.ones(10), 0.1, 1e-6)
+        with pytest.raises(NumericalError):
+            d_statistic(a, b, integral=True)
 
 
 class TestPermutationTest:
