@@ -19,7 +19,6 @@ from .decomposition import (
     decompose_entropy,
     decompose_quadratic,
     jsd_diversity,
-    marginal_avg_uncertainty,
     nll_jensen_gap,
     variance_diversity,
 )
@@ -34,7 +33,6 @@ from .gp import (
     run_default_experiment,
 )
 from .improvement import (
-    ImprovementPair,
     MmdTestResult,
     improvement_similarity_test,
     median_heuristic_bandwidth,
@@ -45,7 +43,6 @@ from .improvement import (
 )
 from .metrics import (
     CalibrationSummary,
-    MetricVector,
     brier,
     calibration,
     compute_metric,

@@ -31,7 +31,6 @@ from .conditional import (
     JointSample,
     joint_samples,
     permutation_test,
-    scott_bandwidth_1d,
 )
 from .decomposition import (
     FAMILIES,
@@ -360,13 +359,16 @@ def _load_ensembles(arg: str, store: PredictionStore, pair: tuple[str, str]) -> 
         raw = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ValidationError(f"--ensembles file is not valid JSON: {exc}") from exc
+    if not isinstance(raw, list):
+        raise ValidationError("--ensembles file must hold a JSON list of member lists")
     defs = []
-    for entry in raw:
-        members = tuple(entry)
-        for m in members:
+    for i, entry in enumerate(raw):
+        if not isinstance(entry, list) or not all(isinstance(m, str) for m in entry):
+            raise ValidationError(f"--ensembles entry {i} must be a list of model ids, got {entry!r}")
+        for m in entry:
             if m not in store.model_ids:
-                raise ValidationError(f"--ensembles references unknown model {m!r}")
-        defs.append(EnsembleDef(ensemble_id_for(members), members))
+                raise ValidationError(f"--ensembles entry {i} references unknown model {m!r}")
+        defs.append(EnsembleDef(ensemble_id_for(entry), tuple(entry)))
     return defs
 
 
@@ -374,9 +376,9 @@ def cmd_trends(args: argparse.Namespace) -> None:
     store = load_store(args.manifest)
     pair = _resolve_pair(store, args.pair)
     metrics = _resolve_metrics(args.metric)
+    ensembles = _load_ensembles(args.ensembles, store, pair)
     out = prepare_out_dir(args.out, args.force)
 
-    ensembles = _load_ensembles(args.ensembles, store, pair)
     het_ids: set[str] = set()
     skipped_bins: list[dict] = []
     if args.het_bins:
@@ -513,6 +515,8 @@ def _member_probs_for_spec(store: PredictionStore, spec: str, dataset: str) -> n
 
 
 def cmd_improve(args: argparse.Namespace) -> None:
+    if args.subsample < 0:
+        raise ValidationError(f"--subsample must be nonnegative (0 = off), got {args.subsample}")
     store = load_store(args.manifest)
     pair = _resolve_pair(store, args.pair)
     metric = METRIC_ALIASES.get(args.metric, args.metric)
@@ -531,7 +535,7 @@ def cmd_improve(args: argparse.Namespace) -> None:
         delta_a = per_point_improvement(base, alt_a, labels, metric)
         delta_b = per_point_improvement(base, alt_b, labels, metric)
         delta_c = per_point_improvement(base, control, labels, metric)
-        base_scores = compute_metric(metric, base, labels).values
+        base_scores = compute_metric(metric, base, labels)
 
         take = _subsample_indices(delta_a.shape[0], args.subsample, args.seed, tag=29)
         delta_a, delta_b, delta_c = delta_a[take], delta_b[take], delta_c[take]

@@ -20,20 +20,14 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .metrics import NLL_EPS, brier, entropy, quad_uncertainty
+from .store import stack_members
 
 FAMILIES = ("quadratic", "entropy", "brier_gap", "nll_gap")
 IDENTITY_TOL = 1e-10
 
 
 def _stack_members(members: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
-    if isinstance(members, np.ndarray) and members.ndim == 3:
-        stack = members.astype(np.float64, copy=False)
-    else:
-        if len(members) == 0:
-            raise ValidationError("need at least one member")
-        stack = np.stack([np.asarray(m, dtype=np.float64) for m in members])
-    if stack.ndim != 3:
-        raise ValidationError("members must be 2-d matrices of one shared shape")
+    stack = stack_members(members)
     if stack.shape[0] < 2:
         raise ValidationError("diversity needs at least two members")
     return stack
@@ -92,7 +86,7 @@ def decompose_quadratic(members: Sequence[np.ndarray] | np.ndarray) -> Decomposi
     stack = _stack_members(members)
     ens = stack.mean(axis=0)
     total = quad_uncertainty(ens)
-    diversity = stack.var(axis=0, ddof=0).sum(axis=1)
+    diversity = variance_diversity(stack)
     avg = np.stack([quad_uncertainty(stack[m]) for m in range(stack.shape[0])]).mean(axis=0)
     return _check_identity(DecompositionRecord("quadratic", total, diversity, avg))
 
@@ -133,7 +127,7 @@ def brier_jensen_gap(members: Sequence[np.ndarray] | np.ndarray, labels: np.ndar
     ens = stack.mean(axis=0)
     total = brier(ens, labels)
     avg = np.stack([brier(stack[m], labels) for m in range(stack.shape[0])]).mean(axis=0)
-    diversity = stack.var(axis=0, ddof=0).sum(axis=1)
+    diversity = variance_diversity(stack)
     return _check_identity(DecompositionRecord("brier_gap", total, diversity, avg))
 
 
@@ -166,36 +160,3 @@ def nll_jensen_gap(
     record = DecompositionRecord("nll_gap", total, diversity, avg)
     return _check_identity(record, mask=unclamped)
 
-
-def metric_range(family: str, n_classes: int) -> tuple[float, float]:
-    """Attainable range of the per-member uncertainty for a family."""
-    if n_classes < 2:
-        raise ValidationError("need at least two classes")
-    if family == "quadratic":
-        return 0.0, 1.0 - 1.0 / n_classes
-    if family == "entropy":
-        return 0.0, float(np.log(n_classes))
-    raise ValidationError(f"no uncertainty range for family {family!r}")
-
-
-def marginal_avg_uncertainty(
-    members: Sequence[np.ndarray] | np.ndarray,
-    family: str = "quadratic",
-    n_cells: int = 100,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Histogram of the member-average uncertainty over its attainable range.
-
-    Returns (counts, edges) with n_cells equal-width cells; the top edge is
-    inclusive so a maximally uncertain point lands in the last cell.
-    """
-    stack = _stack_members(members)
-    if family == "quadratic":
-        per_member = np.stack([quad_uncertainty(stack[m]) for m in range(stack.shape[0])])
-    elif family == "entropy":
-        per_member = np.stack([entropy(stack[m]) for m in range(stack.shape[0])])
-    else:
-        raise ValidationError(f"unknown family {family!r} for marginal histogram")
-    avg = per_member.mean(axis=0)
-    lo, hi = metric_range(family, stack.shape[2])
-    counts, edges = np.histogram(avg, bins=n_cells, range=(lo, hi))
-    return counts, edges

@@ -24,16 +24,6 @@ MMD_SIZE_WARNING = 20_000
 BANDWIDTH_MEDIAN_CAP = 2_000
 
 
-@dataclass
-class ImprovementPair:
-    """Per-point score deltas of one alternative over one base model."""
-
-    base_id: str
-    alt_id: str
-    metric: str
-    delta: np.ndarray
-
-
 def per_point_improvement(
     base_probs: np.ndarray,
     alt_probs: np.ndarray,
@@ -41,9 +31,7 @@ def per_point_improvement(
     metric: str = "brier",
 ) -> np.ndarray:
     """Base score minus alternative score, per point. Positive is better."""
-    base = compute_metric(metric, base_probs, labels).values
-    alt = compute_metric(metric, alt_probs, labels).values
-    return base - alt
+    return compute_metric(metric, base_probs, labels) - compute_metric(metric, alt_probs, labels)
 
 
 def pearson_r(a: np.ndarray, b: np.ndarray) -> float:

@@ -16,7 +16,6 @@ from .errors import ValidationError
 # Floor applied to the true-class probability inside the log.
 NLL_EPS = 1e-12
 
-METRIC_KINDS = ("brier", "nll", "zero_one", "entropy", "quad_uncertainty")
 LN2 = float(np.log(2.0))
 
 
@@ -130,29 +129,18 @@ def calibration(probs: np.ndarray, labels: np.ndarray, n_bins: int = 15) -> Cali
     return CalibrationSummary(n_bins, counts, bin_conf, bin_acc, ece, resce)
 
 
-@dataclass
-class MetricVector:
-    """Per-datapoint values of one metric, tagged with the metric kind."""
-
-    kind: str
-    values: np.ndarray
-
-    def mean(self) -> float:
-        return float(self.values.mean())
-
-
-def compute_metric(kind: str, probs: np.ndarray, labels: np.ndarray) -> MetricVector:
+def compute_metric(kind: str, probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Dispatch a metric kind string to the matching per-point scorer."""
     if kind == "brier":
-        values = brier(probs, labels)
-    elif kind == "nll":
-        values = nll(probs, labels)
-    elif kind == "zero_one":
-        values = zero_one_error(probs, labels)
-    elif kind == "entropy":
-        values = entropy(probs)
-    elif kind == "quad_uncertainty":
-        values = quad_uncertainty(probs)
-    else:
-        raise ValidationError(f"unknown metric kind {kind!r}; choose from {METRIC_KINDS}")
-    return MetricVector(kind, values)
+        return brier(probs, labels)
+    if kind == "nll":
+        return nll(probs, labels)
+    if kind == "zero_one":
+        return zero_one_error(probs, labels)
+    if kind == "entropy":
+        return entropy(probs)
+    if kind == "quad_uncertainty":
+        return quad_uncertainty(probs)
+    raise ValidationError(
+        f"unknown metric kind {kind!r}; choose from brier, nll, zero_one, entropy, quad_uncertainty"
+    )

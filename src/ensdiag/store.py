@@ -19,7 +19,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -68,18 +68,28 @@ def validate_probs(probs: np.ndarray, *, atol: float = ROW_SUM_ATOL, name: str =
     return arr
 
 
-def form_ensemble(members: Sequence[np.ndarray]) -> np.ndarray:
-    """Arithmetic mean of member probability matrices.
+def stack_members(members: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
+    """Member probability matrices as one (M, N, C) float64 array.
 
-    All members must share one shape. The mean of row-stochastic matrices
-    is row-stochastic, so no renormalization happens here.
+    A 3-d array is taken as an existing stack and is not copied.
     """
+    if isinstance(members, np.ndarray) and members.ndim == 3:
+        return members.astype(np.float64, copy=False)
     if len(members) == 0:
         raise ValidationError("an ensemble needs at least one member")
     arrays = [np.asarray(m, dtype=np.float64) for m in members]
     if len({a.shape for a in arrays}) != 1 or arrays[0].ndim != 2:
         raise ValidationError("members must be 2-d matrices of one shared shape")
-    return np.stack(arrays).mean(axis=0)
+    return np.stack(arrays)
+
+
+def form_ensemble(members: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
+    """Arithmetic mean of member probability matrices.
+
+    All members must share one shape. The mean of row-stochastic matrices
+    is row-stochastic, so no renormalization happens here.
+    """
+    return stack_members(members).mean(axis=0)
 
 
 @dataclass(frozen=True)
@@ -186,8 +196,9 @@ class PredictionStore:
     def models_on(self, dataset_id: str) -> list[str]:
         return [m for m in self._model_ids if (m, dataset_id) in self._predictions]
 
-    def member_probs(self, member_ids: Sequence[str], dataset_id: str) -> list[np.ndarray]:
-        return [self.probs(m, dataset_id) for m in member_ids]
+    def member_probs(self, member_ids: Sequence[str], dataset_id: str) -> np.ndarray:
+        """The members' predictions on one dataset as an (M, N, C) stack."""
+        return stack_members([self.probs(m, dataset_id) for m in member_ids])
 
     def ensemble_probs(self, member_ids: Sequence[str], dataset_id: str) -> np.ndarray:
         return form_ensemble(self.member_probs(member_ids, dataset_id))
@@ -260,26 +271,32 @@ def form_heterogeneous_ensembles(
     return BinningReport(ensembles, skipped, edges, accs)
 
 
-def _read_f32_matrix(path: Path, n: int, c: int, name: str) -> np.ndarray:
-    data = path.read_bytes()
-    expected = n * c * 4
+def _read_raw(path: Path, dtype: str, shape: tuple[int, ...], name: str) -> np.ndarray:
+    """A headerless little-endian dump of the given shape, read-only."""
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise ValidationError(f"{name}: cannot read {path.name}: {exc.strerror}") from exc
+    expected = int(np.prod(shape)) * np.dtype(dtype).itemsize
     if len(data) != expected:
         raise ValidationError(
             f"{name}: file {path.name} holds {len(data)} bytes, expected {expected} "
-            f"for {n} x {c} float32"
+            f"for {' x '.join(map(str, shape))} {np.dtype(dtype).name}"
         )
-    return np.frombuffer(data, dtype="<f4").astype(np.float64).reshape(n, c)
+    return np.frombuffer(data, dtype=dtype).reshape(shape)
 
 
-def _read_i32_vector(path: Path, n: int, name: str) -> np.ndarray:
-    data = path.read_bytes()
-    expected = n * 4
-    if len(data) != expected:
-        raise ValidationError(
-            f"{name}: file {path.name} holds {len(data)} bytes, expected {expected} "
-            f"for {n} int32 labels"
-        )
-    return np.frombuffer(data, dtype="<i4").astype(np.int64)
+def _field(entry: dict, key: str, owner: str):
+    if key not in entry:
+        raise ValidationError(f"{owner}: missing {key!r}")
+    return entry[key]
+
+
+def _entries(manifest: dict, key: str) -> list[dict]:
+    entries = _field(manifest, key, "manifest")
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ValidationError(f"manifest {key!r} must be a list of objects")
+    return entries
 
 
 def _ingest_probs(raw: np.ndarray, name: str) -> np.ndarray:
@@ -313,45 +330,51 @@ def load_store(manifest_path: str | Path) -> PredictionStore:
         raise ValidationError(f"manifest is not valid JSON: {exc}") from exc
     root = manifest_path.parent
 
-    for key in ("datasets", "models"):
-        if key not in manifest:
-            raise ValidationError(f"manifest missing {key!r}")
+    if not isinstance(manifest, dict):
+        raise ValidationError("manifest must be a JSON object")
 
     store = PredictionStore()
     kinds: dict[str, str] = {}
-    for entry in manifest["datasets"]:
-        did = entry["id"]
-        n, c = int(entry["n"]), int(entry["c"])
+    for i, entry in enumerate(_entries(manifest, "datasets")):
+        did = str(_field(entry, "id", f"dataset entry {i}"))
+        owner = f"dataset {did!r}"
+        try:
+            n, c = int(_field(entry, "n", owner)), int(_field(entry, "c", owner))
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"{owner}: 'n' and 'c' must be integers") from exc
         kind = entry.get("kind", "probs")
         if kind not in ("logits", "probs"):
-            raise ValidationError(f"dataset {did!r}: unknown kind {kind!r}")
+            raise ValidationError(f"{owner}: unknown kind {kind!r}")
         if n < 1 or c < 2:
-            raise ValidationError(f"dataset {did!r}: need n >= 1 and c >= 2")
-        labels = _read_i32_vector(root / entry["labels_file"], n, f"dataset {did!r}")
-        if labels.min() < 0 or labels.max() >= c:
-            raise ValidationError(f"dataset {did!r}: labels outside [0, {c})")
+            raise ValidationError(f"{owner}: need n >= 1 and c >= 2")
+        labels = _read_raw(root / str(_field(entry, "labels_file", owner)), "<i4", (n,), owner)
         store.register_dataset(did, labels, c)
         kinds[did] = kind
 
-    for entry in manifest["models"]:
-        mid = entry["id"]
-        for did, rel in entry["files"].items():
+    for i, entry in enumerate(_entries(manifest, "models")):
+        mid = str(_field(entry, "id", f"model entry {i}"))
+        files = _field(entry, "files", f"model {mid!r}")
+        if not isinstance(files, dict):
+            raise ValidationError(f"model {mid!r}: 'files' must map dataset ids to file names")
+        for did, rel in files.items():
             if did not in store.datasets:
                 raise ValidationError(f"model {mid!r} references unknown dataset {did!r}")
             info = store.datasets[did]
-            raw = _read_f32_matrix(root / rel, info.n, info.n_classes, f"{mid}/{did}")
-            if kinds[did] == "logits":
-                probs = softmax(raw)
-            else:
-                probs = _ingest_probs(raw, f"{mid}/{did}")
+            name = f"{mid}/{did}"
+            raw = _read_raw(root / str(rel), "<f4", (info.n, info.n_classes), name).astype(np.float64)
+            probs = softmax(raw) if kinds[did] == "logits" else _ingest_probs(raw, name)
             store.add_prediction(mid, did, probs)
 
-    for pair in manifest.get("pairs", []):
-        ind, ood = pair
-        for did in (ind, ood):
-            if did not in store.datasets:
+    pairs = manifest.get("pairs", [])
+    if not isinstance(pairs, list):
+        raise ValidationError("manifest 'pairs' must be a list")
+    for pair in pairs:
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ValidationError(f"pair {pair!r} must be a list [ind, ood]")
+        for did in pair:
+            if not isinstance(did, str) or did not in store.datasets:
                 raise ValidationError(f"pair references unknown dataset {did!r}")
-        store.pairs.append((ind, ood))
+        store.pairs.append(tuple(pair))
     return store
 
 

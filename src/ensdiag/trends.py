@@ -92,12 +92,16 @@ def effective_robustness(point: TrendPoint, baseline: TrendFit) -> float:
     return float(predicted - point.ood_value)
 
 
-def _model_score(store: PredictionStore, probs, labels, metric: str, n_bins: int) -> float:
-    if metric == "ece":
-        return calibration(probs, labels, n_bins=n_bins).ece
-    if metric == "resce":
-        return calibration(probs, labels, n_bins=n_bins).resce
-    return compute_metric(metric, probs, labels).mean()
+def _scores(probs: np.ndarray, labels: np.ndarray, metrics: Sequence[str], n_bins: int) -> dict[str, float]:
+    """Mean score of one prediction matrix for each metric, calibrating at most once."""
+    out: dict[str, float] = {}
+    if "ece" in metrics or "resce" in metrics:
+        summary = calibration(probs, labels, n_bins=n_bins)
+        out.update(ece=summary.ece, resce=summary.resce)
+    for metric in metrics:
+        if metric not in out:
+            out[metric] = float(compute_metric(metric, probs, labels).mean())
+    return out
 
 
 def trend_points(
@@ -108,29 +112,33 @@ def trend_points(
     n_bins: int = 15,
     heterogeneous_ids: frozenset[str] = frozenset(),
 ) -> list[TrendPoint]:
-    """Score every single model and every ensemble on both sides of a pair."""
-    ind_id, ood_id = pair
-    labels = {d: store.labels(d) for d in pair}
-    points: list[TrendPoint] = []
+    """Score every single model and every ensemble on both sides of a pair.
+
+    Each model and ensemble is scored once per dataset for all metrics.
+    Points come out metric by metric, singles before ensembles.
+    """
     for metric in metrics:
         if metric not in TREND_METRICS:
             raise ValidationError(f"unknown trend metric {metric!r}; choose from {TREND_METRICS}")
-        for mid in store.model_ids:
-            if not (store.has_prediction(mid, ind_id) and store.has_prediction(mid, ood_id)):
-                continue
-            vals = {
-                d: _model_score(store, store.probs(mid, d), labels[d], metric, n_bins)
-                for d in pair
-            }
-            points.append(TrendPoint(mid, "single", metric, vals[ind_id], vals[ood_id]))
-        for ens in ensembles:
-            vals = {
-                d: _model_score(store, store.ensemble_probs(ens.member_model_ids, d), labels[d], metric, n_bins)
-                for d in pair
-            }
-            cls = "heterogeneous" if ens.ensemble_id in heterogeneous_ids else "ensemble"
-            points.append(TrendPoint(ens.ensemble_id, cls, metric, vals[ind_id], vals[ood_id]))
-    return points
+    ind_id, ood_id = pair
+    labels = {d: store.labels(d) for d in pair}
+    scored: list[tuple[str, str, dict, dict]] = []
+    for mid in store.model_ids:
+        if store.has_prediction(mid, ind_id) and store.has_prediction(mid, ood_id):
+            ind, ood = [_scores(store.probs(mid, d), labels[d], metrics, n_bins) for d in pair]
+            scored.append((mid, "single", ind, ood))
+    for ens in ensembles:
+        ind, ood = [
+            _scores(store.ensemble_probs(ens.member_model_ids, d), labels[d], metrics, n_bins)
+            for d in pair
+        ]
+        cls = "heterogeneous" if ens.ensemble_id in heterogeneous_ids else "ensemble"
+        scored.append((ens.ensemble_id, cls, ind, ood))
+    return [
+        TrendPoint(model_id, cls, metric, ind[metric], ood[metric])
+        for metric in metrics
+        for model_id, cls, ind, ood in scored
+    ]
 
 
 @dataclass

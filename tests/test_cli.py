@@ -57,6 +57,38 @@ class TestExitCodes:
         assert run(BASE_SIM + ["--out", out, "--force"]) == 0
 
 
+def _drop_key(entries, key):
+    del entries[0][key]
+
+
+MALFORMED_MANIFESTS = {
+    "missing_n": (lambda m, d: _drop_key(m["datasets"], "n"), "dataset 'ind'"),
+    "missing_files": (lambda m, d: _drop_key(m["models"], "files"), "model 'm000'"),
+    "three_element_pair": (lambda m, d: m["pairs"][0].append("ind"), "pair"),
+    "models_object": (lambda m, d: m.update(models={e["id"]: e for e in m["models"]}), "'models'"),
+    "n_not_integer": (lambda m, d: m["datasets"][0].update(n="abc"), "dataset 'ind'"),
+    "missing_labels_file": (lambda m, d: (d / m["datasets"][0]["labels_file"]).unlink(), "dataset 'ind'"),
+    "missing_prediction_file": (lambda m, d: (d / m["models"][0]["files"]["ind"]).unlink(), "m000/ind"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MANIFESTS))
+def test_malformed_manifest_is_one_error_line(sim_dir, tmp_path, capsys, case):
+    mutate, expected = MALFORMED_MANIFESTS[case]
+    path = sim_dir / "manifest.json"
+    manifest = json.loads(path.read_text())
+    assert manifest["datasets"][0]["id"] == "ind" and manifest["models"][0]["id"] == "m000"
+    mutate(manifest, sim_dir)
+    path.write_text(json.dumps(manifest))
+    code = run(["decompose", "--manifest", path, "--out", tmp_path / "x"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ") and expected in lines[0]
+
+
 class TestSimulateCommand:
     def test_outputs(self, sim_dir):
         assert (sim_dir / "manifest.json").is_file()
@@ -175,6 +207,24 @@ class TestTrendsCommand:
         assert result["diversity_ratio"] is not None
         assert result["diversity_ratio"]["ratio"] > 0.0
 
+    @pytest.mark.parametrize("content,expected", [
+        ([["m000", "m001"], "m002"], "entry 1"),
+        ([["m000", 3]], "entry 0"),
+        ({"a": ["m000", "m001"]}, "JSON list"),
+    ])
+    def test_malformed_ensembles_file(self, sim_dir, tmp_path, capsys, content, expected):
+        path = tmp_path / "ens.json"
+        path.write_text(json.dumps(content))
+        code = run([
+            "trends", "--manifest", sim_dir / "manifest.json",
+            "--ensembles", path, "--out", tmp_path / "x",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: --ensembles") and expected in err[0]
+        assert not (tmp_path / "x").exists()
+
     def test_unknown_metric(self, sim_dir, tmp_path):
         code = run([
             "trends", "--manifest", sim_dir / "manifest.json",
@@ -208,6 +258,19 @@ class TestImproveCommand:
             "--control", "m003", "--metric", "ece", "--out", tmp_path / "x",
         ])
         assert code == 1
+
+    @pytest.mark.parametrize("value", [-1, -5])
+    def test_bad_argument_names_flag(self, sim_dir, tmp_path, capsys, value):
+        code = run([
+            "improve", "--manifest", sim_dir / "manifest.json",
+            "--base", "m000", "--alt-a", "m001", "--alt-b", "m002", "--control", "m003",
+            "--subsample", value, "--out", tmp_path / "x",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and "--subsample" in err[0]
+        assert not (tmp_path / "x").exists()
 
     def test_degenerate_zero_one_cloud_rejected(self, sim_dir, tmp_path):
         # Mostly-agreeing models make 0-1 deltas collide; the median pairwise

@@ -11,7 +11,6 @@ from ensdiag.decomposition import (
     decompose_entropy,
     decompose_quadratic,
     jsd_diversity,
-    marginal_avg_uncertainty,
     nll_jensen_gap,
     variance_diversity,
 )
@@ -200,26 +199,3 @@ class TestDiversityZeroIffIdentical:
         p = random_simplex(rng, 6, 4)
         assert np.all(variance_diversity(np.stack([p, p, p])) < 1e-12)
 
-
-class TestMarginal:
-    def test_all_one_hot_first_cell(self):
-        members = np.stack([np.eye(3)[[0, 1, 2]], np.eye(3)[[0, 1, 2]]])
-        counts, edges = marginal_avg_uncertainty(members, family="quadratic")
-        assert counts[0] == 3
-        assert counts[1:].sum() == 0
-        assert len(counts) == 100
-
-    def test_all_uniform_top_cell(self):
-        p = np.full((4, 10), 0.1)
-        counts, edges = marginal_avg_uncertainty(np.stack([p, p]), family="quadratic")
-        # avg uncertainty 0.9 is the top of the quadratic range for C=10
-        assert counts[-1] == 4
-
-    def test_mixture_two_spikes(self):
-        one_hot = np.eye(10)[np.zeros(6, dtype=int)]
-        uniform = np.full((4, 10), 0.1)
-        p = np.vstack([one_hot, uniform])
-        counts, edges = marginal_avg_uncertainty(np.stack([p, p]), family="quadratic")
-        assert counts[0] == 6
-        assert counts[-1] == 4
-        assert counts.sum() == 10

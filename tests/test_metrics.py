@@ -139,11 +139,11 @@ class TestMetricRanges:
         c = int(rng.integers(2, 8))
         p = random_simplex(rng, 25, c)
         y = rng.integers(0, c, size=25)
-        assert set(np.unique(compute_metric("zero_one", p, y).values)) <= {0.0, 1.0}
-        assert np.all(compute_metric("nll", p, y).values >= 0)
-        ent = compute_metric("entropy", p, y).values
+        assert set(np.unique(compute_metric("zero_one", p, y))) <= {0.0, 1.0}
+        assert np.all(compute_metric("nll", p, y) >= 0)
+        ent = compute_metric("entropy", p, y)
         assert np.all(ent >= -1e-12) and np.all(ent <= np.log(c) + 1e-12)
-        quad = compute_metric("quad_uncertainty", p, y).values
+        quad = compute_metric("quad_uncertainty", p, y)
         assert np.all(quad >= -1e-12) and np.all(quad <= 1 - 1 / c + 1e-12)
 
     def test_unknown_kind(self):

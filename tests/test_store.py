@@ -18,6 +18,7 @@ from ensdiag.store import (
     load_store,
     save_store,
     softmax,
+    stack_members,
 )
 
 
@@ -73,6 +74,15 @@ class TestFormEnsemble:
     def test_shape_mismatch(self):
         with pytest.raises(ValidationError):
             form_ensemble([np.ones((2, 3)) / 3, np.ones((2, 4)) / 4])
+
+    def test_member_probs_is_one_stack(self, tiny_store):
+        stack = tiny_store.member_probs(["m2", "m0"], "ind")
+        assert stack.shape == (2, 60, 5)
+        np.testing.assert_array_equal(stack[0], tiny_store.probs("m2", "ind"))
+        assert stack_members(stack) is stack
+        np.testing.assert_array_equal(
+            tiny_store.ensemble_probs(["m2", "m0"], "ind"), form_ensemble(stack)
+        )
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=30, deadline=None)

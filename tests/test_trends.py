@@ -6,10 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build_store, random_simplex
+import ensdiag.trends
 from ensdiag.errors import ValidationError
-from ensdiag.metrics import brier
-from ensdiag.store import EnsembleDef, PredictionStore
+from ensdiag.metrics import brier, calibration, compute_metric
+from ensdiag.store import (
+    EnsembleDef,
+    PredictionStore,
+    enumerate_homogeneous_ensembles,
+    form_ensemble,
+    form_heterogeneous_ensembles,
+)
 from ensdiag.trends import (
+    TREND_METRICS,
     TrendPoint,
     diversity_ratio_check,
     effective_robustness,
@@ -109,6 +117,15 @@ class TestEffectiveRobustness:
         assert abs(np.mean(residuals)) < 1e-9
 
 
+def mixed_ensemble_store(rng):
+    """Six models with leave-one-out ensembles plus two-member heterogeneous ones."""
+    store = build_store(rng, models=tuple(f"m{k}" for k in range(6)), n=50, c=4)
+    ensembles = enumerate_homogeneous_ensembles(store.model_ids, 5)
+    report = form_heterogeneous_ensembles(store, "ind", 2, members_per_ensemble=2, seed=3)
+    assert report.ensembles
+    return store, ensembles + report.ensembles, frozenset(e.ensemble_id for e in report.ensembles)
+
+
 class TestTrendPoints:
     def test_counts_and_values(self, rng):
         store = build_store(rng)
@@ -139,6 +156,49 @@ class TestTrendPoints:
             store, [ens], ["brier"], ("ind", "ood"), heterogeneous_ids=frozenset({"mix"})
         )
         assert next(p for p in pts if p.model_id == "mix").model_class == "heterogeneous"
+
+    def test_equals_per_point_oracle(self, rng):
+        store, ensembles, het_ids = mixed_ensemble_store(rng)
+        pts = trend_points(store, ensembles, TREND_METRICS, ("ind", "ood"), n_bins=7,
+                           heterogeneous_ids=het_ids)
+        singles = [(m, (m,), "single") for m in store.model_ids]
+        combos = [(e.ensemble_id, e.member_model_ids,
+                   "heterogeneous" if e.ensemble_id in het_ids else "ensemble") for e in ensembles]
+
+        def oracle(members, metric, dataset):
+            probs = form_ensemble([store.probs(m, dataset) for m in members])
+            labels = store.labels(dataset)
+            if metric in ("ece", "resce"):
+                return getattr(calibration(probs, labels, n_bins=7), metric)
+            return compute_metric(metric, probs, labels).mean()
+
+        expected = [
+            (metric, pid, cls, oracle(members, metric, "ind"), oracle(members, metric, "ood"))
+            for metric in TREND_METRICS
+            for pid, members, cls in singles + combos
+        ]
+        got = [(p.metric, p.model_id, p.model_class, p.ind_value, p.ood_value) for p in pts]
+        assert got == expected
+
+    @pytest.mark.parametrize("metrics", [["brier"], ["ece", "nll"], list(TREND_METRICS)])
+    def test_one_ensemble_and_calibration_per_dataset(self, rng, monkeypatch, metrics):
+        store, ensembles, het_ids = mixed_ensemble_store(rng)
+        calls = {"ensemble_probs": 0, "calibration": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(PredictionStore, "ensemble_probs",
+                            counted("ensemble_probs", PredictionStore.ensemble_probs))
+        monkeypatch.setattr(ensdiag.trends, "calibration", counted("calibration", calibration))
+        trend_points(store, ensembles, metrics, ("ind", "ood"), heterogeneous_ids=het_ids)
+        assert calls["ensemble_probs"] == 2 * len(ensembles)
+        scored = len(store.model_ids) + len(ensembles)
+        needs_calibration = "ece" in metrics or "resce" in metrics
+        assert calls["calibration"] == (2 * scored if needs_calibration else 0)
 
     def test_invalid_class_rejected(self):
         with pytest.raises(ValidationError):
