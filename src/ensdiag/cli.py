@@ -17,6 +17,7 @@ import argparse
 import json
 import platform
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -95,20 +96,10 @@ def write_json(path: Path, record: dict) -> None:
     path.write_text(json.dumps(_jsonable(record), indent=2, sort_keys=True) + "\n")
 
 
-def _cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    v = float(value)
-    return repr(v) if np.isfinite(v) else ("nan" if np.isnan(v) else ("inf" if v > 0 else "-inf"))
-
-
-def write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_cell(v) for v in row) for row in rows)
+def write_csv(path: Path, columns: dict) -> None:
+    """Write named, equal-length columns; floats print as ``repr`` (``nan``, ``inf``)."""
+    cells = [map(str, np.asarray(col).tolist()) for col in columns.values()]
+    lines = [",".join(columns), *map(",".join, zip(*cells))]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -134,15 +125,23 @@ def _resolve_pair(store: PredictionStore, pair_arg: str | None) -> tuple[str, st
     return ind, ood
 
 
+def _parse_members(store: PredictionStore, spec: str, pair: tuple[str, str]) -> list[str]:
+    """Model ids of an ``a+b+c`` spec, each distinct and predicted on both datasets."""
+    ids = spec.split("+")
+    for m in ids:
+        if ids.count(m) > 1:
+            raise ValidationError(f"member spec {spec!r} repeats model {m!r}")
+        for d in pair:
+            if not store.has_prediction(m, d):
+                raise ValidationError(f"model {m!r} has no prediction on {d!r}")
+    return ids
+
+
 def _resolve_members(store: PredictionStore, spec: str | None, pair: tuple[str, str]) -> list[str]:
     if spec is None:
         ids = [m for m in store.model_ids if all(store.has_prediction(m, d) for d in pair)]
     else:
-        ids = spec.split("+")
-        for m in ids:
-            for d in pair:
-                if not store.has_prediction(m, d):
-                    raise ValidationError(f"model {m!r} has no prediction on {d!r}")
+        ids = _parse_members(store, spec, pair)
     if len(ids) < 2:
         raise ValidationError("need at least two member models on both datasets")
     return ids
@@ -223,11 +222,8 @@ def cmd_decompose(args: argparse.Namespace) -> None:
             res = rec.residual()
             write_csv(
                 out / f"decompose_{family}_{dataset}.csv",
-                ["index", "total", "diversity", "avg_member", "residual"],
-                (
-                    (i, rec.total[i], rec.diversity[i], rec.avg_member[i], res[i])
-                    for i in range(rec.n)
-                ),
+                {"index": np.arange(rec.n), "total": rec.total, "diversity": rec.diversity,
+                 "avg_member": rec.avg_member, "residual": res},
             )
             aggregates[dataset][family] = {
                 "mean_total": float(rec.total.mean()),
@@ -254,10 +250,6 @@ def cmd_decompose(args: argparse.Namespace) -> None:
 
 
 def cmd_conditional(args: argparse.Namespace) -> None:
-    if args.bins < 2:
-        raise ValidationError(f"--bins must be at least 2, got {args.bins}")
-    if args.subsample < 0:
-        raise ValidationError(f"--subsample must be nonnegative (0 = off), got {args.subsample}")
     store = load_store(args.manifest)
     pair = _resolve_pair(store, args.pair)
     members = _resolve_members(store, args.members, pair)
@@ -283,8 +275,7 @@ def cmd_conditional(args: argparse.Namespace) -> None:
 
     write_csv(
         out / "curves.csv",
-        ["x", "y_ind", "y_ood"],
-        zip(result.x_grid, result.curve_ind.y_hat, result.curve_ood.y_hat),
+        {"x": result.x_grid, "y_ind": result.curve_ind.y_hat, "y_ood": result.curve_ood.y_hat},
     )
 
     fig_out = out / "conditional.svg"
@@ -390,43 +381,38 @@ def cmd_trends(args: argparse.Namespace) -> None:
             het_ids.add(ens.ensemble_id)
         skipped_bins = report.skipped
 
-    points = trend_points(store, ensembles, metrics, pair, n_bins=args.bins,
+    # The diversity ratio is derived from the Brier points, so they are always scored.
+    scored_metrics = metrics if "brier" in metrics else metrics + ["brier"]
+    scored = trend_points(store, ensembles, scored_metrics, pair, n_bins=args.bins,
                           heterogeneous_ids=frozenset(het_ids))
+    try:
+        ratio_report = asdict(diversity_ratio_check(scored, ensembles))
+    except ValidationError as exc:
+        ratio_report = {"skipped": str(exc)}
+    points = [p for p in scored if p.metric in metrics]
     rows = trend_table(points)
 
     baselines = {r.metric: r.fit for r in rows if r.model_class == "Single Model"}
-    point_rows = []
-    for p in points:
-        resid = effective_robustness(p, baselines[p.metric]) if p.metric in baselines else float("nan")
-        point_rows.append((p.metric, p.model_id, p.model_class, p.ind_value, p.ood_value, resid))
     write_csv(
         out / "trend_points.csv",
-        ["metric", "model_id", "model_class", "ind_value", "ood_value", "effective_robustness"],
-        point_rows,
+        {
+            **{key: [getattr(p, key) for p in points]
+               for key in ("metric", "model_id", "model_class", "ind_value", "ood_value")},
+            "effective_robustness": [
+                effective_robustness(p, baselines[p.metric]) if p.metric in baselines else float("nan")
+                for p in points
+            ],
+        },
     )
     write_csv(
         out / "trend_table.csv",
-        ["metric", "model_class", "coefficient", "std_error", "t_statistic", "p_value", "r2", "n"],
-        (
-            (r.metric, r.model_class, r.fit.coefficient, r.fit.std_error,
-             r.fit.t_statistic, r.fit.p_value, r.fit.r2, r.fit.n)
-            for r in rows
-        ),
+        {
+            "metric": [r.metric for r in rows],
+            "model_class": [r.model_class for r in rows],
+            **{key: [getattr(r.fit, key) for r in rows]
+               for key in ("coefficient", "std_error", "t_statistic", "p_value", "r2", "n")},
+        },
     )
-
-    ratio_report = None
-    if ensembles and len([m for m in store.model_ids]) >= 3:
-        try:
-            rep = diversity_ratio_check(store, ensembles, pair)
-            ratio_report = {
-                "ratio": rep.ratio,
-                "per_ensemble_ratio": rep.per_ensemble_ratio,
-                "c0": rep.c0,
-                "c0_std_error": rep.c0_std_error,
-                "discrepancy": rep.discrepancy,
-            }
-        except ValidationError:
-            ratio_report = None
 
     for metric in metrics:
         _trends_figure(points, rows, metric, out / f"trends_{metric}.svg", not args.no_timestamp)
@@ -504,33 +490,20 @@ def _trends_figure(points, rows, metric: str, path: Path, timestamp: bool) -> No
 # ----------------------------------------------------------------- improve
 
 
-def _member_probs_for_spec(store: PredictionStore, spec: str, dataset: str) -> np.ndarray:
-    ids = spec.split("+")
-    for m in ids:
-        if not store.has_prediction(m, dataset):
-            raise ValidationError(f"model {m!r} has no prediction on {dataset!r}")
-    if len(ids) == 1:
-        return store.probs(ids[0], dataset)
-    return store.ensemble_probs(ids, dataset)
-
-
 def cmd_improve(args: argparse.Namespace) -> None:
-    if args.subsample < 0:
-        raise ValidationError(f"--subsample must be nonnegative (0 = off), got {args.subsample}")
     store = load_store(args.manifest)
     pair = _resolve_pair(store, args.pair)
     metric = METRIC_ALIASES.get(args.metric, args.metric)
     if metric in ("ece", "resce"):
         raise ValidationError("improvement analysis needs a per-point metric (01, nll, brier)")
+    specs = [_parse_members(store, s, pair) for s in (args.base, args.alt_a, args.alt_b, args.control)]
     out = prepare_out_dir(args.out, args.force)
 
     per_dataset: dict = {}
     for dataset in pair:
         labels = store.labels(dataset)
-        base = _member_probs_for_spec(store, args.base, dataset)
-        alt_a = _member_probs_for_spec(store, args.alt_a, dataset)
-        alt_b = _member_probs_for_spec(store, args.alt_b, dataset)
-        control = _member_probs_for_spec(store, args.control, dataset)
+        # A one-member ensemble is that model's predictions, bit for bit.
+        base, alt_a, alt_b, control = (store.ensemble_probs(ids, dataset) for ids in specs)
 
         delta_a = per_point_improvement(base, alt_a, labels, metric)
         delta_b = per_point_improvement(base, alt_b, labels, metric)
@@ -546,8 +519,8 @@ def cmd_improve(args: argparse.Namespace) -> None:
 
         write_csv(
             out / f"improve_{dataset}.csv",
-            ["index", "delta_a", "delta_b", "control_delta", "base_score"],
-            zip(take, delta_a, delta_b, delta_c, base_scores),
+            {"index": take, "delta_a": delta_a, "delta_b": delta_b, "control_delta": delta_c,
+             "base_score": base_scores},
         )
         _improvement_figure(delta_a, delta_b, base_scores, out / f"improve_{dataset}.svg",
                             args.seed, not args.no_timestamp)
@@ -617,25 +590,20 @@ def cmd_gp_demo(args: argparse.Namespace) -> None:
 
     write_csv(
         out / "gp_predictions.csv",
-        ["x", "mean", "posterior_variance", "likelihood_variance", "split"],
-        (
-            (pred.x[i], pred.mean[i], pred.posterior_variance[i],
-             pred.likelihood_variance[i], "ind" if pred.x[i] >= 0 else "ood")
-            for i in range(pred.x.shape[0])
-        ),
+        {"x": pred.x, "mean": pred.mean, "posterior_variance": pred.posterior_variance,
+         "likelihood_variance": pred.likelihood_variance,
+         "split": np.where(pred.x >= 0, "ind", "ood")},
     )
-    bin_rows = []
-    for split in ("ind", "ood"):
-        table = exp.tables[split]
-        for b in range(table.counts.shape[0]):
-            bin_rows.append(
-                (split, table.edges[b], table.edges[b + 1], table.counts[b],
-                 table.mean_posterior_variance[b])
-            )
+    tables = [exp.tables[split] for split in ("ind", "ood")]
     write_csv(
         out / "gp_bins.csv",
-        ["split", "bin_lo", "bin_hi", "count", "mean_posterior_variance"],
-        bin_rows,
+        {
+            "split": np.repeat(["ind", "ood"], [t.counts.shape[0] for t in tables]),
+            "bin_lo": np.concatenate([t.edges[:-1] for t in tables]),
+            "bin_hi": np.concatenate([t.edges[1:] for t in tables]),
+            "count": np.concatenate([t.counts for t in tables]),
+            "mean_posterior_variance": np.concatenate([t.mean_posterior_variance for t in tables]),
+        },
     )
 
     ind_t, ood_t = exp.tables["ind"], exp.tables["ood"]
@@ -726,6 +694,23 @@ def cmd_report(args: argparse.Namespace) -> None:
 # ------------------------------------------------------------------- parser
 
 
+def _checked(kind: type, ok, rule: str):
+    """Argparse type that parses ``kind`` and rejects values failing ``ok``."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+def _at_least(lo: int):
+    return _checked(int, lambda v: v >= lo, f"at least {lo}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ensdiag", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -758,9 +743,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--members", default=None, help="ensemble members as a+b+c (default: all models)")
     p.add_argument("--family", default="quadratic", help="quadratic or entropy")
-    p.add_argument("--surrogates", type=int, default=100)
-    p.add_argument("--bins", type=int, default=DEFAULT_GRID_SIZE, help="evaluation grid size")
-    p.add_argument("--subsample", type=int, default=0, help="cap per-dataset sample size (0 = off)")
+    p.add_argument("--surrogates", type=_at_least(1), default=100)
+    p.add_argument("--bins", type=_at_least(2), default=DEFAULT_GRID_SIZE, help="evaluation grid size")
+    p.add_argument("--subsample", type=_at_least(0), default=0, help="cap per-dataset sample size (0 = off)")
     p.add_argument("--integral-d", action="store_true", help="integral form of the d statistic")
     p.set_defaults(func=cmd_conditional)
 
@@ -768,10 +753,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--metric", default="01,nll,brier,resce",
                    help="comma list from {01,nll,brier,ece,resce}")
-    p.add_argument("--bins", type=int, default=15, help="calibration bins for ece/resce")
+    p.add_argument("--bins", type=_at_least(1), default=15, help="calibration bins for ece/resce")
     p.add_argument("--ensembles", default="loo",
                    help="'loo' (leave-one-out), 'none', or path to a JSON list of member lists")
-    p.add_argument("--het-bins", type=int, default=0,
+    p.add_argument("--het-bins", type=_at_least(0), default=0,
                    help="form heterogeneous ensembles from this many accuracy bins")
     p.set_defaults(func=cmd_trends)
 
@@ -782,13 +767,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alt-b", required=True, help="second alternative (id or a+b+c ensemble)")
     p.add_argument("--control", required=True, help="control alternative (id or a+b+c ensemble)")
     p.add_argument("--metric", default="brier", help="per-point metric: 01, nll, or brier")
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--subsample", type=int, default=0, help="cap sample size (0 = off)")
+    p.add_argument("--alpha", type=_checked(float, lambda a: 0.0 < a <= 1.0, "in (0, 1]"), default=0.05)
+    p.add_argument("--subsample", type=_at_least(0), default=0, help="cap sample size (0 = off)")
     p.set_defaults(func=cmd_improve)
 
     p = sub.add_parser("gp-demo", help="heteroskedastic GP oracle experiment")
     add_common(p, manifest=False)
-    p.add_argument("--bins", type=int, default=20, help="likelihood-variance bins")
+    p.add_argument("--bins", type=_at_least(1), default=20, help="likelihood-variance bins")
     p.set_defaults(func=cmd_gp_demo)
 
     p = sub.add_parser("report", help="index all result.json files under a run directory")

@@ -19,11 +19,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .metrics import NLL_EPS, brier, entropy, quad_uncertainty
+from .metrics import IDENTITY_TOL, NLL_EPS, brier, entropy, quad_uncertainty
 from .store import stack_members
 
 FAMILIES = ("quadratic", "entropy", "brier_gap", "nll_gap")
-IDENTITY_TOL = 1e-10
 
 
 def _stack_members(members: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:

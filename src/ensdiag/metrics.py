@@ -16,6 +16,9 @@ from .errors import ValidationError
 # Floor applied to the true-class probability inside the log.
 NLL_EPS = 1e-12
 
+# Largest residual tolerated in an exact identity between scores.
+IDENTITY_TOL = 1e-10
+
 LN2 = float(np.log(2.0))
 
 

@@ -16,9 +16,8 @@ from typing import Sequence
 import numpy as np
 from scipy import stats
 
-from .decomposition import variance_diversity
 from .errors import ValidationError
-from .metrics import brier, calibration, compute_metric
+from .metrics import IDENTITY_TOL, calibration, compute_metric
 from .store import EnsembleDef, PredictionStore
 
 MODEL_CLASSES = ("single", "ensemble", "heterogeneous")
@@ -188,28 +187,39 @@ class DiversityRatioReport:
 
 
 def diversity_ratio_check(
-    store: PredictionStore,
+    points: Sequence[TrendPoint],
     ensembles: Sequence[EnsembleDef],
-    pair: tuple[str, str],
 ) -> DiversityRatioReport:
-    ind_id, ood_id = pair
+    """Diversity ratio from the Brier trend points alone.
+
+    By the Brier-gap identity an ensemble's mean variance diversity is its
+    members' mean Brier score minus its own, so no predictions are read.
+    `points` must hold the Brier points of every ensemble and its members.
+    """
+    brier_points = [p for p in points if p.metric == "brier"]
+    singles = {p.model_id: p for p in brier_points if p.model_class == "single"}
+    combined = {p.model_id: p for p in brier_points if p.model_class != "single"}
     if not ensembles:
         raise ValidationError("diversity ratio needs at least one ensemble")
+    if len(singles) < 3:
+        raise ValidationError(f"diversity ratio needs at least 3 single models, got {len(singles)}")
     per_ens: dict[str, float] = {}
     for ens in ensembles:
-        div_ind = variance_diversity(store.member_probs(ens.member_model_ids, ind_id))
-        div_ood = variance_diversity(store.member_probs(ens.member_model_ids, ood_id))
-        denom = float(div_ind.mean())
-        if denom == 0.0:
-            raise ValidationError(f"ensemble {ens.ensemble_id!r} has zero mean diversity on {ind_id!r}")
-        per_ens[ens.ensemble_id] = float(div_ood.mean()) / denom
+        members = ens.member_model_ids
+        if len(members) < 2:
+            raise ValidationError(f"ensemble {ens.ensemble_id!r} has fewer than two members")
+        try:
+            point = combined[ens.ensemble_id]
+            member_points = [singles[m] for m in members]
+        except KeyError as exc:
+            raise ValidationError(f"no brier trend point for {exc.args[0]!r}") from exc
+        div_ind = float(np.mean([p.ind_value for p in member_points])) - point.ind_value
+        div_ood = float(np.mean([p.ood_value for p in member_points])) - point.ood_value
+        if div_ind <= IDENTITY_TOL:
+            raise ValidationError(f"ensemble {ens.ensemble_id!r} has zero mean diversity on the InD set")
+        per_ens[ens.ensemble_id] = div_ood / div_ind
 
-    singles_ind, singles_ood = [], []
-    for mid in store.model_ids:
-        if store.has_prediction(mid, ind_id) and store.has_prediction(mid, ood_id):
-            singles_ind.append(float(brier(store.probs(mid, ind_id), store.labels(ind_id)).mean()))
-            singles_ood.append(float(brier(store.probs(mid, ood_id), store.labels(ood_id)).mean()))
-    fit = fit_trend_xy(np.array(singles_ind), np.array(singles_ood))
+    fit = fit_trend(list(singles.values()))
     ratio = float(np.mean(list(per_ens.values())))
     return DiversityRatioReport(
         ratio=ratio,

@@ -89,6 +89,20 @@ def test_malformed_manifest_is_one_error_line(sim_dir, tmp_path, capsys, case):
     assert lines[0].startswith("error: ") and expected in lines[0]
 
 
+@pytest.mark.parametrize("command,argv,repeated", [
+    ("decompose", ["--members", "m000+m001+m001"], "m001"),
+    ("conditional", ["--members", "m000+m000"], "m000"),
+    ("improve", ["--base", "m000", "--alt-a", "m001+m001", "--alt-b", "m002", "--control", "m003"], "m001"),
+])
+def test_repeated_member_is_one_error_line(sim_dir, tmp_path, capsys, command, argv, repeated):
+    code = run([command, "--manifest", sim_dir / "manifest.json", *argv, "--out", tmp_path / "x"])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ") and f"repeats model {repeated!r}" in err[0]
+    assert not (tmp_path / "x").exists()
+
+
 class TestSimulateCommand:
     def test_outputs(self, sim_dir):
         assert (sim_dir / "manifest.json").is_file()
@@ -152,16 +166,20 @@ class TestConditionalCommand:
         ])
         assert code == 1
 
-    @pytest.mark.parametrize("flag,value", [("--bins", 0), ("--bins", 1), ("--subsample", -5)])
-    def test_bad_argument_names_flag(self, sim_dir, tmp_path, capsys, flag, value):
-        code = run([
-            "conditional", "--manifest", sim_dir / "manifest.json",
-            flag, value, "--out", tmp_path / "x",
-        ])
+    # Bounded numeric flags of every command; ids of the conditional cases omit the command.
+    @pytest.mark.parametrize("command,flag,value", [
+        ("conditional", "--bins", 0), ("conditional", "--bins", 1), ("conditional", "--subsample", -5),
+        ("conditional", "--surrogates", 0), ("trends", "--bins", 0), ("trends", "--het-bins", -1),
+        ("gp-demo", "--bins", 0),
+    ], ids=["--bins-0", "--bins-1", "--subsample--5", "--surrogates-0", "trends---bins-0",
+            "trends---het-bins--1", "gp-demo---bins-0"])
+    def test_bad_argument_names_flag(self, sim_dir, tmp_path, capsys, command, flag, value):
+        manifest = [] if command == "gp-demo" else ["--manifest", sim_dir / "manifest.json"]
+        code = run([command, *manifest, flag, value, "--out", tmp_path / "x"])
         assert code == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
-        assert err[0].startswith("error: ") and flag in err[0]
+        assert err[0].startswith(f"error: argument {flag}: ")
         assert not (tmp_path / "x").exists()
 
 
@@ -206,6 +224,29 @@ class TestTrendsCommand:
         assert all(len(members) == 3 for members in result["ensembles"])
         assert result["diversity_ratio"] is not None
         assert result["diversity_ratio"]["ratio"] > 0.0
+
+    @pytest.mark.parametrize("ensembles,expected", [
+        ("none", "at least one ensemble"),
+        ([["m000"]], "fewer than two members"),
+        ([["m000", "m001"]], "zero mean diversity"),
+    ])
+    def test_skipped_ratio_records_reason(self, sim_dir, tmp_path, ensembles, expected):
+        # m001 becomes a copy of m000, so the two have no diversity.
+        manifest = json.loads((sim_dir / "manifest.json").read_text())
+        manifest["models"][1]["files"] = manifest["models"][0]["files"]
+        (sim_dir / "manifest.json").write_text(json.dumps(manifest))
+        if ensembles != "none":
+            (tmp_path / "ens.json").write_text(json.dumps(ensembles))
+            ensembles = tmp_path / "ens.json"
+        out = tmp_path / "tr"
+        code = run([
+            "trends", "--manifest", sim_dir / "manifest.json", "--metric", "01",
+            "--ensembles", ensembles, "--out", out,
+        ])
+        assert code == 0
+        result = json.loads((out / "result.json").read_text())
+        assert list(result["diversity_ratio"]) == ["skipped"]
+        assert expected in result["diversity_ratio"]["skipped"]
 
     @pytest.mark.parametrize("content,expected", [
         ([["m000", "m001"], "m002"], "entry 1"),
@@ -259,17 +300,20 @@ class TestImproveCommand:
         ])
         assert code == 1
 
-    @pytest.mark.parametrize("value", [-1, -5])
-    def test_bad_argument_names_flag(self, sim_dir, tmp_path, capsys, value):
+    @pytest.mark.parametrize("flag,value", [
+        pytest.param("--subsample", -1, id="-1"), pytest.param("--subsample", -5, id="-5"),
+        ("--alpha", 0), ("--alpha", 1.5),
+    ])
+    def test_bad_argument_names_flag(self, sim_dir, tmp_path, capsys, flag, value):
         code = run([
             "improve", "--manifest", sim_dir / "manifest.json",
             "--base", "m000", "--alt-a", "m001", "--alt-b", "m002", "--control", "m003",
-            "--subsample", value, "--out", tmp_path / "x",
+            flag, value, "--out", tmp_path / "x",
         ])
         assert code == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
-        assert err[0].startswith("error: ") and "--subsample" in err[0]
+        assert err[0].startswith(f"error: argument {flag}: ")
         assert not (tmp_path / "x").exists()
 
     def test_degenerate_zero_one_cloud_rejected(self, sim_dir, tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import build_store, random_simplex
 import ensdiag.trends
+from ensdiag.decomposition import variance_diversity
 from ensdiag.errors import ValidationError
 from ensdiag.metrics import brier, calibration, compute_metric
 from ensdiag.store import (
@@ -267,16 +268,48 @@ def collinear_store(rng, c0, n=80, c=5, m=4):
     return store, EnsembleDef("ens-all", tuple(f"m{k}" for k in range(m)))
 
 
+def ratio_check(store, ensembles, pair=("ind", "ood")):
+    return diversity_ratio_check(trend_points(store, ensembles, ["brier"], pair), ensembles)
+
+
+def stacked_ratio_oracle(store, ensembles, pair=("ind", "ood")):
+    """The diversity ratio from member stacks and re-scored single-model Brier."""
+    per_ens = {}
+    for ens in ensembles:
+        ind, ood = (variance_diversity(store.member_probs(ens.member_model_ids, d)).mean() for d in pair)
+        per_ens[ens.ensemble_id] = float(ood) / float(ind)
+    singles = [m for m in store.model_ids if all(store.has_prediction(m, d) for d in pair)]
+    ind, ood = (
+        np.array([float(brier(store.probs(m, d), store.labels(d)).mean()) for m in singles])
+        for d in pair
+    )
+    return float(np.mean(list(per_ens.values()))), per_ens, fit_trend_xy(ind, ood)
+
+
+def identical_members_store(rng, copies):
+    """`copies` models with one shared prediction, plus two distinct ones."""
+    labels = rng.integers(0, 4, 20)
+    store = PredictionStore()
+    for ds in ("ind", "ood"):
+        store.register_dataset(ds, labels, 4)
+        shared = random_simplex(rng, 20, 4)
+        for k in range(copies):
+            store.add_prediction(f"t{k}", ds, shared)
+        for k in range(2):
+            store.add_prediction(f"m{k}", ds, random_simplex(rng, 20, 4))
+    return store
+
+
 class TestDiversityRatio:
     def test_identical_datasets(self, rng):
         store, ens = collinear_store(rng, c0=1.0)
-        rep = diversity_ratio_check(store, [ens], ("ind", "ood"))
+        rep = ratio_check(store, [ens])
         assert rep.ratio == pytest.approx(1.0, abs=1e-12)
         assert rep.c0 == pytest.approx(1.0, abs=1e-9)
 
     def test_exact_collinear_construction(self, rng):
         store, ens = collinear_store(rng, c0=0.25)
-        rep = diversity_ratio_check(store, [ens], ("ind", "ood"))
+        rep = ratio_check(store, [ens])
         assert rep.ratio == pytest.approx(0.25, abs=1e-12)
         assert abs(rep.ratio - rep.c0) < 1e-6
         assert rep.discrepancy == pytest.approx(abs(rep.ratio - rep.c0))
@@ -285,16 +318,59 @@ class TestDiversityRatio:
     def test_needs_an_ensemble(self, rng):
         store, _ = collinear_store(rng, c0=0.5)
         with pytest.raises(ValidationError):
-            diversity_ratio_check(store, [], ("ind", "ood"))
+            ratio_check(store, [])
 
     def test_zero_diversity_rejected(self, rng):
-        labels = rng.integers(0, 3, 20)
-        probs = random_simplex(rng, 20, 3)
-        store = PredictionStore()
-        for ds in ("ind", "ood"):
-            store.register_dataset(ds, labels, 3)
-            store.add_prediction("m0", ds, probs)
-            store.add_prediction("m1", ds, probs)
-        ens = EnsembleDef("twins", ("m0", "m1"))
-        with pytest.raises(ValidationError):
-            diversity_ratio_check(store, [ens], ("ind", "ood"))
+        store = identical_members_store(rng, copies=2)
+        with pytest.raises(ValidationError, match="zero mean diversity"):
+            ratio_check(store, [EnsembleDef("twins", ("t0", "t1"))])
+
+    def test_three_identical_members_rejected(self, rng):
+        store = identical_members_store(rng, copies=3)
+        ens = EnsembleDef("triplets", ("t0", "t1", "t2"))
+        pts = {p.model_id: p for p in trend_points(store, [ens], ["brier"], ("ind", "ood"))}
+        # The Brier gap of identical members is zero only up to rounding.
+        assert np.mean([pts[m].ind_value for m in ens.member_model_ids]) != pts["triplets"].ind_value
+        with pytest.raises(ValidationError, match="zero mean diversity"):
+            ratio_check(store, [ens])
+
+    def test_incomplete_input_rejected(self, rng):
+        store, ens = collinear_store(rng, c0=0.5)
+        with pytest.raises(ValidationError, match="fewer than two members"):
+            ratio_check(store, [EnsembleDef("m0", ("m0",))])
+        with pytest.raises(ValidationError, match="no brier trend point for 'ens-all'"):
+            diversity_ratio_check(trend_points(store, [], ["brier"], ("ind", "ood")), [ens])
+        two_models = build_store(rng, models=("m0", "m1"))
+        with pytest.raises(ValidationError, match="at least 3 single models"):
+            ratio_check(two_models, [EnsembleDef("pair", ("m0", "m1"))])
+
+    def test_ensemble_id_cannot_shadow_a_single(self, rng):
+        store = build_store(rng)
+        named = ratio_check(store, [EnsembleDef("m1+m2", ("m1", "m2"))])
+        shadowing = ratio_check(store, [EnsembleDef("m0", ("m1", "m2"))])
+        assert shadowing.per_ensemble_ratio == {"m0": named.per_ensemble_ratio["m1+m2"]}
+        assert (shadowing.c0, shadowing.c0_std_error) == (named.c0, named.c0_std_error)
+
+    def test_equals_stacked_oracle(self, rng):
+        store, ensembles, het_ids = mixed_ensemble_store(rng)
+        pts = trend_points(store, ensembles, TREND_METRICS, ("ind", "ood"), heterogeneous_ids=het_ids)
+        rep = diversity_ratio_check(pts, ensembles)
+        ratio, per_ens, fit = stacked_ratio_oracle(store, ensembles)
+        assert rep.ratio == pytest.approx(ratio, rel=1e-12, abs=0)
+        assert rep.per_ensemble_ratio.keys() == per_ens.keys()
+        for eid, expected in per_ens.items():
+            assert rep.per_ensemble_ratio[eid] == pytest.approx(expected, rel=1e-12, abs=0)
+        assert rep.c0 == fit.coefficient
+        assert rep.c0_std_error == fit.std_error
+
+    def test_reads_no_predictions(self, rng, monkeypatch):
+        store, ensembles, het_ids = mixed_ensemble_store(rng)
+        pts = trend_points(store, ensembles, ["brier"], ("ind", "ood"), heterogeneous_ids=het_ids)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("diversity_ratio_check read predictions")
+
+        monkeypatch.setattr(PredictionStore, "member_probs", refuse)
+        monkeypatch.setattr(PredictionStore, "probs", refuse)
+        rep = diversity_ratio_check(pts, ensembles)
+        assert len(rep.per_ensemble_ratio) == len(ensembles)
