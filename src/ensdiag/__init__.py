@@ -18,7 +18,6 @@ from .decomposition import (
     brier_jensen_gap,
     decompose_entropy,
     decompose_quadratic,
-    jsd_diversity,
     nll_jensen_gap,
     variance_diversity,
 )

@@ -41,7 +41,7 @@ from .decomposition import (
     nll_jensen_gap,
 )
 from .errors import NumericalError, ValidationError
-from .gp import run_default_experiment
+from .gp import DEFAULT_EVAL_DOMAIN, LIK_VAR_RANGE, TRAIN_DOMAIN, run_default_experiment
 from .improvement import improvement_similarity_test, pearson_r, per_point_improvement
 from .metrics import NLL_EPS, compute_metric
 from .simulate import SyntheticSpec, write_synthetic_store
@@ -94,6 +94,11 @@ def _jsonable(value):
 
 def write_json(path: Path, record: dict) -> None:
     path.write_text(json.dumps(_jsonable(record), indent=2, sort_keys=True) + "\n")
+
+
+def _write_result(path: Path, command: str, record: dict) -> None:
+    """Write one command's run record, stamped with the command and library versions."""
+    write_json(path, {"command": command, **record, "versions": _versions()})
 
 
 def write_csv(path: Path, columns: dict) -> None:
@@ -155,6 +160,8 @@ def _resolve_metrics(arg: str) -> list[str]:
             raise ValidationError(
                 f"unknown metric {token!r}; choose from {sorted(METRIC_ALIASES)}"
             )
+        if METRIC_ALIASES[token] in out:
+            raise ValidationError(f"--metric names {token!r} twice")
         out.append(METRIC_ALIASES[token])
     return out
 
@@ -180,22 +187,7 @@ def cmd_simulate(args: argparse.Namespace) -> None:
         seed=args.seed,
     )
     manifest_path = write_synthetic_store(spec, out)
-    write_json(
-        out / "result.json",
-        {
-            "command": "simulate",
-            "manifest": manifest_path.name,
-            "spec": {
-                "n_points": spec.n_points,
-                "n_classes": spec.n_classes,
-                "n_models": spec.n_models,
-                "member_noise_scale": spec.member_noise_scale,
-                "shift_strength": spec.shift_strength,
-                "seed": spec.seed,
-            },
-            "versions": _versions(),
-        },
-    )
+    _write_result(out / "result.json", "simulate", {"manifest": manifest_path.name, "spec": asdict(spec)})
 
 
 # --------------------------------------------------------------- decompose
@@ -233,15 +225,14 @@ def cmd_decompose(args: argparse.Namespace) -> None:
                 "n": rec.n,
             }
 
-    write_json(
+    _write_result(
         out / "result.json",
+        "decompose",
         {
-            "command": "decompose",
             "inputs": {"manifest": str(args.manifest), "pair": list(pair), "members": members},
             "families": list(FAMILIES),
             "aggregates": aggregates,
             "settings": {"nll_eps": NLL_EPS},
-            "versions": _versions(),
         },
     )
 
@@ -281,10 +272,10 @@ def cmd_conditional(args: argparse.Namespace) -> None:
     fig_out = out / "conditional.svg"
     _conditional_figure(samples[ind_id], samples[ood_id], result, fig_out, args.seed, not args.no_timestamp)
 
-    write_json(
+    _write_result(
         out / "result.json",
+        "conditional",
         {
-            "command": "conditional",
             "inputs": {"manifest": str(args.manifest), "pair": list(pair), "members": members},
             "d_statistic": result.d,
             "p_value": result.p_value,
@@ -310,7 +301,6 @@ def cmd_conditional(args: argparse.Namespace) -> None:
                 "subsample": args.subsample,
                 "nll_eps": NLL_EPS,
             },
-            "versions": _versions(),
         },
     )
 
@@ -417,26 +407,13 @@ def cmd_trends(args: argparse.Namespace) -> None:
     for metric in metrics:
         _trends_figure(points, rows, metric, out / f"trends_{metric}.svg", not args.no_timestamp)
 
-    write_json(
+    _write_result(
         out / "result.json",
+        "trends",
         {
-            "command": "trends",
             "inputs": {"manifest": str(args.manifest), "pair": list(pair)},
             "metrics": metrics,
-            "table": [
-                {
-                    "metric": r.metric,
-                    "model_class": r.model_class,
-                    "coefficient": r.fit.coefficient,
-                    "intercept": r.fit.intercept,
-                    "std_error": r.fit.std_error,
-                    "t_statistic": r.fit.t_statistic,
-                    "p_value": r.fit.p_value,
-                    "r2": r.fit.r2,
-                    "n": r.fit.n,
-                }
-                for r in rows
-            ],
+            "table": [{"metric": r.metric, "model_class": r.model_class, **asdict(r.fit)} for r in rows],
             "diversity_ratio": ratio_report,
             "ensembles": [list(e.member_model_ids) for e in ensembles],
             "heterogeneous_skipped_bins": skipped_bins,
@@ -448,7 +425,6 @@ def cmd_trends(args: argparse.Namespace) -> None:
                 "axis_scaling": "none",
                 "score_orientation": "lower_is_better",
             },
-            "versions": _versions(),
         },
     )
 
@@ -526,22 +502,14 @@ def cmd_improve(args: argparse.Namespace) -> None:
                             args.seed, not args.no_timestamp)
         per_dataset[dataset] = {
             "pearson_r": r,
-            "mmd": {
-                "statistic": test.statistic,
-                "threshold": test.threshold,
-                "formatted": test.formatted(),
-                "alpha": test.alpha,
-                "bandwidth": test.bandwidth,
-                "m": test.m,
-                "reject": test.reject,
-            },
+            "mmd": {**asdict(test), "formatted": test.formatted()},
             "n": int(delta_a.shape[0]),
         }
 
-    write_json(
+    _write_result(
         out / "result.json",
+        "improve",
         {
-            "command": "improve",
             "inputs": {
                 "manifest": str(args.manifest),
                 "pair": list(pair),
@@ -559,7 +527,6 @@ def cmd_improve(args: argparse.Namespace) -> None:
                 "cloud_construction": "paired_2d",
                 "subsample": args.subsample,
             },
-            "versions": _versions(),
         },
     )
 
@@ -613,10 +580,10 @@ def cmd_gp_demo(args: argparse.Namespace) -> None:
     ) if both.any() else None
 
     _gp_figure(exp, out / "gp.svg", not args.no_timestamp)
-    write_json(
+    _write_result(
         out / "result.json",
+        "gp-demo",
         {
-            "command": "gp-demo",
             "seed": args.seed,
             "summary": {
                 "mean_posterior_variance_ind": float(pred.posterior_variance[pred.x >= 0].mean()),
@@ -625,17 +592,16 @@ def cmd_gp_demo(args: argparse.Namespace) -> None:
                 "ood_exceeds_ind_in_all_populated_bins": ood_higher,
             },
             "settings": {
-                "n_train": 25,
-                "train_domain": [0.0, 5.0],
-                "eval_domain": [-5.0, 5.0],
+                "n_train": exp.model.train_x.shape[0],
+                "train_domain": TRAIN_DOMAIN,
+                "eval_domain": DEFAULT_EVAL_DOMAIN,
                 "n_eval": int(pred.x.shape[0]),
                 "lengthscale": exp.model.lengthscale,
                 "signal_variance": exp.model.signal_variance,
                 "noise_variance": "sin^2(x) + 0.01",
                 "likelihood_bins": args.bins,
-                "likelihood_range": [0.01, 1.01],
+                "likelihood_range": LIK_VAR_RANGE,
             },
-            "versions": _versions(),
         },
     )
 
@@ -644,7 +610,7 @@ def _gp_figure(exp, path: Path, timestamp: bool) -> None:
     pred = exp.prediction
     std2 = 2.0 * np.sqrt(pred.posterior_variance)
     ylim = svgplot.padded_limits(np.concatenate([pred.mean - std2, pred.mean + std2, exp.model.train_y]))
-    p1 = svgplot.Panel(60, 40, 420, 300, (-5.0, 5.0), ylim, title="Posterior on [-5, 5]",
+    p1 = svgplot.Panel(60, 40, 420, 300, DEFAULT_EVAL_DOMAIN, ylim, title="Posterior on [-5, 5]",
                        xlabel="x", ylabel="y")
     p1.band(pred.x, pred.mean - std2, pred.mean + std2, svgplot.IND_COLOR, opacity=0.25)
     p1.line(pred.x, pred.mean, svgplot.IND_COLOR, width=2.0)
@@ -687,8 +653,7 @@ def cmd_report(args: argparse.Namespace) -> None:
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{result} is not valid JSON: {exc}") from exc
         runs.append({"path": str(result.relative_to(root)), "result": parsed})
-    write_json(index_path, {"command": "report", "n_runs": len(runs), "runs": runs,
-                            "versions": _versions()})
+    _write_result(index_path, "report", {"n_runs": len(runs), "runs": runs})
 
 
 # ------------------------------------------------------------------- parser

@@ -49,7 +49,8 @@ class JointSample:
 
 
 def joint_samples(members: Sequence[np.ndarray], family: str = "quadratic", source: str = "") -> JointSample:
-    """Build the joint sample for one condition from member probabilities."""
+    """Build the joint sample for one condition from member probabilities,
+    any sequence of (N, C) matrices."""
     if family == "quadratic":
         rec = decompose_quadratic(members)
     elif family == "entropy":

@@ -23,6 +23,7 @@ from .errors import NumericalError, ValidationError
 BASE_JITTER = 1e-8
 MAX_JITTER_ESCALATIONS = 3
 LIK_VAR_RANGE = (0.01, 1.01)
+TRAIN_DOMAIN = (0.0, 5.0)
 DEFAULT_EVAL_DOMAIN = (-5.0, 5.0)
 DEFAULT_EVAL_POINTS = 512
 
@@ -72,7 +73,7 @@ def _chol_with_jitter(matrix: np.ndarray) -> tuple[tuple, float]:
 
 def generate_dataset(
     n: int = 25,
-    domain: tuple[float, float] = (0.0, 5.0),
+    domain: tuple[float, float] = TRAIN_DOMAIN,
     seed: int = 0,
     lengthscale: float = 1.0,
     signal_variance: float = 1.0,

@@ -68,28 +68,30 @@ def validate_probs(probs: np.ndarray, *, atol: float = ROW_SUM_ATOL, name: str =
     return arr
 
 
-def stack_members(members: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
-    """Member probability matrices as one (M, N, C) float64 array.
-
-    A 3-d array is taken as an existing stack and is not copied.
-    """
-    if isinstance(members, np.ndarray) and members.ndim == 3:
-        return members.astype(np.float64, copy=False)
-    if len(members) == 0:
-        raise ValidationError("an ensemble needs at least one member")
+def check_members(members: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Member probability matrices as float64 arrays of one shared 2-d shape."""
     arrays = [np.asarray(m, dtype=np.float64) for m in members]
-    if len({a.shape for a in arrays}) != 1 or arrays[0].ndim != 2:
+    if not arrays:
+        raise ValidationError("an ensemble needs at least one member")
+    if arrays[0].ndim != 2 or any(a.shape != arrays[0].shape for a in arrays):
         raise ValidationError("members must be 2-d matrices of one shared shape")
-    return np.stack(arrays)
+    return arrays
 
 
-def form_ensemble(members: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
+def form_ensemble(members: Sequence[np.ndarray]) -> np.ndarray:
     """Arithmetic mean of member probability matrices.
 
     All members must share one shape. The mean of row-stochastic matrices
-    is row-stochastic, so no renormalization happens here.
+    is row-stochastic, so no renormalization happens here. Members are
+    summed in order into one buffer, which rounds exactly as a mean over
+    the first axis of their stack would.
     """
-    return stack_members(members).mean(axis=0)
+    arrays = check_members(members)
+    ens = arrays[0].copy()
+    for p in arrays[1:]:
+        ens += p
+    ens /= len(arrays)
+    return ens
 
 
 @dataclass(frozen=True)
@@ -146,6 +148,8 @@ class PredictionStore:
     _model_ids: list[str] = field(default_factory=list)
 
     def register_dataset(self, dataset_id: str, labels: np.ndarray, n_classes: int) -> None:
+        if dataset_id in self.datasets:
+            raise ValidationError(f"dataset {dataset_id!r} is declared twice")
         labels = np.asarray(labels, dtype=np.int64)
         if labels.ndim != 1:
             raise ValidationError(f"dataset {dataset_id!r}: labels must be 1-d")
@@ -196,9 +200,9 @@ class PredictionStore:
     def models_on(self, dataset_id: str) -> list[str]:
         return [m for m in self._model_ids if (m, dataset_id) in self._predictions]
 
-    def member_probs(self, member_ids: Sequence[str], dataset_id: str) -> np.ndarray:
-        """The members' predictions on one dataset as an (M, N, C) stack."""
-        return stack_members([self.probs(m, dataset_id) for m in member_ids])
+    def member_probs(self, member_ids: Sequence[str], dataset_id: str) -> list[np.ndarray]:
+        """The members' stored, read-only predictions on one dataset, uncopied."""
+        return [self.probs(m, dataset_id) for m in member_ids]
 
     def ensemble_probs(self, member_ids: Sequence[str], dataset_id: str) -> np.ndarray:
         return form_ensemble(self.member_probs(member_ids, dataset_id))
@@ -286,23 +290,32 @@ def _read_raw(path: Path, dtype: str, shape: tuple[int, ...], name: str) -> np.n
     return np.frombuffer(data, dtype=dtype).reshape(shape)
 
 
-def _field(entry: dict, key: str, owner: str):
+_TYPE_NAMES = {str: "a string", int: "an integer", dict: "an object", list: "a list"}
+
+
+def _field(entry: dict, key: str, owner: str, kind: type):
     if key not in entry:
         raise ValidationError(f"{owner}: missing {key!r}")
-    return entry[key]
+    value = entry[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValidationError(f"{owner}: {key!r} must be {_TYPE_NAMES[kind]}, got {type(value).__name__}")
+    return value
 
 
 def _entries(manifest: dict, key: str) -> list[dict]:
-    entries = _field(manifest, key, "manifest")
-    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+    entries = _field(manifest, key, "manifest", list)
+    if not all(isinstance(e, dict) for e in entries):
         raise ValidationError(f"manifest {key!r} must be a list of objects")
     return entries
 
 
-def _ingest_probs(raw: np.ndarray, name: str) -> np.ndarray:
+def _ingest(raw: np.ndarray, kind: str, name: str) -> np.ndarray:
+    """Row-stochastic float64 predictions from a raw logit or probability dump."""
     if not np.isfinite(raw).all():
         row = int(np.flatnonzero(~np.isfinite(raw).all(axis=1))[0])
-        raise ValidationError(f"{name}: non-finite probability in row {row}")
+        raise ValidationError(f"{name}: non-finite value in row {row}")
+    if kind == "logits":
+        return softmax(raw)
     if (raw < -INGEST_ROW_ATOL).any() or (raw > 1 + INGEST_ROW_ATOL).any():
         raise ValidationError(f"{name}: probabilities outside [0, 1]")
     sums = raw.sum(axis=1)
@@ -336,34 +349,28 @@ def load_store(manifest_path: str | Path) -> PredictionStore:
     store = PredictionStore()
     kinds: dict[str, str] = {}
     for i, entry in enumerate(_entries(manifest, "datasets")):
-        did = str(_field(entry, "id", f"dataset entry {i}"))
+        did = _field(entry, "id", f"dataset entry {i}", str)
         owner = f"dataset {did!r}"
-        try:
-            n, c = int(_field(entry, "n", owner)), int(_field(entry, "c", owner))
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"{owner}: 'n' and 'c' must be integers") from exc
+        n, c = _field(entry, "n", owner, int), _field(entry, "c", owner, int)
         kind = entry.get("kind", "probs")
         if kind not in ("logits", "probs"):
             raise ValidationError(f"{owner}: unknown kind {kind!r}")
         if n < 1 or c < 2:
             raise ValidationError(f"{owner}: need n >= 1 and c >= 2")
-        labels = _read_raw(root / str(_field(entry, "labels_file", owner)), "<i4", (n,), owner)
+        labels = _read_raw(root / _field(entry, "labels_file", owner, str), "<i4", (n,), owner)
         store.register_dataset(did, labels, c)
         kinds[did] = kind
 
     for i, entry in enumerate(_entries(manifest, "models")):
-        mid = str(_field(entry, "id", f"model entry {i}"))
-        files = _field(entry, "files", f"model {mid!r}")
-        if not isinstance(files, dict):
-            raise ValidationError(f"model {mid!r}: 'files' must map dataset ids to file names")
+        mid = _field(entry, "id", f"model entry {i}", str)
+        files = _field(entry, "files", f"model {mid!r}", dict)
         for did, rel in files.items():
             if did not in store.datasets:
                 raise ValidationError(f"model {mid!r} references unknown dataset {did!r}")
             info = store.datasets[did]
             name = f"{mid}/{did}"
             raw = _read_raw(root / str(rel), "<f4", (info.n, info.n_classes), name).astype(np.float64)
-            probs = softmax(raw) if kinds[did] == "logits" else _ingest_probs(raw, name)
-            store.add_prediction(mid, did, probs)
+            store.add_prediction(mid, did, _ingest(raw, kinds[did], name))
 
     pairs = manifest.get("pairs", [])
     if not isinstance(pairs, list):

@@ -1,9 +1,16 @@
 """End-to-end command behavior: exit codes, file layout, reproducibility."""
 
+import contextlib
+import io
 import json
+import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ensdiag.cli import main
 
@@ -69,6 +76,9 @@ MALFORMED_MANIFESTS = {
     "n_not_integer": (lambda m, d: m["datasets"][0].update(n="abc"), "dataset 'ind'"),
     "missing_labels_file": (lambda m, d: (d / m["datasets"][0]["labels_file"]).unlink(), "dataset 'ind'"),
     "missing_prediction_file": (lambda m, d: (d / m["models"][0]["files"]["ind"]).unlink(), "m000/ind"),
+    # A second 'ind' entry pointing at the OOD labels.
+    "repeated_dataset_id": (lambda m, d: m["datasets"].append({**m["datasets"][1], "id": "ind"}),
+                            "dataset 'ind' is declared twice"),
 }
 
 
@@ -87,6 +97,75 @@ def test_malformed_manifest_is_one_error_line(sim_dir, tmp_path, capsys, case):
     lines = err.strip().splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error: ") and expected in lines[0]
+
+
+# Manifest fields and the JSON type each must have.
+MANIFEST_FIELDS = {
+    ("datasets", "id"): str, ("datasets", "n"): int, ("datasets", "c"): int,
+    ("datasets", "labels_file"): str, ("datasets", "kind"): str,
+    ("models", "id"): str, ("models", "files"): dict,
+    (None, "datasets"): list, (None, "models"): list, (None, "pairs"): list,
+}
+REQUIRED_FIELDS = [f for f in MANIFEST_FIELDS if f[1] not in ("kind", "pairs")]
+WRONG_TYPED = {
+    str: [None, 3, 2.5, True, ["ind"], {"a": "b"}],
+    int: [None, "60", 60.0, True, [60], {"a": 60}],
+    dict: [None, "ind", 3, ["ind"]],
+    list: [None, "ind", 3, {"a": 1}],
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_base(tmp_path_factory):
+    out = tmp_path_factory.mktemp("fuzz") / "sim"
+    assert run(["simulate", "--n-points", "30", "--classes", "3", "--models", "3", "--out", out]) == 0
+    (out / "result.json").unlink()
+    return out
+
+
+def _mutate(kind, manifest, root, data):
+    """Apply one mutation of the given kind to a manifest and the files beside it."""
+    if kind in ("drop_key", "wrong_type"):
+        section, key = data.draw(st.sampled_from(REQUIRED_FIELDS if kind == "drop_key" else list(MANIFEST_FIELDS)))
+        target = manifest if section is None else data.draw(st.sampled_from(manifest[section]))
+        if kind == "drop_key":
+            del target[key]
+        else:
+            target[key] = data.draw(st.sampled_from(WRONG_TYPED[MANIFEST_FIELDS[section, key]]))
+    elif kind == "repeat_dataset_id":
+        entry = data.draw(st.sampled_from(manifest["datasets"]))
+        manifest["datasets"].append({**entry, "id": data.draw(st.sampled_from(["ind", "ood"]))})
+    else:
+        labels = kind == "label_out_of_range"
+        files = sorted(d["labels_file"] for d in manifest["datasets"]) if labels else sorted(
+            f for m in manifest["models"] for f in m["files"].values())
+        path = root / data.draw(st.sampled_from(files))
+        if kind == "truncate":
+            raw = path.read_bytes()
+            path.write_bytes(raw[:data.draw(st.integers(0, len(raw) - 1))])
+            return
+        values = np.fromfile(path, dtype="<i4" if labels else "<f4")
+        at = data.draw(st.integers(0, values.size - 1))
+        values[at] = data.draw(st.sampled_from([-1, 3, 2**31 - 1])) if labels else np.nan
+        values.tofile(path)
+
+
+@given(st.sampled_from(["drop_key", "wrong_type", "truncate", "nan_logits", "label_out_of_range",
+                        "repeat_dataset_id"]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_mutated_manifest_is_one_error_line(fuzz_base, kind, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(shutil.copytree(fuzz_base, Path(tmp) / "store"))
+        manifest = json.loads((root / "manifest.json").read_text())
+        _mutate(kind, manifest, root, data)
+        (root / "manifest.json").write_text(json.dumps(manifest))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run(["decompose", "--manifest", root / "manifest.json", "--out", Path(tmp) / "out"])
+    assert code == 1
+    assert "Traceback" not in err.getvalue()
+    lines = err.getvalue().strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 @pytest.mark.parametrize("command,argv,repeated", [
@@ -264,6 +343,15 @@ class TestTrendsCommand:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith("error: --ensembles") and expected in err[0]
+        assert not (tmp_path / "x").exists()
+
+    def test_repeated_metric_is_one_error_line(self, sim_dir, tmp_path, capsys):
+        code = run([
+            "trends", "--manifest", sim_dir / "manifest.json",
+            "--metric", "brier,01,brier", "--out", tmp_path / "x",
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.strip().splitlines() == ["error: --metric names 'brier' twice"]
         assert not (tmp_path / "x").exists()
 
     def test_unknown_metric(self, sim_dir, tmp_path):

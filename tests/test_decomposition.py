@@ -1,5 +1,7 @@
 """Exact per-point identities for the four decomposition families."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,12 +12,11 @@ from ensdiag.decomposition import (
     brier_jensen_gap,
     decompose_entropy,
     decompose_quadratic,
-    jsd_diversity,
     nll_jensen_gap,
     variance_diversity,
 )
 from ensdiag.errors import ValidationError
-from ensdiag.metrics import brier, nll
+from ensdiag.metrics import NLL_EPS, brier, entropy, nll, quad_uncertainty
 from ensdiag.store import form_ensemble
 
 TWO_ONE_HOT = np.stack([
@@ -43,17 +44,19 @@ class TestVarianceDiversity:
 
 
 class TestJsdDiversity:
+    """The entropy family's diversity is the Jensen-Shannon divergence."""
+
     def test_identical_members(self, rng):
         p = random_simplex(rng, 8, 3)
-        np.testing.assert_allclose(jsd_diversity([p, p]), np.zeros(8), atol=1e-15)
+        np.testing.assert_allclose(decompose_entropy([p, p]).diversity, np.zeros(8), atol=1e-15)
 
     def test_two_one_hot(self):
-        np.testing.assert_allclose(jsd_diversity(TWO_ONE_HOT), [np.log(2)])
+        np.testing.assert_allclose(decompose_entropy(TWO_ONE_HOT).diversity, [np.log(2)])
 
     def test_hand_value(self):
-        members = np.stack([np.array([[0.9, 0.1]]), np.array([[0.5, 0.5]])])
+        members = [np.array([[0.9, 0.1]]), np.array([[0.5, 0.5]])]
         np.testing.assert_allclose(
-            jsd_diversity(members), [0.10174922507919681], atol=1e-12
+            decompose_entropy(members).diversity, [0.10174922507919681], atol=1e-12
         )
 
 
@@ -199,3 +202,75 @@ class TestDiversityZeroIffIdentical:
         p = random_simplex(rng, 6, 4)
         assert np.all(variance_diversity(np.stack([p, p, p])) < 1e-12)
 
+
+
+def stacked_oracle(stack, labels):
+    """(total, diversity, avg_member) per family, from reductions over an (M, N, C) stack."""
+    ens = stack.mean(axis=0)
+    var = stack.var(axis=0, ddof=0).sum(axis=1)
+    member_h = np.stack([entropy(p) for p in stack]).mean(axis=0)
+    like = stack[:, np.arange(stack.shape[1]), labels]
+    like_c = np.maximum(like, NLL_EPS)
+    return {
+        "quadratic": (quad_uncertainty(ens), var, np.stack([quad_uncertainty(p) for p in stack]).mean(axis=0)),
+        "entropy": (entropy(ens), entropy(ens) - member_h, member_h),
+        "brier_gap": (brier(ens, labels), var, np.stack([brier(p, labels) for p in stack]).mean(axis=0)),
+        "nll_gap": (
+            -np.log(np.maximum(like.mean(axis=0), NLL_EPS)),
+            -np.log(float(stack.shape[0])) + np.log(like_c.sum(axis=0)) - np.log(like_c).mean(axis=0),
+            -np.log(like_c).mean(axis=0),
+        ),
+    }
+
+
+class TestMatchesStackedOracle:
+    # N >= 2: with one point, numpy reduces the (M, 1) stack of member scores
+    # along a contiguous axis, pairwise once M >= 8, so its last bit can differ.
+    @given(st.integers(2, 12), st.integers(2, 40), st.integers(2, 30), st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_bit_equal(self, m, n, c, seed):
+        rng = np.random.default_rng(seed)
+        members = [random_simplex(rng, n, c) for _ in range(m)]
+        labels = rng.integers(0, c, size=n)
+        stack = np.stack(members)
+        records = {
+            "quadratic": decompose_quadratic(members),
+            "entropy": decompose_entropy(members),
+            "brier_gap": brier_jensen_gap(members, labels),
+            "nll_gap": nll_jensen_gap(members, labels),
+        }
+        for family, expected in stacked_oracle(stack, labels).items():
+            rec = records[family]
+            for got, want in zip((rec.total, rec.diversity, rec.avg_member), expected):
+                assert np.array_equal(got, want), family
+        assert np.array_equal(variance_diversity(members), stacked_oracle(stack, labels)["quadratic"][1])
+        assert np.array_equal(form_ensemble(members), stack.mean(axis=0))
+        assert np.array_equal(form_ensemble(members[:1]), members[0])
+
+
+FLAT_MEMORY_CALLS = {
+    "form_ensemble": lambda members, labels: form_ensemble(members),
+    "quadratic": lambda members, labels: decompose_quadratic(members),
+    "entropy": lambda members, labels: decompose_entropy(members),
+    "brier_gap": brier_jensen_gap,
+    "nll_gap": nll_jensen_gap,
+}
+
+
+@pytest.fixture(scope="module")
+def many_members():
+    rng = np.random.default_rng(5)
+    return [random_simplex(rng, 2000, 50) for _ in range(32)], rng.integers(0, 50, size=2000)
+
+
+@pytest.mark.parametrize("name", sorted(FLAT_MEMORY_CALLS))
+def test_peak_memory_independent_of_member_count(many_members, name):
+    # 32 members; a reduction that stacked them would peak at 32 matrices or more.
+    members, labels = many_members
+    tracemalloc.start()
+    try:
+        FLAT_MEMORY_CALLS[name](members, labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * members[0].nbytes

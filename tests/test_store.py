@@ -18,7 +18,6 @@ from ensdiag.store import (
     load_store,
     save_store,
     softmax,
-    stack_members,
 )
 
 
@@ -75,14 +74,19 @@ class TestFormEnsemble:
         with pytest.raises(ValidationError):
             form_ensemble([np.ones((2, 3)) / 3, np.ones((2, 4)) / 4])
 
-    def test_member_probs_is_one_stack(self, tiny_store):
-        stack = tiny_store.member_probs(["m2", "m0"], "ind")
-        assert stack.shape == (2, 60, 5)
-        np.testing.assert_array_equal(stack[0], tiny_store.probs("m2", "ind"))
-        assert stack_members(stack) is stack
+    def test_member_probs_is_the_stored_list(self, tiny_store):
+        members = tiny_store.member_probs(["m2", "m0"], "ind")
+        assert isinstance(members, list) and len(members) == 2
+        assert members[0] is tiny_store.probs("m2", "ind")
+        assert members[1] is tiny_store.probs("m0", "ind")
         np.testing.assert_array_equal(
-            tiny_store.ensemble_probs(["m2", "m0"], "ind"), form_ensemble(stack)
+            tiny_store.ensemble_probs(["m2", "m0"], "ind"), form_ensemble(members)
         )
+
+    @pytest.mark.parametrize("members", [[], [np.ones(3) / 3, np.ones(3) / 3]], ids=["empty", "1-d"])
+    def test_bad_member_list_rejected(self, members):
+        with pytest.raises(ValidationError):
+            form_ensemble(members)
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=30, deadline=None)
@@ -191,6 +195,13 @@ class TestStoreValidation:
         store.add_prediction("m", "d", p)
         with pytest.raises(ValidationError):
             store.add_prediction("m", "d", p)
+
+    def test_duplicate_dataset_rejected(self):
+        store = PredictionStore()
+        store.register_dataset("d", np.zeros(3, dtype=np.int64), 2)
+        with pytest.raises(ValidationError, match="dataset 'd' is declared twice"):
+            store.register_dataset("d", np.ones(3, dtype=np.int64), 2)
+        np.testing.assert_array_equal(store.labels("d"), np.zeros(3))
 
     def test_unregistered_dataset_rejected(self, rng):
         store = PredictionStore()
