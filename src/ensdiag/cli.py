@@ -244,8 +244,6 @@ def cmd_conditional(args: argparse.Namespace) -> None:
     store = load_store(args.manifest)
     pair = _resolve_pair(store, args.pair)
     members = _resolve_members(store, args.members, pair)
-    if args.family not in ("quadratic", "entropy"):
-        raise ValidationError(f"--family must be quadratic or entropy, got {args.family!r}")
     out = prepare_out_dir(args.out, args.force)
 
     samples = {}
@@ -349,6 +347,10 @@ def _load_ensembles(arg: str, store: PredictionStore, pair: tuple[str, str]) -> 
         for m in entry:
             if m not in store.model_ids:
                 raise ValidationError(f"--ensembles entry {i} references unknown model {m!r}")
+            if m not in shared:
+                raise ValidationError(
+                    f"--ensembles entry {i} references model {m!r}, not predicted on both {pair[0]!r} and {pair[1]!r}"
+                )
         defs.append(EnsembleDef(ensemble_id_for(entry), tuple(entry)))
     return defs
 
@@ -469,9 +471,7 @@ def _trends_figure(points, rows, metric: str, path: Path, timestamp: bool) -> No
 def cmd_improve(args: argparse.Namespace) -> None:
     store = load_store(args.manifest)
     pair = _resolve_pair(store, args.pair)
-    metric = METRIC_ALIASES.get(args.metric, args.metric)
-    if metric in ("ece", "resce"):
-        raise ValidationError("improvement analysis needs a per-point metric (01, nll, brier)")
+    metric = METRIC_ALIASES[args.metric]
     specs = [_parse_members(store, s, pair) for s in (args.base, args.alt_a, args.alt_b, args.control)]
     out = prepare_out_dir(args.out, args.force)
 
@@ -692,11 +692,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="write a synthetic prediction store")
     add_common(p, manifest=False)
-    p.add_argument("--n-points", type=int, default=1000)
-    p.add_argument("--classes", type=int, default=10)
-    p.add_argument("--models", type=int, default=4)
-    p.add_argument("--noise", type=float, default=0.25, help="member logit offset scale")
-    p.add_argument("--shift", type=float, default=1.0, help="OOD input shift strength")
+    nonnegative = _checked(float, lambda v: v >= 0.0, "at least 0")
+    p.add_argument("--n-points", type=_at_least(1), default=1000)
+    p.add_argument("--classes", type=_at_least(2), default=10)
+    p.add_argument("--models", type=_at_least(1), default=4)
+    p.add_argument("--noise", type=nonnegative, default=0.25, help="member logit offset scale")
+    p.add_argument("--shift", type=nonnegative, default=1.0, help="OOD input shift strength")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("decompose", help="per-point uncertainty and score-gap decompositions")
@@ -707,7 +708,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("conditional", help="conditional diversity curves and permutation test")
     add_common(p)
     p.add_argument("--members", default=None, help="ensemble members as a+b+c (default: all models)")
-    p.add_argument("--family", default="quadratic", help="quadratic or entropy")
+    p.add_argument("--family", choices=("quadratic", "entropy"), default="quadratic")
     p.add_argument("--surrogates", type=_at_least(1), default=100)
     p.add_argument("--bins", type=_at_least(2), default=DEFAULT_GRID_SIZE, help="evaluation grid size")
     p.add_argument("--subsample", type=_at_least(0), default=0, help="cap per-dataset sample size (0 = off)")
@@ -731,7 +732,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alt-a", required=True, help="first alternative (id or a+b+c ensemble)")
     p.add_argument("--alt-b", required=True, help="second alternative (id or a+b+c ensemble)")
     p.add_argument("--control", required=True, help="control alternative (id or a+b+c ensemble)")
-    p.add_argument("--metric", default="brier", help="per-point metric: 01, nll, or brier")
+    p.add_argument("--metric", choices=("01", "nll", "brier"), default="brier", help="per-point metric")
     p.add_argument("--alpha", type=_checked(float, lambda a: 0.0 < a <= 1.0, "in (0, 1]"), default=0.05)
     p.add_argument("--subsample", type=_at_least(0), default=0, help="cap sample size (0 = off)")
     p.set_defaults(func=cmd_improve)

@@ -16,7 +16,6 @@ from typing import Sequence
 import numpy as np
 from numpy.linalg import LinAlgError
 from scipy.linalg import cho_factor, cho_solve
-from scipy.integrate import trapezoid
 
 from .decomposition import decompose_entropy, decompose_quadratic
 from .errors import NumericalError, ValidationError
@@ -212,7 +211,7 @@ def d_statistic(curve_ind: ConditionalCurve, curve_ood: ConditionalCurve, integr
         if np.any(curve_ind.y_hat <= 0.0):
             raise NumericalError("InD curve is nonpositive on the grid; integral d is undefined")
         rel = (curve_ood.y_hat - curve_ind.y_hat) / curve_ind.y_hat
-        return float(trapezoid(rel, curve_ind.x_grid))
+        return float((np.diff(curve_ind.x_grid) * (rel[1:] + rel[:-1]) / 2.0).sum())
     denom = float(curve_ind.y_hat.sum())
     if denom <= 0.0:
         raise NumericalError("InD curve has nonpositive total; d is undefined")

@@ -133,17 +133,11 @@ def calibration(probs: np.ndarray, labels: np.ndarray, n_bins: int = 15) -> Cali
 
 
 def compute_metric(kind: str, probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Dispatch a metric kind string to the matching per-point scorer."""
+    """Per-point scores of a label-based metric kind: brier, nll or zero_one."""
     if kind == "brier":
         return brier(probs, labels)
     if kind == "nll":
         return nll(probs, labels)
     if kind == "zero_one":
         return zero_one_error(probs, labels)
-    if kind == "entropy":
-        return entropy(probs)
-    if kind == "quad_uncertainty":
-        return quad_uncertainty(probs)
-    raise ValidationError(
-        f"unknown metric kind {kind!r}; choose from brier, nll, zero_one, entropy, quad_uncertainty"
-    )
+    raise ValidationError(f"unknown metric kind {kind!r}; choose from brier, nll, zero_one")

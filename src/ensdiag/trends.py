@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import ValidationError
 from .metrics import IDENTITY_TOL, calibration, compute_metric
@@ -63,17 +63,26 @@ def fit_trend_xy(ind: np.ndarray, ood: np.ndarray) -> TrendFit:
         raise ValidationError(f"trend fit needs at least 3 points, got {n}")
     if float(ind.var()) == 0.0:
         raise ValidationError("trend fit degenerate: ind values have zero variance")
-    res = stats.linregress(ind, ood)
-    slope = float(res.slope)
-    stderr = float(res.stderr)
+    # Closed-form OLS, operation for operation as scipy.stats.linregress
+    # computes it, so every field is bit-equal to linregress. As there, the
+    # p-value comes from the t implied by r; the reported t is slope/stderr.
+    ssxm, ssxym, _, ssym = np.cov(ind, ood, bias=1).flat
+    if ssxm == 0.0 or ssym == 0.0:
+        r = np.float64(np.nan if ssxym == 0 else 0.0)
+    else:
+        r = np.clip(ssxym / np.sqrt(ssxm * ssym), -1.0, 1.0)
+    slope = float(ssxym / ssxm)
+    df = n - 2
+    t_r = r * np.sqrt(df / ((1.0 - r + 1e-20) * (1.0 + r + 1e-20)))
+    stderr = float(np.sqrt((1 - r**2) * ssym / ssxm / df))
     t_stat = slope / stderr if stderr > 0 else float("inf") * np.sign(slope or 1.0)
     return TrendFit(
         coefficient=slope,
-        intercept=float(res.intercept),
+        intercept=float(np.mean(ood) - slope * np.mean(ind)),
         std_error=stderr,
         t_statistic=float(t_stat),
-        p_value=float(res.pvalue),
-        r2=float(res.rvalue) ** 2,
+        p_value=float(2 * special.stdtr(df, -np.abs(t_r))),
+        r2=float(r) ** 2,
         n=n,
     )
 

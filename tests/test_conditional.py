@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import trapezoid
 from scipy.linalg import cho_factor, cho_solve
 
 from conftest import member_stack, split_samples
@@ -314,6 +315,17 @@ class TestDStatistic:
         b = ConditionalCurve(x, np.ones(10), 0.1, 1e-6)
         with pytest.raises(NumericalError):
             d_statistic(a, b, integral=True)
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 300), uniform=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_integral_form_matches_trapezoid(self, seed, n, uniform):
+        r = np.random.default_rng(seed)
+        x = np.linspace(r.uniform(0, 1), r.uniform(1, 3), n) if uniform else np.sort(r.uniform(0, 3, n))
+        y_ind = r.uniform(0.01, 1.0, n)
+        y_ood = r.uniform(0.01, 1.0, n)
+        d = d_statistic(ConditionalCurve(x, y_ind, 0.1, 1e-6), ConditionalCurve(x, y_ood, 0.1, 1e-6),
+                        integral=True)
+        assert d == float(trapezoid((y_ood - y_ind) / y_ind, x))
 
 
 class TestPermutationTest:

@@ -141,14 +141,16 @@ class TestMetricRanges:
         y = rng.integers(0, c, size=25)
         assert set(np.unique(compute_metric("zero_one", p, y))) <= {0.0, 1.0}
         assert np.all(compute_metric("nll", p, y) >= 0)
-        ent = compute_metric("entropy", p, y)
+        ent = entropy(p)
         assert np.all(ent >= -1e-12) and np.all(ent <= np.log(c) + 1e-12)
-        quad = compute_metric("quad_uncertainty", p, y)
+        quad = quad_uncertainty(p)
         assert np.all(quad >= -1e-12) and np.all(quad <= 1 - 1 / c + 1e-12)
 
     def test_unknown_kind(self):
-        with pytest.raises(ValidationError):
-            compute_metric("nope", np.array([[1.0, 0.0]]), np.array([0]))
+        # compute_metric scores against labels only; label-free scores have their own functions.
+        for kind in ("nope", "entropy", "quad_uncertainty"):
+            with pytest.raises(ValidationError):
+                compute_metric(kind, np.array([[1.0, 0.0]]), np.array([0]))
 
 
 class TestCalibration:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import linregress
 
 from conftest import build_store, random_simplex
 import ensdiag.trends
@@ -97,6 +98,52 @@ class TestFitTrend:
         y = r.normal(size=10)
         fit = fit_trend_xy(x, y)
         assert 0.0 <= fit.r2 <= 1.0 + 1e-12
+
+
+def _same(a, b):
+    return a == b or (np.isnan(a) and np.isnan(b))
+
+
+class TestFitMatchesLinregress:
+    """The closed-form fit against scipy.stats.linregress, bit for bit."""
+
+    @staticmethod
+    def check(x, y):
+        fit = fit_trend_xy(x, y)
+        ref = linregress(x, y)
+        for got, want in ((fit.coefficient, ref.slope), (fit.intercept, ref.intercept),
+                          (fit.std_error, ref.stderr), (fit.p_value, ref.pvalue), (fit.r2, ref.rvalue**2)):
+            assert _same(got, float(want)), (got, want)
+        if fit.std_error > 0:
+            assert fit.t_statistic == fit.coefficient / fit.std_error
+        else:
+            assert fit.t_statistic == float("inf") * np.sign(fit.coefficient or 1.0)
+        return fit
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 60),
+           x_exp=st.integers(-6, 6), y_exp=st.integers(-6, 6),
+           kind=st.sampled_from(["noisy", "line", "constant"]))
+    @settings(max_examples=300, deadline=None)
+    def test_random_fits(self, seed, n, x_exp, y_exp, kind):
+        r = np.random.default_rng(seed)
+        x = r.normal(size=n) * 10.0**x_exp + r.normal()
+        if kind == "noisy":
+            y = (r.normal() * x + r.normal(size=n)) * 10.0**y_exp
+        elif kind == "line":
+            y = r.choice([-1.0, 1.0]) * 10.0**y_exp * x + r.normal()
+        else:
+            y = np.full(n, r.choice([0.0, 0.5, r.normal()]))
+        self.check(x, y)
+
+    @pytest.mark.parametrize("slope", [2.0, -2.0])
+    def test_exact_line_has_zero_stderr(self, slope):
+        fit = self.check(np.arange(4.0), slope * np.arange(4.0))
+        assert fit.std_error == 0.0
+        assert fit.t_statistic == float("inf") * np.sign(slope)
+
+    def test_constant_ood_has_undefined_r(self):
+        fit = self.check(np.arange(5.0), np.full(5, 0.5))
+        assert np.isnan(fit.r2) and np.isnan(fit.p_value) and fit.coefficient == 0.0
 
 
 class TestEffectiveRobustness:
