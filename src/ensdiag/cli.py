@@ -4,9 +4,8 @@ Subcommands: simulate, decompose, conditional, trends, improve, gp-demo,
 report. Every command writes into its own output directory: a
 self-describing result.json (inputs, seed, library versions, and the
 numeric decisions actually in effect), CSV files with per-point or
-per-row values, and SVG figures. CSV and JSON output is byte-identical
-across reruns with the same configuration and seed; SVG adds a generation
-timestamp unless --no-timestamp is passed.
+per-row values, and SVG figures. Every output file, SVG included, is
+byte-identical across reruns with the same configuration and seed.
 
 Exit codes: 0 success, 1 validation error, 2 numerical failure.
 """
@@ -76,24 +75,9 @@ def _versions() -> dict:
     }
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.bool_, bool)):
-        return bool(value)
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    return value
-
-
 def write_json(path: Path, record: dict) -> None:
-    path.write_text(json.dumps(_jsonable(record), indent=2, sort_keys=True) + "\n")
+    """Write a record; NumPy arrays and scalars are written as their ``tolist()`` values."""
+    path.write_text(json.dumps(record, indent=2, sort_keys=True, default=lambda v: v.tolist()) + "\n")
 
 
 def _write_result(path: Path, command: str, record: dict) -> None:
@@ -268,7 +252,7 @@ def cmd_conditional(args: argparse.Namespace) -> None:
     )
 
     fig_out = out / "conditional.svg"
-    _conditional_figure(samples[ind_id], samples[ood_id], result, fig_out, args.seed, not args.no_timestamp)
+    _conditional_figure(samples[ind_id], samples[ood_id], result, fig_out, args.seed)
 
     _write_result(
         out / "result.json",
@@ -303,7 +287,7 @@ def cmd_conditional(args: argparse.Namespace) -> None:
     )
 
 
-def _conditional_figure(sample_ind, sample_ood, result, path: Path, seed: int, timestamp: bool) -> None:
+def _conditional_figure(sample_ind, sample_ood, result, path: Path, seed: int) -> None:
     xlim = svgplot.padded_limits(np.concatenate([sample_ind.avg, sample_ood.avg]))
     ylim = svgplot.padded_limits(np.concatenate([sample_ind.div, sample_ood.div]))
     panel = svgplot.Panel(60, 40, 460, 320, xlim, ylim,
@@ -317,7 +301,7 @@ def _conditional_figure(sample_ind, sample_ood, result, path: Path, seed: int, t
     panel.label(f"InD ({sample_ind.source})", 70, 56, svgplot.IND_COLOR)
     panel.label(f"OOD ({sample_ood.source})", 70, 72, svgplot.OOD_COLOR)
     panel.label(f"d = {result.d:.4f}, p = {result.p_value:.4f}", 70, 88)
-    path.write_text(svgplot.document(580, 420, [panel], timestamp=timestamp))
+    path.write_text(svgplot.document(580, 420, [panel]))
 
 
 # ------------------------------------------------------------------ trends
@@ -407,7 +391,7 @@ def cmd_trends(args: argparse.Namespace) -> None:
     )
 
     for metric in metrics:
-        _trends_figure(points, rows, metric, out / f"trends_{metric}.svg", not args.no_timestamp)
+        _trends_figure(points, rows, metric, out / f"trends_{metric}.svg")
 
     _write_result(
         out / "result.json",
@@ -431,7 +415,7 @@ def cmd_trends(args: argparse.Namespace) -> None:
     )
 
 
-def _trends_figure(points, rows, metric: str, path: Path, timestamp: bool) -> None:
+def _trends_figure(points, rows, metric: str, path: Path) -> None:
     pts = [p for p in points if p.metric == metric]
     if not pts:
         return
@@ -462,7 +446,7 @@ def _trends_figure(points, rows, metric: str, path: Path, timestamp: bool) -> No
             70, y0, fit_colors[r.model_class], size=10,
         )
         y0 += 14
-    path.write_text(svgplot.document(540, 520, [panel], timestamp=timestamp))
+    path.write_text(svgplot.document(540, 520, [panel]))
 
 
 # ----------------------------------------------------------------- improve
@@ -498,8 +482,7 @@ def cmd_improve(args: argparse.Namespace) -> None:
             {"index": take, "delta_a": delta_a, "delta_b": delta_b, "control_delta": delta_c,
              "base_score": base_scores},
         )
-        _improvement_figure(delta_a, delta_b, base_scores, out / f"improve_{dataset}.svg",
-                            args.seed, not args.no_timestamp)
+        _improvement_figure(delta_a, delta_b, base_scores, out / f"improve_{dataset}.svg", args.seed)
         per_dataset[dataset] = {
             "pearson_r": r,
             "mmd": {**asdict(test), "formatted": test.formatted()},
@@ -531,7 +514,7 @@ def cmd_improve(args: argparse.Namespace) -> None:
     )
 
 
-def _improvement_figure(delta_a, delta_b, base_scores, path: Path, seed: int, timestamp: bool) -> None:
+def _improvement_figure(delta_a, delta_b, base_scores, path: Path, seed: int) -> None:
     take = _subsample_indices(delta_a.shape[0], PLOT_POINT_CAP, seed, tag=31)
     xa, yb, cv = delta_a[take], delta_b[take], base_scores[take]
     xlim = svgplot.padded_limits(xa)
@@ -544,7 +527,7 @@ def _improvement_figure(delta_a, delta_b, base_scores, path: Path, seed: int, ti
         panel.line([xlim[0], xlim[1]], [0, 0], svgplot.LINE_COLOR, width=0.8, dash="3,3")
     panel.colored_scatter(xa, yb, cv, float(np.min(cv)), float(np.max(cv)), r=2.0)
     panel.label("color: base-model score", 70, 56, size=10)
-    path.write_text(svgplot.document(540, 520, [panel], timestamp=timestamp))
+    path.write_text(svgplot.document(540, 520, [panel]))
 
 
 # ------------------------------------------------------------------ gp-demo
@@ -579,7 +562,7 @@ def cmd_gp_demo(args: argparse.Namespace) -> None:
         np.all(ood_t.mean_posterior_variance[both] > ind_t.mean_posterior_variance[both])
     ) if both.any() else None
 
-    _gp_figure(exp, out / "gp.svg", not args.no_timestamp)
+    _gp_figure(exp, out / "gp.svg")
     _write_result(
         out / "result.json",
         "gp-demo",
@@ -606,7 +589,7 @@ def cmd_gp_demo(args: argparse.Namespace) -> None:
     )
 
 
-def _gp_figure(exp, path: Path, timestamp: bool) -> None:
+def _gp_figure(exp, path: Path) -> None:
     pred = exp.prediction
     std2 = 2.0 * np.sqrt(pred.posterior_variance)
     ylim = svgplot.padded_limits(np.concatenate([pred.mean - std2, pred.mean + std2, exp.model.train_y]))
@@ -633,7 +616,7 @@ def _gp_figure(exp, path: Path, timestamp: bool) -> None:
         p2.scatter(centers[mask], table.mean_posterior_variance[mask], color, r=2.5, opacity=0.9)
     p2.label("InD (x >= 0)", 570, 56, svgplot.IND_COLOR)
     p2.label("OOD (x < 0)", 570, 72, svgplot.OOD_COLOR)
-    path.write_text(svgplot.document(1040, 400, [p1, p2], timestamp=timestamp))
+    path.write_text(svgplot.document(1040, 400, [p1, p2]))
 
 
 # ------------------------------------------------------------------- report
@@ -687,11 +670,10 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--pair", default=None, help="dataset pair as IND:OOD")
         p.add_argument("--out", required=True, help="output directory for this run")
         p.add_argument("--force", action="store_true", help="overwrite a non-empty output directory")
-        p.add_argument("--seed", type=int, default=0, help="RNG seed")
-        p.add_argument("--no-timestamp", action="store_true", help="omit the timestamp comment in SVG output")
 
     p = sub.add_parser("simulate", help="write a synthetic prediction store")
     add_common(p, manifest=False)
+    p.add_argument("--seed", type=int, default=0, help="RNG seed")
     nonnegative = _checked(float, lambda v: v >= 0.0, "at least 0")
     p.add_argument("--n-points", type=_at_least(1), default=1000)
     p.add_argument("--classes", type=_at_least(2), default=10)
@@ -707,6 +689,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("conditional", help="conditional diversity curves and permutation test")
     add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="RNG seed")
     p.add_argument("--members", default=None, help="ensemble members as a+b+c (default: all models)")
     p.add_argument("--family", choices=("quadratic", "entropy"), default="quadratic")
     p.add_argument("--surrogates", type=_at_least(1), default=100)
@@ -717,6 +700,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trends", help="linear trends of OOD score on InD score")
     add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="RNG seed")
     p.add_argument("--metric", default="01,nll,brier,resce",
                    help="comma list from {01,nll,brier,ece,resce}")
     p.add_argument("--bins", type=_at_least(1), default=15, help="calibration bins for ece/resce")
@@ -728,6 +712,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("improve", help="agreement between two per-point improvement profiles")
     add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="RNG seed")
     p.add_argument("--base", required=True, help="base model id")
     p.add_argument("--alt-a", required=True, help="first alternative (id or a+b+c ensemble)")
     p.add_argument("--alt-b", required=True, help="second alternative (id or a+b+c ensemble)")
@@ -739,6 +724,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gp-demo", help="heteroskedastic GP oracle experiment")
     add_common(p, manifest=False)
+    p.add_argument("--seed", type=int, default=0, help="RNG seed")
     p.add_argument("--bins", type=_at_least(1), default=20, help="likelihood-variance bins")
     p.set_defaults(func=cmd_gp_demo)
 

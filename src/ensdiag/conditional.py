@@ -176,21 +176,16 @@ def krr_conditional_expectation(
     )
 
 
-def fit_sample_curve(sample: JointSample, x_eval: np.ndarray, ridge: float | None = None) -> ConditionalCurve:
-    return krr_conditional_expectation(sample.avg, sample.div, x_eval, ridge=ridge)
+def fit_sample_curve(sample: JointSample, x_eval: np.ndarray) -> ConditionalCurve:
+    return krr_conditional_expectation(sample.avg, sample.div, x_eval)
 
 
-def evaluation_grid(
-    sample_a: JointSample,
-    sample_b: JointSample,
-    n: int = DEFAULT_GRID_SIZE,
-    trim: tuple[float, float] = DEFAULT_TRIM_PERCENTILES,
-) -> np.ndarray:
-    """Shared grid: n points between trimmed percentiles of the pooled avg
-    values, restricted to the overlap of the two samples' ranges."""
+def evaluation_grid(sample_a: JointSample, sample_b: JointSample, n: int = DEFAULT_GRID_SIZE) -> np.ndarray:
+    """Shared grid: n points between the DEFAULT_TRIM_PERCENTILES of the pooled
+    avg values, restricted to the overlap of the two samples' ranges."""
     pooled = np.concatenate([sample_a.avg, sample_b.avg])
-    lo = float(np.percentile(pooled, trim[0]))
-    hi = float(np.percentile(pooled, trim[1]))
+    lo = float(np.percentile(pooled, DEFAULT_TRIM_PERCENTILES[0]))
+    hi = float(np.percentile(pooled, DEFAULT_TRIM_PERCENTILES[1]))
     lo = max(lo, float(sample_a.avg.min()), float(sample_b.avg.min()))
     hi = min(hi, float(sample_a.avg.max()), float(sample_b.avg.max()))
     if not hi > lo:
@@ -208,8 +203,13 @@ def d_statistic(curve_ind: ConditionalCurve, curve_ood: ConditionalCurve, integr
     if not np.array_equal(curve_ind.x_grid, curve_ood.x_grid):
         raise ValidationError("curves must share one evaluation grid")
     if integral:
-        if np.any(curve_ind.y_hat <= 0.0):
-            raise NumericalError("InD curve is nonpositive on the grid; integral d is undefined")
+        bad = np.flatnonzero(curve_ind.y_hat <= 0.0)
+        if bad.size:
+            x, y = curve_ind.x_grid[bad[0]], curve_ind.y_hat[bad[0]]
+            raise NumericalError(
+                f"InD curve is {y:.4g} at grid x = {x:.6g}, so integral d is undefined; "
+                "the default ratio-of-sums d stays defined while the InD total is positive"
+            )
         rel = (curve_ood.y_hat - curve_ind.y_hat) / curve_ind.y_hat
         return float((np.diff(curve_ind.x_grid) * (rel[1:] + rel[:-1]) / 2.0).sum())
     denom = float(curve_ind.y_hat.sum())

@@ -75,7 +75,8 @@ def _check_identity(record: DecompositionRecord, mask: np.ndarray | None = None)
 
 
 def _variance_diversity(members: list[np.ndarray], ens: np.ndarray) -> np.ndarray:
-    """variance_diversity about an ensemble mean already formed from `members`."""
+    """Sum over classes of the population variance across members, per point,
+    about an ensemble mean already formed from `members`."""
     acc = np.zeros_like(ens)
     sq = np.empty_like(ens)
     for p in members:
@@ -84,12 +85,6 @@ def _variance_diversity(members: list[np.ndarray], ens: np.ndarray) -> np.ndarra
         acc += sq
     acc /= len(members)
     return acc.sum(axis=1)
-
-
-def variance_diversity(members: Sequence[np.ndarray]) -> np.ndarray:
-    """Sum over classes of the population variance across members, per point."""
-    members = _check_members(members)
-    return _variance_diversity(members, form_ensemble(members))
 
 
 def decompose_quadratic(members: Sequence[np.ndarray]) -> DecompositionRecord:
@@ -139,12 +134,7 @@ def brier_jensen_gap(members: Sequence[np.ndarray], labels: np.ndarray) -> Decom
     return _check_identity(DecompositionRecord("brier_gap", total, diversity, avg))
 
 
-def nll_jensen_gap(
-    members: Sequence[np.ndarray],
-    labels: np.ndarray,
-    *,
-    eps: float = NLL_EPS,
-) -> DecompositionRecord:
+def nll_jensen_gap(members: Sequence[np.ndarray], labels: np.ndarray) -> DecompositionRecord:
     """Mean member NLL minus ensemble NLL.
 
     The gap equals KL(Uniform(M) || Q) where Q normalizes the member
@@ -157,16 +147,16 @@ def nll_jensen_gap(
     # (M, N) in column-major order, the layout a gather from an (M, N, C)
     # stack has, so the reductions over members below round the same way.
     like = np.column_stack([p[rows, labels] for p in members]).T
-    like_c = np.maximum(like, eps)
+    like_c = np.maximum(like, NLL_EPS)
 
     avg = -np.log(like_c).mean(axis=0)
     ens_like = like.mean(axis=0)
-    total = -np.log(np.maximum(ens_like, eps))
+    total = -np.log(np.maximum(ens_like, NLL_EPS))
     m = len(members)
     # KL(U || Q) = -ln M + ln sum_i L_i - mean_i ln L_i, over clamped likelihoods.
     diversity = -np.log(float(m)) + np.log(like_c.sum(axis=0)) - np.log(like_c).mean(axis=0)
 
-    unclamped = (like > eps).all(axis=0) & (ens_like > eps)
+    unclamped = (like > NLL_EPS).all(axis=0) & (ens_like > NLL_EPS)
     record = DecompositionRecord("nll_gap", total, diversity, avg)
     return _check_identity(record, mask=unclamped)
 

@@ -159,22 +159,17 @@ class BinTable:
     mean_posterior_variance: np.ndarray
 
 
-def conditional_posterior_variance(
-    pred: GpPrediction,
-    n_bins: int = 20,
-    lik_range: tuple[float, float] = LIK_VAR_RANGE,
-) -> dict[str, BinTable]:
-    """Bin predictions by likelihood variance, split into InD (x >= 0) and
-    OOD (x < 0), and average posterior variance within each bin.
+def conditional_posterior_variance(pred: GpPrediction, n_bins: int = 20) -> dict[str, BinTable]:
+    """Bin predictions by likelihood variance over LIK_VAR_RANGE, split into
+    InD (x >= 0) and OOD (x < 0), and average posterior variance within each
+    bin.
 
     Empty bins get count 0 and NaN mean. Values at the top of the range
     land in the last bin.
     """
     if n_bins < 1:
         raise ValidationError("n_bins must be >= 1")
-    lo, hi = lik_range
-    if not hi > lo:
-        raise ValidationError("lik_range must be increasing")
+    lo, hi = LIK_VAR_RANGE
     edges = np.linspace(lo, hi, n_bins + 1)
     width = hi - lo
     tables: dict[str, BinTable] = {}
@@ -197,18 +192,12 @@ class GpExperiment:
     tables: dict[str, BinTable]
 
 
-def run_default_experiment(
-    seed: int = 0,
-    n_train: int = 25,
-    n_eval: int = DEFAULT_EVAL_POINTS,
-    eval_domain: tuple[float, float] = DEFAULT_EVAL_DOMAIN,
-    n_bins: int = 20,
-) -> GpExperiment:
-    """Train on [0, 5], predict on an equispaced grid over [-5, 5], and
-    build the conditional posterior-variance tables."""
-    model = generate_dataset(n=n_train, seed=seed)
+def run_default_experiment(seed: int = 0, n_bins: int = 20) -> GpExperiment:
+    """Train on 25 points in [0, 5], predict on DEFAULT_EVAL_POINTS equispaced
+    points over [-5, 5], and build the conditional posterior-variance tables."""
+    model = generate_dataset(seed=seed)
     state = gp_fit(model)
-    grid = np.linspace(eval_domain[0], eval_domain[1], n_eval)
+    grid = np.linspace(DEFAULT_EVAL_DOMAIN[0], DEFAULT_EVAL_DOMAIN[1], DEFAULT_EVAL_POINTS)
     pred = gp_predict(state, grid)
     tables = conditional_posterior_variance(pred, n_bins=n_bins)
     return GpExperiment(model, pred, tables)

@@ -49,22 +49,27 @@ def pearson_r(a: np.ndarray, b: np.ndarray) -> float:
     return float((da * db).sum() / denom)
 
 
-def median_heuristic_bandwidth(points: np.ndarray, cap: int = BANDWIDTH_MEDIAN_CAP) -> float:
-    """Median pairwise distance of a point cloud.
+def median_heuristic_bandwidth(points: np.ndarray) -> float:
+    """Median of the nonzero pairwise distances of a point cloud.
 
-    Above `cap` points the median is taken over an evenly strided subset so
-    the cost stays bounded and the value stays deterministic.
+    Coinciding pairs are left out, so a discrete cloud such as 0-1 deltas,
+    where most pairs coincide, still gets the typical distance between
+    distinct points. Above BANDWIDTH_MEDIAN_CAP points the median is taken
+    over an evenly strided subset so the cost stays bounded and the value
+    stays deterministic.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if points.shape[0] < 2:
         raise ValidationError("bandwidth needs at least two points")
-    if points.shape[0] > cap:
-        stride = int(np.ceil(points.shape[0] / cap))
+    if points.shape[0] > BANDWIDTH_MEDIAN_CAP:
+        stride = int(np.ceil(points.shape[0] / BANDWIDTH_MEDIAN_CAP))
         points = points[::stride]
-    med = float(np.median(pdist(points)))
-    if med == 0.0:
-        raise ValidationError("median pairwise distance is zero; pass a bandwidth explicitly")
-    return med
+    dist = pdist(points)
+    dist = dist[dist > 0.0]
+    if dist.size == 0:
+        raise ValidationError("bandwidth undefined: every point of the cloud coincides")
+    # The filter already copied; partitioning that copy in place saves another.
+    return float(np.median(dist, overwrite_input=True))
 
 
 def _gaussian_gram(x: np.ndarray, y: np.ndarray, bandwidth: float) -> np.ndarray:
@@ -107,17 +112,18 @@ def mmd2_unbiased(x: np.ndarray, y: np.ndarray, bandwidth: float) -> float:
     return float(term_x + term_y - term_xy)
 
 
-def mmd_threshold(m: int, alpha: float, kernel_bound: float = 1.0) -> float:
+def mmd_threshold(m: int, alpha: float) -> float:
     """Distribution-free rejection threshold for MMD_u^2 at level alpha.
 
     For m = n samples and a kernel bounded by K, the null is rejected when
-    the statistic exceeds (4K / sqrt(m)) * sqrt(ln(1 / alpha)).
+    the statistic exceeds (4K / sqrt(m)) * sqrt(ln(1 / alpha)). The Gaussian
+    kernel is bounded by K = 1.
     """
     if m < 1:
         raise ValidationError("m must be positive")
     if not 0.0 < alpha <= 1.0:
         raise ValidationError("alpha must lie in (0, 1]")
-    return float(4.0 * kernel_bound / np.sqrt(m) * np.sqrt(np.log(1.0 / alpha)))
+    return float(4.0 / np.sqrt(m) * np.sqrt(np.log(1.0 / alpha)))
 
 
 @dataclass
@@ -141,14 +147,13 @@ def improvement_similarity_test(
     delta_b: np.ndarray,
     control: np.ndarray,
     alpha: float = 0.05,
-    bandwidth: float | None = None,
 ) -> MmdTestResult:
     """Test whether (delta_a, delta_b) pairs look different from a control
     pairing of delta_a with an unrelated improvement profile.
 
     Both clouds share the delta_a coordinate, so sizes match and the m = n
-    threshold applies. The kernel bandwidth defaults to the median pairwise
-    distance of the pooled clouds.
+    threshold applies. The kernel bandwidth is the median heuristic of the
+    pooled clouds.
     """
     delta_a = np.asarray(delta_a, dtype=np.float64)
     delta_b = np.asarray(delta_b, dtype=np.float64)
@@ -157,8 +162,7 @@ def improvement_similarity_test(
         raise ValidationError("delta_a, delta_b, control must be 1-d arrays of equal length")
     cloud = np.column_stack([delta_a, delta_b])
     cloud_control = np.column_stack([delta_a, control])
-    if bandwidth is None:
-        bandwidth = median_heuristic_bandwidth(np.vstack([cloud, cloud_control]))
+    bandwidth = median_heuristic_bandwidth(np.vstack([cloud, cloud_control]))
     stat = mmd2_unbiased(cloud, cloud_control, bandwidth)
     thr = mmd_threshold(delta_a.shape[0], alpha)
-    return MmdTestResult(stat, thr, alpha, float(bandwidth), delta_a.shape[0], stat > thr)
+    return MmdTestResult(stat, thr, alpha, bandwidth, delta_a.shape[0], stat > thr)

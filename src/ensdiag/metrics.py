@@ -19,8 +19,6 @@ NLL_EPS = 1e-12
 # Largest residual tolerated in an exact identity between scores.
 IDENTITY_TOL = 1e-10
 
-LN2 = float(np.log(2.0))
-
 
 def _check_labels(probs: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     probs = np.asarray(probs, dtype=np.float64)
@@ -45,16 +43,15 @@ def brier(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", delta, delta)
 
 
-def nll(probs: np.ndarray, labels: np.ndarray, *, eps: float = NLL_EPS, base2: bool = False) -> np.ndarray:
-    """Negative log likelihood of the true class.
+def nll(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Negative log likelihood of the true class, in nats.
 
-    The true-class probability is floored at `eps` so that an exact zero
-    yields -ln(eps) rather than infinity.
+    The true-class probability is floored at NLL_EPS so that an exact zero
+    yields -ln(NLL_EPS) rather than infinity.
     """
     probs, labels = _check_labels(probs, labels)
     p_true = probs[np.arange(probs.shape[0]), labels]
-    out = -np.log(np.maximum(p_true, eps))
-    return out / LN2 if base2 else out
+    return -np.log(np.maximum(p_true, NLL_EPS))
 
 
 def zero_one_error(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -66,15 +63,14 @@ def zero_one_error(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return (probs.argmax(axis=1) != labels).astype(np.float64)
 
 
-def entropy(probs: np.ndarray, *, base2: bool = False) -> np.ndarray:
-    """Shannon entropy per row, in nats by default, with 0 ln 0 = 0."""
+def entropy(probs: np.ndarray) -> np.ndarray:
+    """Shannon entropy per row, in nats, with 0 ln 0 = 0."""
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim != 2:
         raise ValidationError(f"expected 2-d probabilities, got shape {probs.shape}")
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(probs > 0.0, probs * np.log(probs), 0.0)
-    out = -terms.sum(axis=1)
-    return out / LN2 if base2 else out
+    return -terms.sum(axis=1)
 
 
 def quad_uncertainty(probs: np.ndarray) -> np.ndarray:

@@ -29,6 +29,8 @@ from .errors import ValidationError
 ROW_SUM_ATOL = 1e-9
 # Looser tolerance applied when ingesting float32 probability dumps.
 INGEST_ROW_ATOL = 1e-6
+# Members of each accuracy-binned heterogeneous ensemble.
+HET_ENSEMBLE_SIZE = 4
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -49,21 +51,21 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return expd / expd.sum(axis=1, keepdims=True)
 
 
-def validate_probs(probs: np.ndarray, *, atol: float = ROW_SUM_ATOL, name: str = "probs") -> np.ndarray:
-    """Check that an array is a row-stochastic float64 matrix."""
+def validate_probs(probs: np.ndarray, *, name: str = "probs") -> np.ndarray:
+    """Check that an array is a row-stochastic float64 matrix, to within ROW_SUM_ATOL."""
     arr = np.asarray(probs, dtype=np.float64)
     if arr.ndim != 2:
         raise ValidationError(f"{name}: expected 2-d matrix, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValidationError(f"{name}: non-finite entries")
-    if (arr < 0).any() or (arr > 1 + atol).any():
+    if (arr < 0).any() or (arr > 1 + ROW_SUM_ATOL).any():
         raise ValidationError(f"{name}: entries outside [0, 1]")
     sums = arr.sum(axis=1)
-    bad = np.abs(sums - 1.0) > atol
+    bad = np.abs(sums - 1.0) > ROW_SUM_ATOL
     if bad.any():
         row = int(np.flatnonzero(bad)[0])
         raise ValidationError(
-            f"{name}: row {row} sums to {sums[row]:.9f}, outside 1 +/- {atol:g}"
+            f"{name}: row {row} sums to {sums[row]:.9f}, outside 1 +/- {ROW_SUM_ATOL:g}"
         )
     return arr
 
@@ -214,21 +216,18 @@ class BinningReport:
 
     ensembles: list[EnsembleDef]
     skipped: list[dict]
-    bin_edges: np.ndarray
-    accuracy_by_model: dict[str, float]
 
 
 def form_heterogeneous_ensembles(
     store: PredictionStore,
     ind_dataset: str,
     n_bins: int,
-    members_per_ensemble: int = 4,
     seed: int = 0,
 ) -> BinningReport:
     """Group models into equal-width in-distribution accuracy bins and sample
-    one ensemble of `members_per_ensemble` distinct models from each bin.
+    one ensemble of HET_ENSEMBLE_SIZE distinct models from each bin.
 
-    Bins with fewer models than requested are skipped and recorded in the
+    Bins with fewer models than that are skipped and recorded in the
     report rather than raising. Sampling is without replacement and is
     deterministic for a fixed seed.
     """
@@ -259,20 +258,20 @@ def form_heterogeneous_ensembles(
         in_bin = sorted(m for m, i in zip(model_ids, idx) if i == b)
         if not in_bin:
             continue
-        if len(in_bin) < members_per_ensemble:
+        if len(in_bin) < HET_ENSEMBLE_SIZE:
             skipped.append(
                 {
                     "bin": b,
                     "lo": float(edges[b]),
                     "hi": float(edges[b + 1]),
                     "n_models": len(in_bin),
-                    "needed": members_per_ensemble,
+                    "needed": HET_ENSEMBLE_SIZE,
                 }
             )
             continue
-        chosen = sorted(rng.choice(in_bin, size=members_per_ensemble, replace=False).tolist())
+        chosen = sorted(rng.choice(in_bin, size=HET_ENSEMBLE_SIZE, replace=False).tolist())
         ensembles.append(EnsembleDef(ensemble_id_for(chosen), tuple(chosen)))
-    return BinningReport(ensembles, skipped, edges, accs)
+    return BinningReport(ensembles, skipped)
 
 
 def _read_raw(path: Path, dtype: str, shape: tuple[int, ...], name: str) -> np.ndarray:

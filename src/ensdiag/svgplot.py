@@ -1,14 +1,12 @@
 """Minimal hand-rolled SVG figures.
 
-Plots are emitted as plain SVG text with fixed-precision coordinates, so a
-rerun with the same inputs reproduces the file byte for byte. An optional
-generation timestamp is the only nondeterministic element and can be
-suppressed.
+Plots are emitted as plain SVG text with fixed-precision coordinates and
+no generation timestamp, so a rerun with the same inputs reproduces the
+file byte for byte.
 """
 
 from __future__ import annotations
 
-from datetime import datetime, timezone
 from typing import Sequence
 
 import numpy as np
@@ -120,10 +118,10 @@ class Panel:
             f'<polygon points="{" ".join(fwd + back)}" fill="{color}" fill-opacity="{opacity:g}" stroke="none"/>'
         )
 
-    def label(self, text: str, x: float, y: float, color: str = LINE_COLOR, size: int = 11, anchor: str = "start") -> None:
+    def label(self, text: str, x: float, y: float, color: str = LINE_COLOR, size: int = 11) -> None:
         self.elements.append(
             f'<text x="{_fmt(x)}" y="{_fmt(y)}" {FONT} font-size="{size}" '
-            f'fill="{color}" text-anchor="{anchor}">{text}</text>'
+            f'fill="{color}" text-anchor="start">{text}</text>'
         )
 
     def render(self) -> list[str]:
@@ -171,22 +169,20 @@ class Panel:
         return out
 
 
-def document(width: float, height: float, panels: Sequence[Panel], timestamp: bool = False) -> str:
+def document(width: float, height: float, panels: Sequence[Panel]) -> str:
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:g}" height="{height:g}" '
-        f'viewBox="0 0 {width:g} {height:g}">'
+        f'viewBox="0 0 {width:g} {height:g}">',
+        f'<rect x="0" y="0" width="{width:g}" height="{height:g}" fill="white"/>',
     ]
-    if timestamp:
-        stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
-        parts.append(f"<!-- generated {stamp} -->")
-    parts.append(f'<rect x="0" y="0" width="{width:g}" height="{height:g}" fill="white"/>')
     for panel in panels:
         parts.extend(panel.render())
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
-def padded_limits(values: np.ndarray, frac: float = 0.05) -> tuple[float, float]:
+def padded_limits(values: np.ndarray) -> tuple[float, float]:
+    """Finite range of the values widened by 5% of its span on each side."""
     values = np.asarray(values, dtype=np.float64)
     values = values[np.isfinite(values)]
     if values.size == 0:
@@ -194,5 +190,5 @@ def padded_limits(values: np.ndarray, frac: float = 0.05) -> tuple[float, float]
     lo, hi = float(values.min()), float(values.max())
     if hi == lo:
         return (lo - 0.5, hi + 0.5)
-    pad = (hi - lo) * frac
+    pad = (hi - lo) * 0.05
     return (lo - pad, hi + pad)

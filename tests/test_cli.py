@@ -186,6 +186,28 @@ def test_repeated_member_is_one_error_line(sim_dir, tmp_path, capsys, command, a
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("argv", [["decompose", "--seed", "1"], ["gp-demo", "--no-timestamp"]],
+                         ids=["decompose-seed", "gp-demo-no-timestamp"])
+def test_removed_flag_is_one_error_line(sim_dir, tmp_path, capsys, argv):
+    manifest = ["--manifest", sim_dir / "manifest.json"] if argv[0] == "decompose" else []
+    assert run([*argv, *manifest, "--out", tmp_path / "x"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: unrecognized arguments: ")
+    assert not (tmp_path / "x").exists()
+
+
+def test_pipeline_script_quick_start(tmp_path):
+    # The README quick start, shrunk: every stage must accept the flags the script passes.
+    repo = Path(ensdiag.__file__).parents[2]
+    proc = subprocess.run(
+        [sys.executable, str(repo / "scripts" / "run_synthetic_pipeline.py"), "--out", str(tmp_path),
+         "--n-points", "200", "--models", "4", "--surrogates", "5"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(repo / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((tmp_path / "index.json").read_text())["n_runs"] == 6
+
+
 IMPORT_PROBE = """
 import json, sys
 import ensdiag
@@ -422,15 +444,40 @@ class TestImproveCommand:
         assert err[0].startswith(f"error: argument {flag}: ")
         assert not (tmp_path / "x").exists()
 
-    def test_degenerate_zero_one_cloud_rejected(self, sim_dir, tmp_path):
-        # Mostly-agreeing models make 0-1 deltas collide; the median pairwise
-        # distance is zero and the bandwidth heuristic refuses.
+    def test_degenerate_zero_one_cloud_rejected(self, sim_dir, tmp_path, capsys):
+        # On the 60 OOD points m000+m002 makes every 0-1 call m000 makes, so
+        # delta_b is all zero and Pearson's r is undefined.
         code = run([
             "improve", "--manifest", sim_dir / "manifest.json",
             "--base", "m000", "--alt-a", "m000+m001", "--alt-b", "m000+m002",
             "--control", "m003", "--metric", "01", "--out", tmp_path / "x",
         ])
         assert code == 1
+        assert capsys.readouterr().err == "error: correlation undefined: an input has zero variance\n"
+
+    def test_coinciding_cloud_rejected(self, sim_dir, tmp_path, capsys):
+        # Every alternative is the base model: all deltas are zero and no bandwidth exists.
+        code = run([
+            "improve", "--manifest", sim_dir / "manifest.json", "--base", "m000", "--alt-a", "m000",
+            "--alt-b", "m000", "--control", "m000", "--metric", "01", "--out", tmp_path / "x",
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == "error: bandwidth undefined: every point of the cloud coincides\n"
+
+    def test_zero_one_metric_on_300_points(self, tmp_path):
+        # Most 0-1 delta pairs coincide; the bandwidth is the median over the distinct pairs.
+        sim = tmp_path / "sim"
+        assert run(["simulate", "--n-points", "300", "--models", "4", "--seed", "7", "--out", sim]) == 0
+        out = tmp_path / "imp"
+        code = run([
+            "improve", "--manifest", sim / "manifest.json",
+            "--base", "m000", "--alt-a", "m000+m001", "--alt-b", "m000+m002",
+            "--control", "m003", "--metric", "01", "--out", out,
+        ])
+        assert code == 0
+        result = json.loads((out / "result.json").read_text())
+        assert result["settings"]["bandwidth_rule"] == "median_heuristic"
+        assert [result["results"][ds]["mmd"]["bandwidth"] for ds in ("ind", "ood")] == [1.0, 1.0]
 
 
 class TestGpDemoCommand:
@@ -462,28 +509,31 @@ class TestReportCommand:
         assert run(["report", "--out", root, "--force"]) == 0
 
 
+def assert_reruns_identical(argv, tmp_path):
+    """Run a command twice into fresh directories; every file, SVG included, must match."""
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    assert run(argv + ["--out", out_a]) == 0
+    assert run(argv + ["--out", out_b]) == 0
+    names = sorted(p.name for p in out_a.iterdir())
+    assert any(name.endswith(".svg") for name in names)
+    assert names == sorted(p.name for p in out_b.iterdir())
+    for name in names:
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+
 class TestDeterminism:
     def test_conditional_rerun_byte_identical(self, sim_dir, tmp_path):
-        args = ["conditional", "--manifest", sim_dir / "manifest.json",
-                "--surrogates", "11", "--seed", "9", "--no-timestamp"]
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        assert run(args + ["--out", out_a]) == 0
-        assert run(args + ["--out", out_b]) == 0
-        for name in ("result.json", "curves.csv", "conditional.svg"):
-            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+        assert_reruns_identical(["conditional", "--manifest", sim_dir / "manifest.json",
+                                 "--surrogates", "11", "--seed", "9"], tmp_path)
 
     def test_trends_rerun_byte_identical(self, sim_dir, tmp_path):
-        args = ["trends", "--manifest", sim_dir / "manifest.json",
-                "--metric", "brier,resce", "--no-timestamp"]
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        assert run(args + ["--out", out_a]) == 0
-        assert run(args + ["--out", out_b]) == 0
-        for name in ("result.json", "trend_table.csv", "trend_points.csv", "trends_brier.svg"):
-            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+        assert_reruns_identical(["trends", "--manifest", sim_dir / "manifest.json",
+                                 "--metric", "brier,resce"], tmp_path)
 
-    def test_svg_timestamp_differs_only_with_flag(self, tmp_path):
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        assert run(["gp-demo", "--out", out_a, "--no-timestamp"]) == 0
-        assert run(["gp-demo", "--out", out_b, "--no-timestamp"]) == 0
-        assert (out_a / "gp.svg").read_bytes() == (out_b / "gp.svg").read_bytes()
-        assert (out_a / "gp_predictions.csv").read_bytes() == (out_b / "gp_predictions.csv").read_bytes()
+    def test_improve_rerun_byte_identical(self, sim_dir, tmp_path):
+        assert_reruns_identical(["improve", "--manifest", sim_dir / "manifest.json", "--base", "m000",
+                                 "--alt-a", "m000+m001", "--alt-b", "m000+m002", "--control", "m003"],
+                                tmp_path)
+
+    def test_gp_demo_rerun_byte_identical(self, tmp_path):
+        assert_reruns_identical(["gp-demo"], tmp_path)

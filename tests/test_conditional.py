@@ -313,7 +313,7 @@ class TestDStatistic:
         y[4] = 0.0
         a = ConditionalCurve(x, y, 0.1, 1e-6)
         b = ConditionalCurve(x, np.ones(10), 0.1, 1e-6)
-        with pytest.raises(NumericalError):
+        with pytest.raises(NumericalError, match=r"InD curve is 0 at grid x = 0\.444444, .* ratio-of-sums"):
             d_statistic(a, b, integral=True)
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 300), uniform=st.booleans())

@@ -13,7 +13,6 @@ from ensdiag.decomposition import (
     decompose_entropy,
     decompose_quadratic,
     nll_jensen_gap,
-    variance_diversity,
 )
 from ensdiag.errors import ValidationError
 from ensdiag.metrics import NLL_EPS, brier, entropy, nll, quad_uncertainty
@@ -29,18 +28,18 @@ class TestVarianceDiversity:
     def test_identical_members(self, rng):
         # (p + p + p) / 3 leaves ~1e-34 of rounding residue, so not exactly 0.
         p = random_simplex(rng, 8, 3)
-        assert np.abs(variance_diversity([p, p, p])).max() < 1e-30
+        assert np.abs(decompose_quadratic([p, p, p]).diversity).max() < 1e-30
 
     def test_two_one_hot(self):
-        np.testing.assert_allclose(variance_diversity(TWO_ONE_HOT), [0.5])
+        np.testing.assert_allclose(decompose_quadratic(TWO_ONE_HOT).diversity, [0.5])
 
     def test_hand_value(self):
         members = np.stack([np.array([[0.7, 0.3]]), np.array([[0.5, 0.5]])])
-        np.testing.assert_allclose(variance_diversity(members), [0.02], atol=1e-15)
+        np.testing.assert_allclose(decompose_quadratic(members).diversity, [0.02], atol=1e-15)
 
     def test_single_member_rejected(self, rng):
         with pytest.raises(ValidationError):
-            variance_diversity([random_simplex(rng, 3, 2)])
+            decompose_quadratic([random_simplex(rng, 3, 2)])
 
 
 class TestJsdDiversity:
@@ -132,7 +131,7 @@ class TestBrierGap:
         rec = brier_jensen_gap(members, y)
         assert np.abs(rec.residual()).max() < 1e-10
         np.testing.assert_allclose(
-            rec.diversity, variance_diversity(members), atol=1e-10
+            rec.diversity, decompose_quadratic(members).diversity, atol=1e-10
         )
 
     @given(st.integers(0, 10**6))
@@ -194,13 +193,13 @@ class TestDiversityZeroIffIdentical:
         rng = np.random.default_rng(seed)
         p = random_simplex(rng, 6, 4)
         q = 0.5 * p + 0.5 * random_simplex(rng, 6, 4)
-        div = variance_diversity(np.stack([p, q]))
+        div = decompose_quadratic(np.stack([p, q])).diversity
         differs = np.abs(p - q).max(axis=1) > 1e-6
         assert np.all(div[differs] > 1e-12)
 
     def test_zero_when_identical(self, rng):
         p = random_simplex(rng, 6, 4)
-        assert np.all(variance_diversity(np.stack([p, p, p])) < 1e-12)
+        assert np.all(decompose_quadratic(np.stack([p, p, p])).diversity < 1e-12)
 
 
 
@@ -243,7 +242,6 @@ class TestMatchesStackedOracle:
             rec = records[family]
             for got, want in zip((rec.total, rec.diversity, rec.avg_member), expected):
                 assert np.array_equal(got, want), family
-        assert np.array_equal(variance_diversity(members), stacked_oracle(stack, labels)["quadratic"][1])
         assert np.array_equal(form_ensemble(members), stack.mean(axis=0))
         assert np.array_equal(form_ensemble(members[:1]), members[0])
 

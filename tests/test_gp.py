@@ -173,8 +173,6 @@ class TestConditionalPosteriorVariance:
         pred = GpPrediction(np.array([0.0]), np.zeros(1), np.zeros(1), np.full(1, 0.01))
         with pytest.raises(ValidationError):
             conditional_posterior_variance(pred, n_bins=0)
-        with pytest.raises(ValidationError):
-            conditional_posterior_variance(pred, lik_range=(1.0, 1.0))
 
     def test_default_experiment_bin_ordering(self):
         exp = run_default_experiment(seed=0)
@@ -196,7 +194,7 @@ class TestDefaultExperiment:
             assert left > right
 
     def test_shapes(self):
-        exp = run_default_experiment(seed=4, n_eval=128, n_bins=10)
-        assert exp.prediction.x.shape == (128,)
+        exp = run_default_experiment(seed=4, n_bins=10)
+        assert exp.prediction.x.shape == (512,)
         assert exp.tables["ind"].counts.shape == (10,)
         assert exp.tables["ind"].edges.shape == (11,)

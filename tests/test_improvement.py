@@ -8,6 +8,7 @@ from scipy.spatial.distance import pdist
 
 from ensdiag.errors import ValidationError
 from ensdiag.improvement import (
+    BANDWIDTH_MEDIAN_CAP,
     improvement_similarity_test,
     median_heuristic_bandwidth,
     mmd2_unbiased,
@@ -106,7 +107,7 @@ class TestMedianBandwidth:
         assert median_heuristic_bandwidth(np.array([[0.0, 0.0], [3.0, 4.0]])) == 5.0
 
     def test_identical_points_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="every point of the cloud coincides"):
             median_heuristic_bandwidth(np.zeros((5, 2)))
 
     def test_single_point_rejected(self):
@@ -114,9 +115,18 @@ class TestMedianBandwidth:
             median_heuristic_bandwidth(np.zeros((1, 2)))
 
     def test_cap_strides_deterministically(self):
-        big = np.column_stack([np.arange(101.0), np.zeros(101)])
-        expected = float(np.median(pdist(big[::3])))
-        assert median_heuristic_bandwidth(big, cap=50) == expected
+        # One point above the cap: every second point is kept.
+        n = BANDWIDTH_MEDIAN_CAP + 1
+        big = np.column_stack([np.arange(float(n)), np.zeros(n)])
+        expected = float(np.median(pdist(big[::2])))
+        assert expected != float(np.median(pdist(big)))
+        assert median_heuristic_bandwidth(big) == expected
+
+    def test_coinciding_pairs_left_out(self):
+        # 0-1 deltas: most pairs coincide, so the median over all pairs is 0.
+        cloud = np.array([[0.0, 0.0]] * 6 + [[1.0, 0.0], [0.0, 1.0]])
+        assert float(np.median(pdist(cloud))) == 0.0
+        assert median_heuristic_bandwidth(cloud) == 1.0
 
 
 class TestMmd2:
@@ -241,8 +251,3 @@ class TestSimilarityTest:
     def test_shape_mismatch(self):
         with pytest.raises(ValidationError):
             improvement_similarity_test(np.zeros(5), np.zeros(5), np.zeros(6))
-
-    def test_explicit_bandwidth_respected(self, rng):
-        da, db, control = rng.normal(size=(3, 40))
-        res = improvement_similarity_test(da, db, control, bandwidth=2.5)
-        assert res.bandwidth == 2.5

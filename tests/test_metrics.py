@@ -59,10 +59,6 @@ class TestNll:
         np.testing.assert_allclose(v, [-np.log(1e-12)])
         assert abs(v[0] - 27.631) < 1e-3
 
-    def test_base2_flag(self):
-        v = nll(np.array([[0.25, 0.75]]), np.array([0]), base2=True)
-        np.testing.assert_allclose(v, [2.0])
-
 
 class TestZeroOne:
     def test_correct_and_wrong(self):
@@ -98,11 +94,6 @@ class TestEntropy:
     def test_hand_value(self):
         np.testing.assert_allclose(
             entropy(np.array([[0.8, 0.2]])), [0.5004024235381879], atol=1e-12
-        )
-
-    def test_base2(self):
-        np.testing.assert_allclose(
-            entropy(np.array([[0.5, 0.5]]), base2=True), [1.0], atol=1e-12
         )
 
 

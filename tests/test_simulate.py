@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from ensdiag.decomposition import variance_diversity
+from ensdiag.decomposition import decompose_quadratic
 from ensdiag.errors import ValidationError
 from ensdiag.simulate import SyntheticSpec, simulate_store, write_synthetic_store
 from ensdiag.store import load_store
@@ -77,7 +77,7 @@ class TestSimulateStore:
         for mid in ("m001", "m002"):
             np.testing.assert_array_equal(store.probs(mid, "ind"), base)
         # (p + p + p) / 3 leaves ~1e-34 of rounding residue, so not exactly 0.
-        div = variance_diversity(store.member_probs(store.model_ids, "ind"))
+        div = decompose_quadratic(store.member_probs(store.model_ids, "ind")).diversity
         assert np.abs(div).max() < 1e-30
 
 

@@ -8,7 +8,7 @@ from scipy.stats import linregress
 
 from conftest import build_store, random_simplex
 import ensdiag.trends
-from ensdiag.decomposition import variance_diversity
+from ensdiag.decomposition import decompose_quadratic
 from ensdiag.errors import ValidationError
 from ensdiag.metrics import brier, calibration, compute_metric
 from ensdiag.store import (
@@ -166,11 +166,11 @@ class TestEffectiveRobustness:
 
 
 def mixed_ensemble_store(rng):
-    """Six models with leave-one-out ensembles plus two-member heterogeneous ones."""
+    """Six models with leave-one-out ensembles plus one four-member heterogeneous one."""
     store = build_store(rng, models=tuple(f"m{k}" for k in range(6)), n=50, c=4)
     ensembles = enumerate_homogeneous_ensembles(store.model_ids, 5)
-    report = form_heterogeneous_ensembles(store, "ind", 2, members_per_ensemble=2, seed=3)
-    assert report.ensembles
+    report = form_heterogeneous_ensembles(store, "ind", 1, seed=3)
+    assert len(report.ensembles) == 1
     return store, ensembles + report.ensembles, frozenset(e.ensemble_id for e in report.ensembles)
 
 
@@ -323,7 +323,7 @@ def stacked_ratio_oracle(store, ensembles, pair=("ind", "ood")):
     """The diversity ratio from member stacks and re-scored single-model Brier."""
     per_ens = {}
     for ens in ensembles:
-        ind, ood = (variance_diversity(store.member_probs(ens.member_model_ids, d)).mean() for d in pair)
+        ind, ood = (decompose_quadratic(store.member_probs(ens.member_model_ids, d)).diversity.mean() for d in pair)
         per_ens[ens.ensemble_id] = float(ood) / float(ind)
     singles = [m for m in store.model_ids if all(store.has_prediction(m, d) for d in pair)]
     ind, ood = (
