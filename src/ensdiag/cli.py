@@ -128,7 +128,7 @@ def _parse_members(store: PredictionStore, spec: str, pair: tuple[str, str]) -> 
 
 def _resolve_members(store: PredictionStore, spec: str | None, pair: tuple[str, str]) -> list[str]:
     if spec is None:
-        ids = [m for m in store.model_ids if all(store.has_prediction(m, d) for d in pair)]
+        ids = store.models_on_pair(pair)
     else:
         ids = _parse_members(store, spec, pair)
     if len(ids) < 2:
@@ -183,18 +183,21 @@ def cmd_decompose(args: argparse.Namespace) -> None:
     members = _resolve_members(store, args.members, pair)
     out = prepare_out_dir(args.out, args.force)
 
-    aggregates: dict = {}
+    # Both datasets are decomposed before any file is written, so a failure leaves none.
+    records = {}
     for dataset in pair:
         probs = store.member_probs(members, dataset)
         labels = store.labels(dataset)
-        records = {
+        records[dataset] = {
             "quadratic": decompose_quadratic(probs),
             "entropy": decompose_entropy(probs),
             "brier_gap": brier_jensen_gap(probs, labels),
             "nll_gap": nll_jensen_gap(probs, labels),
         }
+    aggregates: dict = {}
+    for dataset, by_family in records.items():
         aggregates[dataset] = {}
-        for family, rec in records.items():
+        for family, rec in by_family.items():
             res = rec.residual()
             write_csv(
                 out / f"decompose_{family}_{dataset}.csv",
@@ -308,7 +311,7 @@ def _conditional_figure(sample_ind, sample_ood, result, path: Path, seed: int) -
 
 
 def _load_ensembles(arg: str, store: PredictionStore, pair: tuple[str, str]) -> list[EnsembleDef]:
-    shared = [m for m in store.model_ids if all(store.has_prediction(m, d) for d in pair)]
+    shared = store.models_on_pair(pair)
     if arg == "none":
         return []
     if arg == "loo":
@@ -349,7 +352,7 @@ def cmd_trends(args: argparse.Namespace) -> None:
     het_ids: set[str] = set()
     skipped_bins: list[dict] = []
     if args.het_bins:
-        report = form_heterogeneous_ensembles(store, pair[0], args.het_bins, seed=args.seed)
+        report = form_heterogeneous_ensembles(store, pair, args.het_bins, seed=args.seed)
         existing = {e.ensemble_id for e in ensembles}
         for ens in report.ensembles:
             if ens.ensemble_id not in existing:
@@ -419,12 +422,7 @@ def _trends_figure(points, rows, metric: str, path: Path) -> None:
     pts = [p for p in points if p.metric == metric]
     if not pts:
         return
-    xs = np.array([p.ind_value for p in pts])
-    ys = np.array([p.ood_value for p in pts])
-    lo = min(xs.min(), ys.min())
-    hi = max(xs.max(), ys.max())
-    pad = 0.05 * (hi - lo) if hi > lo else 0.5
-    lim = (lo - pad, hi + pad)
+    lim = svgplot.padded_limits(np.array([[p.ind_value, p.ood_value] for p in pts]))
     panel = svgplot.Panel(60, 40, 420, 420, lim, lim, title=f"Trend: {metric}",
                           xlabel="InD score", ylabel="OOD score")
     panel.line([lim[0], lim[1]], [lim[0], lim[1]], svgplot.LINE_COLOR, width=1.0, dash="5,4")
@@ -459,6 +457,8 @@ def cmd_improve(args: argparse.Namespace) -> None:
     specs = [_parse_members(store, s, pair) for s in (args.base, args.alt_a, args.alt_b, args.control)]
     out = prepare_out_dir(args.out, args.force)
 
+    # Both datasets are scored before any file is written, so a failure leaves none.
+    columns: dict = {}
     per_dataset: dict = {}
     for dataset in pair:
         labels = store.labels(dataset)
@@ -477,17 +477,18 @@ def cmd_improve(args: argparse.Namespace) -> None:
         test = improvement_similarity_test(delta_a, delta_b, delta_c, alpha=args.alpha)
         r = pearson_r(delta_a, delta_b)
 
-        write_csv(
-            out / f"improve_{dataset}.csv",
-            {"index": take, "delta_a": delta_a, "delta_b": delta_b, "control_delta": delta_c,
-             "base_score": base_scores},
-        )
-        _improvement_figure(delta_a, delta_b, base_scores, out / f"improve_{dataset}.svg", args.seed)
+        columns[dataset] = {"index": take, "delta_a": delta_a, "delta_b": delta_b, "control_delta": delta_c,
+                            "base_score": base_scores}
         per_dataset[dataset] = {
             "pearson_r": r,
             "mmd": {**asdict(test), "formatted": test.formatted()},
             "n": int(delta_a.shape[0]),
         }
+
+    for dataset, cols in columns.items():
+        write_csv(out / f"improve_{dataset}.csv", cols)
+        _improvement_figure(cols["delta_a"], cols["delta_b"], cols["base_score"],
+                            out / f"improve_{dataset}.svg", args.seed)
 
     _write_result(
         out / "result.json",

@@ -8,19 +8,21 @@ one class dominates. The shifted test set translates its inputs along a
 fixed random direction, which moves probability mass toward the teacher's
 confident regions or away from them depending on the draw. Everything is
 a pure function of the spec, so a fixed spec reproduces the store byte
-for byte.
+for byte. Members draw no random numbers, so `write_synthetic_store`
+builds and writes one member at a time and its memory does not grow with
+the number of models.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
 from .errors import ValidationError
-from .store import PredictionStore, softmax
+from .store import PredictionStore, softmax, write_store
 
 IND_ID = "ind"
 OOD_ID = "ood"
@@ -54,11 +56,17 @@ def _sample_labels(rng: np.random.Generator, probs: np.ndarray) -> np.ndarray:
     return (u[:, None] > cum).sum(axis=1).astype(np.int64)
 
 
-def _generate(spec: SyntheticSpec) -> dict[str, tuple[np.ndarray, dict[str, np.ndarray]]]:
-    """Labels and per-model float64 logits for both datasets.
+def _members(teacher_logits: np.ndarray, member_offset: np.ndarray) -> Iterator[tuple[str, np.ndarray]]:
+    for m, offset in enumerate(member_offset):
+        yield f"m{m:03d}", teacher_logits + offset
 
-    Returns {dataset_id: (labels, {model_id: logits})} with a fixed draw
-    order so the output is reproducible for a fixed seed.
+
+def _generate(spec: SyntheticSpec) -> Iterator[tuple[str, np.ndarray, Iterator[tuple[str, np.ndarray]]]]:
+    """Per dataset: its id, labels, and a generator of (model id, float64 logits).
+
+    Draws happen in a fixed order so the output is reproducible for a fixed
+    seed. Members draw nothing, so each logit matrix is built only when its
+    generator reaches it.
     """
     rng = np.random.default_rng(spec.seed)
     c, k = spec.n_classes, spec.n_models
@@ -69,63 +77,30 @@ def _generate(spec: SyntheticSpec) -> dict[str, tuple[np.ndarray, dict[str, np.n
     shift_dir = raw_dir / np.linalg.norm(raw_dir)
     member_offset = rng.standard_normal((k, c)) * spec.member_noise_scale
 
-    out: dict[str, tuple[np.ndarray, dict[str, np.ndarray]]] = {}
     for dataset_id in (IND_ID, OOD_ID):
         z = rng.standard_normal((spec.n_points, 2))
         if dataset_id == OOD_ID:
             z = z + spec.shift_strength * shift_dir
         teacher_logits = z @ teacher_w.T + teacher_b
         labels = _sample_labels(rng, softmax(teacher_logits))
-        logits = {f"m{m:03d}": teacher_logits + member_offset[m] for m in range(k)}
-        out[dataset_id] = (labels, logits)
-    return out
+        yield dataset_id, labels, _members(teacher_logits, member_offset)
 
 
 def simulate_store(spec: SyntheticSpec) -> PredictionStore:
     """Generate the in-memory store for a spec (float64 end to end)."""
-    data = _generate(spec)
     store = PredictionStore()
-    for dataset_id, (labels, logits) in data.items():
+    for dataset_id, labels, members in _generate(spec):
         store.register_dataset(dataset_id, labels, spec.n_classes)
-        for model_id, arr in logits.items():
-            store.add_prediction(model_id, dataset_id, softmax(arr))
+        for model_id, logits in members:
+            store.add_prediction(model_id, dataset_id, softmax(logits))
     store.pairs.append((IND_ID, OOD_ID))
     return store
 
 
 def write_synthetic_store(spec: SyntheticSpec, out_dir: str | Path) -> Path:
-    """Generate a store and write it in manifest format.
+    """Generate a store and write it in manifest format, one member at a time.
 
     Member files hold raw float32 logits so loading exercises the logit
     ingestion path; labels are raw int32. Returns the manifest path.
     """
-    data = _generate(spec)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    datasets = []
-    model_files: dict[str, dict[str, str]] = {f"m{m:03d}": {} for m in range(spec.n_models)}
-    for dataset_id, (labels, logits) in data.items():
-        labels_file = f"{dataset_id}_labels.i32"
-        (out_dir / labels_file).write_bytes(labels.astype("<i4").tobytes())
-        datasets.append(
-            {
-                "id": dataset_id,
-                "n": spec.n_points,
-                "c": spec.n_classes,
-                "labels_file": labels_file,
-                "kind": "logits",
-            }
-        )
-        for model_id, arr in logits.items():
-            rel = f"{model_id}__{dataset_id}.f32"
-            (out_dir / rel).write_bytes(arr.astype("<f4").tobytes())
-            model_files[model_id][dataset_id] = rel
-
-    manifest = {
-        "datasets": datasets,
-        "models": [{"id": mid, "files": files} for mid, files in sorted(model_files.items())],
-        "pairs": [[IND_ID, OOD_ID]],
-    }
-    manifest_path = out_dir / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return manifest_path
+    return write_store(out_dir, spec.n_classes, _generate(spec), [(IND_ID, OOD_ID)])

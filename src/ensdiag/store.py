@@ -8,9 +8,13 @@ The disk layout is a JSON manifest next to raw binary dumps:
     <pred file>     raw little-endian float32, row-major, N x C, no header
     <labels file>   raw little-endian int32, length N
 
-Files declared with kind "logits" are mapped through a stable softmax at
-load time; files declared with kind "probs" must already be row-stochastic
-to within 1e-6 and are renormalized exactly.
+A dataset's "kind" is "logits" or "probs" (the default when absent).
+Logit files are mapped through a stable softmax at load time; probability
+files must already be row-stochastic to within 1e-6 and are renormalized
+exactly. Dataset and model ids are non-empty and contain no whitespace and
+none of ``/ \\ + , :``, since they become file names, CSV cells, member
+specs and pair arguments. `load_store` reads the format and `write_store`
+is its one writer.
 """
 
 from __future__ import annotations
@@ -31,6 +35,16 @@ ROW_SUM_ATOL = 1e-9
 INGEST_ROW_ATOL = 1e-6
 # Members of each accuracy-binned heterogeneous ensemble.
 HET_ENSEMBLE_SIZE = 4
+# Characters no dataset or model id may contain, besides whitespace.
+_ID_FORBIDDEN = "/\\+,:"
+
+
+def _check_id(kind: str, value: str) -> None:
+    """Reject an id that cannot name a file, CSV cell, member spec or pair side."""
+    if not value or any(ch in _ID_FORBIDDEN or ch.isspace() for ch in value):
+        raise ValidationError(
+            f"{kind} id {value!r} must be non-empty, with no whitespace and none of {' '.join(_ID_FORBIDDEN)}"
+        )
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -150,6 +164,7 @@ class PredictionStore:
     _model_ids: list[str] = field(default_factory=list)
 
     def register_dataset(self, dataset_id: str, labels: np.ndarray, n_classes: int) -> None:
+        _check_id("dataset", dataset_id)
         if dataset_id in self.datasets:
             raise ValidationError(f"dataset {dataset_id!r} is declared twice")
         labels = np.asarray(labels, dtype=np.int64)
@@ -163,6 +178,7 @@ class PredictionStore:
         self.datasets[dataset_id] = DatasetInfo(dataset_id, labels, n_classes)
 
     def add_prediction(self, model_id: str, dataset_id: str, probs: np.ndarray) -> None:
+        _check_id("model", model_id)
         if dataset_id not in self.datasets:
             raise ValidationError(f"unknown dataset {dataset_id!r}")
         if (model_id, dataset_id) in self._predictions:
@@ -199,8 +215,9 @@ class PredictionStore:
     def has_prediction(self, model_id: str, dataset_id: str) -> bool:
         return (model_id, dataset_id) in self._predictions
 
-    def models_on(self, dataset_id: str) -> list[str]:
-        return [m for m in self._model_ids if (m, dataset_id) in self._predictions]
+    def models_on_pair(self, pair: tuple[str, str]) -> list[str]:
+        """Models predicted on both datasets of the pair, in `model_ids` order."""
+        return [m for m in self._model_ids if all((m, d) in self._predictions for d in pair)]
 
     def member_probs(self, member_ids: Sequence[str], dataset_id: str) -> list[np.ndarray]:
         """The members' stored, read-only predictions on one dataset, uncopied."""
@@ -220,12 +237,13 @@ class BinningReport:
 
 def form_heterogeneous_ensembles(
     store: PredictionStore,
-    ind_dataset: str,
+    pair: tuple[str, str],
     n_bins: int,
     seed: int = 0,
 ) -> BinningReport:
-    """Group models into equal-width in-distribution accuracy bins and sample
-    one ensemble of HET_ENSEMBLE_SIZE distinct models from each bin.
+    """Group the models predicted on both datasets of the pair into
+    equal-width accuracy bins on its in-distribution side, and sample one
+    ensemble of HET_ENSEMBLE_SIZE distinct models from each bin.
 
     Bins with fewer models than that are skipped and recorded in the
     report rather than raising. Sampling is without replacement and is
@@ -233,13 +251,13 @@ def form_heterogeneous_ensembles(
     """
     if n_bins < 1:
         raise ValidationError("n_bins must be >= 1")
-    model_ids = store.models_on(ind_dataset)
+    model_ids = store.models_on_pair(pair)
     if not model_ids:
-        raise ValidationError(f"no models with predictions on {ind_dataset!r}")
-    labels = store.labels(ind_dataset)
+        raise ValidationError(f"no models with predictions on both {pair[0]!r} and {pair[1]!r}")
+    labels = store.labels(pair[0])
     accs = {}
     for m in model_ids:
-        pred = store.probs(m, ind_dataset).argmax(axis=1)
+        pred = store.probs(m, pair[0]).argmax(axis=1)
         accs[m] = float((pred == labels).mean())
 
     values = np.array([accs[m] for m in model_ids])
@@ -384,35 +402,36 @@ def load_store(manifest_path: str | Path) -> PredictionStore:
     return store
 
 
-def save_store(store: PredictionStore, out_dir: str | Path) -> Path:
-    """Write a store back to disk in manifest format (probability encoding).
+def write_store(
+    out_dir: str | Path,
+    n_classes: int,
+    datasets: Iterable[tuple[str, np.ndarray, Iterable[tuple[str, np.ndarray]]]],
+    pairs: Iterable[tuple[str, str]],
+) -> Path:
+    """Write a logit store in manifest format and return the manifest path.
 
-    Returns the manifest path. Predictions are cast to float32; values that
-    are exactly representable round-trip bit for bit.
+    `datasets` yields ``(dataset id, labels, members)`` and each `members`
+    yields ``(model id, logits)``. Every member is written as float32 before
+    the next is drawn, so only one member matrix is held at a time.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    datasets = []
-    for did, info in sorted(store.datasets.items()):
+    entries = []
+    files: dict[str, dict[str, str]] = {}
+    for did, labels, members in datasets:
         labels_file = f"{did}_labels.i32"
-        (out_dir / labels_file).write_bytes(info.labels.astype("<i4").tobytes())
-        datasets.append(
-            {"id": did, "n": info.n, "c": info.n_classes, "labels_file": labels_file, "kind": "probs"}
+        (out_dir / labels_file).write_bytes(labels.astype("<i4").tobytes())
+        entries.append(
+            {"id": did, "n": len(labels), "c": n_classes, "labels_file": labels_file, "kind": "logits"}
         )
-    models = []
-    for mid in store.model_ids:
-        files = {}
-        for did in sorted(store.datasets):
-            if not store.has_prediction(mid, did):
-                continue
+        for mid, logits in members:
             rel = f"{mid}__{did}.f32"
-            (out_dir / rel).write_bytes(store.probs(mid, did).astype("<f4").tobytes())
-            files[did] = rel
-        models.append({"id": mid, "files": files})
+            (out_dir / rel).write_bytes(logits.astype("<f4").tobytes())
+            files.setdefault(mid, {})[did] = rel
     manifest = {
-        "datasets": datasets,
-        "models": models,
-        "pairs": [list(p) for p in store.pairs],
+        "datasets": entries,
+        "models": [{"id": mid, "files": f} for mid, f in sorted(files.items())],
+        "pairs": [list(p) for p in pairs],
     }
     manifest_path = out_dir / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")

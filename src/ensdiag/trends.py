@@ -128,13 +128,11 @@ def trend_points(
     for metric in metrics:
         if metric not in TREND_METRICS:
             raise ValidationError(f"unknown trend metric {metric!r}; choose from {TREND_METRICS}")
-    ind_id, ood_id = pair
     labels = {d: store.labels(d) for d in pair}
     scored: list[tuple[str, str, dict, dict]] = []
-    for mid in store.model_ids:
-        if store.has_prediction(mid, ind_id) and store.has_prediction(mid, ood_id):
-            ind, ood = [_scores(store.probs(mid, d), labels[d], metrics, n_bins) for d in pair]
-            scored.append((mid, "single", ind, ood))
+    for mid in store.models_on_pair(pair):
+        ind, ood = [_scores(store.probs(mid, d), labels[d], metrics, n_bins) for d in pair]
+        scored.append((mid, "single", ind, ood))
     for ens in ensembles:
         ind, ood = [
             _scores(store.ensemble_probs(ens.member_model_ids, d), labels[d], metrics, n_bins)

@@ -103,6 +103,38 @@ def test_malformed_manifest_is_one_error_line(sim_dir, tmp_path, capsys, case):
     assert lines[0].startswith("error: ") and expected in lines[0]
 
 
+def _rename(manifest, kind, old, new):
+    """Rename one dataset or model id everywhere the manifest names it."""
+    if kind == "model":
+        for entry in manifest["models"]:
+            entry["id"] = new if entry["id"] == old else entry["id"]
+        return
+    for entry in manifest["datasets"]:
+        entry["id"] = new if entry["id"] == old else entry["id"]
+    for entry in manifest["models"]:
+        entry["files"] = {new if d == old else d: f for d, f in entry["files"].items()}
+    manifest["pairs"] = [[new if d == old else d for d in pair] for pair in manifest["pairs"]]
+
+
+@pytest.mark.parametrize("kind,old,new", [
+    ("dataset", "ood", "sub/ood"), ("dataset", "ood", "sub\\ood"), ("dataset", "ind", "in d"),
+    ("dataset", "ood", ""), ("model", "m000", "a,b"), ("model", "m000", "m0+m1"),
+    ("model", "m001", "a:b"), ("model", "m001", "a\tb"),
+])
+def test_unsafe_id_is_one_error_line(sim_dir, tmp_path, capsys, kind, old, new):
+    # Ids become file names, CSV cells, member specs and pair sides.
+    path = sim_dir / "manifest.json"
+    manifest = json.loads(path.read_text())
+    _rename(manifest, kind, old, new)
+    path.write_text(json.dumps(manifest))
+    code = run(["decompose", "--manifest", path, "--out", tmp_path / "x"])
+    assert code == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: {kind} id {new!r} ")
+    assert not (tmp_path / "x").exists()
+
+
 # Manifest fields and the JSON type each must have.
 MANIFEST_FIELDS = {
     ("datasets", "id"): str, ("datasets", "n"): int, ("datasets", "c"): int,
@@ -407,6 +439,19 @@ class TestTrendsCommand:
         ])
         assert code == 1
 
+    def test_het_bins_skip_model_missing_on_ood(self, tmp_path):
+        sim = tmp_path / "sim"
+        assert run(["simulate", "--n-points", 200, "--classes", 4, "--models", 6, "--seed", 1, "--out", sim]) == 0
+        path = sim / "manifest.json"
+        manifest = json.loads(path.read_text())
+        del next(m for m in manifest["models"] if m["id"] == "m005")["files"]["ood"]
+        path.write_text(json.dumps(manifest))
+        for seed in range(1, 9):
+            out = tmp_path / f"tr{seed}"
+            assert run(["trends", "--manifest", path, "--het-bins", 1, "--seed", seed, "--out", out]) == 0
+            ensembles = json.loads((out / "result.json").read_text())["ensembles"]
+            assert ensembles and not any("m005" in members for members in ensembles)
+
 
 class TestImproveCommand:
     def test_outputs(self, sim_dir, tmp_path):
@@ -454,6 +499,14 @@ class TestImproveCommand:
         ])
         assert code == 1
         assert capsys.readouterr().err == "error: correlation undefined: an input has zero variance\n"
+        # The InD side succeeded, but nothing is written unless both sides do.
+        assert not any((tmp_path / "x").iterdir())
+        code = run([
+            "improve", "--manifest", sim_dir / "manifest.json",
+            "--base", "m000", "--alt-a", "m000+m001", "--alt-b", "m000+m002",
+            "--control", "m003", "--metric", "brier", "--out", tmp_path / "x",
+        ])
+        assert code == 0
 
     def test_coinciding_cloud_rejected(self, sim_dir, tmp_path, capsys):
         # Every alternative is the base model: all deltas are zero and no bandwidth exists.

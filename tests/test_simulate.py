@@ -1,6 +1,7 @@
 """Synthetic store generator: validation, determinism, and disk layout."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -118,3 +119,18 @@ class TestWriteSyntheticStore:
             loaded.probs("m001", "ood"), direct.probs("m001", "ood"), atol=5e-7
         )
         assert loaded.pairs == [("ind", "ood")]
+
+    def test_peak_memory_flat_in_models(self, tmp_path):
+        # Members are built and written one at a time, so the peak does not
+        # grow with the number of models.
+        member_bytes = 2000 * 50 * 8
+        peaks = {}
+        for k in (4, 16):
+            spec = SyntheticSpec(n_points=2000, n_classes=50, n_models=k, seed=3)
+            tracemalloc.start()
+            try:
+                write_synthetic_store(spec, tmp_path / str(k))
+                peaks[k] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[16] - peaks[4] < 2 * member_bytes

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_store, random_simplex
+from conftest import random_simplex
 from ensdiag.errors import ValidationError
 from ensdiag.store import (
     EnsembleDef,
@@ -16,7 +16,6 @@ from ensdiag.store import (
     form_ensemble,
     form_heterogeneous_ensembles,
     load_store,
-    save_store,
     softmax,
 )
 
@@ -132,31 +131,36 @@ class TestEnumerateEnsembles:
         assert len({d.ensemble_id for d in defs}) == len(defs)
 
 
+PAIR = ("ind", "ood")
+
+
 def _constant_accuracy_store(accuracies, n=50):
-    """One model per requested accuracy, exact by construction."""
+    """One model per requested accuracy on both datasets, exact by construction."""
     c = 2
     store = PredictionStore()
     labels = np.zeros(n, dtype=np.int64)
-    store.register_dataset("ind", labels, c)
+    for ds in PAIR:
+        store.register_dataset(ds, labels, c)
     for i, acc in enumerate(accuracies):
         n_right = int(round(acc * n))
         probs = np.zeros((n, c))
         probs[:n_right, 0] = 1.0
         probs[n_right:, 1] = 1.0
-        store.add_prediction(f"m{i:02d}", "ind", probs)
+        for ds in PAIR:
+            store.add_prediction(f"m{i:02d}", ds, probs)
     return store
 
 
 class TestHeterogeneousEnsembles:
     def test_identical_accuracy_single_bin(self):
         store = _constant_accuracy_store([0.8] * 4)
-        report = form_heterogeneous_ensembles(store, "ind", n_bins=3, seed=1)
+        report = form_heterogeneous_ensembles(store, PAIR, n_bins=3, seed=1)
         assert len(report.ensembles) == 1
         assert len(report.ensembles[0].member_model_ids) == 4
 
     def test_forced_split(self):
         store = _constant_accuracy_store([0.2, 0.22, 0.24, 0.26, 0.8, 0.82, 0.84, 0.86])
-        report = form_heterogeneous_ensembles(store, "ind", n_bins=2, seed=0)
+        report = form_heterogeneous_ensembles(store, PAIR, n_bins=2, seed=0)
         assert len(report.ensembles) == 2
         members = {e.member_model_ids for e in report.ensembles}
         assert ("m00", "m01", "m02", "m03") in members
@@ -164,17 +168,25 @@ class TestHeterogeneousEnsembles:
 
     def test_seed_determinism(self):
         store = _constant_accuracy_store([0.1 * i for i in range(1, 11)])
-        a = form_heterogeneous_ensembles(store, "ind", n_bins=2, seed=7)
-        b = form_heterogeneous_ensembles(store, "ind", n_bins=2, seed=7)
+        a = form_heterogeneous_ensembles(store, PAIR, n_bins=2, seed=7)
+        b = form_heterogeneous_ensembles(store, PAIR, n_bins=2, seed=7)
         assert [e.member_model_ids for e in a.ensembles] == [
             e.member_model_ids for e in b.ensembles
         ]
 
     def test_small_bin_skipped_with_record(self):
         store = _constant_accuracy_store([0.2, 0.22, 0.24, 0.26, 0.9])
-        report = form_heterogeneous_ensembles(store, "ind", n_bins=2, seed=0)
+        report = form_heterogeneous_ensembles(store, PAIR, n_bins=2, seed=0)
         assert len(report.ensembles) == 1
         assert len(report.skipped) == 1
+
+    def test_model_missing_on_ood_is_not_binned(self):
+        store = _constant_accuracy_store([0.8] * 4)
+        store.add_prediction("solo", "ind", np.tile([1.0, 0.0], (50, 1)))
+        assert store.models_on_pair(PAIR) == ["m00", "m01", "m02", "m03"]
+        for seed in range(8):
+            report = form_heterogeneous_ensembles(store, PAIR, n_bins=1, seed=seed)
+            assert report.ensembles[0].member_model_ids == ("m00", "m01", "m02", "m03")
 
 
 class TestEnsembleDef:
@@ -219,6 +231,16 @@ class TestStoreValidation:
         with pytest.raises(ValidationError):
             store.add_prediction("m", "d", random_simplex(rng, 4, 2))
 
+    @pytest.mark.parametrize("bad", ["", "a/b", "a\\b", "a+b", "a,b", "a:b", "a b", "a\tb"])
+    def test_unsafe_ids_rejected(self, rng, bad):
+        store = PredictionStore()
+        with pytest.raises(ValidationError, match="dataset id"):
+            store.register_dataset(bad, np.zeros(3, dtype=np.int64), 2)
+        store.register_dataset("d", np.zeros(3, dtype=np.int64), 2)
+        with pytest.raises(ValidationError, match="model id"):
+            store.add_prediction(bad, "d", random_simplex(rng, 3, 2))
+        assert store.model_ids == []
+
     def test_arrays_read_only(self, tiny_store):
         probs = tiny_store.probs("m0", "ind")
         with pytest.raises(ValueError):
@@ -226,27 +248,20 @@ class TestStoreValidation:
 
 
 class TestRoundTrip:
-    def test_save_load_within_storage_precision(self, rng, tmp_path):
-        # files hold float32, and ingestion renormalizes rows, so a general
-        # float64 store survives only up to float32 quantization
-        store = build_store(rng, n=20, c=3)
-        manifest = save_store(store, tmp_path)
-        loaded = load_store(manifest)
-        for mid in store.model_ids:
-            for ds in ("ind", "ood"):
-                np.testing.assert_allclose(
-                    loaded.probs(mid, ds), store.probs(mid, ds), atol=5e-7
-                )
-        assert loaded.pairs == store.pairs
-        assert sorted(loaded.model_ids) == sorted(store.model_ids)
-
     def test_dyadic_probs_survive_exactly(self, tmp_path):
-        store = PredictionStore()
-        store.register_dataset("d", np.zeros(2, dtype=np.int64), 2)
+        # float32 holds dyadic values exactly and their rows sum to 1 exactly
         probs = np.array([[0.75, 0.25], [0.5, 0.5]])
-        store.add_prediction("m", "d", probs)
-        manifest = save_store(store, tmp_path)
-        np.testing.assert_array_equal(load_store(manifest).probs("m", "d"), probs)
+        (tmp_path / "m__d.f32").write_bytes(probs.astype("<f4").tobytes())
+        (tmp_path / "d_labels.i32").write_bytes(np.zeros(2, dtype="<i4").tobytes())
+        manifest = {
+            "datasets": [
+                {"id": "d", "n": 2, "c": 2, "labels_file": "d_labels.i32", "kind": "probs"}
+            ],
+            "models": [{"id": "m", "files": {"d": "m__d.f32"}}],
+            "pairs": [],
+        }
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        np.testing.assert_array_equal(load_store(tmp_path / "manifest.json").probs("m", "d"), probs)
 
     def test_logits_kind_softmaxed(self, tmp_path):
         logits = np.array([[0.0, 0.0], [1.0, 3.0]], dtype="<f4")

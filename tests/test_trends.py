@@ -169,7 +169,7 @@ def mixed_ensemble_store(rng):
     """Six models with leave-one-out ensembles plus one four-member heterogeneous one."""
     store = build_store(rng, models=tuple(f"m{k}" for k in range(6)), n=50, c=4)
     ensembles = enumerate_homogeneous_ensembles(store.model_ids, 5)
-    report = form_heterogeneous_ensembles(store, "ind", 1, seed=3)
+    report = form_heterogeneous_ensembles(store, ("ind", "ood"), 1, seed=3)
     assert len(report.ensembles) == 1
     return store, ensembles + report.ensembles, frozenset(e.ensemble_id for e in report.ensembles)
 
