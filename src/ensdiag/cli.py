@@ -582,6 +582,7 @@ def cmd_gp_demo(args: argparse.Namespace) -> None:
                 "n_eval": int(pred.x.shape[0]),
                 "lengthscale": exp.model.lengthscale,
                 "signal_variance": exp.model.signal_variance,
+                "jitter": exp.jitter,
                 "noise_variance": "sin^2(x) + 0.01",
                 "likelihood_bins": args.bins,
                 "likelihood_range": LIK_VAR_RANGE,

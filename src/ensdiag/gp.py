@@ -190,6 +190,7 @@ class GpExperiment:
     model: GpModel
     prediction: GpPrediction
     tables: dict[str, BinTable]
+    jitter: float
 
 
 def run_default_experiment(seed: int = 0, n_bins: int = 20) -> GpExperiment:
@@ -200,4 +201,4 @@ def run_default_experiment(seed: int = 0, n_bins: int = 20) -> GpExperiment:
     grid = np.linspace(DEFAULT_EVAL_DOMAIN[0], DEFAULT_EVAL_DOMAIN[1], DEFAULT_EVAL_POINTS)
     pred = gp_predict(state, grid)
     tables = conditional_posterior_variance(pred, n_bins=n_bins)
-    return GpExperiment(model, pred, tables)
+    return GpExperiment(model, pred, tables, state.jitter)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import ensdiag
 from ensdiag.cli import main
+from ensdiag.store import write_store
 
 BASE_SIM = ["simulate", "--n-points", "60", "--classes", "3", "--models", "4", "--seed", "1"]
 
@@ -245,12 +246,13 @@ import json, sys
 import ensdiag
 root = sorted(m for m in sys.modules if m == "numpy" or m.startswith("ensdiag."))
 import ensdiag.cli
-print(json.dumps({"root": root, "cli": sorted({"scipy.stats", "scipy.integrate"} & set(sys.modules))}))
+heavy = {"scipy.stats", "scipy.integrate", "scipy.spatial", "scipy.sparse"}
+print(json.dumps({"root": root, "cli": sorted(heavy & set(sys.modules))}))
 """
 
 
 def test_imports_stay_lean():
-    # The package root loads nothing; the CLI never needs scipy.stats or scipy.integrate.
+    # The package root loads nothing; the CLI never needs scipy.stats, .integrate, .spatial or .sparse.
     src = str(Path(ensdiag.__file__).parents[1])
     proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
@@ -517,6 +519,28 @@ class TestImproveCommand:
         assert code == 1
         assert capsys.readouterr().err == "error: bandwidth undefined: every point of the cloud coincides\n"
 
+    def test_unequal_dataset_sizes(self, tmp_path):
+        # 300 InD against 120 OOD points: each dataset is tested at its own size.
+        rng = np.random.default_rng(5)
+        sizes = {"ind": 300, "ood": 120}
+        datasets = [(ds, rng.integers(0, 4, n), [(f"m{k:03d}", rng.normal(size=(n, 4))) for k in range(4)])
+                    for ds, n in sizes.items()]
+        manifest = write_store(tmp_path / "store", 4, datasets, [("ind", "ood")])
+        out = tmp_path / "imp"
+        code = run([
+            "improve", "--manifest", manifest, "--base", "m000", "--alt-a", "m000+m001",
+            "--alt-b", "m000+m002", "--control", "m003", "--metric", "nll", "--out", out,
+        ])
+        assert code == 0
+        result = json.loads((out / "result.json").read_text())
+        for ds, n in sizes.items():
+            block = result["results"][ds]
+            mmd = block["mmd"]
+            assert block["n"] == mmd["m"] == n
+            assert mmd["threshold"] == 4.0 / np.sqrt(n) * np.sqrt(np.log(1.0 / mmd["alpha"]))
+            assert mmd["reject"] == (mmd["statistic"] > mmd["threshold"])
+            assert len(read_csv(out / f"improve_{ds}.csv")[1]) == n
+
     def test_zero_one_metric_on_300_points(self, tmp_path):
         # Most 0-1 delta pairs coincide; the bandwidth is the median over the distinct pairs.
         sim = tmp_path / "sim"
@@ -539,6 +563,8 @@ class TestGpDemoCommand:
         assert run(["gp-demo", "--seed", "0", "--out", out]) == 0
         result = json.loads((out / "result.json").read_text())
         assert result["summary"]["ood_exceeds_ind_in_all_populated_bins"] is True
+        # 25 distinct training inputs under a noise floor: the plain Cholesky succeeds.
+        assert result["settings"]["jitter"] == 0.0
         header, rows = read_csv(out / "gp_bins.csv")
         assert header == ["split", "bin_lo", "bin_hi", "count", "mean_posterior_variance"]
         assert len(rows) == 40

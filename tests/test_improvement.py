@@ -1,14 +1,17 @@
 """Per-point improvement, Pearson agreement, and the MMD similarity test."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import cdist, pdist
 
 from ensdiag.errors import ValidationError
 from ensdiag.improvement import (
     BANDWIDTH_MEDIAN_CAP,
+    BLOCK_ELEMENTS,
     improvement_similarity_test,
     median_heuristic_bandwidth,
     mmd2_unbiased,
@@ -26,6 +29,15 @@ def mmd2_loops(x, y, h):
     sy = sum(k(y[i], y[j]) for i in range(n) for j in range(n) if i != j)
     sxy = sum(k(x[i], y[j]) for i in range(m) for j in range(n))
     return sx / (m * (m - 1)) + sy / (n * (n - 1)) - 2.0 * sxy / (m * n)
+
+
+def mmd2_terms_three_gram(x, y, h):
+    """The dense form: three full Gram matrices, each diagonal subtracted."""
+    m, n = len(x), len(y)
+    gram = lambda u, v: np.exp(-cdist(u, v, "sqeuclidean") / (2.0 * h * h))
+    kxx, kyy, kxy = gram(x, x), gram(y, y), gram(x, y)
+    return ((kxx.sum() - np.trace(kxx)) / (m * (m - 1)), (kyy.sum() - np.trace(kyy)) / (n * (n - 1)),
+            2.0 * kxy.sum() / (m * n))
 
 
 class TestPerPointImprovement:
@@ -128,6 +140,15 @@ class TestMedianBandwidth:
         assert float(np.median(pdist(cloud))) == 0.0
         assert median_heuristic_bandwidth(cloud) == 1.0
 
+    # 1,024 points fill one block of BLOCK_ELEMENTS distances exactly; 1,025 need a second.
+    @pytest.mark.parametrize("n", [1023, 1024, 1025])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_bit_equal_to_pdist(self, rng, n, dim):
+        cloud = rng.normal(size=(n, dim)) * rng.uniform(0.1, 10.0, size=dim)
+        cloud[::7] = cloud[3]
+        dist = pdist(cloud)
+        assert median_heuristic_bandwidth(cloud) == float(np.median(dist[dist > 0.0]))
+
 
 class TestMmd2:
     def test_double_loop_oracle(self, rng):
@@ -184,11 +205,38 @@ class TestMmd2:
         with pytest.raises(ValidationError):
             mmd2_unbiased(np.zeros((5, 2)), np.ones((5, 2)), 0.0)
 
-    def test_large_sample_warns(self, rng, monkeypatch):
-        monkeypatch.setattr("ensdiag.improvement.MMD_SIZE_WARNING", 10)
-        x = rng.normal(size=(11, 1))
-        with pytest.warns(RuntimeWarning):
-            mmd2_unbiased(x, x[:5], 1.0)
+    # Block rows are BLOCK_ELEMENTS // (points per row): 1,024 for 1,024 columns.
+    @pytest.mark.parametrize("m,n", [(1023, 1024), (1024, 1024), (1025, 1024), (1025, 7), (3, 1025)],
+                             ids=["below", "at", "one-above", "unequal-wide", "unequal-tall"])
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_three_gram_oracle_across_blocks(self, rng, m, n, dim):
+        x = rng.normal(size=(m, dim))
+        y = rng.normal(size=(n, dim)) + 0.3
+        terms = mmd2_terms_three_gram(x, y, 0.8)
+        assert abs(mmd2_unbiased(x, y, 0.8) - (terms[0] + terms[1] - terms[2])) <= 1e-12 * sum(terms)
+
+    @pytest.mark.parametrize("m,n", [(2, 2), (9, 8), (10, 8), (11, 3)])
+    def test_three_gram_oracle_small_blocks(self, rng, monkeypatch, m, n):
+        # Blocks of 8 entries: one or two rows each, so many blocks and short last ones.
+        monkeypatch.setattr("ensdiag.improvement.BLOCK_ELEMENTS", 8)
+        x = rng.normal(size=(m, 2))
+        y = rng.normal(size=(n, 2)) - 0.5
+        terms = mmd2_terms_three_gram(x, y, 1.3)
+        assert abs(mmd2_unbiased(x, y, 1.3) - (terms[0] + terms[1] - terms[2])) <= 1e-12 * sum(terms)
+
+    def test_memory_bounded_by_blocks(self, rng):
+        # Dense, the three 20,000^2 Gram matrices would need 9.6 GB.
+        x = rng.normal(size=(20_000, 2))
+        y = rng.normal(size=(20_000, 2))
+        tracemalloc.start()
+        try:
+            stat = mmd2_unbiased(x, y, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(stat)
+        assert peak < 64 * 2**20
+        assert peak < 4 * 8 * BLOCK_ELEMENTS
 
 
 class TestMmdThreshold:
