@@ -32,13 +32,7 @@ from .conditional import (
     joint_samples,
     permutation_test,
 )
-from .decomposition import (
-    FAMILIES,
-    brier_jensen_gap,
-    decompose_entropy,
-    decompose_quadratic,
-    nll_jensen_gap,
-)
+from .decomposition import FAMILIES, decompose
 from .errors import NumericalError, ValidationError
 from .gp import DEFAULT_EVAL_DOMAIN, LIK_VAR_RANGE, TRAIN_DOMAIN, run_default_experiment
 from .improvement import improvement_similarity_test, pearson_r, per_point_improvement
@@ -164,6 +158,7 @@ def cmd_simulate(args: argparse.Namespace) -> None:
     out = prepare_out_dir(args.out, args.force)
     spec = SyntheticSpec(
         n_points=args.n_points,
+        n_ood=args.n_ood,
         n_classes=args.classes,
         n_models=args.models,
         member_noise_scale=args.noise,
@@ -184,16 +179,7 @@ def cmd_decompose(args: argparse.Namespace) -> None:
     out = prepare_out_dir(args.out, args.force)
 
     # Both datasets are decomposed before any file is written, so a failure leaves none.
-    records = {}
-    for dataset in pair:
-        probs = store.member_probs(members, dataset)
-        labels = store.labels(dataset)
-        records[dataset] = {
-            "quadratic": decompose_quadratic(probs),
-            "entropy": decompose_entropy(probs),
-            "brier_gap": brier_jensen_gap(probs, labels),
-            "nll_gap": nll_jensen_gap(probs, labels),
-        }
+    records = {d: decompose(store.member_probs(members, d), store.labels(d)) for d in pair}
     aggregates: dict = {}
     for dataset, by_family in records.items():
         aggregates[dataset] = {}
@@ -363,7 +349,7 @@ def cmd_trends(args: argparse.Namespace) -> None:
     # The diversity ratio is derived from the Brier points, so they are always scored.
     scored_metrics = metrics if "brier" in metrics else metrics + ["brier"]
     scored = trend_points(store, ensembles, scored_metrics, pair, n_bins=args.bins,
-                          heterogeneous_ids=frozenset(het_ids))
+                          heterogeneous_ids=frozenset(het_ids), leave_one_out=args.ensembles == "loo")
     try:
         ratio_report = asdict(diversity_ratio_check(scored, ensembles))
     except ValidationError as exc:
@@ -677,7 +663,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, manifest=False)
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
     nonnegative = _checked(float, lambda v: v >= 0.0, "at least 0")
-    p.add_argument("--n-points", type=_at_least(1), default=1000)
+    p.add_argument("--n-points", type=_at_least(1), default=1000, help="InD points")
+    p.add_argument("--n-ood", type=_at_least(1), default=None, help="OOD points (default: --n-points)")
     p.add_argument("--classes", type=_at_least(2), default=10)
     p.add_argument("--models", type=_at_least(1), default=4)
     p.add_argument("--noise", type=nonnegative, default=0.25, help="member logit offset scale")

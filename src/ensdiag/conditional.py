@@ -17,7 +17,7 @@ import numpy as np
 from numpy.linalg import LinAlgError
 from scipy.linalg import cho_factor, cho_solve
 
-from .decomposition import decompose_entropy, decompose_quadratic
+from .decomposition import decompose
 from .errors import NumericalError, ValidationError
 
 DEFAULT_RIDGE_SCALE = 1e-3
@@ -47,15 +47,12 @@ class JointSample:
         return int(self.avg.shape[0])
 
 
-def joint_samples(members: Sequence[np.ndarray], family: str = "quadratic", source: str = "") -> JointSample:
+def joint_samples(members: Sequence, family: str = "quadratic", source: str = "") -> JointSample:
     """Build the joint sample for one condition from member probabilities,
-    any sequence of (N, C) matrices."""
-    if family == "quadratic":
-        rec = decompose_quadratic(members)
-    elif family == "entropy":
-        rec = decompose_entropy(members)
-    else:
+    any sequence of (N, C) matrices or stored members."""
+    if family not in ("quadratic", "entropy"):
         raise ValidationError(f"unknown family {family!r}")
+    rec = decompose(members, families=(family,))[family]
     return JointSample(rec.avg_member, rec.diversity, source)
 
 
@@ -214,8 +211,20 @@ def d_statistic(curve_ind: ConditionalCurve, curve_ood: ConditionalCurve, integr
         return float((np.diff(curve_ind.x_grid) * (rel[1:] + rel[:-1]) / 2.0).sum())
     denom = float(curve_ind.y_hat.sum())
     if denom <= 0.0:
-        raise NumericalError("InD curve has nonpositive total; d is undefined")
+        low = int(np.argmin(curve_ind.y_hat))
+        raise NumericalError(
+            f"InD curve has nonpositive total {denom:.4g} (minimum {curve_ind.y_hat[low]:.4g} "
+            f"at grid x = {curve_ind.x_grid[low]:.6g}); d is undefined"
+        )
     return float((curve_ood.y_hat - curve_ind.y_hat).sum() / denom)
+
+
+def _d_of(fit: str, curve_ind: ConditionalCurve, curve_ood: ConditionalCurve, integral: bool) -> float:
+    """d_statistic, with an undefined d reported against the fit that gave it."""
+    try:
+        return d_statistic(curve_ind, curve_ood, integral=integral)
+    except NumericalError as exc:
+        raise NumericalError(f"{fit}: {exc}") from exc
 
 
 @dataclass
@@ -254,7 +263,7 @@ def permutation_test(
     x_eval = evaluation_grid(sample_ind, sample_ood, n=grid_size)
     curve_ind = fit_sample_curve(sample_ind, x_eval)
     curve_ood = fit_sample_curve(sample_ood, x_eval)
-    d_obs = d_statistic(curve_ind, curve_ood, integral=integral)
+    d_obs = _d_of("observed fit", curve_ind, curve_ood, integral)
 
     pooled_avg = np.concatenate([sample_ind.avg, sample_ood.avg])
     pooled_div = np.concatenate([sample_ind.div, sample_ood.div])
@@ -270,7 +279,7 @@ def permutation_test(
         surr_ood = JointSample(pooled_avg[take_ood], pooled_div[take_ood], "surrogate_ood")
         c_ind = fit_sample_curve(surr_ind, x_eval)
         c_ood = fit_sample_curve(surr_ood, x_eval)
-        d_surr[k] = d_statistic(c_ind, c_ood, integral=integral)
+        d_surr[k] = _d_of(f"surrogate {k}", c_ind, c_ood, integral)
 
     p = (int((d_surr >= d_obs).sum()) + 1) / (n_surrogates + 1)
     return DStatResult(d_obs, float(p), n_surrogates, d_surr, x_eval, curve_ind, curve_ood)

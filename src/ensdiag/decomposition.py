@@ -7,36 +7,29 @@ Four families are supported, each an exact algebraic identity per point:
     brier_gap   mean Brier  = ensemble Brier     + variance_diversity
     nll_gap     mean NLL    = ensemble NLL       + KL(uniform || member likelihoods)
 
-Every constructor re-verifies its identity at runtime and raises
-NumericalError when the residual exceeds 1e-10 on any point. Members are
-any sequence of (N, C) matrices; every mean over members walks that
-sequence one matrix at a time.
+Every family re-verifies its identity at runtime and raises NumericalError
+when the residual exceeds 1e-10 on any point. Members are any sequence of
+(N, C) matrices or stored members (see store.StoredMember). `decompose`
+walks the points in row blocks of at most store.BLOCK_ELEMENTS entries and
+reads every member twice per block: once for the ensemble sum, the member
+means and the true-class likelihoods, once for the spread about the
+ensemble mean. Every reduction is per point, so the block size changes no
+bit of the result. Beyond the per-point output columns, memory is a few
+blocks and an (M, block) gather of true-class likelihoods.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .metrics import IDENTITY_TOL, NLL_EPS, brier, entropy, quad_uncertainty
-from .store import check_members, form_ensemble
+from .store import block_rows, check_members
 
 FAMILIES = ("quadratic", "entropy", "brier_gap", "nll_gap")
-
-
-def _check_members(members: Sequence[np.ndarray]) -> list[np.ndarray]:
-    arrays = check_members(members)
-    if len(arrays) < 2:
-        raise ValidationError("diversity needs at least two members")
-    return arrays
-
-
-def _member_mean(score: Callable[[np.ndarray], np.ndarray], members: list[np.ndarray]) -> np.ndarray:
-    """Per-point mean of one score over members, summed in member order."""
-    return sum(score(p) for p in members) / len(members)
 
 
 @dataclass
@@ -74,89 +67,154 @@ def _check_identity(record: DecompositionRecord, mask: np.ndarray | None = None)
     return record
 
 
-def _variance_diversity(members: list[np.ndarray], ens: np.ndarray) -> np.ndarray:
-    """Sum over classes of the population variance across members, per point,
-    about an ensemble mean already formed from `members`."""
-    acc = np.zeros_like(ens)
-    sq = np.empty_like(ens)
-    for p in members:
-        np.subtract(p, ens, out=sq)
-        sq *= sq
-        acc += sq
-    acc /= len(members)
-    return acc.sum(axis=1)
+def decompose(
+    members: Sequence,
+    labels: np.ndarray | None = None,
+    families: Sequence[str] = FAMILIES,
+) -> dict[str, DecompositionRecord]:
+    """Records of the requested families, in FAMILIES order, from one blocked walk.
+
+    `labels` is needed by brier_gap and nll_gap only. Each identity is
+    checked over all points after the walk.
+    """
+    members = check_members(members)
+    if len(members) < 2:
+        raise ValidationError("diversity needs at least two members")
+    for family in families:
+        if family not in FAMILIES:
+            raise ValidationError(f"unknown family {family!r}; choose from {FAMILIES}")
+    wanted = [f for f in FAMILIES if f in families]
+    n, c = members[0].shape
+    if "brier_gap" in wanted or "nll_gap" in wanted:
+        if labels is None:
+            raise ValidationError("brier_gap and nll_gap need labels")
+        labels = np.asarray(labels)
+        if labels.shape != (n,):
+            raise ValidationError(f"labels shape {labels.shape} does not match {n} rows")
+        if labels.size and (labels.min() < 0 or labels.max() >= c):
+            raise ValidationError(f"labels outside [0, {c})")
+        labels = labels.astype(np.int64)
+    columns = {f: (np.empty(n), np.empty(n), np.empty(n)) for f in wanted}
+    kl = np.empty(n) if "entropy" in wanted else None
+    unclamped = np.empty(n, dtype=bool) if "nll_gap" in wanted else None
+    step = block_rows(c)
+    for lo in range(0, n, step):
+        rows = slice(lo, min(n, lo + step))
+        block = _decompose_block(members, rows, None if labels is None else labels[rows], wanted)
+        for f in wanted:
+            for column, values in zip(columns[f], block[f]):
+                column[rows] = values
+        if kl is not None:
+            kl[rows] = block["kl"]
+        if unclamped is not None:
+            unclamped[rows] = block["unclamped"]
+
+    records = {f: DecompositionRecord(f, *columns[f]) for f in wanted}
+    for f, rec in records.items():
+        if f == "entropy":
+            gap = np.abs(rec.diversity - kl)
+            if gap.size and gap.max() > IDENTITY_TOL:
+                raise NumericalError(
+                    f"entropy diversity formulas disagree by {gap.max():.3e} (tol {IDENTITY_TOL:g})"
+                )
+        _check_identity(rec, mask=unclamped if f == "nll_gap" else None)
+    return records
 
 
-def decompose_quadratic(members: Sequence[np.ndarray]) -> DecompositionRecord:
-    members = _check_members(members)
-    ens = form_ensemble(members)
-    total = quad_uncertainty(ens)
-    diversity = _variance_diversity(members, ens)
-    avg = _member_mean(quad_uncertainty, members)
-    return _check_identity(DecompositionRecord("quadratic", total, diversity, avg))
+def _decompose_block(members: list, rows: slice, labels: np.ndarray | None, wanted: list[str]) -> dict:
+    """(total, diversity, avg_member) per family on one row block, plus the
+    mean KL to the ensemble and the nll mask of unclamped points."""
+    m = len(members)
+    out: dict = {}
+
+    # Pass 1: ensemble sum, member score sums, true-class likelihoods.
+    scores = {"quadratic": quad_uncertainty, "entropy": entropy, "brier_gap": lambda p: brier(p, labels)}
+    sums = {f: 0 for f in scores if f in wanted}
+    # (M, B) in column-major order, the layout a gather from an (M, B, C)
+    # stack has, so the reductions over members below round the same way.
+    like = np.empty((rows.stop - rows.start, m)).T if "nll_gap" in wanted else None
+    for k, member in enumerate(members):
+        p = member[rows]
+        if k == 0:
+            ens = p.copy()
+        else:
+            ens += p
+        for f in sums:
+            sums[f] = sums[f] + scores[f](p)
+        if like is not None:
+            like[k] = p[np.arange(p.shape[0]), labels]
+    ens /= m
+
+    # Pass 2: variance about the ensemble mean, and KL from each member to it.
+    need_var = "quadratic" in wanted or "brier_gap" in wanted
+    if need_var or "entropy" in wanted:
+        acc = np.zeros_like(ens) if need_var else None
+        sq = np.empty_like(ens) if need_var else None
+        if "entropy" in wanted:
+            # 0 log 0 = 0; the ensemble mean is positive wherever any member is.
+            log_ens = np.log(np.where(ens > 0.0, ens, 1.0))
+            kl = np.zeros(ens.shape[0])
+        for member in members:
+            p = member[rows]
+            if need_var:
+                np.subtract(p, ens, out=sq)
+                sq *= sq
+                acc += sq
+            if "entropy" in wanted:
+                positive = p > 0.0
+                terms = np.where(positive, p, 1.0)
+                np.log(terms, out=terms)
+                terms -= log_ens
+                terms *= p
+                terms[~positive] = 0.0
+                kl += terms.sum(axis=1)
+        if need_var:
+            acc /= m
+            variance = acc.sum(axis=1)
+        if "entropy" in wanted:
+            out["kl"] = kl / m
+
+    if "quadratic" in wanted:
+        out["quadratic"] = (quad_uncertainty(ens), variance, sums["quadratic"] / m)
+    if "entropy" in wanted:
+        total = entropy(ens)
+        avg = sums["entropy"] / m
+        out["entropy"] = (total, total - avg, avg)
+    if "brier_gap" in wanted:
+        out["brier_gap"] = (brier(ens, labels), variance, sums["brier_gap"] / m)
+    if "nll_gap" in wanted:
+        like_c = np.maximum(like, NLL_EPS)
+        mean_log = np.log(like_c).mean(axis=0)
+        ens_like = like.mean(axis=0)
+        total = -np.log(np.maximum(ens_like, NLL_EPS))
+        # KL(U || Q) = -ln M + ln sum_i L_i - mean_i ln L_i, over clamped likelihoods.
+        diversity = -np.log(float(m)) + np.log(like_c.sum(axis=0)) - mean_log
+        out["nll_gap"] = (total, diversity, -mean_log)
+        # The identity is exact only where no likelihood hits the clamp floor.
+        out["unclamped"] = (like > NLL_EPS).all(axis=0) & (ens_like > NLL_EPS)
+    return out
 
 
-def _mean_kl_to_ensemble(members: list[np.ndarray], ens: np.ndarray) -> np.ndarray:
-    # 0 log 0 = 0; the ensemble mean is positive wherever any member is.
-    log_ens = np.log(np.where(ens > 0.0, ens, 1.0))
-    out = np.zeros(ens.shape[0])
-    for p in members:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(p > 0.0, p * (np.log(np.where(p > 0.0, p, 1.0)) - log_ens), 0.0)
-        out += terms.sum(axis=1)
-    return out / len(members)
+def decompose_quadratic(members: Sequence) -> DecompositionRecord:
+    return decompose(members, families=("quadratic",))["quadratic"]
 
 
-def decompose_entropy(members: Sequence[np.ndarray]) -> DecompositionRecord:
+def decompose_entropy(members: Sequence) -> DecompositionRecord:
     """Entropy split. Also cross-checks the two equivalent diversity formulas,
     JSD as entropy gap and JSD as mean KL to the ensemble."""
-    members = _check_members(members)
-    ens = form_ensemble(members)
-    total = entropy(ens)
-    avg = _member_mean(entropy, members)
-    diversity = total - avg
-    kl_form = _mean_kl_to_ensemble(members, ens)
-    gap = np.abs(diversity - kl_form)
-    if gap.size and gap.max() > IDENTITY_TOL:
-        raise NumericalError(
-            f"entropy diversity formulas disagree by {gap.max():.3e} (tol {IDENTITY_TOL:g})"
-        )
-    return _check_identity(DecompositionRecord("entropy", total, diversity, avg))
+    return decompose(members, families=("entropy",))["entropy"]
 
 
-def brier_jensen_gap(members: Sequence[np.ndarray], labels: np.ndarray) -> DecompositionRecord:
+def brier_jensen_gap(members: Sequence, labels: np.ndarray) -> DecompositionRecord:
     """Mean member Brier minus ensemble Brier, which equals variance_diversity."""
-    members = _check_members(members)
-    ens = form_ensemble(members)
-    total = brier(ens, labels)
-    avg = _member_mean(lambda p: brier(p, labels), members)
-    diversity = _variance_diversity(members, ens)
-    return _check_identity(DecompositionRecord("brier_gap", total, diversity, avg))
+    return decompose(members, labels, ("brier_gap",))["brier_gap"]
 
 
-def nll_jensen_gap(members: Sequence[np.ndarray], labels: np.ndarray) -> DecompositionRecord:
+def nll_jensen_gap(members: Sequence, labels: np.ndarray) -> DecompositionRecord:
     """Mean member NLL minus ensemble NLL.
 
     The gap equals KL(Uniform(M) || Q) where Q normalizes the member
     true-class likelihoods. The identity is exact when no likelihood hits
     the clamp floor; clamped points are skipped by the runtime check.
     """
-    members = _check_members(members)
-    labels = np.asarray(labels, dtype=np.int64)
-    rows = np.arange(members[0].shape[0])
-    # (M, N) in column-major order, the layout a gather from an (M, N, C)
-    # stack has, so the reductions over members below round the same way.
-    like = np.column_stack([p[rows, labels] for p in members]).T
-    like_c = np.maximum(like, NLL_EPS)
-
-    avg = -np.log(like_c).mean(axis=0)
-    ens_like = like.mean(axis=0)
-    total = -np.log(np.maximum(ens_like, NLL_EPS))
-    m = len(members)
-    # KL(U || Q) = -ln M + ln sum_i L_i - mean_i ln L_i, over clamped likelihoods.
-    diversity = -np.log(float(m)) + np.log(like_c.sum(axis=0)) - np.log(like_c).mean(axis=0)
-
-    unclamped = (like > NLL_EPS).all(axis=0) & (ens_like > NLL_EPS)
-    record = DecompositionRecord("nll_gap", total, diversity, avg)
-    return _check_identity(record, mask=unclamped)
-
+    return decompose(members, labels, ("nll_gap",))["nll_gap"]

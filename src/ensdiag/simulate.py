@@ -33,6 +33,7 @@ class SyntheticSpec:
     """Knobs for one synthetic store."""
 
     n_points: int = 1000
+    n_ood: int | None = None  # OOD points; None means n_points
     n_classes: int = 10
     n_models: int = 4
     member_noise_scale: float = 0.25
@@ -40,8 +41,10 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_points < 1:
-            raise ValidationError("n_points must be >= 1")
+        if self.n_ood is None:
+            object.__setattr__(self, "n_ood", self.n_points)
+        if self.n_points < 1 or self.n_ood < 1:
+            raise ValidationError("n_points and n_ood must be >= 1")
         if self.n_classes < 2:
             raise ValidationError("n_classes must be >= 2")
         if self.n_models < 1:
@@ -77,8 +80,8 @@ def _generate(spec: SyntheticSpec) -> Iterator[tuple[str, np.ndarray, Iterator[t
     shift_dir = raw_dir / np.linalg.norm(raw_dir)
     member_offset = rng.standard_normal((k, c)) * spec.member_noise_scale
 
-    for dataset_id in (IND_ID, OOD_ID):
-        z = rng.standard_normal((spec.n_points, 2))
+    for dataset_id, n in ((IND_ID, spec.n_points), (OOD_ID, spec.n_ood)):
+        z = rng.standard_normal((n, 2))
         if dataset_id == OOD_ID:
             z = z + spec.shift_strength * shift_dir
         teacher_logits = z @ teacher_w.T + teacher_b

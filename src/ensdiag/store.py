@@ -1,20 +1,28 @@
 """Prediction storage: probability matrices, ensembles, and on-disk stores.
 
 A store groups per-model predictions over named test sets. Predictions are
-held as float64 row-stochastic matrices regardless of the on-disk encoding.
-The disk layout is a JSON manifest next to raw binary dumps:
+handed out as float64 row-stochastic matrices regardless of the on-disk
+encoding. The disk layout is a JSON manifest next to raw binary dumps:
 
     manifest.json   {"datasets": [...], "models": [...], "pairs": [...]}
     <pred file>     raw little-endian float32, row-major, N x C, no header
     <labels file>   raw little-endian int32, length N
 
 A dataset's "kind" is "logits" or "probs" (the default when absent).
-Logit files are mapped through a stable softmax at load time; probability
+Logit files are mapped through a stable softmax when read; probability
 files must already be row-stochastic to within 1e-6 and are renormalized
 exactly. Dataset and model ids are non-empty and contain no whitespace and
 none of ``/ \\ + , :``, since they become file names, CSV cells, member
 specs and pair arguments. `load_store` reads the format and `write_store`
 is its one writer.
+
+`load_store` checks every file up front, sizes first and then values in
+row blocks of at most BLOCK_ELEMENTS entries, and keeps only labels and
+each member's file location. A member is read from disk each time it is
+used, whole or one row block at a time, so memory does not grow with the
+number of models. Do not rewrite a store's files while a command reads
+them: a later read sees the new bytes, and fails if they no longer pass
+the load checks.
 """
 
 from __future__ import annotations
@@ -37,6 +45,13 @@ INGEST_ROW_ATOL = 1e-6
 HET_ENSEMBLE_SIZE = 4
 # Characters no dataset or model id may contain, besides whitespace.
 _ID_FORBIDDEN = "/\\+,:"
+# Entries of one row block of a member matrix: 2**18 float64 is 2 MiB.
+BLOCK_ELEMENTS = 1 << 18
+
+
+def block_rows(n_classes: int) -> int:
+    """Rows of one block of BLOCK_ELEMENTS entries, at least one."""
+    return max(1, BLOCK_ELEMENTS // n_classes)
 
 
 def _check_id(kind: str, value: str) -> None:
@@ -84,29 +99,34 @@ def validate_probs(probs: np.ndarray, *, name: str = "probs") -> np.ndarray:
     return arr
 
 
-def check_members(members: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Member probability matrices as float64 arrays of one shared 2-d shape."""
-    arrays = [np.asarray(m, dtype=np.float64) for m in members]
-    if not arrays:
+def check_members(members: Sequence) -> list:
+    """Members of one shared 2-d shape, each sliceable by rows.
+
+    A StoredMember is kept as it is, to be read when sliced; anything else
+    becomes a float64 array.
+    """
+    out = [m if isinstance(m, StoredMember) else np.asarray(m, dtype=np.float64) for m in members]
+    if not out:
         raise ValidationError("an ensemble needs at least one member")
-    if arrays[0].ndim != 2 or any(a.shape != arrays[0].shape for a in arrays):
+    if len(out[0].shape) != 2 or any(m.shape != out[0].shape for m in out):
         raise ValidationError("members must be 2-d matrices of one shared shape")
-    return arrays
+    return out
 
 
-def form_ensemble(members: Sequence[np.ndarray]) -> np.ndarray:
+def form_ensemble(members: Sequence) -> np.ndarray:
     """Arithmetic mean of member probability matrices.
 
     All members must share one shape. The mean of row-stochastic matrices
     is row-stochastic, so no renormalization happens here. Members are
     summed in order into one buffer, which rounds exactly as a mean over
-    the first axis of their stack would.
+    the first axis of their stack would. Stored members are read one at a
+    time.
     """
-    arrays = check_members(members)
-    ens = arrays[0].copy()
-    for p in arrays[1:]:
-        ens += p
-    ens /= len(arrays)
+    members = check_members(members)
+    ens = np.array(members[0][:])
+    for p in members[1:]:
+        ens += p[:]
+    ens /= len(members)
     return ens
 
 
@@ -156,11 +176,15 @@ class DatasetInfo:
 
 @dataclass
 class PredictionStore:
-    """In-memory collection of per-model predictions over named datasets."""
+    """Per-model predictions over named datasets.
+
+    A prediction is held either as a read-only array (`add_prediction`) or
+    as a StoredMember that reads it from disk on each access (`load_store`).
+    """
 
     datasets: dict[str, DatasetInfo] = field(default_factory=dict)
     pairs: list[tuple[str, str]] = field(default_factory=list)
-    _predictions: dict[tuple[str, str], np.ndarray] = field(default_factory=dict)
+    _predictions: dict[tuple[str, str], np.ndarray | StoredMember] = field(default_factory=dict)
     _model_ids: list[str] = field(default_factory=list)
 
     def register_dataset(self, dataset_id: str, labels: np.ndarray, n_classes: int) -> None:
@@ -177,7 +201,12 @@ class PredictionStore:
         labels.flags.writeable = False
         self.datasets[dataset_id] = DatasetInfo(dataset_id, labels, n_classes)
 
-    def add_prediction(self, model_id: str, dataset_id: str, probs: np.ndarray) -> None:
+    def add_prediction(self, model_id: str, dataset_id: str, probs: np.ndarray | StoredMember) -> None:
+        """Hold one model's predictions on one dataset.
+
+        An array is validated and marked read-only; a StoredMember was
+        checked by `load_store` and is kept unread.
+        """
         _check_id("model", model_id)
         if dataset_id not in self.datasets:
             raise ValidationError(f"unknown dataset {dataset_id!r}")
@@ -186,14 +215,16 @@ class PredictionStore:
                 f"duplicate prediction for {model_id!r} on {dataset_id!r}"
             )
         info = self.datasets[dataset_id]
-        arr = validate_probs(probs, name=f"{model_id}/{dataset_id}")
-        if arr.shape != (info.n, info.n_classes):
+        if not isinstance(probs, StoredMember):
+            probs = validate_probs(probs, name=f"{model_id}/{dataset_id}")
+        if probs.shape != (info.n, info.n_classes):
             raise ValidationError(
-                f"{model_id}/{dataset_id}: shape {arr.shape} does not match "
+                f"{model_id}/{dataset_id}: shape {probs.shape} does not match "
                 f"dataset ({info.n}, {info.n_classes})"
             )
-        arr.flags.writeable = False
-        self._predictions[(model_id, dataset_id)] = arr
+        if isinstance(probs, np.ndarray):
+            probs.flags.writeable = False
+        self._predictions[(model_id, dataset_id)] = probs
         if model_id not in self._model_ids:
             self._model_ids.append(model_id)
 
@@ -207,6 +238,14 @@ class PredictionStore:
         return self.datasets[dataset_id].labels
 
     def probs(self, model_id: str, dataset_id: str) -> np.ndarray:
+        """One model's read-only (N, C) predictions on one dataset.
+
+        Held arrays are returned uncopied; a stored member is read from disk.
+        """
+        member = self._member(model_id, dataset_id)
+        return member if isinstance(member, np.ndarray) else member[:]
+
+    def _member(self, model_id: str, dataset_id: str) -> np.ndarray | StoredMember:
         key = (model_id, dataset_id)
         if key not in self._predictions:
             raise ValidationError(f"no prediction for model {model_id!r} on {dataset_id!r}")
@@ -219,9 +258,13 @@ class PredictionStore:
         """Models predicted on both datasets of the pair, in `model_ids` order."""
         return [m for m in self._model_ids if all((m, d) in self._predictions for d in pair)]
 
-    def member_probs(self, member_ids: Sequence[str], dataset_id: str) -> list[np.ndarray]:
-        """The members' stored, read-only predictions on one dataset, uncopied."""
-        return [self.probs(m, dataset_id) for m in member_ids]
+    def member_probs(self, member_ids: Sequence[str], dataset_id: str) -> list[np.ndarray | StoredMember]:
+        """The members' predictions on one dataset, unread and uncopied.
+
+        Each is a held read-only array or a StoredMember; both give float64
+        rows when sliced, and every reduction in the package accepts either.
+        """
+        return [self._member(m, dataset_id) for m in member_ids]
 
     def ensemble_probs(self, member_ids: Sequence[str], dataset_id: str) -> np.ndarray:
         return form_ensemble(self.member_probs(member_ids, dataset_id))
@@ -292,19 +335,103 @@ def form_heterogeneous_ensembles(
     return BinningReport(ensembles, skipped)
 
 
-def _read_raw(path: Path, dtype: str, shape: tuple[int, ...], name: str) -> np.ndarray:
-    """A headerless little-endian dump of the given shape, read-only."""
+def _check_size(path: Path, dtype: str, shape: tuple[int, ...], name: str) -> None:
+    """Reject a missing file, or one whose size does not fit a headerless dump of the shape."""
     try:
-        data = path.read_bytes()
+        size = path.stat().st_size
     except OSError as exc:
         raise ValidationError(f"{name}: cannot read {path.name}: {exc.strerror}") from exc
     expected = int(np.prod(shape)) * np.dtype(dtype).itemsize
-    if len(data) != expected:
+    if size != expected:
         raise ValidationError(
-            f"{name}: file {path.name} holds {len(data)} bytes, expected {expected} "
+            f"{name}: file {path.name} holds {size} bytes, expected {expected} "
             f"for {' x '.join(map(str, shape))} {np.dtype(dtype).name}"
         )
-    return np.frombuffer(data, dtype=dtype).reshape(shape)
+
+
+def _read_labels(path: Path, n: int, name: str) -> np.ndarray:
+    _check_size(path, "<i4", (n,), name)
+    try:
+        return np.fromfile(path, dtype="<i4")
+    except OSError as exc:
+        raise ValidationError(f"{name}: cannot read {path.name}: {exc.strerror}") from exc
+
+
+def _check_values(raw: np.ndarray, kind: str, name: str, first_row: int) -> np.ndarray | None:
+    """Reject non-finite rows and, for probabilities, entries or row sums out of
+    tolerance; return the probability row sums. Rows are numbered from first_row."""
+    if not np.isfinite(raw).all():
+        row = first_row + int(np.flatnonzero(~np.isfinite(raw).all(axis=1))[0])
+        raise ValidationError(f"{name}: non-finite value in row {row}")
+    if kind == "logits":
+        return None
+    if (raw < -INGEST_ROW_ATOL).any() or (raw > 1 + INGEST_ROW_ATOL).any():
+        raise ValidationError(f"{name}: probabilities outside [0, 1]")
+    sums = raw.sum(axis=1)
+    bad = np.abs(sums - 1.0) > INGEST_ROW_ATOL
+    if bad.any():
+        row = int(np.flatnonzero(bad)[0])
+        raise ValidationError(
+            f"{name}: row {first_row + row} sums to {sums[row]:.8f}, outside 1 +/- {INGEST_ROW_ATOL:g}"
+        )
+    return sums
+
+
+@dataclass(frozen=True)
+class StoredMember:
+    """One model's predictions on one dataset, read from its file on each access.
+
+    ``member[lo:hi]`` reads rows lo..hi-1 and ``member[:]`` the whole matrix,
+    as a read-only float64 row-stochastic array. Logits go through a stable
+    softmax and probabilities are renormalized, in place on the one float64
+    buffer; the result is bit-equal whatever rows are read. Nothing is kept
+    between reads.
+    """
+
+    path: Path
+    kind: str
+    shape: tuple[int, int]
+    name: str
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        if not isinstance(rows, slice) or rows.step not in (None, 1):
+            raise TypeError("a stored member is read by a contiguous row slice")
+        lo, hi, _ = rows.indices(self.shape[0])
+        buf = self._read(lo, max(lo, hi))
+        sums = _check_values(buf, self.kind, self.name, lo)
+        if sums is None:
+            buf -= buf.max(axis=1, keepdims=True)
+            np.exp(buf, out=buf)
+            buf /= buf.sum(axis=1, keepdims=True)
+        else:
+            np.clip(buf, 0.0, None, out=buf)
+            buf /= sums[:, None]
+        validate_probs(buf, name=self.name)
+        buf.flags.writeable = False
+        return buf
+
+    def _read(self, lo: int, hi: int) -> np.ndarray:
+        """Rows lo..hi-1 of the file as float64, or an error naming the member."""
+        c = self.shape[1]
+        count = (hi - lo) * c
+        try:
+            raw = np.fromfile(self.path, dtype="<f4", count=count, offset=lo * c * 4)
+        except OSError as exc:
+            raise ValidationError(f"{self.name}: cannot read {self.path.name}: {exc.strerror}") from exc
+        if raw.size != count:
+            raise ValidationError(
+                f"{self.name}: file {self.path.name} ends before row {hi} of {self.shape[0]}; "
+                "it changed after the store was loaded"
+            )
+        return raw.astype(np.float64).reshape(hi - lo, c)
+
+    def check(self) -> None:
+        """Check every value as a read would, one row block at a time."""
+        n, c = self.shape
+        step = block_rows(c)
+        for lo in range(0, n, step):
+            hi = min(n, lo + step)
+            _check_values(self._read(lo, hi), self.kind, self.name, lo)
 
 
 _TYPE_NAMES = {str: "a string", int: "an integer", dict: "an object", list: "a list"}
@@ -326,30 +453,12 @@ def _entries(manifest: dict, key: str) -> list[dict]:
     return entries
 
 
-def _ingest(raw: np.ndarray, kind: str, name: str) -> np.ndarray:
-    """Row-stochastic float64 predictions from a raw logit or probability dump."""
-    if not np.isfinite(raw).all():
-        row = int(np.flatnonzero(~np.isfinite(raw).all(axis=1))[0])
-        raise ValidationError(f"{name}: non-finite value in row {row}")
-    if kind == "logits":
-        return softmax(raw)
-    if (raw < -INGEST_ROW_ATOL).any() or (raw > 1 + INGEST_ROW_ATOL).any():
-        raise ValidationError(f"{name}: probabilities outside [0, 1]")
-    sums = raw.sum(axis=1)
-    bad = np.abs(sums - 1.0) > INGEST_ROW_ATOL
-    if bad.any():
-        row = int(np.flatnonzero(bad)[0])
-        raise ValidationError(
-            f"{name}: row {row} sums to {sums[row]:.8f}, outside 1 +/- {INGEST_ROW_ATOL:g}"
-        )
-    return np.clip(raw, 0.0, None) / sums[:, None]
-
-
 def load_store(manifest_path: str | Path) -> PredictionStore:
-    """Load a manifest and all files it references into a PredictionStore.
+    """Load a manifest into a PredictionStore that reads members on access.
 
-    Loaded arrays are marked read-only. Errors name the dataset or model
-    whose file failed validation.
+    Labels are read and held. Every member file is checked now, all sizes
+    first and then all values in row blocks, but only its location is
+    kept. Errors name the dataset or model whose file failed validation.
     """
     manifest_path = Path(manifest_path)
     if not manifest_path.is_file():
@@ -374,10 +483,11 @@ def load_store(manifest_path: str | Path) -> PredictionStore:
             raise ValidationError(f"{owner}: unknown kind {kind!r}")
         if n < 1 or c < 2:
             raise ValidationError(f"{owner}: need n >= 1 and c >= 2")
-        labels = _read_raw(root / _field(entry, "labels_file", owner, str), "<i4", (n,), owner)
+        labels = _read_labels(root / _field(entry, "labels_file", owner, str), n, owner)
         store.register_dataset(did, labels, c)
         kinds[did] = kind
 
+    members = []
     for i, entry in enumerate(_entries(manifest, "models")):
         mid = _field(entry, "id", f"model entry {i}", str)
         files = _field(entry, "files", f"model {mid!r}", dict)
@@ -385,9 +495,12 @@ def load_store(manifest_path: str | Path) -> PredictionStore:
             if did not in store.datasets:
                 raise ValidationError(f"model {mid!r} references unknown dataset {did!r}")
             info = store.datasets[did]
-            name = f"{mid}/{did}"
-            raw = _read_raw(root / str(rel), "<f4", (info.n, info.n_classes), name).astype(np.float64)
-            store.add_prediction(mid, did, _ingest(raw, kinds[did], name))
+            member = StoredMember(root / str(rel), kinds[did], (info.n, info.n_classes), f"{mid}/{did}")
+            _check_size(member.path, "<f4", member.shape, member.name)
+            store.add_prediction(mid, did, member)
+            members.append(member)
+    for member in members:
+        member.check()
 
     pairs = manifest.get("pairs", [])
     if not isinstance(pairs, list):

@@ -119,27 +119,53 @@ def trend_points(
     pair: tuple[str, str],
     n_bins: int = 15,
     heterogeneous_ids: frozenset[str] = frozenset(),
+    leave_one_out: bool = False,
 ) -> list[TrendPoint]:
     """Score every single model and every ensemble on both sides of a pair.
 
     Each model and ensemble is scored once per dataset for all metrics.
-    Points come out metric by metric, singles before ensembles.
+    Points come out metric by metric, singles before ensembles. Ensembles
+    are formed by `PredictionStore.ensemble_probs`, except that with
+    `leave_one_out` an ensemble of all the pair's M >= 3 models but one,
+    k, is formed as (S - p_k) / (M - 1) from the running sum S of the
+    singles as they are scored. Each model is then read twice per dataset
+    rather than M times, and those ensembles agree with `form_ensemble`
+    to within 1e-12 rather than bit for bit.
     """
     for metric in metrics:
         if metric not in TREND_METRICS:
             raise ValidationError(f"unknown trend metric {metric!r}; choose from {TREND_METRICS}")
-    labels = {d: store.labels(d) for d in pair}
-    scored: list[tuple[str, str, dict, dict]] = []
-    for mid in store.models_on_pair(pair):
-        ind, ood = [_scores(store.probs(mid, d), labels[d], metrics, n_bins) for d in pair]
-        scored.append((mid, "single", ind, ood))
-    for ens in ensembles:
-        ind, ood = [
-            _scores(store.ensemble_probs(ens.member_model_ids, d), labels[d], metrics, n_bins)
-            for d in pair
-        ]
-        cls = "heterogeneous" if ens.ensemble_id in heterogeneous_ids else "ensemble"
-        scored.append((ens.ensemble_id, cls, ind, ood))
+    models = store.models_on_pair(pair)
+    # Per ensemble, the one model it leaves out, or None to form it from its members.
+    left_out: list[str | None] = [None] * len(ensembles)
+    if leave_one_out and len(models) >= 3:
+        for i, ens in enumerate(ensembles):
+            rest = set(models).difference(ens.member_model_ids)
+            if len(ens.member_model_ids) == len(models) - 1 and len(rest) == 1:
+                left_out[i] = rest.pop()
+    running_sum = any(k is not None for k in left_out)
+    single_scores: list[list[dict]] = [[] for _ in models]
+    ensemble_scores: list[list[dict]] = [[] for _ in ensembles]
+    for dataset in pair:
+        labels = store.labels(dataset)
+        total = None
+        for mid, out in zip(models, single_scores):
+            probs = store.probs(mid, dataset)
+            out.append(_scores(probs, labels, metrics, n_bins))
+            if running_sum:
+                total = probs.copy() if total is None else np.add(total, probs, out=total)
+        for ens, k, out in zip(ensembles, left_out, ensemble_scores):
+            if k is not None:
+                probs = total - store.probs(k, dataset)
+                probs /= len(models) - 1
+            else:
+                probs = store.ensemble_probs(ens.member_model_ids, dataset)
+            out.append(_scores(probs, labels, metrics, n_bins))
+    scored = [(mid, "single", *out) for mid, out in zip(models, single_scores)]
+    scored += [
+        (ens.ensemble_id, "heterogeneous" if ens.ensemble_id in heterogeneous_ids else "ensemble", *out)
+        for ens, out in zip(ensembles, ensemble_scores)
+    ]
     return [
         TrendPoint(model_id, cls, metric, ind[metric], ood[metric])
         for metric in metrics

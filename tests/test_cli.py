@@ -16,8 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ensdiag
+import ensdiag.cli
 from ensdiag.cli import main
-from ensdiag.store import write_store
+from ensdiag.store import block_rows, load_store, write_store
 
 BASE_SIM = ["simulate", "--n-points", "60", "--classes", "3", "--models", "4", "--seed", "1"]
 
@@ -61,6 +62,16 @@ class TestExitCodes:
             "--surrogates", "5", "--out", tmp_path / "cond",
         ])
         assert code == 2
+
+    def test_undefined_d_names_the_fit(self, tmp_path, capsys):
+        sim = tmp_path / "flat"
+        assert run(BASE_SIM + ["--noise", "0", "--out", sim]) == 0
+        capsys.readouterr()
+        assert run(["conditional", "--manifest", sim / "manifest.json", "--out", tmp_path / "cond"]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("numerical error: observed fit: InD curve has nonpositive total ")
+        assert "(minimum " in lines[0] and " at grid x = " in lines[0]
 
     def test_nonempty_out_needs_force(self, tmp_path):
         out = tmp_path / "d"
@@ -616,3 +627,133 @@ class TestDeterminism:
 
     def test_gp_demo_rerun_byte_identical(self, tmp_path):
         assert_reruns_identical(["gp-demo"], tmp_path)
+
+
+class TestUnequalSizesEndToEnd:
+    """300 InD against 120 OOD points, as the paper's pairs differ in size."""
+
+    @pytest.fixture
+    def sim_unequal(self, tmp_path):
+        out = tmp_path / "sim"
+        assert run(["simulate", "--n-points", 300, "--n-ood", 120, "--classes", 4, "--models", 4,
+                    "--seed", 3, "--out", out]) == 0
+        return out
+
+    def test_simulate_records_both_sizes(self, sim_unequal):
+        manifest = json.loads((sim_unequal / "manifest.json").read_text())
+        assert {d["id"]: d["n"] for d in manifest["datasets"]} == {"ind": 300, "ood": 120}
+        spec = json.loads((sim_unequal / "result.json").read_text())["spec"]
+        assert (spec["n_points"], spec["n_ood"]) == (300, 120)
+
+    def test_decompose(self, sim_unequal, tmp_path):
+        out = tmp_path / "dec"
+        assert run(["decompose", "--manifest", sim_unequal / "manifest.json", "--out", out]) == 0
+        aggregates = json.loads((out / "result.json").read_text())["aggregates"]
+        for ds, n in (("ind", 300), ("ood", 120)):
+            for family in ("quadratic", "entropy", "brier_gap", "nll_gap"):
+                assert aggregates[ds][family]["n"] == n
+                assert aggregates[ds][family]["max_abs_residual"] < 1e-10
+                assert len(read_csv(out / f"decompose_{family}_{ds}.csv")[1]) == n
+
+    def test_conditional(self, sim_unequal, tmp_path):
+        out = tmp_path / "cond"
+        assert run(["conditional", "--manifest", sim_unequal / "manifest.json", "--surrogates", 9,
+                    "--seed", 2, "--out", out]) == 0
+        result = json.loads((out / "result.json").read_text())
+        assert len(result["d_surrogates"]) == 9 and np.isfinite(result["d_statistic"])
+        assert len(read_csv(out / "curves.csv")[1]) == result["settings"]["grid_size"]
+
+    def test_trends(self, sim_unequal, tmp_path):
+        out = tmp_path / "tr"
+        assert run(["trends", "--manifest", sim_unequal / "manifest.json", "--out", out]) == 0
+        result = json.loads((out / "result.json").read_text())
+        assert len(result["ensembles"]) == 4
+        header, rows = read_csv(out / "trend_points.csv")
+        assert len(rows) == 4 * (4 + 4)
+        assert all(np.isfinite(float(r[header.index("ood_value")])) for r in rows)
+
+    def test_absent_flag_writes_the_same_store(self, tmp_path):
+        base = ["simulate", "--n-points", 50, "--classes", 3, "--models", 2, "--seed", 4]
+        assert run(base + ["--out", tmp_path / "a"]) == 0
+        assert run(base + ["--n-ood", 50, "--out", tmp_path / "b"]) == 0
+        names = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+        for name in names:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+
+
+def _one_error_line(capsys, *expected):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    for text in expected:
+        assert text in lines[0]
+
+
+class TestMemberFileFaults:
+    """Bad values deep in a member file, or a file changed after load, end in one error line."""
+
+    C = 64
+    N = 2 * block_rows(C) + 10  # three row blocks, the last one short
+
+    def _store(self, tmp_path, kind="logits"):
+        rng = np.random.default_rng(2)
+        if kind == "logits":
+            values = {d: [rng.standard_normal((self.N, self.C)) for _ in range(2)] for d in ("ind", "ood")}
+        else:
+            values = {d: [rng.dirichlet(np.ones(self.C), self.N) for _ in range(2)] for d in ("ind", "ood")}
+        root = tmp_path / "store"
+        manifest = write_store(root, self.C, [(d, rng.integers(0, self.C, self.N),
+                                               [(f"m{k:03d}", v) for k, v in enumerate(vs)])
+                                              for d, vs in values.items()], [("ind", "ood")])
+        if kind == "probs":
+            raw = json.loads(manifest.read_text())
+            for entry in raw["datasets"]:
+                entry["kind"] = "probs"
+            manifest.write_text(json.dumps(raw))
+        return manifest
+
+    def _poke(self, path, row, col, value):
+        values = np.fromfile(path, dtype="<f4").reshape(self.N, self.C)
+        values[row, col] = value
+        values.tofile(path)
+
+    def test_non_finite_in_last_block_of_last_model(self, tmp_path, capsys):
+        manifest = self._store(tmp_path)
+        self._poke(manifest.parent / "m001__ood.f32", self.N - 2, self.C - 1, np.inf)
+        assert run(["decompose", "--manifest", manifest, "--out", tmp_path / "x"]) == 1
+        _one_error_line(capsys, f"m001/ood: non-finite value in row {self.N - 2}")
+        assert not (tmp_path / "x").exists()
+
+    def test_probs_row_sum_out_of_tolerance_in_late_block(self, tmp_path, capsys):
+        manifest = self._store(tmp_path, kind="probs")
+        path = manifest.parent / "m001__ind.f32"
+        row = self.N - 5
+        values = np.fromfile(path, dtype="<f4").reshape(self.N, self.C)
+        values[row] *= np.float32(1.01)
+        values.tofile(path)
+        assert run(["trends", "--manifest", manifest, "--out", tmp_path / "x"]) == 1
+        _one_error_line(capsys, f"m001/ind: row {row} sums to 1.0", "outside 1 +/- 1e-06")
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command", [["decompose"], ["trends"], ["conditional", "--surrogates", "2"],
+                                         ["improve", "--base", "m000", "--alt-a", "m001", "--alt-b", "m000+m001",
+                                          "--control", "m001"]])
+    @pytest.mark.parametrize("change", ["truncate", "delete"])
+    def test_file_changed_after_load(self, tmp_path, capsys, monkeypatch, command, change):
+        manifest = self._store(tmp_path)
+        member = manifest.parent / "m001__ood.f32"
+
+        def load_then_change(path):
+            store = load_store(path)
+            if change == "truncate":
+                member.write_bytes(member.read_bytes()[: self.C * 4 * 100])
+            else:
+                member.unlink()
+            return store
+
+        monkeypatch.setattr(ensdiag.cli, "load_store", load_then_change)
+        assert run([command[0], "--manifest", manifest, *command[1:], "--out", tmp_path / "x"]) == 1
+        expected = "ends before row" if change == "truncate" else "cannot read m001__ood.f32"
+        _one_error_line(capsys, "m001/ood: ", expected)

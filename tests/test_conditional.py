@@ -355,6 +355,28 @@ class TestPermutationTest:
         assert r1.p_value == r2.p_value
         np.testing.assert_array_equal(r1.d_surrogates, r2.d_surrogates)
 
+    @pytest.mark.parametrize("bad_call,fit", [(1, "observed fit"), (5, "surrogate 1")])
+    def test_undefined_d_names_the_fit(self, rng, monkeypatch, bad_call, fit):
+        # Fits run observed InD, observed OOD, then InD and OOD per surrogate;
+        # one InD fit comes back nonpositive.
+        calls = []
+        real_fit = conditional.fit_sample_curve
+
+        def fit_curve(sample, x_eval):
+            curve = real_fit(sample, x_eval)
+            calls.append(1)
+            if len(calls) == bad_call:
+                y = np.linspace(-2.0, 1.0, x_eval.size)
+                return ConditionalCurve(x_eval, y, curve.bandwidth, curve.ridge, curve.rank)
+            return curve
+
+        monkeypatch.setattr(conditional, "fit_sample_curve", fit_curve)
+        sample = linear_sample(rng, n=60)
+        with pytest.raises(NumericalError) as err:
+            permutation_test(sample, JointSample(sample.avg, sample.div + 0.01), n_surrogates=3, seed=1)
+        x_lo = evaluation_grid(sample, sample)[0]
+        assert str(err.value).startswith(f"{fit}: InD curve has nonpositive total -50 (minimum -2 at grid x = {x_lo:.6g})")
+
     def test_needs_one_surrogate(self, rng):
         sample = linear_sample(rng, n=20)
         with pytest.raises(ValidationError):

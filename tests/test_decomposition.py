@@ -1,22 +1,26 @@
 """Exact per-point identities for the four decomposition families."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ensdiag.store
 from conftest import member_stack, random_simplex
 from ensdiag.decomposition import (
+    FAMILIES,
     brier_jensen_gap,
+    decompose,
     decompose_entropy,
     decompose_quadratic,
     nll_jensen_gap,
 )
 from ensdiag.errors import ValidationError
 from ensdiag.metrics import NLL_EPS, brier, entropy, nll, quad_uncertainty
-from ensdiag.store import form_ensemble
+from ensdiag.store import form_ensemble, load_store, write_store
 
 TWO_ONE_HOT = np.stack([
     np.array([[1.0, 0.0]]),
@@ -272,3 +276,112 @@ def test_peak_memory_independent_of_member_count(many_members, name):
     finally:
         tracemalloc.stop()
     assert peak <= 6 * members[0].nbytes
+
+
+# The per-family implementations `decompose` replaced, each reading every
+# member whole; kept as the oracle for the blocked walk.
+
+def _oracle_variance(members, ens):
+    acc = np.zeros_like(ens)
+    for p in members:
+        acc += (p - ens) ** 2
+    return (acc / len(members)).sum(axis=1)
+
+
+def _oracle_mean(score, members):
+    return sum(score(p) for p in members) / len(members)
+
+
+def oracle_records(members, labels):
+    ens = form_ensemble(members)
+    var = _oracle_variance(members, ens)
+    total_h = entropy(ens)
+    avg_h = _oracle_mean(entropy, members)
+    rows = np.arange(members[0].shape[0])
+    like = np.column_stack([p[rows, labels] for p in members]).T
+    like_c = np.maximum(like, NLL_EPS)
+    return {
+        "quadratic": (quad_uncertainty(ens), var, _oracle_mean(quad_uncertainty, members)),
+        "entropy": (total_h, total_h - avg_h, avg_h),
+        "brier_gap": (brier(ens, labels), var, _oracle_mean(lambda p: brier(p, labels), members)),
+        "nll_gap": (
+            -np.log(np.maximum(like.mean(axis=0), NLL_EPS)),
+            -np.log(float(len(members))) + np.log(like_c.sum(axis=0)) - np.log(like_c).mean(axis=0),
+            -np.log(like_c).mean(axis=0),
+        ),
+    }
+
+
+class TestBlockedWalk:
+    @given(st.integers(2, 10), st.integers(2, 60), st.integers(2, 25), st.integers(0, 10**6))
+    @settings(max_examples=40, deadline=None)
+    def test_bit_equal_to_per_family_oracle_at_any_block_size(self, m, n, c, seed):
+        rng = np.random.default_rng(seed)
+        members = [random_simplex(rng, n, c) for _ in range(m)]
+        labels = rng.integers(0, c, size=n)
+        expected = oracle_records(members, labels)
+        # One row, a size that leaves a short last block (or the whole set), and the whole set.
+        for rows in (1, n // 3 + 1, n):
+            with mock.patch.object(ensdiag.store, "BLOCK_ELEMENTS", rows * c):
+                records = decompose(members, labels)
+            assert list(records) == list(FAMILIES)
+            for family, want in expected.items():
+                rec = records[family]
+                for got, col in zip((rec.total, rec.diversity, rec.avg_member), want):
+                    assert np.array_equal(got, col), (family, rows)
+
+    def test_families_subset_and_labels(self, rng):
+        members = [random_simplex(rng, 9, 3) for _ in range(3)]
+        assert list(decompose(members, families=("entropy", "quadratic"))) == ["quadratic", "entropy"]
+        with pytest.raises(ValidationError, match="need labels"):
+            decompose(members, families=("nll_gap",))
+        with pytest.raises(ValidationError, match="unknown family"):
+            decompose(members, families=("renyi",))
+        with pytest.raises(ValidationError, match="labels outside"):
+            decompose(members, np.full(9, 3))
+
+
+def _loaded_store(root, n, c, m, seed=0):
+    rng = np.random.default_rng(seed)
+    members = ((f"m{k:03d}", rng.standard_normal((n, c)) * 2.0) for k in range(m))
+    return write_store(root, c, [("ind", rng.integers(0, c, n), members)], [])
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_loaded_store_peak_flat_in_member_count(tmp_path):
+    # Loading and decomposing 32 stored members peaks no higher than 8 do,
+    # but for the (M, rows) likelihood gather: members are read per block.
+    # Held whole, the 24 extra members alone would take 24 member matrices.
+    n, c = 2000, 50
+    peaks = {}
+    for m in (8, 32):
+        manifest = _loaded_store(tmp_path / str(m), n, c, m)
+
+        def run():
+            store = load_store(manifest)
+            decompose(store.member_probs(store.model_ids, "ind"), store.labels("ind"))
+
+        peaks[m] = _traced_peak(run)
+    gather = (32 - 8) * n * 8  # the extra (M, rows) true-class likelihoods
+    assert peaks[32] - peaks[8] < gather + n * c * 8 / 8
+
+
+def test_loaded_store_peak_flat_in_point_count(tmp_path):
+    # At 200 classes both sizes span several row blocks, so only the O(N)
+    # output columns grow with N, never the block-sized work arrays.
+    c = 200
+    peaks = {}
+    for n in (2000, 8000):
+        store = load_store(_loaded_store(tmp_path / str(n), n, c, 3))
+        members, labels = store.member_probs(store.model_ids, "ind"), store.labels("ind")
+        peaks[n] = _traced_peak(lambda: decompose(members, labels))
+    assert peaks[8000] - peaks[2000] < 6000 * 200
+    assert peaks[8000] < 1.2 * peaks[2000]

@@ -23,6 +23,7 @@ class TestSpecValidation:
             {"n_models": 0},
             {"member_noise_scale": -0.1},
             {"shift_strength": -1.0},
+            {"n_ood": 0},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
@@ -33,6 +34,16 @@ class TestSpecValidation:
         spec = SyntheticSpec()
         assert spec.n_points == 1000
         assert spec.n_classes == 10
+
+    def test_ood_size_defaults_to_n_points(self):
+        assert SyntheticSpec(n_points=70).n_ood == 70
+        store = simulate_store(SyntheticSpec(n_points=30, n_ood=12, n_classes=3, n_models=2))
+        assert (store.datasets["ind"].n, store.datasets["ood"].n) == (30, 12)
+        same = simulate_store(SyntheticSpec(n_points=30, n_classes=3, n_models=2))
+        explicit = simulate_store(SyntheticSpec(n_points=30, n_ood=30, n_classes=3, n_models=2))
+        for d in ("ind", "ood"):
+            assert np.array_equal(same.labels(d), explicit.labels(d))
+            assert np.array_equal(same.probs("m001", d), explicit.probs("m001", d))
 
 
 class TestSimulateStore:

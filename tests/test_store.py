@@ -1,5 +1,6 @@
 """Ingestion, normalization, and ensemble formation."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -12,11 +13,14 @@ from ensdiag.errors import ValidationError
 from ensdiag.store import (
     EnsembleDef,
     PredictionStore,
+    StoredMember,
+    block_rows,
     enumerate_homogeneous_ensembles,
     form_ensemble,
     form_heterogeneous_ensembles,
     load_store,
     softmax,
+    write_store,
 )
 
 
@@ -339,3 +343,113 @@ class TestRoundTrip:
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(ValidationError):
             load_store(tmp_path / "manifest.json")
+
+
+def eager_ingest(raw: np.ndarray, kind: str, name: str = "m/d") -> np.ndarray:
+    """The whole-file ingestion `load_store` once ran on every member at load,
+    kept as the oracle for reads on access."""
+    if not np.isfinite(raw).all():
+        row = int(np.flatnonzero(~np.isfinite(raw).all(axis=1))[0])
+        raise ValidationError(f"{name}: non-finite value in row {row}")
+    if kind == "logits":
+        return softmax(raw)
+    if (raw < -1e-6).any() or (raw > 1 + 1e-6).any():
+        raise ValidationError(f"{name}: probabilities outside [0, 1]")
+    sums = raw.sum(axis=1)
+    bad = np.abs(sums - 1.0) > 1e-6
+    if bad.any():
+        row = int(np.flatnonzero(bad)[0])
+        raise ValidationError(f"{name}: row {row} sums to {sums[row]:.8f}, outside 1 +/- 1e-06")
+    return np.clip(raw, 0.0, None) / sums[:, None]
+
+
+def write_kind_store(root, kind, members, labels):
+    """A one-dataset store of the given kind holding float32 member matrices."""
+    n, c = members[0].shape
+    files = {}
+    for k, values in enumerate(members):
+        (root / f"m{k}__d.f32").write_bytes(values.astype("<f4").tobytes())
+        files[f"m{k}"] = {"d": f"m{k}__d.f32"}
+    (root / "d_labels.i32").write_bytes(labels.astype("<i4").tobytes())
+    manifest = {
+        "datasets": [{"id": "d", "n": n, "c": c, "labels_file": "d_labels.i32", "kind": kind}],
+        "models": [{"id": mid, "files": f} for mid, f in files.items()],
+        "pairs": [],
+    }
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    return root / "manifest.json"
+
+
+class TestReadOnAccess:
+    @pytest.mark.parametrize("kind", ["logits", "probs"])
+    def test_reads_bit_equal_to_eager_ingest(self, tmp_path, rng, kind):
+        n, c = 203, 7
+        if kind == "logits":
+            raw = [rng.standard_normal((n, c)) * 4.0 for _ in range(3)]
+        else:
+            # float32 rounding leaves row sums within 1e-6 of 1, so rows are renormalized.
+            raw = [random_simplex(rng, n, c) for _ in range(3)]
+        store = load_store(write_kind_store(tmp_path, kind, raw, rng.integers(0, c, n)))
+        for k, values in enumerate(raw):
+            expected = eager_ingest(values.astype("<f4").astype(np.float64), kind)
+            member = store.member_probs([f"m{k}"], "d")[0]
+            assert np.array_equal(store.probs(f"m{k}", "d"), expected)
+            assert np.array_equal(member[:], expected)
+            for lo, hi in [(0, 1), (5, 64), (199, 203), (0, n)]:
+                assert np.array_equal(member[lo:hi], expected[lo:hi])
+
+    def test_zoo_member_bit_equal_to_eager_ingest(self, tmp_path, rng):
+        n, c = 1500, 100
+        logits = rng.standard_normal((n, c)) * 3.0
+        manifest = write_store(tmp_path, c, [("ind", rng.integers(0, c, n), [("m000", logits)])], [])
+        raw = np.fromfile(tmp_path / "m000__ind.f32", dtype="<f4").astype(np.float64).reshape(n, c)
+        assert np.array_equal(load_store(manifest).probs("m000", "ind"), eager_ingest(raw, "logits"))
+
+    def test_store_holds_labels_only(self, tmp_path, rng):
+        datasets = [(d, rng.integers(0, 5, 40), [(f"m{k}", rng.standard_normal((40, 5))) for k in range(4)])
+                    for d in ("ind", "ood")]
+        store = load_store(write_store(tmp_path, 5, datasets, [("ind", "ood")]))
+
+        def arrays(obj):
+            """Every array reachable from obj through containers and dataclass fields."""
+            if isinstance(obj, np.ndarray):
+                yield obj
+            elif isinstance(obj, dict):
+                yield from arrays(list(obj.items()))
+            elif isinstance(obj, (list, tuple)):
+                for value in obj:
+                    yield from arrays(value)
+            elif dataclasses.is_dataclass(obj):
+                yield from arrays(list(vars(obj).values()))
+
+        held = list(arrays(store))
+        assert len(held) == 2 and all(a.dtype.kind == "i" and a.ndim == 1 for a in held)
+        assert all(isinstance(store.member_probs([m], d)[0], StoredMember)
+                   for m in store.model_ids for d in ("ind", "ood"))
+
+    def test_reads_are_read_only_and_not_kept(self, tmp_path, rng):
+        store = load_store(write_kind_store(tmp_path, "logits", [rng.standard_normal((10, 3))] * 2,
+                                            rng.integers(0, 3, 10)))
+        first, second = store.probs("m0", "d"), store.probs("m0", "d")
+        assert first is not second and np.array_equal(first, second)
+        with pytest.raises(ValueError):
+            first[0, 0] = 0.5
+
+    def test_late_block_errors_name_member_and_row(self, tmp_path, rng):
+        c = 64
+        n = 2 * block_rows(c) + 10
+        logits = [rng.standard_normal((n, c)) for _ in range(2)]
+        logits[1][n - 3, 5] = np.nan
+        with pytest.raises(ValidationError, match=rf"^m1/d: non-finite value in row {n - 3}$"):
+            load_store(write_kind_store(tmp_path, "logits", logits, rng.integers(0, c, n)))
+
+    def test_changed_file_fails_on_read(self, tmp_path, rng):
+        path = write_kind_store(tmp_path, "logits", [rng.standard_normal((30, 4))] * 2, rng.integers(0, 4, 30))
+        store = load_store(path)
+        member = tmp_path / "m1__d.f32"
+        member.write_bytes(member.read_bytes()[:-4])
+        with pytest.raises(ValidationError, match="m1/d: file m1__d.f32 ends before row 30 of 30"):
+            store.probs("m1", "d")
+        member.unlink()
+        with pytest.raises(ValidationError, match="m1/d: cannot read m1__d.f32"):
+            store.member_probs(["m1"], "d")[0][:10]

@@ -1,5 +1,7 @@
 """Trend fits, effective robustness, and the diversity-ratio identity."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,8 @@ from ensdiag.store import (
     enumerate_homogeneous_ensembles,
     form_ensemble,
     form_heterogeneous_ensembles,
+    load_store,
+    write_store,
 )
 from ensdiag.trends import (
     TREND_METRICS,
@@ -421,3 +425,76 @@ class TestDiversityRatio:
         monkeypatch.setattr(PredictionStore, "probs", refuse)
         rep = diversity_ratio_check(pts, ensembles)
         assert len(rep.per_ensemble_ratio) == len(ensembles)
+
+
+class TestLeaveOneOutRunningSum:
+    def _loo_store(self, rng, m=6):
+        store = build_store(rng, models=tuple(f"m{k}" for k in range(m)), n=70, c=6)
+        return store, enumerate_homogeneous_ensembles(store.model_ids, m - 1)
+
+    def test_ensembles_within_tolerance_of_form_ensemble(self, rng, monkeypatch):
+        store, ensembles = self._loo_store(rng)
+        seen = []
+        scores = ensdiag.trends._scores
+
+        def recording(probs, labels, metrics, n_bins):
+            seen.append(np.array(probs))
+            return scores(probs, labels, metrics, n_bins)
+
+        monkeypatch.setattr(ensdiag.trends, "_scores", recording)
+        trend_points(store, ensembles, ["brier"], ("ind", "ood"), leave_one_out=True)
+        m = len(store.model_ids)
+        for side, dataset in enumerate(("ind", "ood")):
+            formed = seen[side * (m + len(ensembles)) + m:(side + 1) * (m + len(ensembles))]
+            for ens, probs in zip(ensembles, formed):
+                exact = form_ensemble([store.probs(k, dataset) for k in ens.member_model_ids])
+                assert np.abs(probs - exact).max() <= 1e-12
+
+    def test_points_match_exact_path_and_read_each_model_twice(self, rng, monkeypatch):
+        store, ensembles = self._loo_store(rng)
+        exact = trend_points(store, ensembles, TREND_METRICS, ("ind", "ood"))
+        reads = {"probs": 0, "ensemble_probs": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                reads[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in reads:
+            monkeypatch.setattr(PredictionStore, name, counted(name, getattr(PredictionStore, name)))
+        fast = trend_points(store, ensembles, TREND_METRICS, ("ind", "ood"), leave_one_out=True)
+        assert reads == {"probs": 2 * 2 * len(store.model_ids), "ensemble_probs": 0}
+        assert [(p.metric, p.model_id, p.model_class) for p in fast] == \
+            [(p.metric, p.model_id, p.model_class) for p in exact]
+        for a, b in zip(fast, exact):
+            assert a.ind_value == pytest.approx(b.ind_value, rel=1e-12, abs=1e-15)
+            assert a.ood_value == pytest.approx(b.ood_value, rel=1e-12, abs=1e-15)
+
+    def test_other_ensembles_are_formed_from_members(self, rng):
+        store, ensembles = self._loo_store(rng)
+        listed = [EnsembleDef("pair", ("m0", "m1")), ensembles[0]]
+        fast = trend_points(store, listed, ["nll"], ("ind", "ood"), leave_one_out=True)
+        exact = trend_points(store, listed, ["nll"], ("ind", "ood"))
+        assert fast[-2] == exact[-2]
+
+
+def test_trend_points_peak_flat_in_member_count(tmp_path):
+    # Leave-one-out ensembles of 32 stored members: one running sum per
+    # dataset, so loading and scoring peak about as high as with 8.
+    n, c = 2000, 50
+    peaks = {}
+    for m in (8, 32):
+        rng = np.random.default_rng(m)
+        datasets = [(d, rng.integers(0, c, n),
+                     ((f"m{k:03d}", rng.standard_normal((n, c))) for k in range(m))) for d in ("ind", "ood")]
+        manifest = write_store(tmp_path / str(m), c, datasets, [("ind", "ood")])
+        tracemalloc.start()
+        try:
+            store = load_store(manifest)
+            ensembles = enumerate_homogeneous_ensembles(store.model_ids, m - 1)
+            trend_points(store, ensembles, list(TREND_METRICS), ("ind", "ood"), leave_one_out=True)
+            peaks[m] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[32] - peaks[8] < n * c * 8 / 2
