@@ -20,6 +20,8 @@ from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
+import numpy.ma  # noqa: F401  (np.percentile and np.median load it on first call, inside main())
+from numpy.random import default_rng
 import scipy
 
 from . import __version__
@@ -147,7 +149,7 @@ def _resolve_metrics(arg: str) -> list[str]:
 def _subsample_indices(n: int, cap: int, seed: int, tag: int) -> np.ndarray:
     if cap <= 0 or cap >= n:
         return np.arange(n)
-    rng = np.random.default_rng([seed, tag])
+    rng = default_rng([seed, tag])
     return np.sort(rng.choice(n, size=cap, replace=False))
 
 
@@ -661,7 +663,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="write a synthetic prediction store")
     add_common(p, manifest=False)
-    p.add_argument("--seed", type=int, default=0, help="RNG seed")
+    p.add_argument("--seed", type=_at_least(0), default=0, help="RNG seed")
     nonnegative = _checked(float, lambda v: v >= 0.0, "at least 0")
     p.add_argument("--n-points", type=_at_least(1), default=1000, help="InD points")
     p.add_argument("--n-ood", type=_at_least(1), default=None, help="OOD points (default: --n-points)")
@@ -678,7 +680,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("conditional", help="conditional diversity curves and permutation test")
     add_common(p)
-    p.add_argument("--seed", type=int, default=0, help="RNG seed")
+    p.add_argument("--seed", type=_at_least(0), default=0, help="RNG seed")
     p.add_argument("--members", default=None, help="ensemble members as a+b+c (default: all models)")
     p.add_argument("--family", choices=("quadratic", "entropy"), default="quadratic")
     p.add_argument("--surrogates", type=_at_least(1), default=100)
@@ -689,7 +691,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trends", help="linear trends of OOD score on InD score")
     add_common(p)
-    p.add_argument("--seed", type=int, default=0, help="RNG seed")
+    p.add_argument("--seed", type=_at_least(0), default=0, help="RNG seed")
     p.add_argument("--metric", default="01,nll,brier,resce",
                    help="comma list from {01,nll,brier,ece,resce}")
     p.add_argument("--bins", type=_at_least(1), default=15, help="calibration bins for ece/resce")
@@ -701,7 +703,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("improve", help="agreement between two per-point improvement profiles")
     add_common(p)
-    p.add_argument("--seed", type=int, default=0, help="RNG seed")
+    p.add_argument("--seed", type=_at_least(0), default=0, help="RNG seed")
     p.add_argument("--base", required=True, help="base model id")
     p.add_argument("--alt-a", required=True, help="first alternative (id or a+b+c ensemble)")
     p.add_argument("--alt-b", required=True, help="second alternative (id or a+b+c ensemble)")
@@ -713,7 +715,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gp-demo", help="heteroskedastic GP oracle experiment")
     add_common(p, manifest=False)
-    p.add_argument("--seed", type=int, default=0, help="RNG seed")
+    p.add_argument("--seed", type=_at_least(0), default=0, help="RNG seed")
     p.add_argument("--bins", type=_at_least(1), default=20, help="likelihood-variance bins")
     p.set_defaults(func=cmd_gp_demo)
 

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from scipy.linalg import cho_factor, cho_solve
+from numpy.random import default_rng
 
 from .decomposition import decompose
 from .errors import NumericalError, ValidationError
@@ -162,8 +162,9 @@ def krr_conditional_expectation(
     for step in range(MAX_RIDGE_ESCALATIONS + 1):
         if attempt > np.finfo(float).eps:
             try:
-                chol = cho_factor(gram + attempt * x.size * np.eye(rank), lower=True)
-                y_hat = cho_solve(chol, rhs) @ factor_eval
+                system = gram + attempt * x.size * np.eye(rank)
+                np.linalg.cholesky(system)  # raises LinAlgError unless positive definite
+                y_hat = np.linalg.solve(system, rhs) @ factor_eval
                 return ConditionalCurve(x_eval, y_hat, float(bandwidth), attempt, rank)
             except LinAlgError:
                 pass
@@ -272,7 +273,7 @@ def permutation_test(
 
     d_surr = np.empty(n_surrogates)
     for k in range(n_surrogates):
-        rng = np.random.default_rng([seed, k])
+        rng = default_rng([seed, k])
         perm = rng.permutation(n_total)
         take_ind, take_ood = perm[:n_ind], perm[n_ind:]
         surr_ind = JointSample(pooled_avg[take_ind], pooled_div[take_ind], "surrogate_ind")

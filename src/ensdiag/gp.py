@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from scipy.linalg import cho_factor, cho_solve
+from numpy.random import default_rng
 
 from .errors import NumericalError, ValidationError
 
@@ -58,12 +58,13 @@ class GpModel:
             raise ValidationError("lengthscale and signal_variance must be positive")
 
 
-def _chol_with_jitter(matrix: np.ndarray) -> tuple[tuple, float]:
+def _chol_with_jitter(matrix: np.ndarray) -> tuple[np.ndarray, float]:
+    """Lower Cholesky factor of matrix + jitter * I, with the smallest jitter that factors."""
     jitter = 0.0
     n = matrix.shape[0]
     for step in range(MAX_JITTER_ESCALATIONS + 2):
         try:
-            return cho_factor(matrix + jitter * np.eye(n), lower=True), jitter
+            return np.linalg.cholesky(matrix + jitter * np.eye(n)), jitter
         except LinAlgError:
             jitter = BASE_JITTER * 10.0**step
     raise NumericalError(
@@ -84,7 +85,7 @@ def generate_dataset(
     with Normal(0, sigma^2(x)) noise added. Deterministic per seed."""
     if n < 0:
         raise ValidationError("n must be nonnegative")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     x = np.sort(rng.uniform(domain[0], domain[1], size=n))
     if n == 0:
         return GpModel(x, np.empty(0), lengthscale, signal_variance, noise_fn)
@@ -97,10 +98,11 @@ def generate_dataset(
 
 @dataclass
 class GpState:
-    """Factorized posterior: Cholesky of K + diag(sigma^2) and its solve of y."""
+    """Factorized posterior: lower Cholesky factor L of K + diag(sigma^2) and
+    alpha = (L L^T)^-1 y."""
 
     model: GpModel
-    factor: tuple | None
+    factor: np.ndarray | None
     alpha: np.ndarray
     jitter: float
 
@@ -114,7 +116,7 @@ def gp_fit(model: GpModel) -> GpState:
     if (np.asarray(noise) < 0).any():
         raise ValidationError("noise variance must be nonnegative")
     factor, jitter = _chol_with_jitter(k + np.diag(noise))
-    alpha = cho_solve(factor, model.train_y)
+    alpha = np.linalg.solve(factor.T, np.linalg.solve(factor, model.train_y))
     return GpState(model, factor, alpha, jitter)
 
 
@@ -142,8 +144,8 @@ def gp_predict(state: GpState, x_star: np.ndarray) -> GpPrediction:
         return GpPrediction(x_star, np.zeros_like(x_star), prior, lik)
     k_star = rbf_kernel(model.train_x, x_star, model.lengthscale, model.signal_variance)
     mean = k_star.T @ state.alpha
-    solved = cho_solve(state.factor, k_star)
-    var = model.signal_variance - np.einsum("ij,ij->j", k_star, solved)
+    v = np.linalg.solve(state.factor, k_star)
+    var = model.signal_variance - np.einsum("ij,ij->j", v, v)
     if (var < -1e-9).any():
         raise NumericalError(f"posterior variance fell to {var.min():.3e}")
     var = np.maximum(var, 0.0)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import special
 
 from .errors import ValidationError
 from .metrics import IDENTITY_TOL, calibration, compute_metric
@@ -54,6 +53,8 @@ class TrendFit:
 
 
 def fit_trend_xy(ind: np.ndarray, ood: np.ndarray) -> TrendFit:
+    from scipy import special  # the one scipy use left; loaded here to keep start-up numpy-only
+
     ind = np.asarray(ind, dtype=np.float64)
     ood = np.asarray(ood, dtype=np.float64)
     if ind.shape != ood.shape or ind.ndim != 1:

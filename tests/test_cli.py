@@ -257,17 +257,44 @@ import json, sys
 import ensdiag
 root = sorted(m for m in sys.modules if m == "numpy" or m.startswith("ensdiag."))
 import ensdiag.cli
-heavy = {"scipy.stats", "scipy.integrate", "scipy.spatial", "scipy.sparse"}
+heavy = {"scipy.linalg", "scipy.special", "scipy.stats", "scipy.integrate", "scipy.spatial", "scipy.sparse"}
 print(json.dumps({"root": root, "cli": sorted(heavy & set(sys.modules))}))
 """
 
 
-def test_imports_stay_lean():
-    # The package root loads nothing; the CLI never needs scipy.stats, .integrate, .spatial or .sparse.
+def _probe(script, *args):
     src = str(Path(ensdiag.__file__).parents[1])
-    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, "-c", script, *map(str, args)], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert json.loads(proc.stdout) == {"root": [], "cli": []}
+    return json.loads(proc.stdout)
+
+
+def test_imports_stay_lean():
+    # The package root loads nothing; the CLI start-up loads numpy and no scipy submodule it could do without.
+    assert _probe(IMPORT_PROBE) == {"root": [], "cli": []}
+
+
+MAIN_PROBE = """
+import json, sys
+from ensdiag.cli import main
+code = main(sys.argv[1:])
+print(json.dumps({"code": code, "loaded": sorted({"scipy.linalg", "scipy.special"} & set(sys.modules))}))
+"""
+
+
+# Every command but trends, which computes its p-value with scipy.special.stdtr.
+@pytest.mark.parametrize("argv", [
+    [*BASE_SIM, "--out", "{tmp}/store"],
+    ["decompose", "--manifest", "{sim}/manifest.json", "--out", "{tmp}/dec"],
+    ["conditional", "--manifest", "{sim}/manifest.json", "--surrogates", "3", "--out", "{tmp}/cond"],
+    ["improve", "--manifest", "{sim}/manifest.json", "--base", "m000", "--alt-a", "m000+m001",
+     "--alt-b", "m000+m002", "--control", "m003", "--out", "{tmp}/imp"],
+    ["gp-demo", "--out", "{tmp}/gp"],
+    ["report", "--out", "{sim}"],
+], ids=lambda argv: argv[0])
+def test_commands_run_without_scipy_linalg_or_special(sim_dir, tmp_path, argv):
+    argv = [a.format(tmp=tmp_path, sim=sim_dir) for a in argv]
+    assert _probe(MAIN_PROBE, *argv) == {"code": 0, "loaded": []}
 
 
 class TestSimulateCommand:
@@ -333,10 +360,13 @@ class TestConditionalCommand:
         ("trends", "--bins", 0), ("trends", "--het-bins", -1), ("gp-demo", "--bins", 0),
         ("simulate", "--n-points", 0), ("simulate", "--classes", 1), ("simulate", "--models", 0),
         ("simulate", "--noise", -0.5), ("simulate", "--noise", "nan"), ("simulate", "--shift", -1),
+        ("conditional", "--seed", -1), ("trends", "--seed", -1), ("gp-demo", "--seed", -1),
+        ("simulate", "--seed", -1),
     ], ids=["--bins-0", "--bins-1", "--subsample--5", "--surrogates-0", "--family-renyi",
             "trends---bins-0", "trends---het-bins--1", "gp-demo---bins-0",
             "simulate---n-points-0", "simulate---classes-1", "simulate---models-0",
-            "simulate---noise--0.5", "simulate---noise-nan", "simulate---shift--1"])
+            "simulate---noise--0.5", "simulate---noise-nan", "simulate---shift--1",
+            "--seed--1", "trends---seed--1", "gp-demo---seed--1", "simulate---seed--1"])
     def test_bad_argument_names_flag(self, sim_dir, tmp_path, capsys, command, flag, value):
         manifest = [] if command in ("gp-demo", "simulate") else ["--manifest", sim_dir / "manifest.json"]
         code = run([command, *manifest, flag, value, "--out", tmp_path / "x"])
@@ -486,7 +516,7 @@ class TestImproveCommand:
 
     @pytest.mark.parametrize("flag,value", [
         pytest.param("--subsample", -1, id="-1"), pytest.param("--subsample", -5, id="-5"),
-        ("--alpha", 0), ("--alpha", 1.5),
+        ("--alpha", 0), ("--alpha", 1.5), ("--seed", -1),
         # improve scores per point against labels: label-free and calibration metrics are refused.
         ("--metric", "entropy"), ("--metric", "quad_uncertainty"), ("--metric", "ece"), ("--metric", "bogus"),
     ])

@@ -13,6 +13,7 @@ from conftest import member_stack, split_samples
 from ensdiag import conditional
 from ensdiag.conditional import (
     DEFAULT_RIDGE_SCALE,
+    MAX_RIDGE_ESCALATIONS,
     RIDGE_FLOOR,
     ConditionalCurve,
     JointSample,
@@ -43,6 +44,28 @@ def dense_krr_curve(x, y, x_eval, bandwidth=None, ridge=None):
     d = x_eval[:, None] - x[None, :]
     k_eval = np.exp(-(d * d) / (2.0 * bandwidth * bandwidth))
     return ConditionalCurve(x_eval, k_eval @ alpha, float(bandwidth), float(ridge))
+
+
+def scipy_factor_krr(x, y, x_eval, bandwidth=None, ridge=None):
+    """Reference for the r x r solve: the same pivoted factors, solved by
+    scipy's cho_factor/cho_solve under the same ridge escalation rule."""
+    if bandwidth is None:
+        bandwidth = scott_bandwidth_1d(x)
+    if ridge is None:
+        ridge = max(DEFAULT_RIDGE_SCALE * float(y.var()), RIDGE_FLOOR)
+    factor, factor_eval = conditional._pivoted_cholesky(x, x_eval, bandwidth)
+    rank = factor.shape[0]
+    attempt = ridge
+    for step in range(MAX_RIDGE_ESCALATIONS + 1):
+        if attempt > np.finfo(float).eps:
+            try:
+                chol = cho_factor(factor @ factor.T + attempt * x.size * np.eye(rank), lower=True)
+                y_hat = cho_solve(chol, factor @ y) @ factor_eval
+                return ConditionalCurve(x_eval, y_hat, float(bandwidth), attempt, rank)
+            except np.linalg.LinAlgError:
+                pass
+        attempt = (ridge if ridge > 0 else 1e-12) * 10.0 ** (step + 1)
+    raise AssertionError("reference solve failed")
 
 
 def linear_sample(rng, n=200, slope=0.3, noise=0.02):
@@ -194,6 +217,42 @@ class TestKrr:
         grid = np.linspace(0.25, 0.75, 50)
         curve = krr_conditional_expectation(sample.avg, sample.div, grid)
         assert np.all(np.isfinite(curve.y_hat))
+
+
+class TestSolveMatchesScipy:
+    # numpy.linalg against scipy's Cholesky solve on the same factors, to 1e-10 relative.
+    def test_rank_above_initial_buffer(self):
+        n = 4000
+        rng = np.random.default_rng(n)
+        x = rng.normal(0.3, 0.1, n)
+        y = 0.3 * x + 0.1 * np.sin(8.0 * x) + rng.normal(0.0, 0.05, n)
+        x_eval = np.linspace(np.percentile(x, 1.0), np.percentile(x, 99.0), 100)
+        fast = krr_conditional_expectation(x, y, x_eval)
+        ref = scipy_factor_krr(x, y, x_eval)
+        assert fast.rank == ref.rank > 64
+        assert fast.ridge == ref.ridge
+        np.testing.assert_allclose(fast.y_hat, ref.y_hat, rtol=1e-10, atol=0)
+
+    def test_escalated_ridge(self):
+        # Ten copies of each of three inputs, evaluated at those inputs: ridge 0
+        # escalates to 1e-11 on a well-conditioned rank-3 system.
+        x = np.repeat([0.2, 0.5, 0.9], 10)
+        y = np.sin(3.0 * x) + np.tile(np.linspace(-0.1, 0.1, 10), 3)
+        x_eval = np.array([0.2, 0.5, 0.9])
+        fast = krr_conditional_expectation(x, y, x_eval, bandwidth=0.3, ridge=0.0)
+        ref = scipy_factor_krr(x, y, x_eval, bandwidth=0.3, ridge=0.0)
+        assert fast.rank == ref.rank == 3
+        assert fast.ridge == ref.ridge == pytest.approx(1e-11)
+        np.testing.assert_allclose(fast.y_hat, ref.y_hat, rtol=1e-10, atol=0)
+
+    def test_permutation_test_agrees(self, monkeypatch):
+        sample_ind, sample_ood = split_samples(3)
+        fast = permutation_test(sample_ind, sample_ood, n_surrogates=50, seed=3)
+        monkeypatch.setattr(conditional, "krr_conditional_expectation", scipy_factor_krr)
+        ref = permutation_test(sample_ind, sample_ood, n_surrogates=50, seed=3)
+        assert fast.d == pytest.approx(ref.d, rel=1e-10, abs=0)
+        np.testing.assert_allclose(fast.d_surrogates, ref.d_surrogates, rtol=1e-10, atol=0)
+        assert fast.p_value == ref.p_value
 
 
 class TestLowRankMatchesDense:

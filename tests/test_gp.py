@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from ensdiag.errors import ValidationError
 from ensdiag.gp import (
@@ -61,7 +62,7 @@ class TestGenerateDataset:
 class TestGpFit:
     def test_single_point_system(self):
         state = gp_fit(GpModel(np.array([0.0]), np.array([0.0])))
-        assert state.factor[0][0, 0] ** 2 == pytest.approx(1.01, abs=1e-12)
+        assert state.factor[0, 0] ** 2 == pytest.approx(1.01, abs=1e-12)
         assert state.jitter == 0.0
 
     def test_duplicate_inputs_jittered(self):
@@ -132,6 +133,38 @@ class TestGpPredict:
         state = gp_fit(GpModel(np.array([0.0]), np.array([0.0])))
         pred = gp_predict(state, np.array([HALF_PI]))
         assert pred.likelihood_variance[0] == pytest.approx(1.01)
+
+
+def scipy_posterior(model, x_star, jitter):
+    """Reference posterior from scipy's cho_factor/cho_solve at the same jitter."""
+    k = rbf_kernel(model.train_x, model.train_x, model.lengthscale, model.signal_variance)
+    n = model.train_x.shape[0]
+    chol = cho_factor(k + np.diag(model.noise_fn(model.train_x)) + jitter * np.eye(n), lower=True)
+    k_star = rbf_kernel(model.train_x, x_star, model.lengthscale, model.signal_variance)
+    mean = k_star.T @ cho_solve(chol, model.train_y)
+    var = model.signal_variance - np.einsum("ij,ij->j", k_star, cho_solve(chol, k_star))
+    return mean, var
+
+
+class TestScipyOracle:
+    # The numpy.linalg solve path against scipy's Cholesky solve, to 1e-12 relative.
+    @pytest.mark.parametrize("seed", range(5))
+    def test_default_experiment(self, seed):
+        exp = run_default_experiment(seed=seed)
+        mean, var = scipy_posterior(exp.model, exp.prediction.x, exp.jitter)
+        np.testing.assert_allclose(exp.prediction.mean, mean, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(exp.prediction.posterior_variance, var, rtol=1e-12, atol=0)
+
+    def test_jittered_system(self):
+        model = GpModel(np.array([1.0, 1.0, 2.0]), np.array([0.5, 0.5, -0.2]),
+                        noise_fn=lambda x: np.zeros_like(x))
+        state = gp_fit(model)
+        assert state.jitter > 0.0
+        x_star = np.linspace(-1.0, 4.0, 11)
+        pred = gp_predict(state, x_star)
+        mean, var = scipy_posterior(model, x_star, state.jitter)
+        np.testing.assert_allclose(pred.mean, mean, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(pred.posterior_variance, var, rtol=1e-12, atol=0)
 
 
 class TestConditionalPosteriorVariance:
