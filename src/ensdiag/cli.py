@@ -22,7 +22,6 @@ from pathlib import Path
 import numpy as np
 import numpy.ma  # noqa: F401  (np.percentile and np.median load it on first call, inside main())
 from numpy.random import default_rng
-import scipy
 
 from . import __version__
 from .conditional import (
@@ -37,8 +36,8 @@ from .conditional import (
 from .decomposition import FAMILIES, decompose
 from .errors import NumericalError, ValidationError
 from .gp import DEFAULT_EVAL_DOMAIN, LIK_VAR_RANGE, TRAIN_DOMAIN, run_default_experiment
-from .improvement import improvement_similarity_test, pearson_r, per_point_improvement
-from .metrics import NLL_EPS, compute_metric
+from .improvement import ensemble_scores, improvement_similarity_test, pearson_r
+from .metrics import NLL_EPS
 from .simulate import SyntheticSpec, write_synthetic_store
 from .store import (
     EnsembleDef,
@@ -63,12 +62,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _versions() -> dict:
-    return {
-        "package": __version__,
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-        "python": platform.python_version(),
-    }
+    return {"package": __version__, "numpy": np.__version__, "python": platform.python_version()}
 
 
 def write_json(path: Path, record: dict) -> None:
@@ -76,9 +70,13 @@ def write_json(path: Path, record: dict) -> None:
     path.write_text(json.dumps(record, indent=2, sort_keys=True, default=lambda v: v.tolist()) + "\n")
 
 
-def _write_result(path: Path, command: str, record: dict) -> None:
-    """Write one command's run record, stamped with the command and library versions."""
-    write_json(path, {"command": command, **record, "versions": _versions()})
+def _write_result(path: Path, command: str, record: dict, **libraries: str) -> None:
+    """Write one command's run record, stamped with the command and library versions.
+
+    `libraries` adds the versions of the libraries only this command uses,
+    so the keys depend on the command alone.
+    """
+    write_json(path, {"command": command, **record, "versions": {**_versions(), **libraries}})
 
 
 def write_csv(path: Path, columns: dict) -> None:
@@ -384,6 +382,8 @@ def cmd_trends(args: argparse.Namespace) -> None:
     for metric in metrics:
         _trends_figure(points, rows, metric, out / f"trends_{metric}.svg")
 
+    import scipy  # trends is the one command that uses scipy (scipy.special.stdtr)
+
     _write_result(
         out / "result.json",
         "trends",
@@ -403,6 +403,7 @@ def cmd_trends(args: argparse.Namespace) -> None:
                 "score_orientation": "lower_is_better",
             },
         },
+        scipy=scipy.__version__,
     )
 
 
@@ -443,20 +444,17 @@ def cmd_improve(args: argparse.Namespace) -> None:
     pair = _resolve_pair(store, args.pair)
     metric = METRIC_ALIASES[args.metric]
     specs = [_parse_members(store, s, pair) for s in (args.base, args.alt_a, args.alt_b, args.control)]
+    distinct = list(dict.fromkeys(m for spec in specs for m in spec))
     out = prepare_out_dir(args.out, args.force)
 
     # Both datasets are scored before any file is written, so a failure leaves none.
     columns: dict = {}
     per_dataset: dict = {}
     for dataset in pair:
-        labels = store.labels(dataset)
         # A one-member ensemble is that model's predictions, bit for bit.
-        base, alt_a, alt_b, control = (store.ensemble_probs(ids, dataset) for ids in specs)
-
-        delta_a = per_point_improvement(base, alt_a, labels, metric)
-        delta_b = per_point_improvement(base, alt_b, labels, metric)
-        delta_c = per_point_improvement(base, control, labels, metric)
-        base_scores = compute_metric(metric, base, labels)
+        members = dict(zip(distinct, store.member_probs(distinct, dataset)))
+        base_scores, *alt_scores = ensemble_scores(members, specs, store.labels(dataset), metric)
+        delta_a, delta_b, delta_c = (base_scores - s for s in alt_scores)
 
         take = _subsample_indices(delta_a.shape[0], args.subsample, args.seed, tag=29)
         delta_a, delta_b, delta_c = delta_a[take], delta_b[take], delta_c[take]

@@ -7,23 +7,34 @@ two-sample test comparing the paired cloud {(delta_a_i, delta_b_i)}
 against a control cloud {(delta_a_i, control_i)} with the unbiased MMD^2
 statistic and a distribution-free threshold.
 
+Nothing here holds memory that grows with N times C or with the number of
+pairs. The per-point scores are computed one row block of
+store.block_rows(C) points at a time, reading each member once per block.
 Pairwise squared distances are built one row block of at most
 BLOCK_ELEMENTS entries at a time and reduced before the next, so the
-MMD's time is quadratic in the sample size but its memory is not.
+MMD's time is quadratic in the sample size but its memory is not. The
+bandwidth's median is found in two passes over those blocks, counting by
+bucket and then gathering only the middle bucket or buckets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ValidationError
 from .metrics import compute_metric
+from .store import block_rows, check_members, form_ensemble
 
 BANDWIDTH_MEDIAN_CAP = 2_000
-# Entries in one block of pairwise distances: 2**20 float64 is 8 MiB.
-BLOCK_ELEMENTS = 1 << 20
+# Entries in one block of pairwise distances: 2**16 float64 is 512 KiB, so
+# the block and its scratch buffer fit in a 4 MiB L2 cache together.
+BLOCK_ELEMENTS = 1 << 16
+# The median's buckets are the top 15 value bits of a positive float64: its
+# 11 exponent bits and 4 mantissa bits, 2**15 buckets of 1/16 octave each.
+MEDIAN_BUCKET_SHIFT = 48
 
 
 def per_point_improvement(
@@ -34,6 +45,32 @@ def per_point_improvement(
 ) -> np.ndarray:
     """Base score minus alternative score, per point. Positive is better."""
     return compute_metric(metric, base_probs, labels) - compute_metric(metric, alt_probs, labels)
+
+
+def ensemble_scores(
+    members: dict,
+    specs: Sequence[Sequence[str]],
+    labels: np.ndarray,
+    metric: str,
+) -> list[np.ndarray]:
+    """Per-point scores of each ensemble in `specs`, a list of member keys of `members`.
+
+    The points are walked in row blocks of store.block_rows(C). In each
+    block every member is read once, however many ensembles share it, and
+    the ensembles are formed from those rows one at a time with
+    form_ensemble. Every score is per point, so the blocks change no value:
+    the scores equal compute_metric on the whole ensembles, bit for bit.
+    """
+    shape = check_members(list(members.values()))[0].shape
+    n, step = shape[0], block_rows(shape[1])
+    scores = [np.empty(n) for _ in specs]
+    for lo in range(0, n, step):
+        rows = slice(lo, min(n, lo + step))
+        block = {key: member[rows] for key, member in members.items()}
+        for out, spec in zip(scores, specs):
+            out[rows] = compute_metric(metric, form_ensemble([block[key] for key in spec]), labels[rows])
+        del block  # before the next block is read, not after
+    return scores
 
 
 def pearson_r(a: np.ndarray, b: np.ndarray) -> float:
@@ -59,6 +96,16 @@ def median_heuristic_bandwidth(points: np.ndarray) -> float:
     distinct points. Above BANDWIDTH_MEDIAN_CAP points the median is taken
     over an evenly strided subset so the cost stays bounded and the value
     stays deterministic.
+
+    The distances are never held together. A first pass over the blocks of
+    squared distances counts them per MEDIAN_BUCKET_SHIFT prefix of their
+    float64 bit pattern, which orders non-negative floats as their values
+    do. A second pass gathers only the bucket or buckets holding the two
+    middle ranks, and those are partitioned. The square roots of the middle
+    pair are averaged as np.median averages them, so the result is bit-equal
+    to np.median over all nonzero distances. The gather holds a few percent
+    of the pairs of a continuous cloud, and more where many distances tie,
+    as in 0-1 deltas.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if points.shape[0] < 2:
@@ -66,12 +113,31 @@ def median_heuristic_bandwidth(points: np.ndarray) -> float:
     if points.shape[0] > BANDWIDTH_MEDIAN_CAP:
         stride = int(np.ceil(points.shape[0] / BANDWIDTH_MEDIAN_CAP))
         points = points[::stride]
-    dist = np.concatenate([np.sqrt(d2[(d2 > 0.0) & (d2 < np.inf)])
-                           for d2 in _sqdist_blocks(points, points, upper=True)])
-    if dist.size == 0:
+    buckets = 1 << (63 - MEDIAN_BUCKET_SHIFT)
+    counts = np.zeros(buckets, dtype=np.int64)
+    for d2 in _sqdist_blocks(points, points, upper=True):
+        counts += np.bincount(_nonzero_buckets(d2)[1], minlength=buckets)
+    n = int(counts.sum())
+    if n == 0:
         raise ValidationError("bandwidth undefined: every point of the cloud coincides")
-    # The concatenation already copied; partitioning that copy in place saves another.
-    return float(np.median(dist, overwrite_input=True))
+    ends = np.cumsum(counts)
+    first, last = np.searchsorted(ends, [(n - 1) // 2, n // 2], side="right")
+    below = int(ends[first] - counts[first])
+    middle, filled = np.empty(int(ends[last]) - below), 0
+    for d2 in _sqdist_blocks(points, points, upper=True):
+        values, keys = _nonzero_buckets(d2)
+        values = values[(keys >= first) & (keys <= last)]
+        middle[filled:filled + values.size] = values
+        filled += values.size
+    ranks = [(n - 1) // 2 - below, n // 2 - below]
+    middle.partition(ranks)
+    return float(np.mean(np.sqrt(middle[ranks[0]:ranks[1] + 1])))
+
+
+def _nonzero_buckets(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzero finite squared distances of a block and their bucket numbers."""
+    values = d2[(d2 > 0.0) & (d2 < np.inf)]
+    return values, values.view(np.int64) >> MEDIAN_BUCKET_SHIFT
 
 
 def _sqdist_blocks(x: np.ndarray, y: np.ndarray, upper: bool):

@@ -1,6 +1,7 @@
 """End-to-end command behavior: exit codes, file layout, reproducibility."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -8,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +20,8 @@ from hypothesis import strategies as st
 import ensdiag
 import ensdiag.cli
 from ensdiag.cli import main
-from ensdiag.store import block_rows, load_store, write_store
+from ensdiag.metrics import compute_metric
+from ensdiag.store import StoredMember, block_rows, form_ensemble, load_store, write_store
 
 BASE_SIM = ["simulate", "--n-points", "60", "--classes", "3", "--models", "4", "--seed", "1"]
 
@@ -257,7 +260,7 @@ import json, sys
 import ensdiag
 root = sorted(m for m in sys.modules if m == "numpy" or m.startswith("ensdiag."))
 import ensdiag.cli
-heavy = {"scipy.linalg", "scipy.special", "scipy.stats", "scipy.integrate", "scipy.spatial", "scipy.sparse"}
+heavy = {"scipy", "scipy.linalg", "scipy.special", "scipy.stats", "scipy.integrate", "scipy.spatial", "scipy.sparse"}
 print(json.dumps({"root": root, "cli": sorted(heavy & set(sys.modules))}))
 """
 
@@ -270,7 +273,7 @@ def _probe(script, *args):
 
 
 def test_imports_stay_lean():
-    # The package root loads nothing; the CLI start-up loads numpy and no scipy submodule it could do without.
+    # The package root loads nothing; the CLI start-up loads numpy and no scipy at all.
     assert _probe(IMPORT_PROBE) == {"root": [], "cli": []}
 
 
@@ -278,11 +281,11 @@ MAIN_PROBE = """
 import json, sys
 from ensdiag.cli import main
 code = main(sys.argv[1:])
-print(json.dumps({"code": code, "loaded": sorted({"scipy.linalg", "scipy.special"} & set(sys.modules))}))
+print(json.dumps({"code": code, "loaded": sorted({"scipy", "scipy.linalg", "scipy.special"} & set(sys.modules))}))
 """
 
 
-# Every command but trends, which computes its p-value with scipy.special.stdtr.
+# Every command but trends, which computes its p-value with scipy.special.stdtr, runs without scipy.
 @pytest.mark.parametrize("argv", [
     [*BASE_SIM, "--out", "{tmp}/store"],
     ["decompose", "--manifest", "{sim}/manifest.json", "--out", "{tmp}/dec"],
@@ -295,6 +298,23 @@ print(json.dumps({"code": code, "loaded": sorted({"scipy.linalg", "scipy.special
 def test_commands_run_without_scipy_linalg_or_special(sim_dir, tmp_path, argv):
     argv = [a.format(tmp=tmp_path, sim=sim_dir) for a in argv]
     assert _probe(MAIN_PROBE, *argv) == {"code": 0, "loaded": []}
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--manifest", "{sim}/manifest.json", "--out", "{tmp}/out"],
+    ["trends", "--manifest", "{sim}/manifest.json", "--out", "{tmp}/out"],
+    ["improve", "--manifest", "{sim}/manifest.json", "--base", "m000", "--alt-a", "m000+m001",
+     "--alt-b", "m000+m002", "--control", "m003", "--out", "{tmp}/out"],
+    ["gp-demo", "--out", "{tmp}/out"],
+], ids=lambda argv: argv[0])
+def test_scipy_version_recorded_by_trends_only(sim_dir, tmp_path, argv):
+    # scipy is already loaded in this process; the record depends on the command alone.
+    import scipy
+
+    assert run([a.format(tmp=tmp_path, sim=sim_dir) for a in argv]) == 0
+    versions = json.loads((tmp_path / "out" / "result.json").read_text())["versions"]
+    assert sorted(versions) == sorted(["package", "numpy", "python"] + (["scipy"] if argv[0] == "trends" else []))
+    assert versions.get("scipy", scipy.__version__) == scipy.__version__
 
 
 class TestSimulateCommand:
@@ -596,6 +616,84 @@ class TestImproveCommand:
         result = json.loads((out / "result.json").read_text())
         assert result["settings"]["bandwidth_rule"] == "median_heuristic"
         assert [result["results"][ds]["mmd"]["bandwidth"] for ds in ("ind", "ood")] == [1.0, 1.0]
+
+
+def _whole_matrix_scores(members, specs, labels, metric):
+    # The path the row-blocked walk replaced: every ensemble formed whole, then scored.
+    return [compute_metric(metric, form_ensemble([members[k] for k in spec]), labels) for spec in specs]
+
+
+class TestImproveRowBlocks:
+    """`improve` scores its four ensembles one row block at a time."""
+
+    C = 1000
+    SIZES = {"ind": 3 * block_rows(C) + 50, "ood": 3 * block_rows(C) + 1}  # four row blocks each
+    SPECS = ["--base", "m000", "--alt-a", "m000+m001", "--alt-b", "m000+m002", "--control", "m003"]
+
+    @pytest.fixture(scope="class")
+    def manifest(self, tmp_path_factory):
+        rng = np.random.default_rng(11)
+        datasets = []
+        for ds, n in self.SIZES.items():
+            labels = rng.integers(0, self.C, n)
+            members = []
+            for k in range(4):
+                # Each model puts a high logit on the true class of about half the points.
+                logits = 2.0 * rng.standard_normal((n, self.C))
+                logits[np.arange(n), labels] += 8.0 * rng.random(n)
+                members.append((f"m{k:03d}", logits))
+            datasets.append((ds, labels, members))
+        return write_store(tmp_path_factory.mktemp("wide"), self.C, datasets, [("ind", "ood")])
+
+    def _run(self, manifest, out, metric, *extra):
+        assert run(["improve", "--manifest", manifest, *self.SPECS, "--metric", metric, *extra, "--out", out]) == 0
+        return {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in sorted(out.iterdir())}
+
+    @pytest.mark.parametrize("metric", ["brier", "nll", "01"])
+    def test_outputs_equal_whole_matrix_path(self, manifest, tmp_path, monkeypatch, metric):
+        blocked = self._run(manifest, tmp_path / "blocked", metric)
+        monkeypatch.setattr(ensdiag.cli, "ensemble_scores", _whole_matrix_scores)
+        whole = self._run(manifest, tmp_path / "whole", metric)
+        assert sorted(blocked) == ["improve_ind.csv", "improve_ind.svg", "improve_ood.csv", "improve_ood.svg",
+                                   "result.json"]
+        assert blocked == whole
+
+    def test_one_read_per_distinct_member_per_block(self, manifest, tmp_path, monkeypatch):
+        reads = []
+        read = StoredMember.__getitem__
+
+        def counted(member, rows):
+            reads.append((member.name, rows.start, rows.stop))
+            return read(member, rows)
+
+        monkeypatch.setattr(StoredMember, "__getitem__", counted)
+        self._run(manifest, tmp_path / "imp", "brier")
+        step = block_rows(self.C)
+        expected = [(f"{m}/{ds}", lo, min(n, lo + step))
+                    for ds, n in self.SIZES.items() for lo in range(0, n, step)
+                    for m in ("m000", "m001", "m002", "m003")]
+        assert reads == expected
+
+    def test_peak_memory_flat_in_point_count(self, tmp_path):
+        # At 200 classes both sizes span several row blocks. --subsample fixes the
+        # MMD sample and the CSV rows, so only the O(N) score columns may grow.
+        c, peaks = 200, {}
+        for n in (2000, 8000):
+            rng = np.random.default_rng(n)
+            members = [(f"m{k:03d}", rng.standard_normal((n, c))) for k in range(4)]
+            manifest = write_store(tmp_path / str(n), c, [("ind", rng.integers(0, c, n), members),
+                                                          ("ood", rng.integers(0, c, 50),
+                                                           [(m, v[:50]) for m, v in members])], [("ind", "ood")])
+            del members
+            tracemalloc.start()
+            try:
+                self._run(manifest, tmp_path / f"imp{n}", "brier", "--subsample", "1000")
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # Held whole, four (N, C) float64 ensembles would add 4 * 6000 * 200 * 8 bytes.
+        assert peaks[8000] - peaks[2000] < 6000 * 200
+        assert peaks[8000] < 1.2 * peaks[2000]
 
 
 class TestGpDemoCommand:

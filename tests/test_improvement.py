@@ -1,5 +1,6 @@
 """Per-point improvement, Pearson agreement, and the MMD similarity test."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ from ensdiag.errors import ValidationError
 from ensdiag.improvement import (
     BANDWIDTH_MEDIAN_CAP,
     BLOCK_ELEMENTS,
+    MEDIAN_BUCKET_SHIFT,
     improvement_similarity_test,
     median_heuristic_bandwidth,
     mmd2_unbiased,
@@ -19,6 +21,22 @@ from ensdiag.improvement import (
     pearson_r,
     per_point_improvement,
 )
+
+
+# Points per side of a square block of BLOCK_ELEMENTS entries.
+SIDE = math.isqrt(BLOCK_ELEMENTS)
+
+
+def _bucket(d2):
+    return int(np.float64(d2).view(np.int64)) >> MEDIAN_BUCKET_SHIFT
+
+
+def assert_pdist_median(cloud):
+    """The bandwidth, checked bit for bit against np.median over scipy's nonzero distances."""
+    dist = pdist(cloud)
+    expected = float(np.median(dist[dist > 0.0]))
+    assert median_heuristic_bandwidth(cloud) == expected
+    return expected
 
 
 def mmd2_loops(x, y, h):
@@ -140,14 +158,59 @@ class TestMedianBandwidth:
         assert float(np.median(pdist(cloud))) == 0.0
         assert median_heuristic_bandwidth(cloud) == 1.0
 
-    # 1,024 points fill one block of BLOCK_ELEMENTS distances exactly; 1,025 need a second.
+    # Every seventh point coincides with point 3, so the cloud has ties and zeros.
     @pytest.mark.parametrize("n", [1023, 1024, 1025])
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_bit_equal_to_pdist(self, rng, n, dim):
         cloud = rng.normal(size=(n, dim)) * rng.uniform(0.1, 10.0, size=dim)
         cloud[::7] = cloud[3]
+        assert_pdist_median(cloud)
+
+    # SIDE points fill one block of BLOCK_ELEMENTS squared distances; SIDE + 1 need a second.
+    @pytest.mark.parametrize("n", [SIDE - 1, SIDE, SIDE + 1], ids=["below", "at", "one-above"])
+    def test_bit_equal_across_blocks(self, rng, n):
+        assert_pdist_median(rng.normal(size=(n, 2)))
+
+    # 10, 15, 21 and 28 pairs: the median is one middle distance or the mean of two.
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_odd_and_even_pair_counts(self, rng, n):
+        assert_pdist_median(rng.normal(size=(n, 2)))
+
+    def test_middle_ranks_in_two_buckets(self):
+        # Squared distances 1, 4, 9, 16, 36, 49: the middle pair 9 and 16 lie in different buckets.
+        cloud = np.array([[0.0], [1.0], [3.0], [7.0]])
+        assert _bucket(9.0) != _bucket(16.0)
+        assert assert_pdist_median(cloud) == 3.5
+
+    @pytest.mark.parametrize("t", [np.nextafter(2.0, 0.0), 1.99], ids=["adjacent-floats", "apart"])
+    def test_ties_across_a_bucket_edge(self, t):
+        # 4.0 opens its bucket and t * t lies in the one before. Two nonzero squared
+        # distances equal each, at ranks 12-13 and 14-15 of 28, so the middle pair
+        # is the last t * t and the first 4.0.
+        assert t * t < 4.0 and _bucket(t * t) + 1 == _bucket(4.0)
+        cloud = np.array([0.0] + [2.0] * 2 + [-t] * 2 + [0.5] * 4)[:, None]
         dist = pdist(cloud)
-        assert median_heuristic_bandwidth(cloud) == float(np.median(dist[dist > 0.0]))
+        d2 = np.sort(dist[dist > 0.0] ** 2)
+        assert d2.size == 28 and list(d2[12:16]) == [t * t, t * t, 4.0, 4.0]
+        assert assert_pdist_median(cloud) == float(np.mean([t, 2.0]))
+
+    # Points on {-1, 0, 1}^2, the 0-1 deltas' cloud: few distinct distances, each tied many times.
+    @pytest.mark.parametrize("n", [60, 999, BANDWIDTH_MEDIAN_CAP])
+    @pytest.mark.parametrize("p_zero", [1 / 3, 0.9])
+    def test_discrete_clouds(self, rng, n, p_zero):
+        assert_pdist_median(rng.choice([-1.0, 0.0, 1.0], p=[(1 - p_zero) / 2, p_zero, (1 - p_zero) / 2],
+                                       size=(n, 2)))
+
+    def test_memory_bounded_at_cap(self, rng):
+        # Held whole, the ~2M distances of a cloud at the cap took 33.6 MiB.
+        cloud = rng.normal(size=(BANDWIDTH_MEDIAN_CAP, 2))
+        tracemalloc.start()
+        try:
+            median_heuristic_bandwidth(cloud)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestMmd2:
@@ -205,8 +268,8 @@ class TestMmd2:
         with pytest.raises(ValidationError):
             mmd2_unbiased(np.zeros((5, 2)), np.ones((5, 2)), 0.0)
 
-    # Block rows are BLOCK_ELEMENTS // (points per row): 1,024 for 1,024 columns.
-    @pytest.mark.parametrize("m,n", [(1023, 1024), (1024, 1024), (1025, 1024), (1025, 7), (3, 1025)],
+    # Block rows are BLOCK_ELEMENTS // (points per row): SIDE rows for SIDE columns.
+    @pytest.mark.parametrize("m,n", [(SIDE - 1, SIDE), (SIDE, SIDE), (SIDE + 1, SIDE), (SIDE + 1, 7), (3, SIDE + 1)],
                              ids=["below", "at", "one-above", "unequal-wide", "unequal-tall"])
     @pytest.mark.parametrize("dim", [1, 3])
     def test_three_gram_oracle_across_blocks(self, rng, m, n, dim):
