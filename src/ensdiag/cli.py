@@ -314,6 +314,7 @@ def _load_ensembles(arg: str, store: PredictionStore, pair: tuple[str, str]) -> 
     if not isinstance(raw, list):
         raise ValidationError("--ensembles file must hold a JSON list of member lists")
     defs = []
+    first_with: dict[frozenset, int] = {}
     for i, entry in enumerate(raw):
         if not isinstance(entry, list) or not all(isinstance(m, str) for m in entry):
             raise ValidationError(f"--ensembles entry {i} must be a list of model ids, got {entry!r}")
@@ -325,6 +326,9 @@ def _load_ensembles(arg: str, store: PredictionStore, pair: tuple[str, str]) -> 
                     f"--ensembles entry {i} references model {m!r}, not predicted on both {pair[0]!r} and {pair[1]!r}"
                 )
         defs.append(EnsembleDef(ensemble_id_for(entry), tuple(entry)))
+        j = first_with.setdefault(frozenset(entry), i)
+        if j != i:
+            raise ValidationError(f"--ensembles entry {i} has the same members as entry {j}")
     return defs
 
 
@@ -339,11 +343,13 @@ def cmd_trends(args: argparse.Namespace) -> None:
     skipped_bins: list[dict] = []
     if args.het_bins:
         report = form_heterogeneous_ensembles(store, pair, args.het_bins, seed=args.seed)
-        existing = {e.ensemble_id for e in ensembles}
+        # A binned ensemble may be one already listed, in any member order.
+        listed = {frozenset(e.member_model_ids): e for e in ensembles}
         for ens in report.ensembles:
-            if ens.ensemble_id not in existing:
+            key = frozenset(ens.member_model_ids)
+            if key not in listed:
                 ensembles.append(ens)
-            het_ids.add(ens.ensemble_id)
+            het_ids.add(listed.get(key, ens).ensemble_id)
         skipped_bins = report.skipped
 
     # The diversity ratio is derived from the Brier points, so they are always scored.

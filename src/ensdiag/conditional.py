@@ -24,7 +24,6 @@ DEFAULT_RIDGE_SCALE = 1e-3
 RIDGE_FLOOR = 1e-8
 DEFAULT_GRID_SIZE = 100
 DEFAULT_TRIM_PERCENTILES = (1.0, 99.0)
-MAX_RIDGE_ESCALATIONS = 3
 PIVOT_TOL = 1e-13
 
 
@@ -117,26 +116,18 @@ def _pivoted_cholesky(x: np.ndarray, x_eval: np.ndarray, bandwidth: float) -> tu
     return rows[:r, :n], rows[:r, n:]
 
 
-def krr_conditional_expectation(
-    x: np.ndarray,
-    y: np.ndarray,
-    x_eval: np.ndarray,
-    bandwidth: float | None = None,
-    ridge: float | None = None,
-) -> ConditionalCurve:
+def krr_conditional_expectation(x: np.ndarray, y: np.ndarray, x_eval: np.ndarray) -> ConditionalCurve:
     """Fit kernel ridge regression of y on x and evaluate on a grid.
 
-    The Gaussian kernel is factored by pivoted Cholesky, K ~= L.T @ L, and
-    the fit is y_hat = L_eval.T (L L.T + ridge * n * I)^-1 L y, which equals
-    K_eval (K + ridge * n * I)^-1 y up to the pivot tolerance. The ridge
-    scales with n, so duplicating every observation leaves the fitted curve
-    unchanged. A solve fails when ridge <= machine epsilon or the r x r
-    factorization is not positive definite; the ridge is then escalated
-    tenfold up to three times, starting from 1e-12 when it is zero, so
-    ridge=0 means a ridge of 1e-11. Defaults: Scott bandwidth of x, ridge
-    1e-3 * var(y) floored at 1e-8 against the unit-scale kernel diagonal.
-    Without the floor, near-constant targets drive the solve toward exact
-    interpolation and the curve can swing far outside the data range.
+    The Gaussian kernel, with the Scott bandwidth of x, is factored by
+    pivoted Cholesky, K ~= L.T @ L, and the fit is
+    y_hat = L_eval.T (L L.T + ridge * n * I)^-1 L y, which equals
+    K_eval (K + ridge * n * I)^-1 y up to the pivot tolerance. The ridge is
+    1e-3 * var(y), floored at 1e-8 so that near-constant targets do not
+    drive the solve toward exact interpolation, where the curve can swing
+    far outside the data range. The r x r system is then a positive
+    semi-definite Gram matrix plus at least 1e-8 * n on its diagonal, so it
+    is solved once; a failed solve ends in NumericalError.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -145,33 +136,15 @@ def krr_conditional_expectation(
         raise ValidationError("x and y must be 1-d arrays of equal length")
     if x.size < 2:
         raise ValidationError("regression needs at least two points")
-    if bandwidth is None:
-        bandwidth = scott_bandwidth_1d(x)
-    if bandwidth <= 0:
-        raise ValidationError("bandwidth must be positive")
-    if ridge is None:
-        ridge = max(DEFAULT_RIDGE_SCALE * float(y.var()), RIDGE_FLOOR)
-    if ridge < 0:
-        raise ValidationError("ridge must be nonnegative")
-    factor, factor_eval = _pivoted_cholesky(x, x_eval, float(bandwidth))
+    bandwidth = scott_bandwidth_1d(x)
+    ridge = max(DEFAULT_RIDGE_SCALE * float(y.var()), RIDGE_FLOOR)
+    factor, factor_eval = _pivoted_cholesky(x, x_eval, bandwidth)
     rank = factor.shape[0]
-    gram = factor @ factor.T
-    rhs = factor @ y
-    base = ridge if ridge > 0 else 1e-12
-    attempt = float(ridge)
-    for step in range(MAX_RIDGE_ESCALATIONS + 1):
-        if attempt > np.finfo(float).eps:
-            try:
-                system = gram + attempt * x.size * np.eye(rank)
-                np.linalg.cholesky(system)  # raises LinAlgError unless positive definite
-                y_hat = np.linalg.solve(system, rhs) @ factor_eval
-                return ConditionalCurve(x_eval, y_hat, float(bandwidth), attempt, rank)
-            except LinAlgError:
-                pass
-        attempt = base * 10.0 ** (step + 1)
-    raise NumericalError(
-        f"kernel system not positive definite after {MAX_RIDGE_ESCALATIONS} ridge escalations"
-    )
+    try:
+        weights = np.linalg.solve(factor @ factor.T + ridge * x.size * np.eye(rank), factor @ y)
+    except LinAlgError as exc:
+        raise NumericalError(f"kernel system of rank {rank} with ridge {ridge:.3g} is singular") from exc
+    return ConditionalCurve(x_eval, weights @ factor_eval, bandwidth, ridge, rank)
 
 
 def fit_sample_curve(sample: JointSample, x_eval: np.ndarray) -> ConditionalCurve:

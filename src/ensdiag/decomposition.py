@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .metrics import IDENTITY_TOL, NLL_EPS, brier, entropy, quad_uncertainty
-from .store import block_rows, check_members
+from .store import check_members, row_blocks
 
 FAMILIES = ("quadratic", "entropy", "brier_gap", "nll_gap")
 
@@ -75,7 +75,10 @@ def decompose(
     """Records of the requested families, in FAMILIES order, from one blocked walk.
 
     `labels` is needed by brier_gap and nll_gap only. Each identity is
-    checked over all points after the walk.
+    checked over all points after the walk; entropy's JSD is also checked
+    against the mean KL to the ensemble. nll_gap's KL(Uniform(M) || Q), Q
+    the normalized member true-class likelihoods, is exact only where no
+    likelihood hits the clamp floor, so clamped points skip its check.
     """
     members = check_members(members)
     if len(members) < 2:
@@ -97,9 +100,7 @@ def decompose(
     columns = {f: (np.empty(n), np.empty(n), np.empty(n)) for f in wanted}
     kl = np.empty(n) if "entropy" in wanted else None
     unclamped = np.empty(n, dtype=bool) if "nll_gap" in wanted else None
-    step = block_rows(c)
-    for lo in range(0, n, step):
-        rows = slice(lo, min(n, lo + step))
+    for rows in row_blocks(n, c):
         block = _decompose_block(members, rows, None if labels is None else labels[rows], wanted)
         for f in wanted:
             for column, values in zip(columns[f], block[f]):
@@ -193,28 +194,3 @@ def _decompose_block(members: list, rows: slice, labels: np.ndarray | None, want
         # The identity is exact only where no likelihood hits the clamp floor.
         out["unclamped"] = (like > NLL_EPS).all(axis=0) & (ens_like > NLL_EPS)
     return out
-
-
-def decompose_quadratic(members: Sequence) -> DecompositionRecord:
-    return decompose(members, families=("quadratic",))["quadratic"]
-
-
-def decompose_entropy(members: Sequence) -> DecompositionRecord:
-    """Entropy split. Also cross-checks the two equivalent diversity formulas,
-    JSD as entropy gap and JSD as mean KL to the ensemble."""
-    return decompose(members, families=("entropy",))["entropy"]
-
-
-def brier_jensen_gap(members: Sequence, labels: np.ndarray) -> DecompositionRecord:
-    """Mean member Brier minus ensemble Brier, which equals variance_diversity."""
-    return decompose(members, labels, ("brier_gap",))["brier_gap"]
-
-
-def nll_jensen_gap(members: Sequence, labels: np.ndarray) -> DecompositionRecord:
-    """Mean member NLL minus ensemble NLL.
-
-    The gap equals KL(Uniform(M) || Q) where Q normalizes the member
-    true-class likelihoods. The identity is exact when no likelihood hits
-    the clamp floor; clamped points are skipped by the runtime check.
-    """
-    return decompose(members, labels, ("nll_gap",))["nll_gap"]

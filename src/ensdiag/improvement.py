@@ -8,8 +8,8 @@ against a control cloud {(delta_a_i, control_i)} with the unbiased MMD^2
 statistic and a distribution-free threshold.
 
 Nothing here holds memory that grows with N times C or with the number of
-pairs. The per-point scores are computed one row block of
-store.block_rows(C) points at a time, reading each member once per block.
+pairs. The per-point scores are computed one block of store.row_blocks
+at a time, reading each member once per block.
 Pairwise squared distances are built one row block of at most
 BLOCK_ELEMENTS entries at a time and reduced before the next, so the
 MMD's time is quadratic in the sample size but its memory is not. The
@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .metrics import compute_metric
-from .store import block_rows, check_members, form_ensemble
+from .store import check_members, form_ensemble, row_blocks
 
 BANDWIDTH_MEDIAN_CAP = 2_000
 # Entries in one block of pairwise distances: 2**16 float64 is 512 KiB, so
@@ -37,16 +37,6 @@ BLOCK_ELEMENTS = 1 << 16
 MEDIAN_BUCKET_SHIFT = 48
 
 
-def per_point_improvement(
-    base_probs: np.ndarray,
-    alt_probs: np.ndarray,
-    labels: np.ndarray,
-    metric: str = "brier",
-) -> np.ndarray:
-    """Base score minus alternative score, per point. Positive is better."""
-    return compute_metric(metric, base_probs, labels) - compute_metric(metric, alt_probs, labels)
-
-
 def ensemble_scores(
     members: dict,
     specs: Sequence[Sequence[str]],
@@ -55,17 +45,15 @@ def ensemble_scores(
 ) -> list[np.ndarray]:
     """Per-point scores of each ensemble in `specs`, a list of member keys of `members`.
 
-    The points are walked in row blocks of store.block_rows(C). In each
+    The points are walked in the row blocks of store.row_blocks. In each
     block every member is read once, however many ensembles share it, and
     the ensembles are formed from those rows one at a time with
     form_ensemble. Every score is per point, so the blocks change no value:
     the scores equal compute_metric on the whole ensembles, bit for bit.
     """
-    shape = check_members(list(members.values()))[0].shape
-    n, step = shape[0], block_rows(shape[1])
+    n, c = check_members(list(members.values()))[0].shape
     scores = [np.empty(n) for _ in specs]
-    for lo in range(0, n, step):
-        rows = slice(lo, min(n, lo + step))
+    for rows in row_blocks(n, c):
         block = {key: member[rows] for key, member in members.items()}
         for out, spec in zip(scores, specs):
             out[rows] = compute_metric(metric, form_ensemble([block[key] for key in spec]), labels[rows])

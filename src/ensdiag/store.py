@@ -31,7 +31,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.random import default_rng
@@ -53,6 +53,13 @@ BLOCK_ELEMENTS = 1 << 18
 def block_rows(n_classes: int) -> int:
     """Rows of one block of BLOCK_ELEMENTS entries, at least one."""
     return max(1, BLOCK_ELEMENTS // n_classes)
+
+
+def row_blocks(n: int, n_classes: int) -> Iterator[slice]:
+    """Slices of rows 0..n-1 in order, each of block_rows(n_classes) rows but the last."""
+    step = block_rows(n_classes)
+    for lo in range(0, n, step):
+        yield slice(lo, min(n, lo + step))
 
 
 def _check_id(kind: str, value: str) -> None:
@@ -428,11 +435,8 @@ class StoredMember:
 
     def check(self) -> None:
         """Check every value as a read would, one row block at a time."""
-        n, c = self.shape
-        step = block_rows(c)
-        for lo in range(0, n, step):
-            hi = min(n, lo + step)
-            _check_values(self._read(lo, hi), self.kind, self.name, lo)
+        for rows in row_blocks(*self.shape):
+            _check_values(self._read(rows.start, rows.stop), self.kind, self.name, rows.start)
 
 
 _TYPE_NAMES = {str: "a string", int: "an integer", dict: "an object", list: "a list"}

@@ -15,12 +15,7 @@ from conftest import ACCEPTANCE_LINES, split_samples
 
 from ensdiag.cli import main as cli_main
 from ensdiag.conditional import JointSample, permutation_test
-from ensdiag.decomposition import (
-    brier_jensen_gap,
-    decompose_entropy,
-    decompose_quadratic,
-    nll_jensen_gap,
-)
+from ensdiag.decomposition import decompose
 from ensdiag.gp import GpModel, gp_fit, gp_predict, run_default_experiment
 from ensdiag.improvement import (
     median_heuristic_bandwidth,
@@ -46,12 +41,7 @@ def record_skip(name: str, reason: str) -> None:
 
 
 def all_records(members, labels):
-    return (
-        decompose_quadratic(members),
-        decompose_entropy(members),
-        brier_jensen_gap(members, labels),
-        nll_jensen_gap(members, labels),
-    )
+    return decompose(members, labels).values()
 
 
 def test_pointwise_identities_hold_in_bulk():
@@ -80,7 +70,7 @@ def test_ensemble_never_scores_worse_than_member_mean():
 
     def check(members, labels):
         nonlocal min_gap, iff_ok
-        for rec in (brier_jensen_gap(members, labels), nll_jensen_gap(members, labels)):
+        for rec in decompose(members, labels, ("brier_gap", "nll_gap")).values():
             gap = rec.avg_member - rec.total
             min_gap = min(min_gap, float(gap.min()))
             iff_ok &= bool(np.all((np.abs(gap) < 1e-12) == (rec.diversity < 1e-12)))

@@ -467,6 +467,7 @@ class TestTrendsCommand:
         ([["m000", 3]], "entry 0"),
         ({"a": ["m000", "m001"]}, "JSON list"),
         ([["m000", "m001"], ["m002", "m003"]], "entry 1 references model 'm003', not predicted on both"),
+        ([["m000", "m001"], ["m000", "m002"], ["m001", "m000"]], "entry 2 has the same members as entry 0"),
     ])
     def test_malformed_ensembles_file(self, sim_dir, tmp_path, capsys, content, expected):
         # m003 has no OOD predictions, so an entry naming it cannot be scored on the pair.
@@ -514,6 +515,23 @@ class TestTrendsCommand:
             assert run(["trends", "--manifest", path, "--het-bins", 1, "--seed", seed, "--out", out]) == 0
             ensembles = json.loads((out / "result.json").read_text())["ensembles"]
             assert ensembles and not any("m005" in members for members in ensembles)
+
+    def test_het_bins_match_listed_ensemble_by_member_set(self, tmp_path):
+        sim = tmp_path / "sim"
+        assert run(["simulate", "--n-points", 200, "--classes", 4, "--models", 5, "--seed", 1, "--out", sim]) == 0
+        path = sim / "manifest.json"
+        base = ["trends", "--manifest", path, "--metric", "brier", "--het-bins", 1, "--seed", 3]
+        assert run([*base, "--ensembles", "none", "--out", tmp_path / "binned"]) == 0
+        [binned] = json.loads((tmp_path / "binned" / "result.json").read_text())["ensembles"]
+        listed = [binned[::-1], ["m000", "m001"]]
+        (tmp_path / "ens.json").write_text(json.dumps(listed))
+        out = tmp_path / "tr"
+        assert run([*base, "--ensembles", tmp_path / "ens.json", "--out", out]) == 0
+        assert json.loads((out / "result.json").read_text())["ensembles"] == listed
+        header, rows = read_csv(out / "trend_points.csv")
+        classes = {row[header.index("model_id")]: row[header.index("model_class")] for row in rows}
+        assert classes["+".join(binned[::-1])] == "heterogeneous"
+        assert classes["m000+m001"] == "ensemble"
 
 
 class TestImproveCommand:

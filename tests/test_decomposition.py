@@ -10,14 +10,7 @@ from hypothesis import strategies as st
 
 import ensdiag.store
 from conftest import member_stack, random_simplex
-from ensdiag.decomposition import (
-    FAMILIES,
-    brier_jensen_gap,
-    decompose,
-    decompose_entropy,
-    decompose_quadratic,
-    nll_jensen_gap,
-)
+from ensdiag.decomposition import FAMILIES, decompose
 from ensdiag.errors import ValidationError
 from ensdiag.metrics import NLL_EPS, brier, entropy, nll, quad_uncertainty
 from ensdiag.store import form_ensemble, load_store, write_store
@@ -32,18 +25,19 @@ class TestVarianceDiversity:
     def test_identical_members(self, rng):
         # (p + p + p) / 3 leaves ~1e-34 of rounding residue, so not exactly 0.
         p = random_simplex(rng, 8, 3)
-        assert np.abs(decompose_quadratic([p, p, p]).diversity).max() < 1e-30
+        assert np.abs(decompose([p, p, p], families=("quadratic",))["quadratic"].diversity).max() < 1e-30
 
     def test_two_one_hot(self):
-        np.testing.assert_allclose(decompose_quadratic(TWO_ONE_HOT).diversity, [0.5])
+        np.testing.assert_allclose(decompose(TWO_ONE_HOT, families=("quadratic",))["quadratic"].diversity, [0.5])
 
     def test_hand_value(self):
         members = np.stack([np.array([[0.7, 0.3]]), np.array([[0.5, 0.5]])])
-        np.testing.assert_allclose(decompose_quadratic(members).diversity, [0.02], atol=1e-15)
+        rec = decompose(members, families=("quadratic",))["quadratic"]
+        np.testing.assert_allclose(rec.diversity, [0.02], atol=1e-15)
 
     def test_single_member_rejected(self, rng):
         with pytest.raises(ValidationError):
-            decompose_quadratic([random_simplex(rng, 3, 2)])
+            decompose([random_simplex(rng, 3, 2)], families=("quadratic",))
 
 
 class TestJsdDiversity:
@@ -51,27 +45,28 @@ class TestJsdDiversity:
 
     def test_identical_members(self, rng):
         p = random_simplex(rng, 8, 3)
-        np.testing.assert_allclose(decompose_entropy([p, p]).diversity, np.zeros(8), atol=1e-15)
+        rec = decompose([p, p], families=("entropy",))["entropy"]
+        np.testing.assert_allclose(rec.diversity, np.zeros(8), atol=1e-15)
 
     def test_two_one_hot(self):
-        np.testing.assert_allclose(decompose_entropy(TWO_ONE_HOT).diversity, [np.log(2)])
+        np.testing.assert_allclose(decompose(TWO_ONE_HOT, families=("entropy",))["entropy"].diversity, [np.log(2)])
 
     def test_hand_value(self):
         members = [np.array([[0.9, 0.1]]), np.array([[0.5, 0.5]])]
         np.testing.assert_allclose(
-            decompose_entropy(members).diversity, [0.10174922507919681], atol=1e-12
+            decompose(members, families=("entropy",))["entropy"].diversity, [0.10174922507919681], atol=1e-12
         )
 
 
 class TestQuadraticDecomposition:
     def test_identical_members(self, rng):
         p = random_simplex(rng, 10, 4)
-        rec = decompose_quadratic([p, p])
+        rec = decompose([p, p], families=("quadratic",))["quadratic"]
         np.testing.assert_allclose(rec.diversity, 0.0, atol=1e-15)
         np.testing.assert_allclose(rec.total, rec.avg_member, atol=1e-15)
 
     def test_two_one_hot(self):
-        rec = decompose_quadratic(TWO_ONE_HOT)
+        rec = decompose(TWO_ONE_HOT, families=("quadratic",))["quadratic"]
         np.testing.assert_allclose(rec.total, [0.5])
         np.testing.assert_allclose(rec.diversity, [0.5])
         np.testing.assert_allclose(rec.avg_member, [0.0])
@@ -82,7 +77,7 @@ class TestQuadraticDecomposition:
         rng = np.random.default_rng(seed)
         m, c = int(rng.integers(2, 9)), int(rng.integers(2, 21))
         members = member_stack(rng, m, 12, c)
-        rec = decompose_quadratic(members)
+        rec = decompose(members, families=("quadratic",))["quadratic"]
         assert np.abs(rec.residual()).max() < 1e-10
         assert np.all(rec.diversity >= -1e-12)
 
@@ -90,11 +85,11 @@ class TestQuadraticDecomposition:
 class TestEntropyDecomposition:
     def test_identical_members(self, rng):
         p = random_simplex(rng, 10, 4)
-        rec = decompose_entropy([p, p])
+        rec = decompose([p, p], families=("entropy",))["entropy"]
         np.testing.assert_allclose(rec.diversity, 0.0, atol=1e-12)
 
     def test_two_one_hot(self):
-        rec = decompose_entropy(TWO_ONE_HOT)
+        rec = decompose(TWO_ONE_HOT, families=("entropy",))["entropy"]
         np.testing.assert_allclose(rec.total, [np.log(2)])
         np.testing.assert_allclose(rec.diversity, [np.log(2)])
         np.testing.assert_allclose(rec.avg_member, [0.0])
@@ -102,12 +97,12 @@ class TestEntropyDecomposition:
     @given(st.integers(0, 10**6))
     @settings(max_examples=50, deadline=None)
     def test_identity_and_dual_formula(self, seed):
-        # decompose_entropy internally cross-checks JSD against the mean-KL
+        # decompose internally cross-checks JSD against the mean-KL
         # form within 1e-10 and raises on disagreement
         rng = np.random.default_rng(seed)
         m, c = int(rng.integers(2, 9)), int(rng.integers(2, 21))
         members = member_stack(rng, m, 12, c)
-        rec = decompose_entropy(members)
+        rec = decompose(members, families=("entropy",))["entropy"]
         assert np.abs(rec.residual()).max() < 1e-10
         assert np.all(rec.diversity >= -1e-12)
 
@@ -116,11 +111,11 @@ class TestBrierGap:
     def test_identical_members(self, rng):
         p = random_simplex(rng, 10, 4)
         y = rng.integers(0, 4, size=10)
-        rec = brier_jensen_gap([p, p], y)
+        rec = decompose([p, p], y, ("brier_gap",))["brier_gap"]
         np.testing.assert_allclose(rec.diversity, 0.0, atol=1e-15)
 
     def test_two_one_hot_hand_case(self):
-        rec = brier_jensen_gap(TWO_ONE_HOT, np.array([0]))
+        rec = decompose(TWO_ONE_HOT, np.array([0]), ("brier_gap",))["brier_gap"]
         np.testing.assert_allclose(rec.total, [0.5])       # ensemble Brier
         np.testing.assert_allclose(rec.avg_member, [1.0])  # mean member Brier
         np.testing.assert_allclose(rec.diversity, [0.5])   # the gap = variance
@@ -132,10 +127,10 @@ class TestBrierGap:
         m, c = int(rng.integers(2, 9)), int(rng.integers(2, 21))
         members = member_stack(rng, m, 12, c)
         y = rng.integers(0, c, size=12)
-        rec = brier_jensen_gap(members, y)
+        rec = decompose(members, y, ("brier_gap",))["brier_gap"]
         assert np.abs(rec.residual()).max() < 1e-10
         np.testing.assert_allclose(
-            rec.diversity, decompose_quadratic(members).diversity, atol=1e-10
+            rec.diversity, decompose(members, families=("quadratic",))["quadratic"].diversity, atol=1e-10
         )
 
     @given(st.integers(0, 10**6))
@@ -153,14 +148,14 @@ class TestNllGap:
     def test_equal_likelihoods(self):
         a = np.array([[0.6, 0.4]])
         b = np.array([[0.6, 0.4]])
-        rec = nll_jensen_gap(np.stack([a, b]), np.array([0]))
+        rec = decompose(np.stack([a, b]), np.array([0]), ("nll_gap",))["nll_gap"]
         np.testing.assert_allclose(rec.diversity, [0.0], atol=1e-15)
 
     def test_closed_form_two_members(self):
         # true-class likelihoods 0.8 and 0.2 -> normalized (0.8, 0.2)
         a = np.array([[0.8, 0.2]])
         b = np.array([[0.2, 0.8]])
-        rec = nll_jensen_gap(np.stack([a, b]), np.array([0]))
+        rec = decompose(np.stack([a, b]), np.array([0]), ("nll_gap",))["nll_gap"]
         np.testing.assert_allclose(rec.total, [np.log(2)], atol=1e-12)
         np.testing.assert_allclose(rec.avg_member, [0.916290731874155], atol=1e-12)
         np.testing.assert_allclose(rec.diversity, [0.2231435513142097], atol=1e-12)
@@ -176,7 +171,7 @@ class TestNllGap:
         m, c = int(rng.integers(2, 9)), int(rng.integers(2, 21))
         members = member_stack(rng, m, 12, c)
         y = rng.integers(0, c, size=12)
-        rec = nll_jensen_gap(members, y)
+        rec = decompose(members, y, ("nll_gap",))["nll_gap"]
         assert np.abs(rec.residual()).max() < 1e-10
 
     @given(st.integers(0, 10**6))
@@ -197,13 +192,13 @@ class TestDiversityZeroIffIdentical:
         rng = np.random.default_rng(seed)
         p = random_simplex(rng, 6, 4)
         q = 0.5 * p + 0.5 * random_simplex(rng, 6, 4)
-        div = decompose_quadratic(np.stack([p, q])).diversity
+        div = decompose(np.stack([p, q]), families=("quadratic",))["quadratic"].diversity
         differs = np.abs(p - q).max(axis=1) > 1e-6
         assert np.all(div[differs] > 1e-12)
 
     def test_zero_when_identical(self, rng):
         p = random_simplex(rng, 6, 4)
-        assert np.all(decompose_quadratic(np.stack([p, p, p])).diversity < 1e-12)
+        assert np.all(decompose(np.stack([p, p, p]), families=("quadratic",))["quadratic"].diversity < 1e-12)
 
 
 
@@ -236,12 +231,7 @@ class TestMatchesStackedOracle:
         members = [random_simplex(rng, n, c) for _ in range(m)]
         labels = rng.integers(0, c, size=n)
         stack = np.stack(members)
-        records = {
-            "quadratic": decompose_quadratic(members),
-            "entropy": decompose_entropy(members),
-            "brier_gap": brier_jensen_gap(members, labels),
-            "nll_gap": nll_jensen_gap(members, labels),
-        }
+        records = {f: decompose(members, labels, (f,))[f] for f in FAMILIES}
         for family, expected in stacked_oracle(stack, labels).items():
             rec = records[family]
             for got, want in zip((rec.total, rec.diversity, rec.avg_member), expected):
@@ -252,10 +242,10 @@ class TestMatchesStackedOracle:
 
 FLAT_MEMORY_CALLS = {
     "form_ensemble": lambda members, labels: form_ensemble(members),
-    "quadratic": lambda members, labels: decompose_quadratic(members),
-    "entropy": lambda members, labels: decompose_entropy(members),
-    "brier_gap": brier_jensen_gap,
-    "nll_gap": nll_jensen_gap,
+    "quadratic": lambda members, labels: decompose(members, families=("quadratic",))["quadratic"],
+    "entropy": lambda members, labels: decompose(members, families=("entropy",))["entropy"],
+    "brier_gap": lambda members, labels: decompose(members, labels, ("brier_gap",))["brier_gap"],
+    "nll_gap": lambda members, labels: decompose(members, labels, ("nll_gap",))["nll_gap"],
 }
 
 

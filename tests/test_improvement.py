@@ -14,12 +14,12 @@ from ensdiag.improvement import (
     BANDWIDTH_MEDIAN_CAP,
     BLOCK_ELEMENTS,
     MEDIAN_BUCKET_SHIFT,
+    ensemble_scores,
     improvement_similarity_test,
     median_heuristic_bandwidth,
     mmd2_unbiased,
     mmd_threshold,
     pearson_r,
-    per_point_improvement,
 )
 
 
@@ -56,6 +56,12 @@ def mmd2_terms_three_gram(x, y, h):
     kxx, kyy, kxy = gram(x, x), gram(y, y), gram(x, y)
     return ((kxx.sum() - np.trace(kxx)) / (m * (m - 1)), (kyy.sum() - np.trace(kyy)) / (n * (n - 1)),
             2.0 * kxy.sum() / (m * n))
+
+
+def per_point_improvement(base_probs, alt_probs, labels, metric="brier"):
+    """Base score minus alternative score per point, as `improve` takes it from ensemble_scores."""
+    base, alt = ensemble_scores({"base": base_probs, "alt": alt_probs}, [["base"], ["alt"]], labels, metric)
+    return base - alt
 
 
 class TestPerPointImprovement:

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ensdiag.decomposition import decompose_quadratic
+from ensdiag.decomposition import decompose
 from ensdiag.errors import ValidationError
 from ensdiag.simulate import SyntheticSpec, simulate_store, write_synthetic_store
 from ensdiag.store import load_store
@@ -89,7 +89,8 @@ class TestSimulateStore:
         for mid in ("m001", "m002"):
             np.testing.assert_array_equal(store.probs(mid, "ind"), base)
         # (p + p + p) / 3 leaves ~1e-34 of rounding residue, so not exactly 0.
-        div = decompose_quadratic(store.member_probs(store.model_ids, "ind")).diversity
+        members = store.member_probs(store.model_ids, "ind")
+        div = decompose(members, families=("quadratic",))["quadratic"].diversity
         assert np.abs(div).max() < 1e-30
 
 

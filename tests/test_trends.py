@@ -10,7 +10,7 @@ from scipy.stats import linregress
 
 from conftest import build_store, random_simplex
 import ensdiag.trends
-from ensdiag.decomposition import decompose_quadratic
+from ensdiag.decomposition import decompose
 from ensdiag.errors import ValidationError
 from ensdiag.metrics import brier, calibration, compute_metric
 from ensdiag.store import (
@@ -327,7 +327,10 @@ def stacked_ratio_oracle(store, ensembles, pair=("ind", "ood")):
     """The diversity ratio from member stacks and re-scored single-model Brier."""
     per_ens = {}
     for ens in ensembles:
-        ind, ood = (decompose_quadratic(store.member_probs(ens.member_model_ids, d)).diversity.mean() for d in pair)
+        ind, ood = (
+            decompose(store.member_probs(ens.member_model_ids, d), families=("quadratic",))["quadratic"].diversity.mean()
+            for d in pair
+        )
         per_ens[ens.ensemble_id] = float(ood) / float(ind)
     singles = [m for m in store.model_ids if all(store.has_prediction(m, d) for d in pair)]
     ind, ood = (
