@@ -355,7 +355,7 @@ def cmd_trends(args: argparse.Namespace) -> None:
     # The diversity ratio is derived from the Brier points, so they are always scored.
     scored_metrics = metrics if "brier" in metrics else metrics + ["brier"]
     scored = trend_points(store, ensembles, scored_metrics, pair, n_bins=args.bins,
-                          heterogeneous_ids=frozenset(het_ids), leave_one_out=args.ensembles == "loo")
+                          heterogeneous_ids=frozenset(het_ids))
     try:
         ratio_report = asdict(diversity_ratio_check(scored, ensembles))
     except ValidationError as exc:

@@ -10,12 +10,13 @@ Four families are supported, each an exact algebraic identity per point:
 Every family re-verifies its identity at runtime and raises NumericalError
 when the residual exceeds 1e-10 on any point. Members are any sequence of
 (N, C) matrices or stored members (see store.StoredMember). `decompose`
-walks the points in row blocks of at most store.BLOCK_ELEMENTS entries and
-reads every member twice per block: once for the ensemble sum, the member
-means and the true-class likelihoods, once for the spread about the
-ensemble mean. Every reduction is per point, so the block size changes no
-bit of the result. Beyond the per-point output columns, memory is a few
-blocks and an (M, block) gather of true-class likelihoods.
+walks the row blocks of store.member_blocks, which reads every member once
+per block. Two passes run over the block's rows: one for the ensemble sum,
+the member means and the true-class likelihoods, one for the spread about
+the ensemble mean. Every reduction is per point, so the block size changes
+no bit of the result. Beyond the per-point output columns, memory is one
+block, a few block-sized arrays of one member's shape, and an (M, rows)
+gather of true-class likelihoods.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .metrics import IDENTITY_TOL, NLL_EPS, brier, entropy, quad_uncertainty
-from .store import check_members, row_blocks
+from .store import check_members, form_ensemble, member_blocks
 
 FAMILIES = ("quadratic", "entropy", "brier_gap", "nll_gap")
 
@@ -54,17 +55,6 @@ class DecompositionRecord:
     @property
     def n(self) -> int:
         return int(self.total.shape[0])
-
-
-def _check_identity(record: DecompositionRecord, mask: np.ndarray | None = None) -> DecompositionRecord:
-    res = np.abs(record.residual())
-    if mask is not None:
-        res = res[mask]
-    if res.size and res.max() > IDENTITY_TOL:
-        raise NumericalError(
-            f"{record.family} identity residual {res.max():.3e} exceeds {IDENTITY_TOL:g}"
-        )
-    return record
 
 
 def decompose(
@@ -100,8 +90,8 @@ def decompose(
     columns = {f: (np.empty(n), np.empty(n), np.empty(n)) for f in wanted}
     kl = np.empty(n) if "entropy" in wanted else None
     unclamped = np.empty(n, dtype=bool) if "nll_gap" in wanted else None
-    for rows in row_blocks(n, c):
-        block = _decompose_block(members, rows, None if labels is None else labels[rows], wanted)
+    for rows, held in member_blocks(members):
+        block = _decompose_block(held, None if labels is None else labels[rows], wanted)
         for f in wanted:
             for column, values in zip(columns[f], block[f]):
                 column[rows] = values
@@ -118,14 +108,16 @@ def decompose(
                 raise NumericalError(
                     f"entropy diversity formulas disagree by {gap.max():.3e} (tol {IDENTITY_TOL:g})"
                 )
-        _check_identity(rec, mask=unclamped if f == "nll_gap" else None)
+        res = np.abs(rec.residual())[unclamped if f == "nll_gap" else slice(None)]
+        if res.size and res.max() > IDENTITY_TOL:
+            raise NumericalError(f"{f} identity residual {res.max():.3e} exceeds {IDENTITY_TOL:g}")
     return records
 
 
-def _decompose_block(members: list, rows: slice, labels: np.ndarray | None, wanted: list[str]) -> dict:
-    """(total, diversity, avg_member) per family on one row block, plus the
-    mean KL to the ensemble and the nll mask of unclamped points."""
-    m = len(members)
+def _decompose_block(held: list[np.ndarray], labels: np.ndarray | None, wanted: list[str]) -> dict:
+    """(total, diversity, avg_member) per family on one block of the members'
+    rows, plus the mean KL to the ensemble and the nll mask of unclamped points."""
+    m = len(held)
     out: dict = {}
 
     # Pass 1: ensemble sum, member score sums, true-class likelihoods.
@@ -133,18 +125,13 @@ def _decompose_block(members: list, rows: slice, labels: np.ndarray | None, want
     sums = {f: 0 for f in scores if f in wanted}
     # (M, B) in column-major order, the layout a gather from an (M, B, C)
     # stack has, so the reductions over members below round the same way.
-    like = np.empty((rows.stop - rows.start, m)).T if "nll_gap" in wanted else None
-    for k, member in enumerate(members):
-        p = member[rows]
-        if k == 0:
-            ens = p.copy()
-        else:
-            ens += p
+    like = np.empty((held[0].shape[0], m)).T if "nll_gap" in wanted else None
+    ens = form_ensemble(held)
+    for k, p in enumerate(held):
         for f in sums:
             sums[f] = sums[f] + scores[f](p)
         if like is not None:
             like[k] = p[np.arange(p.shape[0]), labels]
-    ens /= m
 
     # Pass 2: variance about the ensemble mean, and KL from each member to it.
     need_var = "quadratic" in wanted or "brier_gap" in wanted
@@ -155,8 +142,7 @@ def _decompose_block(members: list, rows: slice, labels: np.ndarray | None, want
             # 0 log 0 = 0; the ensemble mean is positive wherever any member is.
             log_ens = np.log(np.where(ens > 0.0, ens, 1.0))
             kl = np.zeros(ens.shape[0])
-        for member in members:
-            p = member[rows]
+        for p in held:
             if need_var:
                 np.subtract(p, ens, out=sq)
                 sq *= sq

@@ -8,7 +8,7 @@ against a control cloud {(delta_a_i, control_i)} with the unbiased MMD^2
 statistic and a distribution-free threshold.
 
 Nothing here holds memory that grows with N times C or with the number of
-pairs. The per-point scores are computed one block of store.row_blocks
+pairs. The per-point scores are computed one block of store.member_blocks
 at a time, reading each member once per block.
 Pairwise squared distances are built one row block of at most
 BLOCK_ELEMENTS entries at a time and reduced before the next, so the
@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .metrics import compute_metric
-from .store import check_members, form_ensemble, row_blocks
+from .store import check_members, form_ensemble, member_blocks
 
 BANDWIDTH_MEDIAN_CAP = 2_000
 # Entries in one block of pairwise distances: 2**16 float64 is 512 KiB, so
@@ -45,19 +45,18 @@ def ensemble_scores(
 ) -> list[np.ndarray]:
     """Per-point scores of each ensemble in `specs`, a list of member keys of `members`.
 
-    The points are walked in the row blocks of store.row_blocks. In each
+    The points are walked in the row blocks of store.member_blocks. In each
     block every member is read once, however many ensembles share it, and
     the ensembles are formed from those rows one at a time with
     form_ensemble. Every score is per point, so the blocks change no value:
     the scores equal compute_metric on the whole ensembles, bit for bit.
     """
-    n, c = check_members(list(members.values()))[0].shape
+    n = check_members(list(members.values()))[0].shape[0]
+    index = {key: i for i, key in enumerate(members)}
     scores = [np.empty(n) for _ in specs]
-    for rows in row_blocks(n, c):
-        block = {key: member[rows] for key, member in members.items()}
+    for rows, held in member_blocks(list(members.values())):
         for out, spec in zip(scores, specs):
-            out[rows] = compute_metric(metric, form_ensemble([block[key] for key in spec]), labels[rows])
-        del block  # before the next block is read, not after
+            out[rows] = compute_metric(metric, form_ensemble([held[index[key]] for key in spec]), labels[rows])
     return scores
 
 

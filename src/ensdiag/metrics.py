@@ -83,49 +83,55 @@ def quad_uncertainty(probs: np.ndarray) -> np.ndarray:
 
 @dataclass
 class CalibrationSummary:
-    """Binned confidence-vs-accuracy summary plus scalar miscalibration scores.
+    """Per-bin sums of a confidence-vs-accuracy binning, and the scores they give.
 
     Bins partition (0, 1] into `n_bins` equal-width intervals; a point with
-    confidence c lands in bin ceil(c * n_bins). Arrays are indexed by bin,
-    with NaN confidence/accuracy for empty bins.
+    confidence c lands in bin ceil(c * n_bins). The sums are additive:
+    summaries of disjoint sets of points add up to the summary of their
+    union. With bin weights w_m = |B_m| / n and gaps g_m = accuracy -
+    confidence, ece = sum w_m |g_m| and resce = sqrt(sum w_m g_m^2), so
+    resce >= ece.
     """
 
     n_bins: int
     bin_counts: np.ndarray
-    bin_confidence: np.ndarray
-    bin_accuracy: np.ndarray
-    ece: float
-    resce: float
+    bin_confidence_sum: np.ndarray
+    bin_correct_sum: np.ndarray
+
+    def __add__(self, other: CalibrationSummary) -> CalibrationSummary:
+        return CalibrationSummary(self.n_bins, self.bin_counts + other.bin_counts,
+                                  self.bin_confidence_sum + other.bin_confidence_sum,
+                                  self.bin_correct_sum + other.bin_correct_sum)
+
+    def _gaps(self) -> np.ndarray:
+        counts = np.maximum(self.bin_counts, 1)  # an empty bin's sums are 0, so its gap is 0
+        return self.bin_correct_sum / counts - self.bin_confidence_sum / counts
+
+    @property
+    def ece(self) -> float:
+        return float(np.sum(self.bin_counts / self.bin_counts.sum() * np.abs(self._gaps())))
+
+    @property
+    def resce(self) -> float:
+        return float(np.sqrt(np.sum(self.bin_counts / self.bin_counts.sum() * self._gaps() ** 2)))
 
 
 def calibration(probs: np.ndarray, labels: np.ndarray, n_bins: int = 15) -> CalibrationSummary:
-    """Expected calibration error and its root-square-error counterpart.
-
-    With bin weights w_m = |B_m| / n and gaps g_m = accuracy - confidence,
-    ece = sum w_m |g_m| and resce = sqrt(sum w_m g_m^2), so resce >= ece.
-    """
+    """Per-bin count, confidence sum and correct-prediction sum of a prediction matrix."""
     probs, labels = _check_labels(probs, labels)
     if n_bins < 1:
         raise ValidationError("n_bins must be >= 1")
-    n = probs.shape[0]
-    if n == 0:
+    if probs.shape[0] == 0:
         raise ValidationError("calibration needs at least one point")
     conf = probs.max(axis=1)
     correct = (probs.argmax(axis=1) == labels).astype(np.float64)
     idx = np.clip(np.ceil(conf * n_bins).astype(np.int64), 1, n_bins) - 1
-
-    counts = np.bincount(idx, minlength=n_bins).astype(np.int64)
-    conf_sum = np.bincount(idx, weights=conf, minlength=n_bins)
-    acc_sum = np.bincount(idx, weights=correct, minlength=n_bins)
-    with np.errstate(invalid="ignore"):
-        bin_conf = np.where(counts > 0, conf_sum / np.maximum(counts, 1), np.nan)
-        bin_acc = np.where(counts > 0, acc_sum / np.maximum(counts, 1), np.nan)
-
-    w = counts / n
-    gaps = np.where(counts > 0, bin_acc - bin_conf, 0.0)
-    ece = float(np.sum(w * np.abs(gaps)))
-    resce = float(np.sqrt(np.sum(w * gaps**2)))
-    return CalibrationSummary(n_bins, counts, bin_conf, bin_acc, ece, resce)
+    return CalibrationSummary(
+        n_bins,
+        np.bincount(idx, minlength=n_bins).astype(np.int64),
+        np.bincount(idx, weights=conf, minlength=n_bins),
+        np.bincount(idx, weights=correct, minlength=n_bins),
+    )
 
 
 def compute_metric(kind: str, probs: np.ndarray, labels: np.ndarray) -> np.ndarray:

@@ -19,10 +19,12 @@ is its one writer.
 `load_store` checks every file up front, sizes first and then values in
 row blocks of at most BLOCK_ELEMENTS entries, and keeps only labels and
 each member's file location. A member is read from disk each time it is
-used, whole or one row block at a time, so memory does not grow with the
-number of models. Do not rewrite a store's files while a command reads
-them: a later read sees the new bytes, and fails if they no longer pass
-the load checks.
+used. Every reduction over members walks `member_blocks`, which reads
+each member once per row block and holds at most BLOCK_ELEMENTS entries
+across all of them, so memory grows with neither the number of points
+nor the number of models. The block geometry lives in this module alone.
+Do not rewrite a store's files while a command reads them: a later read
+sees the new bytes, and fails if they no longer pass the load checks.
 """
 
 from __future__ import annotations
@@ -50,16 +52,28 @@ _ID_FORBIDDEN = "/\\+,:"
 BLOCK_ELEMENTS = 1 << 18
 
 
-def block_rows(n_classes: int) -> int:
-    """Rows of one block of BLOCK_ELEMENTS entries, at least one."""
-    return max(1, BLOCK_ELEMENTS // n_classes)
-
-
 def row_blocks(n: int, n_classes: int) -> Iterator[slice]:
-    """Slices of rows 0..n-1 in order, each of block_rows(n_classes) rows but the last."""
-    step = block_rows(n_classes)
+    """Slices of rows 0..n-1 in order, each of BLOCK_ELEMENTS // n_classes rows
+    (at least one) but the last."""
+    step = max(1, BLOCK_ELEMENTS // n_classes)
     for lo in range(0, n, step):
         yield slice(lo, min(n, lo + step))
+
+
+def member_blocks(members: Sequence) -> Iterator[tuple[slice, list[np.ndarray]]]:
+    """Yield ``(rows, [each member's rows])`` over all points, in order.
+
+    Each member is read once per block, and a block holds at most
+    BLOCK_ELEMENTS entries across all members (one row, if they alone are
+    wider). The list is emptied when the next block is read, so only one
+    block is held at a time.
+    """
+    members = check_members(members)
+    n, c = members[0].shape
+    for rows in row_blocks(n, c * len(members)):
+        block = [member[rows] for member in members]
+        yield rows, block
+        block.clear()
 
 
 def _check_id(kind: str, value: str) -> None:
@@ -245,20 +259,6 @@ class PredictionStore:
             raise ValidationError(f"unknown dataset {dataset_id!r}")
         return self.datasets[dataset_id].labels
 
-    def probs(self, model_id: str, dataset_id: str) -> np.ndarray:
-        """One model's read-only (N, C) predictions on one dataset.
-
-        Held arrays are returned uncopied; a stored member is read from disk.
-        """
-        member = self._member(model_id, dataset_id)
-        return member if isinstance(member, np.ndarray) else member[:]
-
-    def _member(self, model_id: str, dataset_id: str) -> np.ndarray | StoredMember:
-        key = (model_id, dataset_id)
-        if key not in self._predictions:
-            raise ValidationError(f"no prediction for model {model_id!r} on {dataset_id!r}")
-        return self._predictions[key]
-
     def has_prediction(self, model_id: str, dataset_id: str) -> bool:
         return (model_id, dataset_id) in self._predictions
 
@@ -272,10 +272,10 @@ class PredictionStore:
         Each is a held read-only array or a StoredMember; both give float64
         rows when sliced, and every reduction in the package accepts either.
         """
-        return [self._member(m, dataset_id) for m in member_ids]
-
-    def ensemble_probs(self, member_ids: Sequence[str], dataset_id: str) -> np.ndarray:
-        return form_ensemble(self.member_probs(member_ids, dataset_id))
+        for m in member_ids:
+            if (m, dataset_id) not in self._predictions:
+                raise ValidationError(f"no prediction for model {m!r} on {dataset_id!r}")
+        return [self._predictions[(m, dataset_id)] for m in member_ids]
 
 
 @dataclass
@@ -306,12 +306,10 @@ def form_heterogeneous_ensembles(
     if not model_ids:
         raise ValidationError(f"no models with predictions on both {pair[0]!r} and {pair[1]!r}")
     labels = store.labels(pair[0])
-    accs = {}
-    for m in model_ids:
-        pred = store.probs(m, pair[0]).argmax(axis=1)
-        accs[m] = float((pred == labels).mean())
-
-    values = np.array([accs[m] for m in model_ids])
+    correct = np.zeros(len(model_ids))
+    for rows, block in member_blocks(store.member_probs(model_ids, pair[0])):
+        correct += [np.count_nonzero(p.argmax(axis=1) == labels[rows]) for p in block]
+    values = correct / len(labels)
     lo, hi = float(values.min()), float(values.max())
     edges = np.linspace(lo, hi, n_bins + 1)
     width = hi - lo
@@ -365,14 +363,14 @@ def _read_labels(path: Path, n: int, name: str) -> np.ndarray:
         raise ValidationError(f"{name}: cannot read {path.name}: {exc.strerror}") from exc
 
 
-def _check_values(raw: np.ndarray, kind: str, name: str, first_row: int) -> np.ndarray | None:
+def _check_values(raw: np.ndarray, kind: str, name: str, first_row: int) -> None:
     """Reject non-finite rows and, for probabilities, entries or row sums out of
-    tolerance; return the probability row sums. Rows are numbered from first_row."""
+    tolerance. Rows are numbered from first_row."""
     if not np.isfinite(raw).all():
         row = first_row + int(np.flatnonzero(~np.isfinite(raw).all(axis=1))[0])
         raise ValidationError(f"{name}: non-finite value in row {row}")
     if kind == "logits":
-        return None
+        return
     if (raw < -INGEST_ROW_ATOL).any() or (raw > 1 + INGEST_ROW_ATOL).any():
         raise ValidationError(f"{name}: probabilities outside [0, 1]")
     sums = raw.sum(axis=1)
@@ -382,7 +380,6 @@ def _check_values(raw: np.ndarray, kind: str, name: str, first_row: int) -> np.n
         raise ValidationError(
             f"{name}: row {first_row + row} sums to {sums[row]:.8f}, outside 1 +/- {INGEST_ROW_ATOL:g}"
         )
-    return sums
 
 
 @dataclass(frozen=True)
@@ -391,9 +388,9 @@ class StoredMember:
 
     ``member[lo:hi]`` reads rows lo..hi-1 and ``member[:]`` the whole matrix,
     as a read-only float64 row-stochastic array. Logits go through a stable
-    softmax and probabilities are renormalized, in place on the one float64
-    buffer; the result is bit-equal whatever rows are read. Nothing is kept
-    between reads.
+    softmax; probabilities are clipped at 0 and divided by the clipped row's
+    sum. Both work in place on the one float64 buffer, and the result is
+    bit-equal whatever rows are read. Nothing is kept between reads.
     """
 
     path: Path
@@ -406,14 +403,13 @@ class StoredMember:
             raise TypeError("a stored member is read by a contiguous row slice")
         lo, hi, _ = rows.indices(self.shape[0])
         buf = self._read(lo, max(lo, hi))
-        sums = _check_values(buf, self.kind, self.name, lo)
-        if sums is None:
+        _check_values(buf, self.kind, self.name, lo)
+        if self.kind == "logits":
             buf -= buf.max(axis=1, keepdims=True)
             np.exp(buf, out=buf)
-            buf /= buf.sum(axis=1, keepdims=True)
         else:
             np.clip(buf, 0.0, None, out=buf)
-            buf /= sums[:, None]
+        buf /= buf.sum(axis=1, keepdims=True)
         validate_probs(buf, name=self.name)
         buf.flags.writeable = False
         return buf

@@ -6,6 +6,11 @@ set. Scores keep the lower-is-better orientation and axes are left
 untransformed. Effective robustness is the signed residual against a
 fitted baseline, positive when a model does better under shift than the
 baseline predicts.
+
+`trend_points` walks each dataset once in the row blocks of
+store.member_blocks, which read every model once per block, and adds
+score sums and calibration bin sums over the blocks. Memory grows with
+neither the number of points nor the number of models.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .metrics import IDENTITY_TOL, calibration, compute_metric
-from .store import EnsembleDef, PredictionStore
+from .store import EnsembleDef, PredictionStore, form_ensemble, member_blocks
 
 MODEL_CLASSES = ("single", "ensemble", "heterogeneous")
 TABLE_CLASSES = ("All", "Single Model", "Ensemble")
@@ -101,18 +106,6 @@ def effective_robustness(point: TrendPoint, baseline: TrendFit) -> float:
     return float(predicted - point.ood_value)
 
 
-def _scores(probs: np.ndarray, labels: np.ndarray, metrics: Sequence[str], n_bins: int) -> dict[str, float]:
-    """Mean score of one prediction matrix for each metric, calibrating at most once."""
-    out: dict[str, float] = {}
-    if "ece" in metrics or "resce" in metrics:
-        summary = calibration(probs, labels, n_bins=n_bins)
-        out.update(ece=summary.ece, resce=summary.resce)
-    for metric in metrics:
-        if metric not in out:
-            out[metric] = float(compute_metric(metric, probs, labels).mean())
-    return out
-
-
 def trend_points(
     store: PredictionStore,
     ensembles: Sequence[EnsembleDef],
@@ -120,57 +113,75 @@ def trend_points(
     pair: tuple[str, str],
     n_bins: int = 15,
     heterogeneous_ids: frozenset[str] = frozenset(),
-    leave_one_out: bool = False,
 ) -> list[TrendPoint]:
     """Score every single model and every ensemble on both sides of a pair.
 
-    Each model and ensemble is scored once per dataset for all metrics.
-    Points come out metric by metric, singles before ensembles. Ensembles
-    are formed by `PredictionStore.ensemble_probs`, except that with
-    `leave_one_out` an ensemble of all the pair's M >= 3 models but one,
-    k, is formed as (S - p_k) / (M - 1) from the running sum S of the
-    singles as they are scored. Each model is then read twice per dataset
-    rather than M times, and those ensembles agree with `form_ensemble`
-    to within 1e-12 rather than bit for bit.
+    Each dataset is walked once, one block of store.member_blocks at a
+    time. A single is scored on its block rows. An ensemble of all the
+    pair's M >= 3 models but one, k, is (S - p_k) / (M - 1), with S the
+    block's sum in model order; it agrees with `form_ensemble` to within
+    1e-12 rather than bit for bit. Any other ensemble is `form_ensemble`
+    over its members' block rows. Score sums and calibration bin sums are
+    added up over the blocks, and the means, ECE and ResCE formed once.
+    Points come out metric by metric, singles before ensembles.
     """
     for metric in metrics:
         if metric not in TREND_METRICS:
             raise ValidationError(f"unknown trend metric {metric!r}; choose from {TREND_METRICS}")
     models = store.models_on_pair(pair)
-    # Per ensemble, the one model it leaves out, or None to form it from its members.
-    left_out: list[str | None] = [None] * len(ensembles)
-    if leave_one_out and len(models) >= 3:
-        for i, ens in enumerate(ensembles):
-            rest = set(models).difference(ens.member_model_ids)
-            if len(ens.member_model_ids) == len(models) - 1 and len(rest) == 1:
-                left_out[i] = rest.pop()
-    running_sum = any(k is not None for k in left_out)
-    single_scores: list[list[dict]] = [[] for _ in models]
-    ensemble_scores: list[list[dict]] = [[] for _ in ensembles]
+    held = list(dict.fromkeys([*models, *(m for ens in ensembles for m in ens.member_model_ids)]))
+    if not held:
+        return []
+    index = {m: i for i, m in enumerate(held)}
+    # Per ensemble: the index of the one model it leaves out, or its members' indices.
+    forms: list[int | list[int]] = []
+    for ens in ensembles:
+        rest = set(models).difference(ens.member_model_ids)
+        all_but_one = len(models) >= 3 and len(ens.member_model_ids) == len(models) - 1 and len(rest) == 1
+        forms.append(index[rest.pop()] if all_but_one else [index[m] for m in ens.member_model_ids])
+    per_point = [m for m in metrics if m not in ("ece", "resce")]
+    calibrate = len(per_point) < len(metrics)
+
+    def block_probs(block: list[np.ndarray]):
+        """Each single's rows, then each ensemble's, formed from one block."""
+        yield from block[:len(models)]
+        total = None
+        for form in forms:
+            if isinstance(form, list):
+                yield form_ensemble([block[i] for i in form])
+                continue
+            if total is None:
+                total = block[0].copy()
+                for p in block[1:len(models)]:
+                    total += p
+            probs = total - block[form]
+            probs /= len(models) - 1
+            yield probs
+
+    scored = [(m, "single") for m in models] + [
+        (ens.ensemble_id, "heterogeneous" if ens.ensemble_id in heterogeneous_ids else "ensemble")
+        for ens in ensembles
+    ]
+    values: list[list[dict]] = [[] for _ in scored]
     for dataset in pair:
         labels = store.labels(dataset)
-        total = None
-        for mid, out in zip(models, single_scores):
-            probs = store.probs(mid, dataset)
-            out.append(_scores(probs, labels, metrics, n_bins))
-            if running_sum:
-                total = probs.copy() if total is None else np.add(total, probs, out=total)
-        for ens, k, out in zip(ensembles, left_out, ensemble_scores):
-            if k is not None:
-                probs = total - store.probs(k, dataset)
-                probs /= len(models) - 1
-            else:
-                probs = store.ensemble_probs(ens.member_model_ids, dataset)
-            out.append(_scores(probs, labels, metrics, n_bins))
-    scored = [(mid, "single", *out) for mid, out in zip(models, single_scores)]
-    scored += [
-        (ens.ensemble_id, "heterogeneous" if ens.ensemble_id in heterogeneous_ids else "ensemble", *out)
-        for ens, out in zip(ensembles, ensemble_scores)
-    ]
+        sums = np.zeros((len(scored), len(per_point)))
+        bins: list = [None] * len(scored)
+        for rows, block in member_blocks(store.member_probs(held, dataset)):
+            y = labels[rows]
+            for j, probs in enumerate(block_probs(block)):
+                sums[j] += [compute_metric(metric, probs, y).sum() for metric in per_point]
+                if calibrate:
+                    summary = calibration(probs, y, n_bins=n_bins)
+                    bins[j] = summary if bins[j] is None else bins[j] + summary
+        for out, means, summary in zip(values, (sums / len(labels)).tolist(), bins):
+            out.append(dict(zip(per_point, means)))
+            if calibrate:
+                out[-1].update(ece=summary.ece, resce=summary.resce)
     return [
         TrendPoint(model_id, cls, metric, ind[metric], ood[metric])
         for metric in metrics
-        for model_id, cls, ind, ood in scored
+        for (model_id, cls), (ind, ood) in zip(scored, values)
     ]
 
 

@@ -18,6 +18,11 @@ def member_stack(rng, m, n, c):
     return np.stack([random_simplex(rng, n, c) for _ in range(m)])
 
 
+def read(store: PredictionStore, model_id: str, dataset_id: str) -> np.ndarray:
+    """One model's whole (N, C) predictions on one dataset, as a float64 array."""
+    return store.member_probs([model_id], dataset_id)[0][:]
+
+
 def build_store(rng, datasets=("ind", "ood"), models=("m0", "m1", "m2", "m3"),
                 n=60, c=5):
     store = PredictionStore()

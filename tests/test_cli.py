@@ -21,7 +21,7 @@ import ensdiag
 import ensdiag.cli
 from ensdiag.cli import main
 from ensdiag.metrics import compute_metric
-from ensdiag.store import StoredMember, block_rows, form_ensemble, load_store, write_store
+from ensdiag.store import BLOCK_ELEMENTS, StoredMember, form_ensemble, load_store, row_blocks, write_store
 
 BASE_SIM = ["simulate", "--n-points", "60", "--classes", "3", "--models", "4", "--seed", "1"]
 
@@ -641,56 +641,45 @@ def _whole_matrix_scores(members, specs, labels, metric):
     return [compute_metric(metric, form_ensemble([members[k] for k in spec]), labels) for spec in specs]
 
 
+WIDE_C = 1000
+# Several row blocks per dataset for any member count up to 4.
+WIDE_SIZES = {"ind": 3 * (BLOCK_ELEMENTS // WIDE_C) + 50, "ood": 3 * (BLOCK_ELEMENTS // WIDE_C) + 1}
+
+
+@pytest.fixture(scope="module")
+def wide_manifest(tmp_path_factory):
+    """Four logit models on two datasets of 1,000 classes."""
+    rng = np.random.default_rng(11)
+    datasets = []
+    for ds, n in WIDE_SIZES.items():
+        labels = rng.integers(0, WIDE_C, n)
+        members = []
+        for k in range(4):
+            # Each model puts a high logit on the true class of about half the points.
+            logits = 2.0 * rng.standard_normal((n, WIDE_C))
+            logits[np.arange(n), labels] += 8.0 * rng.random(n)
+            members.append((f"m{k:03d}", logits))
+        datasets.append((ds, labels, members))
+    return write_store(tmp_path_factory.mktemp("wide"), WIDE_C, datasets, [("ind", "ood")])
+
+
 class TestImproveRowBlocks:
     """`improve` scores its four ensembles one row block at a time."""
 
-    C = 1000
-    SIZES = {"ind": 3 * block_rows(C) + 50, "ood": 3 * block_rows(C) + 1}  # four row blocks each
     SPECS = ["--base", "m000", "--alt-a", "m000+m001", "--alt-b", "m000+m002", "--control", "m003"]
-
-    @pytest.fixture(scope="class")
-    def manifest(self, tmp_path_factory):
-        rng = np.random.default_rng(11)
-        datasets = []
-        for ds, n in self.SIZES.items():
-            labels = rng.integers(0, self.C, n)
-            members = []
-            for k in range(4):
-                # Each model puts a high logit on the true class of about half the points.
-                logits = 2.0 * rng.standard_normal((n, self.C))
-                logits[np.arange(n), labels] += 8.0 * rng.random(n)
-                members.append((f"m{k:03d}", logits))
-            datasets.append((ds, labels, members))
-        return write_store(tmp_path_factory.mktemp("wide"), self.C, datasets, [("ind", "ood")])
 
     def _run(self, manifest, out, metric, *extra):
         assert run(["improve", "--manifest", manifest, *self.SPECS, "--metric", metric, *extra, "--out", out]) == 0
         return {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in sorted(out.iterdir())}
 
     @pytest.mark.parametrize("metric", ["brier", "nll", "01"])
-    def test_outputs_equal_whole_matrix_path(self, manifest, tmp_path, monkeypatch, metric):
-        blocked = self._run(manifest, tmp_path / "blocked", metric)
+    def test_outputs_equal_whole_matrix_path(self, wide_manifest, tmp_path, monkeypatch, metric):
+        blocked = self._run(wide_manifest, tmp_path / "blocked", metric)
         monkeypatch.setattr(ensdiag.cli, "ensemble_scores", _whole_matrix_scores)
-        whole = self._run(manifest, tmp_path / "whole", metric)
+        whole = self._run(wide_manifest, tmp_path / "whole", metric)
         assert sorted(blocked) == ["improve_ind.csv", "improve_ind.svg", "improve_ood.csv", "improve_ood.svg",
                                    "result.json"]
         assert blocked == whole
-
-    def test_one_read_per_distinct_member_per_block(self, manifest, tmp_path, monkeypatch):
-        reads = []
-        read = StoredMember.__getitem__
-
-        def counted(member, rows):
-            reads.append((member.name, rows.start, rows.stop))
-            return read(member, rows)
-
-        monkeypatch.setattr(StoredMember, "__getitem__", counted)
-        self._run(manifest, tmp_path / "imp", "brier")
-        step = block_rows(self.C)
-        expected = [(f"{m}/{ds}", lo, min(n, lo + step))
-                    for ds, n in self.SIZES.items() for lo in range(0, n, step)
-                    for m in ("m000", "m001", "m002", "m003")]
-        assert reads == expected
 
     def test_peak_memory_flat_in_point_count(self, tmp_path):
         # At 200 classes both sizes span several row blocks. --subsample fixes the
@@ -712,6 +701,35 @@ class TestImproveRowBlocks:
         # Held whole, four (N, C) float64 ensembles would add 4 * 6000 * 200 * 8 bytes.
         assert peaks[8000] - peaks[2000] < 6000 * 200
         assert peaks[8000] < 1.2 * peaks[2000]
+
+
+# Per command: its arguments, and the models it reads on each dataset.
+READING_COMMANDS = {
+    "decompose": (["decompose"], ["m000", "m001", "m002", "m003"]),
+    "conditional": (["conditional", "--members", "m000+m002", "--surrogates", "1", "--subsample", "50"],
+                    ["m000", "m002"]),
+    "trends": (["trends", "--metric", "01,nll,brier,ece,resce"], ["m000", "m001", "m002", "m003"]),
+    "improve": (["improve", *TestImproveRowBlocks.SPECS[:6], "--control", "m000"], ["m000", "m001", "m002"]),
+}
+
+
+@pytest.mark.parametrize("command", list(READING_COMMANDS))
+def test_one_read_per_member_per_row_block(wide_manifest, tmp_path, monkeypatch, command):
+    # Every member is read once per block of row_blocks(n, C * M), M the members read.
+    argv, models = READING_COMMANDS[command]
+    reads = []
+    read = StoredMember.__getitem__
+
+    def counted(member, rows):
+        reads.append((member.name, rows.start, rows.stop))
+        return read(member, rows)
+
+    monkeypatch.setattr(StoredMember, "__getitem__", counted)
+    assert run([*argv, "--manifest", wide_manifest, "--out", tmp_path / "out"]) == 0
+    expected = [(f"{m}/{ds}", rows.start, rows.stop)
+                for ds, n in WIDE_SIZES.items() for rows in row_blocks(n, WIDE_C * len(models)) for m in models]
+    assert len(expected) > 2 * 3 * len(models)
+    assert sorted(reads) == sorted(expected)
 
 
 class TestGpDemoCommand:
@@ -841,7 +859,7 @@ class TestMemberFileFaults:
     """Bad values deep in a member file, or a file changed after load, end in one error line."""
 
     C = 64
-    N = 2 * block_rows(C) + 10  # three row blocks, the last one short
+    N = 2 * (BLOCK_ELEMENTS // C) + 10  # three row blocks, the last one short
 
     def _store(self, tmp_path, kind="logits"):
         rng = np.random.default_rng(2)

@@ -311,8 +311,9 @@ class TestBlockedWalk:
         labels = rng.integers(0, c, size=n)
         expected = oracle_records(members, labels)
         # One row, a size that leaves a short last block (or the whole set), and the whole set.
+        # A block holds `rows` rows of every member.
         for rows in (1, n // 3 + 1, n):
-            with mock.patch.object(ensdiag.store, "BLOCK_ELEMENTS", rows * c):
+            with mock.patch.object(ensdiag.store, "BLOCK_ELEMENTS", rows * c * m):
                 records = decompose(members, labels)
             assert list(records) == list(FAMILIES)
             for family, want in expected.items():
@@ -347,8 +348,9 @@ def _traced_peak(call) -> int:
 
 
 def test_loaded_store_peak_flat_in_member_count(tmp_path):
-    # Loading and decomposing 32 stored members peaks no higher than 8 do,
-    # but for the (M, rows) likelihood gather: members are read per block.
+    # Loading and decomposing 32 stored members peaks no higher than 8 do:
+    # a block holds at most BLOCK_ELEMENTS entries across all members, and
+    # the (M, rows) likelihood gather is a block's worth of rows too.
     # Held whole, the 24 extra members alone would take 24 member matrices.
     n, c = 2000, 50
     peaks = {}

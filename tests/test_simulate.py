@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import read
 from ensdiag.decomposition import decompose
 from ensdiag.errors import ValidationError
 from ensdiag.simulate import SyntheticSpec, simulate_store, write_synthetic_store
@@ -43,7 +44,7 @@ class TestSpecValidation:
         explicit = simulate_store(SyntheticSpec(n_points=30, n_ood=30, n_classes=3, n_models=2))
         for d in ("ind", "ood"):
             assert np.array_equal(same.labels(d), explicit.labels(d))
-            assert np.array_equal(same.probs("m001", d), explicit.probs("m001", d))
+            assert np.array_equal(read(same, "m001", d), read(explicit, "m001", d))
 
 
 class TestSimulateStore:
@@ -57,7 +58,7 @@ class TestSimulateStore:
         store = simulate_store(SMALL)
         for mid in store.model_ids:
             for ds in ("ind", "ood"):
-                probs = store.probs(mid, ds)
+                probs = read(store, mid, ds)
                 assert probs.shape == (40, 3)
                 np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
                 assert probs.min() >= 0.0
@@ -74,20 +75,20 @@ class TestSimulateStore:
         a = simulate_store(SMALL)
         b = simulate_store(SyntheticSpec(n_points=40, n_classes=3, n_models=3, seed=5))
         for mid in a.model_ids:
-            np.testing.assert_array_equal(a.probs(mid, "ind"), b.probs(mid, "ind"))
+            np.testing.assert_array_equal(read(a, mid, "ind"), read(b, mid, "ind"))
         np.testing.assert_array_equal(a.labels("ood"), b.labels("ood"))
 
     def test_seed_changes_output(self):
         a = simulate_store(SMALL)
         b = simulate_store(SyntheticSpec(n_points=40, n_classes=3, n_models=3, seed=6))
-        assert not np.array_equal(a.probs("m000", "ind"), b.probs("m000", "ind"))
+        assert not np.array_equal(read(a, "m000", "ind"), read(b, "m000", "ind"))
 
     def test_zero_noise_collapses_members(self):
         spec = SyntheticSpec(n_points=30, n_classes=4, n_models=3, member_noise_scale=0.0)
         store = simulate_store(spec)
-        base = store.probs("m000", "ind")
+        base = read(store, "m000", "ind")
         for mid in ("m001", "m002"):
-            np.testing.assert_array_equal(store.probs(mid, "ind"), base)
+            np.testing.assert_array_equal(read(store, mid, "ind"), base)
         # (p + p + p) / 3 leaves ~1e-34 of rounding residue, so not exactly 0.
         members = store.member_probs(store.model_ids, "ind")
         div = decompose(members, families=("quadratic",))["quadratic"].diversity
@@ -128,7 +129,7 @@ class TestWriteSyntheticStore:
         np.testing.assert_array_equal(loaded.labels("ind"), direct.labels("ind"))
         # Files hold float32 logits, so probabilities agree to f32 resolution.
         np.testing.assert_allclose(
-            loaded.probs("m001", "ood"), direct.probs("m001", "ood"), atol=5e-7
+            read(loaded, "m001", "ood"), read(direct, "m001", "ood"), atol=5e-7
         )
         assert loaded.pairs == [("ind", "ood")]
 

@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_simplex
+from conftest import random_simplex, read
+from ensdiag.decomposition import decompose
 from ensdiag.errors import ValidationError
 from ensdiag.store import (
+    BLOCK_ELEMENTS,
     EnsembleDef,
     PredictionStore,
     StoredMember,
-    block_rows,
     enumerate_homogeneous_ensembles,
     form_ensemble,
     form_heterogeneous_ensembles,
@@ -80,11 +81,8 @@ class TestFormEnsemble:
     def test_member_probs_is_the_stored_list(self, tiny_store):
         members = tiny_store.member_probs(["m2", "m0"], "ind")
         assert isinstance(members, list) and len(members) == 2
-        assert members[0] is tiny_store.probs("m2", "ind")
-        assert members[1] is tiny_store.probs("m0", "ind")
-        np.testing.assert_array_equal(
-            tiny_store.ensemble_probs(["m2", "m0"], "ind"), form_ensemble(members)
-        )
+        assert members[0] is tiny_store.member_probs(["m2"], "ind")[0]
+        assert members[1] is tiny_store.member_probs(["m0"], "ind")[0]
 
     @pytest.mark.parametrize("members", [[], [np.ones(3) / 3, np.ones(3) / 3]], ids=["empty", "1-d"])
     def test_bad_member_list_rejected(self, members):
@@ -246,7 +244,7 @@ class TestStoreValidation:
         assert store.model_ids == []
 
     def test_arrays_read_only(self, tiny_store):
-        probs = tiny_store.probs("m0", "ind")
+        probs = read(tiny_store, "m0", "ind")
         with pytest.raises(ValueError):
             probs[0, 0] = 0.5
 
@@ -265,7 +263,7 @@ class TestRoundTrip:
             "pairs": [],
         }
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-        np.testing.assert_array_equal(load_store(tmp_path / "manifest.json").probs("m", "d"), probs)
+        np.testing.assert_array_equal(read(load_store(tmp_path / "manifest.json"), "m", "d"), probs)
 
     def test_logits_kind_softmaxed(self, tmp_path):
         logits = np.array([[0.0, 0.0], [1.0, 3.0]], dtype="<f4")
@@ -283,7 +281,7 @@ class TestRoundTrip:
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         loaded = load_store(tmp_path / "manifest.json")
         np.testing.assert_allclose(
-            loaded.probs("m", "d"), softmax(logits.astype(np.float64)), atol=1e-7
+            read(loaded, "m", "d"), softmax(logits.astype(np.float64)), atol=1e-7
         )
 
     def test_labels_length_mismatch_names_dataset(self, tmp_path):
@@ -313,7 +311,7 @@ class TestRoundTrip:
         }
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         loaded = load_store(tmp_path / "manifest.json")
-        np.testing.assert_allclose(loaded.probs("m", "d").sum(axis=1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(read(loaded, "m", "d").sum(axis=1), 1.0, atol=1e-12)
 
     def test_probs_far_from_stochastic_rejected(self, tmp_path):
         probs = np.array([[0.6, 0.5]], dtype="<f4")
@@ -360,7 +358,8 @@ def eager_ingest(raw: np.ndarray, kind: str, name: str = "m/d") -> np.ndarray:
     if bad.any():
         row = int(np.flatnonzero(bad)[0])
         raise ValidationError(f"{name}: row {row} sums to {sums[row]:.8f}, outside 1 +/- 1e-06")
-    return np.clip(raw, 0.0, None) / sums[:, None]
+    clipped = np.clip(raw, 0.0, None)
+    return clipped / clipped.sum(axis=1, keepdims=True)
 
 
 def write_kind_store(root, kind, members, labels):
@@ -393,17 +392,28 @@ class TestReadOnAccess:
         for k, values in enumerate(raw):
             expected = eager_ingest(values.astype("<f4").astype(np.float64), kind)
             member = store.member_probs([f"m{k}"], "d")[0]
-            assert np.array_equal(store.probs(f"m{k}", "d"), expected)
+            assert np.array_equal(read(store, f"m{k}", "d"), expected)
             assert np.array_equal(member[:], expected)
             for lo, hi in [(0, 1), (5, 64), (199, 203), (0, n)]:
                 assert np.array_equal(member[lo:hi], expected[lo:hi])
+
+    def test_tiny_negative_probabilities_are_renormalized_after_clipping(self, tmp_path, rng):
+        # Entries down to -1e-6 load; reads clip them to 0 and divide by the clipped row's sum.
+        raw = [random_simplex(rng, 40, 3) for _ in range(2)]
+        raw[1][0] = [-5e-7, 0.5, 0.5000005]
+        store = load_store(write_kind_store(tmp_path, "probs", raw, rng.integers(0, 3, 40)))
+        probs = read(store, "m1", "d")
+        assert probs[0, 0] == 0.0
+        assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-12
+        records = decompose(store.member_probs(store.model_ids, "d"), store.labels("d"))
+        assert all(np.abs(rec.residual()).max() <= 1e-10 for rec in records.values())
 
     def test_zoo_member_bit_equal_to_eager_ingest(self, tmp_path, rng):
         n, c = 1500, 100
         logits = rng.standard_normal((n, c)) * 3.0
         manifest = write_store(tmp_path, c, [("ind", rng.integers(0, c, n), [("m000", logits)])], [])
         raw = np.fromfile(tmp_path / "m000__ind.f32", dtype="<f4").astype(np.float64).reshape(n, c)
-        assert np.array_equal(load_store(manifest).probs("m000", "ind"), eager_ingest(raw, "logits"))
+        assert np.array_equal(read(load_store(manifest), "m000", "ind"), eager_ingest(raw, "logits"))
 
     def test_store_holds_labels_only(self, tmp_path, rng):
         datasets = [(d, rng.integers(0, 5, 40), [(f"m{k}", rng.standard_normal((40, 5))) for k in range(4)])
@@ -430,14 +440,14 @@ class TestReadOnAccess:
     def test_reads_are_read_only_and_not_kept(self, tmp_path, rng):
         store = load_store(write_kind_store(tmp_path, "logits", [rng.standard_normal((10, 3))] * 2,
                                             rng.integers(0, 3, 10)))
-        first, second = store.probs("m0", "d"), store.probs("m0", "d")
+        first, second = read(store, "m0", "d"), read(store, "m0", "d")
         assert first is not second and np.array_equal(first, second)
         with pytest.raises(ValueError):
             first[0, 0] = 0.5
 
     def test_late_block_errors_name_member_and_row(self, tmp_path, rng):
         c = 64
-        n = 2 * block_rows(c) + 10
+        n = 2 * (BLOCK_ELEMENTS // c) + 10
         logits = [rng.standard_normal((n, c)) for _ in range(2)]
         logits[1][n - 3, 5] = np.nan
         with pytest.raises(ValidationError, match=rf"^m1/d: non-finite value in row {n - 3}$"):
@@ -449,7 +459,7 @@ class TestReadOnAccess:
         member = tmp_path / "m1__d.f32"
         member.write_bytes(member.read_bytes()[:-4])
         with pytest.raises(ValidationError, match="m1/d: file m1__d.f32 ends before row 30 of 30"):
-            store.probs("m1", "d")
+            read(store, "m1", "d")
         member.unlink()
         with pytest.raises(ValidationError, match="m1/d: cannot read m1__d.f32"):
             store.member_probs(["m1"], "d")[0][:10]

@@ -56,3 +56,18 @@ def test_every_public_function_has_a_caller():
 
 def test_allowlist_is_current():
     assert set(ALLOWED) <= set(uncalled())
+
+
+
+def test_block_geometry_stays_in_store():
+    # Reductions over members walk store.member_blocks; only store.py sizes the row blocks.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "store.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = [(alias.name, node.lineno) for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) for alias in node.names]
+        found += [f"{path.name}:{line} {name}" for name, line in [*_references(tree), *imported]
+                  if name in ("row_blocks", "block_rows")]
+    assert found == []

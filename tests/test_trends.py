@@ -1,6 +1,7 @@
 """Trend fits, effective robustness, and the diversity-ratio identity."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import linregress
 
-from conftest import build_store, random_simplex
+from conftest import build_store, random_simplex, read
+import ensdiag.store
 import ensdiag.trends
 from ensdiag.decomposition import decompose
 from ensdiag.errors import ValidationError
@@ -187,7 +189,7 @@ class TestTrendPoints:
         singles = [p for p in pts if p.model_class == "single"]
         assert len(singles) == 4
         m0 = next(p for p in pts if p.model_id == "m0")
-        expected = brier(store.probs("m0", "ind"), store.labels("ind")).mean()
+        expected = brier(read(store, "m0", "ind"), store.labels("ind")).mean()
         assert m0.ind_value == pytest.approx(expected)
 
     def test_unknown_metric(self, rng):
@@ -218,7 +220,16 @@ class TestTrendPoints:
                    "heterogeneous" if e.ensemble_id in het_ids else "ensemble") for e in ensembles]
 
         def oracle(members, metric, dataset):
-            probs = form_ensemble([store.probs(m, dataset) for m in members])
+            models = store.model_ids
+            if len(members) == len(models) - 1:
+                # All models but one, k: (S - p_k) / (M - 1), with S the sum in model order.
+                (k,) = set(models).difference(members)
+                total = read(store, models[0], dataset).copy()
+                for m in models[1:]:
+                    total += read(store, m, dataset)
+                probs = (total - read(store, k, dataset)) / (len(models) - 1)
+            else:
+                probs = form_ensemble([read(store, m, dataset) for m in members])
             labels = store.labels(dataset)
             if metric in ("ece", "resce"):
                 return getattr(calibration(probs, labels, n_bins=7), metric)
@@ -234,8 +245,9 @@ class TestTrendPoints:
 
     @pytest.mark.parametrize("metrics", [["brier"], ["ece", "nll"], list(TREND_METRICS)])
     def test_one_ensemble_and_calibration_per_dataset(self, rng, monkeypatch, metrics):
+        # 50 points of 6 models and 4 classes are one row block per dataset.
         store, ensembles, het_ids = mixed_ensemble_store(rng)
-        calls = {"ensemble_probs": 0, "calibration": 0}
+        calls = {"form_ensemble": 0, "calibration": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -243,11 +255,11 @@ class TestTrendPoints:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(PredictionStore, "ensemble_probs",
-                            counted("ensemble_probs", PredictionStore.ensemble_probs))
+        monkeypatch.setattr(ensdiag.trends, "form_ensemble", counted("form_ensemble", form_ensemble))
         monkeypatch.setattr(ensdiag.trends, "calibration", counted("calibration", calibration))
         trend_points(store, ensembles, metrics, ("ind", "ood"), heterogeneous_ids=het_ids)
-        assert calls["ensemble_probs"] == 2 * len(ensembles)
+        # All-but-one ensembles come from the block sum; only the heterogeneous one is formed.
+        assert calls["form_ensemble"] == 2 * len(het_ids)
         scored = len(store.model_ids) + len(ensembles)
         needs_calibration = "ece" in metrics or "resce" in metrics
         assert calls["calibration"] == (2 * scored if needs_calibration else 0)
@@ -334,7 +346,7 @@ def stacked_ratio_oracle(store, ensembles, pair=("ind", "ood")):
         per_ens[ens.ensemble_id] = float(ood) / float(ind)
     singles = [m for m in store.model_ids if all(store.has_prediction(m, d) for d in pair)]
     ind, ood = (
-        np.array([float(brier(store.probs(m, d), store.labels(d)).mean()) for m in singles])
+        np.array([float(brier(read(store, m, d), store.labels(d)).mean()) for m in singles])
         for d in pair
     )
     return float(np.mean(list(per_ens.values()))), per_ens, fit_trend_xy(ind, ood)
@@ -425,7 +437,6 @@ class TestDiversityRatio:
             raise AssertionError("diversity_ratio_check read predictions")
 
         monkeypatch.setattr(PredictionStore, "member_probs", refuse)
-        monkeypatch.setattr(PredictionStore, "probs", refuse)
         rep = diversity_ratio_check(pts, ensembles)
         assert len(rep.per_ensemble_ratio) == len(ensembles)
 
@@ -438,53 +449,54 @@ class TestLeaveOneOutRunningSum:
     def test_ensembles_within_tolerance_of_form_ensemble(self, rng, monkeypatch):
         store, ensembles = self._loo_store(rng)
         seen = []
-        scores = ensdiag.trends._scores
 
-        def recording(probs, labels, metrics, n_bins):
+        def recording(metric, probs, labels):
             seen.append(np.array(probs))
-            return scores(probs, labels, metrics, n_bins)
+            return compute_metric(metric, probs, labels)
 
-        monkeypatch.setattr(ensdiag.trends, "_scores", recording)
-        trend_points(store, ensembles, ["brier"], ("ind", "ood"), leave_one_out=True)
+        monkeypatch.setattr(ensdiag.trends, "compute_metric", recording)
+        trend_points(store, ensembles, ["brier"], ("ind", "ood"))
+        # 70 points of 6 models and 6 classes are one row block per dataset.
         m = len(store.model_ids)
         for side, dataset in enumerate(("ind", "ood")):
             formed = seen[side * (m + len(ensembles)) + m:(side + 1) * (m + len(ensembles))]
             for ens, probs in zip(ensembles, formed):
-                exact = form_ensemble([store.probs(k, dataset) for k in ens.member_model_ids])
+                exact = form_ensemble([read(store, k, dataset) for k in ens.member_model_ids])
                 assert np.abs(probs - exact).max() <= 1e-12
 
-    def test_points_match_exact_path_and_read_each_model_twice(self, rng, monkeypatch):
+    def test_blocked_points_match_whole_matrix_oracle(self, rng):
         store, ensembles = self._loo_store(rng)
-        exact = trend_points(store, ensembles, TREND_METRICS, ("ind", "ood"))
-        reads = {"probs": 0, "ensemble_probs": 0}
+        listed = [EnsembleDef("pair", ("m0", "m1")), *ensembles]
+        with mock.patch.object(ensdiag.store, "BLOCK_ELEMENTS", 9 * 6 * 6):  # 9 rows a block
+            pts = trend_points(store, listed, TREND_METRICS, ("ind", "ood"), n_bins=7)
 
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                reads[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
+        def oracle(members, metric, dataset):
+            probs = form_ensemble([read(store, m, dataset) for m in members])
+            labels = store.labels(dataset)
+            if metric in ("ece", "resce"):
+                return getattr(calibration(probs, labels, n_bins=7), metric)
+            return compute_metric(metric, probs, labels).mean()
 
-        for name in reads:
-            monkeypatch.setattr(PredictionStore, name, counted(name, getattr(PredictionStore, name)))
-        fast = trend_points(store, ensembles, TREND_METRICS, ("ind", "ood"), leave_one_out=True)
-        assert reads == {"probs": 2 * 2 * len(store.model_ids), "ensemble_probs": 0}
-        assert [(p.metric, p.model_id, p.model_class) for p in fast] == \
-            [(p.metric, p.model_id, p.model_class) for p in exact]
-        for a, b in zip(fast, exact):
-            assert a.ind_value == pytest.approx(b.ind_value, rel=1e-12, abs=1e-15)
-            assert a.ood_value == pytest.approx(b.ood_value, rel=1e-12, abs=1e-15)
+        members = {m: (m,) for m in store.model_ids} | {e.ensemble_id: e.member_model_ids for e in listed}
+        assert len(pts) == len(TREND_METRICS) * len(members)
+        for p in pts:
+            for dataset, value in (("ind", p.ind_value), ("ood", p.ood_value)):
+                assert value == pytest.approx(oracle(members[p.model_id], p.metric, dataset), rel=1e-12, abs=1e-15)
 
     def test_other_ensembles_are_formed_from_members(self, rng):
         store, ensembles = self._loo_store(rng)
         listed = [EnsembleDef("pair", ("m0", "m1")), ensembles[0]]
-        fast = trend_points(store, listed, ["nll"], ("ind", "ood"), leave_one_out=True)
-        exact = trend_points(store, listed, ["nll"], ("ind", "ood"))
-        assert fast[-2] == exact[-2]
+        pair = trend_points(store, listed, ["nll"], ("ind", "ood"))[-2]
+        assert pair.model_id == "pair"
+        for dataset, value in (("ind", pair.ind_value), ("ood", pair.ood_value)):
+            probs = form_ensemble([read(store, "m0", dataset), read(store, "m1", dataset)])
+            assert value == compute_metric("nll", probs, store.labels(dataset)).mean()
 
 
 def test_trend_points_peak_flat_in_member_count(tmp_path):
-    # Leave-one-out ensembles of 32 stored members: one running sum per
-    # dataset, so loading and scoring peak about as high as with 8.
+    # Leave-one-out ensembles of 32 stored members: a row block holds at most
+    # BLOCK_ELEMENTS entries across all members, so loading and scoring peak
+    # about as high as with 8.
     n, c = 2000, 50
     peaks = {}
     for m in (8, 32):
@@ -496,8 +508,32 @@ def test_trend_points_peak_flat_in_member_count(tmp_path):
         try:
             store = load_store(manifest)
             ensembles = enumerate_homogeneous_ensembles(store.model_ids, m - 1)
-            trend_points(store, ensembles, list(TREND_METRICS), ("ind", "ood"), leave_one_out=True)
+            trend_points(store, ensembles, list(TREND_METRICS), ("ind", "ood"))
             peaks[m] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
     assert peaks[32] - peaks[8] < n * c * 8 / 2
+
+
+def test_trend_points_peak_flat_in_point_count(tmp_path):
+    # At 200 classes both sizes span several row blocks, so only the O(N)
+    # labels grow with N, never the block-sized work arrays.
+    c, peaks = 200, {}
+    for n in (2000, 8000):
+        rng = np.random.default_rng(n)
+        members = [(f"m{k:03d}", rng.standard_normal((n, c))) for k in range(4)]
+        manifest = write_store(tmp_path / str(n), c, [("ind", rng.integers(0, c, n), members),
+                                                      ("ood", rng.integers(0, c, 50),
+                                                       [(m, v[:50]) for m, v in members])], [("ind", "ood")])
+        del members
+        tracemalloc.start()
+        try:
+            store = load_store(manifest)
+            ensembles = enumerate_homogeneous_ensembles(store.model_ids, 3)
+            trend_points(store, ensembles, list(TREND_METRICS), ("ind", "ood"))
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # Held whole, one (N, C) float64 running sum alone would add 6000 * 200 * 8 bytes.
+    assert peaks[8000] - peaks[2000] < 6000 * 200
+    assert peaks[8000] < 1.2 * peaks[2000]
