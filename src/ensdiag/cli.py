@@ -61,22 +61,15 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _versions() -> dict:
-    return {"package": __version__, "numpy": np.__version__, "python": platform.python_version()}
-
-
 def write_json(path: Path, record: dict) -> None:
     """Write a record; NumPy arrays and scalars are written as their ``tolist()`` values."""
     path.write_text(json.dumps(record, indent=2, sort_keys=True, default=lambda v: v.tolist()) + "\n")
 
 
-def _write_result(path: Path, command: str, record: dict, **libraries: str) -> None:
-    """Write one command's run record, stamped with the command and library versions.
-
-    `libraries` adds the versions of the libraries only this command uses,
-    so the keys depend on the command alone.
-    """
-    write_json(path, {"command": command, **record, "versions": {**_versions(), **libraries}})
+def _write_result(path: Path, command: str, record: dict) -> None:
+    """Write one command's run record, stamped with the command and library versions."""
+    versions = {"package": __version__, "numpy": np.__version__, "python": platform.python_version()}
+    write_json(path, {"command": command, **record, "versions": versions})
 
 
 def write_csv(path: Path, columns: dict) -> None:
@@ -335,6 +328,7 @@ def _load_ensembles(arg: str, store: PredictionStore, pair: tuple[str, str]) -> 
 def cmd_trends(args: argparse.Namespace) -> None:
     store = load_store(args.manifest)
     pair = _resolve_pair(store, args.pair)
+    _resolve_members(store, None, pair)
     metrics = _resolve_metrics(args.metric)
     ensembles = _load_ensembles(args.ensembles, store, pair)
     out = prepare_out_dir(args.out, args.force)
@@ -388,8 +382,6 @@ def cmd_trends(args: argparse.Namespace) -> None:
     for metric in metrics:
         _trends_figure(points, rows, metric, out / f"trends_{metric}.svg")
 
-    import scipy  # trends is the one command that uses scipy (scipy.special.stdtr)
-
     _write_result(
         out / "result.json",
         "trends",
@@ -409,7 +401,6 @@ def cmd_trends(args: argparse.Namespace) -> None:
                 "score_orientation": "lower_is_better",
             },
         },
-        scipy=scipy.__version__,
     )
 
 

@@ -13,7 +13,8 @@ when the residual exceeds 1e-10 on any point. Members are any sequence of
 walks the row blocks of store.member_blocks, which reads every member once
 per block. Two passes run over the block's rows: one for the ensemble sum,
 the member means and the true-class likelihoods, one for the spread about
-the ensemble mean. Every reduction is per point, so the block size changes
+the ensemble mean and, from one log per entry, each member's entropy and
+KL to the ensemble. Every reduction is per point, so the block size changes
 no bit of the result. Beyond the per-point output columns, memory is one
 block, a few block-sized arrays of one member's shape, and an (M, rows)
 gather of true-class likelihoods.
@@ -121,7 +122,7 @@ def _decompose_block(held: list[np.ndarray], labels: np.ndarray | None, wanted: 
     out: dict = {}
 
     # Pass 1: ensemble sum, member score sums, true-class likelihoods.
-    scores = {"quadratic": quad_uncertainty, "entropy": entropy, "brier_gap": lambda p: brier(p, labels)}
+    scores = {"quadratic": quad_uncertainty, "brier_gap": lambda p: brier(p, labels)}
     sums = {f: 0 for f in scores if f in wanted}
     # (M, B) in column-major order, the layout a gather from an (M, B, C)
     # stack has, so the reductions over members below round the same way.
@@ -133,7 +134,8 @@ def _decompose_block(held: list[np.ndarray], labels: np.ndarray | None, wanted: 
         if like is not None:
             like[k] = p[np.arange(p.shape[0]), labels]
 
-    # Pass 2: variance about the ensemble mean, and KL from each member to it.
+    # Pass 2: variance about the ensemble mean, and each member's entropy and
+    # KL to it from one log per entry.
     need_var = "quadratic" in wanted or "brier_gap" in wanted
     if need_var or "entropy" in wanted:
         acc = np.zeros_like(ens) if need_var else None
@@ -142,6 +144,7 @@ def _decompose_block(held: list[np.ndarray], labels: np.ndarray | None, wanted: 
             # 0 log 0 = 0; the ensemble mean is positive wherever any member is.
             log_ens = np.log(np.where(ens > 0.0, ens, 1.0))
             kl = np.zeros(ens.shape[0])
+            member_entropy = np.zeros(ens.shape[0])
         for p in held:
             if need_var:
                 np.subtract(p, ens, out=sq)
@@ -151,6 +154,8 @@ def _decompose_block(held: list[np.ndarray], labels: np.ndarray | None, wanted: 
                 positive = p > 0.0
                 terms = np.where(positive, p, 1.0)
                 np.log(terms, out=terms)
+                # -sum p ln p, which is what `entropy` computes, since ln 1 = 0 where p = 0.
+                member_entropy += -(p * terms).sum(axis=1)
                 terms -= log_ens
                 terms *= p
                 terms[~positive] = 0.0
@@ -165,7 +170,7 @@ def _decompose_block(held: list[np.ndarray], labels: np.ndarray | None, wanted: 
         out["quadratic"] = (quad_uncertainty(ens), variance, sums["quadratic"] / m)
     if "entropy" in wanted:
         total = entropy(ens)
-        avg = sums["entropy"] / m
+        avg = member_entropy / m
         out["entropy"] = (total, total - avg, avg)
     if "brier_gap" in wanted:
         out["brier_gap"] = (brier(ens, labels), variance, sums["brier_gap"] / m)

@@ -1,4 +1,4 @@
-"""Per-datapoint scoring rules and calibration summaries.
+"""Per-datapoint scoring rules, and summed scores with calibration bins.
 
 All scores follow a lower-is-better convention. Probability inputs are
 assumed row-stochastic (see store.validate_probs); labels are integer class
@@ -8,6 +8,7 @@ indices in [0, C).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -81,57 +82,98 @@ def quad_uncertainty(probs: np.ndarray) -> np.ndarray:
     return 1.0 - np.einsum("ij,ij->i", probs, probs)
 
 
-@dataclass
-class CalibrationSummary:
-    """Per-bin sums of a confidence-vs-accuracy binning, and the scores they give.
+# Columns of ScoreSums.scores.
+SCORE_SUMS = ("zero_one", "nll", "brier")
 
-    Bins partition (0, 1] into `n_bins` equal-width intervals; a point with
-    confidence c lands in bin ceil(c * n_bins). The sums are additive:
-    summaries of disjoint sets of points add up to the summary of their
-    union. With bin weights w_m = |B_m| / n and gaps g_m = accuracy -
-    confidence, ece = sum w_m |g_m| and resce = sqrt(sum w_m g_m^2), so
-    resce >= ece.
+
+@dataclass
+class ScoreSums:
+    """Summed scores and calibration bin sums of K prediction matrices over one set of points.
+
+    Row k of `scores` holds matrix k's summed zero_one, nll and brier scores
+    (SCORE_SUMS order). `bins[k]` holds its per-bin point count, confidence
+    sum and correct-prediction sum. Bins partition (0, 1] into `n_bins`
+    equal-width intervals; a point with confidence c lands in bin
+    ceil(c * n_bins). Sums over disjoint sets of points add up to the sums
+    over their union.
     """
 
-    n_bins: int
-    bin_counts: np.ndarray
-    bin_confidence_sum: np.ndarray
-    bin_correct_sum: np.ndarray
+    scores: np.ndarray
+    bins: np.ndarray
 
-    def __add__(self, other: CalibrationSummary) -> CalibrationSummary:
-        return CalibrationSummary(self.n_bins, self.bin_counts + other.bin_counts,
-                                  self.bin_confidence_sum + other.bin_confidence_sum,
-                                  self.bin_correct_sum + other.bin_correct_sum)
+    def __add__(self, other: ScoreSums) -> ScoreSums:
+        return ScoreSums(self.scores + other.scores, self.bins + other.bins)
 
-    def _gaps(self) -> np.ndarray:
-        counts = np.maximum(self.bin_counts, 1)  # an empty bin's sums are 0, so its gap is 0
-        return self.bin_correct_sum / counts - self.bin_confidence_sum / counts
+    def calibration_errors(self, k: int) -> tuple[float, float]:
+        """ECE and ResCE of matrix k.
 
-    @property
-    def ece(self) -> float:
-        return float(np.sum(self.bin_counts / self.bin_counts.sum() * np.abs(self._gaps())))
-
-    @property
-    def resce(self) -> float:
-        return float(np.sqrt(np.sum(self.bin_counts / self.bin_counts.sum() * self._gaps() ** 2)))
+        With bin weights w_m = |B_m| / n and gaps g_m = accuracy - confidence,
+        ece = sum w_m |g_m| and resce = sqrt(sum w_m g_m^2), so resce >= ece.
+        """
+        counts, confidence, correct = self.bins[k]
+        held = np.maximum(counts, 1)  # an empty bin's sums are 0, so its gap is 0
+        gaps = correct / held - confidence / held
+        weights = counts / counts.sum()
+        return float(np.sum(weights * np.abs(gaps))), float(np.sqrt(np.sum(weights * gaps**2)))
 
 
-def calibration(probs: np.ndarray, labels: np.ndarray, n_bins: int = 15) -> CalibrationSummary:
-    """Per-bin count, confidence sum and correct-prediction sum of a prediction matrix."""
-    probs, labels = _check_labels(probs, labels)
+def score_sums(matrices: Iterable[np.ndarray], labels: np.ndarray, n_bins: int = 15) -> ScoreSums:
+    """Summed scores and calibration bins of each (N, C) matrix against one label vector.
+
+    The labels are checked once, however many matrices there are. Each
+    matrix is read whole twice, for its argmax and for its sum of squares,
+    and otherwise only at N entries: its confidence at the argmax and its
+    true-class probability. zero_one, the calibration bins and nll come from
+    those, and brier as the sum of p^2 - 2 p_y + 1 over the matrix. zero_one,
+    nll and the bins are the sums of zero_one_error, nll and the per-point
+    confidence and correctness, bit for bit; brier is within a few ulps of
+    the sum of `brier`. Matrices are taken one at a time, so a generator
+    holds one at a time.
+    """
+    labels = np.asarray(labels)
+    if labels.ndim != 1:
+        raise ValidationError(f"expected 1-d labels, got shape {labels.shape}")
     if n_bins < 1:
         raise ValidationError("n_bins must be >= 1")
-    if probs.shape[0] == 0:
-        raise ValidationError("calibration needs at least one point")
-    conf = probs.max(axis=1)
-    correct = (probs.argmax(axis=1) == labels).astype(np.float64)
-    idx = np.clip(np.ceil(conf * n_bins).astype(np.int64), 1, n_bins) - 1
-    return CalibrationSummary(
-        n_bins,
-        np.bincount(idx, minlength=n_bins).astype(np.int64),
-        np.bincount(idx, weights=conf, minlength=n_bins),
-        np.bincount(idx, weights=correct, minlength=n_bins),
-    )
+    n = labels.shape[0]
+    if n == 0:
+        raise ValidationError("scoring needs at least one point")
+    tops, confidence, p_true, squares = [], [], [], []
+    for probs in matrices:
+        probs = np.asarray(probs, dtype=np.float64)
+        if not tops:
+            shape = probs.shape
+            if probs.ndim != 2 or shape[0] != n:
+                raise ValidationError(f"expected a 2-d matrix of {n} rows, got shape {shape}")
+            if labels.min() < 0 or labels.max() >= shape[1]:
+                raise ValidationError(f"labels outside [0, {shape[1]})")
+            starts = np.arange(n) * shape[1]
+            at_label = starts + labels.astype(np.intp)
+        elif probs.shape != shape:
+            raise ValidationError(f"matrices of shapes {shape} and {probs.shape} scored together")
+        flat = probs.reshape(-1)
+        top = probs.argmax(axis=1)
+        tops.append(top)
+        confidence.append(flat[starts + top])
+        p_true.append(flat[at_label])
+        squares.append(flat @ flat)
+    if not tops:
+        raise ValidationError("scoring needs at least one matrix")
+    # (K, N) arrays; every reduction below runs along one matrix's row.
+    k = len(tops)
+    confidence, p_true = np.array(confidence), np.array(p_true)
+    correct = np.array(tops) == labels
+    scores = np.column_stack([
+        n - np.count_nonzero(correct, axis=1),
+        -np.log(np.maximum(p_true, NLL_EPS)).sum(axis=1),
+        np.array(squares) - 2.0 * p_true.sum(axis=1) + n,
+    ])
+    # Matrix k's bin b is number k * n_bins + b of one bincount.
+    idx = np.minimum(np.maximum(np.ceil(confidence * n_bins), 1), n_bins).astype(np.intp)
+    idx += np.arange(0, k * n_bins, n_bins)[:, None] - 1
+    bins = [np.bincount(idx.reshape(-1), weights=weights, minlength=k * n_bins).reshape(k, n_bins)
+            for weights in (None, confidence.reshape(-1), correct.reshape(-1))]
+    return ScoreSums(scores, np.stack(bins, axis=1))
 
 
 def compute_metric(kind: str, probs: np.ndarray, labels: np.ndarray) -> np.ndarray:

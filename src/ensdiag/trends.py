@@ -15,13 +15,14 @@ neither the number of points nor the number of models.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError
-from .metrics import IDENTITY_TOL, calibration, compute_metric
+from .errors import NumericalError, ValidationError
+from .metrics import IDENTITY_TOL, SCORE_SUMS, score_sums
 from .store import EnsembleDef, PredictionStore, form_ensemble, member_blocks
 
 MODEL_CLASSES = ("single", "ensemble", "heterogeneous")
@@ -57,9 +58,72 @@ class TrendFit:
     n: int
 
 
-def fit_trend_xy(ind: np.ndarray, ood: np.ndarray) -> TrendFit:
-    from scipy import special  # the one scipy use left; loaded here to keep start-up numpy-only
+def t_two_sided_p(t: float, df: int) -> float:
+    """Two-sided p-value of a t statistic, 2 P(T > |t|) for Student's t with df degrees of freedom.
 
+    It is the regularized incomplete beta I_x(df/2, 1/2) at x = df/(df + t^2),
+    computed with math.lgamma and Lentz's continued fraction, on I_x(a, b)
+    or on 1 - I_{1-x}(b, a) as x lies below or above (a + 1)/(a + b + 2).
+    x and 1 - x = t^2/(df + t^2) are each formed from ln(t^2/df), never one
+    as 1 minus the other, so neither loses digits when the other is near 1,
+    and no t^2 overflows. Exactly 0 for infinite t, 1 for t = 0, nan for nan.
+    """
+    t = abs(float(t))
+    if math.isnan(t):
+        return math.nan
+    if t == math.inf:
+        return 0.0
+    if t == 0.0:
+        return 1.0
+    a, b = 0.5 * df, 0.5
+    u = 2.0 * math.log(t) - math.log(df)  # ln(t^2/df)
+    tail = math.log1p(math.exp(-abs(u)))
+    log_x, log_y = -(max(u, 0.0) + tail), -(max(-u, 0.0) + tail)  # ln x, ln(1 - x)
+    # x^a (1 - x)^b / B(a, 1/2), with ln B(a, 1/2) = ln Gamma(1/2) - (ln Gamma(a + 1/2) - ln Gamma(a)).
+    front = math.exp(a * log_x + b * log_y - 0.5 * math.log(math.pi) + _log_gamma_half_step(a))
+    x = math.exp(log_x)
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _beta_fraction(a, b, x) / a
+    return 1.0 - front * _beta_fraction(b, a, math.exp(log_y)) / b
+
+
+def _log_gamma_half_step(a: float) -> float:
+    """ln Gamma(a + 1/2) - ln Gamma(a), to a few ulps of its value.
+
+    The difference of two math.lgamma values loses digits as a grows (9e-12
+    at a = 5,000), so from a = 25 on the Stirling series is differenced term
+    by term; its first omitted term is below 1e-18 there.
+    """
+    if a < 25.0:
+        return math.lgamma(a + 0.5) - math.lgamma(a)
+
+    def series(z: float) -> float:
+        return 1 / (12 * z) - 1 / (360 * z**3) + 1 / (1260 * z**5) - 1 / (1680 * z**7) + 1 / (1188 * z**9)
+
+    return 0.5 * math.log(a) + (a * math.log1p(0.5 / a) - 0.5) + (series(a + 0.5) - series(a))
+
+
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """The continued fraction of I_x(a, b) = x^a (1 - x)^b / (a B(a, b)) * fraction, by
+    modified Lentz; it converges fast for x < (a + 1)/(a + b + 2)."""
+    tiny = 1e-300
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    h = d
+    for m in range(1, 100_000):
+        for coef in (m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
+                     -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0))):
+            d = 1.0 + coef * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + coef / c
+            c = c if abs(c) > tiny else tiny
+            h *= c * d
+        if abs(c * d - 1.0) < 1e-16:
+            return h
+    raise NumericalError(f"incomplete beta fraction did not converge at a={a}, b={b}, x={x}")
+
+
+def fit_trend_xy(ind: np.ndarray, ood: np.ndarray) -> TrendFit:
     ind = np.asarray(ind, dtype=np.float64)
     ood = np.asarray(ood, dtype=np.float64)
     if ind.shape != ood.shape or ind.ndim != 1:
@@ -87,7 +151,7 @@ def fit_trend_xy(ind: np.ndarray, ood: np.ndarray) -> TrendFit:
         intercept=float(np.mean(ood) - slope * np.mean(ind)),
         std_error=stderr,
         t_statistic=float(t_stat),
-        p_value=float(2 * special.stdtr(df, -np.abs(t_r))),
+        p_value=t_two_sided_p(t_r, df),
         r2=float(r) ** 2,
         n=n,
     )
@@ -121,8 +185,10 @@ def trend_points(
     pair's M >= 3 models but one, k, is (S - p_k) / (M - 1), with S the
     block's sum in model order; it agrees with `form_ensemble` to within
     1e-12 rather than bit for bit. Any other ensemble is `form_ensemble`
-    over its members' block rows. Score sums and calibration bin sums are
-    added up over the blocks, and the means, ECE and ResCE formed once.
+    over its members' block rows. One `score_sums` call scores every model
+    of a block, one pass over each, whatever the metrics. The score and
+    calibration bin sums are added up over the blocks, and the means, ECE
+    and ResCE formed once.
     Points come out metric by metric, singles before ensembles.
     """
     for metric in metrics:
@@ -139,8 +205,6 @@ def trend_points(
         rest = set(models).difference(ens.member_model_ids)
         all_but_one = len(models) >= 3 and len(ens.member_model_ids) == len(models) - 1 and len(rest) == 1
         forms.append(index[rest.pop()] if all_but_one else [index[m] for m in ens.member_model_ids])
-    per_point = [m for m in metrics if m not in ("ece", "resce")]
-    calibrate = len(per_point) < len(metrics)
 
     def block_probs(block: list[np.ndarray]):
         """Each single's rows, then each ensemble's, formed from one block."""
@@ -165,19 +229,13 @@ def trend_points(
     values: list[list[dict]] = [[] for _ in scored]
     for dataset in pair:
         labels = store.labels(dataset)
-        sums = np.zeros((len(scored), len(per_point)))
-        bins: list = [None] * len(scored)
+        sums = None
         for rows, block in member_blocks(store.member_probs(held, dataset)):
-            y = labels[rows]
-            for j, probs in enumerate(block_probs(block)):
-                sums[j] += [compute_metric(metric, probs, y).sum() for metric in per_point]
-                if calibrate:
-                    summary = calibration(probs, y, n_bins=n_bins)
-                    bins[j] = summary if bins[j] is None else bins[j] + summary
-        for out, means, summary in zip(values, (sums / len(labels)).tolist(), bins):
-            out.append(dict(zip(per_point, means)))
-            if calibrate:
-                out[-1].update(ece=summary.ece, resce=summary.resce)
+            part = score_sums(block_probs(block), labels[rows], n_bins=n_bins)
+            sums = part if sums is None else sums + part
+        for k, (out, means) in enumerate(zip(values, (sums.scores / len(labels)).tolist())):
+            out.append(dict(zip(SCORE_SUMS, means)))
+            out[-1]["ece"], out[-1]["resce"] = sums.calibration_errors(k)
     return [
         TrendPoint(model_id, cls, metric, ind[metric], ood[metric])
         for metric in metrics

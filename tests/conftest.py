@@ -23,6 +23,27 @@ def read(store: PredictionStore, model_id: str, dataset_id: str) -> np.ndarray:
     return store.member_probs([model_id], dataset_id)[0][:]
 
 
+def calibration_bins(probs, labels, n_bins):
+    """Per-bin count, confidence sum and correct-prediction sum of one matrix,
+    binned by max-probability confidence: the reference for metrics.score_sums.
+    Bins of disjoint sets of points add."""
+    probs = np.asarray(probs, dtype=np.float64)
+    conf = probs.max(axis=1)
+    correct = (probs.argmax(axis=1) == labels).astype(np.float64)
+    idx = np.clip(np.ceil(conf * n_bins).astype(np.int64), 1, n_bins) - 1
+    return np.array([np.bincount(idx, minlength=n_bins), np.bincount(idx, weights=conf, minlength=n_bins),
+                     np.bincount(idx, weights=correct, minlength=n_bins)])
+
+
+def ece_resce(bins):
+    """{"ece", "resce"} of calibration_bins output."""
+    counts, conf, correct = bins
+    held = np.maximum(counts, 1)
+    gaps = correct / held - conf / held
+    weights = counts / counts.sum()
+    return {"ece": float(np.sum(weights * np.abs(gaps))), "resce": float(np.sqrt(np.sum(weights * gaps**2)))}
+
+
 def build_store(rng, datasets=("ind", "ood"), models=("m0", "m1", "m2", "m3"),
                 n=60, c=5):
     store = PredictionStore()

@@ -22,7 +22,7 @@ from ensdiag.improvement import (
     mmd2_unbiased,
     mmd_threshold,
 )
-from ensdiag.metrics import calibration
+from ensdiag.metrics import score_sums
 from ensdiag.store import load_store
 from ensdiag.trends import fit_trend_xy, trend_points, trend_table
 
@@ -96,15 +96,15 @@ def test_resce_dominates_ece():
     for _ in range(1000):
         probs = rng.dirichlet(np.ones(5), size=50)
         labels = rng.integers(0, 5, 50)
-        rep = calibration(probs, labels, n_bins=15)
-        ok += rep.resce >= rep.ece - 1e-12
+        ece, resce = score_sums([probs], labels, n_bins=15).calibration_errors(0)
+        ok += resce >= ece - 1e-12
     labels = rng.integers(0, 5, 40)
-    perfect = calibration(np.eye(5)[labels], labels, n_bins=15)
+    perfect_ece, perfect_resce = score_sums([np.eye(5)[labels]], labels, n_bins=15).calibration_errors(0)
     record(
         "calibration ordering",
-        ok == 1000 and perfect.ece == 0.0 and perfect.resce == 0.0,
+        ok == 1000 and perfect_ece == 0.0 and perfect_resce == 0.0,
         f"resce >= ece in {ok}/1000 random sets; one-hot-correct gives ece="
-        f"{perfect.ece}, resce={perfect.resce}",
+        f"{perfect_ece}, resce={perfect_resce}",
     )
 
 

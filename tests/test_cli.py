@@ -281,14 +281,15 @@ MAIN_PROBE = """
 import json, sys
 from ensdiag.cli import main
 code = main(sys.argv[1:])
-print(json.dumps({"code": code, "loaded": sorted({"scipy", "scipy.linalg", "scipy.special"} & set(sys.modules))}))
+print(json.dumps({"code": code, "loaded": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
 """
 
 
-# Every command but trends, which computes its p-value with scipy.special.stdtr, runs without scipy.
+# Every command runs without loading any scipy module.
 @pytest.mark.parametrize("argv", [
     [*BASE_SIM, "--out", "{tmp}/store"],
     ["decompose", "--manifest", "{sim}/manifest.json", "--out", "{tmp}/dec"],
+    ["trends", "--manifest", "{sim}/manifest.json", "--metric", "01,nll,brier,ece,resce", "--out", "{tmp}/tr"],
     ["conditional", "--manifest", "{sim}/manifest.json", "--surrogates", "3", "--out", "{tmp}/cond"],
     ["improve", "--manifest", "{sim}/manifest.json", "--base", "m000", "--alt-a", "m000+m001",
      "--alt-b", "m000+m002", "--control", "m003", "--out", "{tmp}/imp"],
@@ -307,14 +308,11 @@ def test_commands_run_without_scipy_linalg_or_special(sim_dir, tmp_path, argv):
      "--alt-b", "m000+m002", "--control", "m003", "--out", "{tmp}/out"],
     ["gp-demo", "--out", "{tmp}/out"],
 ], ids=lambda argv: argv[0])
-def test_scipy_version_recorded_by_trends_only(sim_dir, tmp_path, argv):
+def test_no_command_records_scipy(sim_dir, tmp_path, argv):
     # scipy is already loaded in this process; the record depends on the command alone.
-    import scipy
-
     assert run([a.format(tmp=tmp_path, sim=sim_dir) for a in argv]) == 0
     versions = json.loads((tmp_path / "out" / "result.json").read_text())["versions"]
-    assert sorted(versions) == sorted(["package", "numpy", "python"] + (["scipy"] if argv[0] == "trends" else []))
-    assert versions.get("scipy", scipy.__version__) == scipy.__version__
+    assert sorted(versions) == ["numpy", "package", "python"]
 
 
 class TestSimulateCommand:
@@ -398,6 +396,19 @@ class TestConditionalCommand:
 
 
 class TestTrendsCommand:
+    def test_pair_without_shared_models_is_one_error_line(self, tmp_path, capsys):
+        # Three models predicted on ind only: no model has predictions on both datasets.
+        rng = np.random.default_rng(2)
+        members = [(f"m{k}", rng.standard_normal((20, 3))) for k in range(3)]
+        manifest = write_store(tmp_path / "store", 3, [("ind", rng.integers(0, 3, 20), members),
+                                                       ("ood", rng.integers(0, 3, 10), [])], [("ind", "ood")])
+        out = tmp_path / "tr"
+        capsys.readouterr()
+        assert run(["trends", "--manifest", manifest, "--out", out]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: need at least two member models on both datasets"]
+        assert not out.exists()
+
     def test_single_class_all_row(self, sim_dir, tmp_path):
         out = tmp_path / "tr"
         code = run([

@@ -14,6 +14,7 @@ from ensdiag.improvement import (
     BANDWIDTH_MEDIAN_CAP,
     BLOCK_ELEMENTS,
     MEDIAN_BUCKET_SHIFT,
+    MEDIAN_GATHER_CAP,
     ensemble_scores,
     improvement_similarity_test,
     median_heuristic_bandwidth,
@@ -206,6 +207,31 @@ class TestMedianBandwidth:
     def test_discrete_clouds(self, rng, n, p_zero):
         assert_pdist_median(rng.choice([-1.0, 0.0, 1.0], p=[(1 - p_zero) / 2, p_zero, (1 - p_zero) / 2],
                                        size=(n, 2)))
+
+    def test_heavy_bucket_of_distinct_values_is_refined(self, rng):
+        # Two clusters 1 apart, each spread by 1e-9: the million cross distances are distinct
+        # but share one first-level bucket, far more than MEDIAN_GATHER_CAP.
+        n = BANDWIDTH_MEDIAN_CAP // 2
+        cloud = np.concatenate([rng.normal(scale=1e-9, size=(n, 1)), 1.0 + rng.normal(scale=1e-9, size=(n, 1))])
+        assert n * n > MEDIAN_GATHER_CAP
+        assert_pdist_median(cloud)
+
+    def test_tied_clouds_peak_no_higher_than_a_normal_one(self, rng):
+        # Tied distances fill one middle bucket; it is refined or read off, never gathered whole.
+        n = BANDWIDTH_MEDIAN_CAP
+        clouds = {"normal": rng.normal(size=(n, 2)), "ternary": rng.choice([-1.0, 0.0, 1.0], size=(n, 2)),
+                  "two-point": np.repeat([[0.0, 0.0], [1.0, 2.0]], n // 2, axis=0)}
+        peaks = {}
+        for name, cloud in clouds.items():
+            assert_pdist_median(cloud)
+            tracemalloc.start()
+            try:
+                median_heuristic_bandwidth(cloud)
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["ternary"] <= peaks["normal"] + 2**20, peaks
+        assert peaks["two-point"] <= peaks["normal"] + 2**20, peaks
 
     def test_memory_bounded_at_cap(self, rng):
         # Held whole, the ~2M distances of a cloud at the cap took 33.6 MiB.

@@ -5,15 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_simplex
+from conftest import calibration_bins, ece_resce, random_simplex
 from ensdiag.errors import ValidationError
 from ensdiag.metrics import (
+    SCORE_SUMS,
     brier,
-    calibration,
     compute_metric,
     entropy,
     nll,
     quad_uncertainty,
+    score_sums,
     zero_one_error,
 )
 
@@ -144,10 +145,19 @@ class TestMetricRanges:
                 compute_metric(kind, np.array([[1.0, 0.0]]), np.array([0]))
 
 
+class Calibration:
+    """ECE, ResCE and bin counts of one matrix, from score_sums."""
+
+    def __init__(self, probs, labels, n_bins=15):
+        sums = score_sums([probs], labels, n_bins=n_bins)
+        self.ece, self.resce = sums.calibration_errors(0)
+        self.bin_counts, self.n_bins = sums.bins[0, 0], sums.bins.shape[2]
+
+
 class TestCalibration:
     def test_perfect_one_hot(self):
         p = np.eye(3)[np.array([0, 1, 2, 1])]
-        summary = calibration(p, np.array([0, 1, 2, 1]))
+        summary = Calibration(p, np.array([0, 1, 2, 1]))
         assert summary.ece == 0.0
         assert summary.resce == 0.0
 
@@ -159,7 +169,7 @@ class TestCalibration:
         p[:, 1] = 0.1
         y = np.zeros(n, dtype=np.int64)
         y[:2] = 1
-        summary = calibration(p, y, n_bins=1)
+        summary = Calibration(p, y, n_bins=1)
         np.testing.assert_allclose(summary.ece, 0.1, atol=1e-12)
         np.testing.assert_allclose(summary.resce, 0.1, atol=1e-12)
 
@@ -177,26 +187,26 @@ class TestCalibration:
         p2, y2 = half(0.9, 1.0, 10, None)   # gap -0.1 in bin (0.75, 1]
         p = np.vstack([p1, p2])
         y = np.concatenate([y1, y2])
-        s = calibration(p, y, n_bins=4)
+        s = Calibration(p, y, n_bins=4)
         np.testing.assert_allclose(s.ece, 0.1, atol=1e-12)
         np.testing.assert_allclose(s.resce, 0.1, atol=1e-12)
 
         p3, y3 = half(0.7, 0.5, 10, None)   # gap +0.2 in bin (0.5, 0.75]
         p4, y4 = half(0.9, 0.9, 10, None)   # gap 0 in bin (0.75, 1]
-        s2 = calibration(np.vstack([p3, p4]), np.concatenate([y3, y4]), n_bins=4)
+        s2 = Calibration(np.vstack([p3, p4]), np.concatenate([y3, y4]), n_bins=4)
         np.testing.assert_allclose(s2.ece, 0.1, atol=1e-12)
         np.testing.assert_allclose(s2.resce, np.sqrt(0.5 * 0.04), atol=1e-12)
 
     def test_counts_sum_to_n(self, rng):
         p = random_simplex(rng, 57, 4)
         y = rng.integers(0, 4, size=57)
-        s = calibration(p, y, n_bins=15)
+        s = Calibration(p, y, n_bins=15)
         assert s.bin_counts.sum() == 57
         assert s.n_bins == 15
 
     def test_confidence_one_lands_in_last_bin(self):
         p = np.array([[1.0, 0.0]])
-        s = calibration(p, np.array([0]), n_bins=10)
+        s = Calibration(p, np.array([0]), n_bins=10)
         assert s.bin_counts[-1] == 1
 
     @given(st.integers(0, 10**6))
@@ -207,6 +217,34 @@ class TestCalibration:
         n = int(rng.integers(5, 200))
         p = random_simplex(rng, n, c)
         y = rng.integers(0, c, size=n)
-        s = calibration(p, y, n_bins=int(rng.integers(1, 25)))
+        s = Calibration(p, y, n_bins=int(rng.integers(1, 25)))
         assert s.resce >= s.ece - 1e-12
         assert s.ece >= 0
+
+
+class TestScoreSums:
+    def test_columns_match_per_point_scores(self, rng):
+        p, q = random_simplex(rng, 40, 4), random_simplex(rng, 40, 4)
+        y = rng.integers(0, 4, 40)
+        sums = score_sums(iter([p, q]), y, n_bins=6)
+        for k, probs in enumerate((p, q)):
+            got = dict(zip(SCORE_SUMS, sums.scores[k]))
+            assert got["zero_one"] == zero_one_error(probs, y).sum()
+            assert got["nll"] == nll(probs, y).sum()
+            assert got["brier"] == pytest.approx(brier(probs, y).sum(), rel=1e-12, abs=0)
+            assert np.array_equal(sums.bins[k], calibration_bins(probs, y, 6))
+            assert dict(zip(("ece", "resce"), sums.calibration_errors(k))) == ece_resce(calibration_bins(probs, y, 6))
+
+    def test_rejects_bad_input(self, rng):
+        p, y = random_simplex(rng, 5, 3), np.array([0, 1, 2, 0, 1])
+        for matrices, labels, n_bins, match in (
+            ([p], np.array([0, 1, 3, 0, 1]), 15, "labels outside"),
+            ([p], np.array([0, 1, -1, 0, 1]), 15, "labels outside"),
+            ([p], y[:4], 15, "rows"),
+            ([p, p[:, :2]], y, 15, "scored together"),
+            ([p], y, 0, "n_bins"),
+            ([], y, 15, "at least one matrix"),
+            ([p[:0]], y[:0], 15, "at least one point"),
+        ):
+            with pytest.raises(ValidationError, match=match):
+                score_sums(matrices, labels, n_bins=n_bins)

@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from ensdiag.store import (
     form_heterogeneous_ensembles,
     load_store,
     softmax,
+    validate_probs,
     write_store,
 )
 
@@ -377,6 +380,40 @@ def write_kind_store(root, kind, members, labels):
     }
     (root / "manifest.json").write_text(json.dumps(manifest))
     return root / "manifest.json"
+
+
+FLOAT32 = st.floats(allow_nan=False, allow_infinity=False, width=32)
+
+
+@st.composite
+def stored_block(draw):
+    """A kind and an (n, c) float32-representable block that may or may not pass the load
+    checks: logits anywhere in the float32 range, or simplex rows with entries and row sums
+    pushed up to about 1e-6 past exact."""
+    kind = draw(st.sampled_from(["logits", "probs"]))
+    n, c = draw(st.integers(1, 5)), draw(st.integers(2, 6))
+    if kind == "logits":
+        return kind, np.array(draw(st.lists(FLOAT32, min_size=n * c, max_size=n * c))).reshape(n, c)
+    weights = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n * c, max_size=n * c))).reshape(n, c)
+    weights[:, 0] += 1e-300  # no all-zero row
+    noise = np.array(draw(st.lists(st.floats(-1.2e-6, 1.2e-6), min_size=n * c, max_size=n * c))).reshape(n, c)
+    return kind, weights / weights.sum(axis=1, keepdims=True) + noise / draw(st.sampled_from([1, c]))
+
+
+@given(block=stored_block())
+@settings(max_examples=300, deadline=None)
+def test_every_accepted_block_reads_as_valid_probs(block):
+    # Reads skip validate_probs because what `_check_values` accepts always passes it.
+    kind, raw = block
+    n = raw.shape[0]
+    with tempfile.TemporaryDirectory() as root:
+        try:
+            store = load_store(write_kind_store(Path(root), kind, [raw], np.zeros(n, dtype=np.int64)))
+        except ValidationError:
+            return
+        member = store.member_probs(["m0"], "d")[0]
+        for rows in (slice(None), slice(0, 1), slice(n // 2, n)):
+            validate_probs(member[rows])
 
 
 class TestReadOnAccess:

@@ -1,5 +1,7 @@
 """Trend fits, effective robustness, and the diversity-ratio identity."""
 
+import json
+import math
 import tracemalloc
 from unittest import mock
 
@@ -7,14 +9,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import stdtr
 from scipy.stats import linregress
 
-from conftest import build_store, random_simplex, read
+from conftest import build_store, calibration_bins, ece_resce, random_simplex, read
 import ensdiag.store
 import ensdiag.trends
 from ensdiag.decomposition import decompose
 from ensdiag.errors import ValidationError
-from ensdiag.metrics import brier, calibration, compute_metric
+from ensdiag.metrics import brier, compute_metric, score_sums
 from ensdiag.store import (
     EnsembleDef,
     PredictionStore,
@@ -22,6 +25,7 @@ from ensdiag.store import (
     form_ensemble,
     form_heterogeneous_ensembles,
     load_store,
+    member_blocks,
     write_store,
 )
 from ensdiag.trends import (
@@ -31,6 +35,7 @@ from ensdiag.trends import (
     effective_robustness,
     fit_trend,
     fit_trend_xy,
+    t_two_sided_p,
     trend_points,
     trend_table,
 )
@@ -111,15 +116,19 @@ def _same(a, b):
 
 
 class TestFitMatchesLinregress:
-    """The closed-form fit against scipy.stats.linregress, bit for bit."""
+    """The closed-form fit against scipy.stats.linregress: the p-value to 1e-10
+    relative (an absolute 1e-300 floor covers subnormal tails), every other
+    field bit for bit."""
 
     @staticmethod
     def check(x, y):
         fit = fit_trend_xy(x, y)
         ref = linregress(x, y)
         for got, want in ((fit.coefficient, ref.slope), (fit.intercept, ref.intercept),
-                          (fit.std_error, ref.stderr), (fit.p_value, ref.pvalue), (fit.r2, ref.rvalue**2)):
+                          (fit.std_error, ref.stderr), (fit.r2, ref.rvalue**2)):
             assert _same(got, float(want)), (got, want)
+        p_ref = float(ref.pvalue)
+        assert _same(fit.p_value, p_ref) or fit.p_value == pytest.approx(p_ref, rel=1e-10, abs=1e-300)
         if fit.std_error > 0:
             assert fit.t_statistic == fit.coefficient / fit.std_error
         else:
@@ -150,6 +159,38 @@ class TestFitMatchesLinregress:
     def test_constant_ood_has_undefined_r(self):
         fit = self.check(np.arange(5.0), np.full(5, 0.5))
         assert np.isnan(fit.r2) and np.isnan(fit.p_value) and fit.coefficient == 0.0
+
+
+class TestTTail:
+    """t_two_sided_p against scipy's stdtr and against closed forms."""
+
+    @pytest.mark.parametrize("df", [1, 2, 3, 4, 5, 7, 10, 13, 20, 37, 49, 50, 51, 100, 333, 1000, 4999, 5000, 10_000])
+    def test_matches_stdtr(self, df):
+        for t in np.concatenate([np.logspace(-3, 20, 240), [0.5, 1.0, 2.0, 3.0]]):
+            want = 2.0 * float(stdtr(df, -t))
+            if want < 1e-300:
+                continue
+            assert t_two_sided_p(t, df) == pytest.approx(want, rel=1e-10, abs=0), (df, t)
+            assert t_two_sided_p(-t, df) == t_two_sided_p(t, df)
+
+    def test_closed_forms(self):
+        # df = 1: 1 - (2/pi) atan|t|; df = 2: 1 - |t| / sqrt(2 + t^2). Both written
+        # without cancellation for large |t|. scipy's own df=1 value at t=1e-8 is off by 3e-9.
+        for t in np.logspace(-10, 10, 201):
+            root = math.sqrt(2.0 + t * t)
+            assert t_two_sided_p(t, 1) == pytest.approx(2.0 / math.pi * math.atan2(1.0, t), rel=1e-14, abs=0)
+            want = 2.0 / (root * (root + t)) if t > 1.0 else 1.0 - t / root
+            assert t_two_sided_p(t, 2) == pytest.approx(want, rel=1e-14, abs=0)
+        assert t_two_sided_p(1e-8, 1) == pytest.approx(1.0 - 2.0 / math.pi * 1e-8, rel=1e-16)
+
+    def test_special_values(self):
+        for df in (1, 2, 58):
+            assert t_two_sided_p(math.inf, df) == 0.0 and t_two_sided_p(-math.inf, df) == 0.0
+            assert t_two_sided_p(0.0, df) == 1.0
+            assert math.isnan(t_two_sided_p(math.nan, df))
+            assert t_two_sided_p(1e-200, df) == 1.0
+        # No t^2 is formed, so a tail beyond |t| = 1.3e154 still comes out, as 2 / (pi |t|) at df = 1.
+        assert t_two_sided_p(1e200, 1) == pytest.approx(2.0 / math.pi * 1e-200, rel=1e-13)
 
 
 class TestEffectiveRobustness:
@@ -232,7 +273,7 @@ class TestTrendPoints:
                 probs = form_ensemble([read(store, m, dataset) for m in members])
             labels = store.labels(dataset)
             if metric in ("ece", "resce"):
-                return getattr(calibration(probs, labels, n_bins=7), metric)
+                return ece_resce(calibration_bins(probs, labels, 7))[metric]
             return compute_metric(metric, probs, labels).mean()
 
         expected = [
@@ -241,13 +282,19 @@ class TestTrendPoints:
             for pid, members, cls in singles + combos
         ]
         got = [(p.metric, p.model_id, p.model_class, p.ind_value, p.ood_value) for p in pts]
-        assert got == expected
+        # Brier is summed as sum p^2 - 2 p_y + 1, so it agrees to 1e-12 relative; the rest bit for bit.
+        assert [g[:3] for g in got] == [e[:3] for e in expected]
+        for g, e in zip(got, expected):
+            if g[0] == "brier":
+                assert g[3:] == pytest.approx(e[3:], rel=1e-12, abs=0)
+            else:
+                assert g[3:] == e[3:], (g, e)
 
     @pytest.mark.parametrize("metrics", [["brier"], ["ece", "nll"], list(TREND_METRICS)])
     def test_one_ensemble_and_calibration_per_dataset(self, rng, monkeypatch, metrics):
         # 50 points of 6 models and 4 classes are one row block per dataset.
         store, ensembles, het_ids = mixed_ensemble_store(rng)
-        calls = {"form_ensemble": 0, "calibration": 0}
+        calls = {"form_ensemble": 0, "score_sums": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -256,17 +303,58 @@ class TestTrendPoints:
             return wrapper
 
         monkeypatch.setattr(ensdiag.trends, "form_ensemble", counted("form_ensemble", form_ensemble))
-        monkeypatch.setattr(ensdiag.trends, "calibration", counted("calibration", calibration))
+        monkeypatch.setattr(ensdiag.trends, "score_sums", counted("score_sums", score_sums))
         trend_points(store, ensembles, metrics, ("ind", "ood"), heterogeneous_ids=het_ids)
         # All-but-one ensembles come from the block sum; only the heterogeneous one is formed.
         assert calls["form_ensemble"] == 2 * len(het_ids)
-        scored = len(store.model_ids) + len(ensembles)
-        needs_calibration = "ece" in metrics or "resce" in metrics
-        assert calls["calibration"] == (2 * scored if needs_calibration else 0)
+        # One scoring call per block scores every model for every metric.
+        assert calls["score_sums"] == 2
 
     def test_invalid_class_rejected(self):
         with pytest.raises(ValidationError):
             TrendPoint("m", "committee", "brier", 0.1, 0.2)
+
+
+def ensemble_forms(store, pair, tmp_path):
+    """The ensembles of `trends --ensembles loo`, of an --ensembles file, and of --het-bins."""
+    from ensdiag.cli import _load_ensembles
+
+    listed = tmp_path / "ensembles.json"
+    listed.write_text(json.dumps([["m0", "m1"], ["m2", "m4", "m5"], ["m5", "m3"]]))
+    het = form_heterogeneous_ensembles(store, pair, 1, seed=3).ensembles
+    return {"loo": _load_ensembles("loo", store, pair), "file": _load_ensembles(str(listed), store, pair),
+            "het-bins": het}
+
+
+@pytest.mark.parametrize("form", ["loo", "file", "het-bins"])
+def test_score_sums_match_per_point_scores_across_blocks(rng, tmp_path, form):
+    # The fused scorer against compute_metric and direct calibration bins, summed
+    # block by block as trend_points adds them, on ensembles formed with form_ensemble.
+    store = build_store(rng, models=tuple(f"m{k}" for k in range(6)), n=71, c=5)
+    pair, n_bins = ("ind", "ood"), 7
+    ensembles = ensemble_forms(store, pair, tmp_path)[form]
+    assert ensembles
+    with mock.patch.object(ensdiag.store, "BLOCK_ELEMENTS", 10 * 5 * 6):  # 10 rows a block, the last 1
+        for dataset in pair:
+            labels = store.labels(dataset)
+            got, want_scores, want_bins = None, 0.0, 0.0
+            blocks = 0
+            for rows, block in member_blocks(store.member_probs(store.model_ids, dataset)):
+                blocks += 1
+                index = dict(zip(store.model_ids, block))
+                matrices = [*block, *(form_ensemble([index[m] for m in e.member_model_ids]) for e in ensembles)]
+                part = score_sums(matrices, labels[rows], n_bins=n_bins)
+                got = part if got is None else got + part
+                want_scores = want_scores + np.array(
+                    [[compute_metric(kind, p, labels[rows]).sum() for kind in ("zero_one", "nll", "brier")]
+                     for p in matrices])
+                want_bins = want_bins + np.array([calibration_bins(p, labels[rows], n_bins) for p in matrices])
+            assert blocks == 8
+            assert np.array_equal(got.scores[:, :2], want_scores[:, :2])
+            np.testing.assert_allclose(got.scores[:, 2], want_scores[:, 2], rtol=1e-12, atol=0)
+            assert np.array_equal(got.bins, want_bins)
+            for k in range(len(matrices)):
+                assert dict(zip(("ece", "resce"), got.calibration_errors(k))) == ece_resce(want_bins[k])
 
 
 class TestTrendTable:
@@ -426,8 +514,9 @@ class TestDiversityRatio:
         assert rep.per_ensemble_ratio.keys() == per_ens.keys()
         for eid, expected in per_ens.items():
             assert rep.per_ensemble_ratio[eid] == pytest.approx(expected, rel=1e-12, abs=0)
-        assert rep.c0 == fit.coefficient
-        assert rep.c0_std_error == fit.std_error
+        # The single-model Brier points agree to 1e-12 relative, and so does their fit.
+        assert rep.c0 == pytest.approx(fit.coefficient, rel=1e-12, abs=0)
+        assert rep.c0_std_error == pytest.approx(fit.std_error, rel=1e-12, abs=0)
 
     def test_reads_no_predictions(self, rng, monkeypatch):
         store, ensembles, het_ids = mixed_ensemble_store(rng)
@@ -450,11 +539,12 @@ class TestLeaveOneOutRunningSum:
         store, ensembles = self._loo_store(rng)
         seen = []
 
-        def recording(metric, probs, labels):
-            seen.append(np.array(probs))
-            return compute_metric(metric, probs, labels)
+        def recording(matrices, labels, n_bins):
+            matrices = [np.array(probs) for probs in matrices]
+            seen.extend(matrices)
+            return score_sums(matrices, labels, n_bins)
 
-        monkeypatch.setattr(ensdiag.trends, "compute_metric", recording)
+        monkeypatch.setattr(ensdiag.trends, "score_sums", recording)
         trend_points(store, ensembles, ["brier"], ("ind", "ood"))
         # 70 points of 6 models and 6 classes are one row block per dataset.
         m = len(store.model_ids)
@@ -474,7 +564,7 @@ class TestLeaveOneOutRunningSum:
             probs = form_ensemble([read(store, m, dataset) for m in members])
             labels = store.labels(dataset)
             if metric in ("ece", "resce"):
-                return getattr(calibration(probs, labels, n_bins=7), metric)
+                return ece_resce(calibration_bins(probs, labels, 7))[metric]
             return compute_metric(metric, probs, labels).mean()
 
         members = {m: (m,) for m in store.model_ids} | {e.ensemble_id: e.member_model_ids for e in listed}
