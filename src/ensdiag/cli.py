@@ -35,7 +35,15 @@ from .conditional import (
 )
 from .decomposition import FAMILIES, decompose
 from .errors import NumericalError, ValidationError
-from .gp import DEFAULT_EVAL_DOMAIN, LIK_VAR_RANGE, TRAIN_DOMAIN, run_default_experiment
+from .gp import (
+    DEFAULT_EVAL_DOMAIN,
+    LENGTHSCALE,
+    LIK_VAR_RANGE,
+    N_TRAIN,
+    SIGNAL_VARIANCE,
+    TRAIN_DOMAIN,
+    run_default_experiment,
+)
 from .improvement import ensemble_scores, improvement_similarity_test, pearson_r
 from .metrics import NLL_EPS
 from .simulate import SyntheticSpec, write_synthetic_store
@@ -46,6 +54,7 @@ from .store import (
     ensemble_id_for,
     form_heterogeneous_ensembles,
     load_store,
+    read_json,
 )
 from .trends import effective_robustness, trend_points, trend_table, diversity_ratio_check
 from . import svgplot
@@ -81,9 +90,13 @@ def write_csv(path: Path, columns: dict) -> None:
 
 def prepare_out_dir(path: str, force: bool) -> Path:
     out = Path(path)
-    if out.exists() and any(out.iterdir()) and not force:
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        occupied = any(out.iterdir())
+    except OSError as exc:
+        raise ValidationError(f"cannot use {out} as the output directory: {exc}") from exc
+    if occupied and not force:
         raise ValidationError(f"output directory {out} is not empty; pass --force to overwrite")
-    out.mkdir(parents=True, exist_ok=True)
     return out
 
 
@@ -300,10 +313,7 @@ def _load_ensembles(arg: str, store: PredictionStore, pair: tuple[str, str]) -> 
     path = Path(arg)
     if not path.is_file():
         raise ValidationError(f"--ensembles file not found: {path}")
-    try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"--ensembles file is not valid JSON: {exc}") from exc
+    raw = read_json(path, "--ensembles file")
     if not isinstance(raw, list):
         raise ValidationError("--ensembles file must hold a JSON list of member lists")
     defs = []
@@ -559,13 +569,12 @@ def cmd_gp_demo(args: argparse.Namespace) -> None:
                 "ood_exceeds_ind_in_all_populated_bins": ood_higher,
             },
             "settings": {
-                "n_train": exp.model.train_x.shape[0],
+                "n_train": N_TRAIN,
                 "train_domain": TRAIN_DOMAIN,
                 "eval_domain": DEFAULT_EVAL_DOMAIN,
                 "n_eval": int(pred.x.shape[0]),
-                "lengthscale": exp.model.lengthscale,
-                "signal_variance": exp.model.signal_variance,
-                "jitter": exp.jitter,
+                "lengthscale": LENGTHSCALE,
+                "signal_variance": SIGNAL_VARIANCE,
                 "noise_variance": "sin^2(x) + 0.01",
                 "likelihood_bins": args.bins,
                 "likelihood_range": LIK_VAR_RANGE,
@@ -616,11 +625,7 @@ def cmd_report(args: argparse.Namespace) -> None:
         raise ValidationError(f"{index_path} exists; pass --force to overwrite")
     runs = []
     for result in sorted(root.rglob("result.json")):
-        try:
-            parsed = json.loads(result.read_text())
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{result} is not valid JSON: {exc}") from exc
-        runs.append({"path": str(result.relative_to(root)), "result": parsed})
+        runs.append({"path": str(result.relative_to(root)), "result": read_json(result, str(result))})
     _write_result(index_path, "report", {"n_runs": len(runs), "runs": runs})
 
 

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .metrics import IDENTITY_TOL, NLL_EPS, brier, entropy, quad_uncertainty
+from .metrics import IDENTITY_TOL, NLL_EPS, brier, check_labels, entropy, quad_uncertainty
 from .store import check_members, form_ensemble, member_blocks
 
 FAMILIES = ("quadratic", "entropy", "brier_gap", "nll_gap")
@@ -82,12 +82,7 @@ def decompose(
     if "brier_gap" in wanted or "nll_gap" in wanted:
         if labels is None:
             raise ValidationError("brier_gap and nll_gap need labels")
-        labels = np.asarray(labels)
-        if labels.shape != (n,):
-            raise ValidationError(f"labels shape {labels.shape} does not match {n} rows")
-        if labels.size and (labels.min() < 0 or labels.max() >= c):
-            raise ValidationError(f"labels outside [0, {c})")
-        labels = labels.astype(np.int64)
+        labels = check_labels(labels, n, c)
     columns = {f: (np.empty(n), np.empty(n), np.empty(n)) for f in wanted}
     kl = np.empty(n) if "entropy" in wanted else None
     unclamped = np.empty(n, dtype=bool) if "nll_gap" in wanted else None

@@ -21,18 +21,21 @@ NLL_EPS = 1e-12
 IDENTITY_TOL = 1e-10
 
 
+def check_labels(labels: np.ndarray, n: int, c: int) -> np.ndarray:
+    """Labels as int64, checked to be n class indices in [0, c)."""
+    labels = np.asarray(labels)
+    if labels.shape != (n,):
+        raise ValidationError(f"labels shape {labels.shape} does not match {n} rows")
+    if labels.size and (labels.min() < 0 or labels.max() >= c):
+        raise ValidationError(f"labels outside [0, {c})")
+    return labels.astype(np.int64)
+
+
 def _check_labels(probs: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     probs = np.asarray(probs, dtype=np.float64)
-    labels = np.asarray(labels)
     if probs.ndim != 2:
         raise ValidationError(f"expected 2-d probabilities, got shape {probs.shape}")
-    if labels.shape != (probs.shape[0],):
-        raise ValidationError(
-            f"labels shape {labels.shape} does not match {probs.shape[0]} rows"
-        )
-    if labels.size and (labels.min() < 0 or labels.max() >= probs.shape[1]):
-        raise ValidationError(f"labels outside [0, {probs.shape[1]})")
-    return probs, labels.astype(np.int64)
+    return probs, check_labels(labels, *probs.shape)
 
 
 def brier(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -145,10 +148,9 @@ def score_sums(matrices: Iterable[np.ndarray], labels: np.ndarray, n_bins: int =
             shape = probs.shape
             if probs.ndim != 2 or shape[0] != n:
                 raise ValidationError(f"expected a 2-d matrix of {n} rows, got shape {shape}")
-            if labels.min() < 0 or labels.max() >= shape[1]:
-                raise ValidationError(f"labels outside [0, {shape[1]})")
+            labels = check_labels(labels, n, shape[1])
             starts = np.arange(n) * shape[1]
-            at_label = starts + labels.astype(np.intp)
+            at_label = starts + labels
         elif probs.shape != shape:
             raise ValidationError(f"matrices of shapes {shape} and {probs.shape} scored together")
         flat = probs.reshape(-1)

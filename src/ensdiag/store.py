@@ -204,10 +204,10 @@ class PredictionStore:
     as a StoredMember that reads it from disk on each access (`load_store`).
     """
 
-    datasets: dict[str, DatasetInfo] = field(default_factory=dict)
-    pairs: list[tuple[str, str]] = field(default_factory=list)
-    _predictions: dict[tuple[str, str], np.ndarray | StoredMember] = field(default_factory=dict)
-    _model_ids: list[str] = field(default_factory=list)
+    datasets: dict[str, DatasetInfo] = field(default_factory=dict, init=False)
+    pairs: list[tuple[str, str]] = field(default_factory=list, init=False)
+    _predictions: dict[tuple[str, str], np.ndarray | StoredMember] = field(default_factory=dict, init=False)
+    _model_ids: list[str] = field(default_factory=list, init=False)
 
     def register_dataset(self, dataset_id: str, labels: np.ndarray, n_classes: int) -> None:
         _check_id("dataset", dataset_id)
@@ -459,6 +459,15 @@ def _entries(manifest: dict, key: str) -> list[dict]:
     return entries
 
 
+def read_json(path: Path, what: str):
+    """Parsed contents of a UTF-8 JSON file; a file that cannot be read, decoded or
+    parsed is a ValidationError naming `what`."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValidationError(f"{what} is not readable JSON: {exc}") from exc
+
+
 def load_store(manifest_path: str | Path) -> PredictionStore:
     """Load a manifest into a PredictionStore that reads members on access.
 
@@ -469,10 +478,7 @@ def load_store(manifest_path: str | Path) -> PredictionStore:
     manifest_path = Path(manifest_path)
     if not manifest_path.is_file():
         raise ValidationError(f"manifest not found: {manifest_path}")
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"manifest is not valid JSON: {exc}") from exc
+    manifest = read_json(manifest_path, "manifest")
     root = manifest_path.parent
 
     if not isinstance(manifest, dict):

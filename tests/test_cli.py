@@ -82,6 +82,33 @@ class TestExitCodes:
         assert run(BASE_SIM + ["--out", out]) == 1
         assert run(BASE_SIM + ["--out", out, "--force"]) == 0
 
+    @pytest.mark.parametrize("force", [[], ["--force"]], ids=["plain", "force"])
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    def test_out_that_is_or_sits_under_a_file(self, tmp_path, capsys, under, force):
+        afile = tmp_path / "afile"
+        afile.write_text("x")
+        out = afile / "sub" if under else afile
+        assert run(["gp-demo", "--out", out, *force]) == 1
+        _one_error_line(capsys, f"cannot use {out} as the output directory")
+
+
+# Each JSON input, and the command that reads it.
+JSON_INPUTS = {
+    "manifest": ("{sim}/manifest.json", ["decompose", "--manifest", "{sim}/manifest.json", "--out", "{tmp}/x"]),
+    "ensembles": ("{tmp}/ens.json", ["trends", "--manifest", "{sim}/manifest.json",
+                                     "--ensembles", "{tmp}/ens.json", "--out", "{tmp}/x"]),
+    "result": ("{sim}/result.json", ["report", "--out", "{sim}"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(JSON_INPUTS))
+def test_non_utf8_json_is_one_error_line(sim_dir, tmp_path, capsys, case):
+    path, argv = JSON_INPUTS[case]
+    Path(path.format(sim=sim_dir, tmp=tmp_path)).write_bytes(b"\xff{")
+    capsys.readouterr()
+    assert run([a.format(sim=sim_dir, tmp=tmp_path) for a in argv]) == 1
+    _one_error_line(capsys, "is not readable JSON", "can't decode byte 0xff")
+
 
 def _drop_key(entries, key):
     del entries[0][key]
@@ -749,8 +776,9 @@ class TestGpDemoCommand:
         assert run(["gp-demo", "--seed", "0", "--out", out]) == 0
         result = json.loads((out / "result.json").read_text())
         assert result["summary"]["ood_exceeds_ind_in_all_populated_bins"] is True
-        # 25 distinct training inputs under a noise floor: the plain Cholesky succeeds.
-        assert result["settings"]["jitter"] == 0.0
+        settings = result["settings"]
+        assert (settings["n_train"], settings["lengthscale"], settings["signal_variance"]) == (25, 1.0, 1.0)
+        assert "jitter" not in settings
         header, rows = read_csv(out / "gp_bins.csv")
         assert header == ["split", "bin_lo", "bin_hi", "count", "mean_posterior_variance"]
         assert len(rows) == 40
@@ -758,6 +786,22 @@ class TestGpDemoCommand:
         assert len(rows) == 512
         splits = {row[-1] for row in rows}
         assert splits == {"ind", "ood"}
+
+    def test_failed_factorization_is_one_numerical_error_line(self, tmp_path, capsys, monkeypatch):
+        # The prior draw's factorization succeeds and the fit's fails.
+        cholesky, calls = np.linalg.cholesky, []
+
+        def failing(matrix):
+            calls.append(matrix.shape)
+            if len(calls) > 1:
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+            return cholesky(matrix)
+
+        monkeypatch.setattr(np.linalg, "cholesky", failing)
+        assert run(["gp-demo", "--out", tmp_path / "gp"]) == 2
+        assert calls == [(25, 25), (25, 25)]
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical error: "), lines
 
 
 class TestReportCommand:

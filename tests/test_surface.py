@@ -1,7 +1,10 @@
-"""Every public function and method of the package is used by the package or its scripts."""
+"""Every public function and method of the package is used by the package or its scripts,
+and every defaulted parameter of one is passed by some caller there."""
 
 import ast
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "ensdiag"
@@ -33,10 +36,14 @@ def _references(tree):
             yield node.attr, node.lineno
 
 
+def _trees():
+    paths = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+    return {path: ast.parse(path.read_text(), filename=str(path)) for path in paths}
+
+
 def uncalled():
     """`file:line name` of each public definition referenced nowhere outside its own body."""
-    paths = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
-    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in paths}
+    trees = _trees()
     references = [(path, name, line) for path, tree in trees.items() for name, line in _references(tree)]
     found = {}
     for path, tree in trees.items():
@@ -56,6 +63,123 @@ def test_every_public_function_has_a_caller():
 
 def test_allowlist_is_current():
     assert set(ALLOWED) <= set(uncalled())
+
+
+def _parameters(node, method):
+    """(positional parameter names, defaulted parameter names) of a function."""
+    a = node.args
+    positional = [p.arg for p in a.posonlyargs + a.args][1 if method else 0:]
+    defaulted = positional[len(positional) - len(a.defaults):]
+    defaulted += [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    return positional, defaulted
+
+
+def _is_dataclass(node):
+    return any(ast.unparse(d).split("(")[0].endswith("dataclass") for d in node.decorator_list)
+
+
+def _fields(node):
+    """(__init__ field names, defaulted ones) of a dataclass; init=False fields are not parameters."""
+    positional, defaulted = [], []
+    for n in node.body:
+        if not (isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)):
+            continue
+        keywords = n.value.keywords if isinstance(n.value, ast.Call) else []
+        if "ClassVar" in ast.unparse(n.annotation) or any(
+                k.arg == "init" and getattr(k.value, "value", True) is False for k in keywords):
+            continue
+        positional.append(n.target.id)
+        if n.value is not None:
+            defaulted.append(n.target.id)
+    return positional, defaulted
+
+
+def _callables(tree):
+    """(node, name, positional, defaulted) of each public function, public method of a
+    public class, and public class constructor (dataclass fields or __init__)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_"):
+            yield node, node.name, *_parameters(node, method=False)
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            methods = [n for n in node.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+            init = [n for n in methods if n.name == "__init__"]
+            if _is_dataclass(node):
+                yield node, node.name, *_fields(node)
+            elif init:
+                yield node, node.name, *_parameters(init[0], method=True)
+            for n in methods:
+                if not n.name.startswith("_"):
+                    yield n, n.name, *_parameters(n, method=True)
+
+
+def _calls(tree):
+    """(called name, call) of every call in the tree; a name bound by `import ... as`
+    is resolved to the name it imports."""
+    aliases = {a.asname: a.name.rsplit(".", 1)[-1] for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names if a.asname}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            yield aliases.get(node.func.id, node.func.id), node
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            yield node.func.attr, node
+
+
+def _passes(call, positional, parameter):
+    """Whether a call can set the parameter: by keyword, by position, or through * or **."""
+    if any(k.arg in (parameter, None) for k in call.keywords):
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return parameter in positional
+    return parameter in positional[:len(call.args)]
+
+
+def unset_defaults(definitions, callers):
+    """`file:line name(parameter)` of each defaulted parameter of a public callable in
+    `definitions` that no call in `definitions` or `callers` passes. Both map a file
+    name to its parsed tree."""
+    calls = {}
+    for tree in [*definitions.values(), *callers.values()]:
+        for name, call in _calls(tree):
+            calls.setdefault(name, []).append(call)
+    return [f"{Path(path).name}:{node.lineno} {name}({parameter})"
+            for path, tree in definitions.items()
+            for node, name, positional, defaulted in _callables(tree)
+            for parameter in defaulted
+            if not any(_passes(call, positional, parameter) for call in calls.get(name, []))]
+
+
+def test_every_default_is_passed_by_a_caller():
+    # A defaulted parameter that only tests set is a test-only knob: make it a constant.
+    trees = _trees()
+    package = {path: tree for path, tree in trees.items() if path.parent == PACKAGE}
+    others = {path: tree for path, tree in trees.items() if path.parent != PACKAGE}
+    assert unset_defaults(package, others) == []
+
+
+SYNTHETIC_MODULE = """
+from dataclasses import dataclass
+
+
+def fit(x, scale=1.0):
+    return x * scale
+
+
+@dataclass
+class Config:
+    size: int
+    depth: int = 2
+"""
+
+
+@pytest.mark.parametrize("caller, expected", [
+    ("from mod import fit as f, Config as C\nf(1.0)\nC(3)\n",
+     ["mod.py:5 fit(scale)", "mod.py:10 Config(depth)"]),
+    ("from mod import fit as f, Config as C\nf(1.0, 2.0)\nC(3, depth=4)\n", []),
+    ("import mod as m\nm.fit(1.0, scale=2.0)\nm.Config(*(3, 4))\n", []),
+])
+def test_unset_default_guard_on_synthetic_source(caller, expected):
+    definitions = {"mod.py": ast.parse(SYNTHETIC_MODULE)}
+    assert unset_defaults(definitions, {"run.py": ast.parse(caller)}) == expected
 
 
 
