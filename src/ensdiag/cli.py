@@ -21,7 +21,6 @@ from pathlib import Path
 
 import numpy as np
 import numpy.ma  # noqa: F401  (np.percentile and np.median load it on first call, inside main())
-from numpy.random import default_rng
 
 from . import __version__
 from .conditional import (
@@ -70,9 +69,16 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+def _write_text(path: Path, text: str) -> None:
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def write_json(path: Path, record: dict) -> None:
     """Write a record; NumPy arrays and scalars are written as their ``tolist()`` values."""
-    path.write_text(json.dumps(record, indent=2, sort_keys=True, default=lambda v: v.tolist()) + "\n")
+    _write_text(path, json.dumps(record, indent=2, sort_keys=True, default=lambda v: v.tolist()) + "\n")
 
 
 def _write_result(path: Path, command: str, record: dict) -> None:
@@ -85,7 +91,7 @@ def write_csv(path: Path, columns: dict) -> None:
     """Write named, equal-length columns; floats print as ``repr`` (``nan``, ``inf``)."""
     cells = [map(str, np.asarray(col).tolist()) for col in columns.values()]
     lines = [",".join(columns), *map(",".join, zip(*cells))]
-    path.write_text("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def prepare_out_dir(path: str, force: bool) -> Path:
@@ -153,7 +159,7 @@ def _resolve_metrics(arg: str) -> list[str]:
 def _subsample_indices(n: int, cap: int, seed: int, tag: int) -> np.ndarray:
     if cap <= 0 or cap >= n:
         return np.arange(n)
-    rng = default_rng([seed, tag])
+    rng = np.random.default_rng([seed, tag])
     return np.sort(rng.choice(n, size=cap, replace=False))
 
 
@@ -296,7 +302,7 @@ def _conditional_figure(sample_ind, sample_ood, result, path: Path, seed: int) -
     panel.label(f"InD ({sample_ind.source})", 70, 56, svgplot.IND_COLOR)
     panel.label(f"OOD ({sample_ood.source})", 70, 72, svgplot.OOD_COLOR)
     panel.label(f"d = {result.d:.4f}, p = {result.p_value:.4f}", 70, 88)
-    path.write_text(svgplot.document(580, 420, [panel]))
+    _write_text(path, svgplot.document(580, 420, [panel]))
 
 
 # ------------------------------------------------------------------ trends
@@ -440,7 +446,7 @@ def _trends_figure(points, rows, metric: str, path: Path) -> None:
             70, y0, fit_colors[r.model_class], size=10,
         )
         y0 += 14
-    path.write_text(svgplot.document(540, 520, [panel]))
+    _write_text(path, svgplot.document(540, 520, [panel]))
 
 
 # ----------------------------------------------------------------- improve
@@ -521,7 +527,7 @@ def _improvement_figure(delta_a, delta_b, base_scores, path: Path, seed: int) ->
         panel.line([xlim[0], xlim[1]], [0, 0], svgplot.LINE_COLOR, width=0.8, dash="3,3")
     panel.colored_scatter(xa, yb, cv, float(np.min(cv)), float(np.max(cv)), r=2.0)
     panel.label("color: base-model score", 70, 56, size=10)
-    path.write_text(svgplot.document(540, 520, [panel]))
+    _write_text(path, svgplot.document(540, 520, [panel]))
 
 
 # ------------------------------------------------------------------ gp-demo
@@ -610,7 +616,7 @@ def _gp_figure(exp, path: Path) -> None:
         p2.scatter(centers[mask], table.mean_posterior_variance[mask], color, r=2.5, opacity=0.9)
     p2.label("InD (x >= 0)", 570, 56, svgplot.IND_COLOR)
     p2.label("OOD (x < 0)", 570, 72, svgplot.OOD_COLOR)
-    path.write_text(svgplot.document(1040, 400, [p1, p2]))
+    _write_text(path, svgplot.document(1040, 400, [p1, p2]))
 
 
 # ------------------------------------------------------------------- report

@@ -15,7 +15,6 @@ from typing import Sequence
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from numpy.random import default_rng
 
 from .decomposition import decompose
 from .errors import NumericalError, ValidationError
@@ -81,7 +80,9 @@ class ConditionalCurve:
     rank: int | None = None
 
 
-def _pivoted_cholesky(x: np.ndarray, x_eval: np.ndarray, bandwidth: float) -> tuple[np.ndarray, np.ndarray]:
+def pivoted_cholesky(
+    x: np.ndarray, x_eval: np.ndarray, bandwidth: float, max_rank: int | None = None
+) -> tuple[np.ndarray, np.ndarray] | None:
     """Greedy pivoted Cholesky of the Gaussian kernel on x and x_eval jointly.
 
     Each step pivots on the point with the largest residual diagonal entry
@@ -90,7 +91,8 @@ def _pivoted_cholesky(x: np.ndarray, x_eval: np.ndarray, bandwidth: float) -> tu
     the training ones; pivoting on training points alone leaves them
     unchecked where the data are sparse. Returns L (r x n) and L_eval
     (r x m) with K(x, x) ~= L.T @ L and K(x_eval, x) ~= L_eval.T @ L, in
-    O((n + m) r^2) time and O((n + m) r) memory.
+    O((n + m) r^2) time and O((n + m) r) memory. With max_rank, returns
+    None instead once that many pivots leave the trace above the tolerance.
     """
     n = x.shape[0]
     points = np.concatenate([x, x_eval])
@@ -101,6 +103,8 @@ def _pivoted_cholesky(x: np.ndarray, x_eval: np.ndarray, bandwidth: float) -> tu
     stop = PIVOT_TOL * size
     r = 0
     while r < size and resid.sum() > stop:
+        if r == max_rank:
+            return None
         if r == rows.shape[0]:
             grown = np.empty((min(size, 2 * r), size))
             grown[:r] = rows
@@ -138,7 +142,7 @@ def krr_conditional_expectation(x: np.ndarray, y: np.ndarray, x_eval: np.ndarray
         raise ValidationError("regression needs at least two points")
     bandwidth = scott_bandwidth_1d(x)
     ridge = max(DEFAULT_RIDGE_SCALE * float(y.var()), RIDGE_FLOOR)
-    factor, factor_eval = _pivoted_cholesky(x, x_eval, bandwidth)
+    factor, factor_eval = pivoted_cholesky(x, x_eval, bandwidth)
     rank = factor.shape[0]
     try:
         weights = np.linalg.solve(factor @ factor.T + ridge * x.size * np.eye(rank), factor @ y)
@@ -246,7 +250,7 @@ def permutation_test(
 
     d_surr = np.empty(n_surrogates)
     for k in range(n_surrogates):
-        rng = default_rng([seed, k])
+        rng = np.random.default_rng([seed, k])
         perm = rng.permutation(n_total)
         take_ind, take_ood = perm[:n_ind], perm[n_ind:]
         surr_ind = JointSample(pooled_avg[take_ind], pooled_div[take_ind], "surrogate_ind")

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from numpy.random import default_rng
 
 from .errors import NumericalError, ValidationError
 
@@ -62,7 +61,7 @@ def generate_dataset(seed: int) -> GpModel:
     TRAIN_DOMAIN, latent values sampled jointly from the GP (jitter
     BASE_JITTER), observations with Normal(0, sigma^2(x)) noise added.
     Deterministic per seed."""
-    rng = default_rng(seed)
+    rng = np.random.default_rng(seed)
     x = np.sort(rng.uniform(TRAIN_DOMAIN[0], TRAIN_DOMAIN[1], size=N_TRAIN))
     chol = np.linalg.cholesky(rbf_kernel(x, x) + BASE_JITTER * np.eye(N_TRAIN))
     latent = chol @ rng.standard_normal(N_TRAIN)

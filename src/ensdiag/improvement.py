@@ -10,11 +10,15 @@ statistic and a distribution-free threshold.
 Nothing here holds memory that grows with N times C or with the number of
 pairs. The per-point scores are computed one block of store.member_blocks
 at a time, reading each member once per block.
-Pairwise squared distances are built one row block of at most
-BLOCK_ELEMENTS entries at a time and reduced before the next, so the
-MMD's time is quadratic in the sample size but its memory is not. The
-bandwidth's median is found in a few passes over those blocks, counting by
-bucket and then gathering at most MEDIAN_GATHER_CAP middle distances.
+The MMD's kernel sums come from pivoted Cholesky factors of the kernel on
+each coordinate, in O(m r^2) time for ranks r, and the factors hold at
+most MMD_RANK_CAP * 3m float64 values. A cloud whose factor would need
+more pivots falls back to mmd2_unbiased, which builds pairwise squared
+distances one row block of at most BLOCK_ELEMENTS entries at a time and
+reduces each before the next: time quadratic in the sample size, memory
+not. The bandwidth's median is found in a few passes over those blocks,
+counting by bucket and then gathering at most MEDIAN_GATHER_CAP middle
+distances.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .conditional import pivoted_cholesky
 from .errors import ValidationError
 from .metrics import compute_metric
 from .store import check_members, form_ensemble, member_blocks
@@ -38,6 +43,9 @@ MEDIAN_BUCKET_SHIFT = 48
 # Most squared distances the median gathers at once: 512 KiB, a few times
 # the middle bucket of a continuous 2-d cloud at BANDWIDTH_MEDIAN_CAP points.
 MEDIAN_GATHER_CAP = BLOCK_ELEMENTS
+# Most pivots of one kernel factor before the MMD falls back to blocked sums.
+# Bench clouds at m = 6,000 need ranks of 16 to 42 per coordinate.
+MMD_RANK_CAP = 64
 
 
 def ensemble_scores(
@@ -244,10 +252,40 @@ class MmdTestResult:
     bandwidth: float
     m: int
     reject: bool
+    kernel_sums: dict
 
     def formatted(self) -> str:
         """Render as 'statistic (threshold)'."""
         return f"{self.statistic:.4g} ({self.threshold:.3g})"
+
+
+def factored_mmd2(delta_a: np.ndarray, delta_b: np.ndarray, control: np.ndarray,
+                  bandwidth: float) -> tuple[float, int, int] | None:
+    """mmd2_unbiased of the clouds (delta_a, delta_b) and (delta_a, control)
+    from pivoted Cholesky factors, with the ranks of the two factors.
+
+    The Gaussian kernel of a 2-d point is the product of the kernels of its
+    coordinates. With K(delta_a) ~= La.T @ La and K([delta_b, control]) ~=
+    [Lb, Lc].T @ [Lb, Lc], the kernel sum over all pairs of the first cloud
+    is |La @ Lb.T|_F^2, of the second |La @ Lc.T|_F^2, and across them the
+    inner product of the two r_a x r_bc matrices. Every diagonal kernel value
+    is 1, so each within-cloud sum over i != j is the full sum less m. Each
+    factor stops at a residual trace of PIVOT_TOL per point, which moves the
+    statistic by about 10 * PIVOT_TOL at most. Returns None, with nothing
+    kept, when either factor reaches MMD_RANK_CAP pivots; the factors take
+    at most MMD_RANK_CAP * 3m float64 values.
+    """
+    m = delta_a.shape[0]
+    factors = pivoted_cholesky(delta_a, delta_a[:0], bandwidth, MMD_RANK_CAP)
+    if factors is None:
+        return None
+    la = factors[0]
+    factors = pivoted_cholesky(delta_b, control, bandwidth, MMD_RANK_CAP)
+    if factors is None:
+        return None
+    gx, gy = (la @ f.T for f in factors)
+    within = (np.vdot(gx, gx) - m + np.vdot(gy, gy) - m) / (m * (m - 1))
+    return float(within - 2.0 * np.vdot(gx, gy) / (m * m)), la.shape[0], gx.shape[1]
 
 
 def improvement_similarity_test(
@@ -261,7 +299,9 @@ def improvement_similarity_test(
 
     Both clouds share the delta_a coordinate, so sizes match and the m = n
     threshold applies. The kernel bandwidth is the median heuristic of the
-    pooled clouds.
+    pooled clouds. The statistic comes from factored_mmd2, or from the
+    blocked mmd2_unbiased when a factor reaches MMD_RANK_CAP; kernel_sums
+    records which ran, with the two ranks or the cap reached.
     """
     delta_a = np.asarray(delta_a, dtype=np.float64)
     delta_b = np.asarray(delta_b, dtype=np.float64)
@@ -271,6 +311,12 @@ def improvement_similarity_test(
     cloud = np.column_stack([delta_a, delta_b])
     cloud_control = np.column_stack([delta_a, control])
     bandwidth = median_heuristic_bandwidth(np.vstack([cloud, cloud_control]))
-    stat = mmd2_unbiased(cloud, cloud_control, bandwidth)
+    factored = factored_mmd2(delta_a, delta_b, control, bandwidth)
+    if factored is None:
+        stat = mmd2_unbiased(cloud, cloud_control, bandwidth)
+        sums = {"method": "blocked", "rank_cap_reached": MMD_RANK_CAP}
+    else:
+        stat, rank_a, rank_bc = factored
+        sums = {"method": "pivoted_cholesky", "rank_delta_a": rank_a, "rank_delta_b_control": rank_bc}
     thr = mmd_threshold(delta_a.shape[0], alpha)
-    return MmdTestResult(stat, thr, alpha, bandwidth, delta_a.shape[0], stat > thr)
+    return MmdTestResult(stat, thr, alpha, bandwidth, delta_a.shape[0], stat > thr, sums)

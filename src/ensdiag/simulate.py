@@ -20,7 +20,6 @@ from pathlib import Path
 from typing import Iterator
 
 import numpy as np
-from numpy.random import default_rng
 
 from .errors import ValidationError
 from .store import PredictionStore, softmax, write_store
@@ -72,7 +71,7 @@ def _generate(spec: SyntheticSpec) -> Iterator[tuple[str, np.ndarray, Iterator[t
     seed. Members draw nothing, so each logit matrix is built only when its
     generator reaches it.
     """
-    rng = default_rng(spec.seed)
+    rng = np.random.default_rng(spec.seed)
     c, k = spec.n_classes, spec.n_models
 
     teacher_w = rng.standard_normal((c, 2))

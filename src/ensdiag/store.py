@@ -36,7 +36,6 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-from numpy.random import default_rng
 
 from .errors import ValidationError
 
@@ -318,7 +317,7 @@ def form_heterogeneous_ensembles(
     else:
         idx = np.clip(((values - lo) / width * n_bins).astype(np.int64), 0, n_bins - 1)
 
-    rng = default_rng(seed)
+    rng = np.random.default_rng(seed)
     ensembles: list[EnsembleDef] = []
     skipped: list[dict] = []
     for b in range(n_bins):

@@ -24,17 +24,15 @@ _VIRIDIS = np.array(
 )
 
 
-def value_color(value: float, lo: float, hi: float) -> str:
-    """Map a value to a hex color along a dark-to-bright gradient."""
-    if hi <= lo:
-        t = 0.5
-    else:
-        t = min(max((value - lo) / (hi - lo), 0.0), 1.0)
+def _value_colors(values: np.ndarray, lo: float, hi: float) -> list[str]:
+    """Hex colors of values along a dark-to-bright gradient from lo to hi;
+    every value takes the middle color when hi <= lo."""
+    t = np.full(values.shape, 0.5) if hi <= lo else np.clip((values - lo) / (hi - lo), 0.0, 1.0)
     pos = t * (len(_VIRIDIS) - 1)
-    i = min(int(pos), len(_VIRIDIS) - 2)
-    frac = pos - i
-    rgb = _VIRIDIS[i] * (1 - frac) + _VIRIDIS[i + 1] * frac
-    return "#{:02x}{:02x}{:02x}".format(*(int(round(v)) for v in rgb))
+    i = np.minimum(pos.astype(np.int64), len(_VIRIDIS) - 2)
+    frac = (pos - i)[:, None]
+    rgb = np.round(_VIRIDIS[i] * (1 - frac) + _VIRIDIS[i + 1] * frac).astype(np.int64)
+    return [f"#{c:06x}" for c in (rgb[:, 0] << 16 | rgb[:, 1] << 8 | rgb[:, 2]).tolist()]
 
 
 def _fmt(v: float) -> str:
@@ -76,26 +74,23 @@ class Panel:
         t = (y - self.ylim[0]) / (self.ylim[1] - self.ylim[0])
         return self.y0 + self.height - t * self.height
 
-    def _inside(self, x: float, y: float) -> bool:
-        return self.xlim[0] <= x <= self.xlim[1] and self.ylim[0] <= y <= self.ylim[1]
+    def _kept(self, xs, ys) -> tuple[np.ndarray, list[str], list[str]]:
+        """Mask of the finite points inside the limits, and their pixel positions as text."""
+        xs, ys = np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64)
+        keep = (np.isfinite(xs) & np.isfinite(ys) & (self.xlim[0] <= xs) & (xs <= self.xlim[1])
+                & (self.ylim[0] <= ys) & (ys <= self.ylim[1]))
+        return keep, [_fmt(v) for v in self.px(xs[keep]).tolist()], [_fmt(v) for v in self.py(ys[keep]).tolist()]
 
     def scatter(self, xs: Sequence[float], ys: Sequence[float], color: str, r: float = 2.0, opacity: float = 0.6) -> None:
-        for x, y in zip(xs, ys):
-            if not (np.isfinite(x) and np.isfinite(y)) or not self._inside(x, y):
-                continue
-            self.elements.append(
-                f'<circle cx="{_fmt(self.px(x))}" cy="{_fmt(self.py(y))}" r="{r:g}" '
-                f'fill="{color}" fill-opacity="{opacity:g}"/>'
-            )
+        _, cx, cy = self._kept(xs, ys)
+        self.elements += [f'<circle cx="{x}" cy="{y}" r="{r:g}" fill="{color}" fill-opacity="{opacity:g}"/>'
+                          for x, y in zip(cx, cy)]
 
     def colored_scatter(self, xs, ys, values, lo: float, hi: float, r: float = 2.0) -> None:
-        for x, y, v in zip(xs, ys, values):
-            if not (np.isfinite(x) and np.isfinite(y)) or not self._inside(x, y):
-                continue
-            self.elements.append(
-                f'<circle cx="{_fmt(self.px(x))}" cy="{_fmt(self.py(y))}" r="{r:g}" '
-                f'fill="{value_color(float(v), lo, hi)}" fill-opacity="0.7"/>'
-            )
+        keep, cx, cy = self._kept(xs, ys)
+        fills = _value_colors(np.asarray(values, dtype=np.float64)[keep], lo, hi)
+        self.elements += [f'<circle cx="{x}" cy="{y}" r="{r:g}" fill="{fill}" fill-opacity="0.7"/>'
+                          for x, y, fill in zip(cx, cy, fills)]
 
     def line(self, xs: Sequence[float], ys: Sequence[float], color: str, width: float = 1.8, dash: str | None = None) -> None:
         pts = [

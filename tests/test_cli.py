@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import ensdiag
 import ensdiag.cli
 from ensdiag.cli import main
+from ensdiag.improvement import MMD_RANK_CAP
 from ensdiag.metrics import compute_metric
 from ensdiag.store import BLOCK_ELEMENTS, StoredMember, form_ensemble, load_store, row_blocks, write_store
 
@@ -90,6 +91,14 @@ class TestExitCodes:
         out = afile / "sub" if under else afile
         assert run(["gp-demo", "--out", out, *force]) == 1
         _one_error_line(capsys, f"cannot use {out} as the output directory")
+
+    @pytest.mark.parametrize("argv,taken", [(["gp-demo"], "gp.svg"), (["report"], "index.json")],
+                             ids=["gp-demo", "report"])
+    def test_output_name_that_is_a_directory(self, tmp_path, capsys, argv, taken):
+        out = tmp_path / "run"
+        (out / taken).mkdir(parents=True)
+        assert run([*argv, "--out", out, "--force"]) == 1
+        _one_error_line(capsys, f"cannot write {out / taken}: ")
 
 
 # Each JSON input, and the command that reads it.
@@ -326,6 +335,12 @@ print(json.dumps({"code": code, "loaded": sorted(m for m in sys.modules if m.spl
 def test_commands_run_without_scipy_linalg_or_special(sim_dir, tmp_path, argv):
     argv = [a.format(tmp=tmp_path, sim=sim_dir) for a in argv]
     assert _probe(MAIN_PROBE, *argv) == {"code": 0, "loaded": []}
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    # numpy loads numpy.random on first use, so only commands that draw pay for it.
+    script = "import json, sys\nimport ensdiag.cli\nprint(json.dumps('numpy.random' in sys.modules))"
+    assert _probe(script) is False
 
 
 @pytest.mark.parametrize("argv", [
@@ -587,6 +602,9 @@ class TestImproveCommand:
             block = result["results"][ds]
             assert block["mmd"]["reject"] == (block["mmd"]["statistic"] > block["mmd"]["threshold"])
             assert "(" in block["mmd"]["formatted"]
+            sums = block["mmd"]["kernel_sums"]
+            assert sums["method"] == "pivoted_cholesky"
+            assert 1 <= sums["rank_delta_a"] <= MMD_RANK_CAP and 1 <= sums["rank_delta_b_control"] <= MMD_RANK_CAP
             assert (out / f"improve_{ds}.csv").is_file()
             assert (out / f"improve_{ds}.svg").is_file()
 

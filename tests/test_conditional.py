@@ -48,7 +48,7 @@ def scipy_factor_krr(x, y, x_eval):
     scipy's cho_factor/cho_solve."""
     bandwidth = scott_bandwidth_1d(x)
     ridge = max(DEFAULT_RIDGE_SCALE * float(y.var()), RIDGE_FLOOR)
-    factor, factor_eval = conditional._pivoted_cholesky(x, x_eval, bandwidth)
+    factor, factor_eval = conditional.pivoted_cholesky(x, x_eval, bandwidth)
     rank = factor.shape[0]
     chol = cho_factor(factor @ factor.T + ridge * x.size * np.eye(rank), lower=True)
     return ConditionalCurve(x_eval, cho_solve(chol, factor @ y) @ factor_eval, bandwidth, ridge, rank)
@@ -235,7 +235,7 @@ class TestLowRankMatchesDense:
         x = rng.beta(0.7, 2.0, 300)
         x_eval = np.linspace(0.05, 0.6, 40)
         h = scott_bandwidth_1d(x)
-        factor, factor_eval = conditional._pivoted_cholesky(x, x_eval, h)
+        factor, factor_eval = conditional.pivoted_cholesky(x, x_eval, h)
         gram = np.exp(-((x[:, None] - x[None, :]) ** 2) / (2.0 * h * h))
         k_eval = np.exp(-((x_eval[:, None] - x[None, :]) ** 2) / (2.0 * h * h))
         assert factor.shape == (factor_eval.shape[0], 300)

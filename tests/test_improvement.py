@@ -1,6 +1,7 @@
 """Per-point improvement, Pearson agreement, and the MMD similarity test."""
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -10,12 +11,15 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist, pdist
 
 from ensdiag.errors import ValidationError
+from ensdiag.simulate import SyntheticSpec, simulate_store
 from ensdiag.improvement import (
     BANDWIDTH_MEDIAN_CAP,
     BLOCK_ELEMENTS,
     MEDIAN_BUCKET_SHIFT,
     MEDIAN_GATHER_CAP,
+    MMD_RANK_CAP,
     ensemble_scores,
+    factored_mmd2,
     improvement_similarity_test,
     median_heuristic_bandwidth,
     mmd2_unbiased,
@@ -334,6 +338,78 @@ class TestMmd2:
         assert peak < 4 * 8 * BLOCK_ELEMENTS
 
 
+def _clouds(delta_a, delta_b, control):
+    """The two clouds improvement_similarity_test compares, and their bandwidth."""
+    x, y = np.column_stack([delta_a, delta_b]), np.column_stack([delta_a, control])
+    return x, y, median_heuristic_bandwidth(np.vstack([x, y]))
+
+
+def _scattered(rng, m):
+    """A tight core with a tenth of the points scattered far around it."""
+    v = rng.normal(scale=0.01, size=m)
+    v[: m // 10] = rng.uniform(-5.0, 5.0, m // 10)
+    return v
+
+
+class TestFactoredMmd:
+    @pytest.mark.parametrize("m", [2, 3, 500, 2000])
+    @pytest.mark.parametrize("draw", ["normal", "t3", "discrete"])
+    def test_matches_blocked_sums(self, rng, m, draw):
+        sample = {"normal": lambda: rng.normal(size=m), "t3": lambda: rng.standard_t(3, m),
+                  "discrete": lambda: rng.integers(-1, 2, m).astype(np.float64)}[draw]
+        da, db, dc = sample(), sample(), sample() + (0.2 if draw == "normal" else 0.0)
+        x, y, h = _clouds(da, db, dc)
+        stat, rank_a, rank_bc = factored_mmd2(da, db, dc, h)
+        assert abs(stat - mmd2_unbiased(x, y, h)) <= 1e-12
+        assert max(rank_a, rank_bc) < MMD_RANK_CAP
+        if draw == "discrete":
+            assert rank_a <= 3 and rank_bc <= 3
+
+    def test_improve_shaped_cloud_takes_the_factored_path(self, monkeypatch):
+        # Brier improvements of two 2-member ensembles over a base model, as `improve` makes them.
+        store = simulate_store(SyntheticSpec(n_points=6000, n_classes=10, n_models=5, seed=3))
+        ids = ["m000", "m001", "m002", "m004"]
+        members = dict(zip(ids, store.member_probs(ids, "ind")))
+        specs = [["m000"], ["m000", "m001"], ["m000", "m002"], ["m004"]]
+        base, *alts = ensemble_scores(members, specs, store.labels("ind"), "brier")
+        da, db, dc = (base - a for a in alts)
+        calls = []
+        monkeypatch.setattr("ensdiag.improvement.mmd2_unbiased", lambda *a: calls.append(a) or 0.0)
+        res = improvement_similarity_test(da, db, dc)
+        assert calls == []
+        assert res.kernel_sums["method"] == "pivoted_cholesky"
+        assert max(res.kernel_sums["rank_delta_a"], res.kernel_sums["rank_delta_b_control"]) < MMD_RANK_CAP
+        x, y, h = _clouds(da, db, dc)
+        assert abs(res.statistic - mmd2_unbiased(x, y, h)) <= 1e-12
+
+    def test_scattered_cloud_falls_back_once(self, rng, monkeypatch):
+        da, db, dc = (_scattered(rng, 6000) for _ in range(3))
+        x, y, h = _clouds(da, db, dc)
+        calls = []
+        monkeypatch.setattr("ensdiag.improvement.mmd2_unbiased",
+                            lambda *a: calls.append(a) or mmd2_unbiased(*a))
+        res = improvement_similarity_test(da, db, dc)
+        assert len(calls) == 1
+        assert res.kernel_sums == {"method": "blocked", "rank_cap_reached": MMD_RANK_CAP}
+        assert res.statistic == mmd2_unbiased(x, y, h)
+
+    def test_reaching_the_cap_costs_little_beside_the_blocked_sums(self, rng):
+        da, db, dc = (_scattered(rng, 6000) for _ in range(3))
+        x, y, h = _clouds(da, db, dc)
+
+        def best_of_three(work):
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                work()
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        assert factored_mmd2(da, db, dc, h) is None
+        blocked = best_of_three(lambda: mmd2_unbiased(x, y, h))
+        assert best_of_three(lambda: factored_mmd2(da, db, dc, h)) + blocked <= 1.2 * blocked
+
+
 class TestMmdThreshold:
     def test_frozen_values(self):
         assert mmd_threshold(10_000, 0.05) == pytest.approx(0.06923273530409142, abs=1e-15)
@@ -388,7 +464,7 @@ class TestSimilarityTest:
     def test_formatted_layout(self):
         from ensdiag.improvement import MmdTestResult
 
-        res = MmdTestResult(0.00220, 0.069, 0.05, 1.0, 100, False)
+        res = MmdTestResult(0.00220, 0.069, 0.05, 1.0, 100, False, {"method": "blocked", "rank_cap_reached": 64})
         assert res.formatted() == "0.0022 (0.069)"
 
     def test_shape_mismatch(self):
