@@ -20,32 +20,9 @@ from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
-import numpy.ma  # noqa: F401  (np.percentile and np.median load it on first call, inside main())
 
-from . import __version__
-from .conditional import (
-    DEFAULT_GRID_SIZE,
-    DEFAULT_RIDGE_SCALE,
-    DEFAULT_TRIM_PERCENTILES,
-    PIVOT_TOL,
-    JointSample,
-    joint_samples,
-    permutation_test,
-)
-from .decomposition import FAMILIES, decompose
+from . import DEFAULT_GRID_SIZE, __version__
 from .errors import NumericalError, ValidationError
-from .gp import (
-    DEFAULT_EVAL_DOMAIN,
-    LENGTHSCALE,
-    LIK_VAR_RANGE,
-    N_TRAIN,
-    SIGNAL_VARIANCE,
-    TRAIN_DOMAIN,
-    run_default_experiment,
-)
-from .improvement import ensemble_scores, improvement_similarity_test, pearson_r
-from .metrics import NLL_EPS
-from .simulate import SyntheticSpec, write_synthetic_store
 from .store import (
     EnsembleDef,
     PredictionStore,
@@ -55,8 +32,10 @@ from .store import (
     load_store,
     read_json,
 )
-from .trends import effective_robustness, trend_points, trend_table, diversity_ratio_check
-from . import svgplot
+
+# Each command imports the analysis modules it runs at the top of its body,
+# and each figure helper imports svgplot, so a process loads only its own
+# command's code.
 
 METRIC_ALIASES = {"01": "zero_one", "nll": "nll", "brier": "brier", "ece": "ece", "resce": "resce"}
 PLOT_POINT_CAP = 10_000
@@ -167,6 +146,8 @@ def _subsample_indices(n: int, cap: int, seed: int, tag: int) -> np.ndarray:
 
 
 def cmd_simulate(args: argparse.Namespace) -> None:
+    from .simulate import SyntheticSpec, write_synthetic_store
+
     out = prepare_out_dir(args.out, args.force)
     spec = SyntheticSpec(
         n_points=args.n_points,
@@ -185,6 +166,9 @@ def cmd_simulate(args: argparse.Namespace) -> None:
 
 
 def cmd_decompose(args: argparse.Namespace) -> None:
+    from .decomposition import FAMILIES, decompose
+    from .metrics import NLL_EPS
+
     store = load_store(args.manifest)
     pair = _resolve_pair(store, args.pair)
     members = _resolve_members(store, args.members, pair)
@@ -226,6 +210,16 @@ def cmd_decompose(args: argparse.Namespace) -> None:
 
 
 def cmd_conditional(args: argparse.Namespace) -> None:
+    from .conditional import (
+        DEFAULT_RIDGE_SCALE,
+        DEFAULT_TRIM_PERCENTILES,
+        PIVOT_TOL,
+        JointSample,
+        joint_samples,
+        permutation_test,
+    )
+    from .metrics import NLL_EPS
+
     store = load_store(args.manifest)
     pair = _resolve_pair(store, args.pair)
     members = _resolve_members(store, args.members, pair)
@@ -289,6 +283,8 @@ def cmd_conditional(args: argparse.Namespace) -> None:
 
 
 def _conditional_figure(sample_ind, sample_ood, result, path: Path, seed: int) -> None:
+    from . import svgplot
+
     xlim = svgplot.padded_limits(np.concatenate([sample_ind.avg, sample_ood.avg]))
     ylim = svgplot.padded_limits(np.concatenate([sample_ind.div, sample_ood.div]))
     panel = svgplot.Panel(60, 40, 460, 320, xlim, ylim,
@@ -342,6 +338,8 @@ def _load_ensembles(arg: str, store: PredictionStore, pair: tuple[str, str]) -> 
 
 
 def cmd_trends(args: argparse.Namespace) -> None:
+    from .trends import diversity_ratio_check, effective_robustness, trend_points, trend_table
+
     store = load_store(args.manifest)
     pair = _resolve_pair(store, args.pair)
     _resolve_members(store, None, pair)
@@ -421,6 +419,8 @@ def cmd_trends(args: argparse.Namespace) -> None:
 
 
 def _trends_figure(points, rows, metric: str, path: Path) -> None:
+    from . import svgplot
+
     pts = [p for p in points if p.metric == metric]
     if not pts:
         return
@@ -453,6 +453,8 @@ def _trends_figure(points, rows, metric: str, path: Path) -> None:
 
 
 def cmd_improve(args: argparse.Namespace) -> None:
+    from .improvement import ensemble_scores, improvement_similarity_test, pearson_r
+
     store = load_store(args.manifest)
     pair = _resolve_pair(store, args.pair)
     metric = METRIC_ALIASES[args.metric]
@@ -515,6 +517,8 @@ def cmd_improve(args: argparse.Namespace) -> None:
 
 
 def _improvement_figure(delta_a, delta_b, base_scores, path: Path, seed: int) -> None:
+    from . import svgplot
+
     take = _subsample_indices(delta_a.shape[0], PLOT_POINT_CAP, seed, tag=31)
     xa, yb, cv = delta_a[take], delta_b[take], base_scores[take]
     xlim = svgplot.padded_limits(xa)
@@ -534,6 +538,16 @@ def _improvement_figure(delta_a, delta_b, base_scores, path: Path, seed: int) ->
 
 
 def cmd_gp_demo(args: argparse.Namespace) -> None:
+    from .gp import (
+        DEFAULT_EVAL_DOMAIN,
+        LENGTHSCALE,
+        LIK_VAR_RANGE,
+        N_TRAIN,
+        SIGNAL_VARIANCE,
+        TRAIN_DOMAIN,
+        run_default_experiment,
+    )
+
     out = prepare_out_dir(args.out, args.force)
     exp = run_default_experiment(seed=args.seed, n_bins=args.bins)
     pred = exp.prediction
@@ -562,7 +576,7 @@ def cmd_gp_demo(args: argparse.Namespace) -> None:
         np.all(ood_t.mean_posterior_variance[both] > ind_t.mean_posterior_variance[both])
     ) if both.any() else None
 
-    _gp_figure(exp, out / "gp.svg")
+    _gp_figure(exp, DEFAULT_EVAL_DOMAIN, out / "gp.svg")
     _write_result(
         out / "result.json",
         "gp-demo",
@@ -589,11 +603,13 @@ def cmd_gp_demo(args: argparse.Namespace) -> None:
     )
 
 
-def _gp_figure(exp, path: Path) -> None:
+def _gp_figure(exp, domain, path: Path) -> None:
+    from . import svgplot
+
     pred = exp.prediction
     std2 = 2.0 * np.sqrt(pred.posterior_variance)
     ylim = svgplot.padded_limits(np.concatenate([pred.mean - std2, pred.mean + std2, exp.model.train_y]))
-    p1 = svgplot.Panel(60, 40, 420, 300, DEFAULT_EVAL_DOMAIN, ylim, title="Posterior on [-5, 5]",
+    p1 = svgplot.Panel(60, 40, 420, 300, domain, ylim, title="Posterior on [-5, 5]",
                        xlabel="x", ylabel="y")
     p1.band(pred.x, pred.mean - std2, pred.mean + std2, svgplot.IND_COLOR, opacity=0.25)
     p1.line(pred.x, pred.mean, svgplot.IND_COLOR, width=2.0)

@@ -10,18 +10,19 @@ sample.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from numpy.linalg import LinAlgError
 
+from . import DEFAULT_GRID_SIZE
 from .decomposition import decompose
 from .errors import NumericalError, ValidationError
 
 DEFAULT_RIDGE_SCALE = 1e-3
 RIDGE_FLOOR = 1e-8
-DEFAULT_GRID_SIZE = 100
 DEFAULT_TRIM_PERCENTILES = (1.0, 99.0)
 PIVOT_TOL = 1e-13
 
@@ -100,22 +101,26 @@ def pivoted_cholesky(
     scale = -0.5 / (bandwidth * bandwidth)
     rows = np.empty((min(size, 64), size))
     resid = np.ones(size)
+    scratch = np.empty(size)
     stop = PIVOT_TOL * size
     r = 0
-    while r < size and resid.sum() > stop:
+    while r < size and np.add.reduce(resid) > stop:
         if r == max_rank:
             return None
         if r == rows.shape[0]:
             grown = np.empty((min(size, 2 * r), size))
             grown[:r] = rows
             rows = grown
-        p = int(np.argmax(resid))
-        d = points - points[p]
-        row = np.exp(scale * d * d)
+        p = int(resid.argmax())
+        row = rows[r]
+        np.subtract(points, points[p], out=scratch)
+        np.multiply(scratch, scale, out=row)
+        row *= scratch
+        np.exp(row, out=row)
         row -= rows[:r, p] @ rows[:r]
-        row /= np.sqrt(resid[p])
-        rows[r] = row
-        resid -= row * row
+        row /= math.sqrt(resid[p])
+        np.multiply(row, row, out=scratch)
+        resid -= scratch
         r += 1
     return rows[:r, :n], rows[:r, n:]
 
@@ -155,12 +160,30 @@ def fit_sample_curve(sample: JointSample, x_eval: np.ndarray) -> ConditionalCurv
     return krr_conditional_expectation(sample.avg, sample.div, x_eval)
 
 
+def _percentile(values: np.ndarray, q: float) -> float:
+    """np.percentile(values, q), bit for bit: numpy's default linear
+    interpolation between the order statistics around (n - 1) * q / 100, read
+    from an np.partition on the indices numpy partitions on, so even tied
+    zeros keep their sign. Any NaN makes it NaN, as it does there.
+    np.percentile itself loads numpy.ma, through np.unique, on its first call."""
+    last = values.shape[0] - 1
+    index = last * (q / 100)
+    below = math.floor(index)
+    above = min(below + 1, last)
+    ordered = np.partition(values, sorted({0, below, above, last}))
+    if np.isnan(ordered[last]):
+        return math.nan
+    lo, hi = float(ordered[below]), float(ordered[above])
+    t = index - below
+    diff = hi - lo
+    return hi - diff * (1 - t) if t >= 0.5 else lo + diff * t
+
+
 def evaluation_grid(sample_a: JointSample, sample_b: JointSample, n: int = DEFAULT_GRID_SIZE) -> np.ndarray:
     """Shared grid: n points between the DEFAULT_TRIM_PERCENTILES of the pooled
     avg values, restricted to the overlap of the two samples' ranges."""
     pooled = np.concatenate([sample_a.avg, sample_b.avg])
-    lo = float(np.percentile(pooled, DEFAULT_TRIM_PERCENTILES[0]))
-    hi = float(np.percentile(pooled, DEFAULT_TRIM_PERCENTILES[1]))
+    lo, hi = (_percentile(pooled, q) for q in DEFAULT_TRIM_PERCENTILES)
     lo = max(lo, float(sample_a.avg.min()), float(sample_b.avg.min()))
     hi = min(hi, float(sample_a.avg.max()), float(sample_b.avg.max()))
     if not hi > lo:

@@ -291,13 +291,15 @@ def test_pipeline_script_quick_start(tmp_path):
     assert json.loads((tmp_path / "index.json").read_text())["n_runs"] == 6
 
 
-IMPORT_PROBE = """
+# Modules a probe reports: the package's, any of scipy's, and numpy.ma.
+WATCHED = 'sorted(m for m in sys.modules if m.split(".")[0] in ("ensdiag", "scipy") or m == "numpy.ma")'
+
+IMPORT_PROBE = f"""
 import json, sys
 import ensdiag
 root = sorted(m for m in sys.modules if m == "numpy" or m.startswith("ensdiag."))
 import ensdiag.cli
-heavy = {"scipy", "scipy.linalg", "scipy.special", "scipy.stats", "scipy.integrate", "scipy.spatial", "scipy.sparse"}
-print(json.dumps({"root": root, "cli": sorted(heavy & set(sys.modules))}))
+print(json.dumps({{"root": root, "cli": {WATCHED}}}))
 """
 
 
@@ -308,33 +310,43 @@ def _probe(script, *args):
     return json.loads(proc.stdout)
 
 
+# What every process loads: parsing, dispatch, the writers and the store layer.
+CLI_MODULES = ["ensdiag", "ensdiag.cli", "ensdiag.errors", "ensdiag.store"]
+
+
 def test_imports_stay_lean():
-    # The package root loads nothing; the CLI start-up loads numpy and no scipy at all.
-    assert _probe(IMPORT_PROBE) == {"root": [], "cli": []}
+    # The package root loads nothing; the CLI start-up loads no analysis module, no scipy and no numpy.ma.
+    assert _probe(IMPORT_PROBE) == {"root": [], "cli": CLI_MODULES}
 
 
-MAIN_PROBE = """
+MAIN_PROBE = f"""
 import json, sys
 from ensdiag.cli import main
 code = main(sys.argv[1:])
-print(json.dumps({"code": code, "loaded": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+print(json.dumps({{"code": code, "loaded": {WATCHED}}}))
 """
 
 
-# Every command runs without loading any scipy module.
-@pytest.mark.parametrize("argv", [
-    [*BASE_SIM, "--out", "{tmp}/store"],
-    ["decompose", "--manifest", "{sim}/manifest.json", "--out", "{tmp}/dec"],
-    ["trends", "--manifest", "{sim}/manifest.json", "--metric", "01,nll,brier,ece,resce", "--out", "{tmp}/tr"],
-    ["conditional", "--manifest", "{sim}/manifest.json", "--surrogates", "3", "--out", "{tmp}/cond"],
-    ["improve", "--manifest", "{sim}/manifest.json", "--base", "m000", "--alt-a", "m000+m001",
-     "--alt-b", "m000+m002", "--control", "m003", "--out", "{tmp}/imp"],
-    ["gp-demo", "--out", "{tmp}/gp"],
-    ["report", "--out", "{sim}"],
-], ids=lambda argv: argv[0])
-def test_commands_run_without_scipy_linalg_or_special(sim_dir, tmp_path, argv):
+# Every command loads its own analysis modules and no others, no scipy module and no numpy.ma.
+@pytest.mark.parametrize("argv, modules", [
+    ([*BASE_SIM, "--out", "{tmp}/store"], ["simulate"]),
+    (["decompose", "--manifest", "{sim}/manifest.json", "--out", "{tmp}/dec"], ["decomposition", "metrics"]),
+    (["trends", "--manifest", "{sim}/manifest.json", "--metric", "01,nll,brier,ece,resce", "--out", "{tmp}/tr"],
+     ["metrics", "svgplot", "trends"]),
+    (["trends", "--manifest", "{sim}/manifest.json", "--metric", "01,nll,brier,ece,resce", "--het-bins", "2",
+      "--out", "{tmp}/tr"], ["metrics", "svgplot", "trends"]),
+    (["conditional", "--manifest", "{sim}/manifest.json", "--surrogates", "3", "--out", "{tmp}/cond"],
+     ["conditional", "decomposition", "metrics", "svgplot"]),
+    (["improve", "--manifest", "{sim}/manifest.json", "--base", "m000", "--alt-a", "m000+m001",
+      "--alt-b", "m000+m002", "--control", "m003", "--out", "{tmp}/imp"],
+     ["conditional", "decomposition", "improvement", "metrics", "svgplot"]),
+    (["gp-demo", "--out", "{tmp}/gp"], ["gp", "svgplot"]),
+    (["report", "--out", "{sim}"], []),
+], ids=["simulate", "decompose", "trends", "trends-het-bins", "conditional", "improve", "gp-demo", "report"])
+def test_commands_run_without_scipy_linalg_or_special(sim_dir, tmp_path, argv, modules):
     argv = [a.format(tmp=tmp_path, sim=sim_dir) for a in argv]
-    assert _probe(MAIN_PROBE, *argv) == {"code": 0, "loaded": []}
+    expected = sorted(CLI_MODULES + [f"ensdiag.{m}" for m in modules])
+    assert _probe(MAIN_PROBE, *argv) == {"code": 0, "loaded": expected}
 
 
 def test_cli_import_leaves_numpy_random_unloaded():
@@ -731,7 +743,7 @@ class TestImproveRowBlocks:
     @pytest.mark.parametrize("metric", ["brier", "nll", "01"])
     def test_outputs_equal_whole_matrix_path(self, wide_manifest, tmp_path, monkeypatch, metric):
         blocked = self._run(wide_manifest, tmp_path / "blocked", metric)
-        monkeypatch.setattr(ensdiag.cli, "ensemble_scores", _whole_matrix_scores)
+        monkeypatch.setattr(ensdiag.improvement, "ensemble_scores", _whole_matrix_scores)
         whole = self._run(wide_manifest, tmp_path / "whole", metric)
         assert sorted(blocked) == ["improve_ind.csv", "improve_ind.svg", "improve_ood.csv", "improve_ood.svg",
                                    "result.json"]

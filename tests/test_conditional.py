@@ -54,6 +54,48 @@ def scipy_factor_krr(x, y, x_eval):
     return ConditionalCurve(x_eval, cho_solve(chol, factor @ y) @ factor_eval, bandwidth, ridge, rank)
 
 
+def loop_pivoted_cholesky(x, x_eval, bandwidth, max_rank=None):
+    """The pivot loop as first written, with a fresh kernel row per pivot: the
+    bit-for-bit oracle for conditional.pivoted_cholesky."""
+    n = x.shape[0]
+    points = np.concatenate([x, x_eval])
+    size = points.shape[0]
+    scale = -0.5 / (bandwidth * bandwidth)
+    rows = np.empty((min(size, 64), size))
+    resid = np.ones(size)
+    stop = conditional.PIVOT_TOL * size
+    r = 0
+    while r < size and resid.sum() > stop:
+        if r == max_rank:
+            return None
+        if r == rows.shape[0]:
+            grown = np.empty((min(size, 2 * r), size))
+            grown[:r] = rows
+            rows = grown
+        p = int(np.argmax(resid))
+        d = points - points[p]
+        row = np.exp(scale * d * d)
+        row -= rows[:r, p] @ rows[:r]
+        row /= np.sqrt(resid[p])
+        rows[r] = row
+        resid -= row * row
+        r += 1
+    return rows[:r, :n], rows[:r, n:]
+
+
+def percentile_grid(sample_a, sample_b, n=100):
+    """evaluation_grid with its trim percentiles from np.percentile: the oracle
+    for the grid's ends and for the error it raises."""
+    pooled = np.concatenate([sample_a.avg, sample_b.avg])
+    lo = float(np.percentile(pooled, 1.0))
+    hi = float(np.percentile(pooled, 99.0))
+    lo = max(lo, float(sample_a.avg.min()), float(sample_b.avg.min()))
+    hi = min(hi, float(sample_a.avg.max()), float(sample_b.avg.max()))
+    if not hi > lo:
+        raise ValidationError("sample supports do not overlap; no shared grid exists")
+    return np.linspace(lo, hi, n)
+
+
 def linear_sample(rng, n=200, slope=0.3, noise=0.02):
     avg = rng.uniform(0.2, 0.8, n)
     div = slope * avg + rng.normal(0.0, noise, n)
@@ -242,6 +284,27 @@ class TestLowRankMatchesDense:
         assert np.abs(factor.T @ factor - gram).max() <= 1e-10
         assert np.abs(factor_eval.T @ factor - k_eval).max() <= 1e-10
 
+    @pytest.mark.parametrize("n, draw, max_rank", [
+        (2, "normal", None), (40, "ties", None), (300, "beta", None), (300, "beta", 5),
+        (4000, "normal", None), (4000, "normal", 64), (4000, "t3", 100), (20_000, "beta", None),
+    ])
+    def test_factor_bit_equal_to_first_loop(self, n, draw, max_rank):
+        # Normal draws at n=4000 grow the row buffer past 64; a cap returns None
+        # at the same pivot as the oracle does.
+        rng = np.random.default_rng(n)
+        x = {"normal": rng.normal(0.3, 0.1, n), "beta": rng.beta(0.7, 2.0, n),
+             "t3": rng.standard_t(3, n), "ties": np.round(rng.normal(0.3, 0.1, n), 1)}[draw]
+        x_eval = np.linspace(x.min(), x.max(), 100)
+        h = scott_bandwidth_1d(x)
+        got = conditional.pivoted_cholesky(x, x_eval, h, max_rank)
+        expected = loop_pivoted_cholesky(x, x_eval, h, max_rank)
+        if expected is None:
+            assert got is None
+            return
+        for fast, loop in zip(got, expected):
+            assert fast.shape == loop.shape
+            assert fast.tobytes() == loop.tobytes()
+
     def test_permutation_test_agrees(self, monkeypatch):
         fast = [permutation_test(*split_samples(seed), n_surrogates=100, seed=seed)
                 for seed in range(10)]
@@ -285,6 +348,49 @@ class TestEvaluationGrid:
         b = JointSample(a.avg + 10.0, a.div)
         with pytest.raises(ValidationError):
             evaluation_grid(a, b)
+
+
+class TestTrimPercentiles:
+    # The grid's trim percentiles against np.percentile, bit for bit.
+    @staticmethod
+    def _draws(rng, n):
+        values = rng.beta(0.7, 2.0, n)
+        return {"beta": values, "ties": np.round(values, 1), "constant": np.full(n, values[0]),
+                "signed_zeros": np.where(rng.random(n) < 0.5, -0.0, 0.0)}
+
+    @pytest.mark.parametrize("n", [*range(2, 81), 1000, 4096, 9999])
+    def test_bit_equal_to_np_percentile(self, n):
+        for name, values in self._draws(np.random.default_rng(n), n).items():
+            for q in conditional.DEFAULT_TRIM_PERCENTILES:
+                got, expected = conditional._percentile(values, q), float(np.percentile(values, q))
+                assert np.float64(got).tobytes() == np.float64(expected).tobytes(), (name, q)
+
+    @pytest.mark.parametrize("n", [5, 60, 101, 4000])
+    def test_grid_bit_equal_to_percentile_grid(self, n):
+        rng = np.random.default_rng(n)
+        for values in self._draws(rng, 2 * n).values():
+            a, b = JointSample(values[:n], values[n:]), JointSample(values[n:] + 0.01, values[:n])
+            try:
+                expected = percentile_grid(a, b)
+            except ValidationError as exc:
+                with pytest.raises(ValidationError, match=str(exc)):
+                    evaluation_grid(a, b)
+            else:
+                assert evaluation_grid(a, b).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("count", [1, 3, 40])
+    def test_non_finite_avg_ends_as_with_np_percentile(self, bad, count):
+        rng = np.random.default_rng(count)
+        a, b = linear_sample(rng), linear_sample(rng)
+        a.avg[rng.choice(a.n, count, replace=False)] = bad
+        try:
+            expected = percentile_grid(a, b)
+        except ValidationError:
+            with pytest.raises(ValidationError, match="sample supports do not overlap"):
+                evaluation_grid(a, b)
+        else:
+            assert evaluation_grid(a, b).tobytes() == expected.tobytes()
 
 
 class TestDStatistic:
