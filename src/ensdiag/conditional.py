@@ -5,14 +5,15 @@ diversity) samples, estimates the conditional expectation of diversity
 given the average with kernel ridge regression, summarizes the shift
 between two conditions with a relative-difference statistic d, and
 calibrates d with a permutation test over re-partitions of the pooled
-sample.
+sample. The surrogate fits of one size are factored several at a time,
+in one vectorised pivoted Cholesky sweep.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -20,6 +21,7 @@ from numpy.linalg import LinAlgError
 from . import DEFAULT_GRID_SIZE
 from .decomposition import decompose
 from .errors import NumericalError, ValidationError
+from .store import BLOCK_ELEMENTS
 
 DEFAULT_RIDGE_SCALE = 1e-3
 RIDGE_FLOOR = 1e-8
@@ -81,83 +83,141 @@ class ConditionalCurve:
     rank: int | None = None
 
 
+def fits_per_sweep(size: int) -> int:
+    """Fits of `size` points, data and grid, that one pivoted Cholesky sweep
+    stacks: their first 64 factor rows fill at most BLOCK_ELEMENTS entries."""
+    return max(1, BLOCK_ELEMENTS // (64 * size))
+
+
 def pivoted_cholesky(
-    x: np.ndarray, x_eval: np.ndarray, bandwidth: float, max_rank: int | None = None
+    points: np.ndarray, bandwidths: Sequence[float], max_rank: int | None = None
 ) -> tuple[np.ndarray, np.ndarray] | None:
-    """Greedy pivoted Cholesky of the Gaussian kernel on x and x_eval jointly.
+    """Greedy pivoted Cholesky of the Gaussian kernel on each row of a stack.
 
-    Each step pivots on the point with the largest residual diagonal entry
-    and stops once the residual trace is at most PIVOT_TOL per point. The
-    evaluation points take part, so their kernel columns are as accurate as
-    the training ones; pivoting on training points alone leaves them
-    unchecked where the data are sparse. Returns L (r x n) and L_eval
-    (r x m) with K(x, x) ~= L.T @ L and K(x_eval, x) ~= L_eval.T @ L, in
-    O((n + m) r^2) time and O((n + m) r) memory. With max_rank, returns
-    None instead once that many pivots leave the trace above the tolerance.
+    Row b of points (B x size) is factored with bandwidths[b]: each step
+    pivots it on its point with the largest residual diagonal entry, and its
+    rank is the number of steps before its residual trace is at most
+    PIVOT_TOL per point. Steps past a row's rank leave its first rows as
+    they are, so L[:ranks[b], b] is bit for bit the factor the row gets by
+    itself. Callers put evaluation points in a row beside the data, so that
+    their kernel columns are as accurate as the training ones. Returns L
+    (r x B x size) and the ranks, with K_b ~= L_b.T @ L_b for
+    L_b = L[:ranks[b], b], in O(B size r^2) time and O(B size r) memory, or
+    None once max_rank pivots leave a row above the tolerance.
     """
-    n = x.shape[0]
-    points = np.concatenate([x, x_eval])
-    size = points.shape[0]
-    scale = -0.5 / (bandwidth * bandwidth)
-    rows = np.empty((min(size, 64), size))
-    resid = np.ones(size)
-    scratch = np.empty(size)
+    bandwidths = np.asarray(bandwidths, dtype=np.float64)
+    batch, size = points.shape
+    scale = (-0.5 / (bandwidths * bandwidths))[:, None]
+    offsets = np.arange(0, batch * size, size)
+    scratch = np.empty((batch, size))
     stop = PIVOT_TOL * size
-    r = 0
-    while r < size and np.add.reduce(resid) > stop:
-        if r == max_rank:
-            return None
-        if r == rows.shape[0]:
-            grown = np.empty((min(size, 2 * r), size))
-            grown[:r] = rows
-            rows = grown
-        p = int(resid.argmax())
-        row = rows[r]
-        np.subtract(points, points[p], out=scratch)
-        np.multiply(scratch, scale, out=row)
-        row *= scratch
-        np.exp(row, out=row)
-        row -= rows[:r, p] @ rows[:r]
-        row /= math.sqrt(resid[p])
-        np.multiply(row, row, out=scratch)
-        resid -= scratch
-        r += 1
-    return rows[:r, :n], rows[:r, n:]
+    # state[0] holds the points, state[1] the residual diagonal and state[2 + j]
+    # factor row j, so that one take reads all three at each row's pivot.
+    state = np.empty((min(size, 64) + 2, batch, size))
+    state[0], state[1] = points, 1.0
+    resid, traces, r = state[1], [], 0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # rows past their rank
+        while r < size:
+            trace = np.add.reduce(resid, axis=1)
+            traces.append(trace)
+            if not any(t > stop for t in trace.tolist()):
+                break
+            if r == max_rank:
+                return None
+            if not r or r + 2 == state.shape[0]:
+                if r:
+                    grown = np.empty((min(size, 2 * r) + 2, batch, size))
+                    grown[:r + 2] = state
+                    state = grown
+                flat, stacked = state.reshape(state.shape[0], -1), state.transpose(1, 0, 2)
+                points, resid, corr = state[0], state[1], scratch[:, None]
+                # Each row's pivot column, its entries batch + 1 apart. numpy hands a
+                # strided vector to OpenBLAS's gemv with incx > 1, whose sums run in
+                # one order for every batch size; a contiguous one takes another kernel.
+                column = np.empty((state.shape[0], batch + 1))
+                vectors, center, pivot = column.T[:batch, None], column[0, :batch, None], column[1, :batch, None]
+            at = resid.argmax(axis=1)
+            at += offsets
+            flat[:r + 2].take(at, axis=1, out=column[:r + 2, :batch])
+            row = state[r + 2]
+            np.subtract(points, center, out=scratch)
+            np.multiply(scratch, scale, out=row)
+            row *= scratch
+            np.exp(row, out=row)
+            if r:
+                np.matmul(vectors[..., 2:r + 2], stacked[:, 2:r + 2], out=corr)
+                row -= scratch
+            np.sqrt(pivot, out=pivot)
+            row /= pivot
+            np.multiply(row, row, out=scratch)
+            resid -= scratch
+            r += 1
+    # A trace never grows, so the steps a row was above the tolerance come first.
+    return state[2:r + 2], np.count_nonzero(np.array(traces) > stop, axis=0)
 
 
-def krr_conditional_expectation(x: np.ndarray, y: np.ndarray, x_eval: np.ndarray) -> ConditionalCurve:
-    """Fit kernel ridge regression of y on x and evaluate on a grid.
+def krr_conditional_expectation(x: np.ndarray, y: np.ndarray, x_eval: np.ndarray) -> Iterator[ConditionalCurve]:
+    """Kernel ridge regression of each row of y on the same row of x,
+    evaluated on a grid: one curve per row, in order.
 
-    The Gaussian kernel, with the Scott bandwidth of x, is factored by
-    pivoted Cholesky, K ~= L.T @ L, and the fit is
-    y_hat = L_eval.T (L L.T + ridge * n * I)^-1 L y, which equals
-    K_eval (K + ridge * n * I)^-1 y up to the pivot tolerance. The ridge is
-    1e-3 * var(y), floored at 1e-8 so that near-constant targets do not
-    drive the solve toward exact interpolation, where the curve can swing
-    far outside the data range. The r x r system is then a positive
-    semi-definite Gram matrix plus at least 1e-8 * n on its diagonal, so it
-    is solved once; a failed solve ends in NumericalError.
+    The Gaussian kernel, with the Scott bandwidth of the row of x, is
+    factored by pivoted Cholesky, K ~= L.T @ L, fits_per_sweep rows at a
+    time, and the fit is y_hat = L_eval.T (L L.T + ridge * n * I)^-1 L y,
+    which equals K_eval (K + ridge * n * I)^-1 y up to the pivot tolerance.
+    The ridge is 1e-3 * var(y), floored at 1e-8 so that near-constant
+    targets do not drive the solve toward exact interpolation, where the
+    curve can swing far outside the data range. The r x r system is then a
+    positive semi-definite Gram matrix plus at least 1e-8 * n on its
+    diagonal, so it is solved once; a failed solve ends in NumericalError.
+    A sweep runs when its first curve is drawn and frees its factors before
+    yielding; a fit's error (zero-variance x, a failed solve) comes in its turn.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     x_eval = np.asarray(x_eval, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValidationError("x and y must be 1-d arrays of equal length")
-    if x.size < 2:
+    if x.shape != y.shape or x.ndim != 2:
+        raise ValidationError("x and y must be 2-d arrays of equal shape")
+    if x.shape[1] < 2:
         raise ValidationError("regression needs at least two points")
-    bandwidth = scott_bandwidth_1d(x)
-    ridge = max(DEFAULT_RIDGE_SCALE * float(y.var()), RIDGE_FLOOR)
-    factor, factor_eval = pivoted_cholesky(x, x_eval, bandwidth)
-    rank = factor.shape[0]
+    step = fits_per_sweep(x.shape[1] + x_eval.shape[0])
+    for lo in range(0, x.shape[0], step):
+        bandwidths, curves, failure = [], [], None
+        for row in x[lo:lo + step]:
+            try:
+                bandwidths.append(scott_bandwidth_1d(row))
+            except ValidationError as exc:
+                failure = exc
+                break
+        fits = len(bandwidths)
+        ridges = np.maximum(DEFAULT_RIDGE_SCALE * y[lo:lo + fits].var(axis=1), RIDGE_FLOOR).tolist()
+        grids = np.broadcast_to(x_eval, (fits, x_eval.shape[0]))
+        factors, ranks = pivoted_cholesky(np.concatenate([x[lo:lo + fits], grids], axis=1), bandwidths)
+        for b, rank in enumerate(ranks.tolist()):
+            try:
+                curves.append(_krr_curve(factors[:rank, b], y[lo + b], x_eval, bandwidths[b], ridges[b]))
+            except NumericalError as exc:
+                failure = exc
+                break
+        del factors
+        yield from curves
+        if failure is not None:
+            raise failure
+
+
+def _krr_curve(factor: np.ndarray, y: np.ndarray, x_eval: np.ndarray, bandwidth: float,
+               ridge: float) -> ConditionalCurve:
+    """The curve of one fit from its factor rows on the data and then the grid."""
+    rank, n = factor.shape[0], y.shape[0]
+    data, grid = factor[:, :n], factor[:, n:]
     try:
-        weights = np.linalg.solve(factor @ factor.T + ridge * x.size * np.eye(rank), factor @ y)
+        weights = np.linalg.solve(data @ data.T + ridge * n * np.eye(rank), data @ y)
     except LinAlgError as exc:
         raise NumericalError(f"kernel system of rank {rank} with ridge {ridge:.3g} is singular") from exc
-    return ConditionalCurve(x_eval, weights @ factor_eval, bandwidth, ridge, rank)
+    return ConditionalCurve(x_eval, weights @ grid, bandwidth, ridge, rank)
 
 
 def fit_sample_curve(sample: JointSample, x_eval: np.ndarray) -> ConditionalCurve:
-    return krr_conditional_expectation(sample.avg, sample.div, x_eval)
+    return next(krr_conditional_expectation(sample.avg[None], sample.div[None], x_eval))
 
 
 def _percentile(values: np.ndarray, q: float) -> float:
@@ -257,7 +317,9 @@ def permutation_test(
     the add-one rule (#{d_surr >= d_obs} + 1) / (n_surrogates + 1), so it
     is never zero. Each surrogate draws from its own RNG stream keyed by
     (seed, surrogate index), making the result independent of execution
-    order.
+    order. The surrogates go in chunks as wide as the smaller side's sweep
+    (fits_per_sweep); each side's fits of a chunk share sweeps, and an
+    error ends the run where the loop of one fit at a time would.
     """
     if n_surrogates < 1:
         raise ValidationError("need at least one surrogate")
@@ -271,16 +333,16 @@ def permutation_test(
     n_ind = sample_ind.n
     n_total = pooled_avg.shape[0]
 
+    chunk = fits_per_sweep(min(n_ind, n_total - n_ind) + x_eval.shape[0])
     d_surr = np.empty(n_surrogates)
-    for k in range(n_surrogates):
-        rng = np.random.default_rng([seed, k])
-        perm = rng.permutation(n_total)
-        take_ind, take_ood = perm[:n_ind], perm[n_ind:]
-        surr_ind = JointSample(pooled_avg[take_ind], pooled_div[take_ind], "surrogate_ind")
-        surr_ood = JointSample(pooled_avg[take_ood], pooled_div[take_ood], "surrogate_ood")
-        c_ind = fit_sample_curve(surr_ind, x_eval)
-        c_ood = fit_sample_curve(surr_ood, x_eval)
-        d_surr[k] = _d_of(f"surrogate {k}", c_ind, c_ood, integral)
+    for lo in range(0, n_surrogates, chunk):
+        ks = range(lo, min(lo + chunk, n_surrogates))
+        perms = np.stack([np.random.default_rng([seed, k]).permutation(n_total) for k in ks])
+        sides = [(pooled_avg[take], pooled_div[take]) for take in (perms[:, :n_ind], perms[:, n_ind:])]
+        del perms  # freed before the sweeps, which take up the memory budget
+        curves = zip(*(krr_conditional_expectation(avg, div, x_eval) for avg, div in sides))
+        for k, (c_ind, c_ood) in zip(ks, curves):
+            d_surr[k] = _d_of(f"surrogate {k}", c_ind, c_ood, integral)
 
     p = (int((d_surr >= d_obs).sum()) + 1) / (n_surrogates + 1)
     return DStatResult(d_obs, float(p), n_surrogates, d_surr, x_eval, curve_ind, curve_ood)

@@ -272,18 +272,19 @@ def factored_mmd2(delta_a: np.ndarray, delta_b: np.ndarray, control: np.ndarray,
     is 1, so each within-cloud sum over i != j is the full sum less m. Each
     factor stops at a residual trace of PIVOT_TOL per point, which moves the
     statistic by about 10 * PIVOT_TOL at most. Returns None, with nothing
-    kept, when either factor reaches MMD_RANK_CAP pivots; the factors take
-    at most MMD_RANK_CAP * 3m float64 values.
+    kept, when either factor reaches MMD_RANK_CAP pivots; the factors' buffers
+    take at most (MMD_RANK_CAP + 2) * 3m float64 values.
     """
     m = delta_a.shape[0]
-    factors = pivoted_cholesky(delta_a, delta_a[:0], bandwidth, MMD_RANK_CAP)
+    factors = pivoted_cholesky(delta_a[None], [bandwidth], MMD_RANK_CAP)
     if factors is None:
         return None
-    la = factors[0]
-    factors = pivoted_cholesky(delta_b, control, bandwidth, MMD_RANK_CAP)
+    la = factors[0][:, 0]
+    factors = pivoted_cholesky(np.concatenate([delta_b, control])[None], [bandwidth], MMD_RANK_CAP)
     if factors is None:
         return None
-    gx, gy = (la @ f.T for f in factors)
+    lbc = factors[0][:, 0]
+    gx, gy = la @ lbc[:, :m].T, la @ lbc[:, m:].T
     within = (np.vdot(gx, gx) - m + np.vdot(gy, gy) - m) / (m * (m - 1))
     return float(within - 2.0 * np.vdot(gx, gy) / (m * m)), la.shape[0], gx.shape[1]
 

@@ -6,7 +6,10 @@ summary. Assertions still fire per test, keeping failures attributable.
 """
 
 import os
+import subprocess
+import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -229,7 +232,14 @@ def test_single_point_posterior_variance_closed_form():
     )
 
 
-def _drive_pipeline(root: Path, force: bool) -> None:
+def _in_fresh_process(argv: list[str]) -> int:
+    """Run one command as `python -m ensdiag`, as a shell user would."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "ensdiag", *argv], env=env, capture_output=True).returncode
+
+
+def _drive_pipeline(root: Path, force: bool, run=cli_main) -> None:
     sim = root / "sim"
     manifest = sim / "manifest.json"
     extra = ["--force"] if force else []
@@ -246,7 +256,7 @@ def _drive_pipeline(root: Path, force: bool) -> None:
          "--metric", "brier", "--out", root / "imp"],
         ["gp-demo", "--seed", "0", "--out", root / "gp"],
     ):
-        assert cli_main([str(a) for a in argv] + extra) == 0
+        assert run([str(a) for a in argv] + extra) == 0
 
 
 def _snapshot(root: Path) -> dict:
@@ -273,6 +283,26 @@ def test_cli_reruns_are_byte_identical(tmp_path):
         "rerun determinism",
         len(before) > 0 and not diff,
         f"{len(before)} csv/json files byte-identical across reruns"
+        + (f"; differing: {diff}" if diff else ""),
+    )
+
+
+def test_fresh_processes_and_a_traced_rerun_write_the_same_bytes(tmp_path):
+    # The first pass runs each command in its own process; the second reruns
+    # them all in this one, under tracemalloc, as a profiling harness would.
+    _drive_pipeline(tmp_path, force=False, run=_in_fresh_process)
+    before = _snapshot(tmp_path)
+    tracemalloc.start()
+    try:
+        _drive_pipeline(tmp_path, force=True)
+    finally:
+        tracemalloc.stop()
+    after = _snapshot(tmp_path)
+    diff = sorted(str(p) for p in set(before) | set(after) if before.get(p) != after.get(p))
+    record(
+        "cross-process determinism",
+        len(before) > 0 and not diff,
+        f"{len(before)} csv/json files byte-identical between fresh processes and a traced in-process rerun"
         + (f"; differing: {diff}" if diff else ""),
     )
 

@@ -1,6 +1,7 @@
 """Conditional-diversity pipeline: KRR curves, their dense oracle, and the d statistic."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -43,20 +44,35 @@ def dense_krr_curve(x, y, x_eval):
     return ConditionalCurve(x_eval, k_eval @ alpha, float(bandwidth), float(ridge))
 
 
+def krr(x, y, x_eval):
+    """One kernel ridge curve: a stack of one fit."""
+    return next(krr_conditional_expectation(x[None], y[None], x_eval))
+
+
+def one_factor(x, x_eval, bandwidth, max_rank=None):
+    """pivoted_cholesky on a stack of one: (L, L_eval), or None at max_rank."""
+    got = conditional.pivoted_cholesky(np.concatenate([x, x_eval])[None], [bandwidth], max_rank)
+    if got is None:
+        return None
+    factor = got[0][:, 0]
+    assert got[1].tolist() == [factor.shape[0]]
+    return factor[:, :x.size], factor[:, x.size:]
+
+
 def scipy_factor_krr(x, y, x_eval):
     """Reference for the r x r solve: the same pivoted factors, solved by
     scipy's cho_factor/cho_solve."""
     bandwidth = scott_bandwidth_1d(x)
     ridge = max(DEFAULT_RIDGE_SCALE * float(y.var()), RIDGE_FLOOR)
-    factor, factor_eval = conditional.pivoted_cholesky(x, x_eval, bandwidth)
+    factor, factor_eval = one_factor(x, x_eval, bandwidth)
     rank = factor.shape[0]
     chol = cho_factor(factor @ factor.T + ridge * x.size * np.eye(rank), lower=True)
     return ConditionalCurve(x_eval, cho_solve(chol, factor @ y) @ factor_eval, bandwidth, ridge, rank)
 
 
 def loop_pivoted_cholesky(x, x_eval, bandwidth, max_rank=None):
-    """The pivot loop as first written, with a fresh kernel row per pivot: the
-    bit-for-bit oracle for conditional.pivoted_cholesky."""
+    """The pivot loop of one fit as first written, with a fresh kernel row per
+    pivot: the bit-for-bit oracle for each fit of conditional.pivoted_cholesky."""
     n = x.shape[0]
     points = np.concatenate([x, x_eval])
     size = points.shape[0]
@@ -81,6 +97,44 @@ def loop_pivoted_cholesky(x, x_eval, bandwidth, max_rank=None):
         resid -= row * row
         r += 1
     return rows[:r, :n], rows[:r, n:]
+
+
+def loop_permutation_test(fit, sample_ind, sample_ood, n_surrogates, seed, integral=False):
+    """permutation_test as a loop of one fit at a time, each by fit(x, y, x_eval):
+    the oracle for the batched surrogate fits."""
+    x_eval = evaluation_grid(sample_ind, sample_ood)
+    curve_ind = fit(sample_ind.avg, sample_ind.div, x_eval)
+    curve_ood = fit(sample_ood.avg, sample_ood.div, x_eval)
+    d_obs = conditional._d_of("observed fit", curve_ind, curve_ood, integral)
+    pooled_avg = np.concatenate([sample_ind.avg, sample_ood.avg])
+    pooled_div = np.concatenate([sample_ind.div, sample_ood.div])
+    n_ind = sample_ind.n
+    d_surr = np.empty(n_surrogates)
+    for k in range(n_surrogates):
+        perm = np.random.default_rng([seed, k]).permutation(pooled_avg.shape[0])
+        take_ind, take_ood = perm[:n_ind], perm[n_ind:]
+        c_ind = fit(pooled_avg[take_ind], pooled_div[take_ind], x_eval)
+        c_ood = fit(pooled_avg[take_ood], pooled_div[take_ood], x_eval)
+        d_surr[k] = conditional._d_of(f"surrogate {k}", c_ind, c_ood, integral)
+    p = (int((d_surr >= d_obs).sum()) + 1) / (n_surrogates + 1)
+    return conditional.DStatResult(d_obs, float(p), n_surrogates, d_surr, x_eval, curve_ind, curve_ood)
+
+
+def nonpositive_ind_fit(n_ind, place, real=conditional.krr_conditional_expectation):
+    """krr_conditional_expectation with InD fit number `place` (1 = the
+    observed one; InD fits are those of n_ind points) nonpositive."""
+    seen = []
+
+    def fits(x, y, x_eval):
+        for curve in real(x, y, x_eval):
+            if x.shape[1] == n_ind:
+                seen.append(1)
+                if len(seen) == place:
+                    curve = ConditionalCurve(x_eval, np.linspace(-2.0, 1.0, x_eval.size),
+                                             curve.bandwidth, curve.ridge, curve.rank)
+            yield curve
+
+    return fits
 
 
 def percentile_grid(sample_a, sample_b, n=100):
@@ -177,14 +231,14 @@ class TestKrr:
     def test_constant_target(self):
         # The ridge floor, 1e-8 * n on the diagonal, shrinks a constant by at most 1e-4.
         x = np.linspace(0.0, 1.0, 40)
-        curve = krr_conditional_expectation(x, np.full(40, 0.7), x)
+        curve = krr(x, np.full(40, 0.7), x)
         assert curve.ridge == RIDGE_FLOOR
         assert np.abs(curve.y_hat - 0.7).max() < 1e-4
 
     def test_linear_target_interior(self):
         x = np.linspace(0.0, 1.0, 201)
         x_eval = np.linspace(0.1, 0.9, 81)
-        curve = krr_conditional_expectation(x, x, x_eval)
+        curve = krr(x, x, x_eval)
         assert np.abs(curve.y_hat - x_eval).max() < 0.02
 
     @given(
@@ -202,7 +256,7 @@ class TestKrr:
         x = np.concatenate([values, r.choice(values, n - values.size)])
         y = np.full(n, 10.0 ** r.uniform(-8.0, 0.0)) if constant else 10.0 ** r.uniform(-8.0, 0.0, n)
         x_eval = np.linspace(x.min(), x.max(), 50)
-        curve = krr_conditional_expectation(x, y, x_eval)
+        curve = krr(x, y, x_eval)
         assert np.all(np.isfinite(curve.y_hat))
         assert curve.ridge == max(1e-3 * float(y.var()), 1e-8)
 
@@ -212,25 +266,37 @@ class TestKrr:
 
         monkeypatch.setattr(conditional.np.linalg, "solve", singular)
         with pytest.raises(NumericalError, match="kernel system of rank"):
-            krr_conditional_expectation(np.linspace(0.0, 1.0, 30), np.ones(30), np.array([0.5]))
+            krr(np.linspace(0.0, 1.0, 30), np.ones(30), np.array([0.5]))
 
     def test_default_ridge_floor(self):
         x = np.linspace(0.0, 1.0, 50)
-        curve = krr_conditional_expectation(x, np.full(50, 1e-4), x)
+        curve = krr(x, np.full(50, 1e-4), x)
         assert curve.ridge >= 1e-8
 
     def test_shape_mismatch(self):
         with pytest.raises(ValidationError):
-            krr_conditional_expectation(np.zeros(3), np.zeros(4), np.zeros(2))
+            krr(np.zeros(3), np.zeros(4), np.zeros(2))
 
     def test_needs_two_points(self):
         with pytest.raises(ValidationError):
-            krr_conditional_expectation(np.zeros(1), np.zeros(1), np.zeros(2))
+            krr(np.zeros(1), np.zeros(1), np.zeros(2))
+
+    @pytest.mark.parametrize("bad", [0, 1, 2])
+    def test_zero_variance_row_raised_in_its_turn(self, bad):
+        # A stack of three fits, one with a single x value: the curves before
+        # it come out, then its error.
+        x = np.stack([np.linspace(0.0, 1.0, 30), np.linspace(0.2, 0.9, 30), np.linspace(0.1, 0.8, 30)])
+        x[bad] = 0.5
+        curves = krr_conditional_expectation(x, x ** 2, np.linspace(0.1, 0.9, 20))
+        for _ in range(bad):
+            assert np.all(np.isfinite(next(curves).y_hat))
+        with pytest.raises(ValidationError, match="zero-variance"):
+            next(curves)
 
     def test_curve_finite(self, rng):
         sample = linear_sample(rng)
         grid = np.linspace(0.25, 0.75, 50)
-        curve = krr_conditional_expectation(sample.avg, sample.div, grid)
+        curve = krr(sample.avg, sample.div, grid)
         assert np.all(np.isfinite(curve.y_hat))
 
 
@@ -242,17 +308,16 @@ class TestSolveMatchesScipy:
         x = rng.normal(0.3, 0.1, n)
         y = 0.3 * x + 0.1 * np.sin(8.0 * x) + rng.normal(0.0, 0.05, n)
         x_eval = np.linspace(np.percentile(x, 1.0), np.percentile(x, 99.0), 100)
-        fast = krr_conditional_expectation(x, y, x_eval)
+        fast = krr(x, y, x_eval)
         ref = scipy_factor_krr(x, y, x_eval)
         assert fast.rank == ref.rank > 64
         assert fast.ridge == ref.ridge
         np.testing.assert_allclose(fast.y_hat, ref.y_hat, rtol=1e-10, atol=0)
 
-    def test_permutation_test_agrees(self, monkeypatch):
+    def test_permutation_test_agrees(self):
         sample_ind, sample_ood = split_samples(3)
         fast = permutation_test(sample_ind, sample_ood, n_surrogates=50, seed=3)
-        monkeypatch.setattr(conditional, "krr_conditional_expectation", scipy_factor_krr)
-        ref = permutation_test(sample_ind, sample_ood, n_surrogates=50, seed=3)
+        ref = loop_permutation_test(scipy_factor_krr, sample_ind, sample_ood, n_surrogates=50, seed=3)
         assert fast.d == pytest.approx(ref.d, rel=1e-10, abs=0)
         np.testing.assert_allclose(fast.d_surrogates, ref.d_surrogates, rtol=1e-10, atol=0)
         assert fast.p_value == ref.p_value
@@ -267,7 +332,7 @@ class TestLowRankMatchesDense:
         x = rng.beta(0.7, 2.0, n) if draw == "beta" else rng.normal(0.3, 0.1, n)
         y = 0.3 * x + 0.1 * np.sin(8.0 * x) + rng.normal(0.0, 0.05, n)
         x_eval = np.linspace(np.percentile(x, 1.0), np.percentile(x, 99.0), 100)
-        fast = krr_conditional_expectation(x, y, x_eval)
+        fast = krr(x, y, x_eval)
         exact = dense_krr_curve(x, y, x_eval)
         assert fast.ridge == exact.ridge
         assert fast.rank < n
@@ -277,7 +342,7 @@ class TestLowRankMatchesDense:
         x = rng.beta(0.7, 2.0, 300)
         x_eval = np.linspace(0.05, 0.6, 40)
         h = scott_bandwidth_1d(x)
-        factor, factor_eval = conditional.pivoted_cholesky(x, x_eval, h)
+        factor, factor_eval = one_factor(x, x_eval, h)
         gram = np.exp(-((x[:, None] - x[None, :]) ** 2) / (2.0 * h * h))
         k_eval = np.exp(-((x_eval[:, None] - x[None, :]) ** 2) / (2.0 * h * h))
         assert factor.shape == (factor_eval.shape[0], 300)
@@ -296,7 +361,7 @@ class TestLowRankMatchesDense:
              "t3": rng.standard_t(3, n), "ties": np.round(rng.normal(0.3, 0.1, n), 1)}[draw]
         x_eval = np.linspace(x.min(), x.max(), 100)
         h = scott_bandwidth_1d(x)
-        got = conditional.pivoted_cholesky(x, x_eval, h, max_rank)
+        got = one_factor(x, x_eval, h, max_rank)
         expected = loop_pivoted_cholesky(x, x_eval, h, max_rank)
         if expected is None:
             assert got is None
@@ -305,12 +370,39 @@ class TestLowRankMatchesDense:
             assert fast.shape == loop.shape
             assert fast.tobytes() == loop.tobytes()
 
-    def test_permutation_test_agrees(self, monkeypatch):
-        fast = [permutation_test(*split_samples(seed), n_surrogates=100, seed=seed)
-                for seed in range(10)]
-        monkeypatch.setattr(conditional, "krr_conditional_expectation", dense_krr_curve)
-        for seed, res in enumerate(fast):
-            exact = permutation_test(*split_samples(seed), n_surrogates=100, seed=seed)
+    def test_stacked_factors_bit_equal_to_first_loop(self):
+        # Fits of one size and different ranks share a sweep; each matches the
+        # loop of one fit. Bit equality holds with OpenBLAS, whose gemv sums a
+        # strided vector in one order for every batch size; another BLAS may not.
+        rng = np.random.default_rng(7)
+        xs = [rng.beta(0.7, 2.0, 300), rng.normal(0.3, 0.1, 300), np.round(rng.normal(0.3, 0.1, 300), 1),
+              rng.standard_t(3, 300), rng.uniform(0.0, 1.0, 300)]
+        x_eval = np.linspace(-0.5, 1.0, 100)
+        hs = [scott_bandwidth_1d(x) for x in xs]
+        factors, ranks = conditional.pivoted_cholesky(np.stack([np.concatenate([x, x_eval]) for x in xs]), hs)
+        assert len(set(ranks.tolist())) > 1
+        assert factors.shape == (max(ranks), len(xs), 400)
+        for b, (x, h) in enumerate(zip(xs, hs)):
+            loop = np.concatenate(loop_pivoted_cholesky(x, x_eval, h), axis=1)
+            assert factors[:ranks[b], b].tobytes() == loop.tobytes()
+
+    def test_steps_past_a_rank_are_silent(self):
+        # Two values 100 bandwidths apart: the first row reaches rank 2 with a
+        # residual of exactly 0, so the steps it takes while the second row goes
+        # on divide 0 by 0. They warn of nothing and leave its factor alone.
+        points = np.stack([np.repeat([0.0, 1.0], 50), np.linspace(0.0, 1.0, 100)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            factors, ranks = conditional.pivoted_cholesky(points, [0.01, 0.05])
+            alone = conditional.pivoted_cholesky(points[:1], [0.01])[0]
+        assert ranks[0] == 2 < ranks[1]
+        assert np.isnan(factors[2:, 0]).any()
+        assert factors[:2, 0].tobytes() == alone[:, 0].tobytes()
+
+    def test_permutation_test_agrees(self):
+        for seed in range(10):
+            res = permutation_test(*split_samples(seed), n_surrogates=100, seed=seed)
+            exact = loop_permutation_test(dense_krr_curve, *split_samples(seed), n_surrogates=100, seed=seed)
             assert abs(res.d - exact.d) <= 1e-8
             assert res.p_value == exact.p_value
             np.testing.assert_allclose(res.d_surrogates, exact.d_surrogates, rtol=0, atol=1e-8)
@@ -325,13 +417,50 @@ class TestLowRankMatchesDense:
         x_eval = np.linspace(0.05, 0.6, 100)
         tracemalloc.start()
         try:
-            curve = krr_conditional_expectation(x, y, x_eval)
+            curve = krr(x, y, x_eval)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert curve.rank > 64
         assert np.all(np.isfinite(curve.y_hat))
         assert peak < 100 * 2**20
+
+
+class TestSurrogateBatches:
+    # 500 + 500 points on a 100-point grid: 6 fits a sweep by default. Bit
+    # equality across batch sizes holds with OpenBLAS (see
+    # test_stacked_factors_bit_equal_to_first_loop); another BLAS may not.
+    @pytest.mark.parametrize("fits", [1, 2, 3, 7])
+    def test_d_surrogates_bit_equal_whatever_the_batch(self, monkeypatch, fits):
+        sample_ind, sample_ood = split_samples(4)
+        default = permutation_test(sample_ind, sample_ood, n_surrogates=20, seed=4)
+        monkeypatch.setattr(conditional, "BLOCK_ELEMENTS", 64 * (sample_ind.n + 100) * fits)
+        assert conditional.fits_per_sweep(sample_ind.n + 100) == fits
+        batched = permutation_test(sample_ind, sample_ood, n_surrogates=20, seed=4)
+        assert batched.d_surrogates.tobytes() == default.d_surrogates.tobytes()
+        assert batched.p_value == default.p_value
+
+    def test_memory_within_one_fit_and_a_sweep(self):
+        sample_ind, sample_ood = (JointSample(s.avg[:400], s.div[:400]) for s in split_samples(5))
+        x_eval = evaluation_grid(sample_ind, sample_ood)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            conditional.fit_sample_curve(sample_ind, x_eval)
+            one_fit = tracemalloc.get_traced_memory()[1] - start
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            permutation_test(sample_ind, sample_ood, n_surrogates=400, seed=5)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        # One fit's peak covers a fit's solve and curve. A sweep adds, for each
+        # fit it stacks, the buffers pivoted_cholesky allocates (64 factor rows
+        # and the points, residual and scratch rows, 500 entries each) and the
+        # stacked input row, and the chunk adds each fit's two samples.
+        fits = conditional.fits_per_sweep(500)
+        assert fits == 8
+        assert peak <= one_fit + 8 * fits * (500 * (64 + 3 + 1) + 2 * (400 + 400))
 
 
 class TestEvaluationGrid:
@@ -483,25 +612,46 @@ class TestPermutationTest:
 
     @pytest.mark.parametrize("bad_call,fit", [(1, "observed fit"), (5, "surrogate 1")])
     def test_undefined_d_names_the_fit(self, rng, monkeypatch, bad_call, fit):
-        # Fits run observed InD, observed OOD, then InD and OOD per surrogate;
-        # one InD fit comes back nonpositive.
-        calls = []
-        real_fit = conditional.fit_sample_curve
-
-        def fit_curve(sample, x_eval):
-            curve = real_fit(sample, x_eval)
-            calls.append(1)
-            if len(calls) == bad_call:
-                y = np.linspace(-2.0, 1.0, x_eval.size)
-                return ConditionalCurve(x_eval, y, curve.bandwidth, curve.ridge, curve.rank)
-            return curve
-
-        monkeypatch.setattr(conditional, "fit_sample_curve", fit_curve)
-        sample = linear_sample(rng, n=60)
+        # bad_call counts fits in the order of a loop of one fit at a time:
+        # observed InD, observed OOD, then InD and OOD per surrogate. The InD
+        # fit in that place comes back nonpositive. The three surrogates share
+        # one batch, with surrogate 1 in its middle.
+        sample_ind = linear_sample(rng, n=60)
+        sample_ood = JointSample(sample_ind.avg[:59], sample_ind.div[:59] + 0.01)
+        assert conditional.fits_per_sweep(59 + 100) >= 3
+        monkeypatch.setattr(conditional, "krr_conditional_expectation",
+                            nonpositive_ind_fit(sample_ind.n, (bad_call + 1) // 2))
         with pytest.raises(NumericalError) as err:
-            permutation_test(sample, JointSample(sample.avg, sample.div + 0.01), n_surrogates=3, seed=1)
-        x_lo = evaluation_grid(sample, sample)[0]
+            permutation_test(sample_ind, sample_ood, n_surrogates=3, seed=1)
+        x_lo = evaluation_grid(sample_ind, sample_ood)[0]
         assert str(err.value).startswith(f"{fit}: InD curve has nonpositive total -50 (minimum -2 at grid x = {x_lo:.6g})")
+
+    @pytest.mark.parametrize("undefined_d", [False, True])
+    def test_errors_come_in_loop_order(self, monkeypatch, undefined_d):
+        # Three InD points drawn from a pool that is mostly 0.5: a surrogate
+        # after the first, in the same batch, has a zero-variance InD sample.
+        # With surrogate 0's InD fit made nonpositive, its undefined d ends
+        # the run first, as in the loop of one fit at a time.
+        sample_ind = JointSample(np.array([0.5, 0.5, 0.7]), np.array([0.1, 0.2, 0.3]))
+        ood_avg = np.concatenate([np.full(36, 0.5), [0.3, 0.4, 0.6, 0.7]])
+        sample_ood = JointSample(ood_avg, np.linspace(0.05, 0.4, 40))
+        pooled = np.concatenate([sample_ind.avg, sample_ood.avg])
+        degenerate = [bool(np.all(pooled[np.random.default_rng([seed, k]).permutation(43)[:3]] == 0.5))
+                      for seed in range(50) for k in range(2)]
+        seed = next(s for s in range(50) if degenerate[2 * s:2 * s + 2] == [False, True])
+        assert conditional.fits_per_sweep(40 + 100) >= 2
+        place = 2 if undefined_d else 0
+        real = conditional.krr_conditional_expectation
+        bad = nonpositive_ind_fit(3, place, real)
+        expected = NumericalError if undefined_d else ValidationError
+        with pytest.raises(expected) as loop_err:
+            loop_permutation_test(lambda x, y, g: next(bad(x[None], y[None], g)),
+                                  sample_ind, sample_ood, n_surrogates=5, seed=seed)
+        monkeypatch.setattr(conditional, "krr_conditional_expectation", nonpositive_ind_fit(3, place, real))
+        with pytest.raises(expected) as err:
+            permutation_test(sample_ind, sample_ood, n_surrogates=5, seed=seed)
+        assert str(err.value) == str(loop_err.value)
+        assert str(err.value).startswith("surrogate 0: " if undefined_d else "bandwidth undefined")
 
     def test_needs_one_surrogate(self, rng):
         sample = linear_sample(rng, n=20)
