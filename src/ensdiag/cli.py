@@ -31,6 +31,7 @@ from .store import (
     form_heterogeneous_ensembles,
     load_store,
     read_json,
+    write_file,
 )
 
 # Each command imports the analysis modules it runs at the top of its body,
@@ -48,16 +49,9 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _write_text(path: Path, text: str) -> None:
-    try:
-        path.write_text(text)
-    except OSError as exc:
-        raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc
-
-
 def write_json(path: Path, record: dict) -> None:
     """Write a record; NumPy arrays and scalars are written as their ``tolist()`` values."""
-    _write_text(path, json.dumps(record, indent=2, sort_keys=True, default=lambda v: v.tolist()) + "\n")
+    write_file(path, json.dumps(record, indent=2, sort_keys=True, default=lambda v: v.tolist()) + "\n")
 
 
 def _write_result(path: Path, command: str, record: dict) -> None:
@@ -70,7 +64,7 @@ def write_csv(path: Path, columns: dict) -> None:
     """Write named, equal-length columns; floats print as ``repr`` (``nan``, ``inf``)."""
     cells = [map(str, np.asarray(col).tolist()) for col in columns.values()]
     lines = [",".join(columns), *map(",".join, zip(*cells))]
-    _write_text(path, "\n".join(lines) + "\n")
+    write_file(path, "\n".join(lines) + "\n")
 
 
 def prepare_out_dir(path: str, force: bool) -> Path:
@@ -298,7 +292,7 @@ def _conditional_figure(sample_ind, sample_ood, result, path: Path, seed: int) -
     panel.label(f"InD ({sample_ind.source})", 70, 56, svgplot.IND_COLOR)
     panel.label(f"OOD ({sample_ood.source})", 70, 72, svgplot.OOD_COLOR)
     panel.label(f"d = {result.d:.4f}, p = {result.p_value:.4f}", 70, 88)
-    _write_text(path, svgplot.document(580, 420, [panel]))
+    write_file(path, svgplot.document(580, 420, [panel]))
 
 
 # ------------------------------------------------------------------ trends
@@ -446,7 +440,7 @@ def _trends_figure(points, rows, metric: str, path: Path) -> None:
             70, y0, fit_colors[r.model_class], size=10,
         )
         y0 += 14
-    _write_text(path, svgplot.document(540, 520, [panel]))
+    write_file(path, svgplot.document(540, 520, [panel]))
 
 
 # ----------------------------------------------------------------- improve
@@ -531,7 +525,7 @@ def _improvement_figure(delta_a, delta_b, base_scores, path: Path, seed: int) ->
         panel.line([xlim[0], xlim[1]], [0, 0], svgplot.LINE_COLOR, width=0.8, dash="3,3")
     panel.colored_scatter(xa, yb, cv, float(np.min(cv)), float(np.max(cv)), r=2.0)
     panel.label("color: base-model score", 70, 56, size=10)
-    _write_text(path, svgplot.document(540, 520, [panel]))
+    write_file(path, svgplot.document(540, 520, [panel]))
 
 
 # ------------------------------------------------------------------ gp-demo
@@ -632,7 +626,7 @@ def _gp_figure(exp, domain, path: Path) -> None:
         p2.scatter(centers[mask], table.mean_posterior_variance[mask], color, r=2.5, opacity=0.9)
     p2.label("InD (x >= 0)", 570, 56, svgplot.IND_COLOR)
     p2.label("OOD (x < 0)", 570, 72, svgplot.OOD_COLOR)
-    _write_text(path, svgplot.document(1040, 400, [p1, p2]))
+    write_file(path, svgplot.document(1040, 400, [p1, p2]))
 
 
 # ------------------------------------------------------------------- report

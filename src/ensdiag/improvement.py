@@ -16,9 +16,8 @@ most MMD_RANK_CAP * 3m float64 values. A cloud whose factor would need
 more pivots falls back to mmd2_unbiased, which builds pairwise squared
 distances one row block of at most BLOCK_ELEMENTS entries at a time and
 reduces each before the next: time quadratic in the sample size, memory
-not. The bandwidth's median is found in a few passes over those blocks,
-counting by bucket and then gathering at most MEDIAN_GATHER_CAP middle
-distances.
+not. The bandwidth's median is taken over at most BANDWIDTH_MEDIAN_CAP
+strided points, whose distances fill one buffer of store.BLOCK_ELEMENTS.
 """
 
 from __future__ import annotations
@@ -33,16 +32,13 @@ from .errors import ValidationError
 from .metrics import compute_metric
 from .store import check_members, form_ensemble, member_blocks
 
-BANDWIDTH_MEDIAN_CAP = 2_000
+# Most points the bandwidth's median is taken over: the largest s whose
+# s(s-1)/2 = 261,726 pairwise distances fit one buffer of store.BLOCK_ELEMENTS
+# = 2**18 float64 (2 MiB).
+BANDWIDTH_MEDIAN_CAP = 724
 # Entries in one block of pairwise distances: 2**16 float64 is 512 KiB, so
 # the block and its scratch buffer fit in a 4 MiB L2 cache together.
 BLOCK_ELEMENTS = 1 << 16
-# The median's first buckets are the top 15 value bits of a positive float64:
-# its 11 exponent bits and 4 mantissa bits, 2**15 buckets of 1/16 octave each.
-MEDIAN_BUCKET_SHIFT = 48
-# Most squared distances the median gathers at once: 512 KiB, a few times
-# the middle bucket of a continuous 2-d cloud at BANDWIDTH_MEDIAN_CAP points.
-MEDIAN_GATHER_CAP = BLOCK_ELEMENTS
 # Most pivots of one kernel factor before the MMD falls back to blocked sums.
 # Bench clouds at m = 6,000 need ranks of 16 to 42 per coordinate.
 MMD_RANK_CAP = 64
@@ -93,20 +89,10 @@ def median_heuristic_bandwidth(points: np.ndarray) -> float:
     where most pairs coincide, still gets the typical distance between
     distinct points. Above BANDWIDTH_MEDIAN_CAP points the median is taken
     over an evenly strided subset so the cost stays bounded and the value
-    stays deterministic.
-
-    The distances are never held together. Each pass over the blocks of
-    squared distances reads their float64 bit patterns, which order
-    non-negative floats as their values do, within a window known to hold
-    the two middle ranks. The first pass counts every nonzero distance per
-    MEDIAN_BUCKET_SHIFT prefix. If the window holds one value, that is the
-    median. If the middle ranks fall in two buckets, they are the largest
-    value of the one and the smallest of the other, found in one more pass.
-    Otherwise the window shrinks to their bucket: one of at most
-    MEDIAN_GATHER_CAP distances is gathered and partitioned, and a heavier
-    one, as tied distances make, is counted again by the next 16 bits. The
-    square roots of the middle pair are averaged as np.median averages them,
-    so the result is bit-equal to np.median over all nonzero distances.
+    stays deterministic. The subset's nonzero finite squared distances fill
+    one buffer, which is partitioned at the two middle ranks; their square
+    roots are averaged as np.median averages them, so the result is
+    bit-equal to np.median over the subset's nonzero distances.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if points.shape[0] < 2:
@@ -114,58 +100,18 @@ def median_heuristic_bandwidth(points: np.ndarray) -> float:
     if points.shape[0] > BANDWIDTH_MEDIAN_CAP:
         stride = int(np.ceil(points.shape[0] / BANDWIDTH_MEDIAN_CAP))
         points = points[::stride]
-    # Bit patterns 1 .. LARGEST_FINITE are the positive finite floats.
-    lo, hi, shift = 1, int(np.float64(np.finfo(np.float64).max).view(np.int64)), MEDIAN_BUCKET_SHIFT
-    below, ranks = 0, None
-    while True:
-        base = lo >> shift
-        counts = np.zeros((hi >> shift) - base + 1, dtype=np.int64)
-        least, most = hi, lo
-        for keys in _window_keys(points, lo, hi):
-            if keys.size:
-                counts += np.bincount((keys >> shift) - base, minlength=counts.size)
-                least, most = min(least, int(keys.min())), max(most, int(keys.max()))
-        if ranks is None:
-            n = int(counts.sum())
-            if n == 0:
-                raise ValidationError("bandwidth undefined: every point of the cloud coincides")
-            ranks = [(n - 1) // 2, n // 2]
-        if least == most:
-            return _root_mean([least])
-        ends = below + np.cumsum(counts)
-        first, last = (int(b) for b in np.searchsorted(ends, ranks, side="right"))
-        edges = [max(lo, (base + b) << shift) for b in (first, first + 1, last, last + 1)]
-        if first != last:
-            top, bottom = lo, hi
-            for keys in _window_keys(points, edges[0], min(hi, edges[3] - 1)):
-                top = max(top, int(keys[keys < edges[1]].max(initial=lo)))
-                bottom = min(bottom, int(keys[keys >= edges[2]].min(initial=hi)))
-            return _root_mean([top, bottom])
-        below += int(counts[:first].sum())
-        lo, hi = edges[0], min(hi, edges[1] - 1)
-        if counts[first] <= MEDIAN_GATHER_CAP:
-            middle, filled = np.empty(int(counts[first]), dtype=np.int64), 0
-            for keys in _window_keys(points, lo, hi):
-                middle[filled:filled + keys.size] = keys
-                filled += keys.size
-            local = [r - below for r in ranks]
-            middle.partition(local)
-            return _root_mean(middle[local[0]:local[1] + 1])
-        shift = max(0, shift - 16)
-
-
-def _root_mean(keys) -> float:
-    """Mean of the square roots of the squared distances with these bit patterns."""
-    return float(np.mean(np.sqrt(np.asarray(keys, dtype=np.int64).view(np.float64))))
-
-
-def _window_keys(points: np.ndarray, lo: int, hi: int):
-    """Per block of squared pairwise distances, the float64 bit patterns, as
-    int64, of those lying in [lo, hi]. Zero and the +inf fill lie outside any
-    window of positive finite floats."""
-    for d2 in _sqdist_blocks(points, points, upper=True):
-        keys = d2.view(np.int64)
-        yield keys[(keys >= lo) & (keys <= hi)]
+    d2, k = np.empty(points.shape[0] * (points.shape[0] - 1) // 2), 0
+    for block in _sqdist_blocks(points, points, upper=True):
+        kept = (block > 0.0) & (block < np.inf)
+        n = int(np.count_nonzero(kept))
+        d2[k:k + n] = block[kept]
+        k += n
+    if k == 0:
+        raise ValidationError("bandwidth undefined: every point of the cloud coincides")
+    middle = [(k - 1) // 2, k // 2]
+    d2 = d2[:k]
+    d2.partition(middle)
+    return float(np.mean(np.sqrt(d2[middle])))
 
 
 def _sqdist_blocks(x: np.ndarray, y: np.ndarray, upper: bool):

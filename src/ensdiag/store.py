@@ -22,7 +22,10 @@ each member's file location. A member is read from disk each time it is
 used. Every reduction over members walks `member_blocks`, which reads
 each member once per row block and holds at most BLOCK_ELEMENTS entries
 across all of them, so memory grows with neither the number of points
-nor the number of models. The block geometry lives in this module alone.
+nor the number of models. Other modules size their buffers from
+BLOCK_ELEMENTS too: `conditional.fits_per_sweep` and the bandwidth median's
+point cap in `improvement`, whose pairwise-distance blocks are otherwise
+its own, of 2**16 entries.
 Do not rewrite a store's files while a command reads them: a later read
 sees the new bytes, and fails if they no longer pass the load checks.
 """
@@ -467,6 +470,19 @@ def read_json(path: Path, what: str):
         raise ValidationError(f"{what} is not readable JSON: {exc}") from exc
 
 
+def write_file(path: Path, data: str | bytes) -> None:
+    """Write text or bytes to `path`, making its directory if it is missing; a
+    write that fails is a ValidationError naming the path."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if isinstance(data, bytes):
+            path.write_bytes(data)
+        else:
+            path.write_text(data)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def load_store(manifest_path: str | Path) -> PredictionStore:
     """Load a manifest into a PredictionStore that reads members on access.
 
@@ -539,18 +555,17 @@ def write_store(
     the next is drawn, so only one member matrix is held at a time.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
     files: dict[str, dict[str, str]] = {}
     for did, labels, members in datasets:
         labels_file = f"{did}_labels.i32"
-        (out_dir / labels_file).write_bytes(labels.astype("<i4").tobytes())
+        write_file(out_dir / labels_file, labels.astype("<i4").tobytes())
         entries.append(
             {"id": did, "n": len(labels), "c": n_classes, "labels_file": labels_file, "kind": "logits"}
         )
         for mid, logits in members:
             rel = f"{mid}__{did}.f32"
-            (out_dir / rel).write_bytes(logits.astype("<f4").tobytes())
+            write_file(out_dir / rel, logits.astype("<f4").tobytes())
             files.setdefault(mid, {})[did] = rel
     manifest = {
         "datasets": entries,
@@ -558,5 +573,5 @@ def write_store(
         "pairs": [list(p) for p in pairs],
     }
     manifest_path = out_dir / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_file(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest_path

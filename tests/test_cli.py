@@ -377,6 +377,38 @@ class TestSimulateCommand:
         assert result["spec"]["seed"] == 1
         assert "numpy" in result["versions"]
 
+    @pytest.mark.parametrize("taken", ["m000__ind.f32", "manifest.json"])
+    def test_store_file_that_is_a_directory(self, sim_dir, capsys, taken):
+        (sim_dir / taken).unlink()
+        (sim_dir / taken).mkdir()
+        capsys.readouterr()
+        assert run(BASE_SIM + ["--out", sim_dir, "--force"]) == 1
+        _one_error_line(capsys, f"cannot write {sim_dir / taken}: ")
+
+
+class TestPairArgument:
+    def test_pair_picks_the_datasets_in_order(self, sim_dir, tmp_path):
+        out = tmp_path / "dec"
+        assert run(["decompose", "--manifest", sim_dir / "manifest.json", "--pair", "ood:ind", "--out", out]) == 0
+        assert json.loads((out / "result.json").read_text())["inputs"]["pair"] == ["ood", "ind"]
+
+    @pytest.mark.parametrize("pair,expected", [("ind", "--pair must look like IND:OOD"),
+                                               ("ind:nope", "unknown dataset 'nope'")],
+                             ids=["no-colon", "unknown-id"])
+    def test_bad_pair_is_one_error_line(self, sim_dir, tmp_path, capsys, pair, expected):
+        capsys.readouterr()
+        assert run(["decompose", "--manifest", sim_dir / "manifest.json", "--pair", pair,
+                    "--out", tmp_path / "dec"]) == 1
+        _one_error_line(capsys, expected)
+
+    def test_no_pair_anywhere_is_one_error_line(self, sim_dir, tmp_path, capsys):
+        manifest = json.loads((sim_dir / "manifest.json").read_text())
+        manifest["pairs"] = []
+        (sim_dir / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run(["decompose", "--manifest", sim_dir / "manifest.json", "--out", tmp_path / "dec"]) == 1
+        _one_error_line(capsys, "manifest declares no pairs")
+
 
 class TestDecomposeCommand:
     def test_zero_noise_diversity_column(self, tmp_path):
@@ -424,6 +456,19 @@ class TestConditionalCommand:
         assert settings["pivot_tol"] == 1e-13
         assert settings["grid_size"] == 50
         assert (out / "conditional.svg").is_file()
+
+    def test_integral_d(self, tmp_path):
+        # At 2,000 points the InD curve stays positive over the grid; on smaller stores it may not.
+        sim, out = tmp_path / "sim", tmp_path / "cond"
+        assert run(["simulate", "--n-points", "2000", "--models", "5", "--seed", "0", "--out", sim]) == 0
+        assert run(["conditional", "--manifest", sim / "manifest.json", "--surrogates", "20",
+                    "--integral-d", "--out", out]) == 0
+        result = json.loads((out / "result.json").read_text())
+        assert result["settings"]["d_form"] == "integral"
+        d, surrogates = result["d_statistic"], np.array(result["d_surrogates"])
+        assert result["p_value"] == (np.count_nonzero(surrogates >= d) + 1) / 21
+        x, y_ind, y_ood = np.array([[float(v) for v in row] for row in read_csv(out / "curves.csv")[1]]).T
+        assert abs(d - np.trapezoid((y_ood - y_ind) / y_ind, x)) < 1e-12
 
     # Bounded and enumerated flags of every command; ids of the conditional cases omit the command.
     @pytest.mark.parametrize("command,flag,value", [

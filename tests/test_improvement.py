@@ -10,13 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist, pdist
 
+from ensdiag import store
 from ensdiag.errors import ValidationError
 from ensdiag.simulate import SyntheticSpec, simulate_store
 from ensdiag.improvement import (
     BANDWIDTH_MEDIAN_CAP,
     BLOCK_ELEMENTS,
-    MEDIAN_BUCKET_SHIFT,
-    MEDIAN_GATHER_CAP,
     MMD_RANK_CAP,
     ensemble_scores,
     factored_mmd2,
@@ -32,13 +31,11 @@ from ensdiag.improvement import (
 SIDE = math.isqrt(BLOCK_ELEMENTS)
 
 
-def _bucket(d2):
-    return int(np.float64(d2).view(np.int64)) >> MEDIAN_BUCKET_SHIFT
-
-
 def assert_pdist_median(cloud):
-    """The bandwidth, checked bit for bit against np.median over scipy's nonzero distances."""
-    dist = pdist(cloud)
+    """The bandwidth, checked bit for bit against np.median over scipy's nonzero
+    distances of the points the function keeps: every stride-th, stride the
+    fewest that leaves at most BANDWIDTH_MEDIAN_CAP."""
+    dist = pdist(cloud[::math.ceil(len(cloud) / BANDWIDTH_MEDIAN_CAP)])
     expected = float(np.median(dist[dist > 0.0]))
     assert median_heuristic_bandwidth(cloud) == expected
     return expected
@@ -163,6 +160,17 @@ class TestMedianBandwidth:
         assert expected != float(np.median(pdist(big)))
         assert median_heuristic_bandwidth(big) == expected
 
+    def test_cap_fills_one_store_block(self, rng):
+        # The distances of BANDWIDTH_MEDIAN_CAP points fit one store block; one more point's do not.
+        cap = BANDWIDTH_MEDIAN_CAP
+        assert cap * (cap - 1) // 2 <= store.BLOCK_ELEMENTS < (cap + 1) * cap // 2
+        cloud = rng.normal(size=(cap + 1, 2))
+        at_cap = float(np.median(pdist(cloud[:cap])))
+        assert median_heuristic_bandwidth(cloud[:cap]) == at_cap
+        strided = float(np.median(pdist(cloud[::2])))
+        assert strided != float(np.median(pdist(cloud)))
+        assert median_heuristic_bandwidth(cloud) == strided
+
     def test_coinciding_pairs_left_out(self):
         # 0-1 deltas: most pairs coincide, so the median over all pairs is 0.
         cloud = np.array([[0.0, 0.0]] * 6 + [[1.0, 0.0], [0.0, 1.0]])
@@ -188,17 +196,15 @@ class TestMedianBandwidth:
         assert_pdist_median(rng.normal(size=(n, 2)))
 
     def test_middle_ranks_in_two_buckets(self):
-        # Squared distances 1, 4, 9, 16, 36, 49: the middle pair 9 and 16 lie in different buckets.
+        # Squared distances 1, 4, 9, 16, 36, 49: the median is the mean of 3 and 4.
         cloud = np.array([[0.0], [1.0], [3.0], [7.0]])
-        assert _bucket(9.0) != _bucket(16.0)
         assert assert_pdist_median(cloud) == 3.5
 
     @pytest.mark.parametrize("t", [np.nextafter(2.0, 0.0), 1.99], ids=["adjacent-floats", "apart"])
     def test_ties_across_a_bucket_edge(self, t):
-        # 4.0 opens its bucket and t * t lies in the one before. Two nonzero squared
-        # distances equal each, at ranks 12-13 and 14-15 of 28, so the middle pair
-        # is the last t * t and the first 4.0.
-        assert t * t < 4.0 and _bucket(t * t) + 1 == _bucket(4.0)
+        # t * t lies just below 4.0. Two nonzero squared distances equal each, at
+        # ranks 12-13 and 14-15 of 28, so the middle pair is the last t * t and the first 4.0.
+        assert t * t < 4.0
         cloud = np.array([0.0] + [2.0] * 2 + [-t] * 2 + [0.5] * 4)[:, None]
         dist = pdist(cloud)
         d2 = np.sort(dist[dist > 0.0] ** 2)
@@ -206,22 +212,21 @@ class TestMedianBandwidth:
         assert assert_pdist_median(cloud) == float(np.mean([t, 2.0]))
 
     # Points on {-1, 0, 1}^2, the 0-1 deltas' cloud: few distinct distances, each tied many times.
-    @pytest.mark.parametrize("n", [60, 999, BANDWIDTH_MEDIAN_CAP])
+    @pytest.mark.parametrize("n", [60, BANDWIDTH_MEDIAN_CAP, 999, 2000])
     @pytest.mark.parametrize("p_zero", [1 / 3, 0.9])
     def test_discrete_clouds(self, rng, n, p_zero):
         assert_pdist_median(rng.choice([-1.0, 0.0, 1.0], p=[(1 - p_zero) / 2, p_zero, (1 - p_zero) / 2],
                                        size=(n, 2)))
 
     def test_heavy_bucket_of_distinct_values_is_refined(self, rng):
-        # Two clusters 1 apart, each spread by 1e-9: the million cross distances are distinct
-        # but share one first-level bucket, far more than MEDIAN_GATHER_CAP.
-        n = BANDWIDTH_MEDIAN_CAP // 2
+        # Two clusters 1 apart, each spread by 1e-9: the cross distances, half of all,
+        # are distinct but all within about 1e-8 of 1.
+        n = 1000
         cloud = np.concatenate([rng.normal(scale=1e-9, size=(n, 1)), 1.0 + rng.normal(scale=1e-9, size=(n, 1))])
-        assert n * n > MEDIAN_GATHER_CAP
         assert_pdist_median(cloud)
 
     def test_tied_clouds_peak_no_higher_than_a_normal_one(self, rng):
-        # Tied distances fill one middle bucket; it is refined or read off, never gathered whole.
+        # Tied distances take no more memory than distinct ones.
         n = BANDWIDTH_MEDIAN_CAP
         clouds = {"normal": rng.normal(size=(n, 2)), "ternary": rng.choice([-1.0, 0.0, 1.0], size=(n, 2)),
                   "two-point": np.repeat([[0.0, 0.0], [1.0, 2.0]], n // 2, axis=0)}
@@ -238,7 +243,7 @@ class TestMedianBandwidth:
         assert peaks["two-point"] <= peaks["normal"] + 2**20, peaks
 
     def test_memory_bounded_at_cap(self, rng):
-        # Held whole, the ~2M distances of a cloud at the cap took 33.6 MiB.
+        # The cap's 261,726 squared distances take 2 MiB, and their blocks 1 MiB more.
         cloud = rng.normal(size=(BANDWIDTH_MEDIAN_CAP, 2))
         tracemalloc.start()
         try:
