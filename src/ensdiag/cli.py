@@ -90,6 +90,8 @@ def _resolve_pair(store: PredictionStore, pair_arg: str | None) -> tuple[str, st
     for d in (ind, ood):
         if d not in store.datasets:
             raise ValidationError(f"--pair references unknown dataset {d!r}")
+    if ind == ood:
+        raise ValidationError(f"--pair names dataset {ind!r} on both sides")
     return ind, ood
 
 

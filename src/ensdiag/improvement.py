@@ -17,7 +17,7 @@ more pivots falls back to mmd2_unbiased, which builds pairwise squared
 distances one row block of at most BLOCK_ELEMENTS entries at a time and
 reduces each before the next: time quadratic in the sample size, memory
 not. The bandwidth's median is taken over at most BANDWIDTH_MEDIAN_CAP
-strided points, whose distances fill one buffer of store.BLOCK_ELEMENTS.
+evenly spaced points, whose distances fill one buffer of store.BLOCK_ELEMENTS.
 """
 
 from __future__ import annotations
@@ -88,18 +88,18 @@ def median_heuristic_bandwidth(points: np.ndarray) -> float:
     Coinciding pairs are left out, so a discrete cloud such as 0-1 deltas,
     where most pairs coincide, still gets the typical distance between
     distinct points. Above BANDWIDTH_MEDIAN_CAP points the median is taken
-    over an evenly strided subset so the cost stays bounded and the value
-    stays deterministic. The subset's nonzero finite squared distances fill
-    one buffer, which is partitioned at the two middle ranks; their square
-    roots are averaged as np.median averages them, so the result is
-    bit-equal to np.median over the subset's nonzero distances.
+    over the BANDWIDTH_MEDIAN_CAP points at indices i * n // cap, evenly
+    spaced, so the cost stays bounded and the value stays deterministic.
+    The subset's nonzero finite squared distances fill one buffer, which
+    is partitioned at the two middle ranks; their square roots are
+    averaged as np.median averages them, so the result is bit-equal to
+    np.median over the subset's nonzero distances.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if points.shape[0] < 2:
         raise ValidationError("bandwidth needs at least two points")
     if points.shape[0] > BANDWIDTH_MEDIAN_CAP:
-        stride = int(np.ceil(points.shape[0] / BANDWIDTH_MEDIAN_CAP))
-        points = points[::stride]
+        points = points[np.arange(BANDWIDTH_MEDIAN_CAP) * points.shape[0] // BANDWIDTH_MEDIAN_CAP]
     d2, k = np.empty(points.shape[0] * (points.shape[0] - 1) // 2), 0
     for block in _sqdist_blocks(points, points, upper=True):
         kept = (block > 0.0) & (block < np.inf)

@@ -10,7 +10,8 @@ confident regions or away from them depending on the draw. Everything is
 a pure function of the spec, so a fixed spec reproduces the store byte
 for byte. Members draw no random numbers, so `write_synthetic_store`
 builds and writes one member at a time and its memory does not grow with
-the number of models.
+the number of models. The store is written through `store.write_store`
+and read back, like any other, by `store.load_store`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ValidationError
-from .store import PredictionStore, softmax, write_store
+from .store import softmax, write_store
 
 IND_ID = "ind"
 OOD_ID = "ood"
@@ -85,19 +86,8 @@ def _generate(spec: SyntheticSpec) -> Iterator[tuple[str, np.ndarray, Iterator[t
         if dataset_id == OOD_ID:
             z = z + spec.shift_strength * shift_dir
         teacher_logits = z @ teacher_w.T + teacher_b
-        labels = _sample_labels(rng, softmax(teacher_logits))
+        labels = _sample_labels(rng, softmax(teacher_logits.copy()))
         yield dataset_id, labels, _members(teacher_logits, member_offset)
-
-
-def simulate_store(spec: SyntheticSpec) -> PredictionStore:
-    """Generate the in-memory store for a spec (float64 end to end)."""
-    store = PredictionStore()
-    for dataset_id, labels, members in _generate(spec):
-        store.register_dataset(dataset_id, labels, spec.n_classes)
-        for model_id, logits in members:
-            store.add_prediction(model_id, dataset_id, softmax(logits))
-    store.pairs.append((IND_ID, OOD_ID))
-    return store
 
 
 def write_synthetic_store(spec: SyntheticSpec, out_dir: str | Path) -> Path:

@@ -2,7 +2,9 @@
 
 A store groups per-model predictions over named test sets. Predictions are
 handed out as float64 row-stochastic matrices regardless of the on-disk
-encoding. The disk layout is a JSON manifest next to raw binary dumps:
+encoding. A store lives on disk: `load_store` is the one builder of a
+PredictionStore and `write_store` the one writer of its files. The layout
+is a JSON manifest next to raw binary dumps:
 
     manifest.json   {"datasets": [...], "models": [...], "pairs": [...]}
     <pred file>     raw little-endian float32, row-major, N x C, no header
@@ -13,8 +15,7 @@ Logit files are mapped through a stable softmax when read; probability
 files must already be row-stochastic to within 1e-6 and are renormalized
 exactly. Dataset and model ids are non-empty and contain no whitespace and
 none of ``/ \\ + , :``, since they become file names, CSV cells, member
-specs and pair arguments. `load_store` reads the format and `write_store`
-is its one writer.
+specs and pair arguments. The two datasets of a pair differ.
 
 `load_store` checks every file up front, sizes first and then values in
 row blocks of at most BLOCK_ELEMENTS entries, and keeps only labels and
@@ -42,9 +43,7 @@ import numpy as np
 
 from .errors import ValidationError
 
-# Tolerance a held ProbMatrix must satisfy at all times.
-ROW_SUM_ATOL = 1e-9
-# Looser tolerance applied when ingesting float32 probability dumps.
+# Tolerance on the entries and row sums of a float32 probability dump.
 INGEST_ROW_ATOL = 1e-6
 # Members of each accuracy-binned heterogeneous ensemble.
 HET_ENSEMBLE_SIZE = 4
@@ -86,41 +85,14 @@ def _check_id(kind: str, value: str) -> None:
         )
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise stable softmax.
-
-    Subtracts the row max before exponentiation so large logits cannot
-    overflow. Rejects non-finite input, naming the first offending row.
-    """
-    arr = np.asarray(logits, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValidationError(f"expected a 2-d logit matrix, got shape {arr.shape}")
-    finite = np.isfinite(arr).all(axis=1)
-    if not finite.all():
-        row = int(np.flatnonzero(~finite)[0])
-        raise ValidationError(f"non-finite logit in row {row}")
-    shifted = arr - arr.max(axis=1, keepdims=True)
-    expd = np.exp(shifted)
-    return expd / expd.sum(axis=1, keepdims=True)
-
-
-def validate_probs(probs: np.ndarray, *, name: str = "probs") -> np.ndarray:
-    """Check that an array is a row-stochastic float64 matrix, to within ROW_SUM_ATOL."""
-    arr = np.asarray(probs, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValidationError(f"{name}: expected 2-d matrix, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValidationError(f"{name}: non-finite entries")
-    if (arr < 0).any() or (arr > 1 + ROW_SUM_ATOL).any():
-        raise ValidationError(f"{name}: entries outside [0, 1]")
-    sums = arr.sum(axis=1)
-    bad = np.abs(sums - 1.0) > ROW_SUM_ATOL
-    if bad.any():
-        row = int(np.flatnonzero(bad)[0])
-        raise ValidationError(
-            f"{name}: row {row} sums to {sums[row]:.9f}, outside 1 +/- {ROW_SUM_ATOL:g}"
-        )
-    return arr
+def softmax(buf: np.ndarray) -> np.ndarray:
+    """Normalise each row of a float64 buffer in place by a stable softmax and
+    return it: subtract the row max, so no entry overflows, exponentiate and
+    divide by the row sum."""
+    buf -= buf.max(axis=1, keepdims=True)
+    np.exp(buf, out=buf)
+    buf /= buf.sum(axis=1, keepdims=True)
+    return buf
 
 
 def check_members(members: Sequence) -> list:
@@ -186,69 +158,38 @@ def enumerate_homogeneous_ensembles(model_ids: Sequence[str], size: int) -> list
 
 
 @dataclass
-class DatasetInfo:
-    """Labels and class count for one test set."""
-
-    dataset_id: str
-    labels: np.ndarray
-    n_classes: int
-
-    @property
-    def n(self) -> int:
-        return int(self.labels.shape[0])
-
-
-@dataclass
 class PredictionStore:
-    """Per-model predictions over named datasets.
+    """Per-model predictions over named datasets, as `load_store` reads them.
 
-    A prediction is held either as a read-only array (`add_prediction`) or
-    as a StoredMember that reads it from disk on each access (`load_store`).
+    `datasets` maps a dataset id to its read-only labels. Each prediction is
+    a StoredMember, which reads it from disk on each access.
     """
 
-    datasets: dict[str, DatasetInfo] = field(default_factory=dict, init=False)
+    datasets: dict[str, np.ndarray] = field(default_factory=dict, init=False)
     pairs: list[tuple[str, str]] = field(default_factory=list, init=False)
-    _predictions: dict[tuple[str, str], np.ndarray | StoredMember] = field(default_factory=dict, init=False)
+    _predictions: dict[tuple[str, str], StoredMember] = field(default_factory=dict, init=False)
     _model_ids: list[str] = field(default_factory=list, init=False)
 
     def register_dataset(self, dataset_id: str, labels: np.ndarray, n_classes: int) -> None:
         _check_id("dataset", dataset_id)
         if dataset_id in self.datasets:
             raise ValidationError(f"dataset {dataset_id!r} is declared twice")
-        labels = np.asarray(labels, dtype=np.int64)
-        if labels.ndim != 1:
-            raise ValidationError(f"dataset {dataset_id!r}: labels must be 1-d")
-        if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
+        labels = labels.astype(np.int64)
+        if labels.min() < 0 or labels.max() >= n_classes:
             raise ValidationError(
                 f"dataset {dataset_id!r}: labels outside [0, {n_classes})"
             )
         labels.flags.writeable = False
-        self.datasets[dataset_id] = DatasetInfo(dataset_id, labels, n_classes)
+        self.datasets[dataset_id] = labels
 
-    def add_prediction(self, model_id: str, dataset_id: str, probs: np.ndarray | StoredMember) -> None:
-        """Hold one model's predictions on one dataset.
-
-        An array is validated and marked read-only; a StoredMember was
-        checked by `load_store` and is kept unread.
-        """
+    def add_prediction(self, model_id: str, dataset_id: str, member: StoredMember) -> None:
+        """Hold one model's predictions on one dataset, checked by `load_store` and unread."""
         _check_id("model", model_id)
-        if dataset_id not in self.datasets:
-            raise ValidationError(f"unknown dataset {dataset_id!r}")
         if (model_id, dataset_id) in self._predictions:
             raise ValidationError(
                 f"duplicate prediction for {model_id!r} on {dataset_id!r}"
             )
-        info = self.datasets[dataset_id]
-        if not isinstance(probs, StoredMember):
-            probs = validate_probs(probs, name=f"{model_id}/{dataset_id}")
-        if probs.shape != (info.n, info.n_classes):
-            raise ValidationError(
-                f"{model_id}/{dataset_id}: shape {probs.shape} does not match "
-                f"dataset ({info.n}, {info.n_classes})"
-            )
-        if isinstance(probs, np.ndarray):
-            probs.flags.writeable = False
-        self._predictions[(model_id, dataset_id)] = probs
+        self._predictions[(model_id, dataset_id)] = member
         if model_id not in self._model_ids:
             self._model_ids.append(model_id)
 
@@ -259,7 +200,7 @@ class PredictionStore:
     def labels(self, dataset_id: str) -> np.ndarray:
         if dataset_id not in self.datasets:
             raise ValidationError(f"unknown dataset {dataset_id!r}")
-        return self.datasets[dataset_id].labels
+        return self.datasets[dataset_id]
 
     def has_prediction(self, model_id: str, dataset_id: str) -> bool:
         return (model_id, dataset_id) in self._predictions
@@ -268,12 +209,8 @@ class PredictionStore:
         """Models predicted on both datasets of the pair, in `model_ids` order."""
         return [m for m in self._model_ids if all((m, d) in self._predictions for d in pair)]
 
-    def member_probs(self, member_ids: Sequence[str], dataset_id: str) -> list[np.ndarray | StoredMember]:
-        """The members' predictions on one dataset, unread and uncopied.
-
-        Each is a held read-only array or a StoredMember; both give float64
-        rows when sliced, and every reduction in the package accepts either.
-        """
+    def member_probs(self, member_ids: Sequence[str], dataset_id: str) -> list[StoredMember]:
+        """The members' predictions on one dataset, unread: each gives float64 rows when sliced."""
         for m in member_ids:
             if (m, dataset_id) not in self._predictions:
                 raise ValidationError(f"no prediction for model {m!r} on {dataset_id!r}")
@@ -395,10 +332,10 @@ class StoredMember:
     bit-equal whatever rows are read. Nothing is kept between reads.
 
     The raw values of every read pass `_check_values`, and what they pass
-    makes the result pass `validate_probs`: a finite logit row's largest
-    entry maps to 1 before the division, and a probability row within
-    INGEST_ROW_ATOL of summing to 1 keeps a clipped sum near 1. So a read is
-    not validated again.
+    makes the result row-stochastic to within 1e-9: a finite logit row's
+    largest entry maps to 1 before the division, and a probability row
+    within INGEST_ROW_ATOL of summing to 1 keeps a clipped sum near 1. So a
+    read is not validated again.
     """
 
     path: Path
@@ -413,11 +350,10 @@ class StoredMember:
         buf = self._read(lo, max(lo, hi))
         _check_values(buf, self.kind, self.name, lo)
         if self.kind == "logits":
-            buf -= buf.max(axis=1, keepdims=True)
-            np.exp(buf, out=buf)
+            softmax(buf)
         else:
             np.clip(buf, 0.0, None, out=buf)
-        buf /= buf.sum(axis=1, keepdims=True)
+            buf /= buf.sum(axis=1, keepdims=True)
         buf.flags.writeable = False
         return buf
 
@@ -500,7 +436,7 @@ def load_store(manifest_path: str | Path) -> PredictionStore:
         raise ValidationError("manifest must be a JSON object")
 
     store = PredictionStore()
-    kinds: dict[str, str] = {}
+    layouts: dict[str, tuple[str, tuple[int, int]]] = {}
     for i, entry in enumerate(_entries(manifest, "datasets")):
         did = _field(entry, "id", f"dataset entry {i}", str)
         owner = f"dataset {did!r}"
@@ -512,17 +448,16 @@ def load_store(manifest_path: str | Path) -> PredictionStore:
             raise ValidationError(f"{owner}: need n >= 1 and c >= 2")
         labels = _read_labels(root / _field(entry, "labels_file", owner, str), n, owner)
         store.register_dataset(did, labels, c)
-        kinds[did] = kind
+        layouts[did] = kind, (n, c)
 
     members = []
     for i, entry in enumerate(_entries(manifest, "models")):
         mid = _field(entry, "id", f"model entry {i}", str)
         files = _field(entry, "files", f"model {mid!r}", dict)
         for did, rel in files.items():
-            if did not in store.datasets:
+            if did not in layouts:
                 raise ValidationError(f"model {mid!r} references unknown dataset {did!r}")
-            info = store.datasets[did]
-            member = StoredMember(root / str(rel), kinds[did], (info.n, info.n_classes), f"{mid}/{did}")
+            member = StoredMember(root / str(rel), *layouts[did], f"{mid}/{did}")
             _check_size(member.path, "<f4", member.shape, member.name)
             store.add_prediction(mid, did, member)
             members.append(member)
@@ -538,6 +473,8 @@ def load_store(manifest_path: str | Path) -> PredictionStore:
         for did in pair:
             if not isinstance(did, str) or did not in store.datasets:
                 raise ValidationError(f"pair references unknown dataset {did!r}")
+        if pair[0] == pair[1]:
+            raise ValidationError(f"pair {pair!r} names dataset {pair[0]!r} on both sides")
         store.pairs.append(tuple(pair))
     return store
 

@@ -1,11 +1,15 @@
-"""Shared helpers: random simplex draws and small hand-built stores."""
+"""Shared helpers: random simplex draws and small stores written to disk."""
+
+import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ensdiag.conditional import JointSample, joint_samples
-from ensdiag.simulate import SyntheticSpec, simulate_store
-from ensdiag.store import PredictionStore
+from ensdiag.simulate import SyntheticSpec, write_synthetic_store
+from ensdiag.store import PredictionStore, load_store
 
 
 def random_simplex(rng, n, c):
@@ -44,17 +48,43 @@ def ece_resce(bins):
     return {"ece": float(np.sum(weights * np.abs(gaps))), "resce": float(np.sqrt(np.sum(weights * gaps**2)))}
 
 
-def build_store(rng, datasets=("ind", "ood"), models=("m0", "m1", "m2", "m3"),
-                n=60, c=5):
-    store = PredictionStore()
+def write_kind_store(root, kind, datasets, pairs=()):
+    """Write a store whose datasets are all of one kind and return its manifest path.
+
+    `datasets` maps a dataset id to ``(labels, {model id: matrix})``. Each matrix
+    is written as float32, so a "probs" one must stay row-stochastic to within
+    1e-6 once rounded; a dyadic one round-trips exactly.
+    """
+    root = Path(root)
+    root.mkdir(parents=True, exist_ok=True)
+    entries, files = [], {}
+    for did, (labels, members) in datasets.items():
+        n, c = next(iter(members.values())).shape
+        (root / f"{did}_labels.i32").write_bytes(np.asarray(labels).astype("<i4").tobytes())
+        entries.append({"id": did, "n": n, "c": c, "labels_file": f"{did}_labels.i32", "kind": kind})
+        for mid, values in members.items():
+            (root / f"{mid}__{did}.f32").write_bytes(np.asarray(values).astype("<f4").tobytes())
+            files.setdefault(mid, {})[did] = f"{mid}__{did}.f32"
+    manifest = {"datasets": entries, "models": [{"id": mid, "files": f} for mid, f in files.items()],
+                "pairs": [list(p) for p in pairs]}
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    return root / "manifest.json"
+
+
+def random_datasets(rng, datasets=("ind", "ood"), models=("m0", "m1", "m2", "m3"), n=60, c=5):
+    """Random labels and simplex members for each dataset, as write_kind_store takes them."""
+    out = {}
     for ds in datasets:
         labels = rng.integers(0, c, size=n)
-        store.register_dataset(ds, labels, c)
-        for mid in models:
-            store.add_prediction(mid, ds, random_simplex(rng, n, c))
-    if len(datasets) >= 2:
-        store.pairs.append((datasets[0], datasets[1]))
-    return store
+        out[ds] = labels, {mid: random_simplex(rng, n, c) for mid in models}
+    return out
+
+
+def build_store(rng, root, datasets=("ind", "ood"), **shape):
+    """A store of random probabilities written under `root` and loaded; the first
+    two datasets, if there are two, form its pair."""
+    pairs = [tuple(datasets[:2])] if len(datasets) >= 2 else []
+    return load_store(write_kind_store(root, "probs", random_datasets(rng, datasets, **shape), pairs))
 
 
 def split_samples(seed: int) -> tuple[JointSample, JointSample]:
@@ -63,10 +93,11 @@ def split_samples(seed: int) -> tuple[JointSample, JointSample]:
         n_points=500, n_classes=2, n_models=4,
         member_noise_scale=0.25, shift_strength=0.0, seed=seed,
     )
-    store = simulate_store(spec)
-    ids = sorted(store.model_ids)
-    si = joint_samples(store.member_probs(ids, "ind"), source="ind")
-    so = joint_samples(store.member_probs(ids, "ood"), source="ood")
+    with tempfile.TemporaryDirectory() as root:
+        store = load_store(write_synthetic_store(spec, root))
+        ids = sorted(store.model_ids)
+        si = joint_samples(store.member_probs(ids, "ind"), source="ind")
+        so = joint_samples(store.member_probs(ids, "ood"), source="ood")
     return si, so
 
 
@@ -88,5 +119,5 @@ def rng():
 
 
 @pytest.fixture
-def tiny_store(rng):
-    return build_store(rng)
+def tiny_store(rng, tmp_path):
+    return build_store(rng, tmp_path / "tiny")

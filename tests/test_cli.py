@@ -134,6 +134,7 @@ MALFORMED_MANIFESTS = {
     # A second 'ind' entry pointing at the OOD labels.
     "repeated_dataset_id": (lambda m, d: m["datasets"].append({**m["datasets"][1], "id": "ind"}),
                             "dataset 'ind' is declared twice"),
+    "pair_of_one_dataset": (lambda m, d: m["pairs"].append(["ood", "ood"]), "names dataset 'ood' on both sides"),
 }
 
 
@@ -400,6 +401,17 @@ class TestPairArgument:
         assert run(["decompose", "--manifest", sim_dir / "manifest.json", "--pair", pair,
                     "--out", tmp_path / "dec"]) == 1
         _one_error_line(capsys, expected)
+
+    @pytest.mark.parametrize("argv", [
+        ["decompose"], ["conditional", "--surrogates", "3"], ["trends"],
+        ["improve", "--base", "m000", "--alt-a", "m000+m001", "--alt-b", "m000+m002", "--control", "m003"],
+    ], ids=lambda argv: argv[0])
+    def test_pair_of_one_dataset_is_one_error_line(self, sim_dir, tmp_path, capsys, argv):
+        capsys.readouterr()
+        assert run([*argv, "--manifest", sim_dir / "manifest.json", "--pair", "ind:ind",
+                    "--out", tmp_path / "out"]) == 1
+        _one_error_line(capsys, "--pair names dataset 'ind' on both sides")
+        assert not (tmp_path / "out").exists()
 
     def test_no_pair_anywhere_is_one_error_line(self, sim_dir, tmp_path, capsys):
         manifest = json.loads((sim_dir / "manifest.json").read_text())

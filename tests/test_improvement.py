@@ -12,7 +12,8 @@ from scipy.spatial.distance import cdist, pdist
 
 from ensdiag import store
 from ensdiag.errors import ValidationError
-from ensdiag.simulate import SyntheticSpec, simulate_store
+from ensdiag.simulate import SyntheticSpec, write_synthetic_store
+from ensdiag.store import load_store
 from ensdiag.improvement import (
     BANDWIDTH_MEDIAN_CAP,
     BLOCK_ELEMENTS,
@@ -33,9 +34,10 @@ SIDE = math.isqrt(BLOCK_ELEMENTS)
 
 def assert_pdist_median(cloud):
     """The bandwidth, checked bit for bit against np.median over scipy's nonzero
-    distances of the points the function keeps: every stride-th, stride the
-    fewest that leaves at most BANDWIDTH_MEDIAN_CAP."""
-    dist = pdist(cloud[::math.ceil(len(cloud) / BANDWIDTH_MEDIAN_CAP)])
+    distances of the points the function keeps: all of them up to
+    BANDWIDTH_MEDIAN_CAP, and above it the cap's points at i * n // cap."""
+    n, cap = len(cloud), BANDWIDTH_MEDIAN_CAP
+    dist = pdist(cloud if n <= cap else cloud[[i * n // cap for i in range(cap)]])
     expected = float(np.median(dist[dist > 0.0]))
     assert median_heuristic_bandwidth(cloud) == expected
     return expected
@@ -153,10 +155,10 @@ class TestMedianBandwidth:
             median_heuristic_bandwidth(np.zeros((1, 2)))
 
     def test_cap_strides_deterministically(self):
-        # One point above the cap: every second point is kept.
+        # One point above the cap: exactly the cap's points are kept, all but the last.
         n = BANDWIDTH_MEDIAN_CAP + 1
         big = np.column_stack([np.arange(float(n)), np.zeros(n)])
-        expected = float(np.median(pdist(big[::2])))
+        expected = float(np.median(pdist(big[:-1])))
         assert expected != float(np.median(pdist(big)))
         assert median_heuristic_bandwidth(big) == expected
 
@@ -167,9 +169,8 @@ class TestMedianBandwidth:
         cloud = rng.normal(size=(cap + 1, 2))
         at_cap = float(np.median(pdist(cloud[:cap])))
         assert median_heuristic_bandwidth(cloud[:cap]) == at_cap
-        strided = float(np.median(pdist(cloud[::2])))
-        assert strided != float(np.median(pdist(cloud)))
-        assert median_heuristic_bandwidth(cloud) == strided
+        assert at_cap != float(np.median(pdist(cloud)))
+        assert median_heuristic_bandwidth(cloud) == at_cap
 
     def test_coinciding_pairs_left_out(self):
         # 0-1 deltas: most pairs coincide, so the median over all pairs is 0.
@@ -370,9 +371,10 @@ class TestFactoredMmd:
         if draw == "discrete":
             assert rank_a <= 3 and rank_bc <= 3
 
-    def test_improve_shaped_cloud_takes_the_factored_path(self, monkeypatch):
+    def test_improve_shaped_cloud_takes_the_factored_path(self, tmp_path, monkeypatch):
         # Brier improvements of two 2-member ensembles over a base model, as `improve` makes them.
-        store = simulate_store(SyntheticSpec(n_points=6000, n_classes=10, n_models=5, seed=3))
+        store = load_store(write_synthetic_store(SyntheticSpec(n_points=6000, n_classes=10, n_models=5, seed=3),
+                                                 tmp_path))
         ids = ["m000", "m001", "m002", "m004"]
         members = dict(zip(ids, store.member_probs(ids, "ind")))
         specs = [["m000"], ["m000", "m001"], ["m000", "m002"], ["m004"]]

@@ -9,10 +9,15 @@ import pytest
 from conftest import read
 from ensdiag.decomposition import decompose
 from ensdiag.errors import ValidationError
-from ensdiag.simulate import SyntheticSpec, simulate_store, write_synthetic_store
-from ensdiag.store import load_store
+from ensdiag.simulate import SyntheticSpec, _generate, write_synthetic_store
+from ensdiag.store import load_store, softmax
 
 SMALL = SyntheticSpec(n_points=40, n_classes=3, n_models=3, seed=5)
+
+
+def simulated(spec, root):
+    """The store `simulate` writes for a spec, as the CLI loads it."""
+    return load_store(write_synthetic_store(spec, root))
 
 
 class TestSpecValidation:
@@ -36,26 +41,26 @@ class TestSpecValidation:
         assert spec.n_points == 1000
         assert spec.n_classes == 10
 
-    def test_ood_size_defaults_to_n_points(self):
+    def test_ood_size_defaults_to_n_points(self, tmp_path):
         assert SyntheticSpec(n_points=70).n_ood == 70
-        store = simulate_store(SyntheticSpec(n_points=30, n_ood=12, n_classes=3, n_models=2))
-        assert (store.datasets["ind"].n, store.datasets["ood"].n) == (30, 12)
-        same = simulate_store(SyntheticSpec(n_points=30, n_classes=3, n_models=2))
-        explicit = simulate_store(SyntheticSpec(n_points=30, n_ood=30, n_classes=3, n_models=2))
+        store = simulated(SyntheticSpec(n_points=30, n_ood=12, n_classes=3, n_models=2), tmp_path / "a")
+        assert (len(store.labels("ind")), len(store.labels("ood"))) == (30, 12)
+        same = simulated(SyntheticSpec(n_points=30, n_classes=3, n_models=2), tmp_path / "b")
+        explicit = simulated(SyntheticSpec(n_points=30, n_ood=30, n_classes=3, n_models=2), tmp_path / "c")
         for d in ("ind", "ood"):
             assert np.array_equal(same.labels(d), explicit.labels(d))
             assert np.array_equal(read(same, "m001", d), read(explicit, "m001", d))
 
 
 class TestSimulateStore:
-    def test_structure(self):
-        store = simulate_store(SMALL)
+    def test_structure(self, tmp_path):
+        store = simulated(SMALL, tmp_path)
         assert sorted(store.datasets) == ["ind", "ood"]
         assert store.model_ids == ["m000", "m001", "m002"]
         assert store.pairs == [("ind", "ood")]
 
-    def test_rows_are_distributions(self):
-        store = simulate_store(SMALL)
+    def test_rows_are_distributions(self, tmp_path):
+        store = simulated(SMALL, tmp_path)
         for mid in store.model_ids:
             for ds in ("ind", "ood"):
                 probs = read(store, mid, ds)
@@ -63,29 +68,29 @@ class TestSimulateStore:
                 np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
                 assert probs.min() >= 0.0
 
-    def test_labels_in_range(self):
-        store = simulate_store(SMALL)
+    def test_labels_in_range(self, tmp_path):
+        store = simulated(SMALL, tmp_path)
         for ds in ("ind", "ood"):
             labels = store.labels(ds)
             assert labels.shape == (40,)
             assert labels.min() >= 0
             assert labels.max() < 3
 
-    def test_deterministic(self):
-        a = simulate_store(SMALL)
-        b = simulate_store(SyntheticSpec(n_points=40, n_classes=3, n_models=3, seed=5))
+    def test_deterministic(self, tmp_path):
+        a = simulated(SMALL, tmp_path / "a")
+        b = simulated(SyntheticSpec(n_points=40, n_classes=3, n_models=3, seed=5), tmp_path / "b")
         for mid in a.model_ids:
             np.testing.assert_array_equal(read(a, mid, "ind"), read(b, mid, "ind"))
         np.testing.assert_array_equal(a.labels("ood"), b.labels("ood"))
 
-    def test_seed_changes_output(self):
-        a = simulate_store(SMALL)
-        b = simulate_store(SyntheticSpec(n_points=40, n_classes=3, n_models=3, seed=6))
+    def test_seed_changes_output(self, tmp_path):
+        a = simulated(SMALL, tmp_path / "a")
+        b = simulated(SyntheticSpec(n_points=40, n_classes=3, n_models=3, seed=6), tmp_path / "b")
         assert not np.array_equal(read(a, "m000", "ind"), read(b, "m000", "ind"))
 
-    def test_zero_noise_collapses_members(self):
+    def test_zero_noise_collapses_members(self, tmp_path):
         spec = SyntheticSpec(n_points=30, n_classes=4, n_models=3, member_noise_scale=0.0)
-        store = simulate_store(spec)
+        store = simulated(spec, tmp_path)
         base = read(store, "m000", "ind")
         for mid in ("m001", "m002"):
             np.testing.assert_array_equal(read(store, mid, "ind"), base)
@@ -125,11 +130,11 @@ class TestWriteSyntheticStore:
     def test_round_trips_through_loader(self, tmp_path):
         path = write_synthetic_store(SMALL, tmp_path)
         loaded = load_store(path)
-        direct = simulate_store(SMALL)
-        np.testing.assert_array_equal(loaded.labels("ind"), direct.labels("ind"))
-        # Files hold float32 logits, so probabilities agree to f32 resolution.
+        generated = {did: (labels, dict(members)) for did, labels, members in _generate(SMALL)}
+        np.testing.assert_array_equal(loaded.labels("ind"), generated["ind"][0])
+        # Files hold float32 logits, so probabilities agree with the float64 ones to f32 resolution.
         np.testing.assert_allclose(
-            read(loaded, "m001", "ood"), read(direct, "m001", "ood"), atol=5e-7
+            read(loaded, "m001", "ood"), softmax(generated["ood"][1]["m001"]), atol=5e-7
         )
         assert loaded.pairs == [("ind", "ood")]
 

@@ -3,27 +3,24 @@
 import dataclasses
 import json
 import tempfile
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_simplex, read
+from conftest import random_simplex, read, write_kind_store
 from ensdiag.decomposition import decompose
 from ensdiag.errors import ValidationError
 from ensdiag.store import (
     BLOCK_ELEMENTS,
     EnsembleDef,
-    PredictionStore,
     StoredMember,
     enumerate_homogeneous_ensembles,
     form_ensemble,
     form_heterogeneous_ensembles,
     load_store,
     softmax,
-    validate_probs,
     write_store,
 )
 
@@ -54,11 +51,6 @@ class TestSoftmax:
         out = softmax(rng.standard_normal((8, 4)) * 5.0)
         assert np.all(out >= 0)
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-9)
-
-    def test_nonfinite_names_row(self):
-        bad = np.array([[0.0, 1.0], [np.inf, 0.0], [1.0, 2.0]])
-        with pytest.raises(ValidationError, match="row 1"):
-            softmax(bad)
 
 
 class TestFormEnsemble:
@@ -139,55 +131,56 @@ class TestEnumerateEnsembles:
 PAIR = ("ind", "ood")
 
 
-def _constant_accuracy_store(accuracies, n=50):
+def _constant_accuracy_datasets(accuracies, n=50):
     """One model per requested accuracy on both datasets, exact by construction."""
-    c = 2
-    store = PredictionStore()
-    labels = np.zeros(n, dtype=np.int64)
-    for ds in PAIR:
-        store.register_dataset(ds, labels, c)
+    members = {}
     for i, acc in enumerate(accuracies):
         n_right = int(round(acc * n))
-        probs = np.zeros((n, c))
+        probs = np.zeros((n, 2))
         probs[:n_right, 0] = 1.0
         probs[n_right:, 1] = 1.0
-        for ds in PAIR:
-            store.add_prediction(f"m{i:02d}", ds, probs)
-    return store
+        members[f"m{i:02d}"] = probs
+    return {ds: (np.zeros(n, dtype=np.int64), members) for ds in PAIR}
+
+
+def _constant_accuracy_store(root, accuracies):
+    return load_store(write_kind_store(root, "probs", _constant_accuracy_datasets(accuracies), [PAIR]))
 
 
 class TestHeterogeneousEnsembles:
-    def test_identical_accuracy_single_bin(self):
-        store = _constant_accuracy_store([0.8] * 4)
+    def test_identical_accuracy_single_bin(self, tmp_path):
+        store = _constant_accuracy_store(tmp_path, [0.8] * 4)
         report = form_heterogeneous_ensembles(store, PAIR, n_bins=3, seed=1)
         assert len(report.ensembles) == 1
         assert len(report.ensembles[0].member_model_ids) == 4
 
-    def test_forced_split(self):
-        store = _constant_accuracy_store([0.2, 0.22, 0.24, 0.26, 0.8, 0.82, 0.84, 0.86])
+    def test_forced_split(self, tmp_path):
+        store = _constant_accuracy_store(tmp_path, [0.2, 0.22, 0.24, 0.26, 0.8, 0.82, 0.84, 0.86])
         report = form_heterogeneous_ensembles(store, PAIR, n_bins=2, seed=0)
         assert len(report.ensembles) == 2
         members = {e.member_model_ids for e in report.ensembles}
         assert ("m00", "m01", "m02", "m03") in members
         assert ("m04", "m05", "m06", "m07") in members
 
-    def test_seed_determinism(self):
-        store = _constant_accuracy_store([0.1 * i for i in range(1, 11)])
+    def test_seed_determinism(self, tmp_path):
+        store = _constant_accuracy_store(tmp_path, [0.1 * i for i in range(1, 11)])
         a = form_heterogeneous_ensembles(store, PAIR, n_bins=2, seed=7)
         b = form_heterogeneous_ensembles(store, PAIR, n_bins=2, seed=7)
         assert [e.member_model_ids for e in a.ensembles] == [
             e.member_model_ids for e in b.ensembles
         ]
 
-    def test_small_bin_skipped_with_record(self):
-        store = _constant_accuracy_store([0.2, 0.22, 0.24, 0.26, 0.9])
+    def test_small_bin_skipped_with_record(self, tmp_path):
+        store = _constant_accuracy_store(tmp_path, [0.2, 0.22, 0.24, 0.26, 0.9])
         report = form_heterogeneous_ensembles(store, PAIR, n_bins=2, seed=0)
         assert len(report.ensembles) == 1
         assert len(report.skipped) == 1
 
-    def test_model_missing_on_ood_is_not_binned(self):
-        store = _constant_accuracy_store([0.8] * 4)
-        store.add_prediction("solo", "ind", np.tile([1.0, 0.0], (50, 1)))
+    def test_model_missing_on_ood_is_not_binned(self, tmp_path):
+        datasets = _constant_accuracy_datasets([0.8] * 4)
+        labels, members = datasets["ind"]
+        datasets["ind"] = labels, {**members, "solo": np.tile([1.0, 0.0], (50, 1))}
+        store = load_store(write_kind_store(tmp_path, "probs", datasets, [PAIR]))
         assert store.models_on_pair(PAIR) == ["m00", "m01", "m02", "m03"]
         for seed in range(8):
             report = form_heterogeneous_ensembles(store, PAIR, n_bins=1, seed=seed)
@@ -204,47 +197,54 @@ class TestEnsembleDef:
             EnsembleDef("x", ())
 
 
+def _edited(path, change):
+    """Rewrite the manifest at `path` after `change` has edited its parsed JSON in place."""
+    manifest = json.loads(path.read_text())
+    change(manifest)
+    path.write_text(json.dumps(manifest))
+
+
 class TestStoreValidation:
-    def test_duplicate_prediction_rejected(self, rng):
-        store = PredictionStore()
-        store.register_dataset("d", np.zeros(3, dtype=np.int64), 2)
-        p = random_simplex(rng, 3, 2)
-        store.add_prediction("m", "d", p)
-        with pytest.raises(ValidationError):
-            store.add_prediction("m", "d", p)
+    @pytest.fixture
+    def manifest(self, tmp_path, rng):
+        """A store of one three-point dataset "d" and one model "m"."""
+        return write_kind_store(tmp_path, "probs", {"d": (np.zeros(3), {"m": random_simplex(rng, 3, 2)})})
 
-    def test_duplicate_dataset_rejected(self):
-        store = PredictionStore()
-        store.register_dataset("d", np.zeros(3, dtype=np.int64), 2)
+    def test_duplicate_prediction_rejected(self, manifest):
+        _edited(manifest, lambda m: m["models"].append(m["models"][0]))
+        with pytest.raises(ValidationError, match="duplicate prediction for 'm' on 'd'"):
+            load_store(manifest)
+
+    def test_duplicate_dataset_rejected(self, manifest):
+        _edited(manifest, lambda m: m["datasets"].append(m["datasets"][0]))
         with pytest.raises(ValidationError, match="dataset 'd' is declared twice"):
-            store.register_dataset("d", np.ones(3, dtype=np.int64), 2)
-        np.testing.assert_array_equal(store.labels("d"), np.zeros(3))
+            load_store(manifest)
 
-    def test_unregistered_dataset_rejected(self, rng):
-        store = PredictionStore()
-        with pytest.raises(ValidationError):
-            store.add_prediction("m", "nope", random_simplex(rng, 3, 2))
+    def test_unregistered_dataset_rejected(self, manifest):
+        _edited(manifest, lambda m: m["models"][0]["files"].update(nope="m__d.f32"))
+        with pytest.raises(ValidationError, match="model 'm' references unknown dataset 'nope'"):
+            load_store(manifest)
 
-    def test_label_out_of_range_rejected(self):
-        store = PredictionStore()
-        with pytest.raises(ValidationError):
-            store.register_dataset("d", np.array([0, 2]), 2)
+    def test_label_out_of_range_rejected(self, tmp_path, rng):
+        manifest = write_kind_store(tmp_path, "probs", {"d": (np.array([0, 2]), {"m": random_simplex(rng, 2, 2)})})
+        with pytest.raises(ValidationError, match=r"dataset 'd': labels outside \[0, 2\)"):
+            load_store(manifest)
 
-    def test_row_count_mismatch_rejected(self, rng):
-        store = PredictionStore()
-        store.register_dataset("d", np.zeros(3, dtype=np.int64), 2)
-        with pytest.raises(ValidationError):
-            store.add_prediction("m", "d", random_simplex(rng, 4, 2))
+    def test_row_count_mismatch_rejected(self, manifest, rng):
+        (manifest.parent / "m__d.f32").write_bytes(random_simplex(rng, 4, 2).astype("<f4").tobytes())
+        with pytest.raises(ValidationError, match="m/d: file m__d.f32 holds 32 bytes, expected 24"):
+            load_store(manifest)
 
     @pytest.mark.parametrize("bad", ["", "a/b", "a\\b", "a+b", "a,b", "a:b", "a b", "a\tb"])
-    def test_unsafe_ids_rejected(self, rng, bad):
-        store = PredictionStore()
+    def test_unsafe_ids_rejected(self, manifest, bad):
+        original = manifest.read_text()
+        _edited(manifest, lambda m: m["datasets"][0].update(id=bad))
         with pytest.raises(ValidationError, match="dataset id"):
-            store.register_dataset(bad, np.zeros(3, dtype=np.int64), 2)
-        store.register_dataset("d", np.zeros(3, dtype=np.int64), 2)
+            load_store(manifest)
+        manifest.write_text(original)
+        _edited(manifest, lambda m: m["models"][0].update(id=bad))
         with pytest.raises(ValidationError, match="model id"):
-            store.add_prediction(bad, "d", random_simplex(rng, 3, 2))
-        assert store.model_ids == []
+            load_store(manifest)
 
     def test_arrays_read_only(self, tiny_store):
         probs = read(tiny_store, "m0", "ind")
@@ -365,21 +365,17 @@ def eager_ingest(raw: np.ndarray, kind: str, name: str = "m/d") -> np.ndarray:
     return clipped / clipped.sum(axis=1, keepdims=True)
 
 
-def write_kind_store(root, kind, members, labels):
-    """A one-dataset store of the given kind holding float32 member matrices."""
-    n, c = members[0].shape
-    files = {}
-    for k, values in enumerate(members):
-        (root / f"m{k}__d.f32").write_bytes(values.astype("<f4").tobytes())
-        files[f"m{k}"] = {"d": f"m{k}__d.f32"}
-    (root / "d_labels.i32").write_bytes(labels.astype("<i4").tobytes())
-    manifest = {
-        "datasets": [{"id": "d", "n": n, "c": c, "labels_file": "d_labels.i32", "kind": kind}],
-        "models": [{"id": mid, "files": f} for mid, f in files.items()],
-        "pairs": [],
-    }
-    (root / "manifest.json").write_text(json.dumps(manifest))
-    return root / "manifest.json"
+def one_dataset(members, labels):
+    """A dataset "d" holding the member matrices as models m0, m1, ..., for write_kind_store."""
+    return {"d": (labels, {f"m{k}": values for k, values in enumerate(members)})}
+
+
+def validate_probs(probs):
+    """Assert that a read is a row-stochastic float64 matrix to within 1e-9."""
+    assert probs.dtype == np.float64 and probs.ndim == 2
+    assert np.isfinite(probs).all()
+    assert (probs >= 0).all() and (probs <= 1 + 1e-9).all()
+    assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-9
 
 
 FLOAT32 = st.floats(allow_nan=False, allow_infinity=False, width=32)
@@ -403,12 +399,12 @@ def stored_block(draw):
 @given(block=stored_block())
 @settings(max_examples=300, deadline=None)
 def test_every_accepted_block_reads_as_valid_probs(block):
-    # Reads skip validate_probs because what `_check_values` accepts always passes it.
+    # Reads are not validated, because what `_check_values` accepts always passes validate_probs.
     kind, raw = block
     n = raw.shape[0]
     with tempfile.TemporaryDirectory() as root:
         try:
-            store = load_store(write_kind_store(Path(root), kind, [raw], np.zeros(n, dtype=np.int64)))
+            store = load_store(write_kind_store(root, kind, one_dataset([raw], np.zeros(n, dtype=np.int64))))
         except ValidationError:
             return
         member = store.member_probs(["m0"], "d")[0]
@@ -425,7 +421,7 @@ class TestReadOnAccess:
         else:
             # float32 rounding leaves row sums within 1e-6 of 1, so rows are renormalized.
             raw = [random_simplex(rng, n, c) for _ in range(3)]
-        store = load_store(write_kind_store(tmp_path, kind, raw, rng.integers(0, c, n)))
+        store = load_store(write_kind_store(tmp_path, kind, one_dataset(raw, rng.integers(0, c, n))))
         for k, values in enumerate(raw):
             expected = eager_ingest(values.astype("<f4").astype(np.float64), kind)
             member = store.member_probs([f"m{k}"], "d")[0]
@@ -438,7 +434,7 @@ class TestReadOnAccess:
         # Entries down to -1e-6 load; reads clip them to 0 and divide by the clipped row's sum.
         raw = [random_simplex(rng, 40, 3) for _ in range(2)]
         raw[1][0] = [-5e-7, 0.5, 0.5000005]
-        store = load_store(write_kind_store(tmp_path, "probs", raw, rng.integers(0, 3, 40)))
+        store = load_store(write_kind_store(tmp_path, "probs", one_dataset(raw, rng.integers(0, 3, 40))))
         probs = read(store, "m1", "d")
         assert probs[0, 0] == 0.0
         assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-12
@@ -475,8 +471,8 @@ class TestReadOnAccess:
                    for m in store.model_ids for d in ("ind", "ood"))
 
     def test_reads_are_read_only_and_not_kept(self, tmp_path, rng):
-        store = load_store(write_kind_store(tmp_path, "logits", [rng.standard_normal((10, 3))] * 2,
-                                            rng.integers(0, 3, 10)))
+        store = load_store(write_kind_store(tmp_path, "logits", one_dataset([rng.standard_normal((10, 3))] * 2,
+                                                                            rng.integers(0, 3, 10))))
         first, second = read(store, "m0", "d"), read(store, "m0", "d")
         assert first is not second and np.array_equal(first, second)
         with pytest.raises(ValueError):
@@ -488,10 +484,11 @@ class TestReadOnAccess:
         logits = [rng.standard_normal((n, c)) for _ in range(2)]
         logits[1][n - 3, 5] = np.nan
         with pytest.raises(ValidationError, match=rf"^m1/d: non-finite value in row {n - 3}$"):
-            load_store(write_kind_store(tmp_path, "logits", logits, rng.integers(0, c, n)))
+            load_store(write_kind_store(tmp_path, "logits", one_dataset(logits, rng.integers(0, c, n))))
 
     def test_changed_file_fails_on_read(self, tmp_path, rng):
-        path = write_kind_store(tmp_path, "logits", [rng.standard_normal((30, 4))] * 2, rng.integers(0, 4, 30))
+        path = write_kind_store(tmp_path, "logits", one_dataset([rng.standard_normal((30, 4))] * 2,
+                                                                rng.integers(0, 4, 30)))
         store = load_store(path)
         member = tmp_path / "m1__d.f32"
         member.write_bytes(member.read_bytes()[:-4])

@@ -9,11 +9,6 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "ensdiag"
 
-# Public names that nothing in src/ensdiag or scripts/ calls, each with its reason.
-ALLOWED = {
-    "simulate_store": "the float64 in-memory twin of `simulate`; the test fixtures are built from it",
-}
-
 
 def _public_definitions(tree):
     """Public top-level functions and the public methods of public top-level classes."""
@@ -58,11 +53,7 @@ def uncalled():
 
 
 def test_every_public_function_has_a_caller():
-    assert sorted(where for name, where in uncalled().items() if name not in ALLOWED) == []
-
-
-def test_allowlist_is_current():
-    assert set(ALLOWED) <= set(uncalled())
+    assert sorted(uncalled().values()) == []
 
 
 def _parameters(node, method):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.special import stdtr
 from scipy.stats import linregress
 
-from conftest import build_store, calibration_bins, ece_resce, random_simplex, read
+from conftest import build_store, calibration_bins, ece_resce, random_datasets, random_simplex, read, write_kind_store
 import ensdiag.store
 import ensdiag.trends
 from ensdiag.decomposition import decompose
@@ -212,9 +212,9 @@ class TestEffectiveRobustness:
         assert abs(np.mean(residuals)) < 1e-9
 
 
-def mixed_ensemble_store(rng):
+def mixed_ensemble_store(rng, root):
     """Six models with leave-one-out ensembles plus one four-member heterogeneous one."""
-    store = build_store(rng, models=tuple(f"m{k}" for k in range(6)), n=50, c=4)
+    store = build_store(rng, root, models=tuple(f"m{k}" for k in range(6)), n=50, c=4)
     ensembles = enumerate_homogeneous_ensembles(store.model_ids, 5)
     report = form_heterogeneous_ensembles(store, ("ind", "ood"), 1, seed=3)
     assert len(report.ensembles) == 1
@@ -222,8 +222,8 @@ def mixed_ensemble_store(rng):
 
 
 class TestTrendPoints:
-    def test_counts_and_values(self, rng):
-        store = build_store(rng)
+    def test_counts_and_values(self, rng, tmp_path):
+        store = build_store(rng, tmp_path)
         ens = EnsembleDef("ens-a", ("m0", "m1", "m2", "m3"))
         pts = trend_points(store, [ens], ["brier"], ("ind", "ood"))
         assert len(pts) == 5
@@ -233,27 +233,28 @@ class TestTrendPoints:
         expected = brier(read(store, "m0", "ind"), store.labels("ind")).mean()
         assert m0.ind_value == pytest.approx(expected)
 
-    def test_unknown_metric(self, rng):
-        store = build_store(rng)
+    def test_unknown_metric(self, rng, tmp_path):
+        store = build_store(rng, tmp_path)
         with pytest.raises(ValidationError):
             trend_points(store, [], ["auroc"], ("ind", "ood"))
 
-    def test_one_sided_model_skipped(self, rng):
-        store = build_store(rng)
-        store.add_prediction("m9", "ind", random_simplex(rng, 60, 5))
+    def test_one_sided_model_skipped(self, rng, tmp_path):
+        datasets = random_datasets(rng)
+        datasets["ind"][1]["m9"] = random_simplex(rng, 60, 5)
+        store = load_store(write_kind_store(tmp_path, "probs", datasets, [("ind", "ood")]))
         pts = trend_points(store, [], ["zero_one"], ("ind", "ood"))
         assert all(p.model_id != "m9" for p in pts)
 
-    def test_heterogeneous_class_assignment(self, rng):
-        store = build_store(rng)
+    def test_heterogeneous_class_assignment(self, rng, tmp_path):
+        store = build_store(rng, tmp_path)
         ens = EnsembleDef("mix", ("m0", "m1"))
         pts = trend_points(
             store, [ens], ["brier"], ("ind", "ood"), heterogeneous_ids=frozenset({"mix"})
         )
         assert next(p for p in pts if p.model_id == "mix").model_class == "heterogeneous"
 
-    def test_equals_per_point_oracle(self, rng):
-        store, ensembles, het_ids = mixed_ensemble_store(rng)
+    def test_equals_per_point_oracle(self, rng, tmp_path):
+        store, ensembles, het_ids = mixed_ensemble_store(rng, tmp_path)
         pts = trend_points(store, ensembles, TREND_METRICS, ("ind", "ood"), n_bins=7,
                            heterogeneous_ids=het_ids)
         singles = [(m, (m,), "single") for m in store.model_ids]
@@ -291,9 +292,9 @@ class TestTrendPoints:
                 assert g[3:] == e[3:], (g, e)
 
     @pytest.mark.parametrize("metrics", [["brier"], ["ece", "nll"], list(TREND_METRICS)])
-    def test_one_ensemble_and_calibration_per_dataset(self, rng, monkeypatch, metrics):
+    def test_one_ensemble_and_calibration_per_dataset(self, rng, tmp_path, monkeypatch, metrics):
         # 50 points of 6 models and 4 classes are one row block per dataset.
-        store, ensembles, het_ids = mixed_ensemble_store(rng)
+        store, ensembles, het_ids = mixed_ensemble_store(rng, tmp_path)
         calls = {"form_ensemble": 0, "score_sums": 0}
 
         def counted(name, fn):
@@ -330,7 +331,7 @@ def ensemble_forms(store, pair, tmp_path):
 def test_score_sums_match_per_point_scores_across_blocks(rng, tmp_path, form):
     # The fused scorer against compute_metric and direct calibration bins, summed
     # block by block as trend_points adds them, on ensembles formed with form_ensemble.
-    store = build_store(rng, models=tuple(f"m{k}" for k in range(6)), n=71, c=5)
+    store = build_store(rng, tmp_path / "store", models=tuple(f"m{k}" for k in range(6)), n=71, c=5)
     pair, n_bins = ("ind", "ood"), 7
     ensembles = ensemble_forms(store, pair, tmp_path)[form]
     assert ensembles
@@ -404,19 +405,25 @@ class TestTrendTable:
         assert [r.metric for r in rows] == ["brier", "brier", "nll", "nll"]
 
 
-def collinear_store(rng, c0, n=80, c=5, m=4):
+def dyadic_simplex(rng, n, c, bits=12):
+    """random_simplex rows rounded down to multiples of 2**-bits, the last column
+    taking the remainder: float32 holds them exactly and each row sums to 1 exactly."""
+    q = np.floor(random_simplex(rng, n, c) * 2.0**bits)
+    q[:, -1] = 2.0**bits - q[:, :-1].sum(axis=1)
+    return q / 2.0**bits
+
+
+def collinear_store(rng, root, c0, n=80, c=5, m=4):
     """Members shrunk toward the one-hot truth by sqrt(c0) on the shifted set,
-    which scales both Brier scores and member variance by exactly c0."""
+    which scales both Brier scores and member variance by exactly c0. Members
+    are dyadic, so for c0 = 1 or 1/4 both sets reach the store unrounded."""
     labels = rng.integers(0, c, n)
     one_hot = np.eye(c)[labels]
-    store = PredictionStore()
-    store.register_dataset("ind", labels, c)
-    store.register_dataset("ood", labels, c)
-    for k in range(m):
-        f = random_simplex(rng, n, c)
-        store.add_prediction(f"m{k}", "ind", f)
-        store.add_prediction(f"m{k}", "ood", one_hot + np.sqrt(c0) * (f - one_hot))
-    return store, EnsembleDef("ens-all", tuple(f"m{k}" for k in range(m)))
+    members = {f"m{k}": dyadic_simplex(rng, n, c) for k in range(m)}
+    shifted = {k: one_hot + np.sqrt(c0) * (f - one_hot) for k, f in members.items()}
+    datasets = {"ind": (labels, members), "ood": (labels, shifted)}
+    store = load_store(write_kind_store(root, "probs", datasets, [("ind", "ood")]))
+    return store, EnsembleDef("ens-all", tuple(members))
 
 
 def ratio_check(store, ensembles, pair=("ind", "ood")):
@@ -440,47 +447,44 @@ def stacked_ratio_oracle(store, ensembles, pair=("ind", "ood")):
     return float(np.mean(list(per_ens.values()))), per_ens, fit_trend_xy(ind, ood)
 
 
-def identical_members_store(rng, copies):
+def identical_members_store(rng, root, copies):
     """`copies` models with one shared prediction, plus two distinct ones."""
     labels = rng.integers(0, 4, 20)
-    store = PredictionStore()
+    datasets = {}
     for ds in ("ind", "ood"):
-        store.register_dataset(ds, labels, 4)
         shared = random_simplex(rng, 20, 4)
-        for k in range(copies):
-            store.add_prediction(f"t{k}", ds, shared)
-        for k in range(2):
-            store.add_prediction(f"m{k}", ds, random_simplex(rng, 20, 4))
-    return store
+        members = {f"t{k}": shared for k in range(copies)}
+        datasets[ds] = labels, {**members, **{f"m{k}": random_simplex(rng, 20, 4) for k in range(2)}}
+    return load_store(write_kind_store(root, "probs", datasets, [("ind", "ood")]))
 
 
 class TestDiversityRatio:
-    def test_identical_datasets(self, rng):
-        store, ens = collinear_store(rng, c0=1.0)
+    def test_identical_datasets(self, rng, tmp_path):
+        store, ens = collinear_store(rng, tmp_path, c0=1.0)
         rep = ratio_check(store, [ens])
         assert rep.ratio == pytest.approx(1.0, abs=1e-12)
         assert rep.c0 == pytest.approx(1.0, abs=1e-9)
 
-    def test_exact_collinear_construction(self, rng):
-        store, ens = collinear_store(rng, c0=0.25)
+    def test_exact_collinear_construction(self, rng, tmp_path):
+        store, ens = collinear_store(rng, tmp_path, c0=0.25)
         rep = ratio_check(store, [ens])
         assert rep.ratio == pytest.approx(0.25, abs=1e-12)
         assert abs(rep.ratio - rep.c0) < 1e-6
         assert rep.discrepancy == pytest.approx(abs(rep.ratio - rep.c0))
         assert list(rep.per_ensemble_ratio) == ["ens-all"]
 
-    def test_needs_an_ensemble(self, rng):
-        store, _ = collinear_store(rng, c0=0.5)
+    def test_needs_an_ensemble(self, rng, tmp_path):
+        store, _ = collinear_store(rng, tmp_path, c0=0.5)
         with pytest.raises(ValidationError):
             ratio_check(store, [])
 
-    def test_zero_diversity_rejected(self, rng):
-        store = identical_members_store(rng, copies=2)
+    def test_zero_diversity_rejected(self, rng, tmp_path):
+        store = identical_members_store(rng, tmp_path, copies=2)
         with pytest.raises(ValidationError, match="zero mean diversity"):
             ratio_check(store, [EnsembleDef("twins", ("t0", "t1"))])
 
-    def test_three_identical_members_rejected(self, rng):
-        store = identical_members_store(rng, copies=3)
+    def test_three_identical_members_rejected(self, rng, tmp_path):
+        store = identical_members_store(rng, tmp_path, copies=3)
         ens = EnsembleDef("triplets", ("t0", "t1", "t2"))
         pts = {p.model_id: p for p in trend_points(store, [ens], ["brier"], ("ind", "ood"))}
         # The Brier gap of identical members is zero only up to rounding.
@@ -488,25 +492,25 @@ class TestDiversityRatio:
         with pytest.raises(ValidationError, match="zero mean diversity"):
             ratio_check(store, [ens])
 
-    def test_incomplete_input_rejected(self, rng):
-        store, ens = collinear_store(rng, c0=0.5)
+    def test_incomplete_input_rejected(self, rng, tmp_path):
+        store, ens = collinear_store(rng, tmp_path, c0=0.5)
         with pytest.raises(ValidationError, match="fewer than two members"):
             ratio_check(store, [EnsembleDef("m0", ("m0",))])
         with pytest.raises(ValidationError, match="no brier trend point for 'ens-all'"):
             diversity_ratio_check(trend_points(store, [], ["brier"], ("ind", "ood")), [ens])
-        two_models = build_store(rng, models=("m0", "m1"))
+        two_models = build_store(rng, tmp_path / "two", models=("m0", "m1"))
         with pytest.raises(ValidationError, match="at least 3 single models"):
             ratio_check(two_models, [EnsembleDef("pair", ("m0", "m1"))])
 
-    def test_ensemble_id_cannot_shadow_a_single(self, rng):
-        store = build_store(rng)
+    def test_ensemble_id_cannot_shadow_a_single(self, rng, tmp_path):
+        store = build_store(rng, tmp_path)
         named = ratio_check(store, [EnsembleDef("m1+m2", ("m1", "m2"))])
         shadowing = ratio_check(store, [EnsembleDef("m0", ("m1", "m2"))])
         assert shadowing.per_ensemble_ratio == {"m0": named.per_ensemble_ratio["m1+m2"]}
         assert (shadowing.c0, shadowing.c0_std_error) == (named.c0, named.c0_std_error)
 
-    def test_equals_stacked_oracle(self, rng):
-        store, ensembles, het_ids = mixed_ensemble_store(rng)
+    def test_equals_stacked_oracle(self, rng, tmp_path):
+        store, ensembles, het_ids = mixed_ensemble_store(rng, tmp_path)
         pts = trend_points(store, ensembles, TREND_METRICS, ("ind", "ood"), heterogeneous_ids=het_ids)
         rep = diversity_ratio_check(pts, ensembles)
         ratio, per_ens, fit = stacked_ratio_oracle(store, ensembles)
@@ -518,8 +522,8 @@ class TestDiversityRatio:
         assert rep.c0 == pytest.approx(fit.coefficient, rel=1e-12, abs=0)
         assert rep.c0_std_error == pytest.approx(fit.std_error, rel=1e-12, abs=0)
 
-    def test_reads_no_predictions(self, rng, monkeypatch):
-        store, ensembles, het_ids = mixed_ensemble_store(rng)
+    def test_reads_no_predictions(self, rng, tmp_path, monkeypatch):
+        store, ensembles, het_ids = mixed_ensemble_store(rng, tmp_path)
         pts = trend_points(store, ensembles, ["brier"], ("ind", "ood"), heterogeneous_ids=het_ids)
 
         def refuse(*args, **kwargs):
@@ -531,12 +535,12 @@ class TestDiversityRatio:
 
 
 class TestLeaveOneOutRunningSum:
-    def _loo_store(self, rng, m=6):
-        store = build_store(rng, models=tuple(f"m{k}" for k in range(m)), n=70, c=6)
+    def _loo_store(self, rng, root, m=6):
+        store = build_store(rng, root, models=tuple(f"m{k}" for k in range(m)), n=70, c=6)
         return store, enumerate_homogeneous_ensembles(store.model_ids, m - 1)
 
-    def test_ensembles_within_tolerance_of_form_ensemble(self, rng, monkeypatch):
-        store, ensembles = self._loo_store(rng)
+    def test_ensembles_within_tolerance_of_form_ensemble(self, rng, tmp_path, monkeypatch):
+        store, ensembles = self._loo_store(rng, tmp_path)
         seen = []
 
         def recording(matrices, labels, n_bins):
@@ -554,8 +558,8 @@ class TestLeaveOneOutRunningSum:
                 exact = form_ensemble([read(store, k, dataset) for k in ens.member_model_ids])
                 assert np.abs(probs - exact).max() <= 1e-12
 
-    def test_blocked_points_match_whole_matrix_oracle(self, rng):
-        store, ensembles = self._loo_store(rng)
+    def test_blocked_points_match_whole_matrix_oracle(self, rng, tmp_path):
+        store, ensembles = self._loo_store(rng, tmp_path)
         listed = [EnsembleDef("pair", ("m0", "m1")), *ensembles]
         with mock.patch.object(ensdiag.store, "BLOCK_ELEMENTS", 9 * 6 * 6):  # 9 rows a block
             pts = trend_points(store, listed, TREND_METRICS, ("ind", "ood"), n_bins=7)
@@ -573,8 +577,8 @@ class TestLeaveOneOutRunningSum:
             for dataset, value in (("ind", p.ind_value), ("ood", p.ood_value)):
                 assert value == pytest.approx(oracle(members[p.model_id], p.metric, dataset), rel=1e-12, abs=1e-15)
 
-    def test_other_ensembles_are_formed_from_members(self, rng):
-        store, ensembles = self._loo_store(rng)
+    def test_other_ensembles_are_formed_from_members(self, rng, tmp_path):
+        store, ensembles = self._loo_store(rng, tmp_path)
         listed = [EnsembleDef("pair", ("m0", "m1")), ensembles[0]]
         pair = trend_points(store, listed, ["nll"], ("ind", "ood"))[-2]
         assert pair.model_id == "pair"
