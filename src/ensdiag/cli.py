@@ -23,16 +23,7 @@ import numpy as np
 
 from . import DEFAULT_GRID_SIZE, __version__
 from .errors import NumericalError, ValidationError
-from .store import (
-    EnsembleDef,
-    PredictionStore,
-    enumerate_homogeneous_ensembles,
-    ensemble_id_for,
-    form_heterogeneous_ensembles,
-    load_store,
-    read_json,
-    write_file,
-)
+from .store import PredictionStore, load_store, read_json, write_file
 
 # Each command imports the analysis modules it runs at the top of its body,
 # and each figure helper imports svgplot, so a process loads only its own
@@ -300,21 +291,23 @@ def _conditional_figure(sample_ind, sample_ood, result, path: Path, seed: int) -
 # ------------------------------------------------------------------ trends
 
 
-def _load_ensembles(arg: str, store: PredictionStore, pair: tuple[str, str]) -> list[EnsembleDef]:
+def _load_ensembles(arg: str, store: PredictionStore, pair: tuple[str, str]) -> list[tuple[str, ...]]:
     shared = store.models_on_pair(pair)
     if arg == "none":
         return []
     if arg == "loo":
-        if len(shared) < 3:
+        ids = sorted(shared)
+        if len(ids) < 3:
             return []
-        return enumerate_homogeneous_ensembles(shared, len(shared) - 1)
+        # Each drops one id, the last first, as itertools.combinations(ids, M - 1) orders them.
+        return [tuple(m for m in ids if m != k) for k in reversed(ids)]
     path = Path(arg)
     if not path.is_file():
         raise ValidationError(f"--ensembles file not found: {path}")
     raw = read_json(path, "--ensembles file")
     if not isinstance(raw, list):
         raise ValidationError("--ensembles file must hold a JSON list of member lists")
-    defs = []
+    ensembles = []
     first_with: dict[frozenset, int] = {}
     for i, entry in enumerate(raw):
         if not isinstance(entry, list) or not all(isinstance(m, str) for m in entry):
@@ -326,15 +319,21 @@ def _load_ensembles(arg: str, store: PredictionStore, pair: tuple[str, str]) -> 
                 raise ValidationError(
                     f"--ensembles entry {i} references model {m!r}, not predicted on both {pair[0]!r} and {pair[1]!r}"
                 )
-        defs.append(EnsembleDef(ensemble_id_for(entry), tuple(entry)))
+        if not entry:
+            raise ValidationError(f"--ensembles entry {i} has no members")
+        repeated = [m for m in entry if entry.count(m) > 1]
+        if repeated:
+            raise ValidationError(f"--ensembles entry {i} repeats model {repeated[0]!r}")
+        ensembles.append(tuple(entry))
         j = first_with.setdefault(frozenset(entry), i)
         if j != i:
             raise ValidationError(f"--ensembles entry {i} has the same members as entry {j}")
-    return defs
+    return ensembles
 
 
 def cmd_trends(args: argparse.Namespace) -> None:
-    from .trends import diversity_ratio_check, effective_robustness, trend_points, trend_table
+    from .trends import (diversity_ratio_check, effective_robustness, form_heterogeneous_ensembles,
+                         trend_points, trend_table)
 
     store = load_store(args.manifest)
     pair = _resolve_pair(store, args.pair)
@@ -343,23 +342,21 @@ def cmd_trends(args: argparse.Namespace) -> None:
     ensembles = _load_ensembles(args.ensembles, store, pair)
     out = prepare_out_dir(args.out, args.force)
 
-    het_ids: set[str] = set()
+    heterogeneous: set[tuple[str, ...]] = set()
     skipped_bins: list[dict] = []
     if args.het_bins:
-        report = form_heterogeneous_ensembles(store, pair, args.het_bins, seed=args.seed)
+        binned, skipped_bins = form_heterogeneous_ensembles(store, pair, args.het_bins, seed=args.seed)
         # A binned ensemble may be one already listed, in any member order.
-        listed = {frozenset(e.member_model_ids): e for e in ensembles}
-        for ens in report.ensembles:
-            key = frozenset(ens.member_model_ids)
-            if key not in listed:
+        listed = {frozenset(e): e for e in ensembles}
+        for ens in binned:
+            if frozenset(ens) not in listed:
                 ensembles.append(ens)
-            het_ids.add(listed.get(key, ens).ensemble_id)
-        skipped_bins = report.skipped
+            heterogeneous.add(listed.get(frozenset(ens), ens))
 
     # The diversity ratio is derived from the Brier points, so they are always scored.
     scored_metrics = metrics if "brier" in metrics else metrics + ["brier"]
     scored = trend_points(store, ensembles, scored_metrics, pair, n_bins=args.bins,
-                          heterogeneous_ids=frozenset(het_ids))
+                          heterogeneous=frozenset(heterogeneous))
     try:
         ratio_report = asdict(diversity_ratio_check(scored, ensembles))
     except ValidationError as exc:
@@ -400,7 +397,7 @@ def cmd_trends(args: argparse.Namespace) -> None:
             "metrics": metrics,
             "table": [{"metric": r.metric, "model_class": r.model_class, **asdict(r.fit)} for r in rows],
             "diversity_ratio": ratio_report,
-            "ensembles": [list(e.member_model_ids) for e in ensembles],
+            "ensembles": [list(e) for e in ensembles],
             "heterogeneous_skipped_bins": skipped_bins,
             "seed": args.seed,
             "settings": {

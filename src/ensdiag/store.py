@@ -1,4 +1,4 @@
-"""Prediction storage: probability matrices, ensembles, and on-disk stores.
+"""The on-disk prediction store, its row-block walks, and ensemble averaging.
 
 A store groups per-model predictions over named test sets. Predictions are
 handed out as float64 row-stochastic matrices regardless of the on-disk
@@ -15,7 +15,10 @@ Logit files are mapped through a stable softmax when read; probability
 files must already be row-stochastic to within 1e-6 and are renormalized
 exactly. Dataset and model ids are non-empty and contain no whitespace and
 none of ``/ \\ + , :``, since they become file names, CSV cells, member
-specs and pair arguments. The two datasets of a pair differ.
+specs and pair arguments. The two datasets of a pair differ. Since no id
+holds a ``+``, an ensemble's id, its member ids joined by ``+``, names
+one tuple of members; `form_ensemble` averages them, and `trends` decides
+which ensembles are scored.
 
 `load_store` checks every file up front, sizes first and then values in
 row blocks of at most BLOCK_ELEMENTS entries, and keeps only labels and
@@ -33,7 +36,6 @@ sees the new bytes, and fails if they no longer pass the load checks.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -45,8 +47,6 @@ from .errors import ValidationError
 
 # Tolerance on the entries and row sums of a float32 probability dump.
 INGEST_ROW_ATOL = 1e-6
-# Members of each accuracy-binned heterogeneous ensemble.
-HET_ENSEMBLE_SIZE = 4
 # Characters no dataset or model id may contain, besides whitespace.
 _ID_FORBIDDEN = "/\\+,:"
 # Entries of one row block of a member matrix: 2**18 float64 is 2 MiB.
@@ -126,37 +126,6 @@ def form_ensemble(members: Sequence) -> np.ndarray:
     return ens
 
 
-@dataclass(frozen=True)
-class EnsembleDef:
-    """Named ensemble: an id plus the ordered tuple of member model ids."""
-
-    ensemble_id: str
-    member_model_ids: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.member_model_ids) == 0:
-            raise ValidationError(f"ensemble {self.ensemble_id!r} has no members")
-        if len(set(self.member_model_ids)) != len(self.member_model_ids):
-            raise ValidationError(f"ensemble {self.ensemble_id!r} repeats a member")
-
-
-def ensemble_id_for(member_ids: Iterable[str]) -> str:
-    return "+".join(member_ids)
-
-
-def enumerate_homogeneous_ensembles(model_ids: Sequence[str], size: int) -> list[EnsembleDef]:
-    """All k-subsets of the given models, in lexicographic member order."""
-    ids = sorted(model_ids)
-    if len(set(ids)) != len(ids):
-        raise ValidationError("model ids must be unique")
-    if not 1 <= size <= len(ids):
-        raise ValidationError(f"subset size {size} out of range for {len(ids)} models")
-    return [
-        EnsembleDef(ensemble_id_for(combo), tuple(combo))
-        for combo in itertools.combinations(ids, size)
-    ]
-
-
 @dataclass
 class PredictionStore:
     """Per-model predictions over named datasets, as `load_store` reads them.
@@ -215,69 +184,6 @@ class PredictionStore:
             if (m, dataset_id) not in self._predictions:
                 raise ValidationError(f"no prediction for model {m!r} on {dataset_id!r}")
         return [self._predictions[(m, dataset_id)] for m in member_ids]
-
-
-@dataclass
-class BinningReport:
-    """Result of accuracy-binned ensemble formation, with skipped bins kept."""
-
-    ensembles: list[EnsembleDef]
-    skipped: list[dict]
-
-
-def form_heterogeneous_ensembles(
-    store: PredictionStore,
-    pair: tuple[str, str],
-    n_bins: int,
-    seed: int = 0,
-) -> BinningReport:
-    """Group the models predicted on both datasets of the pair into
-    equal-width accuracy bins on its in-distribution side, and sample one
-    ensemble of HET_ENSEMBLE_SIZE distinct models from each bin.
-
-    Bins with fewer models than that are skipped and recorded in the
-    report rather than raising. Sampling is without replacement and is
-    deterministic for a fixed seed.
-    """
-    if n_bins < 1:
-        raise ValidationError("n_bins must be >= 1")
-    model_ids = store.models_on_pair(pair)
-    if not model_ids:
-        raise ValidationError(f"no models with predictions on both {pair[0]!r} and {pair[1]!r}")
-    labels = store.labels(pair[0])
-    correct = np.zeros(len(model_ids))
-    for rows, block in member_blocks(store.member_probs(model_ids, pair[0])):
-        correct += [np.count_nonzero(p.argmax(axis=1) == labels[rows]) for p in block]
-    values = correct / len(labels)
-    lo, hi = float(values.min()), float(values.max())
-    edges = np.linspace(lo, hi, n_bins + 1)
-    width = hi - lo
-    if width == 0.0:
-        idx = np.zeros(len(model_ids), dtype=np.int64)
-    else:
-        idx = np.clip(((values - lo) / width * n_bins).astype(np.int64), 0, n_bins - 1)
-
-    rng = np.random.default_rng(seed)
-    ensembles: list[EnsembleDef] = []
-    skipped: list[dict] = []
-    for b in range(n_bins):
-        in_bin = sorted(m for m, i in zip(model_ids, idx) if i == b)
-        if not in_bin:
-            continue
-        if len(in_bin) < HET_ENSEMBLE_SIZE:
-            skipped.append(
-                {
-                    "bin": b,
-                    "lo": float(edges[b]),
-                    "hi": float(edges[b + 1]),
-                    "n_models": len(in_bin),
-                    "needed": HET_ENSEMBLE_SIZE,
-                }
-            )
-            continue
-        chosen = sorted(rng.choice(in_bin, size=HET_ENSEMBLE_SIZE, replace=False).tolist())
-        ensembles.append(EnsembleDef(ensemble_id_for(chosen), tuple(chosen)))
-    return BinningReport(ensembles, skipped)
 
 
 def _check_size(path: Path, dtype: str, shape: tuple[int, ...], name: str) -> None:

@@ -7,6 +7,11 @@ untransformed. Effective robustness is the signed residual against a
 fitted baseline, positive when a model does better under shift than the
 baseline predicts.
 
+An ensemble is a tuple of model ids, and its id is those ids joined by
+``+``. `form_heterogeneous_ensembles` samples one from each accuracy bin
+of the models; any other is the caller's: all the models but one, or a
+listed tuple.
+
 `trend_points` walks each dataset once in the row blocks of
 store.member_blocks, which read every model once per block, and adds
 score sums and calibration bin sums over the blocks. Memory grows with
@@ -23,11 +28,13 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .metrics import IDENTITY_TOL, SCORE_SUMS, score_sums
-from .store import EnsembleDef, PredictionStore, form_ensemble, member_blocks
+from .store import PredictionStore, form_ensemble, member_blocks
 
 MODEL_CLASSES = ("single", "ensemble", "heterogeneous")
 TABLE_CLASSES = ("All", "Single Model", "Ensemble")
 TREND_METRICS = ("zero_one", "nll", "brier", "ece", "resce")
+# Members of each accuracy-binned heterogeneous ensemble.
+HET_ENSEMBLE_SIZE = 4
 
 
 @dataclass
@@ -170,13 +177,68 @@ def effective_robustness(point: TrendPoint, baseline: TrendFit) -> float:
     return float(predicted - point.ood_value)
 
 
+def form_heterogeneous_ensembles(
+    store: PredictionStore,
+    pair: tuple[str, str],
+    n_bins: int,
+    seed: int = 0,
+) -> tuple[list[tuple[str, ...]], list[dict]]:
+    """Group the models predicted on both datasets of the pair into
+    equal-width accuracy bins on its in-distribution side, and sample one
+    ensemble of HET_ENSEMBLE_SIZE distinct models from each bin.
+
+    Returns ``(ensembles, skipped)``. A bin holding at least one model but
+    fewer than HET_ENSEMBLE_SIZE is skipped and recorded in `skipped`; an
+    empty bin is skipped with no record. Sampling is without replacement
+    and is deterministic for a fixed seed.
+    """
+    if n_bins < 1:
+        raise ValidationError("n_bins must be >= 1")
+    model_ids = store.models_on_pair(pair)
+    if not model_ids:
+        raise ValidationError(f"no models with predictions on both {pair[0]!r} and {pair[1]!r}")
+    labels = store.labels(pair[0])
+    correct = np.zeros(len(model_ids))
+    for rows, block in member_blocks(store.member_probs(model_ids, pair[0])):
+        correct += [np.count_nonzero(p.argmax(axis=1) == labels[rows]) for p in block]
+    values = correct / len(labels)
+    lo, hi = float(values.min()), float(values.max())
+    edges = np.linspace(lo, hi, n_bins + 1)
+    width = hi - lo
+    if width == 0.0:
+        idx = np.zeros(len(model_ids), dtype=np.int64)
+    else:
+        idx = np.clip(((values - lo) / width * n_bins).astype(np.int64), 0, n_bins - 1)
+
+    rng = np.random.default_rng(seed)
+    ensembles: list[tuple[str, ...]] = []
+    skipped: list[dict] = []
+    for b in range(n_bins):
+        in_bin = sorted(m for m, i in zip(model_ids, idx) if i == b)
+        if not in_bin:
+            continue
+        if len(in_bin) < HET_ENSEMBLE_SIZE:
+            skipped.append(
+                {
+                    "bin": b,
+                    "lo": float(edges[b]),
+                    "hi": float(edges[b + 1]),
+                    "n_models": len(in_bin),
+                    "needed": HET_ENSEMBLE_SIZE,
+                }
+            )
+            continue
+        ensembles.append(tuple(sorted(rng.choice(in_bin, size=HET_ENSEMBLE_SIZE, replace=False).tolist())))
+    return ensembles, skipped
+
+
 def trend_points(
     store: PredictionStore,
-    ensembles: Sequence[EnsembleDef],
+    ensembles: Sequence[tuple[str, ...]],
     metrics: Sequence[str],
     pair: tuple[str, str],
     n_bins: int = 15,
-    heterogeneous_ids: frozenset[str] = frozenset(),
+    heterogeneous: frozenset[tuple[str, ...]] = frozenset(),
 ) -> list[TrendPoint]:
     """Score every single model and every ensemble on both sides of a pair.
 
@@ -189,22 +251,24 @@ def trend_points(
     of a block, one pass over each, whatever the metrics. The score and
     calibration bin sums are added up over the blocks, and the means, ECE
     and ResCE formed once.
-    Points come out metric by metric, singles before ensembles.
+    Points come out metric by metric, singles before ensembles. An
+    ensemble's point is named by its members joined with ``+``, and is of
+    class "heterogeneous" when its tuple is in `heterogeneous`.
     """
     for metric in metrics:
         if metric not in TREND_METRICS:
             raise ValidationError(f"unknown trend metric {metric!r}; choose from {TREND_METRICS}")
     models = store.models_on_pair(pair)
-    held = list(dict.fromkeys([*models, *(m for ens in ensembles for m in ens.member_model_ids)]))
+    held = list(dict.fromkeys([*models, *(m for ens in ensembles for m in ens)]))
     if not held:
         return []
     index = {m: i for i, m in enumerate(held)}
     # Per ensemble: the index of the one model it leaves out, or its members' indices.
     forms: list[int | list[int]] = []
     for ens in ensembles:
-        rest = set(models).difference(ens.member_model_ids)
-        all_but_one = len(models) >= 3 and len(ens.member_model_ids) == len(models) - 1 and len(rest) == 1
-        forms.append(index[rest.pop()] if all_but_one else [index[m] for m in ens.member_model_ids])
+        rest = set(models).difference(ens)
+        all_but_one = len(models) >= 3 and len(ens) == len(models) - 1 and len(rest) == 1
+        forms.append(index[rest.pop()] if all_but_one else [index[m] for m in ens])
 
     def block_probs(block: list[np.ndarray]):
         """Each single's rows, then each ensemble's, formed from one block."""
@@ -223,8 +287,7 @@ def trend_points(
             yield probs
 
     scored = [(m, "single") for m in models] + [
-        (ens.ensemble_id, "heterogeneous" if ens.ensemble_id in heterogeneous_ids else "ensemble")
-        for ens in ensembles
+        ("+".join(ens), "heterogeneous" if ens in heterogeneous else "ensemble") for ens in ensembles
     ]
     values: list[list[dict]] = [[] for _ in scored]
     for dataset in pair:
@@ -291,7 +354,7 @@ class DiversityRatioReport:
 
 def diversity_ratio_check(
     points: Sequence[TrendPoint],
-    ensembles: Sequence[EnsembleDef],
+    ensembles: Sequence[tuple[str, ...]],
 ) -> DiversityRatioReport:
     """Diversity ratio from the Brier trend points alone.
 
@@ -307,20 +370,20 @@ def diversity_ratio_check(
     if len(singles) < 3:
         raise ValidationError(f"diversity ratio needs at least 3 single models, got {len(singles)}")
     per_ens: dict[str, float] = {}
-    for ens in ensembles:
-        members = ens.member_model_ids
+    for members in ensembles:
+        eid = "+".join(members)
         if len(members) < 2:
-            raise ValidationError(f"ensemble {ens.ensemble_id!r} has fewer than two members")
+            raise ValidationError(f"ensemble {eid!r} has fewer than two members")
         try:
-            point = combined[ens.ensemble_id]
+            point = combined[eid]
             member_points = [singles[m] for m in members]
         except KeyError as exc:
             raise ValidationError(f"no brier trend point for {exc.args[0]!r}") from exc
         div_ind = float(np.mean([p.ind_value for p in member_points])) - point.ind_value
         div_ood = float(np.mean([p.ood_value for p in member_points])) - point.ood_value
         if div_ind <= IDENTITY_TOL:
-            raise ValidationError(f"ensemble {ens.ensemble_id!r} has zero mean diversity on the InD set")
-        per_ens[ens.ensemble_id] = div_ood / div_ind
+            raise ValidationError(f"ensemble {eid!r} has zero mean diversity on the InD set")
+        per_ens[eid] = div_ood / div_ind
 
     fit = fit_trend(list(singles.values()))
     ratio = float(np.mean(list(per_ens.values())))

@@ -590,6 +590,8 @@ class TestTrendsCommand:
         ({"a": ["m000", "m001"]}, "JSON list"),
         ([["m000", "m001"], ["m002", "m003"]], "entry 1 references model 'm003', not predicted on both"),
         ([["m000", "m001"], ["m000", "m002"], ["m001", "m000"]], "entry 2 has the same members as entry 0"),
+        ([[]], "entry 0 has no members"),
+        ([["m000", "m000"]], "entry 0 repeats model 'm000'"),
     ])
     def test_malformed_ensembles_file(self, sim_dir, tmp_path, capsys, content, expected):
         # m003 has no OOD predictions, so an entry naming it cannot be scored on the pair.

@@ -14,11 +14,8 @@ from ensdiag.decomposition import decompose
 from ensdiag.errors import ValidationError
 from ensdiag.store import (
     BLOCK_ELEMENTS,
-    EnsembleDef,
     StoredMember,
-    enumerate_homogeneous_ensembles,
     form_ensemble,
-    form_heterogeneous_ensembles,
     load_store,
     softmax,
     write_store,
@@ -94,107 +91,6 @@ class TestFormEnsemble:
         np.testing.assert_allclose(
             ens, form_ensemble(members[::-1]), rtol=0, atol=1e-15
         )
-
-
-class TestEnumerateEnsembles:
-    def test_five_choose_four(self):
-        defs = enumerate_homogeneous_ensembles(["a", "b", "c", "d", "e"], 4)
-        assert len(defs) == 5
-        ids = [d.ensemble_id for d in defs]
-        assert ids == sorted(ids)
-
-    def test_all_members(self):
-        defs = enumerate_homogeneous_ensembles(["a", "b", "c"], 3)
-        assert len(defs) == 1
-        assert defs[0].member_model_ids == ("a", "b", "c")
-
-    def test_six_choose_four(self):
-        assert len(enumerate_homogeneous_ensembles(list("abcdef"), 4)) == 15
-
-    def test_oversized_k(self):
-        with pytest.raises(ValidationError):
-            enumerate_homogeneous_ensembles(["a", "b"], 3)
-
-    @given(st.integers(2, 7), st.integers(2, 4))
-    @settings(max_examples=20, deadline=None)
-    def test_count_is_binomial(self, n, k):
-        if k > n:
-            return
-        import math
-
-        ids = [f"m{i}" for i in range(n)]
-        defs = enumerate_homogeneous_ensembles(ids, k)
-        assert len(defs) == math.comb(n, k)
-        assert len({d.ensemble_id for d in defs}) == len(defs)
-
-
-PAIR = ("ind", "ood")
-
-
-def _constant_accuracy_datasets(accuracies, n=50):
-    """One model per requested accuracy on both datasets, exact by construction."""
-    members = {}
-    for i, acc in enumerate(accuracies):
-        n_right = int(round(acc * n))
-        probs = np.zeros((n, 2))
-        probs[:n_right, 0] = 1.0
-        probs[n_right:, 1] = 1.0
-        members[f"m{i:02d}"] = probs
-    return {ds: (np.zeros(n, dtype=np.int64), members) for ds in PAIR}
-
-
-def _constant_accuracy_store(root, accuracies):
-    return load_store(write_kind_store(root, "probs", _constant_accuracy_datasets(accuracies), [PAIR]))
-
-
-class TestHeterogeneousEnsembles:
-    def test_identical_accuracy_single_bin(self, tmp_path):
-        store = _constant_accuracy_store(tmp_path, [0.8] * 4)
-        report = form_heterogeneous_ensembles(store, PAIR, n_bins=3, seed=1)
-        assert len(report.ensembles) == 1
-        assert len(report.ensembles[0].member_model_ids) == 4
-
-    def test_forced_split(self, tmp_path):
-        store = _constant_accuracy_store(tmp_path, [0.2, 0.22, 0.24, 0.26, 0.8, 0.82, 0.84, 0.86])
-        report = form_heterogeneous_ensembles(store, PAIR, n_bins=2, seed=0)
-        assert len(report.ensembles) == 2
-        members = {e.member_model_ids for e in report.ensembles}
-        assert ("m00", "m01", "m02", "m03") in members
-        assert ("m04", "m05", "m06", "m07") in members
-
-    def test_seed_determinism(self, tmp_path):
-        store = _constant_accuracy_store(tmp_path, [0.1 * i for i in range(1, 11)])
-        a = form_heterogeneous_ensembles(store, PAIR, n_bins=2, seed=7)
-        b = form_heterogeneous_ensembles(store, PAIR, n_bins=2, seed=7)
-        assert [e.member_model_ids for e in a.ensembles] == [
-            e.member_model_ids for e in b.ensembles
-        ]
-
-    def test_small_bin_skipped_with_record(self, tmp_path):
-        store = _constant_accuracy_store(tmp_path, [0.2, 0.22, 0.24, 0.26, 0.9])
-        report = form_heterogeneous_ensembles(store, PAIR, n_bins=2, seed=0)
-        assert len(report.ensembles) == 1
-        assert len(report.skipped) == 1
-
-    def test_model_missing_on_ood_is_not_binned(self, tmp_path):
-        datasets = _constant_accuracy_datasets([0.8] * 4)
-        labels, members = datasets["ind"]
-        datasets["ind"] = labels, {**members, "solo": np.tile([1.0, 0.0], (50, 1))}
-        store = load_store(write_kind_store(tmp_path, "probs", datasets, [PAIR]))
-        assert store.models_on_pair(PAIR) == ["m00", "m01", "m02", "m03"]
-        for seed in range(8):
-            report = form_heterogeneous_ensembles(store, PAIR, n_bins=1, seed=seed)
-            assert report.ensembles[0].member_model_ids == ("m00", "m01", "m02", "m03")
-
-
-class TestEnsembleDef:
-    def test_duplicate_members_rejected(self):
-        with pytest.raises(ValidationError):
-            EnsembleDef("x", ("a", "a"))
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            EnsembleDef("x", ())
 
 
 def _edited(path, change):

@@ -1,5 +1,6 @@
-"""Trend fits, effective robustness, and the diversity-ratio identity."""
+"""Ensemble formation, trend fits, effective robustness, and the diversity-ratio identity."""
 
+import itertools
 import json
 import math
 import tracemalloc
@@ -18,16 +19,7 @@ import ensdiag.trends
 from ensdiag.decomposition import decompose
 from ensdiag.errors import ValidationError
 from ensdiag.metrics import brier, compute_metric, score_sums
-from ensdiag.store import (
-    EnsembleDef,
-    PredictionStore,
-    enumerate_homogeneous_ensembles,
-    form_ensemble,
-    form_heterogeneous_ensembles,
-    load_store,
-    member_blocks,
-    write_store,
-)
+from ensdiag.store import PredictionStore, form_ensemble, load_store, member_blocks, write_store
 from ensdiag.trends import (
     TREND_METRICS,
     TrendPoint,
@@ -35,6 +27,7 @@ from ensdiag.trends import (
     effective_robustness,
     fit_trend,
     fit_trend_xy,
+    form_heterogeneous_ensembles,
     t_two_sided_p,
     trend_points,
     trend_table,
@@ -212,20 +205,77 @@ class TestEffectiveRobustness:
         assert abs(np.mean(residuals)) < 1e-9
 
 
+PAIR = ("ind", "ood")
+
+
+def _constant_accuracy_datasets(accuracies, n=50):
+    """One model per requested accuracy on both datasets, exact by construction."""
+    members = {}
+    for i, acc in enumerate(accuracies):
+        n_right = int(round(acc * n))
+        probs = np.zeros((n, 2))
+        probs[:n_right, 0] = 1.0
+        probs[n_right:, 1] = 1.0
+        members[f"m{i:02d}"] = probs
+    return {ds: (np.zeros(n, dtype=np.int64), members) for ds in PAIR}
+
+
+def _constant_accuracy_store(root, accuracies):
+    return load_store(write_kind_store(root, "probs", _constant_accuracy_datasets(accuracies), [PAIR]))
+
+
+class TestHeterogeneousEnsembles:
+    def test_identical_accuracy_single_bin(self, tmp_path):
+        store = _constant_accuracy_store(tmp_path, [0.8] * 4)
+        ensembles, skipped = form_heterogeneous_ensembles(store, PAIR, n_bins=3, seed=1)
+        assert len(ensembles) == 1
+        assert len(ensembles[0]) == 4
+        # The two empty bins are skipped with no record.
+        assert skipped == []
+
+    def test_forced_split(self, tmp_path):
+        store = _constant_accuracy_store(tmp_path, [0.2, 0.22, 0.24, 0.26, 0.8, 0.82, 0.84, 0.86])
+        ensembles, _ = form_heterogeneous_ensembles(store, PAIR, n_bins=2, seed=0)
+        assert len(ensembles) == 2
+        assert ("m00", "m01", "m02", "m03") in ensembles
+        assert ("m04", "m05", "m06", "m07") in ensembles
+
+    def test_seed_determinism(self, tmp_path):
+        store = _constant_accuracy_store(tmp_path, [0.1 * i for i in range(1, 11)])
+        a, _ = form_heterogeneous_ensembles(store, PAIR, n_bins=2, seed=7)
+        b, _ = form_heterogeneous_ensembles(store, PAIR, n_bins=2, seed=7)
+        assert a == b
+
+    def test_small_bin_skipped_with_record(self, tmp_path):
+        store = _constant_accuracy_store(tmp_path, [0.2, 0.22, 0.24, 0.26, 0.9])
+        ensembles, skipped = form_heterogeneous_ensembles(store, PAIR, n_bins=2, seed=0)
+        assert len(ensembles) == 1
+        assert len(skipped) == 1
+
+    def test_model_missing_on_ood_is_not_binned(self, tmp_path):
+        datasets = _constant_accuracy_datasets([0.8] * 4)
+        labels, members = datasets["ind"]
+        datasets["ind"] = labels, {**members, "solo": np.tile([1.0, 0.0], (50, 1))}
+        store = load_store(write_kind_store(tmp_path, "probs", datasets, [PAIR]))
+        assert store.models_on_pair(PAIR) == ["m00", "m01", "m02", "m03"]
+        for seed in range(8):
+            ensembles, _ = form_heterogeneous_ensembles(store, PAIR, n_bins=1, seed=seed)
+            assert ensembles[0] == ("m00", "m01", "m02", "m03")
+
+
 def mixed_ensemble_store(rng, root):
     """Six models with leave-one-out ensembles plus one four-member heterogeneous one."""
     store = build_store(rng, root, models=tuple(f"m{k}" for k in range(6)), n=50, c=4)
-    ensembles = enumerate_homogeneous_ensembles(store.model_ids, 5)
-    report = form_heterogeneous_ensembles(store, ("ind", "ood"), 1, seed=3)
-    assert len(report.ensembles) == 1
-    return store, ensembles + report.ensembles, frozenset(e.ensemble_id for e in report.ensembles)
+    ensembles = list(itertools.combinations(store.model_ids, 5))
+    binned, _ = form_heterogeneous_ensembles(store, ("ind", "ood"), 1, seed=3)
+    assert len(binned) == 1
+    return store, ensembles + binned, frozenset(binned)
 
 
 class TestTrendPoints:
     def test_counts_and_values(self, rng, tmp_path):
         store = build_store(rng, tmp_path)
-        ens = EnsembleDef("ens-a", ("m0", "m1", "m2", "m3"))
-        pts = trend_points(store, [ens], ["brier"], ("ind", "ood"))
+        pts = trend_points(store, [("m0", "m1", "m2", "m3")], ["brier"], ("ind", "ood"))
         assert len(pts) == 5
         singles = [p for p in pts if p.model_class == "single"]
         assert len(singles) == 4
@@ -247,19 +297,17 @@ class TestTrendPoints:
 
     def test_heterogeneous_class_assignment(self, rng, tmp_path):
         store = build_store(rng, tmp_path)
-        ens = EnsembleDef("mix", ("m0", "m1"))
         pts = trend_points(
-            store, [ens], ["brier"], ("ind", "ood"), heterogeneous_ids=frozenset({"mix"})
+            store, [("m0", "m1")], ["brier"], ("ind", "ood"), heterogeneous=frozenset({("m0", "m1")})
         )
-        assert next(p for p in pts if p.model_id == "mix").model_class == "heterogeneous"
+        assert next(p for p in pts if p.model_id == "m0+m1").model_class == "heterogeneous"
 
     def test_equals_per_point_oracle(self, rng, tmp_path):
-        store, ensembles, het_ids = mixed_ensemble_store(rng, tmp_path)
+        store, ensembles, het = mixed_ensemble_store(rng, tmp_path)
         pts = trend_points(store, ensembles, TREND_METRICS, ("ind", "ood"), n_bins=7,
-                           heterogeneous_ids=het_ids)
+                           heterogeneous=het)
         singles = [(m, (m,), "single") for m in store.model_ids]
-        combos = [(e.ensemble_id, e.member_model_ids,
-                   "heterogeneous" if e.ensemble_id in het_ids else "ensemble") for e in ensembles]
+        combos = [("+".join(e), e, "heterogeneous" if e in het else "ensemble") for e in ensembles]
 
         def oracle(members, metric, dataset):
             models = store.model_ids
@@ -294,7 +342,7 @@ class TestTrendPoints:
     @pytest.mark.parametrize("metrics", [["brier"], ["ece", "nll"], list(TREND_METRICS)])
     def test_one_ensemble_and_calibration_per_dataset(self, rng, tmp_path, monkeypatch, metrics):
         # 50 points of 6 models and 4 classes are one row block per dataset.
-        store, ensembles, het_ids = mixed_ensemble_store(rng, tmp_path)
+        store, ensembles, het = mixed_ensemble_store(rng, tmp_path)
         calls = {"form_ensemble": 0, "score_sums": 0}
 
         def counted(name, fn):
@@ -305,9 +353,9 @@ class TestTrendPoints:
 
         monkeypatch.setattr(ensdiag.trends, "form_ensemble", counted("form_ensemble", form_ensemble))
         monkeypatch.setattr(ensdiag.trends, "score_sums", counted("score_sums", score_sums))
-        trend_points(store, ensembles, metrics, ("ind", "ood"), heterogeneous_ids=het_ids)
+        trend_points(store, ensembles, metrics, ("ind", "ood"), heterogeneous=het)
         # All-but-one ensembles come from the block sum; only the heterogeneous one is formed.
-        assert calls["form_ensemble"] == 2 * len(het_ids)
+        assert calls["form_ensemble"] == 2 * len(het)
         # One scoring call per block scores every model for every metric.
         assert calls["score_sums"] == 2
 
@@ -322,9 +370,19 @@ def ensemble_forms(store, pair, tmp_path):
 
     listed = tmp_path / "ensembles.json"
     listed.write_text(json.dumps([["m0", "m1"], ["m2", "m4", "m5"], ["m5", "m3"]]))
-    het = form_heterogeneous_ensembles(store, pair, 1, seed=3).ensembles
+    het, _ = form_heterogeneous_ensembles(store, pair, 1, seed=3)
     return {"loo": _load_ensembles("loo", store, pair), "file": _load_ensembles(str(listed), store, pair),
             "het-bins": het}
+
+
+@pytest.mark.parametrize("m", range(3, 9))
+def test_loo_ensembles_are_combinations_of_sorted_ids(rng, tmp_path, m):
+    from ensdiag.cli import _load_ensembles
+
+    ids = [f"m{k}" for k in rng.permutation(m)]
+    store = build_store(rng, tmp_path, models=tuple(ids), n=4, c=3)
+    assert store.model_ids == ids
+    assert _load_ensembles("loo", store, PAIR) == list(itertools.combinations(sorted(ids), m - 1))
 
 
 @pytest.mark.parametrize("form", ["loo", "file", "het-bins"])
@@ -343,7 +401,7 @@ def test_score_sums_match_per_point_scores_across_blocks(rng, tmp_path, form):
             for rows, block in member_blocks(store.member_probs(store.model_ids, dataset)):
                 blocks += 1
                 index = dict(zip(store.model_ids, block))
-                matrices = [*block, *(form_ensemble([index[m] for m in e.member_model_ids]) for e in ensembles)]
+                matrices = [*block, *(form_ensemble([index[m] for m in e]) for e in ensembles)]
                 part = score_sums(matrices, labels[rows], n_bins=n_bins)
                 got = part if got is None else got + part
                 want_scores = want_scores + np.array(
@@ -423,7 +481,7 @@ def collinear_store(rng, root, c0, n=80, c=5, m=4):
     shifted = {k: one_hot + np.sqrt(c0) * (f - one_hot) for k, f in members.items()}
     datasets = {"ind": (labels, members), "ood": (labels, shifted)}
     store = load_store(write_kind_store(root, "probs", datasets, [("ind", "ood")]))
-    return store, EnsembleDef("ens-all", tuple(members))
+    return store, tuple(members)
 
 
 def ratio_check(store, ensembles, pair=("ind", "ood")):
@@ -435,10 +493,10 @@ def stacked_ratio_oracle(store, ensembles, pair=("ind", "ood")):
     per_ens = {}
     for ens in ensembles:
         ind, ood = (
-            decompose(store.member_probs(ens.member_model_ids, d), families=("quadratic",))["quadratic"].diversity.mean()
+            decompose(store.member_probs(ens, d), families=("quadratic",))["quadratic"].diversity.mean()
             for d in pair
         )
-        per_ens[ens.ensemble_id] = float(ood) / float(ind)
+        per_ens["+".join(ens)] = float(ood) / float(ind)
     singles = [m for m in store.model_ids if all(store.has_prediction(m, d) for d in pair)]
     ind, ood = (
         np.array([float(brier(read(store, m, d), store.labels(d)).mean()) for m in singles])
@@ -471,7 +529,7 @@ class TestDiversityRatio:
         assert rep.ratio == pytest.approx(0.25, abs=1e-12)
         assert abs(rep.ratio - rep.c0) < 1e-6
         assert rep.discrepancy == pytest.approx(abs(rep.ratio - rep.c0))
-        assert list(rep.per_ensemble_ratio) == ["ens-all"]
+        assert list(rep.per_ensemble_ratio) == ["m0+m1+m2+m3"]
 
     def test_needs_an_ensemble(self, rng, tmp_path):
         store, _ = collinear_store(rng, tmp_path, c0=0.5)
@@ -481,37 +539,30 @@ class TestDiversityRatio:
     def test_zero_diversity_rejected(self, rng, tmp_path):
         store = identical_members_store(rng, tmp_path, copies=2)
         with pytest.raises(ValidationError, match="zero mean diversity"):
-            ratio_check(store, [EnsembleDef("twins", ("t0", "t1"))])
+            ratio_check(store, [("t0", "t1")])
 
     def test_three_identical_members_rejected(self, rng, tmp_path):
         store = identical_members_store(rng, tmp_path, copies=3)
-        ens = EnsembleDef("triplets", ("t0", "t1", "t2"))
+        ens = ("t0", "t1", "t2")
         pts = {p.model_id: p for p in trend_points(store, [ens], ["brier"], ("ind", "ood"))}
         # The Brier gap of identical members is zero only up to rounding.
-        assert np.mean([pts[m].ind_value for m in ens.member_model_ids]) != pts["triplets"].ind_value
+        assert np.mean([pts[m].ind_value for m in ens]) != pts["t0+t1+t2"].ind_value
         with pytest.raises(ValidationError, match="zero mean diversity"):
             ratio_check(store, [ens])
 
     def test_incomplete_input_rejected(self, rng, tmp_path):
         store, ens = collinear_store(rng, tmp_path, c0=0.5)
         with pytest.raises(ValidationError, match="fewer than two members"):
-            ratio_check(store, [EnsembleDef("m0", ("m0",))])
-        with pytest.raises(ValidationError, match="no brier trend point for 'ens-all'"):
+            ratio_check(store, [("m0",)])
+        with pytest.raises(ValidationError, match="no brier trend point for 'm0\\+m1\\+m2\\+m3'"):
             diversity_ratio_check(trend_points(store, [], ["brier"], ("ind", "ood")), [ens])
         two_models = build_store(rng, tmp_path / "two", models=("m0", "m1"))
         with pytest.raises(ValidationError, match="at least 3 single models"):
-            ratio_check(two_models, [EnsembleDef("pair", ("m0", "m1"))])
-
-    def test_ensemble_id_cannot_shadow_a_single(self, rng, tmp_path):
-        store = build_store(rng, tmp_path)
-        named = ratio_check(store, [EnsembleDef("m1+m2", ("m1", "m2"))])
-        shadowing = ratio_check(store, [EnsembleDef("m0", ("m1", "m2"))])
-        assert shadowing.per_ensemble_ratio == {"m0": named.per_ensemble_ratio["m1+m2"]}
-        assert (shadowing.c0, shadowing.c0_std_error) == (named.c0, named.c0_std_error)
+            ratio_check(two_models, [("m0", "m1")])
 
     def test_equals_stacked_oracle(self, rng, tmp_path):
-        store, ensembles, het_ids = mixed_ensemble_store(rng, tmp_path)
-        pts = trend_points(store, ensembles, TREND_METRICS, ("ind", "ood"), heterogeneous_ids=het_ids)
+        store, ensembles, het = mixed_ensemble_store(rng, tmp_path)
+        pts = trend_points(store, ensembles, TREND_METRICS, ("ind", "ood"), heterogeneous=het)
         rep = diversity_ratio_check(pts, ensembles)
         ratio, per_ens, fit = stacked_ratio_oracle(store, ensembles)
         assert rep.ratio == pytest.approx(ratio, rel=1e-12, abs=0)
@@ -523,8 +574,8 @@ class TestDiversityRatio:
         assert rep.c0_std_error == pytest.approx(fit.std_error, rel=1e-12, abs=0)
 
     def test_reads_no_predictions(self, rng, tmp_path, monkeypatch):
-        store, ensembles, het_ids = mixed_ensemble_store(rng, tmp_path)
-        pts = trend_points(store, ensembles, ["brier"], ("ind", "ood"), heterogeneous_ids=het_ids)
+        store, ensembles, het = mixed_ensemble_store(rng, tmp_path)
+        pts = trend_points(store, ensembles, ["brier"], ("ind", "ood"), heterogeneous=het)
 
         def refuse(*args, **kwargs):
             raise AssertionError("diversity_ratio_check read predictions")
@@ -537,7 +588,7 @@ class TestDiversityRatio:
 class TestLeaveOneOutRunningSum:
     def _loo_store(self, rng, root, m=6):
         store = build_store(rng, root, models=tuple(f"m{k}" for k in range(m)), n=70, c=6)
-        return store, enumerate_homogeneous_ensembles(store.model_ids, m - 1)
+        return store, list(itertools.combinations(store.model_ids, m - 1))
 
     def test_ensembles_within_tolerance_of_form_ensemble(self, rng, tmp_path, monkeypatch):
         store, ensembles = self._loo_store(rng, tmp_path)
@@ -555,12 +606,12 @@ class TestLeaveOneOutRunningSum:
         for side, dataset in enumerate(("ind", "ood")):
             formed = seen[side * (m + len(ensembles)) + m:(side + 1) * (m + len(ensembles))]
             for ens, probs in zip(ensembles, formed):
-                exact = form_ensemble([read(store, k, dataset) for k in ens.member_model_ids])
+                exact = form_ensemble([read(store, k, dataset) for k in ens])
                 assert np.abs(probs - exact).max() <= 1e-12
 
     def test_blocked_points_match_whole_matrix_oracle(self, rng, tmp_path):
         store, ensembles = self._loo_store(rng, tmp_path)
-        listed = [EnsembleDef("pair", ("m0", "m1")), *ensembles]
+        listed = [("m0", "m1"), *ensembles]
         with mock.patch.object(ensdiag.store, "BLOCK_ELEMENTS", 9 * 6 * 6):  # 9 rows a block
             pts = trend_points(store, listed, TREND_METRICS, ("ind", "ood"), n_bins=7)
 
@@ -571,7 +622,7 @@ class TestLeaveOneOutRunningSum:
                 return ece_resce(calibration_bins(probs, labels, 7))[metric]
             return compute_metric(metric, probs, labels).mean()
 
-        members = {m: (m,) for m in store.model_ids} | {e.ensemble_id: e.member_model_ids for e in listed}
+        members = {m: (m,) for m in store.model_ids} | {"+".join(e): e for e in listed}
         assert len(pts) == len(TREND_METRICS) * len(members)
         for p in pts:
             for dataset, value in (("ind", p.ind_value), ("ood", p.ood_value)):
@@ -579,9 +630,9 @@ class TestLeaveOneOutRunningSum:
 
     def test_other_ensembles_are_formed_from_members(self, rng, tmp_path):
         store, ensembles = self._loo_store(rng, tmp_path)
-        listed = [EnsembleDef("pair", ("m0", "m1")), ensembles[0]]
+        listed = [("m0", "m1"), ensembles[0]]
         pair = trend_points(store, listed, ["nll"], ("ind", "ood"))[-2]
-        assert pair.model_id == "pair"
+        assert pair.model_id == "m0+m1"
         for dataset, value in (("ind", pair.ind_value), ("ood", pair.ood_value)):
             probs = form_ensemble([read(store, "m0", dataset), read(store, "m1", dataset)])
             assert value == compute_metric("nll", probs, store.labels(dataset)).mean()
@@ -601,7 +652,7 @@ def test_trend_points_peak_flat_in_member_count(tmp_path):
         tracemalloc.start()
         try:
             store = load_store(manifest)
-            ensembles = enumerate_homogeneous_ensembles(store.model_ids, m - 1)
+            ensembles = list(itertools.combinations(store.model_ids, m - 1))
             trend_points(store, ensembles, list(TREND_METRICS), ("ind", "ood"))
             peaks[m] = tracemalloc.get_traced_memory()[1]
         finally:
@@ -623,7 +674,7 @@ def test_trend_points_peak_flat_in_point_count(tmp_path):
         tracemalloc.start()
         try:
             store = load_store(manifest)
-            ensembles = enumerate_homogeneous_ensembles(store.model_ids, 3)
+            ensembles = list(itertools.combinations(store.model_ids, 3))
             trend_points(store, ensembles, list(TREND_METRICS), ("ind", "ood"))
             peaks[n] = tracemalloc.get_traced_memory()[1]
         finally:
