@@ -59,10 +59,14 @@ def write_csv(path: Path, columns: dict) -> None:
 
 
 def prepare_out_dir(path: str, force: bool) -> Path:
+    """Check, without making it, that `path` can be the output directory: the first
+    file written makes it, so a run that fails before writing leaves none."""
     out = Path(path)
+    nearest = next(p for p in (out, *out.parents) if p.exists())
+    if not nearest.is_dir():
+        raise ValidationError(f"cannot use {out} as the output directory: {nearest} is not a directory")
     try:
-        out.mkdir(parents=True, exist_ok=True)
-        occupied = any(out.iterdir())
+        occupied = nearest == out and any(out.iterdir())
     except OSError as exc:
         raise ValidationError(f"cannot use {out} as the output directory: {exc}") from exc
     if occupied and not force:
@@ -668,6 +672,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ensdiag", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
+    nonnegative = _checked(float, lambda v: v >= 0.0, "at least 0")
+    # One point has no pair to compare, so a sample cap is 0 (off) or at least 2.
+    subsample = _checked(int, lambda v: v == 0 or v >= 2, "0 or at least 2")
 
     def add_common(p, manifest: bool = True):
         if manifest:
@@ -679,7 +686,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="write a synthetic prediction store")
     add_common(p, manifest=False)
     p.add_argument("--seed", type=_at_least(0), default=0, help="RNG seed")
-    nonnegative = _checked(float, lambda v: v >= 0.0, "at least 0")
     p.add_argument("--n-points", type=_at_least(1), default=1000, help="InD points")
     p.add_argument("--n-ood", type=_at_least(1), default=None, help="OOD points (default: --n-points)")
     p.add_argument("--classes", type=_at_least(2), default=10)
@@ -700,7 +706,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=("quadratic", "entropy"), default="quadratic")
     p.add_argument("--surrogates", type=_at_least(1), default=100)
     p.add_argument("--bins", type=_at_least(2), default=DEFAULT_GRID_SIZE, help="evaluation grid size")
-    p.add_argument("--subsample", type=_at_least(0), default=0, help="cap per-dataset sample size (0 = off)")
+    p.add_argument("--subsample", type=subsample, default=0, help="cap per-dataset sample size (0 = off)")
     p.add_argument("--integral-d", action="store_true", help="integral form of the d statistic")
     p.set_defaults(func=cmd_conditional)
 
@@ -725,7 +731,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--control", required=True, help="control alternative (id or a+b+c ensemble)")
     p.add_argument("--metric", choices=("01", "nll", "brier"), default="brier", help="per-point metric")
     p.add_argument("--alpha", type=_checked(float, lambda a: 0.0 < a <= 1.0, "in (0, 1]"), default=0.05)
-    p.add_argument("--subsample", type=_at_least(0), default=0, help="cap sample size (0 = off)")
+    p.add_argument("--subsample", type=subsample, default=0, help="cap sample size (0 = off)")
     p.set_defaults(func=cmd_improve)
 
     p = sub.add_parser("gp-demo", help="heteroskedastic GP oracle experiment")

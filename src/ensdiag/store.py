@@ -20,18 +20,18 @@ holds a ``+``, an ensemble's id, its member ids joined by ``+``, names
 one tuple of members; `form_ensemble` averages them, and `trends` decides
 which ensembles are scored.
 
-`load_store` checks every file up front, sizes first and then values in
-row blocks of at most BLOCK_ELEMENTS entries, and keeps only labels and
-each member's file location. A member is read from disk each time it is
-used. Every reduction over members walks `member_blocks`, which reads
-each member once per row block and holds at most BLOCK_ELEMENTS entries
-across all of them, so memory grows with neither the number of points
-nor the number of models. Other modules size their buffers from
-BLOCK_ELEMENTS too: `conditional.fits_per_sweep` and the bandwidth median's
-point cap in `improvement`, whose pairwise-distance blocks are otherwise
-its own, of 2**16 entries.
-Do not rewrite a store's files while a command reads them: a later read
-sees the new bytes, and fails if they no longer pass the load checks.
+`load_store` checks every file's size and reads the labels, and keeps only
+each member's file location. File names resolve against the manifest's
+directory; absolute and ``..`` paths are followed as given. A member is read from disk, and its values
+checked, each time it is used, so a command reads only its own members.
+Every reduction over members walks `member_blocks`, which reads each
+member once per row block and holds at most BLOCK_ELEMENTS entries across
+all of them, so memory grows with neither the number of points nor the
+number of models. Other modules size their buffers from BLOCK_ELEMENTS
+too: `conditional.fits_per_sweep` and the bandwidth median's point cap in
+`improvement`, whose pairwise-distance blocks are otherwise its own, of
+2**16 entries. Do not rewrite a store's files while a command reads them:
+a later read sees the new bytes, and fails if they are short or bad.
 """
 
 from __future__ import annotations
@@ -152,7 +152,7 @@ class PredictionStore:
         self.datasets[dataset_id] = labels
 
     def add_prediction(self, model_id: str, dataset_id: str, member: StoredMember) -> None:
-        """Hold one model's predictions on one dataset, checked by `load_store` and unread."""
+        """Hold one model's predictions on one dataset, size-checked by `load_store` and unread."""
         _check_id("model", model_id)
         if (model_id, dataset_id) in self._predictions:
             raise ValidationError(
@@ -278,11 +278,6 @@ class StoredMember:
             )
         return raw.astype(np.float64).reshape(hi - lo, c)
 
-    def check(self) -> None:
-        """Check every value as a read would, one row block at a time."""
-        for rows in row_blocks(*self.shape):
-            _check_values(self._read(rows.start, rows.stop), self.kind, self.name, rows.start)
-
 
 _TYPE_NAMES = {str: "a string", int: "an integer", dict: "an object", list: "a list"}
 
@@ -304,11 +299,11 @@ def _entries(manifest: dict, key: str) -> list[dict]:
 
 
 def read_json(path: Path, what: str):
-    """Parsed contents of a UTF-8 JSON file; a file that cannot be read, decoded or
-    parsed is a ValidationError naming `what`."""
+    """Parsed contents of a UTF-8 JSON file; a file that cannot be read, decoded,
+    parsed or converted (too deep, or too long an integer) is a ValidationError."""
     try:
         return json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ValidationError(f"{what} is not readable JSON: {exc}") from exc
 
 
@@ -328,9 +323,9 @@ def write_file(path: Path, data: str | bytes) -> None:
 def load_store(manifest_path: str | Path) -> PredictionStore:
     """Load a manifest into a PredictionStore that reads members on access.
 
-    Labels are read and held. Every member file is checked now, all sizes
-    first and then all values in row blocks, but only its location is
-    kept. Errors name the dataset or model whose file failed validation.
+    Labels are read, range-checked and held. Every member file's size is
+    checked now, but only its location is kept: its values are checked when
+    it is read. Errors name the dataset or model whose file failed validation.
     """
     manifest_path = Path(manifest_path)
     if not manifest_path.is_file():
@@ -356,7 +351,6 @@ def load_store(manifest_path: str | Path) -> PredictionStore:
         store.register_dataset(did, labels, c)
         layouts[did] = kind, (n, c)
 
-    members = []
     for i, entry in enumerate(_entries(manifest, "models")):
         mid = _field(entry, "id", f"model entry {i}", str)
         files = _field(entry, "files", f"model {mid!r}", dict)
@@ -366,9 +360,6 @@ def load_store(manifest_path: str | Path) -> PredictionStore:
             member = StoredMember(root / str(rel), *layouts[did], f"{mid}/{did}")
             _check_size(member.path, "<f4", member.shape, member.name)
             store.add_prediction(mid, did, member)
-            members.append(member)
-    for member in members:
-        member.check()
 
     pairs = manifest.get("pairs", [])
     if not isinstance(pairs, list):

@@ -76,6 +76,7 @@ class TestExitCodes:
         assert len(lines) == 1
         assert lines[0].startswith("numerical error: observed fit: InD curve has nonpositive total ")
         assert "(minimum " in lines[0] and " at grid x = " in lines[0]
+        assert not (tmp_path / "cond").exists()
 
     def test_nonempty_out_needs_force(self, tmp_path):
         out = tmp_path / "d"
@@ -110,13 +111,19 @@ JSON_INPUTS = {
 }
 
 
+@pytest.mark.parametrize("content,expected", [
+    (b"\xff{", "can't decode byte 0xff"),
+    (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded"),
+    (b'{"datasets": ' + b"9" * 5000 + b"}", "integer string conversion"),
+], ids=["non-utf8", "nested", "huge-int"])
 @pytest.mark.parametrize("case", sorted(JSON_INPUTS))
-def test_non_utf8_json_is_one_error_line(sim_dir, tmp_path, capsys, case):
+def test_unreadable_json_is_one_error_line(sim_dir, tmp_path, capsys, case, content, expected):
     path, argv = JSON_INPUTS[case]
-    Path(path.format(sim=sim_dir, tmp=tmp_path)).write_bytes(b"\xff{")
+    Path(path.format(sim=sim_dir, tmp=tmp_path)).write_bytes(content)
     capsys.readouterr()
     assert run([a.format(sim=sim_dir, tmp=tmp_path) for a in argv]) == 1
-    _one_error_line(capsys, "is not readable JSON", "can't decode byte 0xff")
+    _one_error_line(capsys, "is not readable JSON", expected)
+    assert not (tmp_path / "x").exists()
 
 
 def _drop_key(entries, key):
@@ -485,13 +492,14 @@ class TestConditionalCommand:
     # Bounded and enumerated flags of every command; ids of the conditional cases omit the command.
     @pytest.mark.parametrize("command,flag,value", [
         ("conditional", "--bins", 0), ("conditional", "--bins", 1), ("conditional", "--subsample", -5),
+        ("conditional", "--subsample", 1),
         ("conditional", "--surrogates", 0), ("conditional", "--family", "renyi"),
         ("trends", "--bins", 0), ("trends", "--het-bins", -1), ("gp-demo", "--bins", 0),
         ("simulate", "--n-points", 0), ("simulate", "--classes", 1), ("simulate", "--models", 0),
         ("simulate", "--noise", -0.5), ("simulate", "--noise", "nan"), ("simulate", "--shift", -1),
         ("conditional", "--seed", -1), ("trends", "--seed", -1), ("gp-demo", "--seed", -1),
         ("simulate", "--seed", -1),
-    ], ids=["--bins-0", "--bins-1", "--subsample--5", "--surrogates-0", "--family-renyi",
+    ], ids=["--bins-0", "--bins-1", "--subsample--5", "--subsample-1", "--surrogates-0", "--family-renyi",
             "trends---bins-0", "trends---het-bins--1", "gp-demo---bins-0",
             "simulate---n-points-0", "simulate---classes-1", "simulate---models-0",
             "simulate---noise--0.5", "simulate---noise-nan", "simulate---shift--1",
@@ -681,6 +689,7 @@ class TestImproveCommand:
 
     @pytest.mark.parametrize("flag,value", [
         pytest.param("--subsample", -1, id="-1"), pytest.param("--subsample", -5, id="-5"),
+        pytest.param("--subsample", 1, id="1"),
         ("--alpha", 0), ("--alpha", 1.5), ("--seed", -1),
         # improve scores per point against labels: label-free and calibration metrics are refused.
         ("--metric", "entropy"), ("--metric", "quad_uncertainty"), ("--metric", "ece"), ("--metric", "bogus"),
@@ -708,7 +717,7 @@ class TestImproveCommand:
         assert code == 1
         assert capsys.readouterr().err == "error: correlation undefined: an input has zero variance\n"
         # The InD side succeeded, but nothing is written unless both sides do.
-        assert not any((tmp_path / "x").iterdir())
+        assert not (tmp_path / "x").exists()
         code = run([
             "improve", "--manifest", sim_dir / "manifest.json",
             "--base", "m000", "--alt-a", "m000+m001", "--alt-b", "m000+m002",
@@ -840,23 +849,60 @@ READING_COMMANDS = {
 }
 
 
+def _counted_reads(monkeypatch) -> list:
+    """Record ``(member name, lo, hi)`` of every file read of member values from now on."""
+    reads = []
+    read = StoredMember._read
+
+    def counted(member, lo, hi):
+        reads.append((member.name, lo, hi))
+        return read(member, lo, hi)
+
+    monkeypatch.setattr(StoredMember, "_read", counted)
+    return reads
+
+
 @pytest.mark.parametrize("command", list(READING_COMMANDS))
 def test_one_read_per_member_per_row_block(wide_manifest, tmp_path, monkeypatch, command):
-    # Every member is read once per block of row_blocks(n, C * M), M the members read.
+    # Over the whole run, load included, every member the command uses is read once
+    # per block of row_blocks(n, C * M), M the members read, and no other member is read.
     argv, models = READING_COMMANDS[command]
-    reads = []
-    read = StoredMember.__getitem__
-
-    def counted(member, rows):
-        reads.append((member.name, rows.start, rows.stop))
-        return read(member, rows)
-
-    monkeypatch.setattr(StoredMember, "__getitem__", counted)
+    reads = _counted_reads(monkeypatch)
     assert run([*argv, "--manifest", wide_manifest, "--out", tmp_path / "out"]) == 0
     expected = [(f"{m}/{ds}", rows.start, rows.stop)
                 for ds, n in WIDE_SIZES.items() for rows in row_blocks(n, WIDE_C * len(models)) for m in models]
     assert len(expected) > 2 * 3 * len(models)
     assert sorted(reads) == sorted(expected)
+
+
+class TestZooOfSixteen:
+    """A command reads only its own members of a larger zoo, so values elsewhere are never read."""
+
+    N, C = 40, 5
+    ARGV = ["improve", "--base", "m003", "--alt-a", "m007", "--alt-b", "m003+m011", "--control", "m014"]
+
+    @pytest.fixture
+    def zoo(self, tmp_path):
+        rng = np.random.default_rng(16)
+        datasets = [(ds, rng.integers(0, self.C, self.N),
+                     [(f"m{k:03d}", rng.standard_normal((self.N, self.C))) for k in range(16)])
+                    for ds in ("ind", "ood")]
+        return write_store(tmp_path / "zoo", self.C, datasets, [("ind", "ood")])
+
+    def test_improve_reads_only_its_distinct_members(self, zoo, tmp_path, monkeypatch):
+        reads = _counted_reads(monkeypatch)
+        assert run([*self.ARGV, "--manifest", zoo, "--out", tmp_path / "out"]) == 0
+        models = ["m003", "m007", "m011", "m014"]
+        assert sorted(reads) == sorted((f"{m}/{ds}", 0, self.N) for ds in ("ind", "ood") for m in models)
+
+    def test_bad_value_in_an_unused_member_is_never_read(self, zoo, tmp_path, capsys):
+        values = np.fromfile(zoo.parent / "m009__ind.f32", dtype="<f4")
+        values[7] = np.nan
+        values.tofile(zoo.parent / "m009__ind.f32")
+        assert run([*self.ARGV, "--manifest", zoo, "--out", tmp_path / "out"]) == 0
+        assert run(["decompose", "--manifest", zoo, "--out", tmp_path / "x"]) == 1
+        _one_error_line(capsys, "m009/ind: non-finite value in row 1")
+        assert not (tmp_path / "x").exists()
 
 
 class TestGpDemoCommand:
@@ -1043,6 +1089,16 @@ class TestMemberFileFaults:
         values.tofile(path)
         assert run(["trends", "--manifest", manifest, "--out", tmp_path / "x"]) == 1
         _one_error_line(capsys, f"m001/ind: row {row} sums to 1.0", "outside 1 +/- 1e-06")
+        assert not (tmp_path / "x").exists()
+
+    def test_size_error_comes_before_value_error(self, tmp_path, capsys):
+        # Sizes are checked at load, values only when read: the short file is named.
+        manifest = self._store(tmp_path)
+        self._poke(manifest.parent / "m000__ind.f32", 0, 0, np.nan)
+        short = manifest.parent / "m001__ood.f32"
+        short.write_bytes(short.read_bytes()[:-4])
+        assert run(["decompose", "--manifest", manifest, "--out", tmp_path / "x"]) == 1
+        _one_error_line(capsys, "m001/ood: file m001__ood.f32 holds ")
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("command", [["decompose"], ["trends"], ["conditional", "--surrogates", "2"],

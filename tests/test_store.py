@@ -17,6 +17,7 @@ from ensdiag.store import (
     StoredMember,
     form_ensemble,
     load_store,
+    member_blocks,
     softmax,
     write_store,
 )
@@ -224,8 +225,9 @@ class TestRoundTrip:
             "pairs": [],
         }
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(ValidationError):
-            load_store(tmp_path / "manifest.json")
+        store = load_store(tmp_path / "manifest.json")
+        with pytest.raises(ValidationError, match=r"^m/d: row 0 sums to 1\.1\d*, outside 1 \+/- 1e-06$"):
+            read(store, "m", "d")
 
     def test_byte_count_mismatch_rejected(self, tmp_path):
         (tmp_path / "m__d.f32").write_bytes(np.zeros(3, dtype="<f4").tobytes())
@@ -279,7 +281,7 @@ FLOAT32 = st.floats(allow_nan=False, allow_infinity=False, width=32)
 
 @st.composite
 def stored_block(draw):
-    """A kind and an (n, c) float32-representable block that may or may not pass the load
+    """A kind and an (n, c) float32-representable block that may or may not pass the read
     checks: logits anywhere in the float32 range, or simplex rows with entries and row sums
     pushed up to about 1e-6 past exact."""
     kind = draw(st.sampled_from(["logits", "probs"]))
@@ -299,13 +301,14 @@ def test_every_accepted_block_reads_as_valid_probs(block):
     kind, raw = block
     n = raw.shape[0]
     with tempfile.TemporaryDirectory() as root:
+        store = load_store(write_kind_store(root, kind, one_dataset([raw], np.zeros(n, dtype=np.int64))))
+        member = store.member_probs(["m0"], "d")[0]
         try:
-            store = load_store(write_kind_store(root, kind, one_dataset([raw], np.zeros(n, dtype=np.int64))))
+            reads = [member[rows] for rows in (slice(None), slice(0, 1), slice(n // 2, n))]
         except ValidationError:
             return
-        member = store.member_probs(["m0"], "d")[0]
-        for rows in (slice(None), slice(0, 1), slice(n // 2, n)):
-            validate_probs(member[rows])
+    for probs in reads:
+        validate_probs(probs)
 
 
 class TestReadOnAccess:
@@ -379,8 +382,10 @@ class TestReadOnAccess:
         n = 2 * (BLOCK_ELEMENTS // c) + 10
         logits = [rng.standard_normal((n, c)) for _ in range(2)]
         logits[1][n - 3, 5] = np.nan
+        store = load_store(write_kind_store(tmp_path, "logits", one_dataset(logits, rng.integers(0, c, n))))
         with pytest.raises(ValidationError, match=rf"^m1/d: non-finite value in row {n - 3}$"):
-            load_store(write_kind_store(tmp_path, "logits", one_dataset(logits, rng.integers(0, c, n))))
+            for _ in member_blocks(store.member_probs(["m0", "m1"], "d")):
+                pass
 
     def test_changed_file_fails_on_read(self, tmp_path, rng):
         path = write_kind_store(tmp_path, "logits", one_dataset([rng.standard_normal((30, 4))] * 2,
