@@ -15,9 +15,10 @@ per block. Two passes run over the block's rows: one for the ensemble sum,
 the member means and the true-class likelihoods, one for the spread about
 the ensemble mean and, from one log per entry, each member's entropy and
 KL to the ensemble. Every reduction is per point, so the block size changes
-no bit of the result. Beyond the per-point output columns, memory is one
-block, a few block-sized arrays of one member's shape, and an (M, rows)
-gather of true-class likelihoods.
+no bit of the result. Beyond the per-point output columns, memory is the
+walk buffer of one block, which the next block's read overwrites, five
+arrays of one member's block shape for every block-sized temporary,
+allocated once per call, and an (M, rows) gather of true-class likelihoods.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .metrics import IDENTITY_TOL, NLL_EPS, brier, check_labels, entropy, quad_uncertainty
+from .metrics import IDENTITY_TOL, NLL_EPS, brier, check_labels, quad_uncertainty
 from .store import check_members, form_ensemble, member_blocks
 
 FAMILIES = ("quadratic", "entropy", "brier_gap", "nll_gap")
@@ -87,7 +88,9 @@ def decompose(
     kl = np.empty(n) if "entropy" in wanted else None
     unclamped = np.empty(n, dtype=bool) if "nll_gap" in wanted else None
     for rows, held in member_blocks(members):
-        block = _decompose_block(held, None if labels is None else labels[rows], wanted)
+        if rows.start == 0:
+            work = np.empty((5, *held[0].shape))
+        block = _decompose_block(held, None if labels is None else labels[rows], wanted, work)
         for f in wanted:
             for column, values in zip(columns[f], block[f]):
                 column[rows] = values
@@ -110,65 +113,69 @@ def decompose(
     return records
 
 
-def _decompose_block(held: list[np.ndarray], labels: np.ndarray | None, wanted: list[str]) -> dict:
+def _decompose_block(held: list[np.ndarray], labels: np.ndarray | None, wanted: list[str], work: np.ndarray) -> dict:
     """(total, diversity, avg_member) per family on one block of the members'
-    rows, plus the mean KL to the ensemble and the nll mask of unclamped points."""
+    rows, plus the mean KL to the ensemble and the nll mask of unclamped points.
+    The five (rows, C) arrays of `work`, at least the block's rows each, are
+    overwritten: the ensemble, its log, the spread sum and two scratch arrays."""
     m = len(held)
+    ens, log_ens, acc, scratch, log_p = work[:, :len(held[0])]
+    points = np.arange(ens.shape[0])
     out: dict = {}
 
     # Pass 1: ensemble sum, member score sums, true-class likelihoods.
-    scores = {"quadratic": quad_uncertainty, "brier_gap": lambda p: brier(p, labels)}
+    scores = {"quadratic": quad_uncertainty, "brier_gap": lambda p: brier(p, labels, scratch)}
     sums = {f: 0 for f in scores if f in wanted}
     # (M, B) in column-major order, the layout a gather from an (M, B, C)
     # stack has, so the reductions over members below round the same way.
-    like = np.empty((held[0].shape[0], m)).T if "nll_gap" in wanted else None
-    ens = form_ensemble(held)
+    like = np.empty((ens.shape[0], m)).T if "nll_gap" in wanted else None
+    form_ensemble(held, out=ens)
     for k, p in enumerate(held):
         for f in sums:
             sums[f] = sums[f] + scores[f](p)
         if like is not None:
-            like[k] = p[np.arange(p.shape[0]), labels]
+            like[k] = p[points, labels]
 
     # Pass 2: variance about the ensemble mean, and each member's entropy and
     # KL to it from one log per entry.
     need_var = "quadratic" in wanted or "brier_gap" in wanted
-    if need_var or "entropy" in wanted:
-        acc = np.zeros_like(ens) if need_var else None
-        sq = np.empty_like(ens) if need_var else None
-        if "entropy" in wanted:
-            # 0 log 0 = 0; the ensemble mean is positive wherever any member is.
-            log_ens = np.log(np.where(ens > 0.0, ens, 1.0))
-            kl = np.zeros(ens.shape[0])
-            member_entropy = np.zeros(ens.shape[0])
-        for p in held:
-            if need_var:
-                np.subtract(p, ens, out=sq)
-                sq *= sq
-                acc += sq
-            if "entropy" in wanted:
-                positive = p > 0.0
-                terms = np.where(positive, p, 1.0)
-                np.log(terms, out=terms)
-                # -sum p ln p, which is what `entropy` computes, since ln 1 = 0 where p = 0.
-                member_entropy += -(p * terms).sum(axis=1)
-                terms -= log_ens
-                terms *= p
-                terms[~positive] = 0.0
-                kl += terms.sum(axis=1)
+    if need_var:
+        acc.fill(0.0)
+    if "entropy" in wanted:
+        # 0 log 0 = 0; where the mean underflowed to 0 under a subnormal p, p's KL term is p log p.
+        log_ens.fill(0.0)
+        np.log(ens, out=log_ens, where=ens > 0.0)
+        kl = np.zeros(ens.shape[0])
+        member_entropy = np.zeros(ens.shape[0])
+    for p in held:
         if need_var:
-            acc /= m
-            variance = acc.sum(axis=1)
+            np.subtract(p, ens, out=scratch)
+            scratch *= scratch
+            acc += scratch
         if "entropy" in wanted:
-            out["kl"] = kl / m
+            # 5e-324 is the least positive float64: the floor keeps every p > 0 and makes
+            # 0 log 0 a zero, whose sign no row sum that holds a p > 0 can show.
+            np.maximum(p, 5e-324, out=log_p)
+            np.log(log_p, out=log_p)
+            np.multiply(p, log_p, out=scratch)
+            member_entropy -= scratch.sum(axis=1)
+            log_p -= log_ens
+            log_p *= p
+            kl += log_p.sum(axis=1)
+    if need_var:
+        acc /= m
+        variance = acc.sum(axis=1)
 
     if "quadratic" in wanted:
         out["quadratic"] = (quad_uncertainty(ens), variance, sums["quadratic"] / m)
     if "entropy" in wanted:
-        total = entropy(ens)
+        out["kl"] = kl / m
+        np.multiply(ens, log_ens, out=scratch)
+        total = -scratch.sum(axis=1)
         avg = member_entropy / m
         out["entropy"] = (total, total - avg, avg)
     if "brier_gap" in wanted:
-        out["brier_gap"] = (brier(ens, labels), variance, sums["brier_gap"] / m)
+        out["brier_gap"] = (brier(ens, labels, scratch), variance, sums["brier_gap"] / m)
     if "nll_gap" in wanted:
         like_c = np.maximum(like, NLL_EPS)
         mean_log = np.log(like_c).mean(axis=0)

@@ -55,15 +55,19 @@ def ensemble_scores(
     The points are walked in the row blocks of store.member_blocks. In each
     block every member is read once, however many ensembles share it, and
     the ensembles are formed from those rows one at a time with
-    form_ensemble. Every score is per point, so the blocks change no value:
-    the scores equal compute_metric on the whole ensembles, bit for bit.
+    form_ensemble, each into one buffer reused across the walk. Every score
+    is per point, so the blocks change no value: the scores equal
+    compute_metric on the whole ensembles, bit for bit.
     """
     n = check_members(list(members.values()))[0].shape[0]
     index = {key: i for i, key in enumerate(members)}
     scores = [np.empty(n) for _ in specs]
     for rows, held in member_blocks(list(members.values())):
+        if rows.start == 0:
+            ens = np.empty(held[0].shape)
         for out, spec in zip(scores, specs):
-            out[rows] = compute_metric(metric, form_ensemble([held[index[key]] for key in spec]), labels[rows])
+            formed = form_ensemble([held[index[key]] for key in spec], out=ens[:len(held[0])])
+            out[rows] = compute_metric(metric, formed, labels[rows])
     return scores
 
 

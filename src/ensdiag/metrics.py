@@ -38,12 +38,13 @@ def _check_labels(probs: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np
     return probs, check_labels(labels, *probs.shape)
 
 
-def brier(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Squared L2 distance to the one-hot target, in [0, 2]."""
+def brier(probs: np.ndarray, labels: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """Squared L2 distance to the one-hot target, in [0, 2]. The difference
+    from the target is formed in `scratch`, an array of probs' shape, if given."""
     probs, labels = _check_labels(probs, labels)
-    rows = np.arange(probs.shape[0])
-    delta = probs.copy()
-    delta[rows, labels] -= 1.0
+    delta = np.empty(probs.shape) if scratch is None else scratch
+    delta[...] = probs
+    delta[np.arange(probs.shape[0]), labels] -= 1.0
     return np.einsum("ij,ij->i", delta, delta)
 
 
@@ -65,16 +66,6 @@ def zero_one_error(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """
     probs, labels = _check_labels(probs, labels)
     return (probs.argmax(axis=1) != labels).astype(np.float64)
-
-
-def entropy(probs: np.ndarray) -> np.ndarray:
-    """Shannon entropy per row, in nats, with 0 ln 0 = 0."""
-    probs = np.asarray(probs, dtype=np.float64)
-    if probs.ndim != 2:
-        raise ValidationError(f"expected 2-d probabilities, got shape {probs.shape}")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(probs > 0.0, probs * np.log(probs), 0.0)
-    return -terms.sum(axis=1)
 
 
 def quad_uncertainty(probs: np.ndarray) -> np.ndarray:

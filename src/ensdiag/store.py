@@ -25,12 +25,13 @@ each member's file location. File names resolve against the manifest's
 directory; absolute and ``..`` paths are followed as given. A member is read from disk, and its values
 checked, each time it is used, so a command reads only its own members.
 Every reduction over members walks `member_blocks`, which reads each
-member once per row block and holds at most BLOCK_ELEMENTS entries across
-all of them, so memory grows with neither the number of points nor the
-number of models. Other modules size their buffers from BLOCK_ELEMENTS
-too: `conditional.fits_per_sweep` and the bandwidth median's point cap in
-`improvement`, whose pairwise-distance blocks are otherwise its own, of
-2**16 entries. Do not rewrite a store's files while a command reads them:
+member once per row block into one walk buffer of at most BLOCK_ELEMENTS
+entries across all of them, so memory grows with neither the number of
+points nor the number of models. A block's arrays are views of that
+buffer, overwritten when the next block is read. Other modules size their
+buffers from BLOCK_ELEMENTS too: `conditional.fits_per_sweep` and the
+bandwidth median's point cap in `improvement`, whose pairwise-distance
+blocks are otherwise its own, of 2**16 entries. Do not rewrite a store's files while a command reads them:
 a later read sees the new bytes, and fails if they are short or bad.
 """
 
@@ -64,17 +65,25 @@ def row_blocks(n: int, n_classes: int) -> Iterator[slice]:
 def member_blocks(members: Sequence) -> Iterator[tuple[slice, list[np.ndarray]]]:
     """Yield ``(rows, [each member's rows])`` over all points, in order.
 
-    Each member is read once per block, and a block holds at most
+    Each member is read once per block, into its slice of one (M, rows, C)
+    float64 buffer allocated once per walk, so a block holds at most
     BLOCK_ELEMENTS entries across all members (one row, if they alone are
-    wider). The list is emptied when the next block is read, so only one
-    block is held at a time.
+    wider). The arrays are read-only views of that buffer, overwritten when
+    the next block is read: copy what must outlive its block.
     """
     members = check_members(members)
     n, c = members[0].shape
     for rows in row_blocks(n, c * len(members)):
-        block = [member[rows] for member in members]
+        if rows.start == 0:
+            buf = np.empty((len(members), rows.stop, c))
+        block = list(buf[:, :rows.stop - rows.start])
+        for member, out in zip(members, block):
+            if isinstance(member, StoredMember):
+                member.read_into(rows.start, out)
+            else:
+                out[...] = member[rows]
+            out.flags.writeable = False
         yield rows, block
-        block.clear()
 
 
 def _check_id(kind: str, value: str) -> None:
@@ -109,8 +118,8 @@ def check_members(members: Sequence) -> list:
     return out
 
 
-def form_ensemble(members: Sequence) -> np.ndarray:
-    """Arithmetic mean of member probability matrices.
+def form_ensemble(members: Sequence, out: np.ndarray | None = None) -> np.ndarray:
+    """Arithmetic mean of member probability matrices, in `out` if given.
 
     All members must share one shape. The mean of row-stochastic matrices
     is row-stochastic, so no renormalization happens here. Members are
@@ -119,7 +128,8 @@ def form_ensemble(members: Sequence) -> np.ndarray:
     time.
     """
     members = check_members(members)
-    ens = np.array(members[0][:])
+    ens = np.empty(members[0].shape) if out is None else out
+    ens[...] = members[0][:]
     for p in members[1:]:
         ens += p[:]
     ens /= len(members)
@@ -235,7 +245,9 @@ class StoredMember:
     as a read-only float64 row-stochastic array. Logits go through a stable
     softmax; probabilities are clipped at 0 and divided by the clipped row's
     sum. Both work in place on the one float64 buffer, and the result is
-    bit-equal whatever rows are read. Nothing is kept between reads.
+    bit-equal whatever rows are read. ``member.read_into(lo, out)`` does
+    the same into a caller's buffer, as `member_blocks` reads each block
+    into its walk buffer; the member itself keeps nothing between reads.
 
     The raw values of every read pass `_check_values`, and what they pass
     makes the result row-stochastic to within 1e-9: a finite logit row's
@@ -253,18 +265,24 @@ class StoredMember:
         if not isinstance(rows, slice) or rows.step not in (None, 1):
             raise TypeError("a stored member is read by a contiguous row slice")
         lo, hi, _ = rows.indices(self.shape[0])
-        buf = self._read(lo, max(lo, hi))
-        _check_values(buf, self.kind, self.name, lo)
-        if self.kind == "logits":
-            softmax(buf)
-        else:
-            np.clip(buf, 0.0, None, out=buf)
-            buf /= buf.sum(axis=1, keepdims=True)
+        buf = self.read_into(lo, np.empty((max(lo, hi) - lo, self.shape[1])))
         buf.flags.writeable = False
         return buf
 
+    def read_into(self, lo: int, out: np.ndarray) -> np.ndarray:
+        """Read rows lo..lo+len(out)-1 into the float64 (rows, C) array `out`,
+        check their values and make them row-stochastic in place; return `out`."""
+        out[...] = self._read(lo, lo + out.shape[0])
+        _check_values(out, self.kind, self.name, lo)
+        if self.kind == "logits":
+            softmax(out)
+        else:
+            np.clip(out, 0.0, None, out=out)
+            out /= out.sum(axis=1, keepdims=True)
+        return out
+
     def _read(self, lo: int, hi: int) -> np.ndarray:
-        """Rows lo..hi-1 of the file as float64, or an error naming the member."""
+        """Rows lo..hi-1 of the file as float32, or an error naming the member."""
         c = self.shape[1]
         count = (hi - lo) * c
         try:
@@ -276,7 +294,7 @@ class StoredMember:
                 f"{self.name}: file {self.path.name} ends before row {hi} of {self.shape[0]}; "
                 "it changed after the store was loaded"
             )
-        return raw.astype(np.float64).reshape(hi - lo, c)
+        return raw.reshape(hi - lo, c)
 
 
 _TYPE_NAMES = {str: "a string", int: "an integer", dict: "an object", list: "a list"}

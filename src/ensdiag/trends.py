@@ -270,21 +270,23 @@ def trend_points(
         all_but_one = len(models) >= 3 and len(ens) == len(models) - 1 and len(rest) == 1
         forms.append(index[rest.pop()] if all_but_one else [index[m] for m in ens])
 
-    def block_probs(block: list[np.ndarray]):
-        """Each single's rows, then each ensemble's, formed from one block."""
+    loo = any(isinstance(form, int) for form in forms)
+
+    def block_probs(block: list[np.ndarray], total: np.ndarray, ens: np.ndarray):
+        """Each single's rows, then each ensemble's, formed from one block in
+        `ens`, which `score_sums` reads before it asks for the next."""
         yield from block[:len(models)]
-        total = None
+        if loo:
+            np.copyto(total, block[0])
+            for p in block[1:len(models)]:
+                total += p
         for form in forms:
             if isinstance(form, list):
-                yield form_ensemble([block[i] for i in form])
+                yield form_ensemble([block[i] for i in form], out=ens)
                 continue
-            if total is None:
-                total = block[0].copy()
-                for p in block[1:len(models)]:
-                    total += p
-            probs = total - block[form]
-            probs /= len(models) - 1
-            yield probs
+            np.subtract(total, block[form], out=ens)
+            ens /= len(models) - 1
+            yield ens
 
     scored = [(m, "single") for m in models] + [
         ("+".join(ens), "heterogeneous" if ens in heterogeneous else "ensemble") for ens in ensembles
@@ -294,7 +296,9 @@ def trend_points(
         labels = store.labels(dataset)
         sums = None
         for rows, block in member_blocks(store.member_probs(held, dataset)):
-            part = score_sums(block_probs(block), labels[rows], n_bins=n_bins)
+            if rows.start == 0:
+                work = np.empty((2, *block[0].shape))
+            part = score_sums(block_probs(block, *work[:, :len(block[0])]), labels[rows], n_bins=n_bins)
             sums = part if sums is None else sums + part
         for k, (out, means) in enumerate(zip(values, (sums.scores / len(labels)).tolist())):
             out.append(dict(zip(SCORE_SUMS, means)))

@@ -27,6 +27,15 @@ def read(store: PredictionStore, model_id: str, dataset_id: str) -> np.ndarray:
     return store.member_probs([model_id], dataset_id)[0][:]
 
 
+def entropy(probs):
+    """Shannon entropy per row, in nats, with 0 ln 0 = 0: the reference for
+    the entropy family of decomposition.decompose."""
+    probs = np.asarray(probs, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(probs > 0.0, probs * np.log(probs), 0.0)
+    return -terms.sum(axis=1)
+
+
 def calibration_bins(probs, labels, n_bins):
     """Per-bin count, confidence sum and correct-prediction sum of one matrix,
     binned by max-probability confidence: the reference for metrics.score_sums.

@@ -11,6 +11,7 @@ import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 import ensdiag
 import ensdiag.cli
+from conftest import write_kind_store
 from ensdiag.cli import main
 from ensdiag.improvement import MMD_RANK_CAP
 from ensdiag.metrics import compute_metric
@@ -1043,6 +1045,63 @@ def _one_error_line(capsys, *expected):
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
     for text in expected:
         assert text in lines[0]
+
+
+class TestFaultsInTheWalkBuffer:
+    """A bad value read into the reused walk buffer, in a later block of a later
+    member, ends the command with one error line naming the member and its row."""
+
+    M, N, C, ROWS = 3, 40, 4, 6  # blocks of 6 rows across the 3 members, the last of 4
+
+    def _store(self, root, kind):
+        rng = np.random.default_rng(5)
+        draw = (lambda: rng.standard_normal((self.N, self.C))) if kind == "logits" else (
+            lambda: rng.dirichlet(np.ones(self.C), self.N))
+        datasets = {d: (rng.integers(0, self.C, self.N), {f"m{k}": draw() for k in range(self.M)})
+                    for d in ("ind", "ood")}
+        return write_kind_store(root, kind, datasets, [("ind", "ood")])
+
+    @given(command=st.sampled_from(["decompose", "trends"]), dataset=st.sampled_from(["ind", "ood"]),
+           member=st.integers(1, M - 1), block=st.integers(1, N // ROWS), offset=st.integers(0, ROWS - 1),
+           fault=st.sampled_from(["nan", "inf", "-inf", "row sum", "truncate"]),
+           kind=st.sampled_from(["logits", "probs"]))
+    @settings(max_examples=60, deadline=None)
+    def test_one_error_line_names_member_and_row(self, command, dataset, member, block, offset, fault, kind):
+        row = min(self.N - 1, block * self.ROWS + offset)
+        kind = "probs" if fault == "row sum" else kind
+        name = f"m{member}/{dataset}"
+        with tempfile.TemporaryDirectory() as tmp:
+            manifest = self._store(Path(tmp) / "store", kind)
+            path = manifest.parent / f"m{member}__{dataset}.f32"
+            values = np.fromfile(path, dtype="<f4").reshape(self.N, self.C)
+            if fault == "row sum":
+                values[row] *= np.float32(1.01)
+                expected = f"{name}: row {row} sums to 1.0"
+            elif fault != "truncate":
+                values[row, offset % self.C] = float(fault)
+                expected = f"{name}: non-finite value in row {row}"
+            else:
+                # The file holds `row` rows once loaded, so the block holding row `row` ends early.
+                expected = f"{name}: file {path.name} ends before row {min(self.N, (row // self.ROWS + 1) * self.ROWS)} "
+            values.tofile(path)
+
+            def load_then_truncate(manifest_path):
+                store = load_store(manifest_path)
+                path.write_bytes(path.read_bytes()[:row * self.C * 4])
+                return store
+
+            out, err = Path(tmp) / "out", io.StringIO()
+            with contextlib.ExitStack() as stack:
+                stack.enter_context(mock.patch.object(ensdiag.store, "BLOCK_ELEMENTS", self.ROWS * self.C * self.M))
+                if fault == "truncate":
+                    stack.enter_context(mock.patch.object(ensdiag.cli, "load_store", load_then_truncate))
+                stack.enter_context(contextlib.redirect_stderr(err))
+                code = run([command, "--manifest", manifest, "--out", out])
+            assert code == 1
+            assert "Traceback" not in err.getvalue()
+            lines = err.getvalue().strip().splitlines()
+            assert len(lines) == 1 and lines[0].startswith(f"error: {expected}"), (lines, expected)
+            assert not out.exists()
 
 
 class TestMemberFileFaults:

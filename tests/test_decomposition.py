@@ -9,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ensdiag.store
-from conftest import member_stack, random_simplex
-from ensdiag.decomposition import FAMILIES, decompose
+from conftest import entropy, member_stack, random_simplex
+from ensdiag.decomposition import FAMILIES, _decompose_block, decompose
 from ensdiag.errors import ValidationError
-from ensdiag.metrics import NLL_EPS, brier, entropy, nll, quad_uncertainty
-from ensdiag.store import form_ensemble, load_store, write_store
+from ensdiag.metrics import NLL_EPS, brier, nll, quad_uncertainty
+from ensdiag.store import form_ensemble, load_store, member_blocks, write_store
 
 TWO_ONE_HOT = np.stack([
     np.array([[1.0, 0.0]]),
@@ -330,6 +330,118 @@ class TestBlockedWalk:
             decompose(members, families=("renyi",))
         with pytest.raises(ValidationError, match="labels outside"):
             decompose(members, np.full(9, 3))
+
+
+def masked_block(held, labels, wanted):
+    """The block kernel `decompose` ran before its work arrays: every temporary
+    a fresh array, and masks where a probability is 0. Kept as the oracle."""
+    m = len(held)
+    out: dict = {}
+
+    # Pass 1: ensemble sum, member score sums, true-class likelihoods.
+    scores = {"quadratic": quad_uncertainty, "brier_gap": lambda p: brier(p, labels)}
+    sums = {f: 0 for f in scores if f in wanted}
+    # (M, B) in column-major order, the layout a gather from an (M, B, C)
+    # stack has, so the reductions over members below round the same way.
+    like = np.empty((held[0].shape[0], m)).T if "nll_gap" in wanted else None
+    ens = form_ensemble(held)
+    for k, p in enumerate(held):
+        for f in sums:
+            sums[f] = sums[f] + scores[f](p)
+        if like is not None:
+            like[k] = p[np.arange(p.shape[0]), labels]
+
+    # Pass 2: variance about the ensemble mean, and each member's entropy and
+    # KL to it from one log per entry.
+    need_var = "quadratic" in wanted or "brier_gap" in wanted
+    if need_var or "entropy" in wanted:
+        acc = np.zeros_like(ens) if need_var else None
+        sq = np.empty_like(ens) if need_var else None
+        if "entropy" in wanted:
+            # 0 log 0 = 0; the ensemble mean is positive wherever any member is.
+            log_ens = np.log(np.where(ens > 0.0, ens, 1.0))
+            kl = np.zeros(ens.shape[0])
+            member_entropy = np.zeros(ens.shape[0])
+        for p in held:
+            if need_var:
+                np.subtract(p, ens, out=sq)
+                sq *= sq
+                acc += sq
+            if "entropy" in wanted:
+                positive = p > 0.0
+                terms = np.where(positive, p, 1.0)
+                np.log(terms, out=terms)
+                # -sum p ln p, which is what `entropy` computes, since ln 1 = 0 where p = 0.
+                member_entropy += -(p * terms).sum(axis=1)
+                terms -= log_ens
+                terms *= p
+                terms[~positive] = 0.0
+                kl += terms.sum(axis=1)
+        if need_var:
+            acc /= m
+            variance = acc.sum(axis=1)
+        if "entropy" in wanted:
+            out["kl"] = kl / m
+
+    if "quadratic" in wanted:
+        out["quadratic"] = (quad_uncertainty(ens), variance, sums["quadratic"] / m)
+    if "entropy" in wanted:
+        total = entropy(ens)
+        avg = member_entropy / m
+        out["entropy"] = (total, total - avg, avg)
+    if "brier_gap" in wanted:
+        out["brier_gap"] = (brier(ens, labels), variance, sums["brier_gap"] / m)
+    if "nll_gap" in wanted:
+        like_c = np.maximum(like, NLL_EPS)
+        mean_log = np.log(like_c).mean(axis=0)
+        ens_like = like.mean(axis=0)
+        total = -np.log(np.maximum(ens_like, NLL_EPS))
+        # KL(U || Q) = -ln M + ln sum_i L_i - mean_i ln L_i, over clamped likelihoods.
+        diversity = -np.log(float(m)) + np.log(like_c.sum(axis=0)) - mean_log
+        out["nll_gap"] = (total, diversity, -mean_log)
+        # The identity is exact only where no likelihood hits the clamp floor.
+        out["unclamped"] = (like > NLL_EPS).all(axis=0) & (ens_like > NLL_EPS)
+    return out
+
+
+def awkward_members(rng, m, n, c):
+    """m probability blocks over n points with exact zeros, one-hot rows and
+    subnormal entries. In row 0 only member 0 is positive in class 0, at
+    5e-324, so the mean there underflows to 0."""
+    members = np.stack([random_simplex(rng, n, c) for _ in range(m)])
+    members[rng.random(members.shape) < 0.3] = 0.0
+    members[..., 1] += members.sum(axis=2) == 0.0
+    members /= members.sum(axis=2, keepdims=True)
+    one_hot = rng.random((m, n)) < 0.2
+    members[one_hot] = np.eye(c)[rng.integers(0, c, size=int(one_hot.sum()))]
+    zeros = np.argwhere(members == 0.0)
+    picked = zeros[rng.random(len(zeros)) < 0.3]
+    members[tuple(picked.T)] = rng.choice([5e-324, 1e-320, 2.2e-310], size=len(picked))
+    members[:, 0, 0] = 0.0
+    members[0, 0, 0] = 5e-324
+    return list(members)
+
+
+class TestKernelMatchesMaskedOracle:
+    @given(st.integers(2, 8), st.integers(3, 40), st.integers(2, 12), st.integers(0, 10**6))
+    @settings(max_examples=40, deadline=None)
+    def test_bit_equal_with_sign_of_zero(self, m, n, c, seed):
+        rng = np.random.default_rng(seed)
+        members = awkward_members(rng, m, n, c)
+        labels = rng.integers(0, c, size=n)
+        assert form_ensemble(members)[0, 0] == 0.0
+        # One row, a size that leaves a short last block, and the whole set.
+        for rows in (1, n // 2 + 1, n):
+            with mock.patch.object(ensdiag.store, "BLOCK_ELEMENTS", rows * c * m):
+                # Stale values in the work arrays must not reach any result.
+                work = np.full((5, rows, c), np.nan)
+                for block_rows, held in member_blocks(members):
+                    got = _decompose_block(held, labels[block_rows], list(FAMILIES), work[:, :len(held[0])])
+                    want = masked_block(held, labels[block_rows], list(FAMILIES))
+                    assert sorted(got) == sorted(want)
+                    for key, value in want.items():
+                        for g, w in zip(*((x,) if key in ("kl", "unclamped") else x for x in (got[key], value))):
+                            assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (key, rows)
 
 
 def _loaded_store(root, n, c, m, seed=0):

@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import calibration_bins, ece_resce, random_simplex
+from conftest import calibration_bins, ece_resce, entropy, random_simplex
 from ensdiag.errors import ValidationError
 from ensdiag.metrics import (
     SCORE_SUMS,
     brier,
     compute_metric,
-    entropy,
     nll,
     quad_uncertainty,
     score_sums,

@@ -3,12 +3,14 @@
 import dataclasses
 import json
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ensdiag.store
 from conftest import random_simplex, read, write_kind_store
 from ensdiag.decomposition import decompose
 from ensdiag.errors import ValidationError
@@ -376,6 +378,32 @@ class TestReadOnAccess:
         assert first is not second and np.array_equal(first, second)
         with pytest.raises(ValueError):
             first[0, 0] = 0.5
+
+    @pytest.mark.parametrize("stored", [True, False], ids=["stored", "arrays"])
+    def test_blocks_are_read_only_views_of_one_walk_buffer(self, tmp_path, rng, stored):
+        n, c = 23, 4
+        logits = [rng.standard_normal((n, c)) for _ in range(3)]
+        store = load_store(write_kind_store(tmp_path, "logits", one_dataset(logits, rng.integers(0, c, n))))
+        whole = [read(store, f"m{k}", "d") for k in range(3)]
+        members = store.member_probs(["m0", "m1", "m2"], "d") if stored else whole
+        bases, spans = set(), []
+        with mock.patch.object(ensdiag.store, "BLOCK_ELEMENTS", 5 * c * 3):  # blocks of 5 rows, the last of 3
+            for rows, block in member_blocks(members):
+                spans.append(rows.stop - rows.start)
+                for k, p in enumerate(block):
+                    assert np.array_equal(p, whole[k][rows])
+                    assert not p.flags.writeable and p.flags.c_contiguous
+                    with pytest.raises(ValueError):
+                        p[0, 0] = 0.5
+                    bases.add(id(p.base))
+                if rows.start == 0:
+                    first = block
+                else:
+                    # The next block's read overwrote the first block's arrays.
+                    assert all(np.shares_memory(a, b) for a, b in zip(first, block))
+        assert spans == [5, 5, 5, 5, 3]
+        assert len(bases) == 1
+        assert not np.array_equal(first[0], whole[0][:5])
 
     def test_late_block_errors_name_member_and_row(self, tmp_path, rng):
         c = 64
