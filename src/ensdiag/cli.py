@@ -456,6 +456,9 @@ def cmd_improve(args: argparse.Namespace) -> None:
     pair = _resolve_pair(store, args.pair)
     metric = METRIC_ALIASES[args.metric]
     specs = [_parse_members(store, s, pair) for s in (args.base, args.alt_a, args.alt_b, args.control)]
+    for flag, spec in (("--alt-a", specs[1]), ("--alt-b", specs[2])):
+        if set(spec) == set(specs[0]):
+            raise ValidationError(f"{flag} names the same members as --base")
     distinct = list(dict.fromkeys(m for spec in specs for m in spec))
     out = prepare_out_dir(args.out, args.force)
 
@@ -760,6 +763,9 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -49,8 +49,8 @@ class JointSample:
 
 
 def joint_samples(members: Sequence, family: str = "quadratic", source: str = "") -> JointSample:
-    """Build the joint sample for one condition from member probabilities,
-    any sequence of (N, C) matrices or stored members."""
+    """Build the joint sample for one condition from stored members of one
+    (N, C) shape, which `decompose` reads through store.member_blocks."""
     if family not in ("quadratic", "entropy"):
         raise ValidationError(f"unknown family {family!r}")
     rec = decompose(members, families=(family,))[family]

@@ -8,13 +8,13 @@ Four families are supported, each an exact algebraic identity per point:
     nll_gap     mean NLL    = ensemble NLL       + KL(uniform || member likelihoods)
 
 Every family re-verifies its identity at runtime and raises NumericalError
-when the residual exceeds 1e-10 on any point. Members are any sequence of
-(N, C) matrices or stored members (see store.StoredMember). `decompose`
-walks the row blocks of store.member_blocks, which reads every member once
-per block. Two passes run over the block's rows: one for the ensemble sum,
-the member means and the true-class likelihoods, one for the spread about
-the ensemble mean and, from one log per entry, each member's entropy and
-KL to the ensemble. Every reduction is per point, so the block size changes
+when the residual exceeds 1e-10 on any point. Members are
+store.StoredMembers of one (N, C) shape, read only by store.member_blocks:
+`decompose` walks its row blocks, which read every member once per block.
+Two passes run over the block's rows: one for the ensemble sum, the member
+means and the true-class likelihoods, one for the spread about the
+ensemble mean and, from one log per entry, each member's entropy and KL to
+the ensemble. Every reduction is per point, so the block size changes
 no bit of the result. Beyond the per-point output columns, memory is the
 walk buffer of one block, which the next block's read overwrites, five
 arrays of one member's block shape for every block-sized temporary,
@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .metrics import IDENTITY_TOL, NLL_EPS, brier, check_labels, quad_uncertainty
-from .store import check_members, form_ensemble, member_blocks
+from .store import StoredMember, form_ensemble, member_blocks
 
 FAMILIES = ("quadratic", "entropy", "brier_gap", "nll_gap")
 
@@ -60,7 +60,7 @@ class DecompositionRecord:
 
 
 def decompose(
-    members: Sequence,
+    members: Sequence[StoredMember],
     labels: np.ndarray | None = None,
     families: Sequence[str] = FAMILIES,
 ) -> dict[str, DecompositionRecord]:
@@ -72,7 +72,6 @@ def decompose(
     the normalized member true-class likelihoods, is exact only where no
     likelihood hits the clamp floor, so clamped points skip its check.
     """
-    members = check_members(members)
     if len(members) < 2:
         raise ValidationError("diversity needs at least two members")
     for family in families:

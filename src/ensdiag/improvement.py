@@ -14,9 +14,9 @@ The MMD's kernel sums come from pivoted Cholesky factors of the kernel on
 each coordinate, in O(m r^2) time for ranks r, and the factors hold at
 most MMD_RANK_CAP * 3m float64 values. A cloud whose factor would need
 more pivots falls back to mmd2_unbiased, which builds pairwise squared
-distances one row block of at most BLOCK_ELEMENTS entries at a time and
-reduces each before the next: time quadratic in the sample size, memory
-not. The bandwidth's median is taken over at most BANDWIDTH_MEDIAN_CAP
+distances one row block of at most DISTANCE_BLOCK_ELEMENTS entries at a
+time and reduces each before the next: time quadratic in the sample size,
+memory not. The bandwidth's median is taken over at most BANDWIDTH_MEDIAN_CAP
 evenly spaced points, whose distances fill one buffer of store.BLOCK_ELEMENTS.
 """
 
@@ -30,7 +30,7 @@ import numpy as np
 from .conditional import pivoted_cholesky
 from .errors import ValidationError
 from .metrics import compute_metric
-from .store import check_members, form_ensemble, member_blocks
+from .store import form_ensemble, member_blocks
 
 # Most points the bandwidth's median is taken over: the largest s whose
 # s(s-1)/2 = 261,726 pairwise distances fit one buffer of store.BLOCK_ELEMENTS
@@ -38,7 +38,7 @@ from .store import check_members, form_ensemble, member_blocks
 BANDWIDTH_MEDIAN_CAP = 724
 # Entries in one block of pairwise distances: 2**16 float64 is 512 KiB, so
 # the block and its scratch buffer fit in a 4 MiB L2 cache together.
-BLOCK_ELEMENTS = 1 << 16
+DISTANCE_BLOCK_ELEMENTS = 1 << 16
 # Most pivots of one kernel factor before the MMD falls back to blocked sums.
 # Bench clouds at m = 6,000 need ranks of 16 to 42 per coordinate.
 MMD_RANK_CAP = 64
@@ -59,9 +59,8 @@ def ensemble_scores(
     is per point, so the blocks change no value: the scores equal
     compute_metric on the whole ensembles, bit for bit.
     """
-    n = check_members(list(members.values()))[0].shape[0]
     index = {key: i for i, key in enumerate(members)}
-    scores = [np.empty(n) for _ in specs]
+    scores = [np.empty(len(labels)) for _ in specs]
     for rows, held in member_blocks(list(members.values())):
         if rows.start == 0:
             ens = np.empty(held[0].shape)
@@ -121,12 +120,13 @@ def median_heuristic_bandwidth(points: np.ndarray) -> float:
 def _sqdist_blocks(x: np.ndarray, y: np.ndarray, upper: bool):
     """Yield squared distances from row blocks of x to the points of y.
 
-    Each block is a view of one reused buffer of at most BLOCK_ELEMENTS
-    entries (one row if y alone is longer), valid until the next is made.
+    Each block is a view of one reused buffer of at most
+    DISTANCE_BLOCK_ELEMENTS entries (one row if y alone is longer), valid
+    until the next is made.
     With ``upper`` (y is x) row i meets only the points after it: other
     entries read +inf, so each pair i < j appears once and no i = j.
     """
-    rows = max(1, min(x.shape[0], BLOCK_ELEMENTS // y.shape[0]))
+    rows = max(1, min(x.shape[0], DISTANCE_BLOCK_ELEMENTS // y.shape[0]))
     buf, tmp = np.empty(rows * y.shape[0]), np.empty(rows * y.shape[0])
     below = np.tri(rows, rows, -1, dtype=bool) if upper else None
     for i0 in range(0, x.shape[0], rows):
@@ -159,9 +159,9 @@ def mmd2_unbiased(x: np.ndarray, y: np.ndarray, bandwidth: float) -> float:
 
     May be slightly negative under the null; that is expected for the
     unbiased estimator. Each sum runs over row blocks of at most
-    BLOCK_ELEMENTS kernel values. The within-sample sums are symmetric,
-    so they run over i < j only and are doubled: at m = n that is 2m^2
-    kernel evaluations, none of them on the diagonal.
+    DISTANCE_BLOCK_ELEMENTS kernel values. The within-sample sums are
+    symmetric, so they run over i < j only and are doubled: at m = n that
+    is 2m^2 kernel evaluations, none of them on the diagonal.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))

@@ -1,8 +1,8 @@
 """Per-datapoint scoring rules, and summed scores with calibration bins.
 
 All scores follow a lower-is-better convention. Probability inputs are
-assumed row-stochastic, as every read of a store.StoredMember is; labels
-are integer class indices in [0, C).
+row blocks read by store.member_blocks, or ensembles formed from them, so
+they are assumed row-stochastic; labels are integer class indices in [0, C).
 """
 
 from __future__ import annotations

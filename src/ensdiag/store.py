@@ -21,18 +21,18 @@ one tuple of members; `form_ensemble` averages them, and `trends` decides
 which ensembles are scored.
 
 `load_store` checks every file's size and reads the labels, and keeps only
-each member's file location. File names resolve against the manifest's
-directory; absolute and ``..`` paths are followed as given. A member is read from disk, and its values
-checked, each time it is used, so a command reads only its own members.
-Every reduction over members walks `member_blocks`, which reads each
-member once per row block into one walk buffer of at most BLOCK_ELEMENTS
-entries across all of them, so memory grows with neither the number of
-points nor the number of models. A block's arrays are views of that
-buffer, overwritten when the next block is read. Other modules size their
-buffers from BLOCK_ELEMENTS too: `conditional.fits_per_sweep` and the
-bandwidth median's point cap in `improvement`, whose pairwise-distance
-blocks are otherwise its own, of 2**16 entries. Do not rewrite a store's files while a command reads them:
-a later read sees the new bytes, and fails if they are short or bad.
+each member's file location, as a StoredMember. File names resolve against
+the manifest's directory; absolute and ``..`` paths are followed as given.
+Member values reach an analysis only through `member_blocks`, which reads
+and checks each member once per row block, into one walk buffer of at most
+BLOCK_ELEMENTS entries across all of them: a command reads only its own
+members, and memory grows with neither the number of points nor of models.
+A block's arrays are views of that buffer, overwritten by the next block.
+`conditional.fits_per_sweep` and the bandwidth median's point cap in
+`improvement` size their buffers from BLOCK_ELEMENTS too; improvement's
+pairwise distances have their own DISTANCE_BLOCK_ELEMENTS. Do not rewrite
+a store's files while a command reads them: a later read sees the new
+bytes, and fails if they are short or bad.
 """
 
 from __future__ import annotations
@@ -62,26 +62,23 @@ def row_blocks(n: int, n_classes: int) -> Iterator[slice]:
         yield slice(lo, min(n, lo + step))
 
 
-def member_blocks(members: Sequence) -> Iterator[tuple[slice, list[np.ndarray]]]:
+def member_blocks(members: Sequence[StoredMember]) -> Iterator[tuple[slice, list[np.ndarray]]]:
     """Yield ``(rows, [each member's rows])`` over all points, in order.
 
-    Each member is read once per block, into its slice of one (M, rows, C)
-    float64 buffer allocated once per walk, so a block holds at most
-    BLOCK_ELEMENTS entries across all members (one row, if they alone are
-    wider). The arrays are read-only views of that buffer, overwritten when
-    the next block is read: copy what must outlive its block.
+    The members share one (N, C) shape. Each is read once per block, into
+    its slice of one (M, rows, C) float64 buffer allocated once per walk,
+    so a block holds at most BLOCK_ELEMENTS entries across all members (one
+    row, if they alone are wider). The arrays are read-only views of that
+    buffer, overwritten when the next block is read: copy what must outlive
+    its block.
     """
-    members = check_members(members)
     n, c = members[0].shape
     for rows in row_blocks(n, c * len(members)):
         if rows.start == 0:
             buf = np.empty((len(members), rows.stop, c))
         block = list(buf[:, :rows.stop - rows.start])
         for member, out in zip(members, block):
-            if isinstance(member, StoredMember):
-                member.read_into(rows.start, out)
-            else:
-                out[...] = member[rows]
+            member.read_into(rows.start, out)
             out.flags.writeable = False
         yield rows, block
 
@@ -104,34 +101,18 @@ def softmax(buf: np.ndarray) -> np.ndarray:
     return buf
 
 
-def check_members(members: Sequence) -> list:
-    """Members of one shared 2-d shape, each sliceable by rows.
+def form_ensemble(members: Sequence[np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
+    """Arithmetic mean of member probability blocks of one shape, in `out` if given.
 
-    A StoredMember is kept as it is, to be read when sliced; anything else
-    becomes a float64 array.
+    The mean of row-stochastic matrices is row-stochastic, so no
+    renormalization happens here. Members are summed in order into one
+    buffer, which rounds exactly as a mean over the first axis of their
+    stack would.
     """
-    out = [m if isinstance(m, StoredMember) else np.asarray(m, dtype=np.float64) for m in members]
-    if not out:
-        raise ValidationError("an ensemble needs at least one member")
-    if len(out[0].shape) != 2 or any(m.shape != out[0].shape for m in out):
-        raise ValidationError("members must be 2-d matrices of one shared shape")
-    return out
-
-
-def form_ensemble(members: Sequence, out: np.ndarray | None = None) -> np.ndarray:
-    """Arithmetic mean of member probability matrices, in `out` if given.
-
-    All members must share one shape. The mean of row-stochastic matrices
-    is row-stochastic, so no renormalization happens here. Members are
-    summed in order into one buffer, which rounds exactly as a mean over
-    the first axis of their stack would. Stored members are read one at a
-    time.
-    """
-    members = check_members(members)
     ens = np.empty(members[0].shape) if out is None else out
-    ens[...] = members[0][:]
+    ens[...] = members[0]
     for p in members[1:]:
-        ens += p[:]
+        ens += p
     ens /= len(members)
     return ens
 
@@ -141,7 +122,7 @@ class PredictionStore:
     """Per-model predictions over named datasets, as `load_store` reads them.
 
     `datasets` maps a dataset id to its read-only labels. Each prediction is
-    a StoredMember, which reads it from disk on each access.
+    a StoredMember, which `member_blocks` reads from disk on each walk.
     """
 
     datasets: dict[str, np.ndarray] = field(default_factory=dict, init=False)
@@ -189,7 +170,7 @@ class PredictionStore:
         return [m for m in self._model_ids if all((m, d) in self._predictions for d in pair)]
 
     def member_probs(self, member_ids: Sequence[str], dataset_id: str) -> list[StoredMember]:
-        """The members' predictions on one dataset, unread: each gives float64 rows when sliced."""
+        """The members' predictions on one dataset, unread, for `member_blocks` to walk."""
         for m in member_ids:
             if (m, dataset_id) not in self._predictions:
                 raise ValidationError(f"no prediction for model {m!r} on {dataset_id!r}")
@@ -241,13 +222,12 @@ def _check_values(raw: np.ndarray, kind: str, name: str, first_row: int) -> None
 class StoredMember:
     """One model's predictions on one dataset, read from its file on each access.
 
-    ``member[lo:hi]`` reads rows lo..hi-1 and ``member[:]`` the whole matrix,
-    as a read-only float64 row-stochastic array. Logits go through a stable
-    softmax; probabilities are clipped at 0 and divided by the clipped row's
-    sum. Both work in place on the one float64 buffer, and the result is
-    bit-equal whatever rows are read. ``member.read_into(lo, out)`` does
-    the same into a caller's buffer, as `member_blocks` reads each block
-    into its walk buffer; the member itself keeps nothing between reads.
+    ``member.read_into(lo, out)`` reads rows lo..lo+len(out)-1 into a
+    caller's float64 buffer and makes them row-stochastic in place: logits
+    go through a stable softmax; probabilities are clipped at 0 and divided
+    by the clipped row's sum. The result is bit-equal whatever rows are
+    read. `member_blocks` is its one caller, reading each block into its
+    walk buffer; the member itself keeps nothing between reads.
 
     The raw values of every read pass `_check_values`, and what they pass
     makes the result row-stochastic to within 1e-9: a finite logit row's
@@ -261,18 +241,20 @@ class StoredMember:
     shape: tuple[int, int]
     name: str
 
-    def __getitem__(self, rows: slice) -> np.ndarray:
-        if not isinstance(rows, slice) or rows.step not in (None, 1):
-            raise TypeError("a stored member is read by a contiguous row slice")
-        lo, hi, _ = rows.indices(self.shape[0])
-        buf = self.read_into(lo, np.empty((max(lo, hi) - lo, self.shape[1])))
-        buf.flags.writeable = False
-        return buf
-
     def read_into(self, lo: int, out: np.ndarray) -> np.ndarray:
         """Read rows lo..lo+len(out)-1 into the float64 (rows, C) array `out`,
-        check their values and make them row-stochastic in place; return `out`."""
-        out[...] = self._read(lo, lo + out.shape[0])
+        check their values and make them row-stochastic in place; return `out`.
+        A file that cannot be read or ends early is an error naming the member."""
+        try:
+            raw = np.fromfile(self.path, dtype="<f4", count=out.size, offset=lo * self.shape[1] * 4)
+        except OSError as exc:
+            raise ValidationError(f"{self.name}: cannot read {self.path.name}: {exc.strerror}") from exc
+        if raw.size != out.size:
+            raise ValidationError(
+                f"{self.name}: file {self.path.name} ends before row {lo + len(out)} of {self.shape[0]}; "
+                "it changed after the store was loaded"
+            )
+        out[...] = raw.reshape(out.shape)
         _check_values(out, self.kind, self.name, lo)
         if self.kind == "logits":
             softmax(out)
@@ -280,21 +262,6 @@ class StoredMember:
             np.clip(out, 0.0, None, out=out)
             out /= out.sum(axis=1, keepdims=True)
         return out
-
-    def _read(self, lo: int, hi: int) -> np.ndarray:
-        """Rows lo..hi-1 of the file as float32, or an error naming the member."""
-        c = self.shape[1]
-        count = (hi - lo) * c
-        try:
-            raw = np.fromfile(self.path, dtype="<f4", count=count, offset=lo * c * 4)
-        except OSError as exc:
-            raise ValidationError(f"{self.name}: cannot read {self.path.name}: {exc.strerror}") from exc
-        if raw.size != count:
-            raise ValidationError(
-                f"{self.name}: file {self.path.name} ends before row {hi} of {self.shape[0]}; "
-                "it changed after the store was loaded"
-            )
-        return raw.reshape(hi - lo, c)
 
 
 _TYPE_NAMES = {str: "a string", int: "an integer", dict: "an object", list: "a list"}

@@ -22,9 +22,36 @@ def member_stack(rng, m, n, c):
     return np.stack([random_simplex(rng, n, c) for _ in range(m)])
 
 
+class ArrayMember:
+    """A stand-in for store.StoredMember that holds an (N, C) matrix in memory.
+
+    It has a StoredMember's `shape` and `read_into`, which copies rows
+    unchanged, so store.member_blocks walks it as it walks a stored member.
+    """
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=np.float64)
+        self.shape = self.values.shape
+
+    def read_into(self, lo: int, out: np.ndarray) -> np.ndarray:
+        out[...] = self.values[lo:lo + len(out)]
+        return out
+
+
+def as_members(matrices) -> list[ArrayMember]:
+    """Each (N, C) matrix of a list or an (M, N, C) stack, as an ArrayMember."""
+    return [ArrayMember(p) for p in matrices]
+
+
+def read_rows(member, lo: int, hi: int) -> np.ndarray:
+    """Rows lo..hi-1 of a stored member, read as store.member_blocks reads a block."""
+    return member.read_into(lo, np.empty((hi - lo, member.shape[1])))
+
+
 def read(store: PredictionStore, model_id: str, dataset_id: str) -> np.ndarray:
     """One model's whole (N, C) predictions on one dataset, as a float64 array."""
-    return store.member_probs([model_id], dataset_id)[0][:]
+    member = store.member_probs([model_id], dataset_id)[0]
+    return read_rows(member, 0, member.shape[0])
 
 
 def entropy(probs):

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import ACCEPTANCE_LINES, split_samples
+from conftest import ACCEPTANCE_LINES, as_members, split_samples
 
 from ensdiag.cli import main as cli_main
 from ensdiag.conditional import JointSample, permutation_test
@@ -44,7 +44,7 @@ def record_skip(name: str, reason: str) -> None:
 
 
 def all_records(members, labels):
-    return decompose(members, labels).values()
+    return decompose(as_members(members), labels).values()
 
 
 def test_pointwise_identities_hold_in_bulk():
@@ -73,7 +73,7 @@ def test_ensemble_never_scores_worse_than_member_mean():
 
     def check(members, labels):
         nonlocal min_gap, iff_ok
-        for rec in decompose(members, labels, ("brier_gap", "nll_gap")).values():
+        for rec in decompose(as_members(members), labels, ("brier_gap", "nll_gap")).values():
             gap = rec.avg_member - rec.total
             min_gap = min(min_gap, float(gap.min()))
             iff_ok &= bool(np.all((np.abs(gap) < 1e-12) == (rec.diversity < 1e-12)))

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -17,10 +18,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import trapezoid
 
 import ensdiag
 import ensdiag.cli
-from conftest import write_kind_store
+from conftest import read_rows, write_kind_store
 from ensdiag.cli import main
 from ensdiag.improvement import MMD_RANK_CAP
 from ensdiag.metrics import compute_metric
@@ -289,6 +291,29 @@ def test_removed_flag_is_one_error_line(sim_dir, tmp_path, capsys, argv):
     assert not (tmp_path / "x").exists()
 
 
+def _limit_address_space():
+    # 4 GiB: an allocation past it fails at once, whatever the overcommit policy.
+    resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+
+@pytest.mark.parametrize("argv", [["gp-demo", "--bins", "1000000000000"],
+                                  ["conditional", "--bins", "1000000000000"],
+                                  ["trends", "--bins", "1000000000000"],
+                                  ["trends", "--het-bins", "1000000000000"]],
+                         ids=["gp-demo", "conditional", "trends", "trends-het-bins"])
+def test_out_of_memory_is_one_error_line(sim_dir, tmp_path, argv):
+    manifest = [] if argv[0] == "gp-demo" else ["--manifest", str(sim_dir / "manifest.json")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "ensdiag", *argv, *manifest, "--out", str(tmp_path / "x")],
+        capture_output=True, text=True, preexec_fn=_limit_address_space,
+        env={**os.environ, "PYTHONPATH": str(Path(ensdiag.__file__).parents[1])},
+    )
+    assert proc.returncode == 1
+    err = proc.stderr.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not (tmp_path / "x").exists()
+
+
 def test_pipeline_script_quick_start(tmp_path):
     # The README quick start, shrunk: every stage must accept the flags the script passes.
     repo = Path(ensdiag.__file__).parents[2]
@@ -489,7 +514,7 @@ class TestConditionalCommand:
         d, surrogates = result["d_statistic"], np.array(result["d_surrogates"])
         assert result["p_value"] == (np.count_nonzero(surrogates >= d) + 1) / 21
         x, y_ind, y_ood = np.array([[float(v) for v in row] for row in read_csv(out / "curves.csv")[1]]).T
-        assert abs(d - np.trapezoid((y_ood - y_ind) / y_ind, x)) < 1e-12
+        assert abs(d - trapezoid((y_ood - y_ind) / y_ind, x)) < 1e-12
 
     # Bounded and enumerated flags of every command; ids of the conditional cases omit the command.
     @pytest.mark.parametrize("command,flag,value", [
@@ -728,13 +753,26 @@ class TestImproveCommand:
         assert code == 0
 
     def test_coinciding_cloud_rejected(self, sim_dir, tmp_path, capsys):
-        # Every alternative is the base model: all deltas are zero and no bandwidth exists.
+        # On the 60 OOD points m000+m002 makes every 0-1 call m000 makes, and the
+        # control is the base model: all deltas are zero and no bandwidth exists.
         code = run([
-            "improve", "--manifest", sim_dir / "manifest.json", "--base", "m000", "--alt-a", "m000",
-            "--alt-b", "m000", "--control", "m000", "--metric", "01", "--out", tmp_path / "x",
+            "improve", "--manifest", sim_dir / "manifest.json", "--base", "m000", "--alt-a", "m000+m002",
+            "--alt-b", "m000+m002", "--control", "m000", "--metric", "01", "--out", tmp_path / "x",
         ])
         assert code == 1
         assert capsys.readouterr().err == "error: bandwidth undefined: every point of the cloud coincides\n"
+
+    @pytest.mark.parametrize("flag,alternatives", [
+        ("--alt-a", ["--alt-a", "m001+m000", "--alt-b", "m002"]),
+        ("--alt-b", ["--alt-a", "m002", "--alt-b", "m000+m001"]),
+    ], ids=["alt-a", "alt-b"])
+    def test_alternative_equal_to_base_names_flag(self, sim_dir, tmp_path, capsys, flag, alternatives):
+        # The same members as --base, in any order, would score a delta of zero at every point.
+        code = run(["improve", "--manifest", sim_dir / "manifest.json", "--base", "m000+m001", *alternatives,
+                    "--control", "m003", "--out", tmp_path / "x"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {flag} names the same members as --base\n"
+        assert not (tmp_path / "x").exists()
 
     def test_unequal_dataset_sizes(self, tmp_path):
         # 300 InD against 120 OOD points: each dataset is tested at its own size.
@@ -776,7 +814,8 @@ class TestImproveCommand:
 
 def _whole_matrix_scores(members, specs, labels, metric):
     # The path the row-blocked walk replaced: every ensemble formed whole, then scored.
-    return [compute_metric(metric, form_ensemble([members[k] for k in spec]), labels) for spec in specs]
+    whole = {k: read_rows(m, 0, m.shape[0]) for k, m in members.items()}
+    return [compute_metric(metric, form_ensemble([whole[k] for k in spec]), labels) for spec in specs]
 
 
 WIDE_C = 1000
@@ -854,13 +893,13 @@ READING_COMMANDS = {
 def _counted_reads(monkeypatch) -> list:
     """Record ``(member name, lo, hi)`` of every file read of member values from now on."""
     reads = []
-    read = StoredMember._read
+    read_into = StoredMember.read_into
 
-    def counted(member, lo, hi):
-        reads.append((member.name, lo, hi))
-        return read(member, lo, hi)
+    def counted(member, lo, out):
+        reads.append((member.name, lo, lo + len(out)))
+        return read_into(member, lo, out)
 
-    monkeypatch.setattr(StoredMember, "_read", counted)
+    monkeypatch.setattr(StoredMember, "read_into", counted)
     return reads
 
 

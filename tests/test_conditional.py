@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import trapezoid
 from scipy.linalg import cho_factor, cho_solve
 
-from conftest import member_stack, split_samples
+from conftest import as_members, member_stack, split_samples
 from ensdiag import conditional
 from ensdiag.conditional import (
     DEFAULT_RIDGE_SCALE,
@@ -173,31 +173,31 @@ class TestJointSample:
 class TestJointSamples:
     def test_identical_members_zero_diversity(self, rng):
         p = rng.dirichlet(np.ones(4), size=30)
-        sample = joint_samples([p, p])
+        sample = joint_samples(as_members([p, p]))
         assert np.all(sample.div == 0.0)
         assert sample.n == 30
 
     def test_two_one_hot_quadratic(self):
-        sample = joint_samples(TWO_ONE_HOT, family="quadratic")
+        sample = joint_samples(as_members(TWO_ONE_HOT), family="quadratic")
         np.testing.assert_allclose(sample.avg, [0.0])
         np.testing.assert_allclose(sample.div, [0.5])
 
     def test_two_one_hot_entropy(self):
-        sample = joint_samples(TWO_ONE_HOT, family="entropy")
+        sample = joint_samples(as_members(TWO_ONE_HOT), family="entropy")
         np.testing.assert_allclose(sample.avg, [0.0])
         np.testing.assert_allclose(sample.div, [np.log(2.0)], atol=1e-15)
 
     def test_count_matches_dataset(self, rng):
         members = member_stack(rng, 3, 17, 5)
-        assert joint_samples(members).n == 17
+        assert joint_samples(as_members(members)).n == 17
 
     def test_unknown_family(self, rng):
         with pytest.raises(ValidationError):
-            joint_samples(member_stack(rng, 2, 5, 3), family="tsallis")
+            joint_samples(as_members(member_stack(rng, 2, 5, 3)), family="tsallis")
 
     def test_source_carried(self, rng):
         members = member_stack(rng, 2, 5, 3)
-        assert joint_samples(members, source="ood").source == "ood"
+        assert joint_samples(as_members(members), source="ood").source == "ood"
 
 
 class TestScottBandwidth:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ensdiag.store
-from conftest import entropy, member_stack, random_simplex
+from conftest import as_members, entropy, member_stack, random_simplex
 from ensdiag.decomposition import FAMILIES, _decompose_block, decompose
 from ensdiag.errors import ValidationError
 from ensdiag.metrics import NLL_EPS, brier, nll, quad_uncertainty
@@ -25,19 +25,21 @@ class TestVarianceDiversity:
     def test_identical_members(self, rng):
         # (p + p + p) / 3 leaves ~1e-34 of rounding residue, so not exactly 0.
         p = random_simplex(rng, 8, 3)
-        assert np.abs(decompose([p, p, p], families=("quadratic",))["quadratic"].diversity).max() < 1e-30
+        rec = decompose(as_members([p, p, p]), families=("quadratic",))["quadratic"]
+        assert np.abs(rec.diversity).max() < 1e-30
 
     def test_two_one_hot(self):
-        np.testing.assert_allclose(decompose(TWO_ONE_HOT, families=("quadratic",))["quadratic"].diversity, [0.5])
+        rec = decompose(as_members(TWO_ONE_HOT), families=("quadratic",))["quadratic"]
+        np.testing.assert_allclose(rec.diversity, [0.5])
 
     def test_hand_value(self):
         members = np.stack([np.array([[0.7, 0.3]]), np.array([[0.5, 0.5]])])
-        rec = decompose(members, families=("quadratic",))["quadratic"]
+        rec = decompose(as_members(members), families=("quadratic",))["quadratic"]
         np.testing.assert_allclose(rec.diversity, [0.02], atol=1e-15)
 
     def test_single_member_rejected(self, rng):
         with pytest.raises(ValidationError):
-            decompose([random_simplex(rng, 3, 2)], families=("quadratic",))
+            decompose(as_members([random_simplex(rng, 3, 2)]), families=("quadratic",))
 
 
 class TestJsdDiversity:
@@ -45,28 +47,28 @@ class TestJsdDiversity:
 
     def test_identical_members(self, rng):
         p = random_simplex(rng, 8, 3)
-        rec = decompose([p, p], families=("entropy",))["entropy"]
+        rec = decompose(as_members([p, p]), families=("entropy",))["entropy"]
         np.testing.assert_allclose(rec.diversity, np.zeros(8), atol=1e-15)
 
     def test_two_one_hot(self):
-        np.testing.assert_allclose(decompose(TWO_ONE_HOT, families=("entropy",))["entropy"].diversity, [np.log(2)])
+        rec = decompose(as_members(TWO_ONE_HOT), families=("entropy",))["entropy"]
+        np.testing.assert_allclose(rec.diversity, [np.log(2)])
 
     def test_hand_value(self):
         members = [np.array([[0.9, 0.1]]), np.array([[0.5, 0.5]])]
-        np.testing.assert_allclose(
-            decompose(members, families=("entropy",))["entropy"].diversity, [0.10174922507919681], atol=1e-12
-        )
+        rec = decompose(as_members(members), families=("entropy",))["entropy"]
+        np.testing.assert_allclose(rec.diversity, [0.10174922507919681], atol=1e-12)
 
 
 class TestQuadraticDecomposition:
     def test_identical_members(self, rng):
         p = random_simplex(rng, 10, 4)
-        rec = decompose([p, p], families=("quadratic",))["quadratic"]
+        rec = decompose(as_members([p, p]), families=("quadratic",))["quadratic"]
         np.testing.assert_allclose(rec.diversity, 0.0, atol=1e-15)
         np.testing.assert_allclose(rec.total, rec.avg_member, atol=1e-15)
 
     def test_two_one_hot(self):
-        rec = decompose(TWO_ONE_HOT, families=("quadratic",))["quadratic"]
+        rec = decompose(as_members(TWO_ONE_HOT), families=("quadratic",))["quadratic"]
         np.testing.assert_allclose(rec.total, [0.5])
         np.testing.assert_allclose(rec.diversity, [0.5])
         np.testing.assert_allclose(rec.avg_member, [0.0])
@@ -77,7 +79,7 @@ class TestQuadraticDecomposition:
         rng = np.random.default_rng(seed)
         m, c = int(rng.integers(2, 9)), int(rng.integers(2, 21))
         members = member_stack(rng, m, 12, c)
-        rec = decompose(members, families=("quadratic",))["quadratic"]
+        rec = decompose(as_members(members), families=("quadratic",))["quadratic"]
         assert np.abs(rec.residual()).max() < 1e-10
         assert np.all(rec.diversity >= -1e-12)
 
@@ -85,11 +87,11 @@ class TestQuadraticDecomposition:
 class TestEntropyDecomposition:
     def test_identical_members(self, rng):
         p = random_simplex(rng, 10, 4)
-        rec = decompose([p, p], families=("entropy",))["entropy"]
+        rec = decompose(as_members([p, p]), families=("entropy",))["entropy"]
         np.testing.assert_allclose(rec.diversity, 0.0, atol=1e-12)
 
     def test_two_one_hot(self):
-        rec = decompose(TWO_ONE_HOT, families=("entropy",))["entropy"]
+        rec = decompose(as_members(TWO_ONE_HOT), families=("entropy",))["entropy"]
         np.testing.assert_allclose(rec.total, [np.log(2)])
         np.testing.assert_allclose(rec.diversity, [np.log(2)])
         np.testing.assert_allclose(rec.avg_member, [0.0])
@@ -102,7 +104,7 @@ class TestEntropyDecomposition:
         rng = np.random.default_rng(seed)
         m, c = int(rng.integers(2, 9)), int(rng.integers(2, 21))
         members = member_stack(rng, m, 12, c)
-        rec = decompose(members, families=("entropy",))["entropy"]
+        rec = decompose(as_members(members), families=("entropy",))["entropy"]
         assert np.abs(rec.residual()).max() < 1e-10
         assert np.all(rec.diversity >= -1e-12)
 
@@ -111,11 +113,11 @@ class TestBrierGap:
     def test_identical_members(self, rng):
         p = random_simplex(rng, 10, 4)
         y = rng.integers(0, 4, size=10)
-        rec = decompose([p, p], y, ("brier_gap",))["brier_gap"]
+        rec = decompose(as_members([p, p]), y, ("brier_gap",))["brier_gap"]
         np.testing.assert_allclose(rec.diversity, 0.0, atol=1e-15)
 
     def test_two_one_hot_hand_case(self):
-        rec = decompose(TWO_ONE_HOT, np.array([0]), ("brier_gap",))["brier_gap"]
+        rec = decompose(as_members(TWO_ONE_HOT), np.array([0]), ("brier_gap",))["brier_gap"]
         np.testing.assert_allclose(rec.total, [0.5])       # ensemble Brier
         np.testing.assert_allclose(rec.avg_member, [1.0])  # mean member Brier
         np.testing.assert_allclose(rec.diversity, [0.5])   # the gap = variance
@@ -127,10 +129,10 @@ class TestBrierGap:
         m, c = int(rng.integers(2, 9)), int(rng.integers(2, 21))
         members = member_stack(rng, m, 12, c)
         y = rng.integers(0, c, size=12)
-        rec = decompose(members, y, ("brier_gap",))["brier_gap"]
+        rec = decompose(as_members(members), y, ("brier_gap",))["brier_gap"]
         assert np.abs(rec.residual()).max() < 1e-10
         np.testing.assert_allclose(
-            rec.diversity, decompose(members, families=("quadratic",))["quadratic"].diversity, atol=1e-10
+            rec.diversity, decompose(as_members(members), families=("quadratic",))["quadratic"].diversity, atol=1e-10
         )
 
     @given(st.integers(0, 10**6))
@@ -148,14 +150,14 @@ class TestNllGap:
     def test_equal_likelihoods(self):
         a = np.array([[0.6, 0.4]])
         b = np.array([[0.6, 0.4]])
-        rec = decompose(np.stack([a, b]), np.array([0]), ("nll_gap",))["nll_gap"]
+        rec = decompose(as_members(np.stack([a, b])), np.array([0]), ("nll_gap",))["nll_gap"]
         np.testing.assert_allclose(rec.diversity, [0.0], atol=1e-15)
 
     def test_closed_form_two_members(self):
         # true-class likelihoods 0.8 and 0.2 -> normalized (0.8, 0.2)
         a = np.array([[0.8, 0.2]])
         b = np.array([[0.2, 0.8]])
-        rec = decompose(np.stack([a, b]), np.array([0]), ("nll_gap",))["nll_gap"]
+        rec = decompose(as_members(np.stack([a, b])), np.array([0]), ("nll_gap",))["nll_gap"]
         np.testing.assert_allclose(rec.total, [np.log(2)], atol=1e-12)
         np.testing.assert_allclose(rec.avg_member, [0.916290731874155], atol=1e-12)
         np.testing.assert_allclose(rec.diversity, [0.2231435513142097], atol=1e-12)
@@ -171,7 +173,7 @@ class TestNllGap:
         m, c = int(rng.integers(2, 9)), int(rng.integers(2, 21))
         members = member_stack(rng, m, 12, c)
         y = rng.integers(0, c, size=12)
-        rec = decompose(members, y, ("nll_gap",))["nll_gap"]
+        rec = decompose(as_members(members), y, ("nll_gap",))["nll_gap"]
         assert np.abs(rec.residual()).max() < 1e-10
 
     @given(st.integers(0, 10**6))
@@ -192,13 +194,14 @@ class TestDiversityZeroIffIdentical:
         rng = np.random.default_rng(seed)
         p = random_simplex(rng, 6, 4)
         q = 0.5 * p + 0.5 * random_simplex(rng, 6, 4)
-        div = decompose(np.stack([p, q]), families=("quadratic",))["quadratic"].diversity
+        div = decompose(as_members(np.stack([p, q])), families=("quadratic",))["quadratic"].diversity
         differs = np.abs(p - q).max(axis=1) > 1e-6
         assert np.all(div[differs] > 1e-12)
 
     def test_zero_when_identical(self, rng):
         p = random_simplex(rng, 6, 4)
-        assert np.all(decompose(np.stack([p, p, p]), families=("quadratic",))["quadratic"].diversity < 1e-12)
+        rec = decompose(as_members(np.stack([p, p, p])), families=("quadratic",))["quadratic"]
+        assert np.all(rec.diversity < 1e-12)
 
 
 
@@ -231,7 +234,7 @@ class TestMatchesStackedOracle:
         members = [random_simplex(rng, n, c) for _ in range(m)]
         labels = rng.integers(0, c, size=n)
         stack = np.stack(members)
-        records = {f: decompose(members, labels, (f,))[f] for f in FAMILIES}
+        records = {f: decompose(as_members(members), labels, (f,))[f] for f in FAMILIES}
         for family, expected in stacked_oracle(stack, labels).items():
             rec = records[family]
             for got, want in zip((rec.total, rec.diversity, rec.avg_member), expected):
@@ -242,10 +245,10 @@ class TestMatchesStackedOracle:
 
 FLAT_MEMORY_CALLS = {
     "form_ensemble": lambda members, labels: form_ensemble(members),
-    "quadratic": lambda members, labels: decompose(members, families=("quadratic",))["quadratic"],
-    "entropy": lambda members, labels: decompose(members, families=("entropy",))["entropy"],
-    "brier_gap": lambda members, labels: decompose(members, labels, ("brier_gap",))["brier_gap"],
-    "nll_gap": lambda members, labels: decompose(members, labels, ("nll_gap",))["nll_gap"],
+    "quadratic": lambda members, labels: decompose(as_members(members), families=("quadratic",))["quadratic"],
+    "entropy": lambda members, labels: decompose(as_members(members), families=("entropy",))["entropy"],
+    "brier_gap": lambda members, labels: decompose(as_members(members), labels, ("brier_gap",))["brier_gap"],
+    "nll_gap": lambda members, labels: decompose(as_members(members), labels, ("nll_gap",))["nll_gap"],
 }
 
 
@@ -314,7 +317,7 @@ class TestBlockedWalk:
         # A block holds `rows` rows of every member.
         for rows in (1, n // 3 + 1, n):
             with mock.patch.object(ensdiag.store, "BLOCK_ELEMENTS", rows * c * m):
-                records = decompose(members, labels)
+                records = decompose(as_members(members), labels)
             assert list(records) == list(FAMILIES)
             for family, want in expected.items():
                 rec = records[family]
@@ -323,13 +326,13 @@ class TestBlockedWalk:
 
     def test_families_subset_and_labels(self, rng):
         members = [random_simplex(rng, 9, 3) for _ in range(3)]
-        assert list(decompose(members, families=("entropy", "quadratic"))) == ["quadratic", "entropy"]
+        assert list(decompose(as_members(members), families=("entropy", "quadratic"))) == ["quadratic", "entropy"]
         with pytest.raises(ValidationError, match="need labels"):
-            decompose(members, families=("nll_gap",))
+            decompose(as_members(members), families=("nll_gap",))
         with pytest.raises(ValidationError, match="unknown family"):
-            decompose(members, families=("renyi",))
+            decompose(as_members(members), families=("renyi",))
         with pytest.raises(ValidationError, match="labels outside"):
-            decompose(members, np.full(9, 3))
+            decompose(as_members(members), np.full(9, 3))
 
 
 def masked_block(held, labels, wanted):
@@ -435,7 +438,7 @@ class TestKernelMatchesMaskedOracle:
             with mock.patch.object(ensdiag.store, "BLOCK_ELEMENTS", rows * c * m):
                 # Stale values in the work arrays must not reach any result.
                 work = np.full((5, rows, c), np.nan)
-                for block_rows, held in member_blocks(members):
+                for block_rows, held in member_blocks(as_members(members)):
                     got = _decompose_block(held, labels[block_rows], list(FAMILIES), work[:, :len(held[0])])
                     want = masked_block(held, labels[block_rows], list(FAMILIES))
                     assert sorted(got) == sorted(want)

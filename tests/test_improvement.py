@@ -10,13 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist, pdist
 
+from conftest import ArrayMember
 from ensdiag import store
 from ensdiag.errors import ValidationError
 from ensdiag.simulate import SyntheticSpec, write_synthetic_store
 from ensdiag.store import load_store
 from ensdiag.improvement import (
     BANDWIDTH_MEDIAN_CAP,
-    BLOCK_ELEMENTS,
+    DISTANCE_BLOCK_ELEMENTS,
     MMD_RANK_CAP,
     ensemble_scores,
     factored_mmd2,
@@ -28,8 +29,8 @@ from ensdiag.improvement import (
 )
 
 
-# Points per side of a square block of BLOCK_ELEMENTS entries.
-SIDE = math.isqrt(BLOCK_ELEMENTS)
+# Points per side of a square block of DISTANCE_BLOCK_ELEMENTS entries.
+SIDE = math.isqrt(DISTANCE_BLOCK_ELEMENTS)
 
 
 def assert_pdist_median(cloud):
@@ -64,7 +65,8 @@ def mmd2_terms_three_gram(x, y, h):
 
 def per_point_improvement(base_probs, alt_probs, labels, metric="brier"):
     """Base score minus alternative score per point, as `improve` takes it from ensemble_scores."""
-    base, alt = ensemble_scores({"base": base_probs, "alt": alt_probs}, [["base"], ["alt"]], labels, metric)
+    members = {"base": ArrayMember(base_probs), "alt": ArrayMember(alt_probs)}
+    base, alt = ensemble_scores(members, [["base"], ["alt"]], labels, metric)
     return base - alt
 
 
@@ -186,7 +188,7 @@ class TestMedianBandwidth:
         cloud[::7] = cloud[3]
         assert_pdist_median(cloud)
 
-    # SIDE points fill one block of BLOCK_ELEMENTS squared distances; SIDE + 1 need a second.
+    # SIDE points fill one block of DISTANCE_BLOCK_ELEMENTS squared distances; SIDE + 1 need a second.
     @pytest.mark.parametrize("n", [SIDE - 1, SIDE, SIDE + 1], ids=["below", "at", "one-above"])
     def test_bit_equal_across_blocks(self, rng, n):
         assert_pdist_median(rng.normal(size=(n, 2)))
@@ -310,7 +312,7 @@ class TestMmd2:
         with pytest.raises(ValidationError):
             mmd2_unbiased(np.zeros((5, 2)), np.ones((5, 2)), 0.0)
 
-    # Block rows are BLOCK_ELEMENTS // (points per row): SIDE rows for SIDE columns.
+    # Block rows are DISTANCE_BLOCK_ELEMENTS // (points per row): SIDE rows for SIDE columns.
     @pytest.mark.parametrize("m,n", [(SIDE - 1, SIDE), (SIDE, SIDE), (SIDE + 1, SIDE), (SIDE + 1, 7), (3, SIDE + 1)],
                              ids=["below", "at", "one-above", "unequal-wide", "unequal-tall"])
     @pytest.mark.parametrize("dim", [1, 3])
@@ -323,7 +325,7 @@ class TestMmd2:
     @pytest.mark.parametrize("m,n", [(2, 2), (9, 8), (10, 8), (11, 3)])
     def test_three_gram_oracle_small_blocks(self, rng, monkeypatch, m, n):
         # Blocks of 8 entries: one or two rows each, so many blocks and short last ones.
-        monkeypatch.setattr("ensdiag.improvement.BLOCK_ELEMENTS", 8)
+        monkeypatch.setattr("ensdiag.improvement.DISTANCE_BLOCK_ELEMENTS", 8)
         x = rng.normal(size=(m, 2))
         y = rng.normal(size=(n, 2)) - 0.5
         terms = mmd2_terms_three_gram(x, y, 1.3)
@@ -341,7 +343,7 @@ class TestMmd2:
             tracemalloc.stop()
         assert np.isfinite(stat)
         assert peak < 64 * 2**20
-        assert peak < 4 * 8 * BLOCK_ELEMENTS
+        assert peak < 4 * 8 * DISTANCE_BLOCK_ELEMENTS
 
 
 def _clouds(delta_a, delta_b, control):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ensdiag.store
-from conftest import random_simplex, read, write_kind_store
+from conftest import random_simplex, read, read_rows, write_kind_store
 from ensdiag.decomposition import decompose
 from ensdiag.errors import ValidationError
 from ensdiag.store import (
@@ -69,20 +69,11 @@ class TestFormEnsemble:
         b = np.array([[0.1, 0.9]])
         np.testing.assert_allclose(form_ensemble([a, b]), [[0.4, 0.6]])
 
-    def test_shape_mismatch(self):
-        with pytest.raises(ValidationError):
-            form_ensemble([np.ones((2, 3)) / 3, np.ones((2, 4)) / 4])
-
     def test_member_probs_is_the_stored_list(self, tiny_store):
         members = tiny_store.member_probs(["m2", "m0"], "ind")
         assert isinstance(members, list) and len(members) == 2
         assert members[0] is tiny_store.member_probs(["m2"], "ind")[0]
         assert members[1] is tiny_store.member_probs(["m0"], "ind")[0]
-
-    @pytest.mark.parametrize("members", [[], [np.ones(3) / 3, np.ones(3) / 3]], ids=["empty", "1-d"])
-    def test_bad_member_list_rejected(self, members):
-        with pytest.raises(ValidationError):
-            form_ensemble(members)
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=30, deadline=None)
@@ -146,7 +137,8 @@ class TestStoreValidation:
             load_store(manifest)
 
     def test_arrays_read_only(self, tiny_store):
-        probs = read(tiny_store, "m0", "ind")
+        # 60 points of 5 classes are one row block.
+        ((_, (probs,)),) = member_blocks(tiny_store.member_probs(["m0"], "ind"))
         with pytest.raises(ValueError):
             probs[0, 0] = 0.5
 
@@ -306,7 +298,7 @@ def test_every_accepted_block_reads_as_valid_probs(block):
         store = load_store(write_kind_store(root, kind, one_dataset([raw], np.zeros(n, dtype=np.int64))))
         member = store.member_probs(["m0"], "d")[0]
         try:
-            reads = [member[rows] for rows in (slice(None), slice(0, 1), slice(n // 2, n))]
+            reads = [read_rows(member, lo, hi) for lo, hi in ((0, n), (0, 1), (n // 2, n))]
         except ValidationError:
             return
     for probs in reads:
@@ -327,9 +319,8 @@ class TestReadOnAccess:
             expected = eager_ingest(values.astype("<f4").astype(np.float64), kind)
             member = store.member_probs([f"m{k}"], "d")[0]
             assert np.array_equal(read(store, f"m{k}", "d"), expected)
-            assert np.array_equal(member[:], expected)
             for lo, hi in [(0, 1), (5, 64), (199, 203), (0, n)]:
-                assert np.array_equal(member[lo:hi], expected[lo:hi])
+                assert np.array_equal(read_rows(member, lo, hi), expected[lo:hi])
 
     def test_tiny_negative_probabilities_are_renormalized_after_clipping(self, tmp_path, rng):
         # Entries down to -1e-6 load; reads clip them to 0 and divide by the clipped row's sum.
@@ -371,24 +362,14 @@ class TestReadOnAccess:
         assert all(isinstance(store.member_probs([m], d)[0], StoredMember)
                    for m in store.model_ids for d in ("ind", "ood"))
 
-    def test_reads_are_read_only_and_not_kept(self, tmp_path, rng):
-        store = load_store(write_kind_store(tmp_path, "logits", one_dataset([rng.standard_normal((10, 3))] * 2,
-                                                                            rng.integers(0, 3, 10))))
-        first, second = read(store, "m0", "d"), read(store, "m0", "d")
-        assert first is not second and np.array_equal(first, second)
-        with pytest.raises(ValueError):
-            first[0, 0] = 0.5
-
-    @pytest.mark.parametrize("stored", [True, False], ids=["stored", "arrays"])
-    def test_blocks_are_read_only_views_of_one_walk_buffer(self, tmp_path, rng, stored):
+    def test_blocks_are_read_only_views_of_one_walk_buffer(self, tmp_path, rng):
         n, c = 23, 4
         logits = [rng.standard_normal((n, c)) for _ in range(3)]
         store = load_store(write_kind_store(tmp_path, "logits", one_dataset(logits, rng.integers(0, c, n))))
         whole = [read(store, f"m{k}", "d") for k in range(3)]
-        members = store.member_probs(["m0", "m1", "m2"], "d") if stored else whole
         bases, spans = set(), []
         with mock.patch.object(ensdiag.store, "BLOCK_ELEMENTS", 5 * c * 3):  # blocks of 5 rows, the last of 3
-            for rows, block in member_blocks(members):
+            for rows, block in member_blocks(store.member_probs(["m0", "m1", "m2"], "d")):
                 spans.append(rows.stop - rows.start)
                 for k, p in enumerate(block):
                     assert np.array_equal(p, whole[k][rows])
@@ -425,4 +406,4 @@ class TestReadOnAccess:
             read(store, "m1", "d")
         member.unlink()
         with pytest.raises(ValidationError, match="m1/d: cannot read m1__d.f32"):
-            store.member_probs(["m1"], "d")[0][:10]
+            read_rows(store.member_probs(["m1"], "d")[0], 0, 10)

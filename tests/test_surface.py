@@ -186,3 +186,16 @@ def test_block_geometry_stays_in_store():
         found += [f"{path.name}:{line} {name}" for name, line in [*_references(tree), *imported]
                   if name in ("row_blocks", "block_rows")]
     assert found == []
+
+
+def test_member_values_are_read_only_in_store():
+    # A member's values reach an analysis only through store.member_blocks: no
+    # other module reads a prediction file or calls a member's read.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "store.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line} {name}" for name, line in _references(tree)
+                  if name in ("read_into", "_read", "fromfile")]
+    assert found == []
