@@ -83,22 +83,25 @@ def _resolve_pair(store: PredictionStore, pair_arg: str | None) -> tuple[str, st
         raise ValidationError(f"--pair must look like IND:OOD, got {pair_arg!r}")
     ind, ood = pair_arg.split(":", 1)
     for d in (ind, ood):
-        if d not in store.datasets:
+        if d not in store.labels:
             raise ValidationError(f"--pair references unknown dataset {d!r}")
     if ind == ood:
         raise ValidationError(f"--pair names dataset {ind!r} on both sides")
     return ind, ood
 
 
-def _parse_members(store: PredictionStore, spec: str, pair: tuple[str, str]) -> list[str]:
-    """Model ids of an ``a+b+c`` spec, each distinct and predicted on both datasets."""
-    ids = spec.split("+")
+def _ensemble(store: PredictionStore, ids: list[str], pair: tuple[str, str], what: str) -> list[str]:
+    """`ids` if they name at least one model, none twice, each predicted on
+    both datasets of the pair; an error names `what` and the model."""
+    if not ids:
+        raise ValidationError(f"{what} has no members")
     for m in ids:
+        if m not in store.model_ids:
+            raise ValidationError(f"{what} references unknown model {m!r}")
+        if any((m, d) not in store.members for d in pair):
+            raise ValidationError(f"{what} references model {m!r}, not predicted on both {pair[0]!r} and {pair[1]!r}")
         if ids.count(m) > 1:
-            raise ValidationError(f"member spec {spec!r} repeats model {m!r}")
-        for d in pair:
-            if not store.has_prediction(m, d):
-                raise ValidationError(f"model {m!r} has no prediction on {d!r}")
+            raise ValidationError(f"{what} repeats model {m!r}")
     return ids
 
 
@@ -106,7 +109,7 @@ def _resolve_members(store: PredictionStore, spec: str | None, pair: tuple[str, 
     if spec is None:
         ids = store.models_on_pair(pair)
     else:
-        ids = _parse_members(store, spec, pair)
+        ids = _ensemble(store, spec.split("+"), pair, f"--members {spec!r}")
     if len(ids) < 2:
         raise ValidationError("need at least two member models on both datasets")
     return ids
@@ -166,7 +169,7 @@ def cmd_decompose(args: argparse.Namespace) -> None:
     out = prepare_out_dir(args.out, args.force)
 
     # Both datasets are decomposed before any file is written, so a failure leaves none.
-    records = {d: decompose(store.member_probs(members, d), store.labels(d)) for d in pair}
+    records = {d: decompose(store.member_probs(members, d), store.labels[d]) for d in pair}
     aggregates: dict = {}
     for dataset, by_family in records.items():
         aggregates[dataset] = {}
@@ -296,11 +299,10 @@ def _conditional_figure(sample_ind, sample_ood, result, path: Path, seed: int) -
 
 
 def _load_ensembles(arg: str, store: PredictionStore, pair: tuple[str, str]) -> list[tuple[str, ...]]:
-    shared = store.models_on_pair(pair)
     if arg == "none":
         return []
     if arg == "loo":
-        ids = sorted(shared)
+        ids = sorted(store.models_on_pair(pair))
         if len(ids) < 3:
             return []
         # Each drops one id, the last first, as itertools.combinations(ids, M - 1) orders them.
@@ -316,19 +318,7 @@ def _load_ensembles(arg: str, store: PredictionStore, pair: tuple[str, str]) -> 
     for i, entry in enumerate(raw):
         if not isinstance(entry, list) or not all(isinstance(m, str) for m in entry):
             raise ValidationError(f"--ensembles entry {i} must be a list of model ids, got {entry!r}")
-        for m in entry:
-            if m not in store.model_ids:
-                raise ValidationError(f"--ensembles entry {i} references unknown model {m!r}")
-            if m not in shared:
-                raise ValidationError(
-                    f"--ensembles entry {i} references model {m!r}, not predicted on both {pair[0]!r} and {pair[1]!r}"
-                )
-        if not entry:
-            raise ValidationError(f"--ensembles entry {i} has no members")
-        repeated = [m for m in entry if entry.count(m) > 1]
-        if repeated:
-            raise ValidationError(f"--ensembles entry {i} repeats model {repeated[0]!r}")
-        ensembles.append(tuple(entry))
+        ensembles.append(tuple(_ensemble(store, entry, pair, f"--ensembles entry {i}")))
         j = first_with.setdefault(frozenset(entry), i)
         if j != i:
             raise ValidationError(f"--ensembles entry {i} has the same members as entry {j}")
@@ -455,7 +445,9 @@ def cmd_improve(args: argparse.Namespace) -> None:
     store = load_store(args.manifest)
     pair = _resolve_pair(store, args.pair)
     metric = METRIC_ALIASES[args.metric]
-    specs = [_parse_members(store, s, pair) for s in (args.base, args.alt_a, args.alt_b, args.control)]
+    given = {key: getattr(args, key) for key in ("base", "alt_a", "alt_b", "control")}
+    specs = [_ensemble(store, spec.split("+"), pair, f"--{key.replace('_', '-')} {spec!r}")
+             for key, spec in given.items()]
     for flag, spec in (("--alt-a", specs[1]), ("--alt-b", specs[2])):
         if set(spec) == set(specs[0]):
             raise ValidationError(f"{flag} names the same members as --base")
@@ -468,7 +460,7 @@ def cmd_improve(args: argparse.Namespace) -> None:
     for dataset in pair:
         # A one-member ensemble is that model's predictions, bit for bit.
         members = dict(zip(distinct, store.member_probs(distinct, dataset)))
-        base_scores, *alt_scores = ensemble_scores(members, specs, store.labels(dataset), metric)
+        base_scores, *alt_scores = ensemble_scores(members, specs, store.labels[dataset], metric)
         delta_a, delta_b, delta_c = (base_scores - s for s in alt_scores)
 
         take = _subsample_indices(delta_a.shape[0], args.subsample, args.seed, tag=29)
@@ -495,14 +487,7 @@ def cmd_improve(args: argparse.Namespace) -> None:
         out / "result.json",
         "improve",
         {
-            "inputs": {
-                "manifest": str(args.manifest),
-                "pair": list(pair),
-                "base": args.base,
-                "alt_a": args.alt_a,
-                "alt_b": args.alt_b,
-                "control": args.control,
-            },
+            "inputs": {"manifest": str(args.manifest), "pair": list(pair), **given},
             "metric": metric,
             "results": per_dataset,
             "seed": args.seed,

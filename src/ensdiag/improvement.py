@@ -259,6 +259,8 @@ def improvement_similarity_test(
     control = np.asarray(control, dtype=np.float64)
     if not (delta_a.shape == delta_b.shape == control.shape) or delta_a.ndim != 1:
         raise ValidationError("delta_a, delta_b, control must be 1-d arrays of equal length")
+    if delta_a.shape[0] < 2:
+        raise ValidationError("the improvement test needs at least two points")
     cloud = np.column_stack([delta_a, delta_b])
     cloud_control = np.column_stack([delta_a, control])
     bandwidth = median_heuristic_bandwidth(np.vstack([cloud, cloud_control]))

@@ -2,9 +2,10 @@
 
 A store groups per-model predictions over named test sets. Predictions are
 handed out as float64 row-stochastic matrices regardless of the on-disk
-encoding. A store lives on disk: `load_store` is the one builder of a
-PredictionStore and `write_store` the one writer of its files. The layout
-is a JSON manifest next to raw binary dumps:
+encoding. A store lives on disk: `write_store` is the one writer of its
+files, and `load_store` the one builder of a PredictionStore, a frozen
+record of four fields (labels, members, model_ids, pairs) that is only
+read once loaded. The layout is a JSON manifest next to raw binary dumps:
 
     manifest.json   {"datasets": [...], "models": [...], "pairs": [...]}
     <pred file>     raw little-endian float32, row-major, N x C, no header
@@ -15,30 +16,32 @@ Logit files are mapped through a stable softmax when read; probability
 files must already be row-stochastic to within 1e-6 and are renormalized
 exactly. Dataset and model ids are non-empty and contain no whitespace and
 none of ``/ \\ + , :``, since they become file names, CSV cells, member
-specs and pair arguments. The two datasets of a pair differ. Since no id
-holds a ``+``, an ensemble's id, its member ids joined by ``+``, names
-one tuple of members; `form_ensemble` averages them, and `trends` decides
-which ensembles are scored.
+specs and pair arguments. The two datasets of a pair differ. An ensemble
+is a tuple of at least one model, none twice, each predicted on both
+datasets of the pair. Since no id holds a ``+``, an ensemble's id, its
+member ids joined by ``+``, names it; `form_ensemble` averages it, and
+`trends` decides which ensembles are scored.
 
-`load_store` checks every file's size and reads the labels, and keeps only
-each member's file location, as a StoredMember. File names resolve against
-the manifest's directory; absolute and ``..`` paths are followed as given.
-Member values reach an analysis only through `member_blocks`, which reads
-and checks each member once per row block, into one walk buffer of at most
-BLOCK_ELEMENTS entries across all of them: a command reads only its own
-members, and memory grows with neither the number of points nor of models.
-A block's arrays are views of that buffer, overwritten by the next block.
-`conditional.fits_per_sweep` and the bandwidth median's point cap in
-`improvement` size their buffers from BLOCK_ELEMENTS too; improvement's
-pairwise distances have their own DISTANCE_BLOCK_ELEMENTS. Do not rewrite
-a store's files while a command reads them: a later read sees the new
-bytes, and fails if they are short or bad.
+`load_store` checks every id, file size and label, reads the labels, and
+keeps only each member's file location, as a StoredMember. File names
+resolve against the manifest's directory; absolute and ``..`` paths are
+followed as given. Member values reach an analysis only through
+`member_blocks`, which reads and checks each member once per row block,
+into one walk buffer of at most BLOCK_ELEMENTS entries across all of them:
+a command reads only its own members, and memory grows with neither the
+number of points nor of models. A block's arrays are views of that buffer,
+overwritten by the next block. `conditional.fits_per_sweep` and the
+bandwidth median's point cap in `improvement` size their buffers from
+BLOCK_ELEMENTS too; improvement's pairwise distances have their own
+DISTANCE_BLOCK_ELEMENTS. Do not rewrite a store's files while a command
+reads them: a later read sees the new bytes, and fails if they are short
+or bad.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -117,64 +120,31 @@ def form_ensemble(members: Sequence[np.ndarray], out: np.ndarray | None = None) 
     return ens
 
 
-@dataclass
+@dataclass(frozen=True)
 class PredictionStore:
-    """Per-model predictions over named datasets, as `load_store` reads them.
+    """Per-model predictions over named datasets: the record `load_store` fills.
 
-    `datasets` maps a dataset id to its read-only labels. Each prediction is
-    a StoredMember, which `member_blocks` reads from disk on each walk.
+    `labels` maps a dataset id to its read-only int64 labels, `members` a
+    (model id, dataset id) key to its StoredMember, which `member_blocks`
+    reads from disk on each walk. `model_ids` lists each model with a
+    prediction once, in manifest order, and `pairs` the (InD, OOD) pairs.
     """
 
-    datasets: dict[str, np.ndarray] = field(default_factory=dict, init=False)
-    pairs: list[tuple[str, str]] = field(default_factory=list, init=False)
-    _predictions: dict[tuple[str, str], StoredMember] = field(default_factory=dict, init=False)
-    _model_ids: list[str] = field(default_factory=list, init=False)
-
-    def register_dataset(self, dataset_id: str, labels: np.ndarray, n_classes: int) -> None:
-        _check_id("dataset", dataset_id)
-        if dataset_id in self.datasets:
-            raise ValidationError(f"dataset {dataset_id!r} is declared twice")
-        labels = labels.astype(np.int64)
-        if labels.min() < 0 or labels.max() >= n_classes:
-            raise ValidationError(
-                f"dataset {dataset_id!r}: labels outside [0, {n_classes})"
-            )
-        labels.flags.writeable = False
-        self.datasets[dataset_id] = labels
-
-    def add_prediction(self, model_id: str, dataset_id: str, member: StoredMember) -> None:
-        """Hold one model's predictions on one dataset, size-checked by `load_store` and unread."""
-        _check_id("model", model_id)
-        if (model_id, dataset_id) in self._predictions:
-            raise ValidationError(
-                f"duplicate prediction for {model_id!r} on {dataset_id!r}"
-            )
-        self._predictions[(model_id, dataset_id)] = member
-        if model_id not in self._model_ids:
-            self._model_ids.append(model_id)
-
-    @property
-    def model_ids(self) -> list[str]:
-        return list(self._model_ids)
-
-    def labels(self, dataset_id: str) -> np.ndarray:
-        if dataset_id not in self.datasets:
-            raise ValidationError(f"unknown dataset {dataset_id!r}")
-        return self.datasets[dataset_id]
-
-    def has_prediction(self, model_id: str, dataset_id: str) -> bool:
-        return (model_id, dataset_id) in self._predictions
+    labels: dict[str, np.ndarray]
+    members: dict[tuple[str, str], StoredMember]
+    model_ids: list[str]
+    pairs: list[tuple[str, str]]
 
     def models_on_pair(self, pair: tuple[str, str]) -> list[str]:
         """Models predicted on both datasets of the pair, in `model_ids` order."""
-        return [m for m in self._model_ids if all((m, d) in self._predictions for d in pair)]
+        return [m for m in self.model_ids if all((m, d) in self.members for d in pair)]
 
     def member_probs(self, member_ids: Sequence[str], dataset_id: str) -> list[StoredMember]:
         """The members' predictions on one dataset, unread, for `member_blocks` to walk."""
         for m in member_ids:
-            if (m, dataset_id) not in self._predictions:
+            if (m, dataset_id) not in self.members:
                 raise ValidationError(f"no prediction for model {m!r} on {dataset_id!r}")
-        return [self._predictions[(m, dataset_id)] for m in member_ids]
+        return [self.members[(m, dataset_id)] for m in member_ids]
 
 
 def _check_size(path: Path, dtype: str, shape: tuple[int, ...], name: str) -> None:
@@ -308,6 +278,7 @@ def write_file(path: Path, data: str | bytes) -> None:
 def load_store(manifest_path: str | Path) -> PredictionStore:
     """Load a manifest into a PredictionStore that reads members on access.
 
+    Every dataset and model id is checked, also a model's with no files.
     Labels are read, range-checked and held. Every member file's size is
     checked now, but only its location is kept: its values are checked when
     it is read. Errors name the dataset or model whose file failed validation.
@@ -321,10 +292,13 @@ def load_store(manifest_path: str | Path) -> PredictionStore:
     if not isinstance(manifest, dict):
         raise ValidationError("manifest must be a JSON object")
 
-    store = PredictionStore()
+    labels: dict[str, np.ndarray] = {}
     layouts: dict[str, tuple[str, tuple[int, int]]] = {}
     for i, entry in enumerate(_entries(manifest, "datasets")):
         did = _field(entry, "id", f"dataset entry {i}", str)
+        _check_id("dataset", did)
+        if did in labels:
+            raise ValidationError(f"dataset {did!r} is declared twice")
         owner = f"dataset {did!r}"
         n, c = _field(entry, "n", owner, int), _field(entry, "c", owner, int)
         kind = entry.get("kind", "probs")
@@ -332,19 +306,26 @@ def load_store(manifest_path: str | Path) -> PredictionStore:
             raise ValidationError(f"{owner}: unknown kind {kind!r}")
         if n < 1 or c < 2:
             raise ValidationError(f"{owner}: need n >= 1 and c >= 2")
-        labels = _read_labels(root / _field(entry, "labels_file", owner, str), n, owner)
-        store.register_dataset(did, labels, c)
+        y = _read_labels(root / _field(entry, "labels_file", owner, str), n, owner).astype(np.int64)
+        if y.min() < 0 or y.max() >= c:
+            raise ValidationError(f"{owner}: labels outside [0, {c})")
+        y.flags.writeable = False
+        labels[did] = y
         layouts[did] = kind, (n, c)
 
+    members: dict[tuple[str, str], StoredMember] = {}
     for i, entry in enumerate(_entries(manifest, "models")):
         mid = _field(entry, "id", f"model entry {i}", str)
+        _check_id("model", mid)
         files = _field(entry, "files", f"model {mid!r}", dict)
         for did, rel in files.items():
             if did not in layouts:
                 raise ValidationError(f"model {mid!r} references unknown dataset {did!r}")
             member = StoredMember(root / str(rel), *layouts[did], f"{mid}/{did}")
             _check_size(member.path, "<f4", member.shape, member.name)
-            store.add_prediction(mid, did, member)
+            if (mid, did) in members:
+                raise ValidationError(f"duplicate prediction for {mid!r} on {did!r}")
+            members[(mid, did)] = member
 
     pairs = manifest.get("pairs", [])
     if not isinstance(pairs, list):
@@ -353,12 +334,12 @@ def load_store(manifest_path: str | Path) -> PredictionStore:
         if not isinstance(pair, list) or len(pair) != 2:
             raise ValidationError(f"pair {pair!r} must be a list [ind, ood]")
         for did in pair:
-            if not isinstance(did, str) or did not in store.datasets:
+            if not isinstance(did, str) or did not in labels:
                 raise ValidationError(f"pair references unknown dataset {did!r}")
         if pair[0] == pair[1]:
             raise ValidationError(f"pair {pair!r} names dataset {pair[0]!r} on both sides")
-        store.pairs.append(tuple(pair))
-    return store
+    model_ids = list(dict.fromkeys(mid for mid, _ in members))
+    return PredictionStore(labels, members, model_ids, [tuple(p) for p in pairs])
 
 
 def write_store(

@@ -197,7 +197,7 @@ def form_heterogeneous_ensembles(
     model_ids = store.models_on_pair(pair)
     if not model_ids:
         raise ValidationError(f"no models with predictions on both {pair[0]!r} and {pair[1]!r}")
-    labels = store.labels(pair[0])
+    labels = store.labels[pair[0]]
     correct = np.zeros(len(model_ids))
     for rows, block in member_blocks(store.member_probs(model_ids, pair[0])):
         correct += [np.count_nonzero(p.argmax(axis=1) == labels[rows]) for p in block]
@@ -293,7 +293,7 @@ def trend_points(
     ]
     values: list[list[dict]] = [[] for _ in scored]
     for dataset in pair:
-        labels = store.labels(dataset)
+        labels = store.labels[dataset]
         sums = None
         for rows, block in member_blocks(store.member_probs(held, dataset)):
             if rows.start == 0:

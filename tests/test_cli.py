@@ -281,6 +281,30 @@ def test_repeated_member_is_one_error_line(sim_dir, tmp_path, capsys, command, a
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("command,argv,expected", [
+    ("decompose", ["--members", "m000+zz"], "--members 'm000+zz' references unknown model 'zz'"),
+    ("conditional", ["--members", "m000+m003"],
+     "--members 'm000+m003' references model 'm003', not predicted on both 'ind' and 'ood'"),
+    ("improve", ["--base", "m000", "--alt-a", "m001", "--alt-b", "m002", "--control", "zz"],
+     "--control 'zz' references unknown model 'zz'"),
+    ("improve", ["--base", "m000", "--alt-a", "m001", "--alt-b", "m003", "--control", "m002"],
+     "--alt-b 'm003' references model 'm003', not predicted on both 'ind' and 'ood'"),
+    ("trends", ["--ensembles", [["m000", "zz"]]], "--ensembles entry 0 references unknown model 'zz'"),
+], ids=["members-unknown", "members-unshared", "control-unknown", "alt-b-unshared", "ensembles-unknown"])
+def test_unshared_member_names_flag_and_model(sim_dir, tmp_path, capsys, command, argv, expected):
+    # m003 has no OOD predictions, and no model is named zz.
+    manifest = json.loads((sim_dir / "manifest.json").read_text())
+    del manifest["models"][3]["files"]["ood"]
+    (sim_dir / "manifest.json").write_text(json.dumps(manifest))
+    if command == "trends":
+        (tmp_path / "ens.json").write_text(json.dumps(argv[1]))
+        argv = [argv[0], tmp_path / "ens.json"]
+    code = run([command, "--manifest", sim_dir / "manifest.json", *argv, "--out", tmp_path / "x"])
+    assert code == 1
+    assert capsys.readouterr().err.strip().splitlines() == [f"error: {expected}"]
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("argv", [["decompose", "--seed", "1"], ["gp-demo", "--no-timestamp"]],
                          ids=["decompose-seed", "gp-demo-no-timestamp"])
 def test_removed_flag_is_one_error_line(sim_dir, tmp_path, capsys, argv):
@@ -772,6 +796,17 @@ class TestImproveCommand:
                     "--control", "m003", "--out", tmp_path / "x"])
         assert code == 1
         assert capsys.readouterr().err == f"error: {flag} names the same members as --base\n"
+        assert not (tmp_path / "x").exists()
+
+    def test_one_point_dataset_is_one_error_line(self, tmp_path, capsys):
+        # One OOD point makes each improvement cloud a single point: no statistic exists.
+        sim = tmp_path / "sim"
+        assert run(["simulate", "--n-points", "50", "--n-ood", "1", "--models", "5", "--out", sim]) == 0
+        capsys.readouterr()
+        code = run(["improve", "--manifest", sim / "manifest.json", "--base", "m000", "--alt-a", "m001",
+                    "--alt-b", "m002", "--control", "m003", "--out", tmp_path / "x"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: the improvement test needs at least two points\n"
         assert not (tmp_path / "x").exists()
 
     def test_unequal_dataset_sizes(self, tmp_path):

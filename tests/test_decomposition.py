@@ -474,7 +474,7 @@ def test_loaded_store_peak_flat_in_member_count(tmp_path):
 
         def run():
             store = load_store(manifest)
-            decompose(store.member_probs(store.model_ids, "ind"), store.labels("ind"))
+            decompose(store.member_probs(store.model_ids, "ind"), store.labels["ind"])
 
         peaks[m] = _traced_peak(run)
     gather = (32 - 8) * n * 8  # the extra (M, rows) true-class likelihoods
@@ -488,7 +488,7 @@ def test_loaded_store_peak_flat_in_point_count(tmp_path):
     peaks = {}
     for n in (2000, 8000):
         store = load_store(_loaded_store(tmp_path / str(n), n, c, 3))
-        members, labels = store.member_probs(store.model_ids, "ind"), store.labels("ind")
+        members, labels = store.member_probs(store.model_ids, "ind"), store.labels["ind"]
         peaks[n] = _traced_peak(lambda: decompose(members, labels))
     assert peaks[8000] - peaks[2000] < 6000 * 200
     assert peaks[8000] < 1.2 * peaks[2000]

@@ -380,7 +380,7 @@ class TestFactoredMmd:
         ids = ["m000", "m001", "m002", "m004"]
         members = dict(zip(ids, store.member_probs(ids, "ind")))
         specs = [["m000"], ["m000", "m001"], ["m000", "m002"], ["m004"]]
-        base, *alts = ensemble_scores(members, specs, store.labels("ind"), "brier")
+        base, *alts = ensemble_scores(members, specs, store.labels["ind"], "brier")
         da, db, dc = (base - a for a in alts)
         calls = []
         monkeypatch.setattr("ensdiag.improvement.mmd2_unbiased", lambda *a: calls.append(a) or 0.0)

@@ -44,18 +44,18 @@ class TestSpecValidation:
     def test_ood_size_defaults_to_n_points(self, tmp_path):
         assert SyntheticSpec(n_points=70).n_ood == 70
         store = simulated(SyntheticSpec(n_points=30, n_ood=12, n_classes=3, n_models=2), tmp_path / "a")
-        assert (len(store.labels("ind")), len(store.labels("ood"))) == (30, 12)
+        assert (len(store.labels["ind"]), len(store.labels["ood"])) == (30, 12)
         same = simulated(SyntheticSpec(n_points=30, n_classes=3, n_models=2), tmp_path / "b")
         explicit = simulated(SyntheticSpec(n_points=30, n_ood=30, n_classes=3, n_models=2), tmp_path / "c")
         for d in ("ind", "ood"):
-            assert np.array_equal(same.labels(d), explicit.labels(d))
+            assert np.array_equal(same.labels[d], explicit.labels[d])
             assert np.array_equal(read(same, "m001", d), read(explicit, "m001", d))
 
 
 class TestSimulateStore:
     def test_structure(self, tmp_path):
         store = simulated(SMALL, tmp_path)
-        assert sorted(store.datasets) == ["ind", "ood"]
+        assert sorted(store.labels) == ["ind", "ood"]
         assert store.model_ids == ["m000", "m001", "m002"]
         assert store.pairs == [("ind", "ood")]
 
@@ -71,7 +71,7 @@ class TestSimulateStore:
     def test_labels_in_range(self, tmp_path):
         store = simulated(SMALL, tmp_path)
         for ds in ("ind", "ood"):
-            labels = store.labels(ds)
+            labels = store.labels[ds]
             assert labels.shape == (40,)
             assert labels.min() >= 0
             assert labels.max() < 3
@@ -81,7 +81,7 @@ class TestSimulateStore:
         b = simulated(SyntheticSpec(n_points=40, n_classes=3, n_models=3, seed=5), tmp_path / "b")
         for mid in a.model_ids:
             np.testing.assert_array_equal(read(a, mid, "ind"), read(b, mid, "ind"))
-        np.testing.assert_array_equal(a.labels("ood"), b.labels("ood"))
+        np.testing.assert_array_equal(a.labels["ood"], b.labels["ood"])
 
     def test_seed_changes_output(self, tmp_path):
         a = simulated(SMALL, tmp_path / "a")
@@ -131,7 +131,7 @@ class TestWriteSyntheticStore:
         path = write_synthetic_store(SMALL, tmp_path)
         loaded = load_store(path)
         generated = {did: (labels, dict(members)) for did, labels, members in _generate(SMALL)}
-        np.testing.assert_array_equal(loaded.labels("ind"), generated["ind"][0])
+        np.testing.assert_array_equal(loaded.labels["ind"], generated["ind"][0])
         # Files hold float32 logits, so probabilities agree with the float64 ones to f32 resolution.
         np.testing.assert_allclose(
             read(loaded, "m001", "ood"), softmax(generated["ood"][1]["m001"]), atol=5e-7

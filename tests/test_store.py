@@ -136,6 +136,16 @@ class TestStoreValidation:
         with pytest.raises(ValidationError, match="model id"):
             load_store(manifest)
 
+    def test_id_of_model_without_files_rejected(self, manifest):
+        _edited(manifest, lambda m: m["models"].append({"id": "bad id/x", "files": {}}))
+        with pytest.raises(ValidationError, match="model id 'bad id/x'"):
+            load_store(manifest)
+
+    def test_loaded_store_is_frozen(self, tiny_store):
+        for name in ("labels", "members", "model_ids", "pairs"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(tiny_store, name, getattr(tiny_store, name))
+
     def test_arrays_read_only(self, tiny_store):
         # 60 points of 5 classes are one row block.
         ((_, (probs,)),) = member_blocks(tiny_store.member_probs(["m0"], "ind"))
@@ -330,7 +340,7 @@ class TestReadOnAccess:
         probs = read(store, "m1", "d")
         assert probs[0, 0] == 0.0
         assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-12
-        records = decompose(store.member_probs(store.model_ids, "d"), store.labels("d"))
+        records = decompose(store.member_probs(store.model_ids, "d"), store.labels["d"])
         assert all(np.abs(rec.residual()).max() <= 1e-10 for rec in records.values())
 
     def test_zoo_member_bit_equal_to_eager_ingest(self, tmp_path, rng):

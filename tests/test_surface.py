@@ -199,3 +199,10 @@ def test_member_values_are_read_only_in_store():
         found += [f"{path.name}:{line} {name}" for name, line in _references(tree)
                   if name in ("read_into", "_read", "fromfile")]
     assert found == []
+
+
+def test_only_load_store_builds_a_store():
+    # A PredictionStore is a frozen record that store.load_store alone fills.
+    found = [f"{path.name}:{call.lineno}" for path, tree in _trees().items() if path.name != "store.py"
+             for name, call in _calls(tree) if name == "PredictionStore"]
+    assert found == []

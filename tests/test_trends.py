@@ -280,7 +280,7 @@ class TestTrendPoints:
         singles = [p for p in pts if p.model_class == "single"]
         assert len(singles) == 4
         m0 = next(p for p in pts if p.model_id == "m0")
-        expected = brier(read(store, "m0", "ind"), store.labels("ind")).mean()
+        expected = brier(read(store, "m0", "ind"), store.labels["ind"]).mean()
         assert m0.ind_value == pytest.approx(expected)
 
     def test_unknown_metric(self, rng, tmp_path):
@@ -320,7 +320,7 @@ class TestTrendPoints:
                 probs = (total - read(store, k, dataset)) / (len(models) - 1)
             else:
                 probs = form_ensemble([read(store, m, dataset) for m in members])
-            labels = store.labels(dataset)
+            labels = store.labels[dataset]
             if metric in ("ece", "resce"):
                 return ece_resce(calibration_bins(probs, labels, 7))[metric]
             return compute_metric(metric, probs, labels).mean()
@@ -395,7 +395,7 @@ def test_score_sums_match_per_point_scores_across_blocks(rng, tmp_path, form):
     assert ensembles
     with mock.patch.object(ensdiag.store, "BLOCK_ELEMENTS", 10 * 5 * 6):  # 10 rows a block, the last 1
         for dataset in pair:
-            labels = store.labels(dataset)
+            labels = store.labels[dataset]
             got, want_scores, want_bins = None, 0.0, 0.0
             blocks = 0
             for rows, block in member_blocks(store.member_probs(store.model_ids, dataset)):
@@ -497,9 +497,9 @@ def stacked_ratio_oracle(store, ensembles, pair=("ind", "ood")):
             for d in pair
         )
         per_ens["+".join(ens)] = float(ood) / float(ind)
-    singles = [m for m in store.model_ids if all(store.has_prediction(m, d) for d in pair)]
+    singles = [m for m in store.model_ids if all((m, d) in store.members for d in pair)]
     ind, ood = (
-        np.array([float(brier(read(store, m, d), store.labels(d)).mean()) for m in singles])
+        np.array([float(brier(read(store, m, d), store.labels[d]).mean()) for m in singles])
         for d in pair
     )
     return float(np.mean(list(per_ens.values()))), per_ens, fit_trend_xy(ind, ood)
@@ -617,7 +617,7 @@ class TestLeaveOneOutRunningSum:
 
         def oracle(members, metric, dataset):
             probs = form_ensemble([read(store, m, dataset) for m in members])
-            labels = store.labels(dataset)
+            labels = store.labels[dataset]
             if metric in ("ece", "resce"):
                 return ece_resce(calibration_bins(probs, labels, 7))[metric]
             return compute_metric(metric, probs, labels).mean()
@@ -635,7 +635,7 @@ class TestLeaveOneOutRunningSum:
         assert pair.model_id == "m0+m1"
         for dataset, value in (("ind", pair.ind_value), ("ood", pair.ood_value)):
             probs = form_ensemble([read(store, "m0", dataset), read(store, "m1", dataset)])
-            assert value == compute_metric("nll", probs, store.labels(dataset)).mean()
+            assert value == compute_metric("nll", probs, store.labels[dataset]).mean()
 
 
 def test_trend_points_peak_flat_in_member_count(tmp_path):
