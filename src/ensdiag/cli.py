@@ -23,7 +23,7 @@ import numpy as np
 
 from . import DEFAULT_GRID_SIZE, __version__
 from .errors import NumericalError, ValidationError
-from .store import PredictionStore, load_store, read_json, write_file
+from .store import PredictionStore, check_pair, load_store, read_json, write_file
 
 # Each command imports the analysis modules it runs at the top of its body,
 # and each figure helper imports svgplot, so a process loads only its own
@@ -75,19 +75,12 @@ def prepare_out_dir(path: str, force: bool) -> Path:
 
 
 def _resolve_pair(store: PredictionStore, pair_arg: str | None) -> tuple[str, str]:
+    """The manifest's first pair, or `--pair IND:OOD` split at its colons and checked by the store's rule."""
     if pair_arg is None:
         if not store.pairs:
             raise ValidationError("manifest declares no pairs; pass --pair IND:OOD")
         return store.pairs[0]
-    if ":" not in pair_arg:
-        raise ValidationError(f"--pair must look like IND:OOD, got {pair_arg!r}")
-    ind, ood = pair_arg.split(":", 1)
-    for d in (ind, ood):
-        if d not in store.labels:
-            raise ValidationError(f"--pair references unknown dataset {d!r}")
-    if ind == ood:
-        raise ValidationError(f"--pair names dataset {ind!r} on both sides")
-    return ind, ood
+    return check_pair(pair_arg.split(":"), store.labels, f"--pair {pair_arg!r}")
 
 
 def _ensemble(store: PredictionStore, ids: list[str], pair: tuple[str, str], what: str) -> list[str]:
@@ -174,17 +167,17 @@ def cmd_decompose(args: argparse.Namespace) -> None:
     for dataset, by_family in records.items():
         aggregates[dataset] = {}
         for family, rec in by_family.items():
-            res = rec.residual()
             write_csv(
                 out / f"decompose_{family}_{dataset}.csv",
                 {"index": np.arange(rec.n), "total": rec.total, "diversity": rec.diversity,
-                 "avg_member": rec.avg_member, "residual": res},
+                 "avg_member": rec.avg_member, "residual": rec.residual()},
             )
             aggregates[dataset][family] = {
                 "mean_total": float(rec.total.mean()),
                 "mean_diversity": float(rec.diversity.mean()),
                 "mean_avg_member": float(rec.avg_member.mean()),
-                "max_abs_residual": float(np.abs(res).max()),
+                "max_abs_residual": rec.max_abs_residual,
+                "unchecked_points": rec.unchecked_points,
                 "n": rec.n,
             }
 
@@ -347,15 +340,13 @@ def cmd_trends(args: argparse.Namespace) -> None:
                 ensembles.append(ens)
             heterogeneous.add(listed.get(frozenset(ens), ens))
 
-    # The diversity ratio is derived from the Brier points, so they are always scored.
-    scored_metrics = metrics if "brier" in metrics else metrics + ["brier"]
-    scored = trend_points(store, ensembles, scored_metrics, pair, n_bins=args.bins,
-                          heterogeneous=frozenset(heterogeneous))
+    # Every metric is scored in one pass; the diversity ratio reads the Brier points.
+    scored = trend_points(store, ensembles, pair, n_bins=args.bins, heterogeneous=frozenset(heterogeneous))
     try:
         ratio_report = asdict(diversity_ratio_check(scored, ensembles))
     except ValidationError as exc:
         ratio_report = {"skipped": str(exc)}
-    points = [p for p in scored if p.metric in metrics]
+    points = [p for metric in metrics for p in scored if p.metric == metric]
     rows = trend_table(points)
 
     baselines = {r.metric: r.fit for r in rows if r.model_class == "Single Model"}
@@ -409,8 +400,6 @@ def _trends_figure(points, rows, metric: str, path: Path) -> None:
     from . import svgplot
 
     pts = [p for p in points if p.metric == metric]
-    if not pts:
-        return
     lim = svgplot.padded_limits(np.array([[p.ind_value, p.ood_value] for p in pts]))
     panel = svgplot.Panel(60, 40, 420, 420, lim, lim, title=f"Trend: {metric}",
                           xlabel="InD score", ylabel="OOD score")

@@ -27,6 +27,8 @@ DEFAULT_RIDGE_SCALE = 1e-3
 RIDGE_FLOOR = 1e-8
 DEFAULT_TRIM_PERCENTILES = (1.0, 99.0)
 PIVOT_TOL = 1e-13
+# Factor rows pivoted_cholesky allocates before it first grows, as fits_per_sweep budgets.
+FIRST_FACTOR_ROWS = 64
 
 
 @dataclass
@@ -85,8 +87,8 @@ class ConditionalCurve:
 
 def fits_per_sweep(size: int) -> int:
     """Fits of `size` points, data and grid, that one pivoted Cholesky sweep
-    stacks: their first 64 factor rows fill at most BLOCK_ELEMENTS entries."""
-    return max(1, BLOCK_ELEMENTS // (64 * size))
+    stacks: their first FIRST_FACTOR_ROWS factor rows fill at most BLOCK_ELEMENTS entries."""
+    return max(1, BLOCK_ELEMENTS // (FIRST_FACTOR_ROWS * size))
 
 
 def pivoted_cholesky(
@@ -113,7 +115,7 @@ def pivoted_cholesky(
     stop = PIVOT_TOL * size
     # state[0] holds the points, state[1] the residual diagonal and state[2 + j]
     # factor row j, so that one take reads all three at each row's pivot.
-    state = np.empty((min(size, 64) + 2, batch, size))
+    state = np.empty((min(size, FIRST_FACTOR_ROWS) + 2, batch, size))
     state[0], state[1] = points, 1.0
     resid, traces, r = state[1], [], 0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # rows past their rank

@@ -8,7 +8,9 @@ Four families are supported, each an exact algebraic identity per point:
     nll_gap     mean NLL    = ensemble NLL       + KL(uniform || member likelihoods)
 
 Every family re-verifies its identity at runtime and raises NumericalError
-when the residual exceeds 1e-10 on any point. Members are
+when the residual exceeds 1e-10 on a point it checks: each record's `checked`
+mask holds every point but, for nll_gap, those whose likelihoods hit NLL_EPS.
+Members are
 store.StoredMembers of one (N, C) shape, read only by store.member_blocks:
 `decompose` walks its row blocks, which read every member once per block.
 Two passes run over the block's rows: one for the ensemble sum, the member
@@ -42,17 +44,29 @@ class DecompositionRecord:
     For the uncertainty families (quadratic, entropy) the identity is
     total = diversity + avg_member. For the score-gap families (brier_gap,
     nll_gap) total is the ensemble score and avg_member = total + diversity.
+    `checked` masks the points whose identity `decompose` checks.
     """
 
     family: str
     total: np.ndarray
     diversity: np.ndarray
     avg_member: np.ndarray
+    checked: np.ndarray
 
     def residual(self) -> np.ndarray:
         if self.family in ("quadratic", "entropy"):
             return self.total - (self.diversity + self.avg_member)
         return self.avg_member - (self.total + self.diversity)
+
+    @property
+    def max_abs_residual(self) -> float:
+        """Largest absolute residual over the checked points; 0.0 if none is checked."""
+        res = np.abs(self.residual()[self.checked])
+        return float(res.max()) if res.size else 0.0
+
+    @property
+    def unchecked_points(self) -> int:
+        return self.n - int(np.count_nonzero(self.checked))
 
     @property
     def n(self) -> int:
@@ -67,10 +81,10 @@ def decompose(
     """Records of the requested families, in FAMILIES order, from one blocked walk.
 
     `labels` is needed by brier_gap and nll_gap only. Each identity is
-    checked over all points after the walk; entropy's JSD is also checked
-    against the mean KL to the ensemble. nll_gap's KL(Uniform(M) || Q), Q
-    the normalized member true-class likelihoods, is exact only where no
-    likelihood hits the clamp floor, so clamped points skip its check.
+    checked after the walk over its record's `checked` points; entropy's JSD
+    is also checked against the mean KL to the ensemble. nll_gap's KL(Uniform(M)
+    || Q), Q the normalized member true-class likelihoods, is exact only where
+    no likelihood hits the clamp floor, so its mask leaves clamped points out.
     """
     if len(members) < 2:
         raise ValidationError("diversity needs at least two members")
@@ -83,9 +97,9 @@ def decompose(
         if labels is None:
             raise ValidationError("brier_gap and nll_gap need labels")
         labels = check_labels(labels, n, c)
-    columns = {f: (np.empty(n), np.empty(n), np.empty(n)) for f in wanted}
+    # Each family's three columns and checked mask: every point, but for nll_gap the unclamped ones.
+    columns = {f: (np.empty(n), np.empty(n), np.empty(n), np.ones(n, dtype=bool)) for f in wanted}
     kl = np.empty(n) if "entropy" in wanted else None
-    unclamped = np.empty(n, dtype=bool) if "nll_gap" in wanted else None
     for rows, held in member_blocks(members):
         if rows.start == 0:
             work = np.empty((5, *held[0].shape))
@@ -95,8 +109,8 @@ def decompose(
                 column[rows] = values
         if kl is not None:
             kl[rows] = block["kl"]
-        if unclamped is not None:
-            unclamped[rows] = block["unclamped"]
+        if "nll_gap" in wanted:
+            columns["nll_gap"][3][rows] = block["unclamped"]
 
     records = {f: DecompositionRecord(f, *columns[f]) for f in wanted}
     for f, rec in records.items():
@@ -106,9 +120,9 @@ def decompose(
                 raise NumericalError(
                     f"entropy diversity formulas disagree by {gap.max():.3e} (tol {IDENTITY_TOL:g})"
                 )
-        res = np.abs(rec.residual())[unclamped if f == "nll_gap" else slice(None)]
-        if res.size and res.max() > IDENTITY_TOL:
-            raise NumericalError(f"{f} identity residual {res.max():.3e} exceeds {IDENTITY_TOL:g}")
+        worst = rec.max_abs_residual
+        if worst > IDENTITY_TOL:
+            raise NumericalError(f"{f} identity residual {worst:.3e} exceeds {IDENTITY_TOL:g}")
     return records
 
 

@@ -16,7 +16,8 @@ Logit files are mapped through a stable softmax when read; probability
 files must already be row-stochastic to within 1e-6 and are renormalized
 exactly. Dataset and model ids are non-empty and contain no whitespace and
 none of ``/ \\ + , :``, since they become file names, CSV cells, member
-specs and pair arguments. The two datasets of a pair differ. An ensemble
+specs and pair arguments. A pair is two different declared datasets, the
+one rule `check_pair` applies to manifest pairs and `--pair`. An ensemble
 is a tuple of at least one model, none twice, each predicted on both
 datasets of the pair. Since no id holds a ``+``, an ensemble's id, its
 member ids joined by ``+``, names it; `form_ensemble` averages it, and
@@ -43,7 +44,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Container, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -145,6 +146,19 @@ class PredictionStore:
             if (m, dataset_id) not in self.members:
                 raise ValidationError(f"no prediction for model {m!r} on {dataset_id!r}")
         return [self.members[(m, dataset_id)] for m in member_ids]
+
+
+def check_pair(pair, datasets: Container[str], what: str) -> tuple[str, str]:
+    """`pair` as an (InD, OOD) tuple if it is a list of two different ids of `datasets`:
+    a manifest pair or `--pair` split at its colons. An error names `what`."""
+    if not isinstance(pair, list) or len(pair) != 2:
+        raise ValidationError(f"{what} must name two datasets, IND and OOD")
+    for did in pair:
+        if not isinstance(did, str) or did not in datasets:
+            raise ValidationError(f"{what} references unknown dataset {did!r}")
+    if pair[0] == pair[1]:
+        raise ValidationError(f"{what} names dataset {pair[0]!r} on both sides")
+    return pair[0], pair[1]
 
 
 def _check_size(path: Path, dtype: str, shape: tuple[int, ...], name: str) -> None:
@@ -330,16 +344,8 @@ def load_store(manifest_path: str | Path) -> PredictionStore:
     pairs = manifest.get("pairs", [])
     if not isinstance(pairs, list):
         raise ValidationError("manifest 'pairs' must be a list")
-    for pair in pairs:
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ValidationError(f"pair {pair!r} must be a list [ind, ood]")
-        for did in pair:
-            if not isinstance(did, str) or did not in labels:
-                raise ValidationError(f"pair references unknown dataset {did!r}")
-        if pair[0] == pair[1]:
-            raise ValidationError(f"pair {pair!r} names dataset {pair[0]!r} on both sides")
     model_ids = list(dict.fromkeys(mid for mid, _ in members))
-    return PredictionStore(labels, members, model_ids, [tuple(p) for p in pairs])
+    return PredictionStore(labels, members, model_ids, [check_pair(p, labels, f"pair {p!r}") for p in pairs])
 
 
 def write_store(

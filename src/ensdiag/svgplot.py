@@ -2,7 +2,8 @@
 
 Plots are emitted as plain SVG text with fixed-precision coordinates and
 no generation timestamp, so a rerun with the same inputs reproduces the
-file byte for byte.
+file byte for byte. Every <text> element comes from one template, `_text`,
+and every axis tick mark from `_tick`.
 """
 
 from __future__ import annotations
@@ -41,6 +42,20 @@ def _fmt(v: float) -> str:
 
 def _tick_label(v: float) -> str:
     return f"{v:.3g}"
+
+
+def _text(x: float, y: float, text: str, size: int, color: str, anchor: str, *, bold: bool, rotate: bool) -> str:
+    """One <text> element anchored at (x, y); a rotated one turns -90 degrees about that point."""
+    weight = ' font-weight="bold"' if bold else ""
+    turn = f' transform="rotate(-90 {_fmt(x)} {_fmt(y)})"' if rotate else ""
+    return (f'<text x="{_fmt(x)}" y="{_fmt(y)}" {FONT} font-size="{size}"{weight} fill="{color}" '
+            f'text-anchor="{anchor}"{turn}>{text}</text>')
+
+
+def _tick(x1: float, y1: float, x2: float, y2: float) -> str:
+    """One axis tick mark from (x1, y1) to (x2, y2)."""
+    return (f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
+            f'stroke="{LINE_COLOR}" stroke-width="1"/>')
 
 
 class Panel:
@@ -114,52 +129,29 @@ class Panel:
         )
 
     def label(self, text: str, x: float, y: float, color: str = LINE_COLOR, size: int = 11) -> None:
-        self.elements.append(
-            f'<text x="{_fmt(x)}" y="{_fmt(y)}" {FONT} font-size="{size}" '
-            f'fill="{color}" text-anchor="start">{text}</text>'
-        )
+        self.elements.append(_text(x, y, text, size, color, "start", bold=False, rotate=False))
 
     def render(self) -> list[str]:
         out = [
             f'<rect x="{_fmt(self.x0)}" y="{_fmt(self.y0)}" width="{_fmt(self.width)}" '
             f'height="{_fmt(self.height)}" fill="white" stroke="{LINE_COLOR}" stroke-width="1"/>'
         ]
+        bottom, middle = self.y0 + self.height, self.x0 + self.width / 2
         for tx in np.linspace(self.xlim[0], self.xlim[1], 5):
             px = self.px(tx)
-            out.append(
-                f'<line x1="{_fmt(px)}" y1="{_fmt(self.y0 + self.height)}" x2="{_fmt(px)}" '
-                f'y2="{_fmt(self.y0 + self.height + 4)}" stroke="{LINE_COLOR}" stroke-width="1"/>'
-            )
-            out.append(
-                f'<text x="{_fmt(px)}" y="{_fmt(self.y0 + self.height + 16)}" {FONT} '
-                f'font-size="10" fill="{LINE_COLOR}" text-anchor="middle">{_tick_label(tx)}</text>'
-            )
+            out += [_tick(px, bottom, px, bottom + 4),
+                    _text(px, bottom + 16, _tick_label(tx), 10, LINE_COLOR, "middle", bold=False, rotate=False)]
         for ty in np.linspace(self.ylim[0], self.ylim[1], 5):
             py = self.py(ty)
-            out.append(
-                f'<line x1="{_fmt(self.x0 - 4)}" y1="{_fmt(py)}" x2="{_fmt(self.x0)}" '
-                f'y2="{_fmt(py)}" stroke="{LINE_COLOR}" stroke-width="1"/>'
-            )
-            out.append(
-                f'<text x="{_fmt(self.x0 - 7)}" y="{_fmt(py + 3)}" {FONT} '
-                f'font-size="10" fill="{LINE_COLOR}" text-anchor="end">{_tick_label(ty)}</text>'
-            )
+            out += [_tick(self.x0 - 4, py, self.x0, py),
+                    _text(self.x0 - 7, py + 3, _tick_label(ty), 10, LINE_COLOR, "end", bold=False, rotate=False)]
         if self.title:
-            out.append(
-                f'<text x="{_fmt(self.x0 + self.width / 2)}" y="{_fmt(self.y0 - 8)}" {FONT} '
-                f'font-size="12" font-weight="bold" fill="{LINE_COLOR}" text-anchor="middle">{self.title}</text>'
-            )
+            out.append(_text(middle, self.y0 - 8, self.title, 12, LINE_COLOR, "middle", bold=True, rotate=False))
         if self.xlabel:
-            out.append(
-                f'<text x="{_fmt(self.x0 + self.width / 2)}" y="{_fmt(self.y0 + self.height + 32)}" {FONT} '
-                f'font-size="11" fill="{LINE_COLOR}" text-anchor="middle">{self.xlabel}</text>'
-            )
+            out.append(_text(middle, bottom + 32, self.xlabel, 11, LINE_COLOR, "middle", bold=False, rotate=False))
         if self.ylabel:
-            cx, cy = self.x0 - 38, self.y0 + self.height / 2
-            out.append(
-                f'<text x="{_fmt(cx)}" y="{_fmt(cy)}" {FONT} font-size="11" fill="{LINE_COLOR}" '
-                f'text-anchor="middle" transform="rotate(-90 {_fmt(cx)} {_fmt(cy)})">{self.ylabel}</text>'
-            )
+            out.append(_text(self.x0 - 38, self.y0 + self.height / 2, self.ylabel, 11, LINE_COLOR, "middle",
+                             bold=False, rotate=True))
         out.extend(self.elements)
         return out
 

@@ -235,7 +235,6 @@ def form_heterogeneous_ensembles(
 def trend_points(
     store: PredictionStore,
     ensembles: Sequence[tuple[str, ...]],
-    metrics: Sequence[str],
     pair: tuple[str, str],
     n_bins: int = 15,
     heterogeneous: frozenset[tuple[str, ...]] = frozenset(),
@@ -248,16 +247,13 @@ def trend_points(
     block's sum in model order; it agrees with `form_ensemble` to within
     1e-12 rather than bit for bit. Any other ensemble is `form_ensemble`
     over its members' block rows. One `score_sums` call scores every model
-    of a block, one pass over each, whatever the metrics. The score and
+    of a block for all of TREND_METRICS, one pass over each. The score and
     calibration bin sums are added up over the blocks, and the means, ECE
     and ResCE formed once.
-    Points come out metric by metric, singles before ensembles. An
+    Points come out metric by metric in TREND_METRICS order, singles first. An
     ensemble's point is named by its members joined with ``+``, and is of
     class "heterogeneous" when its tuple is in `heterogeneous`.
     """
-    for metric in metrics:
-        if metric not in TREND_METRICS:
-            raise ValidationError(f"unknown trend metric {metric!r}; choose from {TREND_METRICS}")
     models = store.models_on_pair(pair)
     held = list(dict.fromkeys([*models, *(m for ens in ensembles for m in ens)]))
     if not held:
@@ -305,7 +301,7 @@ def trend_points(
             out[-1]["ece"], out[-1]["resce"] = sums.calibration_errors(k)
     return [
         TrendPoint(model_id, cls, metric, ind[metric], ood[metric])
-        for metric in metrics
+        for metric in TREND_METRICS
         for (model_id, cls), (ind, ood) in zip(scored, values)
     ]
 

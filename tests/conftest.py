@@ -6,10 +6,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ensdiag.conditional import JointSample, joint_samples
 from ensdiag.simulate import SyntheticSpec, write_synthetic_store
 from ensdiag.store import PredictionStore, load_store
+
+
+# `pytest --hypothesis-profile=ci` draws the same examples on every run and keeps
+# no example database, so a failure in CI replays anywhere.
+settings.register_profile("ci", derandomize=True, database=None)
 
 
 def random_simplex(rng, n, c):

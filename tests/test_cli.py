@@ -145,7 +145,8 @@ MALFORMED_MANIFESTS = {
     # A second 'ind' entry pointing at the OOD labels.
     "repeated_dataset_id": (lambda m, d: m["datasets"].append({**m["datasets"][1], "id": "ind"}),
                             "dataset 'ind' is declared twice"),
-    "pair_of_one_dataset": (lambda m, d: m["pairs"].append(["ood", "ood"]), "names dataset 'ood' on both sides"),
+    "pair_of_one_dataset": (lambda m, d: m["pairs"].append(["ood", "ood"]),
+                            "pair ['ood', 'ood'] names dataset 'ood' on both sides"),
 }
 
 
@@ -451,8 +452,8 @@ class TestPairArgument:
         assert run(["decompose", "--manifest", sim_dir / "manifest.json", "--pair", "ood:ind", "--out", out]) == 0
         assert json.loads((out / "result.json").read_text())["inputs"]["pair"] == ["ood", "ind"]
 
-    @pytest.mark.parametrize("pair,expected", [("ind", "--pair must look like IND:OOD"),
-                                               ("ind:nope", "unknown dataset 'nope'")],
+    @pytest.mark.parametrize("pair,expected", [("ind", "--pair 'ind' must name two datasets, IND and OOD"),
+                                               ("ind:nope", "--pair 'ind:nope' references unknown dataset 'nope'")],
                              ids=["no-colon", "unknown-id"])
     def test_bad_pair_is_one_error_line(self, sim_dir, tmp_path, capsys, pair, expected):
         capsys.readouterr()
@@ -468,7 +469,7 @@ class TestPairArgument:
         capsys.readouterr()
         assert run([*argv, "--manifest", sim_dir / "manifest.json", "--pair", "ind:ind",
                     "--out", tmp_path / "out"]) == 1
-        _one_error_line(capsys, "--pair names dataset 'ind' on both sides")
+        _one_error_line(capsys, "--pair 'ind:ind' names dataset 'ind' on both sides")
         assert not (tmp_path / "out").exists()
 
     def test_no_pair_anywhere_is_one_error_line(self, sim_dir, tmp_path, capsys):
@@ -500,6 +501,30 @@ class TestDecomposeCommand:
         agg = result["aggregates"]["ind"]["quadratic"]
         assert agg["max_abs_residual"] < 1e-10
         assert result["settings"]["nll_eps"] == 1e-12
+
+    def test_clamped_point_is_reported_unchecked(self, tmp_path):
+        # Point 0 of each dataset: one member gives its true class 0 and four give
+        # 1e-11, so its true-class likelihoods hit NLL_EPS and nll_gap leaves it
+        # unchecked. The reported maxima cover the checked points only.
+        rng = np.random.default_rng(4)
+        datasets = {}
+        for ds in ("ind", "ood"):
+            labels = rng.integers(0, 3, size=20)
+            labels[0] = 0
+            members = {}
+            for k in range(5):
+                probs = rng.dirichlet(np.ones(3), size=20)
+                probs[0] = [0.0, 1.0, 0.0] if k == 0 else [1e-11, 1.0 - 1e-11, 0.0]
+                members[f"m{k}"] = probs
+            datasets[ds] = labels, members
+        manifest = write_kind_store(tmp_path / "store", "probs", datasets, [("ind", "ood")])
+        out = tmp_path / "dec"
+        assert run(["decompose", "--manifest", manifest, "--out", out]) == 0
+        aggregates = json.loads((out / "result.json").read_text())["aggregates"]
+        for by_family in aggregates.values():
+            assert all(agg["max_abs_residual"] <= 1e-10 for agg in by_family.values()), by_family
+            assert {f: agg["unchecked_points"] for f, agg in by_family.items()} == {
+                "quadratic": 0, "entropy": 0, "brier_gap": 0, "nll_gap": 1}
 
 
 class TestConditionalCommand:

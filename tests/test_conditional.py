@@ -456,12 +456,12 @@ class TestSurrogateBatches:
         finally:
             tracemalloc.stop()
         # One fit's peak covers a fit's solve and curve. A sweep adds, for each
-        # fit it stacks, the buffers pivoted_cholesky allocates (64 factor rows
-        # and the points, residual and scratch rows, 500 entries each) and the
+        # fit it stacks, the buffers pivoted_cholesky allocates (its first factor
+        # rows and the points, residual and scratch rows, 500 entries each) and the
         # stacked input row, and the chunk adds each fit's two samples.
         fits = conditional.fits_per_sweep(500)
         assert fits == 8
-        assert peak <= one_fit + 8 * fits * (500 * (64 + 3 + 1) + 2 * (400 + 400))
+        assert peak <= one_fit + 8 * fits * (500 * (conditional.FIRST_FACTOR_ROWS + 3 + 1) + 2 * (400 + 400))
 
 
 class TestEvaluationGrid:

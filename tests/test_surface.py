@@ -206,3 +206,27 @@ def test_only_load_store_builds_a_store():
     found = [f"{path.name}:{call.lineno}" for path, tree in _trees().items() if path.name != "store.py"
              for name, call in _calls(tree) if name == "PredictionStore"]
     assert found == []
+
+
+# Fragments of the pair rule's messages, past and present: store.check_pair words them all.
+PAIR_RULE_WORDS = ("IND:OOD, got", "must name two datasets", "unknown dataset", "on both sides", "[ind, ood]")
+
+
+def test_only_store_raises_a_pair_error():
+    # A manifest's pairs and --pair are checked by store.check_pair alone.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "store.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno} {text!r}" for raise_ in ast.walk(tree) if isinstance(raise_, ast.Raise)
+                  for node in ast.walk(raise_) if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  for text in [node.value] if any(word in text for word in PAIR_RULE_WORDS)]
+    assert found == []
+
+
+def test_cli_takes_residual_maxima_from_the_records():
+    # decompose's records say which points each identity covers; cli.py only reports
+    # their max_abs_residual, so it takes no absolute value of a residual itself.
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    assert [f"cli.py:{call.lineno}" for name, call in _calls(tree) if name in ("abs", "absolute", "fabs")] == []

@@ -275,7 +275,7 @@ def mixed_ensemble_store(rng, root):
 class TestTrendPoints:
     def test_counts_and_values(self, rng, tmp_path):
         store = build_store(rng, tmp_path)
-        pts = trend_points(store, [("m0", "m1", "m2", "m3")], ["brier"], ("ind", "ood"))
+        pts = [p for p in trend_points(store, [("m0", "m1", "m2", "m3")], ("ind", "ood")) if p.metric == "brier"]
         assert len(pts) == 5
         singles = [p for p in pts if p.model_class == "single"]
         assert len(singles) == 4
@@ -283,29 +283,21 @@ class TestTrendPoints:
         expected = brier(read(store, "m0", "ind"), store.labels["ind"]).mean()
         assert m0.ind_value == pytest.approx(expected)
 
-    def test_unknown_metric(self, rng, tmp_path):
-        store = build_store(rng, tmp_path)
-        with pytest.raises(ValidationError):
-            trend_points(store, [], ["auroc"], ("ind", "ood"))
-
     def test_one_sided_model_skipped(self, rng, tmp_path):
         datasets = random_datasets(rng)
         datasets["ind"][1]["m9"] = random_simplex(rng, 60, 5)
         store = load_store(write_kind_store(tmp_path, "probs", datasets, [("ind", "ood")]))
-        pts = trend_points(store, [], ["zero_one"], ("ind", "ood"))
+        pts = trend_points(store, [], ("ind", "ood"))
         assert all(p.model_id != "m9" for p in pts)
 
     def test_heterogeneous_class_assignment(self, rng, tmp_path):
         store = build_store(rng, tmp_path)
-        pts = trend_points(
-            store, [("m0", "m1")], ["brier"], ("ind", "ood"), heterogeneous=frozenset({("m0", "m1")})
-        )
+        pts = trend_points(store, [("m0", "m1")], ("ind", "ood"), heterogeneous=frozenset({("m0", "m1")}))
         assert next(p for p in pts if p.model_id == "m0+m1").model_class == "heterogeneous"
 
     def test_equals_per_point_oracle(self, rng, tmp_path):
         store, ensembles, het = mixed_ensemble_store(rng, tmp_path)
-        pts = trend_points(store, ensembles, TREND_METRICS, ("ind", "ood"), n_bins=7,
-                           heterogeneous=het)
+        pts = trend_points(store, ensembles, ("ind", "ood"), n_bins=7, heterogeneous=het)
         singles = [(m, (m,), "single") for m in store.model_ids]
         combos = [("+".join(e), e, "heterogeneous" if e in het else "ensemble") for e in ensembles]
 
@@ -353,11 +345,15 @@ class TestTrendPoints:
 
         monkeypatch.setattr(ensdiag.trends, "form_ensemble", counted("form_ensemble", form_ensemble))
         monkeypatch.setattr(ensdiag.trends, "score_sums", counted("score_sums", score_sums))
-        trend_points(store, ensembles, metrics, ("ind", "ood"), heterogeneous=het)
+        pts = trend_points(store, ensembles, ("ind", "ood"), heterogeneous=het)
         # All-but-one ensembles come from the block sum; only the heterogeneous one is formed.
         assert calls["form_ensemble"] == 2 * len(het)
-        # One scoring call per block scores every model for every metric.
+        # One scoring call per block scores every model for every metric, so
+        # whichever metrics a caller reads, each has a point for every model.
         assert calls["score_sums"] == 2
+        ids = [*store.model_ids, *("+".join(e) for e in ensembles)]
+        for metric in metrics:
+            assert [p.model_id for p in pts if p.metric == metric] == ids
 
     def test_invalid_class_rejected(self):
         with pytest.raises(ValidationError):
@@ -485,7 +481,7 @@ def collinear_store(rng, root, c0, n=80, c=5, m=4):
 
 
 def ratio_check(store, ensembles, pair=("ind", "ood")):
-    return diversity_ratio_check(trend_points(store, ensembles, ["brier"], pair), ensembles)
+    return diversity_ratio_check(trend_points(store, ensembles, pair), ensembles)
 
 
 def stacked_ratio_oracle(store, ensembles, pair=("ind", "ood")):
@@ -544,7 +540,7 @@ class TestDiversityRatio:
     def test_three_identical_members_rejected(self, rng, tmp_path):
         store = identical_members_store(rng, tmp_path, copies=3)
         ens = ("t0", "t1", "t2")
-        pts = {p.model_id: p for p in trend_points(store, [ens], ["brier"], ("ind", "ood"))}
+        pts = {p.model_id: p for p in trend_points(store, [ens], ("ind", "ood")) if p.metric == "brier"}
         # The Brier gap of identical members is zero only up to rounding.
         assert np.mean([pts[m].ind_value for m in ens]) != pts["t0+t1+t2"].ind_value
         with pytest.raises(ValidationError, match="zero mean diversity"):
@@ -555,14 +551,14 @@ class TestDiversityRatio:
         with pytest.raises(ValidationError, match="fewer than two members"):
             ratio_check(store, [("m0",)])
         with pytest.raises(ValidationError, match="no brier trend point for 'm0\\+m1\\+m2\\+m3'"):
-            diversity_ratio_check(trend_points(store, [], ["brier"], ("ind", "ood")), [ens])
+            diversity_ratio_check(trend_points(store, [], ("ind", "ood")), [ens])
         two_models = build_store(rng, tmp_path / "two", models=("m0", "m1"))
         with pytest.raises(ValidationError, match="at least 3 single models"):
             ratio_check(two_models, [("m0", "m1")])
 
     def test_equals_stacked_oracle(self, rng, tmp_path):
         store, ensembles, het = mixed_ensemble_store(rng, tmp_path)
-        pts = trend_points(store, ensembles, TREND_METRICS, ("ind", "ood"), heterogeneous=het)
+        pts = trend_points(store, ensembles, ("ind", "ood"), heterogeneous=het)
         rep = diversity_ratio_check(pts, ensembles)
         ratio, per_ens, fit = stacked_ratio_oracle(store, ensembles)
         assert rep.ratio == pytest.approx(ratio, rel=1e-12, abs=0)
@@ -575,7 +571,7 @@ class TestDiversityRatio:
 
     def test_reads_no_predictions(self, rng, tmp_path, monkeypatch):
         store, ensembles, het = mixed_ensemble_store(rng, tmp_path)
-        pts = trend_points(store, ensembles, ["brier"], ("ind", "ood"), heterogeneous=het)
+        pts = trend_points(store, ensembles, ("ind", "ood"), heterogeneous=het)
 
         def refuse(*args, **kwargs):
             raise AssertionError("diversity_ratio_check read predictions")
@@ -600,7 +596,7 @@ class TestLeaveOneOutRunningSum:
             return score_sums(matrices, labels, n_bins)
 
         monkeypatch.setattr(ensdiag.trends, "score_sums", recording)
-        trend_points(store, ensembles, ["brier"], ("ind", "ood"))
+        trend_points(store, ensembles, ("ind", "ood"))
         # 70 points of 6 models and 6 classes are one row block per dataset.
         m = len(store.model_ids)
         for side, dataset in enumerate(("ind", "ood")):
@@ -613,7 +609,7 @@ class TestLeaveOneOutRunningSum:
         store, ensembles = self._loo_store(rng, tmp_path)
         listed = [("m0", "m1"), *ensembles]
         with mock.patch.object(ensdiag.store, "BLOCK_ELEMENTS", 9 * 6 * 6):  # 9 rows a block
-            pts = trend_points(store, listed, TREND_METRICS, ("ind", "ood"), n_bins=7)
+            pts = trend_points(store, listed, ("ind", "ood"), n_bins=7)
 
         def oracle(members, metric, dataset):
             probs = form_ensemble([read(store, m, dataset) for m in members])
@@ -631,7 +627,7 @@ class TestLeaveOneOutRunningSum:
     def test_other_ensembles_are_formed_from_members(self, rng, tmp_path):
         store, ensembles = self._loo_store(rng, tmp_path)
         listed = [("m0", "m1"), ensembles[0]]
-        pair = trend_points(store, listed, ["nll"], ("ind", "ood"))[-2]
+        pair = [p for p in trend_points(store, listed, ("ind", "ood")) if p.metric == "nll"][-2]
         assert pair.model_id == "m0+m1"
         for dataset, value in (("ind", pair.ind_value), ("ood", pair.ood_value)):
             probs = form_ensemble([read(store, "m0", dataset), read(store, "m1", dataset)])
@@ -653,7 +649,7 @@ def test_trend_points_peak_flat_in_member_count(tmp_path):
         try:
             store = load_store(manifest)
             ensembles = list(itertools.combinations(store.model_ids, m - 1))
-            trend_points(store, ensembles, list(TREND_METRICS), ("ind", "ood"))
+            trend_points(store, ensembles, ("ind", "ood"))
             peaks[m] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -675,7 +671,7 @@ def test_trend_points_peak_flat_in_point_count(tmp_path):
         try:
             store = load_store(manifest)
             ensembles = list(itertools.combinations(store.model_ids, 3))
-            trend_points(store, ensembles, list(TREND_METRICS), ("ind", "ood"))
+            trend_points(store, ensembles, ("ind", "ood"))
             peaks[n] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
