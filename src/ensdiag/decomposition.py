@@ -12,15 +12,16 @@ when the residual exceeds 1e-10 on a point it checks: each record's `checked`
 mask holds every point but, for nll_gap, those whose likelihoods hit NLL_EPS.
 Members are
 store.StoredMembers of one (N, C) shape, read only by store.member_blocks:
-`decompose` walks its row blocks, which read every member once per block.
-Two passes run over the block's rows: one for the ensemble sum, the member
-means and the true-class likelihoods, one for the spread about the
+`decompose` walks its row blocks, which read every member once per block
+into an (M + 5, rows, C) stack. Two passes run over the block's rows: one
+for the ensemble sum and the member means, one for the spread about the
 ensemble mean and, from one log per entry, each member's entropy and KL to
-the ensemble. Every reduction is per point, so the block size changes
-no bit of the result. Beyond the per-point output columns, memory is the
-walk buffer of one block, which the next block's read overwrites, five
-arrays of one member's block shape for every block-sized temporary,
-allocated once per call, and an (M, rows) gather of true-class likelihoods.
+the ensemble; nll_gap gathers the true-class likelihoods from the stack.
+Every reduction is per point, so the block size changes no bit of the
+result. Beyond the per-point output columns, memory is the walk buffer of
+one block, which the next block's read overwrites, whose five spare slots
+hold every block-sized temporary, and an (M, rows) gather of true-class
+likelihoods.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ from .metrics import IDENTITY_TOL, NLL_EPS, brier, check_labels, quad_uncertaint
 from .store import StoredMember, form_ensemble, member_blocks
 
 FAMILIES = ("quadratic", "entropy", "brier_gap", "nll_gap")
+# Spare slots of a walk block that _decompose_block works in.
+_WORK_SLOTS = 5
 
 
 @dataclass
@@ -100,10 +103,8 @@ def decompose(
     # Each family's three columns and checked mask: every point, but for nll_gap the unclamped ones.
     columns = {f: (np.empty(n), np.empty(n), np.empty(n), np.ones(n, dtype=bool)) for f in wanted}
     kl = np.empty(n) if "entropy" in wanted else None
-    for rows, held in member_blocks(members):
-        if rows.start == 0:
-            work = np.empty((5, *held[0].shape))
-        block = _decompose_block(held, None if labels is None else labels[rows], wanted, work)
+    for rows, stack in member_blocks(members, spare=_WORK_SLOTS):
+        block = _decompose_block(stack, None if labels is None else labels[rows], wanted)
         for f in wanted:
             for column, values in zip(columns[f], block[f]):
                 column[rows] = values
@@ -126,28 +127,22 @@ def decompose(
     return records
 
 
-def _decompose_block(held: list[np.ndarray], labels: np.ndarray | None, wanted: list[str], work: np.ndarray) -> dict:
-    """(total, diversity, avg_member) per family on one block of the members'
-    rows, plus the mean KL to the ensemble and the nll mask of unclamped points.
-    The five (rows, C) arrays of `work`, at least the block's rows each, are
-    overwritten: the ensemble, its log, the spread sum and two scratch arrays."""
-    m = len(held)
-    ens, log_ens, acc, scratch, log_p = work[:, :len(held[0])]
-    points = np.arange(ens.shape[0])
+def _decompose_block(stack: np.ndarray, labels: np.ndarray | None, wanted: list[str]) -> dict:
+    """(total, diversity, avg_member) per family on one (M + 5, rows, C) block
+    of store.member_blocks, plus the mean KL to the ensemble and the nll mask
+    of unclamped points. The five spare slots are overwritten: the ensemble,
+    its log, the spread sum and two scratch arrays."""
+    m = len(stack) - _WORK_SLOTS
+    held, (ens, log_ens, acc, scratch, log_p) = stack[:m], stack[m:]
     out: dict = {}
 
-    # Pass 1: ensemble sum, member score sums, true-class likelihoods.
+    # Pass 1: ensemble sum and member score sums.
     scores = {"quadratic": quad_uncertainty, "brier_gap": lambda p: brier(p, labels, scratch)}
     sums = {f: 0 for f in scores if f in wanted}
-    # (M, B) in column-major order, the layout a gather from an (M, B, C)
-    # stack has, so the reductions over members below round the same way.
-    like = np.empty((ens.shape[0], m)).T if "nll_gap" in wanted else None
     form_ensemble(held, out=ens)
-    for k, p in enumerate(held):
+    for p in held:
         for f in sums:
             sums[f] = sums[f] + scores[f](p)
-        if like is not None:
-            like[k] = p[points, labels]
 
     # Pass 2: variance about the ensemble mean, and each member's entropy and
     # KL to it from one log per entry.
@@ -190,6 +185,7 @@ def _decompose_block(held: list[np.ndarray], labels: np.ndarray | None, wanted: 
     if "brier_gap" in wanted:
         out["brier_gap"] = (brier(ens, labels, scratch), variance, sums["brier_gap"] / m)
     if "nll_gap" in wanted:
+        like = held[:, np.arange(len(labels)), labels]
         like_c = np.maximum(like, NLL_EPS)
         mean_log = np.log(like_c).mean(axis=0)
         ens_like = like.mean(axis=0)

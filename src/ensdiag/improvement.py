@@ -55,17 +55,15 @@ def ensemble_scores(
     The points are walked in the row blocks of store.member_blocks. In each
     block every member is read once, however many ensembles share it, and
     the ensembles are formed from those rows one at a time with
-    form_ensemble, each into one buffer reused across the walk. Every score
+    form_ensemble, each into the block's one spare slot. Every score
     is per point, so the blocks change no value: the scores equal
     compute_metric on the whole ensembles, bit for bit.
     """
     index = {key: i for i, key in enumerate(members)}
     scores = [np.empty(len(labels)) for _ in specs]
-    for rows, held in member_blocks(list(members.values())):
-        if rows.start == 0:
-            ens = np.empty(held[0].shape)
+    for rows, stack in member_blocks(list(members.values()), spare=1):
         for out, spec in zip(scores, specs):
-            formed = form_ensemble([held[index[key]] for key in spec], out=ens[:len(held[0])])
+            formed = form_ensemble([stack[index[key]] for key in spec], out=stack[-1])
             out[rows] = compute_metric(metric, formed, labels[rows])
     return scores
 
@@ -234,9 +232,12 @@ def factored_mmd2(delta_a: np.ndarray, delta_b: np.ndarray, control: np.ndarray,
     if factors is None:
         return None
     lbc = factors[0][:, 0]
-    gx, gy = la @ lbc[:, :m].T, la @ lbc[:, m:].T
-    within = (np.vdot(gx, gx) - m + np.vdot(gy, gy) - m) / (m * (m - 1))
-    return float(within - 2.0 * np.vdot(gx, gy) / (m * m)), la.shape[0], gx.shape[1]
+    # einsum, not BLAS, which splits the long sums over m across threads and
+    # so rounds them by its thread count.
+    gx, gy = np.einsum("ik,jk->ij", la, lbc[:, :m]), np.einsum("ik,jk->ij", la, lbc[:, m:])
+    sums = np.einsum("ij,ij->", gx, gx), np.einsum("ij,ij->", gy, gy), np.einsum("ij,ij->", gx, gy)
+    within = (sums[0] - m + sums[1] - m) / (m * (m - 1))
+    return float(within - 2.0 * sums[2] / (m * m)), la.shape[0], gx.shape[1]
 
 
 def improvement_similarity_test(

@@ -3,12 +3,13 @@
 All scores follow a lower-is-better convention. Probability inputs are
 row blocks read by store.member_blocks, or ensembles formed from them, so
 they are assumed row-stochastic; labels are integer class indices in [0, C).
+`score_sums` scores a whole (K, N, C) block stack in one call. No reduction
+here calls BLAS, whose sums round by its thread count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -111,55 +112,39 @@ class ScoreSums:
         return float(np.sum(weights * np.abs(gaps))), float(np.sqrt(np.sum(weights * gaps**2)))
 
 
-def score_sums(matrices: Iterable[np.ndarray], labels: np.ndarray, n_bins: int = 15) -> ScoreSums:
-    """Summed scores and calibration bins of each (N, C) matrix against one label vector.
+def score_sums(stack: np.ndarray, labels: np.ndarray, n_bins: int = 15) -> ScoreSums:
+    """Summed scores and calibration bins of each (N, C) matrix of a (K, N, C)
+    stack against one label vector.
 
-    The labels are checked once, however many matrices there are. Each
-    matrix is read whole twice, for its argmax and for its sum of squares,
-    and otherwise only at N entries: its confidence at the argmax and its
-    true-class probability. zero_one, the calibration bins and nll come from
-    those, and brier as the sum of p^2 - 2 p_y + 1 over the matrix. zero_one,
-    nll and the bins are the sums of zero_one_error, nll and the per-point
-    confidence and correctness, bit for bit; brier is within a few ulps of
-    the sum of `brier`. Matrices are taken one at a time, so a generator
-    holds one at a time.
+    The stack is read whole twice, for its argmax and for its sums of
+    squares, and otherwise only at K * N entries: each matrix's confidence
+    at its argmax and its true-class probability, gathered by flat index
+    into C-contiguous (K, N) arrays. zero_one, the calibration bins and nll
+    come from those, and brier as the sum of p^2 - 2 p_y + 1 over a matrix.
+    zero_one, nll and the bins are the sums of zero_one_error, nll and the
+    per-point confidence and correctness, bit for bit; brier is within a
+    few ulps of the sum of `brier`. No reduction calls BLAS, so the sums do
+    not depend on its thread count.
     """
-    labels = np.asarray(labels)
-    if labels.ndim != 1:
-        raise ValidationError(f"expected 1-d labels, got shape {labels.shape}")
+    stack = np.ascontiguousarray(stack, dtype=np.float64)
     if n_bins < 1:
         raise ValidationError("n_bins must be >= 1")
-    n = labels.shape[0]
+    if stack.ndim != 3 or not stack.shape[0]:
+        raise ValidationError(f"expected a (K, N, C) stack of at least one matrix, got shape {stack.shape}")
+    k, n, c = stack.shape
+    labels = check_labels(labels, n, c)
     if n == 0:
         raise ValidationError("scoring needs at least one point")
-    tops, confidence, p_true, squares = [], [], [], []
-    for probs in matrices:
-        probs = np.asarray(probs, dtype=np.float64)
-        if not tops:
-            shape = probs.shape
-            if probs.ndim != 2 or shape[0] != n:
-                raise ValidationError(f"expected a 2-d matrix of {n} rows, got shape {shape}")
-            labels = check_labels(labels, n, shape[1])
-            starts = np.arange(n) * shape[1]
-            at_label = starts + labels
-        elif probs.shape != shape:
-            raise ValidationError(f"matrices of shapes {shape} and {probs.shape} scored together")
-        flat = probs.reshape(-1)
-        top = probs.argmax(axis=1)
-        tops.append(top)
-        confidence.append(flat[starts + top])
-        p_true.append(flat[at_label])
-        squares.append(flat @ flat)
-    if not tops:
-        raise ValidationError("scoring needs at least one matrix")
     # (K, N) arrays; every reduction below runs along one matrix's row.
-    k = len(tops)
-    confidence, p_true = np.array(confidence), np.array(p_true)
-    correct = np.array(tops) == labels
+    top = stack.argmax(axis=2)
+    starts = np.arange(0, k * n * c, c).reshape(k, n)
+    confidence = stack.reshape(-1)[starts + top]
+    p_true = stack.reshape(-1)[starts + labels]
+    correct = top == labels
     scores = np.column_stack([
         n - np.count_nonzero(correct, axis=1),
         -np.log(np.maximum(p_true, NLL_EPS)).sum(axis=1),
-        np.array(squares) - 2.0 * p_true.sum(axis=1) + n,
+        np.einsum("kij,kij->k", stack, stack) - 2.0 * p_true.sum(axis=1) + n,
     ])
     # Matrix k's bin b is number k * n_bins + b of one bincount.
     idx = np.minimum(np.maximum(np.ceil(confidence * n_bins), 1), n_bins).astype(np.intp)

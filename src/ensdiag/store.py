@@ -27,11 +27,12 @@ member ids joined by ``+``, names it; `form_ensemble` averages it, and
 keeps only each member's file location, as a StoredMember. File names
 resolve against the manifest's directory; absolute and ``..`` paths are
 followed as given. Member values reach an analysis only through
-`member_blocks`, which reads and checks each member once per row block,
-into one walk buffer of at most BLOCK_ELEMENTS entries across all of them:
-a command reads only its own members, and memory grows with neither the
-number of points nor of models. A block's arrays are views of that buffer,
-overwritten by the next block. `conditional.fits_per_sweep` and the
+`member_blocks`, which reads and checks each member once per row block.
+A block is one (M + spare, rows, C) array, a view of one walk buffer
+overwritten by the next block: the M members' rows, then spare slots the
+analysis works in, each side at most BLOCK_ELEMENTS entries. A command
+reads only its own members, and memory grows with neither the number of
+points nor of models. `conditional.fits_per_sweep` and the
 bandwidth median's point cap in `improvement` size their buffers from
 BLOCK_ELEMENTS too; improvement's pairwise distances have their own
 DISTANCE_BLOCK_ELEMENTS. Do not rewrite a store's files while a command
@@ -66,25 +67,28 @@ def row_blocks(n: int, n_classes: int) -> Iterator[slice]:
         yield slice(lo, min(n, lo + step))
 
 
-def member_blocks(members: Sequence[StoredMember]) -> Iterator[tuple[slice, list[np.ndarray]]]:
-    """Yield ``(rows, [each member's rows])`` over all points, in order.
+def member_blocks(members: Sequence[StoredMember], spare: int = 0) -> Iterator[tuple[slice, np.ndarray]]:
+    """Yield ``(rows, stack)`` over all points, in order.
 
-    The members share one (N, C) shape. Each is read once per block, into
-    its slice of one (M, rows, C) float64 buffer allocated once per walk,
-    so a block holds at most BLOCK_ELEMENTS entries across all members (one
-    row, if they alone are wider). The arrays are read-only views of that
-    buffer, overwritten when the next block is read: copy what must outlive
-    its block.
+    The members share one (N, C) shape. `stack` is a C-contiguous float64
+    (M + spare, rows, C) array: slot k < M holds member k's rows, read once
+    per block, and the `spare` slots after them are the caller's work space.
+    The M member slots of a block hold at most BLOCK_ELEMENTS entries, and
+    the spare slots at most as many (one row, if a row alone is wider).
+    Every block is a view of one flat buffer allocated once per walk,
+    overwritten when the next block is read: copy what must outlive its
+    block, and write no member slot.
     """
     n, c = members[0].shape
-    for rows in row_blocks(n, c * len(members)):
+    slots = len(members) + spare
+    for rows in row_blocks(n, c * max(len(members), spare)):
         if rows.start == 0:
-            buf = np.empty((len(members), rows.stop, c))
-        block = list(buf[:, :rows.stop - rows.start])
-        for member, out in zip(members, block):
+            buf = np.empty(slots * rows.stop * c)
+        # Reshaped per block, so the short last block is contiguous too.
+        stack = buf[:slots * (rows.stop - rows.start) * c].reshape(slots, -1, c)
+        for member, out in zip(members, stack):
             member.read_into(rows.start, out)
-            out.flags.writeable = False
-        yield rows, block
+        yield rows, stack
 
 
 def _check_id(kind: str, value: str) -> None:

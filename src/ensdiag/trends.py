@@ -13,9 +13,11 @@ of the models; any other is the caller's: all the models but one, or a
 listed tuple.
 
 `trend_points` walks each dataset once in the row blocks of
-store.member_blocks, which read every model once per block, and adds
-score sums and calibration bin sums over the blocks. Memory grows with
-neither the number of points nor the number of models.
+store.member_blocks, which read every model once per block. Each
+ensemble is formed in a spare slot of the block's stack, one
+`score_sums` call scores the whole stack, and score sums and calibration
+bin sums are added over the blocks. Memory grows with neither the number
+of points nor the number of models or ensembles.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .metrics import IDENTITY_TOL, SCORE_SUMS, score_sums
+from .metrics import IDENTITY_TOL, SCORE_SUMS, ScoreSums, score_sums
 from .store import PredictionStore, form_ensemble, member_blocks
 
 MODEL_CLASSES = ("single", "ensemble", "heterogeneous")
@@ -199,8 +201,8 @@ def form_heterogeneous_ensembles(
         raise ValidationError(f"no models with predictions on both {pair[0]!r} and {pair[1]!r}")
     labels = store.labels[pair[0]]
     correct = np.zeros(len(model_ids))
-    for rows, block in member_blocks(store.member_probs(model_ids, pair[0])):
-        correct += [np.count_nonzero(p.argmax(axis=1) == labels[rows]) for p in block]
+    for rows, stack in member_blocks(store.member_probs(model_ids, pair[0])):
+        correct += np.count_nonzero(stack.argmax(axis=2) == labels[rows], axis=1)
     values = correct / len(labels)
     lo, hi = float(values.min()), float(values.max())
     edges = np.linspace(lo, hi, n_bins + 1)
@@ -255,48 +257,48 @@ def trend_points(
     class "heterogeneous" when its tuple is in `heterogeneous`.
     """
     models = store.models_on_pair(pair)
-    held = list(dict.fromkeys([*models, *(m for ens in ensembles for m in ens)]))
-    if not held:
+    if not models:
         return []
-    index = {m: i for i, m in enumerate(held)}
+    m = len(models)
+    index = {k: i for i, k in enumerate(models)}
     # Per ensemble: the index of the one model it leaves out, or its members' indices.
     forms: list[int | list[int]] = []
     for ens in ensembles:
+        unknown = [k for k in ens if k not in index]
+        if unknown:
+            raise ValidationError(f"ensemble {'+'.join(ens)!r} references model {unknown[0]!r}, "
+                                  f"not predicted on both {pair[0]!r} and {pair[1]!r}")
         rest = set(models).difference(ens)
-        all_but_one = len(models) >= 3 and len(ens) == len(models) - 1 and len(rest) == 1
-        forms.append(index[rest.pop()] if all_but_one else [index[m] for m in ens])
-
+        all_but_one = m >= 3 and len(ens) == m - 1 and len(rest) == 1
+        forms.append(index[rest.pop()] if all_but_one else [index[k] for k in ens])
     loo = any(isinstance(form, int) for form in forms)
 
-    def block_probs(block: list[np.ndarray], total: np.ndarray, ens: np.ndarray):
-        """Each single's rows, then each ensemble's, formed from one block in
-        `ens`, which `score_sums` reads before it asks for the next."""
-        yield from block[:len(models)]
-        if loo:
-            np.copyto(total, block[0])
-            for p in block[1:len(models)]:
-                total += p
-        for form in forms:
-            if isinstance(form, list):
-                yield form_ensemble([block[i] for i in form], out=ens)
-                continue
-            np.subtract(total, block[form], out=ens)
-            ens /= len(models) - 1
-            yield ens
-
-    scored = [(m, "single") for m in models] + [
+    scored = [(k, "single") for k in models] + [
         ("+".join(ens), "heterogeneous" if ens in heterogeneous else "ensemble") for ens in ensembles
     ]
+
+    def walk(dataset: str) -> ScoreSums:
+        """Score and bin sums over one dataset's blocks. A block's slots hold the
+        models, one ensemble each, and the models' sum S if an ensemble leaves
+        one out. The last block dies with this frame, before the next walk's."""
+        labels, sums = store.labels[dataset], None
+        for rows, stack in member_blocks(store.member_probs(models, dataset), spare=len(forms) + loo):
+            if loo:
+                np.sum(stack[:m], axis=0, out=stack[-1])
+            for slot, form in zip(stack[m:], forms):
+                if isinstance(form, list):
+                    form_ensemble([stack[i] for i in form], out=slot)
+                    continue
+                np.subtract(stack[-1], stack[form], out=slot)
+                slot /= m - 1
+            part = score_sums(stack[:len(scored)], labels[rows], n_bins=n_bins)
+            sums = part if sums is None else sums + part
+        return sums
+
     values: list[list[dict]] = [[] for _ in scored]
     for dataset in pair:
-        labels = store.labels[dataset]
-        sums = None
-        for rows, block in member_blocks(store.member_probs(held, dataset)):
-            if rows.start == 0:
-                work = np.empty((2, *block[0].shape))
-            part = score_sums(block_probs(block, *work[:, :len(block[0])]), labels[rows], n_bins=n_bins)
-            sums = part if sums is None else sums + part
-        for k, (out, means) in enumerate(zip(values, (sums.scores / len(labels)).tolist())):
+        sums = walk(dataset)
+        for k, (out, means) in enumerate(zip(values, (sums.scores / len(store.labels[dataset])).tolist())):
             out.append(dict(zip(SCORE_SUMS, means)))
             out[-1]["ece"], out[-1]["resce"] = sums.calibration_errors(k)
     return [

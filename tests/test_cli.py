@@ -1,6 +1,7 @@
 """End-to-end command behavior: exit codes, file layout, reproducibility."""
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -940,13 +941,15 @@ class TestImproveRowBlocks:
         assert peaks[8000] < 1.2 * peaks[2000]
 
 
-# Per command: its arguments, and the models it reads on each dataset.
+# Per command: its arguments, the models it reads on each dataset, and the spare
+# slots of its walk blocks: decompose's five work arrays, trends' four
+# leave-one-out ensembles and their sum, improve's one ensemble.
 READING_COMMANDS = {
-    "decompose": (["decompose"], ["m000", "m001", "m002", "m003"]),
+    "decompose": (["decompose"], ["m000", "m001", "m002", "m003"], 5),
     "conditional": (["conditional", "--members", "m000+m002", "--surrogates", "1", "--subsample", "50"],
-                    ["m000", "m002"]),
-    "trends": (["trends", "--metric", "01,nll,brier,ece,resce"], ["m000", "m001", "m002", "m003"]),
-    "improve": (["improve", *TestImproveRowBlocks.SPECS[:6], "--control", "m000"], ["m000", "m001", "m002"]),
+                    ["m000", "m002"], 5),
+    "trends": (["trends", "--metric", "01,nll,brier,ece,resce"], ["m000", "m001", "m002", "m003"], 5),
+    "improve": (["improve", *TestImproveRowBlocks.SPECS[:6], "--control", "m000"], ["m000", "m001", "m002"], 1),
 }
 
 
@@ -966,12 +969,13 @@ def _counted_reads(monkeypatch) -> list:
 @pytest.mark.parametrize("command", list(READING_COMMANDS))
 def test_one_read_per_member_per_row_block(wide_manifest, tmp_path, monkeypatch, command):
     # Over the whole run, load included, every member the command uses is read once
-    # per block of row_blocks(n, C * M), M the members read, and no other member is read.
-    argv, models = READING_COMMANDS[command]
+    # per block of row_blocks(n, C * max(M, spare)), M the members read, and no other
+    # member is read.
+    argv, models, spare = READING_COMMANDS[command]
     reads = _counted_reads(monkeypatch)
     assert run([*argv, "--manifest", wide_manifest, "--out", tmp_path / "out"]) == 0
-    expected = [(f"{m}/{ds}", rows.start, rows.stop)
-                for ds, n in WIDE_SIZES.items() for rows in row_blocks(n, WIDE_C * len(models)) for m in models]
+    expected = [(f"{m}/{ds}", rows.start, rows.stop) for ds, n in WIDE_SIZES.items()
+                for rows in row_blocks(n, WIDE_C * max(len(models), spare)) for m in models]
     assert len(expected) > 2 * 3 * len(models)
     assert sorted(reads) == sorted(expected)
 
@@ -1083,6 +1087,133 @@ class TestDeterminism:
     def test_gp_demo_rerun_byte_identical(self, tmp_path):
         assert_reruns_identical(["gp-demo"], tmp_path)
 
+    def test_outputs_do_not_depend_on_blas_threads(self, tmp_path):
+        # Every command runs in a child whose environment alone sets the OpenBLAS
+        # thread count. OpenBLAS splits a long dot product across threads, so a
+        # sum taken by BLAS reads differently in its last digits under 1 and 2.
+        root = tmp_path / "run"  # result.json records its paths, so both runs write here
+
+        def hashes(threads):
+            shutil.rmtree(root, ignore_errors=True)
+            manifest = root / "sim" / "manifest.json"
+            env = {**os.environ, "PYTHONPATH": str(Path(ensdiag.__file__).parents[1]),
+                   "OPENBLAS_NUM_THREADS": str(threads)}
+            for argv in (
+                ["simulate", "--n-points", 3000, "--n-ood", 600, "--classes", 100, "--models", 5, "--seed", 1,
+                 "--out", root / "sim"],
+                ["trends", "--manifest", manifest, "--metric", "01,nll,brier,ece,resce", "--out", root / "trends"],
+                ["decompose", "--manifest", manifest, "--out", root / "decompose"],
+                ["improve", "--manifest", manifest, "--base", "m000", "--alt-a", "m000+m001",
+                 "--alt-b", "m000+m002", "--control", "m003", "--out", root / "improve"],
+                ["conditional", "--manifest", manifest, "--subsample", 400, "--surrogates", 5, "--out", root / "cond"],
+                ["gp-demo", "--out", root / "gp"],
+            ):
+                subprocess.run([sys.executable, "-m", "ensdiag", *map(str, argv)], env=env, check=True,
+                               capture_output=True)
+            return {str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
+                    for p in sorted(root.rglob("*")) if p.suffix in (".csv", ".json")}
+
+        one = hashes(1)
+        assert "trends/trend_points.csv" in one and one == hashes(2)
+
+
+def _outputs(out: Path) -> dict:
+    """{file name: bytes} of the CSV and JSON files of an output directory."""
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.suffix in (".csv", ".json")}
+
+
+def _cells(name: str, data: bytes) -> list:
+    """The CSV cells, or the JSON leaves, of one output file, in order."""
+    if name.endswith(".csv"):
+        return [cell for line in data.decode().splitlines() for cell in line.split(",")]
+
+    def leaves(obj):
+        if isinstance(obj, dict):
+            return [x for key, value in obj.items() for x in [key, *leaves(value)]]
+        if isinstance(obj, list):
+            return [x for value in obj for x in leaves(value)]
+        return [obj]
+
+    return leaves(json.loads(data))
+
+
+def _assert_cells_close(want: dict, got: dict, tol: float) -> None:
+    """The same files, cells and text; numbers within `tol` times the larger of 1
+    and their magnitudes."""
+    assert want.keys() == got.keys()
+    for name in want:
+        a, b = _cells(name, want[name]), _cells(name, got[name])
+        assert len(a) == len(b), name
+        for x, y in zip(a, b):
+            try:
+                x, y = float(x), float(y)
+            except (TypeError, ValueError):
+                assert x == y, name
+                continue
+            assert abs(x - y) <= tol * max(1.0, abs(x), abs(y)), (name, x, y)
+
+
+class TestMetamorphicRelations:
+    """A transformed run gives the correspondingly transformed outputs, end to end."""
+
+    # Each command's members and spare slots give rows of BLOCK_ELEMENTS // (C * 5)
+    # but improve's // (C * 4): at 4 classes, 740 entries leave a short last block
+    # of every dataset in every command.
+    SHORT_LAST = 740
+    COMMANDS = {
+        "decompose": ["decompose"],
+        "conditional": ["conditional", "--subsample", 100, "--surrogates", 3, "--seed", 1],
+        "improve": ["improve", "--base", "m000", "--alt-a", "m000+m001", "--alt-b", "m000+m002", "--control", "m003"],
+        "trends": ["trends", "--metric", "01,nll,brier,ece,resce"],
+    }
+
+    @pytest.fixture(scope="class")
+    def manifest(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("relations") / "sim"
+        assert run(["simulate", "--n-points", 300, "--n-ood", 120, "--classes", 4, "--models", 4, "--seed", 3,
+                    "--out", out]) == 0
+        return out / "manifest.json"
+
+    @pytest.mark.parametrize("block_elements", [1, SHORT_LAST], ids=["one-row", "short-last"])
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_block_size_moves_no_output(self, manifest, tmp_path, command, block_elements):
+        argv = [*self.COMMANDS[command], "--manifest", manifest, "--out", tmp_path / "out"]
+        assert run(argv) == 0
+        default = _outputs(tmp_path / "out")
+        shutil.rmtree(tmp_path / "out")
+        with mock.patch.object(ensdiag.store, "BLOCK_ELEMENTS", block_elements):
+            assert run(argv) == 0
+        blocked = _outputs(tmp_path / "out")
+        assert any(name.endswith(".csv") for name in default)
+        if command == "trends":
+            # Score sums are added block by block, so their rounding follows the blocks.
+            points = [list(csv.DictReader(io.StringIO(out["trend_points.csv"].decode()))) for out in (default, blocked)]
+            for want, got in zip(*points):
+                for key in ("ind_value", "ood_value"):
+                    assert float(got[key]) == pytest.approx(float(want[key]), rel=1e-12, abs=0)
+            # Fits to 8 points, and residuals about them, amplify that rounding.
+            _assert_cells_close(default, blocked, tol=1e-9)
+        else:
+            # Every other output is per point, or reduced from per-point columns.
+            assert blocked == default
+
+    @given(seed=st.integers(0, 2**32 - 1), n_ind=st.integers(1, 30), n_ood=st.integers(1, 30),
+           c=st.integers(2, 6), m=st.integers(2, 4))
+    @settings(max_examples=15, deadline=None)
+    def test_reversed_pair_writes_the_same_csvs(self, seed, n_ind, n_ood, c, m):
+        rng = np.random.default_rng(seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            datasets = [(ds, rng.integers(0, c, n), [(f"m{k:03d}", 3.0 * rng.standard_normal((n, c)))
+                                                     for k in range(m)])
+                        for ds, n in (("ind", n_ind), ("ood", n_ood))]
+            manifest = write_store(Path(tmp) / "store", c, datasets, [("ind", "ood")])
+            csvs = []
+            for pair in ("ind:ood", "ood:ind"):
+                out = Path(tmp) / pair.replace(":", "-")
+                assert run(["decompose", "--manifest", manifest, "--pair", pair, "--out", out]) == 0
+                csvs.append({name: data for name, data in _outputs(out).items() if name.endswith(".csv")})
+        assert len(csvs[0]) == 8 and csvs[0] == csvs[1]
+
 
 class TestUnequalSizesEndToEnd:
     """300 InD against 120 OOD points, as the paper's pairs differ in size."""
@@ -1151,6 +1282,9 @@ class TestFaultsInTheWalkBuffer:
     member, ends the command with one error line naming the member and its row."""
 
     M, N, C, ROWS = 3, 40, 4, 6  # blocks of 6 rows across the 3 members, the last of 4
+    # Spare slots of each command's walk blocks: decompose's work arrays, and
+    # trends' three leave-one-out ensembles and their sum.
+    SPARE = {"decompose": 5, "trends": 4}
 
     def _store(self, root, kind):
         rng = np.random.default_rng(5)
@@ -1191,7 +1325,8 @@ class TestFaultsInTheWalkBuffer:
 
             out, err = Path(tmp) / "out", io.StringIO()
             with contextlib.ExitStack() as stack:
-                stack.enter_context(mock.patch.object(ensdiag.store, "BLOCK_ELEMENTS", self.ROWS * self.C * self.M))
+                stack.enter_context(mock.patch.object(ensdiag.store, "BLOCK_ELEMENTS",
+                                                      self.ROWS * self.C * max(self.M, self.SPARE[command])))
                 if fault == "truncate":
                     stack.enter_context(mock.patch.object(ensdiag.cli, "load_store", load_then_truncate))
                 stack.enter_context(contextlib.redirect_stderr(err))

@@ -435,12 +435,12 @@ class TestKernelMatchesMaskedOracle:
         assert form_ensemble(members)[0, 0] == 0.0
         # One row, a size that leaves a short last block, and the whole set.
         for rows in (1, n // 2 + 1, n):
-            with mock.patch.object(ensdiag.store, "BLOCK_ELEMENTS", rows * c * m):
-                # Stale values in the work arrays must not reach any result.
-                work = np.full((5, rows, c), np.nan)
-                for block_rows, held in member_blocks(as_members(members)):
-                    got = _decompose_block(held, labels[block_rows], list(FAMILIES), work[:, :len(held[0])])
-                    want = masked_block(held, labels[block_rows], list(FAMILIES))
+            with mock.patch.object(ensdiag.store, "BLOCK_ELEMENTS", rows * c * (m + 5)):
+                for block_rows, stack in member_blocks(as_members(members), spare=5):
+                    # Stale values in the work slots must not reach any result.
+                    stack[m:] = np.nan
+                    got = _decompose_block(stack, labels[block_rows], list(FAMILIES))
+                    want = masked_block(stack[:m], labels[block_rows], list(FAMILIES))
                     assert sorted(got) == sorted(want)
                     for key, value in want.items():
                         for g, w in zip(*((x,) if key in ("kl", "unclamped") else x for x in (got[key], value))):

@@ -225,7 +225,7 @@ class TestScoreSums:
     def test_columns_match_per_point_scores(self, rng):
         p, q = random_simplex(rng, 40, 4), random_simplex(rng, 40, 4)
         y = rng.integers(0, 4, 40)
-        sums = score_sums(iter([p, q]), y, n_bins=6)
+        sums = score_sums(np.stack([p, q]), y, n_bins=6)
         for k, probs in enumerate((p, q)):
             got = dict(zip(SCORE_SUMS, sums.scores[k]))
             assert got["zero_one"] == zero_one_error(probs, y).sum()
@@ -240,9 +240,9 @@ class TestScoreSums:
             ([p], np.array([0, 1, 3, 0, 1]), 15, "labels outside"),
             ([p], np.array([0, 1, -1, 0, 1]), 15, "labels outside"),
             ([p], y[:4], 15, "rows"),
-            ([p, p[:, :2]], y, 15, "scored together"),
             ([p], y, 0, "n_bins"),
             ([], y, 15, "at least one matrix"),
+            (p, y, 15, r"a \(K, N, C\) stack"),
             ([p[:0]], y[:0], 15, "at least one point"),
         ):
             with pytest.raises(ValidationError, match=match):

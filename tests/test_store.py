@@ -147,10 +147,9 @@ class TestStoreValidation:
                 setattr(tiny_store, name, getattr(tiny_store, name))
 
     def test_arrays_read_only(self, tiny_store):
-        # 60 points of 5 classes are one row block.
-        ((_, (probs,)),) = member_blocks(tiny_store.member_probs(["m0"], "ind"))
+        # Labels are the only arrays a store holds; member values are read per walk.
         with pytest.raises(ValueError):
-            probs[0, 0] = 0.5
+            tiny_store.labels["ind"][0] = 1
 
 
 class TestRoundTrip:
@@ -372,26 +371,27 @@ class TestReadOnAccess:
         assert all(isinstance(store.member_probs([m], d)[0], StoredMember)
                    for m in store.model_ids for d in ("ind", "ood"))
 
-    def test_blocks_are_read_only_views_of_one_walk_buffer(self, tmp_path, rng):
+    def test_blocks_are_contiguous_stacks_of_one_walk_buffer(self, tmp_path, rng):
         n, c = 23, 4
         logits = [rng.standard_normal((n, c)) for _ in range(3)]
         store = load_store(write_kind_store(tmp_path, "logits", one_dataset(logits, rng.integers(0, c, n))))
         whole = [read(store, f"m{k}", "d") for k in range(3)]
         bases, spans = set(), []
         with mock.patch.object(ensdiag.store, "BLOCK_ELEMENTS", 5 * c * 3):  # blocks of 5 rows, the last of 3
-            for rows, block in member_blocks(store.member_probs(["m0", "m1", "m2"], "d")):
+            for rows, stack in member_blocks(store.member_probs(["m0", "m1", "m2"], "d"), spare=2):
                 spans.append(rows.stop - rows.start)
-                for k, p in enumerate(block):
-                    assert np.array_equal(p, whole[k][rows])
-                    assert not p.flags.writeable and p.flags.c_contiguous
-                    with pytest.raises(ValueError):
-                        p[0, 0] = 0.5
-                    bases.add(id(p.base))
+                # Reshaped from the flat buffer per block: no view of the short last block copies.
+                assert stack.shape == (5, spans[-1], c) and stack.flags.c_contiguous
+                for k in range(3):
+                    assert np.array_equal(stack[k], whole[k][rows])
+                # The spare slots are the caller's; what it writes there reaches no member slot.
+                stack[3:] = np.nan
+                bases.add(id(stack.base))
                 if rows.start == 0:
-                    first = block
+                    first = stack
                 else:
-                    # The next block's read overwrote the first block's arrays.
-                    assert all(np.shares_memory(a, b) for a, b in zip(first, block))
+                    # The next block's read overwrote the first block's stack.
+                    assert np.shares_memory(first, stack)
         assert spans == [5, 5, 5, 5, 3]
         assert len(bases) == 1
         assert not np.array_equal(first[0], whole[0][:5])

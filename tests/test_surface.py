@@ -230,3 +230,47 @@ def test_cli_takes_residual_maxima_from_the_records():
     # their max_abs_residual, so it takes no absolute value of a residual itself.
     tree = ast.parse((PACKAGE / "cli.py").read_text())
     assert [f"cli.py:{call.lineno}" for name, call in _calls(tree) if name in ("abs", "absolute", "fabs")] == []
+
+
+# The only places that take matrix products by BLAS: (module, function) and why.
+# OpenBLAS splits a long reduction across threads, so a sum it takes can round
+# by the thread count; every other reduction over points or entries is an
+# einsum or a ufunc reduce.
+BLAS_PRODUCTS = {
+    ("conditional.py", "pivoted_cholesky"): "gemv: each output entry sums at most 64 factor rows",
+    ("conditional.py", "_krr_curve"): "kernel ridge's normal equations, on a subsample; kept until ridge goes",
+    ("gp.py", "generate_dataset"): "the fixed toy problem's N_TRAIN points",
+    ("gp.py", "gp_predict"): "the fixed toy problem's N_TRAIN points",
+    ("simulate.py", "_generate"): "teacher logits: each entry sums over a latent dimension of 2",
+}
+BLAS_CALLS = ("dot", "vdot", "inner", "matmul")
+
+
+def blas_products(trees):
+    """(module, enclosing top-level function or method, line) of each `@`, `@=`, and
+    call of dot, vdot, inner or matmul in the parsed trees."""
+    found = []
+    for path, tree in trees.items():
+        for top in tree.body:
+            scopes = [n for n in top.body if isinstance(n, ast.FunctionDef)] if isinstance(top, ast.ClassDef) else [top]
+            for scope in scopes:
+                for node in ast.walk(scope):
+                    op = getattr(node, "op", None)
+                    call = isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    if isinstance(op, ast.MatMult) or call and node.func.attr in BLAS_CALLS:
+                        found.append((Path(path).name, getattr(scope, "name", "<module>"), node.lineno))
+    return found
+
+
+def test_blas_products_stay_in_the_allowance():
+    trees = {path: tree for path, tree in _trees().items() if path.parent == PACKAGE}
+    found = blas_products(trees)
+    assert [f"{module}:{line} {name}" for module, name, line in found if (module, name) not in BLAS_PRODUCTS] == []
+    # An entry whose products are gone is stale.
+    assert sorted({(module, name) for module, name, _ in found}) == sorted(BLAS_PRODUCTS)
+
+
+def test_blas_guard_on_synthetic_source():
+    source = "import numpy as np\n\ndef f(a, b):\n    a @= b\n    return np.dot(a, b) + a.vdot(b) + a @ b\n"
+    assert blas_products({"mod.py": ast.parse(source)}) == [("mod.py", "f", 4), ("mod.py", "f", 5), ("mod.py", "f", 5),
+                                                            ("mod.py", "f", 5)]

@@ -678,3 +678,31 @@ def test_trend_points_peak_flat_in_point_count(tmp_path):
     # Held whole, one (N, C) float64 running sum alone would add 6000 * 200 * 8 bytes.
     assert peaks[8000] - peaks[2000] < 6000 * 200
     assert peaks[8000] < 1.2 * peaks[2000]
+
+
+def test_trend_points_peak_flat_in_listed_ensemble_count(tmp_path):
+    # Every listed ensemble takes a spare slot of the walk's blocks, and the
+    # spare slots of a block hold at most BLOCK_ELEMENTS entries, so 64
+    # ensembles peak no higher than 4 do.
+    n, c, m = 2000, 50, 7
+    rng = np.random.default_rng(64)
+    datasets = [(d, rng.integers(0, c, n), [(f"m{k:03d}", rng.standard_normal((n, c))) for k in range(m)])
+                for d in ("ind", "ood")]
+    store = load_store(write_store(tmp_path, c, datasets, [("ind", "ood")]))
+    listed = [e for size in (2, 3, 4) for e in itertools.combinations(store.model_ids, size)]
+    peaks = {}
+    for count in (4, 64):
+        tracemalloc.start()
+        try:
+            trend_points(store, listed[:count], ("ind", "ood"))
+            peaks[count] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert len(listed) >= 64
+    assert peaks[64] < 1.2 * peaks[4]
+
+
+def test_ensemble_of_a_model_off_the_pair_rejected(rng, tmp_path):
+    store = build_store(rng, tmp_path)
+    with pytest.raises(ValidationError, match="'m0\\+zz' references model 'zz', not predicted on both"):
+        trend_points(store, [("m0", "zz")], PAIR)
