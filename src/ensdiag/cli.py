@@ -202,9 +202,9 @@ def cmd_conditional(args: argparse.Namespace) -> None:
         DEFAULT_TRIM_PERCENTILES,
         PIVOT_TOL,
         JointSample,
-        joint_samples,
         permutation_test,
     )
+    from .decomposition import decompose
     from .metrics import NLL_EPS
 
     store = load_store(args.manifest)
@@ -214,9 +214,9 @@ def cmd_conditional(args: argparse.Namespace) -> None:
 
     samples = {}
     for side, dataset in enumerate(pair):
-        sample = joint_samples(store.member_probs(members, dataset), args.family, source=dataset)
-        take = _subsample_indices(sample.n, args.subsample, args.seed, tag=100 + side)
-        samples[dataset] = JointSample(sample.avg[take], sample.div[take], dataset)
+        rec = decompose(store.member_probs(members, dataset), store.labels[dataset])[args.family]
+        take = _subsample_indices(rec.n, args.subsample, args.seed, tag=100 + side)
+        samples[dataset] = JointSample(rec.avg_member[take], rec.diversity[take], dataset)
 
     ind_id, ood_id = pair
     result = permutation_test(

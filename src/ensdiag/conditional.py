@@ -1,12 +1,15 @@
 """Diversity conditioned on member-average uncertainty.
 
-The pipeline turns member predictions into per-point (avg uncertainty,
-diversity) samples, estimates the conditional expectation of diversity
-given the average with kernel ridge regression, summarizes the shift
-between two conditions with a relative-difference statistic d, and
-calibrates d with a permutation test over re-partitions of the pooled
-sample. The surrogate fits of one size are factored several at a time,
-in one vectorised pivoted Cholesky sweep.
+Each condition is one JointSample of per-point (avg uncertainty,
+diversity) pairs, which the caller takes from the avg_member and
+diversity columns of one family's `decomposition.decompose` record, so the
+sample has passed all four of decompose's identity checks. The pipeline
+estimates the conditional expectation of diversity given the average with
+kernel ridge regression, summarizes the shift between two conditions with
+a relative-difference statistic d, and calibrates d with a permutation
+test over re-partitions of the pooled sample. The surrogate fits of one
+size are factored several at a time, in one vectorised pivoted Cholesky
+sweep.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from . import DEFAULT_GRID_SIZE
-from .decomposition import decompose
 from .errors import NumericalError, ValidationError
 from .store import BLOCK_ELEMENTS
 
@@ -48,15 +50,6 @@ class JointSample:
     @property
     def n(self) -> int:
         return int(self.avg.shape[0])
-
-
-def joint_samples(members: Sequence, family: str = "quadratic", source: str = "") -> JointSample:
-    """Build the joint sample for one condition from stored members of one
-    (N, C) shape, which `decompose` reads through store.member_blocks."""
-    if family not in ("quadratic", "entropy"):
-        raise ValidationError(f"unknown family {family!r}")
-    rec = decompose(members, families=(family,))[family]
-    return JointSample(rec.avg_member, rec.diversity, source)
 
 
 def scott_bandwidth_1d(x: np.ndarray) -> float:

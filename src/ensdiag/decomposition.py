@@ -1,27 +1,28 @@
 """Pointwise splits of ensemble scores into member average and diversity.
 
-Four families are supported, each an exact algebraic identity per point:
+Four families, each an exact algebraic identity per point:
 
     quadratic   U(ens)      = variance_diversity + mean_m U(f_m)
     entropy     H(ens)      = JSD                + mean_m H(f_m)
     brier_gap   mean Brier  = ensemble Brier     + variance_diversity
     nll_gap     mean NLL    = ensemble NLL       + KL(uniform || member likelihoods)
 
-Every family re-verifies its identity at runtime and raises NumericalError
-when the residual exceeds 1e-10 on a point it checks: each record's `checked`
-mask holds every point but, for nll_gap, those whose likelihoods hit NLL_EPS.
-Members are
-store.StoredMembers of one (N, C) shape, read only by store.member_blocks:
-`decompose` walks its row blocks, which read every member once per block
-into an (M + 5, rows, C) stack. Two passes run over the block's rows: one
-for the ensemble sum and the member means, one for the spread about the
-ensemble mean and, from one log per entry, each member's entropy and KL to
-the ensemble; nll_gap gathers the true-class likelihoods from the stack.
-Every reduction is per point, so the block size changes no bit of the
-result. Beyond the per-point output columns, memory is the walk buffer of
-one block, which the next block's read overwrites, whose five spare slots
-hold every block-sized temporary, and an (M, rows) gather of true-class
-likelihoods.
+`decompose` computes all four in one walk and re-verifies every identity
+at runtime, raising NumericalError when the residual exceeds 1e-10 on a
+point it checks: each record's `checked` mask holds every point but, for
+nll_gap, those whose likelihoods hit NLL_EPS. `conditional` takes its
+(avg, diversity) sample from one family's record, so its input passes the
+same checks. Members are store.StoredMembers of one (N, C) shape, read only
+by store.member_blocks: `decompose` walks its row blocks, which read every
+member once per block into an (M + 5, rows, C) stack. Two passes run over
+the block's rows: one for the ensemble sum and the member means, one for
+the spread about the ensemble mean and, from one log per entry, each
+member's entropy and KL to the ensemble; nll_gap gathers the true-class
+likelihoods from the stack. Every reduction is per point, so the block
+size changes no bit of the result. Beyond the per-point output columns,
+memory is the walk buffer of one block, which the next block's read
+overwrites, whose five spare slots hold every block-sized temporary, and
+an (M, rows) gather of true-class likelihoods.
 """
 
 from __future__ import annotations
@@ -76,44 +77,31 @@ class DecompositionRecord:
         return int(self.total.shape[0])
 
 
-def decompose(
-    members: Sequence[StoredMember],
-    labels: np.ndarray | None = None,
-    families: Sequence[str] = FAMILIES,
-) -> dict[str, DecompositionRecord]:
-    """Records of the requested families, in FAMILIES order, from one blocked walk.
+def decompose(members: Sequence[StoredMember], labels: np.ndarray) -> dict[str, DecompositionRecord]:
+    """The records of all four families, in FAMILIES order, from one blocked walk.
 
-    `labels` is needed by brier_gap and nll_gap only. Each identity is
-    checked after the walk over its record's `checked` points; entropy's JSD
-    is also checked against the mean KL to the ensemble. nll_gap's KL(Uniform(M)
-    || Q), Q the normalized member true-class likelihoods, is exact only where
-    no likelihood hits the clamp floor, so its mask leaves clamped points out.
+    Each identity is checked after the walk over its record's `checked`
+    points; entropy's JSD is also checked against the mean KL to the
+    ensemble. nll_gap's KL(Uniform(M) || Q), Q the normalized member
+    true-class likelihoods, is exact only where no likelihood hits the clamp
+    floor, so its mask leaves clamped points out.
     """
     if len(members) < 2:
         raise ValidationError("diversity needs at least two members")
-    for family in families:
-        if family not in FAMILIES:
-            raise ValidationError(f"unknown family {family!r}; choose from {FAMILIES}")
-    wanted = [f for f in FAMILIES if f in families]
     n, c = members[0].shape
-    if "brier_gap" in wanted or "nll_gap" in wanted:
-        if labels is None:
-            raise ValidationError("brier_gap and nll_gap need labels")
-        labels = check_labels(labels, n, c)
-    # Each family's three columns and checked mask: every point, but for nll_gap the unclamped ones.
-    columns = {f: (np.empty(n), np.empty(n), np.empty(n), np.ones(n, dtype=bool)) for f in wanted}
-    kl = np.empty(n) if "entropy" in wanted else None
+    labels = check_labels(labels, n, c)
+    # Each family's (total, diversity, avg_member) rows, its own array so that a
+    # record kept alone keeps no other family's.
+    columns = [np.empty((3, n)) for _ in FAMILIES]
+    kl, unclamped = np.empty(n), np.empty(n, dtype=bool)
     for rows, stack in member_blocks(members, spare=_WORK_SLOTS):
-        block = _decompose_block(stack, None if labels is None else labels[rows], wanted)
-        for f in wanted:
-            for column, values in zip(columns[f], block[f]):
-                column[rows] = values
-        if kl is not None:
-            kl[rows] = block["kl"]
-        if "nll_gap" in wanted:
-            columns["nll_gap"][3][rows] = block["unclamped"]
+        triples, kl[rows], unclamped[rows] = _decompose_block(stack, labels[rows])
+        for column, triple in zip(columns, triples):
+            column[:, rows] = triple
 
-    records = {f: DecompositionRecord(f, *columns[f]) for f in wanted}
+    # Every point is checked, but for nll_gap the unclamped ones.
+    masks = [np.ones(n, dtype=bool) for _ in FAMILIES[:3]] + [unclamped]
+    records = {f: DecompositionRecord(f, *column, mask) for f, column, mask in zip(FAMILIES, columns, masks)}
     for f, rec in records.items():
         if f == "entropy":
             gap = np.abs(rec.diversity - kl)
@@ -127,72 +115,59 @@ def decompose(
     return records
 
 
-def _decompose_block(stack: np.ndarray, labels: np.ndarray | None, wanted: list[str]) -> dict:
-    """(total, diversity, avg_member) per family on one (M + 5, rows, C) block
-    of store.member_blocks, plus the mean KL to the ensemble and the nll mask
-    of unclamped points. The five spare slots are overwritten: the ensemble,
-    its log, the spread sum and two scratch arrays."""
+def _decompose_block(stack: np.ndarray, labels: np.ndarray) -> tuple:
+    """(total, diversity, avg_member) of each family, in FAMILIES order, on one
+    (M + 5, rows, C) block of store.member_blocks, then the mean KL to the
+    ensemble and the nll_gap mask of unclamped points. The five spare slots
+    are overwritten: the ensemble, its log, the spread sum and two scratch arrays."""
     m = len(stack) - _WORK_SLOTS
     held, (ens, log_ens, acc, scratch, log_p) = stack[:m], stack[m:]
-    out: dict = {}
 
     # Pass 1: ensemble sum and member score sums.
-    scores = {"quadratic": quad_uncertainty, "brier_gap": lambda p: brier(p, labels, scratch)}
-    sums = {f: 0 for f in scores if f in wanted}
     form_ensemble(held, out=ens)
+    quad_sum = brier_sum = 0
     for p in held:
-        for f in sums:
-            sums[f] = sums[f] + scores[f](p)
+        quad_sum = quad_sum + quad_uncertainty(p)
+        brier_sum = brier_sum + brier(p, labels, scratch)
 
     # Pass 2: variance about the ensemble mean, and each member's entropy and
     # KL to it from one log per entry.
-    need_var = "quadratic" in wanted or "brier_gap" in wanted
-    if need_var:
-        acc.fill(0.0)
-    if "entropy" in wanted:
-        # 0 log 0 = 0; where the mean underflowed to 0 under a subnormal p, p's KL term is p log p.
-        log_ens.fill(0.0)
-        np.log(ens, out=log_ens, where=ens > 0.0)
-        kl = np.zeros(ens.shape[0])
-        member_entropy = np.zeros(ens.shape[0])
+    acc.fill(0.0)
+    # 0 log 0 = 0; where the mean underflowed to 0 under a subnormal p, p's KL term is p log p.
+    log_ens.fill(0.0)
+    np.log(ens, out=log_ens, where=ens > 0.0)
+    kl = np.zeros(ens.shape[0])
+    member_entropy = np.zeros(ens.shape[0])
     for p in held:
-        if need_var:
-            np.subtract(p, ens, out=scratch)
-            scratch *= scratch
-            acc += scratch
-        if "entropy" in wanted:
-            # 5e-324 is the least positive float64: the floor keeps every p > 0 and makes
-            # 0 log 0 a zero, whose sign no row sum that holds a p > 0 can show.
-            np.maximum(p, 5e-324, out=log_p)
-            np.log(log_p, out=log_p)
-            np.multiply(p, log_p, out=scratch)
-            member_entropy -= scratch.sum(axis=1)
-            log_p -= log_ens
-            log_p *= p
-            kl += log_p.sum(axis=1)
-    if need_var:
-        acc /= m
-        variance = acc.sum(axis=1)
+        np.subtract(p, ens, out=scratch)
+        scratch *= scratch
+        acc += scratch
+        # 5e-324 is the least positive float64: the floor keeps every p > 0 and makes
+        # 0 log 0 a zero, whose sign no row sum that holds a p > 0 can show.
+        np.maximum(p, 5e-324, out=log_p)
+        np.log(log_p, out=log_p)
+        np.multiply(p, log_p, out=scratch)
+        member_entropy -= scratch.sum(axis=1)
+        log_p -= log_ens
+        log_p *= p
+        kl += log_p.sum(axis=1)
+    acc /= m
+    variance = acc.sum(axis=1)
 
-    if "quadratic" in wanted:
-        out["quadratic"] = (quad_uncertainty(ens), variance, sums["quadratic"] / m)
-    if "entropy" in wanted:
-        out["kl"] = kl / m
-        np.multiply(ens, log_ens, out=scratch)
-        total = -scratch.sum(axis=1)
-        avg = member_entropy / m
-        out["entropy"] = (total, total - avg, avg)
-    if "brier_gap" in wanted:
-        out["brier_gap"] = (brier(ens, labels, scratch), variance, sums["brier_gap"] / m)
-    if "nll_gap" in wanted:
-        like = held[:, np.arange(len(labels)), labels]
-        like_c = np.maximum(like, NLL_EPS)
-        mean_log = np.log(like_c).mean(axis=0)
-        ens_like = like.mean(axis=0)
-        total = -np.log(np.maximum(ens_like, NLL_EPS))
-        # KL(U || Q) = -ln M + ln sum_i L_i - mean_i ln L_i, over clamped likelihoods.
-        diversity = -np.log(float(m)) + np.log(like_c.sum(axis=0)) - mean_log
-        out["nll_gap"] = (total, diversity, -mean_log)
-        # The identity is exact only where no likelihood hits the clamp floor.
-        out["unclamped"] = (like > NLL_EPS).all(axis=0) & (ens_like > NLL_EPS)
-    return out
+    quadratic = quad_uncertainty(ens), variance, quad_sum / m
+    np.multiply(ens, log_ens, out=scratch)
+    total_h = -scratch.sum(axis=1)
+    avg_h = member_entropy / m
+    entropy = total_h, total_h - avg_h, avg_h
+    brier_gap = brier(ens, labels, scratch), variance, brier_sum / m
+
+    like = held[:, np.arange(len(labels)), labels]
+    like_c = np.maximum(like, NLL_EPS)
+    mean_log = np.log(like_c).mean(axis=0)
+    ens_like = like.mean(axis=0)
+    # KL(U || Q) = -ln M + ln sum_i L_i - mean_i ln L_i, over clamped likelihoods.
+    nll_gap = (-np.log(np.maximum(ens_like, NLL_EPS)),
+               -np.log(float(m)) + np.log(like_c.sum(axis=0)) - mean_log, -mean_log)
+    # The identity is exact only where no likelihood hits the clamp floor.
+    unclamped = (like > NLL_EPS).all(axis=0) & (ens_like > NLL_EPS)
+    return (quadratic, entropy, brier_gap, nll_gap), kl / m, unclamped

@@ -23,13 +23,13 @@ IDENTITY_TOL = 1e-10
 
 
 def check_labels(labels: np.ndarray, n: int, c: int) -> np.ndarray:
-    """Labels as int64, checked to be n class indices in [0, c)."""
+    """Labels as int64, checked to be n class indices in [0, c); int64 labels come back uncopied."""
     labels = np.asarray(labels)
     if labels.shape != (n,):
         raise ValidationError(f"labels shape {labels.shape} does not match {n} rows")
     if labels.size and (labels.min() < 0 or labels.max() >= c):
         raise ValidationError(f"labels outside [0, {c})")
-    return labels.astype(np.int64)
+    return labels.astype(np.int64, copy=False)
 
 
 def _check_labels(probs: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

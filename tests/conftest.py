@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from ensdiag.conditional import JointSample, joint_samples
+from ensdiag.conditional import JointSample
+from ensdiag.decomposition import decompose
 from ensdiag.simulate import SyntheticSpec, write_synthetic_store
 from ensdiag.store import PredictionStore, load_store
 
@@ -129,6 +130,12 @@ def build_store(rng, root, datasets=("ind", "ood"), **shape):
     return load_store(write_kind_store(root, "probs", random_datasets(rng, datasets, **shape), pairs))
 
 
+def joint_sample(members, labels, family="quadratic", source=""):
+    """The (avg, diversity) sample that `conditional` takes from one family's decompose record."""
+    rec = decompose(members, labels)[family]
+    return JointSample(rec.avg_member, rec.diversity, source)
+
+
 def split_samples(seed: int) -> tuple[JointSample, JointSample]:
     """InD and OOD joint samples of a shift-free 500-point simulated store."""
     spec = SyntheticSpec(
@@ -138,9 +145,7 @@ def split_samples(seed: int) -> tuple[JointSample, JointSample]:
     with tempfile.TemporaryDirectory() as root:
         store = load_store(write_synthetic_store(spec, root))
         ids = sorted(store.model_ids)
-        si = joint_samples(store.member_probs(ids, "ind"), source="ind")
-        so = joint_samples(store.member_probs(ids, "ood"), source="ood")
-    return si, so
+        return tuple(joint_sample(store.member_probs(ids, d), store.labels[d], source=d) for d in ("ind", "ood"))
 
 
 # Populated by tests/test_acceptance.py; one line per criterion so the

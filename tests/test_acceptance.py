@@ -73,7 +73,8 @@ def test_ensemble_never_scores_worse_than_member_mean():
 
     def check(members, labels):
         nonlocal min_gap, iff_ok
-        for rec in decompose(as_members(members), labels, ("brier_gap", "nll_gap")).values():
+        records = decompose(as_members(members), labels)
+        for rec in (records["brier_gap"], records["nll_gap"]):
             gap = rec.avg_member - rec.total
             min_gap = min(min_gap, float(gap.min()))
             iff_ok &= bool(np.all((np.abs(gap) < 1e-12) == (rec.diversity < 1e-12)))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import trapezoid
 from scipy.linalg import cho_factor, cho_solve
 
-from conftest import as_members, member_stack, split_samples
+from conftest import as_members, joint_sample, member_stack, split_samples
 from ensdiag import conditional
 from ensdiag.conditional import (
     DEFAULT_RIDGE_SCALE,
@@ -19,7 +19,6 @@ from ensdiag.conditional import (
     JointSample,
     d_statistic,
     evaluation_grid,
-    joint_samples,
     krr_conditional_expectation,
     permutation_test,
     scott_bandwidth_1d,
@@ -171,33 +170,31 @@ class TestJointSample:
 
 
 class TestJointSamples:
+    """The sample `conditional` takes from one family's decompose record."""
+
     def test_identical_members_zero_diversity(self, rng):
         p = rng.dirichlet(np.ones(4), size=30)
-        sample = joint_samples(as_members([p, p]))
+        sample = joint_sample(as_members([p, p]), rng.integers(0, 4, 30))
         assert np.all(sample.div == 0.0)
         assert sample.n == 30
 
     def test_two_one_hot_quadratic(self):
-        sample = joint_samples(as_members(TWO_ONE_HOT), family="quadratic")
+        sample = joint_sample(as_members(TWO_ONE_HOT), np.array([0]), family="quadratic")
         np.testing.assert_allclose(sample.avg, [0.0])
         np.testing.assert_allclose(sample.div, [0.5])
 
     def test_two_one_hot_entropy(self):
-        sample = joint_samples(as_members(TWO_ONE_HOT), family="entropy")
+        sample = joint_sample(as_members(TWO_ONE_HOT), np.array([0]), family="entropy")
         np.testing.assert_allclose(sample.avg, [0.0])
         np.testing.assert_allclose(sample.div, [np.log(2.0)], atol=1e-15)
 
     def test_count_matches_dataset(self, rng):
         members = member_stack(rng, 3, 17, 5)
-        assert joint_samples(as_members(members)).n == 17
-
-    def test_unknown_family(self, rng):
-        with pytest.raises(ValidationError):
-            joint_samples(as_members(member_stack(rng, 2, 5, 3)), family="tsallis")
+        assert joint_sample(as_members(members), rng.integers(0, 5, 17)).n == 17
 
     def test_source_carried(self, rng):
         members = member_stack(rng, 2, 5, 3)
-        assert joint_samples(as_members(members), source="ood").source == "ood"
+        assert joint_sample(as_members(members), rng.integers(0, 3, 5), source="ood").source == "ood"
 
 
 class TestScottBandwidth:
@@ -667,7 +664,7 @@ class TestPermutationTest:
             member_noise_scale=0.25, shift_strength=0.0, seed=7,
         ), tmp_path))
         members = store.member_probs(sorted(store.model_ids), "ind")
-        full = joint_samples(members, family="quadratic")
+        full = joint_sample(members, store.labels["ind"])
         half = full.n // 2
         ok = 0
         for trial in range(100):

@@ -21,25 +21,32 @@ TWO_ONE_HOT = np.stack([
 ])
 
 
+def family_record(members, family, labels=None):
+    """One family's record from `decompose` of in-memory member matrices; the
+    labels, which only the score-gap families read, default to class 0."""
+    labels = np.zeros(len(members[0]), dtype=int) if labels is None else labels
+    return decompose(as_members(members), labels)[family]
+
+
 class TestVarianceDiversity:
     def test_identical_members(self, rng):
         # (p + p + p) / 3 leaves ~1e-34 of rounding residue, so not exactly 0.
         p = random_simplex(rng, 8, 3)
-        rec = decompose(as_members([p, p, p]), families=("quadratic",))["quadratic"]
+        rec = family_record([p, p, p], "quadratic")
         assert np.abs(rec.diversity).max() < 1e-30
 
     def test_two_one_hot(self):
-        rec = decompose(as_members(TWO_ONE_HOT), families=("quadratic",))["quadratic"]
+        rec = family_record(TWO_ONE_HOT, "quadratic")
         np.testing.assert_allclose(rec.diversity, [0.5])
 
     def test_hand_value(self):
         members = np.stack([np.array([[0.7, 0.3]]), np.array([[0.5, 0.5]])])
-        rec = decompose(as_members(members), families=("quadratic",))["quadratic"]
+        rec = family_record(members, "quadratic")
         np.testing.assert_allclose(rec.diversity, [0.02], atol=1e-15)
 
     def test_single_member_rejected(self, rng):
         with pytest.raises(ValidationError):
-            decompose(as_members([random_simplex(rng, 3, 2)]), families=("quadratic",))
+            decompose(as_members([random_simplex(rng, 3, 2)]), np.zeros(3, dtype=int))
 
 
 class TestJsdDiversity:
@@ -47,28 +54,28 @@ class TestJsdDiversity:
 
     def test_identical_members(self, rng):
         p = random_simplex(rng, 8, 3)
-        rec = decompose(as_members([p, p]), families=("entropy",))["entropy"]
+        rec = family_record([p, p], "entropy")
         np.testing.assert_allclose(rec.diversity, np.zeros(8), atol=1e-15)
 
     def test_two_one_hot(self):
-        rec = decompose(as_members(TWO_ONE_HOT), families=("entropy",))["entropy"]
+        rec = family_record(TWO_ONE_HOT, "entropy")
         np.testing.assert_allclose(rec.diversity, [np.log(2)])
 
     def test_hand_value(self):
         members = [np.array([[0.9, 0.1]]), np.array([[0.5, 0.5]])]
-        rec = decompose(as_members(members), families=("entropy",))["entropy"]
+        rec = family_record(members, "entropy")
         np.testing.assert_allclose(rec.diversity, [0.10174922507919681], atol=1e-12)
 
 
 class TestQuadraticDecomposition:
     def test_identical_members(self, rng):
         p = random_simplex(rng, 10, 4)
-        rec = decompose(as_members([p, p]), families=("quadratic",))["quadratic"]
+        rec = family_record([p, p], "quadratic")
         np.testing.assert_allclose(rec.diversity, 0.0, atol=1e-15)
         np.testing.assert_allclose(rec.total, rec.avg_member, atol=1e-15)
 
     def test_two_one_hot(self):
-        rec = decompose(as_members(TWO_ONE_HOT), families=("quadratic",))["quadratic"]
+        rec = family_record(TWO_ONE_HOT, "quadratic")
         np.testing.assert_allclose(rec.total, [0.5])
         np.testing.assert_allclose(rec.diversity, [0.5])
         np.testing.assert_allclose(rec.avg_member, [0.0])
@@ -79,7 +86,7 @@ class TestQuadraticDecomposition:
         rng = np.random.default_rng(seed)
         m, c = int(rng.integers(2, 9)), int(rng.integers(2, 21))
         members = member_stack(rng, m, 12, c)
-        rec = decompose(as_members(members), families=("quadratic",))["quadratic"]
+        rec = family_record(members, "quadratic")
         assert np.abs(rec.residual()).max() < 1e-10
         assert np.all(rec.diversity >= -1e-12)
 
@@ -87,11 +94,11 @@ class TestQuadraticDecomposition:
 class TestEntropyDecomposition:
     def test_identical_members(self, rng):
         p = random_simplex(rng, 10, 4)
-        rec = decompose(as_members([p, p]), families=("entropy",))["entropy"]
+        rec = family_record([p, p], "entropy")
         np.testing.assert_allclose(rec.diversity, 0.0, atol=1e-12)
 
     def test_two_one_hot(self):
-        rec = decompose(as_members(TWO_ONE_HOT), families=("entropy",))["entropy"]
+        rec = family_record(TWO_ONE_HOT, "entropy")
         np.testing.assert_allclose(rec.total, [np.log(2)])
         np.testing.assert_allclose(rec.diversity, [np.log(2)])
         np.testing.assert_allclose(rec.avg_member, [0.0])
@@ -104,7 +111,7 @@ class TestEntropyDecomposition:
         rng = np.random.default_rng(seed)
         m, c = int(rng.integers(2, 9)), int(rng.integers(2, 21))
         members = member_stack(rng, m, 12, c)
-        rec = decompose(as_members(members), families=("entropy",))["entropy"]
+        rec = family_record(members, "entropy")
         assert np.abs(rec.residual()).max() < 1e-10
         assert np.all(rec.diversity >= -1e-12)
 
@@ -113,11 +120,11 @@ class TestBrierGap:
     def test_identical_members(self, rng):
         p = random_simplex(rng, 10, 4)
         y = rng.integers(0, 4, size=10)
-        rec = decompose(as_members([p, p]), y, ("brier_gap",))["brier_gap"]
+        rec = family_record([p, p], "brier_gap", y)
         np.testing.assert_allclose(rec.diversity, 0.0, atol=1e-15)
 
     def test_two_one_hot_hand_case(self):
-        rec = decompose(as_members(TWO_ONE_HOT), np.array([0]), ("brier_gap",))["brier_gap"]
+        rec = family_record(TWO_ONE_HOT, "brier_gap", np.array([0]))
         np.testing.assert_allclose(rec.total, [0.5])       # ensemble Brier
         np.testing.assert_allclose(rec.avg_member, [1.0])  # mean member Brier
         np.testing.assert_allclose(rec.diversity, [0.5])   # the gap = variance
@@ -129,10 +136,10 @@ class TestBrierGap:
         m, c = int(rng.integers(2, 9)), int(rng.integers(2, 21))
         members = member_stack(rng, m, 12, c)
         y = rng.integers(0, c, size=12)
-        rec = decompose(as_members(members), y, ("brier_gap",))["brier_gap"]
+        rec = family_record(members, "brier_gap", y)
         assert np.abs(rec.residual()).max() < 1e-10
         np.testing.assert_allclose(
-            rec.diversity, decompose(as_members(members), families=("quadratic",))["quadratic"].diversity, atol=1e-10
+            rec.diversity, family_record(members, "quadratic").diversity, atol=1e-10
         )
 
     @given(st.integers(0, 10**6))
@@ -150,14 +157,14 @@ class TestNllGap:
     def test_equal_likelihoods(self):
         a = np.array([[0.6, 0.4]])
         b = np.array([[0.6, 0.4]])
-        rec = decompose(as_members(np.stack([a, b])), np.array([0]), ("nll_gap",))["nll_gap"]
+        rec = family_record(np.stack([a, b]), "nll_gap", np.array([0]))
         np.testing.assert_allclose(rec.diversity, [0.0], atol=1e-15)
 
     def test_closed_form_two_members(self):
         # true-class likelihoods 0.8 and 0.2 -> normalized (0.8, 0.2)
         a = np.array([[0.8, 0.2]])
         b = np.array([[0.2, 0.8]])
-        rec = decompose(as_members(np.stack([a, b])), np.array([0]), ("nll_gap",))["nll_gap"]
+        rec = family_record(np.stack([a, b]), "nll_gap", np.array([0]))
         np.testing.assert_allclose(rec.total, [np.log(2)], atol=1e-12)
         np.testing.assert_allclose(rec.avg_member, [0.916290731874155], atol=1e-12)
         np.testing.assert_allclose(rec.diversity, [0.2231435513142097], atol=1e-12)
@@ -173,7 +180,7 @@ class TestNllGap:
         m, c = int(rng.integers(2, 9)), int(rng.integers(2, 21))
         members = member_stack(rng, m, 12, c)
         y = rng.integers(0, c, size=12)
-        rec = decompose(as_members(members), y, ("nll_gap",))["nll_gap"]
+        rec = family_record(members, "nll_gap", y)
         assert np.abs(rec.residual()).max() < 1e-10
 
     @given(st.integers(0, 10**6))
@@ -194,13 +201,13 @@ class TestDiversityZeroIffIdentical:
         rng = np.random.default_rng(seed)
         p = random_simplex(rng, 6, 4)
         q = 0.5 * p + 0.5 * random_simplex(rng, 6, 4)
-        div = decompose(as_members(np.stack([p, q])), families=("quadratic",))["quadratic"].diversity
+        div = family_record(np.stack([p, q]), "quadratic").diversity
         differs = np.abs(p - q).max(axis=1) > 1e-6
         assert np.all(div[differs] > 1e-12)
 
     def test_zero_when_identical(self, rng):
         p = random_simplex(rng, 6, 4)
-        rec = decompose(as_members(np.stack([p, p, p])), families=("quadratic",))["quadratic"]
+        rec = family_record(np.stack([p, p, p]), "quadratic")
         assert np.all(rec.diversity < 1e-12)
 
 
@@ -234,7 +241,7 @@ class TestMatchesStackedOracle:
         members = [random_simplex(rng, n, c) for _ in range(m)]
         labels = rng.integers(0, c, size=n)
         stack = np.stack(members)
-        records = {f: decompose(as_members(members), labels, (f,))[f] for f in FAMILIES}
+        records = decompose(as_members(members), labels)
         for family, expected in stacked_oracle(stack, labels).items():
             rec = records[family]
             for got, want in zip((rec.total, rec.diversity, rec.avg_member), expected):
@@ -245,10 +252,7 @@ class TestMatchesStackedOracle:
 
 FLAT_MEMORY_CALLS = {
     "form_ensemble": lambda members, labels: form_ensemble(members),
-    "quadratic": lambda members, labels: decompose(as_members(members), families=("quadratic",))["quadratic"],
-    "entropy": lambda members, labels: decompose(as_members(members), families=("entropy",))["entropy"],
-    "brier_gap": lambda members, labels: decompose(as_members(members), labels, ("brier_gap",))["brier_gap"],
-    "nll_gap": lambda members, labels: decompose(as_members(members), labels, ("nll_gap",))["nll_gap"],
+    **{f: lambda members, labels, f=f: family_record(members, f, labels) for f in FAMILIES},
 }
 
 
@@ -326,85 +330,66 @@ class TestBlockedWalk:
 
     def test_families_subset_and_labels(self, rng):
         members = [random_simplex(rng, 9, 3) for _ in range(3)]
-        assert list(decompose(as_members(members), families=("entropy", "quadratic"))) == ["quadratic", "entropy"]
-        with pytest.raises(ValidationError, match="need labels"):
-            decompose(as_members(members), families=("nll_gap",))
-        with pytest.raises(ValidationError, match="unknown family"):
-            decompose(as_members(members), families=("renyi",))
         with pytest.raises(ValidationError, match="labels outside"):
             decompose(as_members(members), np.full(9, 3))
 
 
-def masked_block(held, labels, wanted):
+def masked_block(held, labels):
     """The block kernel `decompose` ran before its work arrays: every temporary
-    a fresh array, and masks where a probability is 0. Kept as the oracle."""
+    a fresh array, and masks where a probability is 0. Kept as the oracle, it
+    returns what _decompose_block does."""
     m = len(held)
-    out: dict = {}
 
     # Pass 1: ensemble sum, member score sums, true-class likelihoods.
-    scores = {"quadratic": quad_uncertainty, "brier_gap": lambda p: brier(p, labels)}
-    sums = {f: 0 for f in scores if f in wanted}
+    quad_sum = brier_sum = 0
     # (M, B) in column-major order, the layout a gather from an (M, B, C)
     # stack has, so the reductions over members below round the same way.
-    like = np.empty((held[0].shape[0], m)).T if "nll_gap" in wanted else None
+    like = np.empty((held[0].shape[0], m)).T
     ens = form_ensemble(held)
     for k, p in enumerate(held):
-        for f in sums:
-            sums[f] = sums[f] + scores[f](p)
-        if like is not None:
-            like[k] = p[np.arange(p.shape[0]), labels]
+        quad_sum = quad_sum + quad_uncertainty(p)
+        brier_sum = brier_sum + brier(p, labels)
+        like[k] = p[np.arange(p.shape[0]), labels]
 
     # Pass 2: variance about the ensemble mean, and each member's entropy and
     # KL to it from one log per entry.
-    need_var = "quadratic" in wanted or "brier_gap" in wanted
-    if need_var or "entropy" in wanted:
-        acc = np.zeros_like(ens) if need_var else None
-        sq = np.empty_like(ens) if need_var else None
-        if "entropy" in wanted:
-            # 0 log 0 = 0; the ensemble mean is positive wherever any member is.
-            log_ens = np.log(np.where(ens > 0.0, ens, 1.0))
-            kl = np.zeros(ens.shape[0])
-            member_entropy = np.zeros(ens.shape[0])
-        for p in held:
-            if need_var:
-                np.subtract(p, ens, out=sq)
-                sq *= sq
-                acc += sq
-            if "entropy" in wanted:
-                positive = p > 0.0
-                terms = np.where(positive, p, 1.0)
-                np.log(terms, out=terms)
-                # -sum p ln p, which is what `entropy` computes, since ln 1 = 0 where p = 0.
-                member_entropy += -(p * terms).sum(axis=1)
-                terms -= log_ens
-                terms *= p
-                terms[~positive] = 0.0
-                kl += terms.sum(axis=1)
-        if need_var:
-            acc /= m
-            variance = acc.sum(axis=1)
-        if "entropy" in wanted:
-            out["kl"] = kl / m
+    acc = np.zeros_like(ens)
+    sq = np.empty_like(ens)
+    # 0 log 0 = 0; the ensemble mean is positive wherever any member is.
+    log_ens = np.log(np.where(ens > 0.0, ens, 1.0))
+    kl = np.zeros(ens.shape[0])
+    member_entropy = np.zeros(ens.shape[0])
+    for p in held:
+        np.subtract(p, ens, out=sq)
+        sq *= sq
+        acc += sq
+        positive = p > 0.0
+        terms = np.where(positive, p, 1.0)
+        np.log(terms, out=terms)
+        # -sum p ln p, which is what `entropy` computes, since ln 1 = 0 where p = 0.
+        member_entropy += -(p * terms).sum(axis=1)
+        terms -= log_ens
+        terms *= p
+        terms[~positive] = 0.0
+        kl += terms.sum(axis=1)
+    acc /= m
+    variance = acc.sum(axis=1)
 
-    if "quadratic" in wanted:
-        out["quadratic"] = (quad_uncertainty(ens), variance, sums["quadratic"] / m)
-    if "entropy" in wanted:
-        total = entropy(ens)
-        avg = member_entropy / m
-        out["entropy"] = (total, total - avg, avg)
-    if "brier_gap" in wanted:
-        out["brier_gap"] = (brier(ens, labels), variance, sums["brier_gap"] / m)
-    if "nll_gap" in wanted:
-        like_c = np.maximum(like, NLL_EPS)
-        mean_log = np.log(like_c).mean(axis=0)
-        ens_like = like.mean(axis=0)
-        total = -np.log(np.maximum(ens_like, NLL_EPS))
+    total = entropy(ens)
+    avg = member_entropy / m
+    like_c = np.maximum(like, NLL_EPS)
+    mean_log = np.log(like_c).mean(axis=0)
+    ens_like = like.mean(axis=0)
+    families = (
+        (quad_uncertainty(ens), variance, quad_sum / m),
+        (total, total - avg, avg),
+        (brier(ens, labels), variance, brier_sum / m),
         # KL(U || Q) = -ln M + ln sum_i L_i - mean_i ln L_i, over clamped likelihoods.
-        diversity = -np.log(float(m)) + np.log(like_c.sum(axis=0)) - mean_log
-        out["nll_gap"] = (total, diversity, -mean_log)
-        # The identity is exact only where no likelihood hits the clamp floor.
-        out["unclamped"] = (like > NLL_EPS).all(axis=0) & (ens_like > NLL_EPS)
-    return out
+        (-np.log(np.maximum(ens_like, NLL_EPS)), -np.log(float(m)) + np.log(like_c.sum(axis=0)) - mean_log,
+         -mean_log),
+    )
+    # The identity is exact only where no likelihood hits the clamp floor.
+    return families, kl / m, (like > NLL_EPS).all(axis=0) & (ens_like > NLL_EPS)
 
 
 def awkward_members(rng, m, n, c):
@@ -439,12 +424,12 @@ class TestKernelMatchesMaskedOracle:
                 for block_rows, stack in member_blocks(as_members(members), spare=5):
                     # Stale values in the work slots must not reach any result.
                     stack[m:] = np.nan
-                    got = _decompose_block(stack, labels[block_rows], list(FAMILIES))
-                    want = masked_block(stack[:m], labels[block_rows], list(FAMILIES))
-                    assert sorted(got) == sorted(want)
-                    for key, value in want.items():
-                        for g, w in zip(*((x,) if key in ("kl", "unclamped") else x for x in (got[key], value))):
-                            assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (key, rows)
+                    # Each family's three columns in FAMILIES order, then kl and unclamped.
+                    got, want = ([*(col for triple in out[0] for col in triple), *out[1:]] for out in (
+                        _decompose_block(stack, labels[block_rows]), masked_block(stack[:m], labels[block_rows])))
+                    assert len(got) == len(want) == 14
+                    for k, (g, w) in enumerate(zip(got, want)):
+                        assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (k, rows)
 
 
 def _loaded_store(root, n, c, m, seed=0):

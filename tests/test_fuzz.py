@@ -1,16 +1,21 @@
-"""A fuzzer over the rules that pick a command's pair, members and metrics.
+"""A fuzzer over the rules that pick a command's pair, members and metrics,
+and over the files of a store.
 
-Each example runs one command through `cli.main` in process, with stderr
-captured and warnings raised as errors, and checks that it exits 0 exactly
-when its input obeys the rule, that a failure prints one `error:` line, and
-that a failed run leaves no output directory.
+Each example runs commands through `cli.main` in process, with stderr
+captured and warnings raised as errors. For the rules, it checks that a
+command exits 0 exactly when its input obeys the rule, and that a failure
+prints one `error:` line. For a store with one file spoiled, it checks that
+every command exits 0, 1 or 2, and that a failure prints one `error:` or
+`numerical error:` line. A failed run must leave no output directory.
 """
 
 import contextlib
 import io
 import itertools
 import json
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,24 +45,29 @@ def workspace(tmp_path_factory):
     return manifest, root, itertools.count()
 
 
-def run(workspace, argv, manifest=None):
-    """The exit code of one command on the store, or on another manifest next to
-    it, writing into a fresh directory. A failure must print one `error:` line and
-    leave no output directory."""
-    default, root, counter = workspace
-    out = root / f"out{next(counter)}"
+def run_in_process(argv, manifest, out, codes=(0, 1)):
+    """The exit code of one command, run with warnings as errors, which must be one
+    of `codes`. A failure must print one line, `error:` for exit 1 and `numerical
+    error:` for exit 2, and leave no output directory."""
     err = io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stderr(err):
         warnings.simplefilter("error")
-        code = main([argv[0], "--manifest", str(manifest or default), *argv[1:], "--out", str(out)])
+        code = main([argv[0], "--manifest", str(manifest), *argv[1:], "--out", str(out)])
     lines = err.getvalue().splitlines()
-    assert code in (0, 1), (argv, lines)
-    if code == 1:
-        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
+    assert code in codes, (argv, lines)
+    if code:
+        assert len(lines) == 1 and lines[0].startswith(("error: ", "numerical error: ")[code - 1]), (argv, lines)
         assert not out.exists(), argv
     else:
         assert lines == [] and (out / "result.json").is_file(), (argv, lines)
     return code
+
+
+def run(workspace, argv, manifest=None):
+    """The exit code of one command on the store, or on another manifest next to
+    it, writing into a fresh directory: 0, or 1 with one `error:` line."""
+    default, root, counter = workspace
+    return run_in_process(argv, manifest or default, root / f"out{next(counter)}")
 
 
 def _is_pair(pair) -> bool:
@@ -111,3 +121,42 @@ def test_metric_list(workspace, metrics):
 def test_members_spec(workspace, members):
     ok = len(members) >= 2 and set(members) <= set(MODELS) and len(set(members)) == len(members)
     assert (run(workspace, ["decompose", "--members", "+".join(members)]) == 0) == ok
+
+
+# Every command that reads a store, on the fuzz store's models.
+STORE_COMMANDS = (
+    ["decompose"],
+    ["conditional", "--surrogates", "3"],
+    ["trends", "--metric", "01,nll,brier,ece,resce"],
+    ["improve", "--base", "m0", "--alt-a", "m0+m1", "--alt-b", "m0+m2", "--control", "m3"],
+)
+
+
+@FUZZ
+@given(kind=st.sampled_from(["probs", "logits"]),
+       mutation=st.sampled_from(["truncate", "lengthen", "directory", "nan", "inf", "-inf", "label"]), data=st.data())
+def test_spoiled_store_file(kind, mutation, data):
+    # A member or labels file of any dataset is cut short, lengthened or replaced by a
+    # directory; or a member entry becomes non-finite, or a label leaves [0, C).
+    labels = mutation == "label" or (
+        mutation in ("truncate", "lengthen", "directory") and data.draw(st.booleans(), label="labels file"))
+    with tempfile.TemporaryDirectory() as tmp:
+        datasets = random_datasets(np.random.default_rng(11), DATASETS, MODELS, n=30, c=3)
+        manifest = write_kind_store(Path(tmp) / "store", kind, datasets, [("ind", "ood")])
+        files = sorted(manifest.parent.glob("*_labels.i32" if labels else "*__*.f32"))
+        path = data.draw(st.sampled_from(files), label="file")
+        raw = path.read_bytes()
+        if mutation == "truncate":
+            path.write_bytes(raw[:data.draw(st.integers(0, len(raw) - 1), label="length")])
+        elif mutation == "lengthen":
+            path.write_bytes(raw + bytes(data.draw(st.integers(1, 24), label="extra")))
+        elif mutation == "directory":
+            path.unlink()
+            path.mkdir()
+        else:
+            values = np.frombuffer(raw, dtype="<i4" if labels else "<f4").copy()
+            at = data.draw(st.integers(0, values.size - 1), label="entry")
+            values[at] = data.draw(st.sampled_from([-1, 3, 2**31 - 1]), label="label") if labels else float(mutation)
+            path.write_bytes(values.tobytes())
+        for k, argv in enumerate(STORE_COMMANDS):
+            run_in_process(argv, manifest, Path(tmp) / f"out{k}", codes=(0, 1, 2))

@@ -10,12 +10,21 @@ from ensdiag.errors import ValidationError
 from ensdiag.metrics import (
     SCORE_SUMS,
     brier,
+    check_labels,
     compute_metric,
     nll,
     quad_uncertainty,
     score_sums,
     zero_one_error,
 )
+
+
+def test_int64_store_labels_come_back_uncopied(tiny_store):
+    # Store labels are read-only int64, so no scoring call copies them; other dtypes are converted.
+    labels = tiny_store.labels["ind"]
+    assert check_labels(labels, labels.size, 5) is labels
+    as_int32 = check_labels(labels.astype(np.int32), labels.size, 5)
+    assert as_int32.dtype == np.int64 and np.array_equal(as_int32, labels)
 
 
 class TestBrier:

@@ -96,7 +96,7 @@ class TestSimulateStore:
             np.testing.assert_array_equal(read(store, mid, "ind"), base)
         # (p + p + p) / 3 leaves ~1e-34 of rounding residue, so not exactly 0.
         members = store.member_probs(store.model_ids, "ind")
-        div = decompose(members, families=("quadratic",))["quadratic"].diversity
+        div = decompose(members, store.labels["ind"])["quadratic"].diversity
         assert np.abs(div).max() < 1e-30
 
 

@@ -489,7 +489,7 @@ def stacked_ratio_oracle(store, ensembles, pair=("ind", "ood")):
     per_ens = {}
     for ens in ensembles:
         ind, ood = (
-            decompose(store.member_probs(ens, d), families=("quadratic",))["quadratic"].diversity.mean()
+            decompose(store.member_probs(ens, d), store.labels[d])["quadratic"].diversity.mean()
             for d in pair
         )
         per_ens["+".join(ens)] = float(ood) / float(ind)
