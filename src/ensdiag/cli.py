@@ -83,26 +83,11 @@ def _resolve_pair(store: PredictionStore, pair_arg: str | None) -> tuple[str, st
     return check_pair(pair_arg.split(":"), store.labels, f"--pair {pair_arg!r}")
 
 
-def _ensemble(store: PredictionStore, ids: list[str], pair: tuple[str, str], what: str) -> list[str]:
-    """`ids` if they name at least one model, none twice, each predicted on
-    both datasets of the pair; an error names `what` and the model."""
-    if not ids:
-        raise ValidationError(f"{what} has no members")
-    for m in ids:
-        if m not in store.model_ids:
-            raise ValidationError(f"{what} references unknown model {m!r}")
-        if any((m, d) not in store.members for d in pair):
-            raise ValidationError(f"{what} references model {m!r}, not predicted on both {pair[0]!r} and {pair[1]!r}")
-        if ids.count(m) > 1:
-            raise ValidationError(f"{what} repeats model {m!r}")
-    return ids
-
-
 def _resolve_members(store: PredictionStore, spec: str | None, pair: tuple[str, str]) -> list[str]:
     if spec is None:
         ids = store.models_on_pair(pair)
     else:
-        ids = _ensemble(store, spec.split("+"), pair, f"--members {spec!r}")
+        ids = list(store.check_ensemble(spec.split("+"), pair, f"--members {spec!r}"))
     if len(ids) < 2:
         raise ValidationError("need at least two member models on both datasets")
     return ids
@@ -311,7 +296,7 @@ def _load_ensembles(arg: str, store: PredictionStore, pair: tuple[str, str]) -> 
     for i, entry in enumerate(raw):
         if not isinstance(entry, list) or not all(isinstance(m, str) for m in entry):
             raise ValidationError(f"--ensembles entry {i} must be a list of model ids, got {entry!r}")
-        ensembles.append(tuple(_ensemble(store, entry, pair, f"--ensembles entry {i}")))
+        ensembles.append(store.check_ensemble(entry, pair, f"--ensembles entry {i}"))
         j = first_with.setdefault(frozenset(entry), i)
         if j != i:
             raise ValidationError(f"--ensembles entry {i} has the same members as entry {j}")
@@ -319,8 +304,8 @@ def _load_ensembles(arg: str, store: PredictionStore, pair: tuple[str, str]) -> 
 
 
 def cmd_trends(args: argparse.Namespace) -> None:
-    from .trends import (diversity_ratio_check, effective_robustness, form_heterogeneous_ensembles,
-                         trend_points, trend_table)
+    from .trends import (TABLE_CLASSES, diversity_ratio_check, effective_robustness,
+                         form_heterogeneous_ensembles, trend_points, trend_table)
 
     store = load_store(args.manifest)
     pair = _resolve_pair(store, args.pair)
@@ -349,7 +334,8 @@ def cmd_trends(args: argparse.Namespace) -> None:
     points = [p for metric in metrics for p in scored if p.metric == metric]
     rows = trend_table(points)
 
-    baselines = {r.metric: r.fit for r in rows if r.model_class == "Single Model"}
+    # Effective robustness is measured from the fit over single models alone.
+    baselines = {r.metric: r.fit for r in rows if TABLE_CLASSES[r.model_class] == ("single",)}
     write_csv(
         out / "trend_points.csv",
         {
@@ -398,19 +384,17 @@ def cmd_trends(args: argparse.Namespace) -> None:
 
 def _trends_figure(points, rows, metric: str, path: Path) -> None:
     from . import svgplot
+    from .trends import TABLE_CLASSES
 
     pts = [p for p in points if p.metric == metric]
     lim = svgplot.padded_limits(np.array([[p.ind_value, p.ood_value] for p in pts]))
     panel = svgplot.Panel(60, 40, 420, 420, lim, lim, title=f"Trend: {metric}",
                           xlabel="InD score", ylabel="OOD score")
     panel.line([lim[0], lim[1]], [lim[0], lim[1]], svgplot.LINE_COLOR, width=1.0, dash="5,4")
-    classes = {
-        "single": ([p for p in pts if p.model_class == "single"], svgplot.SINGLE_COLOR),
-        "ensemble": ([p for p in pts if p.model_class in ("ensemble", "heterogeneous")], svgplot.ENSEMBLE_COLOR),
-    }
-    for _, (grp, color) in classes.items():
-        panel.scatter([p.ind_value for p in grp], [p.ood_value for p in grp], color, r=3.5, opacity=0.8)
     fit_colors = {"All": svgplot.LINE_COLOR, "Single Model": svgplot.SINGLE_COLOR, "Ensemble": svgplot.ENSEMBLE_COLOR}
+    for cls in ("Single Model", "Ensemble"):
+        grp = [p for p in pts if p.model_class in TABLE_CLASSES[cls]]
+        panel.scatter([p.ind_value for p in grp], [p.ood_value for p in grp], fit_colors[cls], r=3.5, opacity=0.8)
     gx = np.linspace(lim[0], lim[1], 50)
     y0 = 56
     for r in rows:
@@ -435,7 +419,7 @@ def cmd_improve(args: argparse.Namespace) -> None:
     pair = _resolve_pair(store, args.pair)
     metric = METRIC_ALIASES[args.metric]
     given = {key: getattr(args, key) for key in ("base", "alt_a", "alt_b", "control")}
-    specs = [_ensemble(store, spec.split("+"), pair, f"--{key.replace('_', '-')} {spec!r}")
+    specs = [store.check_ensemble(spec.split("+"), pair, f"--{key.replace('_', '-')} {spec!r}")
              for key, spec in given.items()]
     for flag, spec in (("--alt-a", specs[1]), ("--alt-b", specs[2])):
         if set(spec) == set(specs[0]):

@@ -51,6 +51,7 @@ def ensemble_scores(
     metric: str,
 ) -> list[np.ndarray]:
     """Per-point scores of each ensemble in `specs`, a list of member keys of `members`.
+    Each spec must already have passed `PredictionStore.check_ensemble`.
 
     The points are walked in the row blocks of store.member_blocks. In each
     block every member is read once, however many ensembles share it, and

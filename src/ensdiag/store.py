@@ -11,17 +11,19 @@ read once loaded. The layout is a JSON manifest next to raw binary dumps:
     <pred file>     raw little-endian float32, row-major, N x C, no header
     <labels file>   raw little-endian int32, length N
 
-A dataset's "kind" is "logits" or "probs" (the default when absent).
-Logit files are mapped through a stable softmax when read; probability
-files must already be row-stochastic to within 1e-6 and are renormalized
-exactly. Dataset and model ids are non-empty and contain no whitespace and
-none of ``/ \\ + , :``, since they become file names, CSV cells, member
-specs and pair arguments. A pair is two different declared datasets, the
-one rule `check_pair` applies to manifest pairs and `--pair`. An ensemble
-is a tuple of at least one model, none twice, each predicted on both
-datasets of the pair. Since no id holds a ``+``, an ensemble's id, its
-member ids joined by ``+``, names it; `form_ensemble` averages it, and
-`trends` decides which ensembles are scored.
+A dataset's "kind" is "logits" or "probs" (the default when absent). Logit
+files are mapped through a stable softmax when read; probability files
+must already be row-stochastic to within 1e-6 and are renormalized
+exactly. Dataset and model ids are non-empty and printable and contain no
+whitespace and none of ``/ \\ + , :``, since they become file names, CSV
+cells, member specs and pair arguments. A pair is two different declared
+datasets, the one rule `check_pair` applies to manifest pairs and
+`--pair`. An ensemble is a tuple of at least one model, none twice, each
+predicted on both datasets of the pair, the one rule
+`PredictionStore.check_ensemble` applies to every member spec and
+ensemble. Since no id holds a ``+``, an ensemble's id, its member ids
+joined by ``+``, names it; `form_ensemble` averages it, and `trends`
+decides which ensembles are scored.
 
 `load_store` checks every id, file size and label, reads the labels, and
 keeps only each member's file location, as a StoredMember. File names
@@ -43,6 +45,7 @@ or bad.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Container, Iterable, Iterator, Sequence
@@ -53,7 +56,7 @@ from .errors import ValidationError
 
 # Tolerance on the entries and row sums of a float32 probability dump.
 INGEST_ROW_ATOL = 1e-6
-# Characters no dataset or model id may contain, besides whitespace.
+# Characters no dataset or model id may contain, besides whitespace and unprintable ones.
 _ID_FORBIDDEN = "/\\+,:"
 # Entries of one row block of a member matrix: 2**18 float64 is 2 MiB.
 BLOCK_ELEMENTS = 1 << 18
@@ -93,9 +96,10 @@ def member_blocks(members: Sequence[StoredMember], spare: int = 0) -> Iterator[t
 
 def _check_id(kind: str, value: str) -> None:
     """Reject an id that cannot name a file, CSV cell, member spec or pair side."""
-    if not value or any(ch in _ID_FORBIDDEN or ch.isspace() for ch in value):
+    if not value or any(ch in _ID_FORBIDDEN or ch.isspace() or not ch.isprintable() for ch in value):
         raise ValidationError(
-            f"{kind} id {value!r} must be non-empty, with no whitespace and none of {' '.join(_ID_FORBIDDEN)}"
+            f"{kind} id {value!r} must be non-empty and printable, with no whitespace and none of "
+            f"{' '.join(_ID_FORBIDDEN)}"
         )
 
 
@@ -151,6 +155,21 @@ class PredictionStore:
                 raise ValidationError(f"no prediction for model {m!r} on {dataset_id!r}")
         return [self.members[(m, dataset_id)] for m in member_ids]
 
+    def check_ensemble(self, ids: Sequence[str], pair: tuple[str, str], what: str) -> tuple[str, ...]:
+        """`ids` as a tuple if they name at least one model, none twice, each
+        predicted on both datasets of the pair: the one ensemble rule. An error
+        names `what` and the first model that breaks it."""
+        if not ids:
+            raise ValidationError(f"{what} has no members")
+        for m in ids:
+            if m not in self.model_ids:
+                raise ValidationError(f"{what} references unknown model {m!r}")
+            if any((m, d) not in self.members for d in pair):
+                raise ValidationError(f"{what} references model {m!r}, not predicted on both {pair[0]!r} and {pair[1]!r}")
+            if ids.count(m) > 1:
+                raise ValidationError(f"{what} repeats model {m!r}")
+        return tuple(ids)
+
 
 def check_pair(pair, datasets: Container[str], what: str) -> tuple[str, str]:
     """`pair` as an (InD, OOD) tuple if it is a list of two different ids of `datasets`:
@@ -171,7 +190,10 @@ def _check_size(path: Path, dtype: str, shape: tuple[int, ...], name: str) -> No
         size = path.stat().st_size
     except OSError as exc:
         raise ValidationError(f"{name}: cannot read {path.name}: {exc.strerror}") from exc
-    expected = int(np.prod(shape)) * np.dtype(dtype).itemsize
+    except ValueError as exc:  # a NUL byte in the file name
+        raise ValidationError(f"{name}: cannot read {path.name!r}: {exc}") from exc
+    # Exact integers: an int64 product of a huge declared shape would wrap.
+    expected = math.prod(shape) * np.dtype(dtype).itemsize
     if size != expected:
         raise ValidationError(
             f"{name}: file {path.name} holds {size} bytes, expected {expected} "

@@ -33,7 +33,8 @@ from .metrics import IDENTITY_TOL, SCORE_SUMS, ScoreSums, score_sums
 from .store import PredictionStore, form_ensemble, member_blocks
 
 MODEL_CLASSES = ("single", "ensemble", "heterogeneous")
-TABLE_CLASSES = ("All", "Single Model", "Ensemble")
+# Each trend table row, in order, and the model classes its fit covers.
+TABLE_CLASSES = {"All": MODEL_CLASSES, "Single Model": ("single",), "Ensemble": ("ensemble", "heterogeneous")}
 TREND_METRICS = ("zero_one", "nll", "brier", "ece", "resce")
 # Members of each accuracy-binned heterogeneous ensemble.
 HET_ENSEMBLE_SIZE = 4
@@ -252,25 +253,25 @@ def trend_points(
     of a block for all of TREND_METRICS, one pass over each. The score and
     calibration bin sums are added up over the blocks, and the means, ECE
     and ResCE formed once.
+    Each ensemble is checked by `PredictionStore.check_ensemble` first, so an
+    empty or repeated one, or one naming a model off the pair, is one
+    ValidationError naming it.
     Points come out metric by metric in TREND_METRICS order, singles first. An
     ensemble's point is named by its members joined with ``+``, and is of
     class "heterogeneous" when its tuple is in `heterogeneous`.
     """
     models = store.models_on_pair(pair)
-    if not models:
-        return []
     m = len(models)
     index = {k: i for i, k in enumerate(models)}
     # Per ensemble: the index of the one model it leaves out, or its members' indices.
     forms: list[int | list[int]] = []
     for ens in ensembles:
-        unknown = [k for k in ens if k not in index]
-        if unknown:
-            raise ValidationError(f"ensemble {'+'.join(ens)!r} references model {unknown[0]!r}, "
-                                  f"not predicted on both {pair[0]!r} and {pair[1]!r}")
+        store.check_ensemble(ens, pair, f"ensemble {'+'.join(ens)!r}")
         rest = set(models).difference(ens)
         all_but_one = m >= 3 and len(ens) == m - 1 and len(rest) == 1
         forms.append(index[rest.pop()] if all_but_one else [index[k] for k in ens])
+    if not models:
+        return []
     loo = any(isinstance(form, int) for form in forms)
 
     scored = [(k, "single") for k in models] + [
@@ -316,23 +317,15 @@ class TrendRow:
 
 
 def trend_table(points: Sequence[TrendPoint]) -> list[TrendRow]:
-    """Fit one row per metric for All, Single Model, and Ensemble classes.
+    """Fit one row per metric for each row of TABLE_CLASSES, over the points of its classes.
 
-    Classes with fewer than 3 points are omitted. Heterogeneous ensembles
-    count toward the Ensemble row. When only one class is present its row
-    coincides with All.
+    Rows with fewer than 3 points are omitted. When only one class is
+    present its row coincides with All.
     """
     rows: list[TrendRow] = []
-    metrics = sorted({p.metric for p in points})
-    for metric in metrics:
-        of_metric = [p for p in points if p.metric == metric]
-        groups = {
-            "All": of_metric,
-            "Single Model": [p for p in of_metric if p.model_class == "single"],
-            "Ensemble": [p for p in of_metric if p.model_class in ("ensemble", "heterogeneous")],
-        }
-        for cls in TABLE_CLASSES:
-            grp = groups[cls]
+    for metric in sorted({p.metric for p in points}):
+        for cls, classes in TABLE_CLASSES.items():
+            grp = [p for p in points if p.metric == metric and p.model_class in classes]
             if len(grp) < 3:
                 continue
             rows.append(TrendRow(metric, cls, fit_trend(grp)))
@@ -365,8 +358,8 @@ def diversity_ratio_check(
     `points` must hold the Brier points of every ensemble and its members.
     """
     brier_points = [p for p in points if p.metric == "brier"]
-    singles = {p.model_id: p for p in brier_points if p.model_class == "single"}
-    combined = {p.model_id: p for p in brier_points if p.model_class != "single"}
+    singles = {p.model_id: p for p in brier_points if p.model_class in TABLE_CLASSES["Single Model"]}
+    combined = {p.model_id: p for p in brier_points if p.model_class in TABLE_CLASSES["Ensemble"]}
     if not ensembles:
         raise ValidationError("diversity ratio needs at least one ensemble")
     if len(singles) < 3:

@@ -25,9 +25,11 @@ import ensdiag
 import ensdiag.cli
 from conftest import read_rows, write_kind_store
 from ensdiag.cli import main
+from ensdiag.conditional import PIVOT_TOL
 from ensdiag.improvement import MMD_RANK_CAP
 from ensdiag.metrics import compute_metric
-from ensdiag.store import BLOCK_ELEMENTS, StoredMember, form_ensemble, load_store, row_blocks, write_store
+from ensdiag.store import (BLOCK_ELEMENTS, StoredMember, form_ensemble, load_store, row_blocks, softmax,
+                           write_store)
 
 BASE_SIM = ["simulate", "--n-points", "60", "--classes", "3", "--models", "4", "--seed", "1"]
 
@@ -1317,6 +1319,125 @@ class TestMetamorphicRelations:
         datasets, untied = self._drawn_store(0, (10, 10), 3)
         assert untied
         self._assert_relabelling_moves_no_output("conditional", 0, datasets, 3)
+
+
+class TestProbabilitiesAgreeWithLogits:
+    """A probs store holding the float32 softmax of a logits store, with the same
+    labels, gives the logits run's aggregates to within float32 rounding."""
+
+    # The probs store holds each probability p of a logit row rounded to float32,
+    # p(1 + e) with |e| <= 2**-24, and a read divides its row by the rounded row's
+    # sum, within 2**-24 of 1. So each probability read is p(1 + d) with
+    # |d| <= DELTA, which leaves room for float64 rounding.
+    DELTA = 3 * 2.0**-24
+    # What that moves a per-point score, and so a mean of them, at C <= 6: a Brier
+    # or quadratic score by 2 DELTA + DELTA^2, an NLL by -ln(1 - DELTA), a
+    # confidence (so ECE and ResCE) by DELTA, an entropy by DELTA (1 + ln C + 2 DELTA)
+    # and a difference of two (JSD, KL gap) by twice that, and the variance
+    # diversity by 8 DELTA + 4 DELTA^2, the largest.
+    SCORE_TOL = 9 * DELTA
+    # Each per-point improvement is a difference of two Brier scores.
+    DELTA_TOL = 2 * (2 * DELTA + DELTA**2)
+    N_BINS = 15  # trends' default calibration bins
+
+    @classmethod
+    def _rounding_moves_no_bin(cls, stacks) -> bool:
+        """Whether no argmax and no calibration bin of a single or leave-one-out
+        ensemble that trends scores can move when each probability moves by a
+        factor within 1 +/- DELTA. `stacks` holds each dataset's (M, N, C) stack."""
+        edges = np.arange(1, cls.N_BINS) / cls.N_BINS
+        for stack in stacks:
+            for q in [*stack, *((stack.sum(axis=0) - p) / (len(stack) - 1) for p in stack)]:
+                second, top = np.sort(q, axis=1)[:, -2:].T
+                if np.any(second * (1 + 4 * cls.DELTA) >= top):
+                    return False
+                if np.any(np.abs(top[:, None] - edges) <= 2 * cls.DELTA * top[:, None]):
+                    return False
+        return True
+
+    @staticmethod
+    def _assert_within(want: list, got: list, tol: float, what: str) -> None:
+        """The same cells and text; numbers within `tol` of each other."""
+        assert len(want) == len(got), what
+        for x, y in zip(want, got):
+            try:
+                x, y = float(x), float(y)
+            except (TypeError, ValueError):
+                assert x == y, what
+                continue
+            assert abs(x - y) <= tol, (what, x, y)
+
+    def _assert_improve_within(self, want: dict, got: dict) -> None:
+        """Per-point improvements within DELTA_TOL, and the Pearson r, bandwidth and
+        MMD statistic within what those moves allow."""
+        eta = self.DELTA_TOL
+        for ds in ("ind", "ood"):
+            name = f"improve_{ds}.csv"
+            self._assert_within(_cells(name, want[name]), _cells(name, got[name]), eta, name)
+            header, *body = want[name].decode().splitlines()
+            columns = dict(zip(header.split(","), np.array([r.split(",") for r in body], float).T))
+            a, b = (json.loads(out["result.json"])["results"][ds] for out in (want, got))
+            assert a["n"] == b["n"] == len(body)
+            # r is the inner product of the centred, normalised columns, and
+            # normalising u moves it by at most 2 |du| / |u|, with |du| <= eta sqrt(n).
+            r_tol = sum(2 * eta * np.sqrt(len(body)) / np.linalg.norm(col - col.mean())
+                        for col in (columns["delta_a"], columns["delta_b"]))
+            assert abs(a["pearson_r"] - b["pearson_r"]) <= r_tol, ds
+            # Each 2-d point moves by at most eta sqrt(2), so each distance, and the
+            # bandwidth, their median, by at most twice that.
+            ma, mb = a["mmd"], b["mmd"]
+            d_tol, h_move = 2 * np.sqrt(2) * eta, abs(ma["bandwidth"] - mb["bandwidth"])
+            assert h_move <= d_tol, ds
+            # A kernel value exp(-d^2 / 2h^2) moves by at most 1/(h sqrt e) per unit of
+            # d and 2/(e h) per unit of h. The statistic is a signed mean of kernel
+            # values with weights of total size 4, and each factor's stop at
+            # PIVOT_TOL per point moves it by at most 10 PIVOT_TOL.
+            h = min(ma["bandwidth"], mb["bandwidth"])
+            stat_tol = 4 * (d_tol / (h * np.sqrt(np.e)) + 2 * h_move / (np.e * h)) + 20 * PIVOT_TOL
+            assert abs(ma["statistic"] - mb["statistic"]) <= stat_tol, ds
+            assert (ma["m"], ma["threshold"], ma["alpha"]) == (mb["m"], mb["threshold"], mb["alpha"])
+            if abs(ma["statistic"] - ma["threshold"]) > stat_tol:
+                assert ma["reject"] == mb["reject"], ds
+
+    @given(seed=st.integers(0, 2**32 - 1), n_ind=st.integers(10, 40), n_ood=st.integers(10, 40), c=st.integers(2, 6))
+    @settings(max_examples=8, deadline=None)
+    def test_probabilities_agree_with_their_logits(self, seed, n_ind, n_ood, c):
+        datasets, _ = TestMetamorphicRelations._drawn_store(seed, (n_ind, n_ood), c)
+        # The probabilities a logits read gives, bit for bit.
+        probs = {ds: (labels, {mid: softmax(x.astype(np.float64)) for mid, x in members})
+                 for ds, labels, members in datasets}
+        assume(self._rounding_moves_no_bin([np.stack(list(ms.values())) for _, ms in probs.values()]))
+        runs = []
+        with tempfile.TemporaryDirectory() as tmp:
+            # Both stores are written at one path, so result.json records one manifest.
+            store = Path(tmp) / "store"
+            for write in (lambda: write_store(store, c, datasets, [("ind", "ood")]),
+                          lambda: write_kind_store(store, "probs", probs, [("ind", "ood")])):
+                shutil.rmtree(store, ignore_errors=True)
+                manifest = write()
+                outputs = {}
+                for command in ("decompose", "trends", "improve"):
+                    out = Path(tmp) / command
+                    shutil.rmtree(out, ignore_errors=True)
+                    err = io.StringIO()
+                    with contextlib.redirect_stderr(err):
+                        code = run([*TestMetamorphicRelations.COMMANDS[command], "--manifest", manifest, "--out", out])
+                    outputs[command] = _outputs(out) if code == 0 else (code, err.getvalue())
+                runs.append(outputs)
+
+        logits, probs = runs
+        for name in logits["decompose"]:
+            self._assert_within(_cells(name, logits["decompose"][name]), _cells(name, probs["decompose"][name]),
+                                self.SCORE_TOL, name)
+        if isinstance(logits["trends"], tuple):  # a trend fit of tied 0-1 scores fails alike on both
+            assert logits["trends"] == probs["trends"]
+        else:
+            # The mean scores. The fits over 8 points, and the effective robustness and
+            # diversity ratio taken from them, are functions of these.
+            points = [[cell for line in out["trends"]["trend_points.csv"].decode().splitlines()
+                       for cell in line.split(",")[:5]] for out in runs]
+            self._assert_within(*points, self.SCORE_TOL, "trend_points.csv")
+        self._assert_improve_within(logits["improve"], probs["improve"])
 
 
 class TestUnequalSizesEndToEnd:

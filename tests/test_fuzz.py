@@ -1,12 +1,13 @@
 """A fuzzer over the rules that pick a command's pair, members and metrics,
-and over the files of a store.
+and over the manifest and files of a store.
 
 Each example runs commands through `cli.main` in process, with stderr
 captured and warnings raised as errors. For the rules, it checks that a
 command exits 0 exactly when its input obeys the rule, and that a failure
-prints one `error:` line. For a store with one file spoiled, it checks that
-every command exits 0, 1 or 2, and that a failure prints one `error:` or
-`numerical error:` line. A failed run must leave no output directory.
+prints one `error:` line. For a store with one manifest field or one file
+spoiled, it checks that every command exits 0, 1 or 2, and that a failure
+prints one `error:` or `numerical error:` line. A failed run must leave no
+output directory.
 """
 
 import contextlib
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_datasets, write_kind_store
@@ -160,3 +161,49 @@ def test_spoiled_store_file(kind, mutation, data):
             path.write_bytes(values.tobytes())
         for k, argv in enumerate(STORE_COMMANDS):
             run_in_process(argv, manifest, Path(tmp) / f"out{k}", codes=(0, 1, 2))
+
+
+# Manifest fields, as paths into the manifest's JSON: whole sections, a pair and
+# its side, every field of the first dataset and of the first model.
+MANIFEST_FIELDS = (
+    ("datasets",), ("models",), ("pairs",), ("pairs", 0), ("pairs", 0, 0),
+    *(("datasets", 0, key) for key in ("id", "n", "c", "labels_file", "kind")),
+    ("models", 0, "id"), ("models", 0, "files"), ("models", 0, "files", "ind"),
+)
+# A field's new value, as JSON text: a wrong type, a deep nesting, an integer
+# past int64, or a string holding a NUL byte.
+field_values = st.one_of(
+    st.sampled_from(["null", "true", "1.5", '"x"', "[]", "{}"]),
+    st.integers(2, 3000).map(lambda depth: "[" * depth + "]" * depth),
+    st.one_of(st.integers(2**63, 2**80), st.integers(-2**80, -2**63 - 1)).map(str),
+    st.builds(lambda a, b: json.dumps(f"{a}\0{b}"), st.sampled_from(["", "ind", "m0__ind.f32"]),
+              st.sampled_from(["", "x"])),
+)
+
+
+@pytest.fixture(scope="module")
+def logit_store(tmp_path_factory):
+    """A two-dataset logit store of four models at 40 points and 3 classes, and a
+    counter for fresh manifest and output paths."""
+    root = tmp_path_factory.mktemp("manifest_fuzz")
+    datasets = random_datasets(np.random.default_rng(5), ("ind", "ood"), MODELS, n=40, c=3)
+    return write_kind_store(root, "logits", datasets, [("ind", "ood")]), itertools.count()
+
+
+@FUZZ
+@given(field=st.sampled_from(MANIFEST_FIELDS), value=field_values)
+# 40 x (3 + 2**61) entries wrap to 120 in int64, the size of a 40 x 3 member file.
+@example(field=("datasets", 0, "c"), value=str(3 + 2**61))
+@example(field=("datasets", 0, "labels_file"), value=json.dumps("ind_labels.i32\0"))
+def test_mutated_manifest_field(logit_store, field, value):
+    manifest, counter = logit_store
+    spoiled = json.loads(manifest.read_text())
+    owner = spoiled
+    for key in field[:-1]:
+        owner = owner[key]
+    owner[field[-1]] = "@field@"
+    k = next(counter)
+    path = manifest.with_name(f"manifest{k}.json")
+    path.write_text(json.dumps(spoiled).replace('"@field@"', value))
+    for argv in STORE_COMMANDS:
+        run_in_process(argv, path, manifest.with_name(f"out{k}_{argv[0]}"), codes=(0, 1, 2))

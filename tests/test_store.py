@@ -125,7 +125,8 @@ class TestStoreValidation:
         with pytest.raises(ValidationError, match="m/d: file m__d.f32 holds 32 bytes, expected 24"):
             load_store(manifest)
 
-    @pytest.mark.parametrize("bad", ["", "a/b", "a\\b", "a+b", "a,b", "a:b", "a b", "a\tb"])
+    # An id with a NUL byte once passed, and ended decompose in a traceback when it named an output file.
+    @pytest.mark.parametrize("bad", ["", "a/b", "a\\b", "a+b", "a,b", "a:b", "a b", "a\tb", "a\0b", "a\x07b"])
     def test_unsafe_ids_rejected(self, manifest, bad):
         original = manifest.read_text()
         _edited(manifest, lambda m: m["datasets"][0].update(id=bad))

@@ -212,17 +212,30 @@ def test_only_load_store_builds_a_store():
 PAIR_RULE_WORDS = ("IND:OOD, got", "must name two datasets", "unknown dataset", "on both sides", "[ind, ood]")
 
 
-def test_only_store_raises_a_pair_error():
-    # A manifest's pairs and --pair are checked by store.check_pair alone.
+# Fragments of the ensemble rule's messages: PredictionStore.check_ensemble words them all.
+ENSEMBLE_RULE_WORDS = ("has no members", "references unknown model", "not predicted on both", "repeats model")
+
+
+def _raised_outside_store(words):
+    """Each string in a raise statement outside store.py that holds one of `words`."""
     found = []
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path, tree in _trees().items():
         if path.name == "store.py":
             continue
-        tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{node.lineno} {text!r}" for raise_ in ast.walk(tree) if isinstance(raise_, ast.Raise)
                   for node in ast.walk(raise_) if isinstance(node, ast.Constant) and isinstance(node.value, str)
-                  for text in [node.value] if any(word in text for word in PAIR_RULE_WORDS)]
-    assert found == []
+                  for text in [node.value] if any(word in text for word in words)]
+    return found
+
+
+def test_only_store_raises_a_pair_error():
+    # A manifest's pairs and --pair are checked by store.check_pair alone.
+    assert _raised_outside_store(PAIR_RULE_WORDS) == []
+
+
+def test_only_store_raises_an_ensemble_error():
+    # Every member spec and ensemble is checked by PredictionStore.check_ensemble alone.
+    assert _raised_outside_store(ENSEMBLE_RULE_WORDS) == []
 
 
 def test_cli_takes_residual_maxima_from_the_records():

@@ -703,6 +703,19 @@ def test_trend_points_peak_flat_in_listed_ensemble_count(tmp_path):
 
 
 def test_ensemble_of_a_model_off_the_pair_rejected(rng, tmp_path):
+    # zz is in no store, and the store's ensemble rule names an unknown model first.
     store = build_store(rng, tmp_path)
-    with pytest.raises(ValidationError, match="'m0\\+zz' references model 'zz', not predicted on both"):
+    with pytest.raises(ValidationError, match="'m0\\+zz' references unknown model 'zz'"):
         trend_points(store, [("m0", "zz")], PAIR)
+
+
+@pytest.mark.parametrize("ensemble,expected", [
+    ((), "ensemble '' has no members"),
+    (("m0", "m0", "m1"), "ensemble 'm0\\+m0\\+m1' repeats model 'm0'"),
+], ids=["empty", "repeated"])
+def test_ensemble_breaking_the_store_rule_is_one_error(rng, tmp_path, ensemble, expected):
+    # The library path keeps the rule --ensembles keeps: no traceback from
+    # form_ensemble, and no silent weighting of a repeated member.
+    store = build_store(rng, tmp_path)
+    with pytest.raises(ValidationError, match=f"^{expected}$"):
+        trend_points(store, [("m1", "m2"), ensemble], PAIR)
