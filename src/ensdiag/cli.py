@@ -14,8 +14,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
+import shutil
 import sys
+from contextlib import contextmanager, suppress
 from dataclasses import asdict
 from pathlib import Path
 
@@ -59,8 +62,7 @@ def write_csv(path: Path, columns: dict) -> None:
 
 
 def prepare_out_dir(path: str, force: bool) -> Path:
-    """Check, without making it, that `path` can be the output directory: the first
-    file written makes it, so a run that fails before writing leaves none."""
+    """Check, without making it, that `path` can be the output directory."""
     out = Path(path)
     nearest = next(p for p in (out, *out.parents) if p.exists())
     if not nearest.is_dir():
@@ -95,12 +97,9 @@ def _resolve_members(store: PredictionStore, spec: str | None, pair: tuple[str, 
 
 def _resolve_metrics(arg: str) -> list[str]:
     out = []
-    for token in arg.split(","):
-        token = token.strip()
+    for token in map(str.strip, arg.split(",")):
         if token not in METRIC_ALIASES:
-            raise ValidationError(
-                f"unknown metric {token!r}; choose from {sorted(METRIC_ALIASES)}"
-            )
+            raise ValidationError(f"unknown metric {token!r}; choose from {sorted(METRIC_ALIASES)}")
         if METRIC_ALIASES[token] in out:
             raise ValidationError(f"--metric names {token!r} twice")
         out.append(METRIC_ALIASES[token])
@@ -146,12 +145,10 @@ def cmd_decompose(args: argparse.Namespace) -> None:
     members = _resolve_members(store, args.members, pair)
     out = prepare_out_dir(args.out, args.force)
 
-    # Both datasets are decomposed before any file is written, so a failure leaves none.
-    records = {d: decompose(store.member_probs(members, d), store.labels[d]) for d in pair}
     aggregates: dict = {}
-    for dataset, by_family in records.items():
+    for dataset in pair:
         aggregates[dataset] = {}
-        for family, rec in by_family.items():
+        for family, rec in decompose(store.member_probs(members, dataset), store.labels[dataset]).items():
             write_csv(
                 out / f"decompose_{family}_{dataset}.csv",
                 {"index": np.arange(rec.n), "total": rec.total, "diversity": rec.diversity,
@@ -182,13 +179,8 @@ def cmd_decompose(args: argparse.Namespace) -> None:
 
 
 def cmd_conditional(args: argparse.Namespace) -> None:
-    from .conditional import (
-        DEFAULT_RIDGE_SCALE,
-        DEFAULT_TRIM_PERCENTILES,
-        PIVOT_TOL,
-        JointSample,
-        permutation_test,
-    )
+    from .conditional import (DEFAULT_RIDGE_SCALE, DEFAULT_TRIM_PERCENTILES, PIVOT_TOL, JointSample,
+                              permutation_test)
     from .decomposition import decompose
     from .metrics import NLL_EPS
 
@@ -427,34 +419,26 @@ def cmd_improve(args: argparse.Namespace) -> None:
     distinct = list(dict.fromkeys(m for spec in specs for m in spec))
     out = prepare_out_dir(args.out, args.force)
 
-    # Both datasets are scored before any file is written, so a failure leaves none.
-    columns: dict = {}
     per_dataset: dict = {}
     for dataset in pair:
         # A one-member ensemble is that model's predictions, bit for bit.
         members = dict(zip(distinct, store.member_probs(distinct, dataset)))
-        base_scores, *alt_scores = ensemble_scores(members, specs, store.labels[dataset], metric)
+        scores = ensemble_scores(members, specs, store.labels[dataset], metric)
+        take = _subsample_indices(len(scores[0]), args.subsample, args.seed, tag=29)
+        base_scores, *alt_scores = (s[take] for s in scores)
         delta_a, delta_b, delta_c = (base_scores - s for s in alt_scores)
-
-        take = _subsample_indices(delta_a.shape[0], args.subsample, args.seed, tag=29)
-        delta_a, delta_b, delta_c = delta_a[take], delta_b[take], delta_c[take]
-        base_scores = base_scores[take]
 
         test = improvement_similarity_test(delta_a, delta_b, delta_c, alpha=args.alpha)
         r = pearson_r(delta_a, delta_b)
 
-        columns[dataset] = {"index": take, "delta_a": delta_a, "delta_b": delta_b, "control_delta": delta_c,
-                            "base_score": base_scores}
+        write_csv(out / f"improve_{dataset}.csv", {"index": take, "delta_a": delta_a, "delta_b": delta_b,
+                                                   "control_delta": delta_c, "base_score": base_scores})
+        _improvement_figure(delta_a, delta_b, base_scores, out / f"improve_{dataset}.svg", args.seed)
         per_dataset[dataset] = {
             "pearson_r": r,
             "mmd": {**asdict(test), "formatted": test.formatted()},
             "n": int(delta_a.shape[0]),
         }
-
-    for dataset, cols in columns.items():
-        write_csv(out / f"improve_{dataset}.csv", cols)
-        _improvement_figure(cols["delta_a"], cols["delta_b"], cols["base_score"],
-                            out / f"improve_{dataset}.svg", args.seed)
 
     _write_result(
         out / "result.json",
@@ -496,15 +480,8 @@ def _improvement_figure(delta_a, delta_b, base_scores, path: Path, seed: int) ->
 
 
 def cmd_gp_demo(args: argparse.Namespace) -> None:
-    from .gp import (
-        DEFAULT_EVAL_DOMAIN,
-        LENGTHSCALE,
-        LIK_VAR_RANGE,
-        N_TRAIN,
-        SIGNAL_VARIANCE,
-        TRAIN_DOMAIN,
-        run_default_experiment,
-    )
+    from .gp import (DEFAULT_EVAL_DOMAIN, LENGTHSCALE, LIK_VAR_RANGE, N_TRAIN, SIGNAL_VARIANCE, TRAIN_DOMAIN,
+                     run_default_experiment)
 
     out = prepare_out_dir(args.out, args.force)
     exp = run_default_experiment(seed=args.seed, n_bins=args.bins)
@@ -603,9 +580,8 @@ def cmd_report(args: argparse.Namespace) -> None:
     index_path = root / "index.json"
     if index_path.exists() and not args.force:
         raise ValidationError(f"{index_path} exists; pass --force to overwrite")
-    runs = []
-    for result in sorted(root.rglob("result.json")):
-        runs.append({"path": str(result.relative_to(root)), "result": read_json(result, str(result))})
+    runs = [{"path": str(result.relative_to(root)), "result": read_json(result, str(result))}
+            for result in sorted(root.rglob("result.json"))]
     _write_result(index_path, "report", {"n_runs": len(runs), "runs": runs})
 
 
@@ -709,11 +685,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextmanager
+def _undone_on_failure(out: Path):
+    """If the body raises, remove each entry the run added to `out`, and `out` and its
+    parents if the run made them: nothing that existed before the run is removed."""
+    nearest = next(p for p in (out, *out.parents) if p.exists())
+    made = [out, *out.parents][:len(out.relative_to(nearest).parts)]  # deepest first
+    before = set()
+    with suppress(OSError):  # `out` is missing, or not a directory the command can use
+        before = set(os.listdir(out))
+    try:
+        yield
+    except BaseException:
+        with suppress(OSError):
+            for path in [out / name for name in set(os.listdir(out)) - before]:
+                shutil.rmtree(path) if path.is_dir() else path.unlink()
+        for path in made:
+            with suppress(OSError):  # missing, or holding what another run wrote
+                path.rmdir()
+        raise
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; a failure prints one line, returns 1 or 2 and removes what the
+    run wrote (`_undone_on_failure`), so no command orders its work around that rule."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        args.func(args)
+        with _undone_on_failure(Path(args.out)):
+            args.func(args)
         return 0
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,9 +9,9 @@ fixed random direction, which moves probability mass toward the teacher's
 confident regions or away from them depending on the draw. Everything is
 a pure function of the spec, so a fixed spec reproduces the store byte
 for byte. Members draw no random numbers, so `write_synthetic_store`
-builds and writes one member at a time and its memory does not grow with
-the number of models. The store is written through `store.write_store`
-and read back, like any other, by `store.load_store`.
+builds each straight into float32 and writes it, uncopied, through
+`store.write_store` before the next, so memory does not grow with the
+number of models; `store.load_store` reads the store back like any other.
 """
 
 from __future__ import annotations
@@ -62,15 +62,15 @@ def _sample_labels(rng: np.random.Generator, probs: np.ndarray) -> np.ndarray:
 
 def _members(teacher_logits: np.ndarray, member_offset: np.ndarray) -> Iterator[tuple[str, np.ndarray]]:
     for m, offset in enumerate(member_offset):
-        yield f"m{m:03d}", teacher_logits + offset
+        yield f"m{m:03d}", np.add(teacher_logits, offset, out=np.empty(teacher_logits.shape, "<f4"))
 
 
 def _generate(spec: SyntheticSpec) -> Iterator[tuple[str, np.ndarray, Iterator[tuple[str, np.ndarray]]]]:
-    """Per dataset: its id, labels, and a generator of (model id, float64 logits).
+    """Per dataset: its id, labels, and a generator of (model id, float32 logits).
 
     Draws happen in a fixed order so the output is reproducible for a fixed
-    seed. Members draw nothing, so each logit matrix is built only when its
-    generator reaches it.
+    seed. Members draw nothing, so each is built only when its generator
+    reaches it: the float64 sum, rounded once into a fresh float32 array.
     """
     rng = np.random.default_rng(spec.seed)
     c, k = spec.n_classes, spec.n_models

@@ -302,15 +302,15 @@ def read_json(path: Path, what: str):
         raise ValidationError(f"{what} is not readable JSON: {exc}") from exc
 
 
-def write_file(path: Path, data: str | bytes) -> None:
-    """Write text or bytes to `path`, making its directory if it is missing; a
-    write that fails is a ValidationError naming the path."""
+def write_file(path: Path, data: str | bytes | np.ndarray) -> None:
+    """Write text or a bytes-like object, such as a C-contiguous array, to `path`, making
+    its directory if it is missing; a write that fails is a ValidationError naming the path."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        if isinstance(data, bytes):
-            path.write_bytes(data)
-        else:
+        if isinstance(data, str):
             path.write_text(data)
+        else:
+            path.write_bytes(data)
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
@@ -382,9 +382,9 @@ def write_store(
 ) -> Path:
     """Write a logit store in manifest format and return the manifest path.
 
-    `datasets` yields ``(dataset id, labels, members)`` and each `members`
-    yields ``(model id, logits)``. Every member is written as float32 before
-    the next is drawn, so only one member matrix is held at a time.
+    `datasets` yields ``(dataset id, labels, members)`` and each `members` yields
+    ``(model id, logits)``. Each member is written as its float32 cast, uncopied if it is
+    C-contiguous float32, before the next is drawn: one member matrix is held at a time.
     """
     out_dir = Path(out_dir)
     entries = []
@@ -397,7 +397,7 @@ def write_store(
         )
         for mid, logits in members:
             rel = f"{mid}__{did}.f32"
-            write_file(out_dir / rel, logits.astype("<f4").tobytes())
+            write_file(out_dir / rel, np.ascontiguousarray(logits, dtype="<f4"))
             files.setdefault(mid, {})[did] = rel
     manifest = {
         "datasets": entries,

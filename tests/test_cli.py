@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import errno
 import hashlib
 import io
 import json
@@ -107,6 +108,138 @@ class TestExitCodes:
         (out / taken).mkdir(parents=True)
         assert run([*argv, "--out", out, "--force"]) == 1
         _one_error_line(capsys, f"cannot write {out / taken}: ")
+
+
+def _fail_kth_write(monkeypatch, k: int) -> list:
+    """Count the run's file writes; the k-th (from 1; none for k = 0) writes half
+    its data and then fails as a full disk does. Returns the written paths."""
+    written = []
+    for name in ("write_text", "write_bytes"):
+        def write(self, data, *rest, _real=getattr(Path, name), **kw):
+            written.append(self)
+            if len(written) != k:
+                return _real(self, data, *rest, **kw)
+            _real(self, data[:len(data) // 2], *rest, **kw)
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        monkeypatch.setattr(Path, name, write)
+    return written
+
+
+def _entries(path: Path) -> dict:
+    """{relative path: bytes, or None for a directory} of everything under `path`."""
+    return {str(p.relative_to(path)): None if p.is_dir() else p.read_bytes() for p in sorted(path.rglob("*"))}
+
+
+class TestFailedRunLeavesNothing:
+    """`cli.main` removes what a failed run added, and nothing that was there before."""
+
+    MEMBERS = ["--base", "m000", "--alt-a", "m001", "--alt-b", "m002", "--control", "m003"]
+    COMMANDS = {
+        "simulate": ["simulate", "--n-points", "30", "--classes", "3", "--models", "3"],
+        "decompose": ["decompose"],
+        "conditional": ["conditional", "--surrogates", "3"],
+        "trends": ["trends"],
+        "improve": ["improve", *MEMBERS],
+        "gp-demo": ["gp-demo"],
+    }
+
+    @pytest.mark.parametrize("argv", [["decompose"], ["improve", *MEMBERS]], ids=["decompose", "improve"])
+    def test_dataset_id_too_long_for_a_file_name(self, tmp_path, capsys, argv):
+        store = tmp_path / "store"
+        assert run(["simulate", "--n-points", "40", "--n-ood", "30", "--classes", "3", "--models", "4",
+                    "--seed", "1", "--out", store]) == 0
+        manifest = json.loads((store / "manifest.json").read_text())
+        _rename(manifest, "dataset", "ood", "o" * 300)
+        (store / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run([*argv, "--manifest", store / "manifest.json", "--out", tmp_path / "x"]) == 1
+        _one_error_line(capsys, f"cannot write {tmp_path / 'x'}/", "name too long")
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_every_failed_write_leaves_no_output_directory(self, sim_dir, tmp_path, capsys, monkeypatch, command):
+        argv = self.COMMANDS[command]
+        if command not in ("simulate", "gp-demo"):
+            argv = [*argv, "--manifest", sim_dir / "manifest.json"]
+        with monkeypatch.context() as patch:
+            written = _fail_kth_write(patch, 0)
+            assert run([*argv, "--out", tmp_path / "ok"]) == 0
+        assert len(written) >= 3
+        for k in range(1, len(written) + 1):
+            # The run makes both directories; neither may outlive its failure.
+            out = tmp_path / f"fail{k}" / "out"
+            capsys.readouterr()
+            with monkeypatch.context() as patch:
+                _fail_kth_write(patch, k)
+                assert run([*argv, "--out", out]) == 1, k
+            _one_error_line(capsys, f"cannot write {out / written[k - 1].name}: No space left on device")
+            assert not (tmp_path / f"fail{k}").exists(), k
+
+    def test_out_name_too_long_leaves_no_parent_it_made(self, tmp_path, capsys):
+        out = tmp_path / "new" / ("x" * 300)
+        assert run(["gp-demo", "--out", out]) == 1
+        _one_error_line(capsys, f"cannot write {out}/", "name too long")
+        assert not (tmp_path / "new").exists()
+
+    def test_parent_that_another_run_wrote_to_stays(self, tmp_path, monkeypatch):
+        other = tmp_path / "new" / "other" / "result.json"
+
+        def fail(self, data, *rest, **kw):  # another run writes next to this one, which then fails
+            other.parent.mkdir()
+            other.write_bytes(b"{}")
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        monkeypatch.setattr(Path, "write_text", fail)
+        assert run(["gp-demo", "--out", tmp_path / "new" / "run"]) == 1
+        assert sorted(p.name for p in (tmp_path / "new").iterdir()) == ["other"]
+        assert other.read_bytes() == b"{}"
+
+    def _failed_decompose(self, sim_dir, out, monkeypatch, *force):
+        """Run decompose into `out` with its last write, result.json's, failing."""
+        with monkeypatch.context() as patch:
+            _fail_kth_write(patch, 9)
+            assert run(["decompose", "--manifest", sim_dir / "manifest.json", "--out", out, *force]) == 1
+
+    def test_empty_out_that_existed_is_empty_again(self, sim_dir, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        out.mkdir()
+        self._failed_decompose(sim_dir, out, monkeypatch)
+        assert out.is_dir() and not any(out.iterdir())
+
+    def test_failed_force_run_keeps_every_entry_that_was_there(self, sim_dir, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        (out / "notes").mkdir(parents=True)
+        (out / "notes" / "a.txt").write_text("kept")
+        (out / "keep.csv").write_text("x\n1\n")
+        (out / "decompose_quadratic_ind.csv").write_text("old\n")  # the run's first write replaces it
+        before = _entries(out)
+        self._failed_decompose(sim_dir, out, monkeypatch, "--force")
+        after = _entries(out)
+        assert sorted(after) == sorted(before)
+        assert {p: b for p, b in after.items() if p != "decompose_quadratic_ind.csv"} == {
+            p: b for p, b in before.items() if p != "decompose_quadratic_ind.csv"}
+        assert after["decompose_quadratic_ind.csv"].startswith(b"index,total,")
+
+    @pytest.mark.parametrize("command", ["gp-demo", "decompose", "report"])
+    def test_out_that_names_a_file_is_left_intact(self, sim_dir, tmp_path, capsys, command):
+        afile = tmp_path / "afile"
+        afile.write_bytes(b"\x00kept\n")
+        argv = [command, "--manifest", sim_dir / "manifest.json"] if command == "decompose" else [command]
+        assert run([*argv, "--out", afile, "--force"]) == 1
+        assert afile.read_bytes() == b"\x00kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "sim"]
+
+    @pytest.mark.parametrize("indexed", [False, True], ids=["new-index", "forced-index"])
+    def test_failed_report_leaves_the_run_directory_as_it_was(self, sim_dir, monkeypatch, indexed):
+        if indexed:
+            (sim_dir / "index.json").write_text("{}\n")
+        before = _entries(sim_dir)
+        with monkeypatch.context() as patch:
+            _fail_kth_write(patch, 1)
+            assert run(["report", "--out", sim_dir, "--force"]) == 1
+        after = _entries(sim_dir)
+        assert sorted(after) == sorted(before)
+        if not indexed:  # a forced run's index.json stays overwritten
+            assert after == before
 
 
 # Each JSON input, and the command that reads it.

@@ -350,6 +350,17 @@ class TestReadOnAccess:
         raw = np.fromfile(tmp_path / "m000__ind.f32", dtype="<f4").astype(np.float64).reshape(n, c)
         assert np.array_equal(read(load_store(manifest), "m000", "ind"), eager_ingest(raw, "logits"))
 
+    def test_members_are_written_as_their_float32_cast(self, tmp_path, rng):
+        # float64, float32 and a Fortran-ordered float64 member: each file holds
+        # the member's row-major float32 bytes, the last one's too.
+        wide = rng.standard_normal((9, 4)) * 40.0
+        narrow = rng.standard_normal((9, 4)).astype(np.float32)
+        members = [("a", wide), ("b", narrow), ("c", np.asfortranarray(wide))]
+        write_store(tmp_path, 4, [("ind", rng.integers(0, 4, 9), members)], [])
+        assert (tmp_path / "a__ind.f32").read_bytes() == wide.astype("<f4").tobytes()
+        assert (tmp_path / "b__ind.f32").read_bytes() == narrow.tobytes()
+        assert (tmp_path / "c__ind.f32").read_bytes() == wide.astype("<f4").tobytes()
+
     def test_store_holds_labels_only(self, tmp_path, rng):
         datasets = [(d, rng.integers(0, 5, 40), [(f"m{k}", rng.standard_normal((40, 5))) for k in range(4)])
                     for d in ("ind", "ood")]
