@@ -29,23 +29,26 @@ decides which ensembles are scored.
 keeps only each member's file location, as a StoredMember. File names
 resolve against the manifest's directory; absolute and ``..`` paths are
 followed as given. Member values reach an analysis only through
-`member_blocks`, which reads and checks each member once per row block.
-A block is one (M + spare, rows, C) array, a view of one walk buffer
-overwritten by the next block: the M members' rows, then spare slots the
-analysis works in, each side at most BLOCK_ELEMENTS entries. A command
-reads only its own members, and memory grows with neither the number of
-points nor of models. `conditional.fits_per_sweep` and the
-bandwidth median's point cap in `improvement` size their buffers from
-BLOCK_ELEMENTS too; improvement's pairwise distances have their own
-DISTANCE_BLOCK_ELEMENTS. Do not rewrite a store's files while a command
-reads them: a later read sees the new bytes, and fails if they are short
-or bad.
+`member_blocks`, which reads each member's raw rows once per row block
+and checks and normalises all M member slots of the block at once, so a
+walk's members share one kind. A block is one (M + spare, rows, C)
+array, a view of one walk buffer overwritten by the next block: the M
+members' rows, then spare slots the analysis works in, each side at most
+BLOCK_ELEMENTS entries. A command reads only its own members, and memory
+grows with neither the number of points nor of models.
+`conditional.fits_per_sweep` and the bandwidth median's point cap in
+`improvement` size their buffers from BLOCK_ELEMENTS too; improvement's
+pairwise distances have their own DISTANCE_BLOCK_ELEMENTS. Do not
+rewrite a store's files while a command reads them: a later read sees
+the new bytes, and fails if they are short or bad.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Container, Iterable, Iterator, Sequence
@@ -73,9 +76,10 @@ def row_blocks(n: int, n_classes: int) -> Iterator[slice]:
 def member_blocks(members: Sequence[StoredMember], spare: int = 0) -> Iterator[tuple[slice, np.ndarray]]:
     """Yield ``(rows, stack)`` over all points, in order.
 
-    The members share one (N, C) shape. `stack` is a C-contiguous float64
-    (M + spare, rows, C) array: slot k < M holds member k's rows, read once
-    per block, and the `spare` slots after them are the caller's work space.
+    The members share one (N, C) shape and one kind. `stack` is a C-contiguous
+    float64 (M + spare, rows, C) array: slot k < M holds member k's rows, read
+    once per block and made row-stochastic by one `_ingest` of all M slots, and
+    the `spare` slots after them are the caller's work space.
     The M member slots of a block hold at most BLOCK_ELEMENTS entries, and
     the spare slots at most as many (one row, if a row alone is wider).
     Every block is a view of one flat buffer allocated once per walk,
@@ -83,6 +87,8 @@ def member_blocks(members: Sequence[StoredMember], spare: int = 0) -> Iterator[t
     block, and write no member slot.
     """
     n, c = members[0].shape
+    if len(kinds := {m.kind for m in members}) > 1:
+        raise ValidationError(f"a walk's members share one kind, not {' and '.join(sorted(kinds))}")
     slots = len(members) + spare
     for rows in row_blocks(n, c * max(len(members), spare)):
         if rows.start == 0:
@@ -90,8 +96,39 @@ def member_blocks(members: Sequence[StoredMember], spare: int = 0) -> Iterator[t
         # Reshaped per block, so the short last block is contiguous too.
         stack = buf[:slots * (rows.stop - rows.start) * c].reshape(slots, -1, c)
         for member, out in zip(members, stack):
-            member.read_into(rows.start, out)
+            out[...] = member.read(rows)
+        _ingest(stack[:len(members)].reshape(-1, c), members, rows)
         yield rows, stack
+
+
+def _ingest(block: np.ndarray, members: Sequence[StoredMember], rows: slice) -> None:
+    """Check the raw values of a block's member slots, a (M * rows, C) view, and make each
+    row stochastic in place: logits by a stable softmax, probabilities clipped at 0 and
+    divided by the clipped row's sum. A non-finite value, and for probabilities an entry
+    or row sum more than INGEST_ROW_ATOL out, is an error naming the first bad member and
+    row. What passes is row-stochastic to within 1e-9, bit-equal whatever rows are read."""
+    size = rows.stop - rows.start
+
+    def first(bad: np.ndarray) -> tuple[str, int]:
+        i = int(np.flatnonzero(bad)[0])
+        return members[i // size].name, rows.start + i % size
+
+    if not np.isfinite(block).all():
+        name, row = first(~np.isfinite(block).all(axis=1))
+        raise ValidationError(f"{name}: non-finite value in row {row}")
+    if members[0].kind == "logits":
+        softmax(block)
+        return
+    if (block < -INGEST_ROW_ATOL).any() or (block > 1 + INGEST_ROW_ATOL).any():
+        outside = ((block < -INGEST_ROW_ATOL) | (block > 1 + INGEST_ROW_ATOL)).any(axis=1)
+        raise ValidationError(f"{first(outside)[0]}: probabilities outside [0, 1]")
+    sums = block.sum(axis=1)
+    bad = np.abs(sums - 1.0) > INGEST_ROW_ATOL
+    if bad.any():
+        name, row = first(bad)
+        raise ValidationError(f"{name}: row {row} sums to {sums[bad][0]:.8f}, outside 1 +/- {INGEST_ROW_ATOL:g}")
+    np.clip(block, 0.0, None, out=block)
+    block /= block.sum(axis=1, keepdims=True)
 
 
 def _check_id(kind: str, value: str) -> None:
@@ -209,69 +246,31 @@ def _read_labels(path: Path, n: int, name: str) -> np.ndarray:
         raise ValidationError(f"{name}: cannot read {path.name}: {exc.strerror}") from exc
 
 
-def _check_values(raw: np.ndarray, kind: str, name: str, first_row: int) -> None:
-    """Reject non-finite rows and, for probabilities, entries or row sums out of
-    tolerance. Rows are numbered from first_row."""
-    if not np.isfinite(raw).all():
-        row = first_row + int(np.flatnonzero(~np.isfinite(raw).all(axis=1))[0])
-        raise ValidationError(f"{name}: non-finite value in row {row}")
-    if kind == "logits":
-        return
-    if (raw < -INGEST_ROW_ATOL).any() or (raw > 1 + INGEST_ROW_ATOL).any():
-        raise ValidationError(f"{name}: probabilities outside [0, 1]")
-    sums = raw.sum(axis=1)
-    bad = np.abs(sums - 1.0) > INGEST_ROW_ATOL
-    if bad.any():
-        row = int(np.flatnonzero(bad)[0])
-        raise ValidationError(
-            f"{name}: row {first_row + row} sums to {sums[row]:.8f}, outside 1 +/- {INGEST_ROW_ATOL:g}"
-        )
-
-
 @dataclass(frozen=True)
 class StoredMember:
-    """One model's predictions on one dataset, read from its file on each access.
-
-    ``member.read_into(lo, out)`` reads rows lo..lo+len(out)-1 into a
-    caller's float64 buffer and makes them row-stochastic in place: logits
-    go through a stable softmax; probabilities are clipped at 0 and divided
-    by the clipped row's sum. The result is bit-equal whatever rows are
-    read. `member_blocks` is its one caller, reading each block into its
-    walk buffer; the member itself keeps nothing between reads.
-
-    The raw values of every read pass `_check_values`, and what they pass
-    makes the result row-stochastic to within 1e-9: a finite logit row's
-    largest entry maps to 1 before the division, and a probability row
-    within INGEST_ROW_ATOL of summing to 1 keeps a clipped sum near 1. So a
-    read is not validated again.
-    """
+    """One model's predictions on one dataset: where its raw float32 file is, its
+    (N, C) shape and kind, and the name errors give it. It keeps no values;
+    `member_blocks` reads it and checks and normalises what it read."""
 
     path: Path
     kind: str
     shape: tuple[int, int]
     name: str
 
-    def read_into(self, lo: int, out: np.ndarray) -> np.ndarray:
-        """Read rows lo..lo+len(out)-1 into the float64 (rows, C) array `out`,
-        check their values and make them row-stochastic in place; return `out`.
-        A file that cannot be read or ends early is an error naming the member."""
+    def read(self, rows: slice) -> np.ndarray:
+        """The raw float32 (rows, C) values of `rows`; a file that cannot be read
+        or ends early is an error naming the member."""
+        count = (rows.stop - rows.start) * self.shape[1]
         try:
-            raw = np.fromfile(self.path, dtype="<f4", count=out.size, offset=lo * self.shape[1] * 4)
+            raw = np.fromfile(self.path, dtype="<f4", count=count, offset=rows.start * self.shape[1] * 4)
         except OSError as exc:
             raise ValidationError(f"{self.name}: cannot read {self.path.name}: {exc.strerror}") from exc
-        if raw.size != out.size:
+        if raw.size != count:
             raise ValidationError(
-                f"{self.name}: file {self.path.name} ends before row {lo + len(out)} of {self.shape[0]}; "
+                f"{self.name}: file {self.path.name} ends before row {rows.stop} of {self.shape[0]}; "
                 "it changed after the store was loaded"
             )
-        out[...] = raw.reshape(out.shape)
-        _check_values(out, self.kind, self.name, lo)
-        if self.kind == "logits":
-            softmax(out)
-        else:
-            np.clip(out, 0.0, None, out=out)
-            out /= out.sum(axis=1, keepdims=True)
-        return out
+        return raw.reshape(-1, self.shape[1])
 
 
 _TYPE_NAMES = {str: "a string", int: "an integer", dict: "an object", list: "a list"}
@@ -303,15 +302,20 @@ def read_json(path: Path, what: str):
 
 
 def write_file(path: Path, data: str | bytes | np.ndarray) -> None:
-    """Write text or a bytes-like object, such as a C-contiguous array, to `path`, making
-    its directory if it is missing; a write that fails is a ValidationError naming the path."""
+    """Write text or a bytes-like object, such as a C-contiguous array, to a short per-process
+    temporary beside `path`, then rename it onto `path`, making the directory if it is missing.
+    A write that fails removes the temporary, keeps any old file and is a ValidationError naming the path."""
+    part = path.parent / f".ensdiag-{os.getpid()}.part"
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         if isinstance(data, str):
-            path.write_text(data)
+            part.write_text(data)
         else:
-            path.write_bytes(data)
+            part.write_bytes(data)
+        part.replace(path)
     except OSError as exc:
+        with suppress(OSError):  # the directory is missing or its name too long
+            part.unlink()
         raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 

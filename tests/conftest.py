@@ -3,15 +3,17 @@
 import json
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
+import ensdiag.store
 from ensdiag.conditional import JointSample
 from ensdiag.decomposition import decompose
 from ensdiag.simulate import SyntheticSpec, write_synthetic_store
-from ensdiag.store import PredictionStore, load_store
+from ensdiag.store import PredictionStore, load_store, member_blocks
 
 
 # `pytest --hypothesis-profile=ci` draws the same examples on every run and keeps
@@ -30,29 +32,38 @@ def member_stack(rng, m, n, c):
 
 
 class ArrayMember:
-    """A stand-in for store.StoredMember that holds an (N, C) matrix in memory.
+    """A stand-in for store.StoredMember that holds its raw (N, C) values in memory.
 
-    It has a StoredMember's `shape` and `read_into`, which copies rows
-    unchanged, so store.member_blocks walks it as it walks a stored member.
+    Like a StoredMember it has a `shape`, a `kind` and a `name`, and `read(rows)`
+    returns raw rows unchanged, so store.member_blocks checks and normalises them
+    as it does a stored member's.
     """
 
-    def __init__(self, values):
+    def __init__(self, values, kind="probs", name="array"):
         self.values = np.asarray(values, dtype=np.float64)
-        self.shape = self.values.shape
+        self.shape, self.kind, self.name = self.values.shape, kind, name
 
-    def read_into(self, lo: int, out: np.ndarray) -> np.ndarray:
-        out[...] = self.values[lo:lo + len(out)]
-        return out
+    def read(self, rows: slice) -> np.ndarray:
+        return self.values[rows]
 
 
 def as_members(matrices) -> list[ArrayMember]:
-    """Each (N, C) matrix of a list or an (M, N, C) stack, as an ArrayMember."""
+    """Each (N, C) probability matrix of a list or an (M, N, C) stack, as an ArrayMember."""
     return [ArrayMember(p) for p in matrices]
 
 
 def read_rows(member, lo: int, hi: int) -> np.ndarray:
-    """Rows lo..hi-1 of a stored member, read as store.member_blocks reads a block."""
-    return member.read_into(lo, np.empty((hi - lo, member.shape[1])))
+    """Rows lo..hi-1 of a member, as store.member_blocks reads them in a walk
+    whose first block holds rows 0..hi-1."""
+    with mock.patch.object(ensdiag.store, "BLOCK_ELEMENTS", hi * member.shape[1]):
+        _, stack = next(member_blocks([member]))
+    return stack[0, lo:hi].copy()
+
+
+def through_walk(matrices) -> np.ndarray:
+    """The (M, N, C) stack of probability matrices as store.member_blocks hands them
+    to an analysis: clipped at 0 and divided by their row sums."""
+    return np.stack([read_rows(m, 0, m.shape[0]) for m in as_members(matrices)])
 
 
 def read(store: PredictionStore, model_id: str, dataset_id: str) -> np.ndarray:

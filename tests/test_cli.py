@@ -112,17 +112,23 @@ class TestExitCodes:
 
 def _fail_kth_write(monkeypatch, k: int) -> list:
     """Count the run's file writes; the k-th (from 1; none for k = 0) writes half
-    its data and then fails as a full disk does. Returns the written paths."""
-    written = []
+    its data and then fails as a full disk does. Returns the final path of each
+    write renamed into place, in order."""
+    count, landed = [], []
     for name in ("write_text", "write_bytes"):
         def write(self, data, *rest, _real=getattr(Path, name), **kw):
-            written.append(self)
-            if len(written) != k:
+            count.append(self)
+            if len(count) != k:
                 return _real(self, data, *rest, **kw)
             _real(self, data[:len(data) // 2], *rest, **kw)
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
         monkeypatch.setattr(Path, name, write)
-    return written
+
+    def replace(self, target, _real=Path.replace):
+        landed.append(Path(target))
+        return _real(self, target)
+    monkeypatch.setattr(Path, "replace", replace)
+    return landed
 
 
 def _entries(path: Path) -> dict:
@@ -174,6 +180,21 @@ class TestFailedRunLeavesNothing:
                 assert run([*argv, "--out", out]) == 1, k
             _one_error_line(capsys, f"cannot write {out / written[k - 1].name}: No space left on device")
             assert not (tmp_path / f"fail{k}").exists(), k
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_failed_force_run_keeps_the_file_it_was_replacing(self, sim_dir, tmp_path, monkeypatch, command):
+        # Each file is written whole to a temporary and then renamed onto its name, so
+        # a --force run whose last write fails leaves the previous run's bytes there.
+        argv = self.COMMANDS[command]
+        if command not in ("simulate", "gp-demo"):
+            argv = [*argv, "--manifest", sim_dir / "manifest.json"]
+        out = tmp_path / "out"
+        assert run([*argv, "--out", out]) == 0
+        before = _entries(out)
+        with monkeypatch.context() as patch:
+            _fail_kth_write(patch, len(before))  # each write makes one file: fail the last
+            assert run([*argv, "--out", out, "--force"]) == 1
+        assert _entries(out) == before
 
     def test_out_name_too_long_leaves_no_parent_it_made(self, tmp_path, capsys):
         out = tmp_path / "new" / ("x" * 300)
@@ -236,10 +257,7 @@ class TestFailedRunLeavesNothing:
         with monkeypatch.context() as patch:
             _fail_kth_write(patch, 1)
             assert run(["report", "--out", sim_dir, "--force"]) == 1
-        after = _entries(sim_dir)
-        assert sorted(after) == sorted(before)
-        if not indexed:  # a forced run's index.json stays overwritten
-            assert after == before
+        assert _entries(sim_dir) == before
 
 
 # Each JSON input, and the command that reads it.
@@ -1103,13 +1121,13 @@ READING_COMMANDS = {
 def _counted_reads(monkeypatch) -> list:
     """Record ``(member name, lo, hi)`` of every file read of member values from now on."""
     reads = []
-    read_into = StoredMember.read_into
+    read = StoredMember.read
 
-    def counted(member, lo, out):
-        reads.append((member.name, lo, lo + len(out)))
-        return read_into(member, lo, out)
+    def counted(member, rows):
+        reads.append((member.name, rows.start, rows.stop))
+        return read(member, rows)
 
-    monkeypatch.setattr(StoredMember, "read_into", counted)
+    monkeypatch.setattr(StoredMember, "read", counted)
     return reads
 
 
@@ -1654,12 +1672,12 @@ class TestFaultsInTheWalkBuffer:
 
     @given(command=st.sampled_from(["decompose", "trends"]), dataset=st.sampled_from(["ind", "ood"]),
            member=st.integers(1, M - 1), block=st.integers(1, N // ROWS), offset=st.integers(0, ROWS - 1),
-           fault=st.sampled_from(["nan", "inf", "-inf", "row sum", "truncate"]),
+           fault=st.sampled_from(["nan", "inf", "-inf", "row sum", "range", "truncate"]),
            kind=st.sampled_from(["logits", "probs"]))
     @settings(max_examples=60, deadline=None)
     def test_one_error_line_names_member_and_row(self, command, dataset, member, block, offset, fault, kind):
         row = min(self.N - 1, block * self.ROWS + offset)
-        kind = "probs" if fault == "row sum" else kind
+        kind = "probs" if fault in ("row sum", "range") else kind
         name = f"m{member}/{dataset}"
         with tempfile.TemporaryDirectory() as tmp:
             manifest = self._store(Path(tmp) / "store", kind)
@@ -1668,6 +1686,9 @@ class TestFaultsInTheWalkBuffer:
             if fault == "row sum":
                 values[row] *= np.float32(1.01)
                 expected = f"{name}: row {row} sums to 1.0"
+            elif fault == "range":
+                values[row, offset % self.C] = 1.5
+                expected = f"{name}: probabilities outside [0, 1]"
             elif fault != "truncate":
                 values[row, offset % self.C] = float(fault)
                 expected = f"{name}: non-finite value in row {row}"

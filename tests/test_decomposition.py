@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ensdiag.store
-from conftest import as_members, entropy, member_stack, random_simplex
+from conftest import as_members, entropy, member_stack, random_simplex, through_walk
 from ensdiag.decomposition import FAMILIES, _decompose_block, decompose
 from ensdiag.errors import ValidationError
 from ensdiag.metrics import NLL_EPS, brier, nll, quad_uncertainty
@@ -238,10 +238,11 @@ class TestMatchesStackedOracle:
     @settings(max_examples=60, deadline=None)
     def test_bit_equal(self, m, n, c, seed):
         rng = np.random.default_rng(seed)
-        members = [random_simplex(rng, n, c) for _ in range(m)]
+        raw = [random_simplex(rng, n, c) for _ in range(m)]
         labels = rng.integers(0, c, size=n)
-        stack = np.stack(members)
-        records = decompose(as_members(members), labels)
+        stack = through_walk(raw)  # the oracle's input is what the walk hands decompose
+        members = list(stack)
+        records = decompose(as_members(raw), labels)
         for family, expected in stacked_oracle(stack, labels).items():
             rec = records[family]
             for got, want in zip((rec.total, rec.diversity, rec.avg_member), expected):
@@ -314,14 +315,14 @@ class TestBlockedWalk:
     @settings(max_examples=40, deadline=None)
     def test_bit_equal_to_per_family_oracle_at_any_block_size(self, m, n, c, seed):
         rng = np.random.default_rng(seed)
-        members = [random_simplex(rng, n, c) for _ in range(m)]
+        raw = [random_simplex(rng, n, c) for _ in range(m)]
         labels = rng.integers(0, c, size=n)
-        expected = oracle_records(members, labels)
+        expected = oracle_records(list(through_walk(raw)), labels)
         # One row, a size that leaves a short last block (or the whole set), and the whole set.
         # A block holds `rows` rows of every member.
         for rows in (1, n // 3 + 1, n):
             with mock.patch.object(ensdiag.store, "BLOCK_ELEMENTS", rows * c * m):
-                records = decompose(as_members(members), labels)
+                records = decompose(as_members(raw), labels)
             assert list(records) == list(FAMILIES)
             for family, want in expected.items():
                 rec = records[family]
@@ -394,8 +395,8 @@ def masked_block(held, labels):
 
 def awkward_members(rng, m, n, c):
     """m probability blocks over n points with exact zeros, one-hot rows and
-    subnormal entries. In row 0 only member 0 is positive in class 0, at
-    5e-324, so the mean there underflows to 0."""
+    subnormal entries, each row summing to 1 within rounding. In row 0 only
+    member 0 is positive in class 0, at 5e-324, so the mean there underflows to 0."""
     members = np.stack([random_simplex(rng, n, c) for _ in range(m)])
     members[rng.random(members.shape) < 0.3] = 0.0
     members[..., 1] += members.sum(axis=2) == 0.0
@@ -407,6 +408,7 @@ def awkward_members(rng, m, n, c):
     members[tuple(picked.T)] = rng.choice([5e-324, 1e-320, 2.2e-310], size=len(picked))
     members[:, 0, 0] = 0.0
     members[0, 0, 0] = 5e-324
+    members[:, 0, 1] += 1.0 - members[:, 0].sum(axis=1)
     return list(members)
 
 

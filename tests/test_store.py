@@ -20,6 +20,7 @@ from ensdiag.store import (
     form_ensemble,
     load_store,
     member_blocks,
+    row_blocks,
     softmax,
     write_store,
 )
@@ -301,7 +302,7 @@ def stored_block(draw):
 @given(block=stored_block())
 @settings(max_examples=300, deadline=None)
 def test_every_accepted_block_reads_as_valid_probs(block):
-    # Reads are not validated, because what `_check_values` accepts always passes validate_probs.
+    # Reads are not validated again, because what the walk's ingest accepts always passes validate_probs.
     kind, raw = block
     n = raw.shape[0]
     with tempfile.TemporaryDirectory() as root:
@@ -429,3 +430,23 @@ class TestReadOnAccess:
         member.unlink()
         with pytest.raises(ValidationError, match="m1/d: cannot read m1__d.f32"):
             read_rows(store.member_probs(["m1"], "d")[0], 0, 10)
+
+
+class TestIngestOncePerBlock:
+    @pytest.mark.parametrize("m", [3, 24])
+    def test_one_softmax_per_walk_block(self, tmp_path, rng, m):
+        # The M member slots of a block are checked and normalised as one array,
+        # so a walk makes one softmax call per block whatever the member count.
+        n, c = 1000, 64
+        members = [(f"m{k:03d}", rng.standard_normal((n, c))) for k in range(m)]
+        store = load_store(write_store(tmp_path, c, [("ind", rng.integers(0, c, n), members)], []))
+        with mock.patch.object(ensdiag.store, "softmax", wraps=softmax) as counted:
+            decompose(store.member_probs(store.model_ids, "ind"), store.labels["ind"])
+        assert counted.call_count == len(list(row_blocks(n, c * max(m, 5)))) > 1
+
+    def test_members_of_two_kinds_are_one_error(self, tmp_path, rng):
+        labels = rng.integers(0, 3, 10)
+        mixed = [load_store(write_kind_store(tmp_path / kind, kind, one_dataset([values], labels))).members["m0", "d"]
+                 for kind, values in (("logits", rng.standard_normal((10, 3))), ("probs", random_simplex(rng, 10, 3)))]
+        with pytest.raises(ValidationError, match="^a walk's members share one kind, not logits and probs$"):
+            next(member_blocks(mixed))

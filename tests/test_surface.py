@@ -197,7 +197,7 @@ def test_member_values_are_read_only_in_store():
             continue
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{line} {name}" for name, line in _references(tree)
-                  if name in ("read_into", "_read", "fromfile")]
+                  if name in ("read", "_read", "fromfile")]
     assert found == []
 
 
