@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import DEFAULT_GRID_SIZE, __version__
+from . import DEFAULT_GRID_SIZE, SUBSAMPLE, __version__, stream
 from .errors import NumericalError, ValidationError
 from .store import PredictionStore, check_pair, load_store, read_json, write_file
 
@@ -106,11 +106,16 @@ def _resolve_metrics(arg: str) -> list[str]:
     return out
 
 
-def _subsample_indices(n: int, cap: int, seed: int, tag: int) -> np.ndarray:
+def _subsample_indices(n: int, cap: int, seed: int, side: int) -> np.ndarray:
+    """The sorted rows of a `--subsample` cap, drawn from the seed's stream for `side`."""
     if cap <= 0 or cap >= n:
         return np.arange(n)
-    rng = np.random.default_rng([seed, tag])
-    return np.sort(rng.choice(n, size=cap, replace=False))
+    return np.sort(stream(seed, side, SUBSAMPLE).choice(n, size=cap, replace=False))
+
+
+def _plotted(n: int) -> np.ndarray:
+    """The rows a figure draws: all n, or the PLOT_POINT_CAP rows i * n // PLOT_POINT_CAP."""
+    return np.arange(n) if n <= PLOT_POINT_CAP else np.arange(PLOT_POINT_CAP) * n // PLOT_POINT_CAP
 
 
 # ---------------------------------------------------------------- simulate
@@ -192,7 +197,7 @@ def cmd_conditional(args: argparse.Namespace) -> None:
     samples = {}
     for side, dataset in enumerate(pair):
         rec = decompose(store.member_probs(members, dataset), store.labels[dataset])[args.family]
-        take = _subsample_indices(rec.n, args.subsample, args.seed, tag=100 + side)
+        take = _subsample_indices(rec.n, args.subsample, args.seed, side)
         samples[dataset] = JointSample(rec.avg_member[take], rec.diversity[take], dataset)
 
     ind_id, ood_id = pair
@@ -211,7 +216,7 @@ def cmd_conditional(args: argparse.Namespace) -> None:
     )
 
     fig_out = out / "conditional.svg"
-    _conditional_figure(samples[ind_id], samples[ood_id], result, fig_out, args.seed)
+    _conditional_figure(samples[ind_id], samples[ood_id], result, fig_out)
 
     _write_result(
         out / "result.json",
@@ -246,7 +251,7 @@ def cmd_conditional(args: argparse.Namespace) -> None:
     )
 
 
-def _conditional_figure(sample_ind, sample_ood, result, path: Path, seed: int) -> None:
+def _conditional_figure(sample_ind, sample_ood, result, path: Path) -> None:
     from . import svgplot
 
     xlim = svgplot.padded_limits(np.concatenate([sample_ind.avg, sample_ood.avg]))
@@ -255,7 +260,7 @@ def _conditional_figure(sample_ind, sample_ood, result, path: Path, seed: int) -
                           title="Diversity vs member-average uncertainty",
                           xlabel="member-average uncertainty", ylabel="diversity")
     for sample, color in ((sample_ind, svgplot.IND_COLOR), (sample_ood, svgplot.OOD_COLOR)):
-        take = _subsample_indices(sample.n, PLOT_POINT_CAP, seed, tag=17)
+        take = _plotted(sample.n)
         panel.scatter(sample.avg[take], sample.div[take], color, r=1.5, opacity=0.35)
     panel.line(result.x_grid, result.curve_ind.y_hat, svgplot.IND_COLOR, width=2.5)
     panel.line(result.x_grid, result.curve_ood.y_hat, svgplot.OOD_COLOR, width=2.5)
@@ -420,11 +425,11 @@ def cmd_improve(args: argparse.Namespace) -> None:
     out = prepare_out_dir(args.out, args.force)
 
     per_dataset: dict = {}
-    for dataset in pair:
+    for side, dataset in enumerate(pair):
         # A one-member ensemble is that model's predictions, bit for bit.
         members = dict(zip(distinct, store.member_probs(distinct, dataset)))
         scores = ensemble_scores(members, specs, store.labels[dataset], metric)
-        take = _subsample_indices(len(scores[0]), args.subsample, args.seed, tag=29)
+        take = _subsample_indices(len(scores[0]), args.subsample, args.seed, side)
         base_scores, *alt_scores = (s[take] for s in scores)
         delta_a, delta_b, delta_c = (base_scores - s for s in alt_scores)
 
@@ -433,7 +438,7 @@ def cmd_improve(args: argparse.Namespace) -> None:
 
         write_csv(out / f"improve_{dataset}.csv", {"index": take, "delta_a": delta_a, "delta_b": delta_b,
                                                    "control_delta": delta_c, "base_score": base_scores})
-        _improvement_figure(delta_a, delta_b, base_scores, out / f"improve_{dataset}.svg", args.seed)
+        _improvement_figure(delta_a, delta_b, base_scores, out / f"improve_{dataset}.svg")
         per_dataset[dataset] = {
             "pearson_r": r,
             "mmd": {**asdict(test), "formatted": test.formatted()},
@@ -458,10 +463,10 @@ def cmd_improve(args: argparse.Namespace) -> None:
     )
 
 
-def _improvement_figure(delta_a, delta_b, base_scores, path: Path, seed: int) -> None:
+def _improvement_figure(delta_a, delta_b, base_scores, path: Path) -> None:
     from . import svgplot
 
-    take = _subsample_indices(delta_a.shape[0], PLOT_POINT_CAP, seed, tag=31)
+    take = _plotted(delta_a.shape[0])
     xa, yb, cv = delta_a[take], delta_b[take], base_scores[take]
     xlim = svgplot.padded_limits(xa)
     ylim = svgplot.padded_limits(yb)
@@ -661,7 +666,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("improve", help="agreement between two per-point improvement profiles")
     add_common(p)
-    p.add_argument("--seed", type=_at_least(0), default=0, help="RNG seed")
+    p.add_argument("--seed", type=_at_least(0), default=0, help="RNG seed of --subsample")
     p.add_argument("--base", required=True, help="base model id")
     p.add_argument("--alt-a", required=True, help="first alternative (id or a+b+c ensemble)")
     p.add_argument("--alt-b", required=True, help="second alternative (id or a+b+c ensemble)")

@@ -21,7 +21,7 @@ from typing import Iterator, Sequence
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from . import DEFAULT_GRID_SIZE
+from . import DEFAULT_GRID_SIZE, stream
 from .errors import NumericalError, ValidationError
 from .store import BLOCK_ELEMENTS
 
@@ -310,8 +310,8 @@ def permutation_test(
     surrogate; both curves are refit (bandwidth and ridge re-derived from
     each surrogate sample) on the fixed evaluation grid. The p-value uses
     the add-one rule (#{d_surr >= d_obs} + 1) / (n_surrogates + 1), so it
-    is never zero. Each surrogate draws from its own RNG stream keyed by
-    (seed, surrogate index), making the result independent of execution
+    is never zero. Surrogate k permutes with its own stream, `stream(seed, k)`,
+    which no other draw shares, making the result independent of execution
     order. The surrogates go in chunks as wide as the smaller side's sweep
     (fits_per_sweep); each side's fits of a chunk share sweeps, and an
     error ends the run where the loop of one fit at a time would.
@@ -332,7 +332,7 @@ def permutation_test(
     d_surr = np.empty(n_surrogates)
     for lo in range(0, n_surrogates, chunk):
         ks = range(lo, min(lo + chunk, n_surrogates))
-        perms = np.stack([np.random.default_rng([seed, k]).permutation(n_total) for k in ks])
+        perms = np.stack([stream(seed, k).permutation(n_total) for k in ks])
         sides = [(pooled_avg[take], pooled_div[take]) for take in (perms[:, :n_ind], perms[:, n_ind:])]
         del perms  # freed before the sweeps, which take up the memory budget
         curves = zip(*(krr_conditional_expectation(avg, div, x_eval) for avg, div in sides))

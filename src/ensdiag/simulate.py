@@ -22,8 +22,9 @@ from typing import Iterator
 
 import numpy as np
 
+from . import stream
 from .errors import ValidationError
-from .store import softmax, write_store
+from .store import draw_labels, write_store
 
 IND_ID = "ind"
 OOD_ID = "ood"
@@ -54,12 +55,6 @@ class SyntheticSpec:
             raise ValidationError("noise and shift scales must be nonnegative")
 
 
-def _sample_labels(rng: np.random.Generator, probs: np.ndarray) -> np.ndarray:
-    cum = probs.cumsum(axis=1)
-    u = rng.random(probs.shape[0])
-    return (u[:, None] > cum).sum(axis=1).astype(np.int64)
-
-
 def _members(teacher_logits: np.ndarray, member_offset: np.ndarray) -> Iterator[tuple[str, np.ndarray]]:
     for m, offset in enumerate(member_offset):
         yield f"m{m:03d}", np.add(teacher_logits, offset, out=np.empty(teacher_logits.shape, "<f4"))
@@ -71,8 +66,10 @@ def _generate(spec: SyntheticSpec) -> Iterator[tuple[str, np.ndarray, Iterator[t
     Draws happen in a fixed order so the output is reproducible for a fixed
     seed. Members draw nothing, so each is built only when its generator
     reaches it: the float64 sum, rounded once into a fresh float32 array.
+    So memory holds one dataset's float64 teacher logits and one member at a
+    time, and the labels are drawn from the teacher a row block at a time.
     """
-    rng = np.random.default_rng(spec.seed)
+    rng = stream(spec.seed)
     c, k = spec.n_classes, spec.n_models
 
     teacher_w = rng.standard_normal((c, 2))
@@ -85,9 +82,11 @@ def _generate(spec: SyntheticSpec) -> Iterator[tuple[str, np.ndarray, Iterator[t
         z = rng.standard_normal((n, 2))
         if dataset_id == OOD_ID:
             z = z + spec.shift_strength * shift_dir
-        teacher_logits = z @ teacher_w.T + teacher_b
-        labels = _sample_labels(rng, softmax(teacher_logits.copy()))
+        teacher_logits = z @ teacher_w.T
+        teacher_logits += teacher_b
+        labels = draw_labels(teacher_logits, rng.random(n))
         yield dataset_id, labels, _members(teacher_logits, member_offset)
+        del teacher_logits  # freed before the next dataset's is built
 
 
 def write_synthetic_store(spec: SyntheticSpec, out_dir: str | Path) -> Path:

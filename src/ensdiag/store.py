@@ -150,6 +150,17 @@ def softmax(buf: np.ndarray) -> np.ndarray:
     return buf
 
 
+def draw_labels(logits: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """One class per row of float64 logits, drawn by the row's uniform in `u`: the
+    number of classes whose cumulative softmax probability is below it. Rows go a
+    row block at a time, so no (N, C) probability matrix is held."""
+    labels = np.empty(logits.shape[0], dtype=np.int64)
+    for rows in row_blocks(*logits.shape):
+        cum = softmax(logits[rows].copy()).cumsum(axis=1)
+        labels[rows] = (u[rows, None] > cum).sum(axis=1)
+    return labels
+
+
 def form_ensemble(members: Sequence[np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
     """Arithmetic mean of member probability blocks of one shape, in `out` if given.
 
@@ -403,6 +414,7 @@ def write_store(
             rel = f"{mid}__{did}.f32"
             write_file(out_dir / rel, np.ascontiguousarray(logits, dtype="<f4"))
             files.setdefault(mid, {})[did] = rel
+            del logits  # freed before the next member is built
     manifest = {
         "datasets": entries,
         "models": [{"id": mid, "files": f} for mid, f in sorted(files.items())],

@@ -28,6 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import stream
 from .errors import NumericalError, ValidationError
 from .metrics import IDENTITY_TOL, SCORE_SUMS, ScoreSums, score_sums
 from .store import PredictionStore, form_ensemble, member_blocks
@@ -213,7 +214,7 @@ def form_heterogeneous_ensembles(
     else:
         idx = np.clip(((values - lo) / width * n_bins).astype(np.int64), 0, n_bins - 1)
 
-    rng = np.random.default_rng(seed)
+    rng = stream(seed)
     ensembles: list[tuple[str, ...]] = []
     skipped: list[dict] = []
     for b in range(n_bins):

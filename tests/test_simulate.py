@@ -152,3 +152,16 @@ class TestWriteSyntheticStore:
             finally:
                 tracemalloc.stop()
         assert peaks[16] - peaks[4] < 2 * member_bytes
+
+    def test_peak_memory_holds_the_teacher_and_one_member(self, tmp_path):
+        # A dataset holds its float64 teacher logits (8 bytes an entry) and one float32
+        # member (4); labels are drawn a row block at a time. Sampling them from whole
+        # (N, C) matrices, as the generator once did, took about 26 bytes an entry.
+        n, c = 8000, 200
+        tracemalloc.start()
+        try:
+            write_synthetic_store(SyntheticSpec(n_points=n, n_classes=c, n_models=2, seed=0), tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * n * c

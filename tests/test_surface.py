@@ -238,6 +238,36 @@ def test_only_store_raises_an_ensemble_error():
     assert _raised_outside_store(ENSEMBLE_RULE_WORDS) == []
 
 
+def draws_outside_stream(trees):
+    """`file:line` of each reference to default_rng, by name, attribute or import, that
+    is not inside the package root's `stream`."""
+    found = []
+    for path, tree in trees.items():
+        for top in tree.body:
+            if Path(path).name == "__init__.py" and isinstance(top, ast.FunctionDef) and top.name == "stream":
+                continue
+            imported = [(alias.name, node.lineno) for node in ast.walk(top)
+                        if isinstance(node, ast.ImportFrom) for alias in node.names]
+            found += [f"{Path(path).name}:{line}" for name, line in [*_references(top), *imported]
+                      if name == "default_rng"]
+    return found
+
+
+def test_only_stream_calls_default_rng():
+    # Every random draw of the package comes from ensdiag.stream, whose key table
+    # keeps any two uses of one seed from sharing a stream.
+    assert draws_outside_stream({path: tree for path, tree in _trees().items() if path.parent == PACKAGE}) == []
+
+
+def test_stream_guard_on_synthetic_source():
+    source = ("import numpy as np\nfrom numpy.random import default_rng as rng\n\n\n"
+              "def stream(seed):\n    return np.random.default_rng(seed)\n\n\n"
+              "def draw(seed):\n    return rng([seed, 1]).random()\n\n\n"
+              "def permute(seed, n):\n    return np.random.default_rng([seed, 2]).permutation(n)\n")
+    assert draws_outside_stream({"__init__.py": ast.parse(source)}) == ["__init__.py:2", "__init__.py:14"]
+    assert draws_outside_stream({"mod.py": ast.parse(source)}) == ["mod.py:2", "mod.py:6", "mod.py:14"]
+
+
 def test_cli_takes_residual_maxima_from_the_records():
     # decompose's records say which points each identity covers; cli.py only reports
     # their max_abs_residual, so it takes no absolute value of a residual itself.
