@@ -26,7 +26,7 @@ import numpy as np
 
 from . import DEFAULT_GRID_SIZE, SUBSAMPLE, __version__, stream
 from .errors import NumericalError, ValidationError
-from .store import PredictionStore, check_pair, load_store, read_json, write_file
+from .store import PredictionStore, check_pair, load_store, read_json, thinned_rows, write_file
 
 # Each command imports the analysis modules it runs at the top of its body,
 # and each figure helper imports svgplot, so a process loads only its own
@@ -111,11 +111,6 @@ def _subsample_indices(n: int, cap: int, seed: int, side: int) -> np.ndarray:
     if cap <= 0 or cap >= n:
         return np.arange(n)
     return np.sort(stream(seed, side, SUBSAMPLE).choice(n, size=cap, replace=False))
-
-
-def _plotted(n: int) -> np.ndarray:
-    """The rows a figure draws: all n, or the PLOT_POINT_CAP rows i * n // PLOT_POINT_CAP."""
-    return np.arange(n) if n <= PLOT_POINT_CAP else np.arange(PLOT_POINT_CAP) * n // PLOT_POINT_CAP
 
 
 # ---------------------------------------------------------------- simulate
@@ -227,6 +222,7 @@ def cmd_conditional(args: argparse.Namespace) -> None:
             "p_value": result.p_value,
             "n_surrogates": result.n_surrogates,
             "d_surrogates": result.d_surrogates,
+            "sample_sizes": {dataset: sample.n for dataset, sample in samples.items()},
             "seed": args.seed,
             "settings": {
                 "family": args.family,
@@ -260,7 +256,7 @@ def _conditional_figure(sample_ind, sample_ood, result, path: Path) -> None:
                           title="Diversity vs member-average uncertainty",
                           xlabel="member-average uncertainty", ylabel="diversity")
     for sample, color in ((sample_ind, svgplot.IND_COLOR), (sample_ood, svgplot.OOD_COLOR)):
-        take = _plotted(sample.n)
+        take = thinned_rows(sample.n, PLOT_POINT_CAP)
         panel.scatter(sample.avg[take], sample.div[take], color, r=1.5, opacity=0.35)
     panel.line(result.x_grid, result.curve_ind.y_hat, svgplot.IND_COLOR, width=2.5)
     panel.line(result.x_grid, result.curve_ood.y_hat, svgplot.OOD_COLOR, width=2.5)
@@ -466,7 +462,7 @@ def cmd_improve(args: argparse.Namespace) -> None:
 def _improvement_figure(delta_a, delta_b, base_scores, path: Path) -> None:
     from . import svgplot
 
-    take = _plotted(delta_a.shape[0])
+    take = thinned_rows(delta_a.shape[0], PLOT_POINT_CAP)
     xa, yb, cv = delta_a[take], delta_b[take], base_scores[take]
     xlim = svgplot.padded_limits(xa)
     ylim = svgplot.padded_limits(yb)
@@ -490,41 +486,36 @@ def cmd_gp_demo(args: argparse.Namespace) -> None:
 
     out = prepare_out_dir(args.out, args.force)
     exp = run_default_experiment(seed=args.seed, n_bins=args.bins)
-    pred = exp.prediction
 
     write_csv(
         out / "gp_predictions.csv",
-        {"x": pred.x, "mean": pred.mean, "posterior_variance": pred.posterior_variance,
-         "likelihood_variance": pred.likelihood_variance,
-         "split": np.where(pred.x >= 0, "ind", "ood")},
+        {"x": exp.x, "mean": exp.mean, "posterior_variance": exp.posterior_variance,
+         "likelihood_variance": exp.likelihood_variance,
+         "split": np.where(exp.x >= 0, "ind", "ood")},
     )
-    tables = [exp.tables[split] for split in ("ind", "ood")]
     write_csv(
         out / "gp_bins.csv",
         {
-            "split": np.repeat(["ind", "ood"], [t.counts.shape[0] for t in tables]),
-            "bin_lo": np.concatenate([t.edges[:-1] for t in tables]),
-            "bin_hi": np.concatenate([t.edges[1:] for t in tables]),
-            "count": np.concatenate([t.counts for t in tables]),
-            "mean_posterior_variance": np.concatenate([t.mean_posterior_variance for t in tables]),
+            "split": np.repeat(["ind", "ood"], args.bins),
+            "bin_lo": np.tile(exp.edges[:-1], 2),
+            "bin_hi": np.tile(exp.edges[1:], 2),
+            "count": exp.counts.ravel(),
+            "mean_posterior_variance": exp.means.ravel(),
         },
     )
 
-    ind_t, ood_t = exp.tables["ind"], exp.tables["ood"]
-    both = (ind_t.counts > 0) & (ood_t.counts > 0)
-    ood_higher = bool(
-        np.all(ood_t.mean_posterior_variance[both] > ind_t.mean_posterior_variance[both])
-    ) if both.any() else None
+    both = (exp.counts > 0).all(axis=0)
+    ood_higher = bool(np.all(exp.means[1, both] > exp.means[0, both])) if both.any() else None
 
-    _gp_figure(exp, DEFAULT_EVAL_DOMAIN, out / "gp.svg")
+    _gp_figure(exp, out / "gp.svg")
     _write_result(
         out / "result.json",
         "gp-demo",
         {
             "seed": args.seed,
             "summary": {
-                "mean_posterior_variance_ind": float(pred.posterior_variance[pred.x >= 0].mean()),
-                "mean_posterior_variance_ood": float(pred.posterior_variance[pred.x < 0].mean()),
+                "mean_posterior_variance_ind": float(exp.posterior_variance[exp.x >= 0].mean()),
+                "mean_posterior_variance_ood": float(exp.posterior_variance[exp.x < 0].mean()),
                 "populated_bins_both_splits": int(both.sum()),
                 "ood_exceeds_ind_in_all_populated_bins": ood_higher,
             },
@@ -532,7 +523,7 @@ def cmd_gp_demo(args: argparse.Namespace) -> None:
                 "n_train": N_TRAIN,
                 "train_domain": TRAIN_DOMAIN,
                 "eval_domain": DEFAULT_EVAL_DOMAIN,
-                "n_eval": int(pred.x.shape[0]),
+                "n_eval": int(exp.x.shape[0]),
                 "lengthscale": LENGTHSCALE,
                 "signal_variance": SIGNAL_VARIANCE,
                 "noise_variance": "sin^2(x) + 0.01",
@@ -543,33 +534,29 @@ def cmd_gp_demo(args: argparse.Namespace) -> None:
     )
 
 
-def _gp_figure(exp, domain, path: Path) -> None:
+def _gp_figure(exp, path: Path) -> None:
     from . import svgplot
+    from .gp import DEFAULT_EVAL_DOMAIN
 
-    pred = exp.prediction
-    std2 = 2.0 * np.sqrt(pred.posterior_variance)
-    ylim = svgplot.padded_limits(np.concatenate([pred.mean - std2, pred.mean + std2, exp.model.train_y]))
-    p1 = svgplot.Panel(60, 40, 420, 300, domain, ylim, title="Posterior on [-5, 5]",
-                       xlabel="x", ylabel="y")
-    p1.band(pred.x, pred.mean - std2, pred.mean + std2, svgplot.IND_COLOR, opacity=0.25)
-    p1.line(pred.x, pred.mean, svgplot.IND_COLOR, width=2.0)
+    std2 = 2.0 * np.sqrt(exp.posterior_variance)
+    ylim = svgplot.padded_limits(np.concatenate([exp.mean - std2, exp.mean + std2, exp.train_y]))
+    p1 = svgplot.Panel(60, 40, 420, 300, DEFAULT_EVAL_DOMAIN, ylim, xlabel="x", ylabel="y",
+                       title="Posterior on [{:g}, {:g}]".format(*DEFAULT_EVAL_DOMAIN))
+    p1.band(exp.x, exp.mean - std2, exp.mean + std2, svgplot.IND_COLOR, opacity=0.25)
+    p1.line(exp.x, exp.mean, svgplot.IND_COLOR, width=2.0)
     p1.line([0, 0], [ylim[0], ylim[1]], svgplot.LINE_COLOR, width=0.8, dash="3,3")
-    p1.scatter(exp.model.train_x, exp.model.train_y, svgplot.LINE_COLOR, r=2.5, opacity=0.9)
+    p1.scatter(exp.train_x, exp.train_y, svgplot.LINE_COLOR, r=2.5, opacity=0.9)
 
-    ind_t, ood_t = exp.tables["ind"], exp.tables["ood"]
-    centers = 0.5 * (ind_t.edges[:-1] + ind_t.edges[1:])
-    vals = np.concatenate([
-        ind_t.mean_posterior_variance[np.isfinite(ind_t.mean_posterior_variance)],
-        ood_t.mean_posterior_variance[np.isfinite(ood_t.mean_posterior_variance)],
-    ])
+    centers = 0.5 * (exp.edges[:-1] + exp.edges[1:])
+    vals = exp.means[np.isfinite(exp.means)]
     ylim2 = svgplot.padded_limits(vals) if vals.size else (0.0, 1.0)
     p2 = svgplot.Panel(560, 40, 420, 300, (float(centers[0]), float(centers[-1])), ylim2,
                        title="Posterior variance by likelihood variance",
                        xlabel="likelihood variance", ylabel="mean posterior variance")
-    for table, color, name in ((ind_t, svgplot.IND_COLOR, "InD (x >= 0)"), (ood_t, svgplot.OOD_COLOR, "OOD (x < 0)")):
-        mask = table.counts > 0
-        p2.line(centers[mask], table.mean_posterior_variance[mask], color, width=2.0)
-        p2.scatter(centers[mask], table.mean_posterior_variance[mask], color, r=2.5, opacity=0.9)
+    for counts, means, color in zip(exp.counts, exp.means, (svgplot.IND_COLOR, svgplot.OOD_COLOR)):
+        populated = counts > 0
+        p2.line(centers[populated], means[populated], color, width=2.0)
+        p2.scatter(centers[populated], means[populated], color, r=2.5, opacity=0.9)
     p2.label("InD (x >= 0)", 570, 56, svgplot.IND_COLOR)
     p2.label("OOD (x < 0)", 570, 72, svgplot.OOD_COLOR)
     write_file(path, svgplot.document(1040, 400, [p1, p2]))

@@ -30,7 +30,7 @@ import numpy as np
 from .conditional import pivoted_cholesky
 from .errors import ValidationError
 from .metrics import compute_metric
-from .store import form_ensemble, member_blocks
+from .store import form_ensemble, member_blocks, thinned_rows
 
 # Most points the bandwidth's median is taken over: the largest s whose
 # s(s-1)/2 = 261,726 pairwise distances fit one buffer of store.BLOCK_ELEMENTS
@@ -90,8 +90,8 @@ def median_heuristic_bandwidth(points: np.ndarray) -> float:
     Coinciding pairs are left out, so a discrete cloud such as 0-1 deltas,
     where most pairs coincide, still gets the typical distance between
     distinct points. Above BANDWIDTH_MEDIAN_CAP points the median is taken
-    over the BANDWIDTH_MEDIAN_CAP points at indices i * n // cap, evenly
-    spaced, so the cost stays bounded and the value stays deterministic.
+    over the rows store.thinned_rows keeps, i * n // BANDWIDTH_MEDIAN_CAP,
+    so the cost stays bounded and the value stays deterministic.
     The subset's nonzero finite squared distances fill one buffer, which
     is partitioned at the two middle ranks; their square roots are
     averaged as np.median averages them, so the result is bit-equal to
@@ -100,8 +100,7 @@ def median_heuristic_bandwidth(points: np.ndarray) -> float:
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if points.shape[0] < 2:
         raise ValidationError("bandwidth needs at least two points")
-    if points.shape[0] > BANDWIDTH_MEDIAN_CAP:
-        points = points[np.arange(BANDWIDTH_MEDIAN_CAP) * points.shape[0] // BANDWIDTH_MEDIAN_CAP]
+    points = points[thinned_rows(points.shape[0], BANDWIDTH_MEDIAN_CAP)]
     d2, k = np.empty(points.shape[0] * (points.shape[0] - 1) // 2), 0
     for block in _sqdist_blocks(points, points, upper=True):
         kept = (block > 0.0) & (block < np.inf)

@@ -73,6 +73,11 @@ def row_blocks(n: int, n_classes: int) -> Iterator[slice]:
         yield slice(lo, min(n, lo + step))
 
 
+def thinned_rows(n: int, cap: int) -> np.ndarray:
+    """Rows 0..n-1 thinned to at most `cap`: all n, or the cap evenly spaced rows i * n // cap."""
+    return np.arange(n) if n <= cap else np.arange(cap) * n // cap
+
+
 def member_blocks(members: Sequence[StoredMember], spare: int = 0) -> Iterator[tuple[slice, np.ndarray]]:
     """Yield ``(rows, stack)`` over all points, in order.
 

@@ -706,6 +706,7 @@ class TestConditionalCommand:
         assert len(rows) == 50
         result = json.loads((out / "result.json").read_text())
         assert result["n_surrogates"] == 19
+        assert result["sample_sizes"] == {"ind": 60, "ood": 60}
         p_scaled = result["p_value"] * 20
         assert abs(p_scaled - round(p_scaled)) < 1e-9
         settings = result["settings"]
@@ -1183,6 +1184,61 @@ class TestZooOfSixteen:
         assert run(["decompose", "--manifest", zoo, "--out", tmp_path / "x"]) == 1
         _one_error_line(capsys, "m009/ind: non-finite value in row 1")
         assert not (tmp_path / "x").exists()
+
+
+def _drawn(monkeypatch, method: str) -> list:
+    """Record the (xs, ys) of every call of one svgplot.Panel scatter method."""
+    from ensdiag import svgplot
+
+    calls, draw = [], getattr(svgplot.Panel, method)
+
+    def record(panel, xs, ys, *args, **kwargs):
+        calls.append((np.asarray(xs), np.asarray(ys)))
+        return draw(panel, xs, ys, *args, **kwargs)
+
+    monkeypatch.setattr(svgplot.Panel, method, record)
+    return calls
+
+
+class TestPlotPointCap:
+    # Above PLOT_POINT_CAP points a figure draws the rows i * n // PLOT_POINT_CAP.
+    CAP, N = 50, 300
+
+    @pytest.fixture
+    def manifest(self, tmp_path, monkeypatch):
+        sim = tmp_path / "sim"
+        assert run(["simulate", "--n-points", self.N, "--models", 4, "--seed", 0, "--out", sim]) == 0
+        monkeypatch.setattr(ensdiag.cli, "PLOT_POINT_CAP", self.CAP)
+        return sim / "manifest.json"
+
+    def test_improve_figure(self, manifest, tmp_path, monkeypatch):
+        drawn, out = _drawn(monkeypatch, "colored_scatter"), tmp_path / "imp"
+        assert run(["improve", "--manifest", manifest, "--base", "m000", "--alt-a", "m000+m001",
+                    "--alt-b", "m000+m002", "--control", "m003", "--out", out]) == 0
+        rows = np.arange(self.CAP) * self.N // self.CAP
+        assert len(drawn) == 2
+        for dataset, (xs, ys) in zip(("ind", "ood"), drawn):
+            header, table = read_csv(out / f"improve_{dataset}.csv")
+            columns = dict(zip(header, np.array(table, dtype=np.float64).T))
+            assert len(columns["index"]) == self.N
+            np.testing.assert_array_equal(xs, columns["delta_a"][rows])
+            np.testing.assert_array_equal(ys, columns["delta_b"][rows])
+            assert (out / f"improve_{dataset}.svg").read_text().count("<circle") == self.CAP
+
+    def test_conditional_figure(self, manifest, tmp_path, monkeypatch):
+        from ensdiag.decomposition import decompose
+
+        drawn, out = _drawn(monkeypatch, "scatter"), tmp_path / "cond"
+        assert run(["conditional", "--manifest", manifest, "--surrogates", 5, "--out", out]) == 0
+        store = load_store(manifest)
+        rows = np.arange(self.CAP) * self.N // self.CAP
+        assert len(drawn) == 2
+        for dataset, (xs, ys) in zip(("ind", "ood"), drawn):
+            rec = decompose(store.member_probs(store.models_on_pair(("ind", "ood")), dataset),
+                            store.labels[dataset])["quadratic"]
+            np.testing.assert_array_equal(xs, rec.avg_member[rows])
+            np.testing.assert_array_equal(ys, rec.diversity[rows])
+        assert (out / "conditional.svg").read_text().count("<circle") == 2 * self.CAP
 
 
 class TestGpDemoCommand:

@@ -283,7 +283,7 @@ BLAS_PRODUCTS = {
     ("conditional.py", "pivoted_cholesky"): "gemv: each output entry sums at most 64 factor rows",
     ("conditional.py", "_krr_curve"): "kernel ridge's normal equations, on a subsample; kept until ridge goes",
     ("gp.py", "generate_dataset"): "the fixed toy problem's N_TRAIN points",
-    ("gp.py", "gp_predict"): "the fixed toy problem's N_TRAIN points",
+    ("gp.py", "posterior"): "the fixed toy problem's N_TRAIN points",
     ("simulate.py", "_generate"): "teacher logits: each entry sums over a latent dimension of 2",
 }
 BLAS_CALLS = ("dot", "vdot", "inner", "matmul")
