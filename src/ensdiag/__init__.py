@@ -1,10 +1,11 @@
 """Diagnostics for deep-ensemble uncertainty, diversity, and robustness.
 
 Import names from their modules (``ensdiag.trends``, ``ensdiag.conditional``
-and so on). The package root holds only ``__version__``, the one default
-that the command line's parser shares with an analysis module, so that
-building the parser loads none of them, and `stream`, the one source of
-every random draw, which imports numpy only when it is called.
+and so on). The package root holds only ``__version__``; DEFAULT_GRID_SIZE,
+the one default that the command line's parser shares with an analysis
+module, so that building the parser loads none of them; `stream`, the one
+source of every random draw, which imports numpy only when it is called;
+and SUBSAMPLE, the last key word of a `--subsample` stream.
 """
 
 __version__ = "0.1.0"

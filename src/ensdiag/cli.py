@@ -61,10 +61,15 @@ def write_csv(path: Path, columns: dict) -> None:
     write_file(path, "\n".join(lines) + "\n")
 
 
+def _nearest_existing(path: Path) -> Path:
+    """`path` if it exists, else its deepest parent that does."""
+    return next(p for p in (path, *path.parents) if p.exists())
+
+
 def prepare_out_dir(path: str, force: bool) -> Path:
     """Check, without making it, that `path` can be the output directory."""
     out = Path(path)
-    nearest = next(p for p in (out, *out.parents) if p.exists())
+    nearest = _nearest_existing(out)
     if not nearest.is_dir():
         raise ValidationError(f"cannot use {out} as the output directory: {nearest} is not a directory")
     try:
@@ -179,8 +184,7 @@ def cmd_decompose(args: argparse.Namespace) -> None:
 
 
 def cmd_conditional(args: argparse.Namespace) -> None:
-    from .conditional import (DEFAULT_RIDGE_SCALE, DEFAULT_TRIM_PERCENTILES, PIVOT_TOL, JointSample,
-                              permutation_test)
+    from .conditional import DEFAULT_RIDGE_SCALE, DEFAULT_TRIM_PERCENTILES, PIVOT_TOL, permutation_test
     from .decomposition import decompose
     from .metrics import NLL_EPS
 
@@ -189,29 +193,22 @@ def cmd_conditional(args: argparse.Namespace) -> None:
     members = _resolve_members(store, args.members, pair)
     out = prepare_out_dir(args.out, args.force)
 
-    samples = {}
+    samples = []
     for side, dataset in enumerate(pair):
         rec = decompose(store.member_probs(members, dataset), store.labels[dataset])[args.family]
         take = _subsample_indices(rec.n, args.subsample, args.seed, side)
-        samples[dataset] = JointSample(rec.avg_member[take], rec.diversity[take], dataset)
+        samples.append((rec.avg_member[take], rec.diversity[take]))
 
-    ind_id, ood_id = pair
     result = permutation_test(
-        samples[ind_id],
-        samples[ood_id],
+        *samples,
         n_surrogates=args.surrogates,
         seed=args.seed,
         grid_size=args.bins,
         integral=args.integral_d,
     )
 
-    write_csv(
-        out / "curves.csv",
-        {"x": result.x_grid, "y_ind": result.curve_ind.y_hat, "y_ood": result.curve_ood.y_hat},
-    )
-
-    fig_out = out / "conditional.svg"
-    _conditional_figure(samples[ind_id], samples[ood_id], result, fig_out)
+    write_csv(out / "curves.csv", {"x": result.grid, "y_ind": result.curves[0], "y_ood": result.curves[1]})
+    _conditional_figure(pair, samples, result, out / "conditional.svg")
 
     _write_result(
         out / "result.json",
@@ -220,24 +217,24 @@ def cmd_conditional(args: argparse.Namespace) -> None:
             "inputs": {"manifest": str(args.manifest), "pair": list(pair), "members": members},
             "d_statistic": result.d,
             "p_value": result.p_value,
-            "n_surrogates": result.n_surrogates,
+            "n_surrogates": len(result.d_surrogates),
             "d_surrogates": result.d_surrogates,
-            "sample_sizes": {dataset: sample.n for dataset, sample in samples.items()},
+            "sample_sizes": {dataset: len(avg) for dataset, (avg, _) in zip(pair, samples)},
             "seed": args.seed,
             "settings": {
                 "family": args.family,
                 "d_form": "integral" if args.integral_d else "ratio_of_sums",
                 "grid_size": args.bins,
-                "grid_lo": float(result.x_grid[0]),
-                "grid_hi": float(result.x_grid[-1]),
+                "grid_lo": float(result.grid[0]),
+                "grid_hi": float(result.grid[-1]),
                 "trim_percentiles": list(DEFAULT_TRIM_PERCENTILES),
-                "bandwidth_ind": result.curve_ind.bandwidth,
-                "bandwidth_ood": result.curve_ood.bandwidth,
-                "ridge_ind": result.curve_ind.ridge,
-                "ridge_ood": result.curve_ood.ridge,
+                "bandwidth_ind": result.bandwidths[0],
+                "bandwidth_ood": result.bandwidths[1],
+                "ridge_ind": result.ridges[0],
+                "ridge_ood": result.ridges[1],
                 "ridge_scale": DEFAULT_RIDGE_SCALE,
-                "krr_rank_ind": result.curve_ind.rank,
-                "krr_rank_ood": result.curve_ood.rank,
+                "krr_rank_ind": result.ranks[0],
+                "krr_rank_ood": result.ranks[1],
                 "pivot_tol": PIVOT_TOL,
                 "regressor": "kernel_ridge",
                 "subsample": args.subsample,
@@ -247,21 +244,22 @@ def cmd_conditional(args: argparse.Namespace) -> None:
     )
 
 
-def _conditional_figure(sample_ind, sample_ood, result, path: Path) -> None:
+def _conditional_figure(pair, samples, result, path: Path) -> None:
+    """Both (avg, div) samples, thinned, under the observed curves, labelled with the pair's ids."""
     from . import svgplot
 
-    xlim = svgplot.padded_limits(np.concatenate([sample_ind.avg, sample_ood.avg]))
-    ylim = svgplot.padded_limits(np.concatenate([sample_ind.div, sample_ood.div]))
+    xlim, ylim = (svgplot.padded_limits(np.concatenate(column)) for column in zip(*samples))
     panel = svgplot.Panel(60, 40, 460, 320, xlim, ylim,
                           title="Diversity vs member-average uncertainty",
                           xlabel="member-average uncertainty", ylabel="diversity")
-    for sample, color in ((sample_ind, svgplot.IND_COLOR), (sample_ood, svgplot.OOD_COLOR)):
-        take = thinned_rows(sample.n, PLOT_POINT_CAP)
-        panel.scatter(sample.avg[take], sample.div[take], color, r=1.5, opacity=0.35)
-    panel.line(result.x_grid, result.curve_ind.y_hat, svgplot.IND_COLOR, width=2.5)
-    panel.line(result.x_grid, result.curve_ood.y_hat, svgplot.OOD_COLOR, width=2.5)
-    panel.label(f"InD ({sample_ind.source})", 70, 56, svgplot.IND_COLOR)
-    panel.label(f"OOD ({sample_ood.source})", 70, 72, svgplot.OOD_COLOR)
+    colors = (svgplot.IND_COLOR, svgplot.OOD_COLOR)
+    for (avg, div), color in zip(samples, colors):
+        take = thinned_rows(len(avg), PLOT_POINT_CAP)
+        panel.scatter(avg[take], div[take], color, r=1.5, opacity=0.35)
+    for curve, color in zip(result.curves, colors):
+        panel.line(result.grid, curve, color, width=2.5)
+    panel.label(f"InD ({pair[0]})", 70, 56, svgplot.IND_COLOR)
+    panel.label(f"OOD ({pair[1]})", 70, 72, svgplot.OOD_COLOR)
     panel.label(f"d = {result.d:.4f}, p = {result.p_value:.4f}", 70, 88)
     write_file(path, svgplot.document(580, 420, [panel]))
 
@@ -681,8 +679,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _undone_on_failure(out: Path):
     """If the body raises, remove each entry the run added to `out`, and `out` and its
     parents if the run made them: nothing that existed before the run is removed."""
-    nearest = next(p for p in (out, *out.parents) if p.exists())
-    made = [out, *out.parents][:len(out.relative_to(nearest).parts)]  # deepest first
+    made = [out, *out.parents][:len(out.relative_to(_nearest_existing(out)).parts)]  # deepest first
     before = set()
     with suppress(OSError):  # `out` is missing, or not a directory the command can use
         before = set(os.listdir(out))

@@ -1,15 +1,16 @@
 """Diversity conditioned on member-average uncertainty.
 
-Each condition is one JointSample of per-point (avg uncertainty,
-diversity) pairs, which the caller takes from the avg_member and
+Each condition is an (avg, div) pair of 1-d arrays: per-point member-average
+uncertainty and diversity, which the caller takes from the avg_member and
 diversity columns of one family's `decomposition.decompose` record, so the
 sample has passed all four of decompose's identity checks. The pipeline
 estimates the conditional expectation of diversity given the average with
 kernel ridge regression, summarizes the shift between two conditions with
 a relative-difference statistic d, and calibrates d with a permutation
-test over re-partitions of the pooled sample. The surrogate fits of one
-size are factored several at a time, in one vectorised pivoted Cholesky
-sweep.
+test over re-partitions of the pooled sample. The observed split is split 0
+of that test, so every fit runs in one loop, and the fits of one size are
+factored several at a time, in one vectorised pivoted Cholesky sweep.
+One ConditionalResult record carries the observed curves and fits, d and p.
 """
 
 from __future__ import annotations
@@ -33,25 +34,6 @@ PIVOT_TOL = 1e-13
 FIRST_FACTOR_ROWS = 64
 
 
-@dataclass
-class JointSample:
-    """Paired per-point values: x = member-average uncertainty, y = diversity."""
-
-    avg: np.ndarray
-    div: np.ndarray
-    source: str = ""
-
-    def __post_init__(self) -> None:
-        self.avg = np.asarray(self.avg, dtype=np.float64)
-        self.div = np.asarray(self.div, dtype=np.float64)
-        if self.avg.shape != self.div.shape or self.avg.ndim != 1:
-            raise ValidationError("avg and div must be 1-d arrays of equal length")
-
-    @property
-    def n(self) -> int:
-        return int(self.avg.shape[0])
-
-
 def scott_bandwidth_1d(x: np.ndarray) -> float:
     """Scott-rule bandwidth of the KRR kernel: n^(-1/6) times the sample std."""
     x = np.asarray(x, dtype=np.float64)
@@ -61,21 +43,6 @@ def scott_bandwidth_1d(x: np.ndarray) -> float:
     if std == 0.0:
         raise ValidationError("bandwidth undefined for zero-variance data")
     return float(x.size ** (-1.0 / 6.0) * std)
-
-
-@dataclass
-class ConditionalCurve:
-    """Kernel ridge estimate of E[diversity | avg] on an evaluation grid.
-
-    rank is the number of pivots in the low-rank kernel factor; None for
-    curves not produced by the regression.
-    """
-
-    x_grid: np.ndarray
-    y_hat: np.ndarray
-    bandwidth: float
-    ridge: float
-    rank: int | None = None
 
 
 def fits_per_sweep(size: int) -> int:
@@ -151,9 +118,11 @@ def pivoted_cholesky(
     return state[2:r + 2], np.count_nonzero(np.array(traces) > stop, axis=0)
 
 
-def krr_conditional_expectation(x: np.ndarray, y: np.ndarray, x_eval: np.ndarray) -> Iterator[ConditionalCurve]:
+def krr_conditional_expectation(x: np.ndarray, y: np.ndarray,
+                                x_eval: np.ndarray) -> Iterator[tuple[np.ndarray, float, float, int]]:
     """Kernel ridge regression of each row of y on the same row of x,
-    evaluated on a grid: one curve per row, in order.
+    evaluated on a grid: one (y_hat, bandwidth, ridge, rank) per row, in
+    order, where rank is the number of pivots in the low-rank kernel factor.
 
     The Gaussian kernel, with the Scott bandwidth of the row of x, is
     factored by pivoted Cholesky, K ~= L.T @ L, fits_per_sweep rows at a
@@ -176,7 +145,7 @@ def krr_conditional_expectation(x: np.ndarray, y: np.ndarray, x_eval: np.ndarray
         raise ValidationError("regression needs at least two points")
     step = fits_per_sweep(x.shape[1] + x_eval.shape[0])
     for lo in range(0, x.shape[0], step):
-        bandwidths, curves, failure = [], [], None
+        bandwidths, fitted, failure = [], [], None
         for row in x[lo:lo + step]:
             try:
                 bandwidths.append(scott_bandwidth_1d(row))
@@ -189,18 +158,17 @@ def krr_conditional_expectation(x: np.ndarray, y: np.ndarray, x_eval: np.ndarray
         factors, ranks = pivoted_cholesky(np.concatenate([x[lo:lo + fits], grids], axis=1), bandwidths)
         for b, rank in enumerate(ranks.tolist()):
             try:
-                curves.append(_krr_curve(factors[:rank, b], y[lo + b], x_eval, bandwidths[b], ridges[b]))
+                fitted.append((_krr_curve(factors[:rank, b], y[lo + b], ridges[b]), bandwidths[b], ridges[b], rank))
             except NumericalError as exc:
                 failure = exc
                 break
         del factors
-        yield from curves
+        yield from fitted
         if failure is not None:
             raise failure
 
 
-def _krr_curve(factor: np.ndarray, y: np.ndarray, x_eval: np.ndarray, bandwidth: float,
-               ridge: float) -> ConditionalCurve:
+def _krr_curve(factor: np.ndarray, y: np.ndarray, ridge: float) -> np.ndarray:
     """The curve of one fit from its factor rows on the data and then the grid."""
     rank, n = factor.shape[0], y.shape[0]
     data, grid = factor[:, :n], factor[:, n:]
@@ -208,11 +176,7 @@ def _krr_curve(factor: np.ndarray, y: np.ndarray, x_eval: np.ndarray, bandwidth:
         weights = np.linalg.solve(data @ data.T + ridge * n * np.eye(rank), data @ y)
     except LinAlgError as exc:
         raise NumericalError(f"kernel system of rank {rank} with ridge {ridge:.3g} is singular") from exc
-    return ConditionalCurve(x_eval, weights @ grid, bandwidth, ridge, rank)
-
-
-def fit_sample_curve(sample: JointSample, x_eval: np.ndarray) -> ConditionalCurve:
-    return next(krr_conditional_expectation(sample.avg[None], sample.div[None], x_eval))
+    return weights @ grid
 
 
 def _percentile(values: np.ndarray, q: float) -> float:
@@ -234,110 +198,117 @@ def _percentile(values: np.ndarray, q: float) -> float:
     return hi - diff * (1 - t) if t >= 0.5 else lo + diff * t
 
 
-def evaluation_grid(sample_a: JointSample, sample_b: JointSample, n: int = DEFAULT_GRID_SIZE) -> np.ndarray:
+def evaluation_grid(avg_a: np.ndarray, avg_b: np.ndarray, n: int = DEFAULT_GRID_SIZE) -> np.ndarray:
     """Shared grid: n points between the DEFAULT_TRIM_PERCENTILES of the pooled
     avg values, restricted to the overlap of the two samples' ranges."""
-    pooled = np.concatenate([sample_a.avg, sample_b.avg])
+    pooled = np.concatenate([avg_a, avg_b])
     lo, hi = (_percentile(pooled, q) for q in DEFAULT_TRIM_PERCENTILES)
-    lo = max(lo, float(sample_a.avg.min()), float(sample_b.avg.min()))
-    hi = min(hi, float(sample_a.avg.max()), float(sample_b.avg.max()))
+    lo = max(lo, float(avg_a.min()), float(avg_b.min()))
+    hi = min(hi, float(avg_a.max()), float(avg_b.max()))
     if not hi > lo:
         raise ValidationError("sample supports do not overlap; no shared grid exists")
     return np.linspace(lo, hi, n)
 
 
-def d_statistic(curve_ind: ConditionalCurve, curve_ood: ConditionalCurve, integral: bool = False) -> float:
-    """Relative excess of the OOD curve over the InD curve.
+def d_statistic(grid: np.ndarray, y_ind: np.ndarray, y_ood: np.ndarray, integral: bool = False) -> float:
+    """Relative excess of the OOD curve over the InD curve, both on `grid`.
 
     Default form: sum of pointwise differences divided by the sum of the
     InD curve. The integral form instead integrates the pointwise relative
     difference over the grid and carries the units of the x axis.
     """
-    if not np.array_equal(curve_ind.x_grid, curve_ood.x_grid):
-        raise ValidationError("curves must share one evaluation grid")
     if integral:
-        bad = np.flatnonzero(curve_ind.y_hat <= 0.0)
+        bad = np.flatnonzero(y_ind <= 0.0)
         if bad.size:
-            x, y = curve_ind.x_grid[bad[0]], curve_ind.y_hat[bad[0]]
             raise NumericalError(
-                f"InD curve is {y:.4g} at grid x = {x:.6g}, so integral d is undefined; "
+                f"InD curve is {y_ind[bad[0]]:.4g} at grid x = {grid[bad[0]]:.6g}, so integral d is undefined; "
                 "the default ratio-of-sums d stays defined while the InD total is positive"
             )
-        rel = (curve_ood.y_hat - curve_ind.y_hat) / curve_ind.y_hat
-        return float((np.diff(curve_ind.x_grid) * (rel[1:] + rel[:-1]) / 2.0).sum())
-    denom = float(curve_ind.y_hat.sum())
+        rel = (y_ood - y_ind) / y_ind
+        return float((np.diff(grid) * (rel[1:] + rel[:-1]) / 2.0).sum())
+    denom = float(y_ind.sum())
     if denom <= 0.0:
-        low = int(np.argmin(curve_ind.y_hat))
+        low = int(np.argmin(y_ind))
         raise NumericalError(
-            f"InD curve has nonpositive total {denom:.4g} (minimum {curve_ind.y_hat[low]:.4g} "
-            f"at grid x = {curve_ind.x_grid[low]:.6g}); d is undefined"
+            f"InD curve has nonpositive total {denom:.4g} (minimum {y_ind[low]:.4g} "
+            f"at grid x = {grid[low]:.6g}); d is undefined"
         )
-    return float((curve_ood.y_hat - curve_ind.y_hat).sum() / denom)
-
-
-def _d_of(fit: str, curve_ind: ConditionalCurve, curve_ood: ConditionalCurve, integral: bool) -> float:
-    """d_statistic, with an undefined d reported against the fit that gave it."""
-    try:
-        return d_statistic(curve_ind, curve_ood, integral=integral)
-    except NumericalError as exc:
-        raise NumericalError(f"{fit}: {exc}") from exc
+    return float((y_ood - y_ind).sum() / denom)
 
 
 @dataclass
-class DStatResult:
-    """Observed d with its permutation p-value and diagnostics."""
+class ConditionalResult:
+    """The observed split's fits on the grid, its d and d's permutation p-value.
 
+    curves is (2, len(grid)), and bandwidths, ridges and ranks are (2,):
+    the InD row first. d_surrogates holds the d of each surrogate split.
+    """
+
+    grid: np.ndarray
+    curves: np.ndarray
+    bandwidths: np.ndarray
+    ridges: np.ndarray
+    ranks: np.ndarray
     d: float
     p_value: float
-    n_surrogates: int
     d_surrogates: np.ndarray
-    x_grid: np.ndarray
-    curve_ind: ConditionalCurve
-    curve_ood: ConditionalCurve
+
+
+def _sample(side: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """One condition's (avg, div) as float64 arrays, checked to be 1-d and of equal length."""
+    avg, div = (np.asarray(values, dtype=np.float64) for values in side)
+    if avg.shape != div.shape or avg.ndim != 1:
+        raise ValidationError("avg and div must be 1-d arrays of equal length")
+    return avg, div
 
 
 def permutation_test(
-    sample_ind: JointSample,
-    sample_ood: JointSample,
+    ind: tuple[np.ndarray, np.ndarray],
+    ood: tuple[np.ndarray, np.ndarray],
     n_surrogates: int = 100,
     seed: int = 0,
     grid_size: int = DEFAULT_GRID_SIZE,
     integral: bool = False,
-) -> DStatResult:
-    """Permutation calibration of the d statistic.
+) -> ConditionalResult:
+    """Permutation calibration of the d statistic of two (avg, div) samples.
 
-    The pooled sample is re-partitioned into the original sizes once per
-    surrogate; both curves are refit (bandwidth and ridge re-derived from
-    each surrogate sample) on the fixed evaluation grid. The p-value uses
-    the add-one rule (#{d_surr >= d_obs} + 1) / (n_surrogates + 1), so it
-    is never zero. Surrogate k permutes with its own stream, `stream(seed, k)`,
-    which no other draw shares, making the result independent of execution
-    order. The surrogates go in chunks as wide as the smaller side's sweep
-    (fits_per_sweep); each side's fits of a chunk share sweeps, and an
-    error ends the run where the loop of one fit at a time would.
+    The pooled sample is split into the original sizes: split 0 is the
+    observed one, and split k + 1 is surrogate k, which permutes the pool
+    with its own stream, `stream(seed, k)`, that no other draw shares, making
+    the result independent of execution order. Both curves of a split are
+    fit (bandwidth and ridge derived from its samples) on the fixed
+    evaluation grid. The p-value uses the add-one rule
+    (#{d_surr >= d_obs} + 1) / (n_surrogates + 1), so it is never zero. The
+    splits go in chunks as wide as the smaller side's sweep (fits_per_sweep);
+    each side's fits of a chunk share sweeps, which give every fit the same
+    bits at any width, and an error ends the run where the loop of one fit
+    at a time would, named "observed fit" or "surrogate k".
     """
+    ind_avg, ind_div = _sample(ind)
+    ood_avg, ood_div = _sample(ood)
     if n_surrogates < 1:
         raise ValidationError("need at least one surrogate")
-    x_eval = evaluation_grid(sample_ind, sample_ood, n=grid_size)
-    curve_ind = fit_sample_curve(sample_ind, x_eval)
-    curve_ood = fit_sample_curve(sample_ood, x_eval)
-    d_obs = _d_of("observed fit", curve_ind, curve_ood, integral)
+    grid = evaluation_grid(ind_avg, ood_avg, grid_size)
+    pooled_avg = np.concatenate([ind_avg, ood_avg])
+    pooled_div = np.concatenate([ind_div, ood_div])
+    n_ind, n_total = ind_avg.shape[0], pooled_avg.shape[0]
 
-    pooled_avg = np.concatenate([sample_ind.avg, sample_ood.avg])
-    pooled_div = np.concatenate([sample_ind.div, sample_ood.div])
-    n_ind = sample_ind.n
-    n_total = pooled_avg.shape[0]
-
-    chunk = fits_per_sweep(min(n_ind, n_total - n_ind) + x_eval.shape[0])
-    d_surr = np.empty(n_surrogates)
-    for lo in range(0, n_surrogates, chunk):
-        ks = range(lo, min(lo + chunk, n_surrogates))
-        perms = np.stack([stream(seed, k).permutation(n_total) for k in ks])
+    chunk = fits_per_sweep(min(n_ind, n_total - n_ind) + grid.shape[0])
+    d = np.empty(n_surrogates + 1)
+    for lo in range(0, n_surrogates + 1, chunk):
+        splits = range(lo, min(lo + chunk, n_surrogates + 1))
+        perms = np.stack([stream(seed, j - 1).permutation(n_total) if j else np.arange(n_total) for j in splits])
         sides = [(pooled_avg[take], pooled_div[take]) for take in (perms[:, :n_ind], perms[:, n_ind:])]
         del perms  # freed before the sweeps, which take up the memory budget
-        curves = zip(*(krr_conditional_expectation(avg, div, x_eval) for avg, div in sides))
-        for k, (c_ind, c_ood) in zip(ks, curves):
-            d_surr[k] = _d_of(f"surrogate {k}", c_ind, c_ood, integral)
+        fits = zip(*(krr_conditional_expectation(avg, div, grid) for avg, div in sides))
+        for j, (fit_ind, fit_ood) in zip(splits, fits):
+            try:
+                d[j] = d_statistic(grid, fit_ind[0], fit_ood[0], integral)
+            except NumericalError as exc:
+                raise NumericalError(f"{f'surrogate {j - 1}' if j else 'observed fit'}: {exc}") from exc
+            if not j:
+                observed = fit_ind, fit_ood
 
-    p = (int((d_surr >= d_obs).sum()) + 1) / (n_surrogates + 1)
-    return DStatResult(d_obs, float(p), n_surrogates, d_surr, x_eval, curve_ind, curve_ood)
+    curves, bandwidths, ridges, ranks = (np.array(column) for column in zip(*observed))
+    p = (int((d[1:] >= d[0]).sum()) + 1) / (n_surrogates + 1)
+    return ConditionalResult(grid, curves, bandwidths, ridges, ranks, float(d[0]), p, d[1:])

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import settings
 
 import ensdiag.store
-from ensdiag.conditional import JointSample
 from ensdiag.decomposition import decompose
 from ensdiag.simulate import SyntheticSpec, write_synthetic_store
 from ensdiag.store import PredictionStore, load_store, member_blocks
@@ -141,13 +140,13 @@ def build_store(rng, root, datasets=("ind", "ood"), **shape):
     return load_store(write_kind_store(root, "probs", random_datasets(rng, datasets, **shape), pairs))
 
 
-def joint_sample(members, labels, family="quadratic", source=""):
+def joint_sample(members, labels, family="quadratic"):
     """The (avg, diversity) sample that `conditional` takes from one family's decompose record."""
     rec = decompose(members, labels)[family]
-    return JointSample(rec.avg_member, rec.diversity, source)
+    return rec.avg_member, rec.diversity
 
 
-def split_samples(seed: int) -> tuple[JointSample, JointSample]:
+def split_samples(seed: int) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """InD and OOD joint samples of a shift-free 500-point simulated store."""
     spec = SyntheticSpec(
         n_points=500, n_classes=2, n_models=4,
@@ -156,7 +155,7 @@ def split_samples(seed: int) -> tuple[JointSample, JointSample]:
     with tempfile.TemporaryDirectory() as root:
         store = load_store(write_synthetic_store(spec, root))
         ids = sorted(store.model_ids)
-        return tuple(joint_sample(store.member_probs(ids, d), store.labels[d], source=d) for d in ("ind", "ood"))
+        return tuple(joint_sample(store.member_probs(ids, d), store.labels[d]) for d in ("ind", "ood"))
 
 
 # Populated by tests/test_acceptance.py; one line per criterion so the

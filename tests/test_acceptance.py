@@ -17,7 +17,7 @@ import pytest
 from conftest import ACCEPTANCE_LINES, as_members, split_samples
 
 from ensdiag.cli import main as cli_main
-from ensdiag.conditional import JointSample, permutation_test
+from ensdiag.conditional import permutation_test
 from ensdiag.decomposition import decompose
 from ensdiag.gp import posterior, run_default_experiment
 from ensdiag.improvement import (
@@ -133,10 +133,9 @@ def test_null_shift_rejection_rate_is_calibrated():
 def test_strong_shift_is_detected():
     hits = 0
     for seed in range(100):
-        si, so = split_samples(seed)
-        pooled_std = np.concatenate([si.div, so.div]).std(ddof=1)
-        shifted = JointSample(so.avg, so.div + 5.0 * pooled_std, "ood")
-        res = permutation_test(si, shifted, n_surrogates=100, seed=seed)
+        ind, (ood_avg, ood_div) = split_samples(seed)
+        pooled_std = np.concatenate([ind[1], ood_div]).std(ddof=1)
+        res = permutation_test(ind, (ood_avg, ood_div + 5.0 * pooled_std), n_surrogates=100, seed=seed)
         hits += res.p_value <= 1.0 / 101.0
     record(
         "conditional power",

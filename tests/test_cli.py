@@ -719,6 +719,15 @@ class TestConditionalCommand:
         assert settings["grid_size"] == 50
         assert (out / "conditional.svg").is_file()
 
+    def test_figure_labels_name_the_pair(self, sim_dir, tmp_path):
+        # The pair in the order given: the OOD set of the store is the InD side here.
+        out = tmp_path / "cond"
+        assert run(["conditional", "--manifest", sim_dir / "manifest.json", "--pair", "ood:ind",
+                    "--surrogates", "3", "--out", out]) == 0
+        svg = (out / "conditional.svg").read_text()
+        assert ">InD (ood)<" in svg and ">OOD (ind)<" in svg
+        assert json.loads((out / "result.json").read_text())["inputs"]["pair"] == ["ood", "ind"]
+
     def test_integral_d(self, tmp_path):
         # At 2,000 points the InD curve stays positive over the grid; on smaller stores it may not.
         sim, out = tmp_path / "sim", tmp_path / "cond"
@@ -1598,6 +1607,14 @@ class TestMetamorphicRelations:
         datasets, untied = self._drawn_store(0, (10, 10), 3)
         assert untied
         self._assert_relabelling_moves_no_output("conditional", 0, datasets, 3)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 4: relabelling moves the InD MMD's residual trace in its last bits, "
+                              "across the pivot tolerance, so kernel_sums.rank_delta_a goes from 9 to 10")
+    def test_relabelled_classes_move_no_improve_rank(self):
+        datasets, untied = self._drawn_store(60, (18, 10), 5)
+        assert untied
+        self._assert_relabelling_moves_no_output("improve", 60, datasets, 5)
 
 
 class TestProbabilitiesAgreeWithLogits:

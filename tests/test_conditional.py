@@ -15,8 +15,7 @@ from ensdiag import conditional
 from ensdiag.conditional import (
     DEFAULT_RIDGE_SCALE,
     RIDGE_FLOOR,
-    ConditionalCurve,
-    JointSample,
+    ConditionalResult,
     d_statistic,
     evaluation_grid,
     krr_conditional_expectation,
@@ -32,7 +31,7 @@ TWO_ONE_HOT = [np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])]
 
 def dense_krr_curve(x, y, x_eval):
     """Exact oracle for the low-rank fit: the full n x n Gram matrix solved by
-    dense Cholesky, then K_eval @ alpha. Same bandwidth and ridge."""
+    dense Cholesky, then K_eval @ alpha. Same bandwidth and ridge, and full rank."""
     bandwidth = scott_bandwidth_1d(x)
     ridge = max(DEFAULT_RIDGE_SCALE * float(y.var()), RIDGE_FLOOR)
     n = x.shape[0]
@@ -41,11 +40,11 @@ def dense_krr_curve(x, y, x_eval):
     alpha = cho_solve(cho_factor(gram + ridge * n * np.eye(n), lower=True), y)
     d = x_eval[:, None] - x[None, :]
     k_eval = np.exp(-(d * d) / (2.0 * bandwidth * bandwidth))
-    return ConditionalCurve(x_eval, k_eval @ alpha, float(bandwidth), float(ridge))
+    return k_eval @ alpha, float(bandwidth), float(ridge), n
 
 
 def krr(x, y, x_eval):
-    """One kernel ridge curve: a stack of one fit."""
+    """One kernel ridge fit, (y_hat, bandwidth, ridge, rank): a stack of one fit."""
     return next(krr_conditional_expectation(x[None], y[None], x_eval))
 
 
@@ -67,7 +66,7 @@ def scipy_factor_krr(x, y, x_eval):
     factor, factor_eval = one_factor(x, x_eval, bandwidth)
     rank = factor.shape[0]
     chol = cho_factor(factor @ factor.T + ridge * x.size * np.eye(rank), lower=True)
-    return ConditionalCurve(x_eval, cho_solve(chol, factor @ y) @ factor_eval, bandwidth, ridge, rank)
+    return cho_solve(chol, factor @ y) @ factor_eval, bandwidth, ridge, rank
 
 
 def loop_pivoted_cholesky(x, x_eval, bandwidth, max_rank=None):
@@ -99,25 +98,25 @@ def loop_pivoted_cholesky(x, x_eval, bandwidth, max_rank=None):
     return rows[:r, :n], rows[:r, n:]
 
 
-def loop_permutation_test(fit, sample_ind, sample_ood, n_surrogates, seed, integral=False):
-    """permutation_test as a loop of one fit at a time, each by fit(x, y, x_eval):
-    the oracle for the batched surrogate fits."""
-    x_eval = evaluation_grid(sample_ind, sample_ood)
-    curve_ind = fit(sample_ind.avg, sample_ind.div, x_eval)
-    curve_ood = fit(sample_ood.avg, sample_ood.div, x_eval)
-    d_obs = conditional._d_of("observed fit", curve_ind, curve_ood, integral)
-    pooled_avg = np.concatenate([sample_ind.avg, sample_ood.avg])
-    pooled_div = np.concatenate([sample_ind.div, sample_ood.div])
-    n_ind = sample_ind.n
-    d_surr = np.empty(n_surrogates)
-    for k in range(n_surrogates):
-        perm = np.random.default_rng([seed, k]).permutation(pooled_avg.shape[0])
-        take_ind, take_ood = perm[:n_ind], perm[n_ind:]
-        c_ind = fit(pooled_avg[take_ind], pooled_div[take_ind], x_eval)
-        c_ood = fit(pooled_avg[take_ood], pooled_div[take_ood], x_eval)
-        d_surr[k] = conditional._d_of(f"surrogate {k}", c_ind, c_ood, integral)
-    p = (int((d_surr >= d_obs).sum()) + 1) / (n_surrogates + 1)
-    return conditional.DStatResult(d_obs, float(p), n_surrogates, d_surr, x_eval, curve_ind, curve_ood)
+def loop_permutation_test(fit, ind, ood, n_surrogates, seed, integral=False):
+    """permutation_test as a loop of one fit at a time, each by fit(x, y, x_eval),
+    the observed split first: the oracle for the batched fits."""
+    grid = evaluation_grid(ind[0], ood[0])
+    pooled_avg, pooled_div = (np.concatenate(column) for column in zip(ind, ood))
+    n_ind = ind[0].size
+    observed, d = None, []
+    for j in range(n_surrogates + 1):
+        take = np.random.default_rng([seed, j - 1]).permutation(pooled_avg.size) if j else np.arange(pooled_avg.size)
+        fit_ind, fit_ood = (fit(pooled_avg[t], pooled_div[t], grid) for t in (take[:n_ind], take[n_ind:]))
+        try:
+            d.append(d_statistic(grid, fit_ind[0], fit_ood[0], integral))
+        except NumericalError as exc:
+            raise NumericalError(f"{f'surrogate {j - 1}' if j else 'observed fit'}: {exc}") from exc
+        observed = observed or (fit_ind, fit_ood)
+    curves, bandwidths, ridges, ranks = (np.array(column) for column in zip(*observed))
+    d_surr = np.array(d[1:])
+    p = (int((d_surr >= d[0]).sum()) + 1) / (n_surrogates + 1)
+    return ConditionalResult(grid, curves, bandwidths, ridges, ranks, d[0], p, d_surr)
 
 
 def nonpositive_ind_fit(n_ind, place, real=conditional.krr_conditional_expectation):
@@ -126,25 +125,24 @@ def nonpositive_ind_fit(n_ind, place, real=conditional.krr_conditional_expectati
     seen = []
 
     def fits(x, y, x_eval):
-        for curve in real(x, y, x_eval):
+        for fit in real(x, y, x_eval):
             if x.shape[1] == n_ind:
                 seen.append(1)
                 if len(seen) == place:
-                    curve = ConditionalCurve(x_eval, np.linspace(-2.0, 1.0, x_eval.size),
-                                             curve.bandwidth, curve.ridge, curve.rank)
-            yield curve
+                    fit = (np.linspace(-2.0, 1.0, x_eval.size), *fit[1:])
+            yield fit
 
     return fits
 
 
-def percentile_grid(sample_a, sample_b, n=100):
+def percentile_grid(avg_a, avg_b, n=100):
     """evaluation_grid with its trim percentiles from np.percentile: the oracle
     for the grid's ends and for the error it raises."""
-    pooled = np.concatenate([sample_a.avg, sample_b.avg])
+    pooled = np.concatenate([avg_a, avg_b])
     lo = float(np.percentile(pooled, 1.0))
     hi = float(np.percentile(pooled, 99.0))
-    lo = max(lo, float(sample_a.avg.min()), float(sample_b.avg.min()))
-    hi = min(hi, float(sample_a.avg.max()), float(sample_b.avg.max()))
+    lo = max(lo, float(avg_a.min()), float(avg_b.min()))
+    hi = min(hi, float(avg_a.max()), float(avg_b.max()))
     if not hi > lo:
         raise ValidationError("sample supports do not overlap; no shared grid exists")
     return np.linspace(lo, hi, n)
@@ -153,20 +151,7 @@ def percentile_grid(sample_a, sample_b, n=100):
 def linear_sample(rng, n=200, slope=0.3, noise=0.02):
     avg = rng.uniform(0.2, 0.8, n)
     div = slope * avg + rng.normal(0.0, noise, n)
-    return JointSample(avg, div)
-
-
-class TestJointSample:
-    def test_shape_mismatch(self):
-        with pytest.raises(ValidationError):
-            JointSample(np.zeros(3), np.zeros(4))
-
-    def test_requires_1d(self):
-        with pytest.raises(ValidationError):
-            JointSample(np.zeros((2, 2)), np.zeros((2, 2)))
-
-    def test_n(self):
-        assert JointSample(np.zeros(7), np.zeros(7)).n == 7
+    return avg, div
 
 
 class TestJointSamples:
@@ -174,27 +159,23 @@ class TestJointSamples:
 
     def test_identical_members_zero_diversity(self, rng):
         p = rng.dirichlet(np.ones(4), size=30)
-        sample = joint_sample(as_members([p, p]), rng.integers(0, 4, 30))
-        assert np.all(sample.div == 0.0)
-        assert sample.n == 30
+        avg, div = joint_sample(as_members([p, p]), rng.integers(0, 4, 30))
+        assert np.all(div == 0.0)
+        assert avg.shape == (30,)
 
     def test_two_one_hot_quadratic(self):
-        sample = joint_sample(as_members(TWO_ONE_HOT), np.array([0]), family="quadratic")
-        np.testing.assert_allclose(sample.avg, [0.0])
-        np.testing.assert_allclose(sample.div, [0.5])
+        avg, div = joint_sample(as_members(TWO_ONE_HOT), np.array([0]), family="quadratic")
+        np.testing.assert_allclose(avg, [0.0])
+        np.testing.assert_allclose(div, [0.5])
 
     def test_two_one_hot_entropy(self):
-        sample = joint_sample(as_members(TWO_ONE_HOT), np.array([0]), family="entropy")
-        np.testing.assert_allclose(sample.avg, [0.0])
-        np.testing.assert_allclose(sample.div, [np.log(2.0)], atol=1e-15)
+        avg, div = joint_sample(as_members(TWO_ONE_HOT), np.array([0]), family="entropy")
+        np.testing.assert_allclose(avg, [0.0])
+        np.testing.assert_allclose(div, [np.log(2.0)], atol=1e-15)
 
     def test_count_matches_dataset(self, rng):
         members = member_stack(rng, 3, 17, 5)
-        assert joint_sample(as_members(members), rng.integers(0, 5, 17)).n == 17
-
-    def test_source_carried(self, rng):
-        members = member_stack(rng, 2, 5, 3)
-        assert joint_sample(as_members(members), rng.integers(0, 3, 5), source="ood").source == "ood"
+        assert all(column.shape == (17,) for column in joint_sample(as_members(members), rng.integers(0, 5, 17)))
 
 
 class TestScottBandwidth:
@@ -229,15 +210,14 @@ class TestKrr:
     def test_constant_target(self):
         # The ridge floor, 1e-8 * n on the diagonal, shrinks a constant by at most 1e-4.
         x = np.linspace(0.0, 1.0, 40)
-        curve = krr(x, np.full(40, 0.7), x)
-        assert curve.ridge == RIDGE_FLOOR
-        assert np.abs(curve.y_hat - 0.7).max() < 1e-4
+        y_hat, _, ridge, _ = krr(x, np.full(40, 0.7), x)
+        assert ridge == RIDGE_FLOOR
+        assert np.abs(y_hat - 0.7).max() < 1e-4
 
     def test_linear_target_interior(self):
         x = np.linspace(0.0, 1.0, 201)
         x_eval = np.linspace(0.1, 0.9, 81)
-        curve = krr(x, x, x_eval)
-        assert np.abs(curve.y_hat - x_eval).max() < 0.02
+        assert np.abs(krr(x, x, x_eval)[0] - x_eval).max() < 0.02
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -254,9 +234,9 @@ class TestKrr:
         x = np.concatenate([values, r.choice(values, n - values.size)])
         y = np.full(n, 10.0 ** r.uniform(-8.0, 0.0)) if constant else 10.0 ** r.uniform(-8.0, 0.0, n)
         x_eval = np.linspace(x.min(), x.max(), 50)
-        curve = krr(x, y, x_eval)
-        assert np.all(np.isfinite(curve.y_hat))
-        assert curve.ridge == max(1e-3 * float(y.var()), 1e-8)
+        y_hat, _, ridge, _ = krr(x, y, x_eval)
+        assert np.all(np.isfinite(y_hat))
+        assert ridge == max(1e-3 * float(y.var()), 1e-8)
 
     def test_failed_solve_is_numerical_error(self, monkeypatch):
         def singular(a, b):
@@ -268,8 +248,7 @@ class TestKrr:
 
     def test_default_ridge_floor(self):
         x = np.linspace(0.0, 1.0, 50)
-        curve = krr(x, np.full(50, 1e-4), x)
-        assert curve.ridge >= 1e-8
+        assert krr(x, np.full(50, 1e-4), x)[2] >= 1e-8
 
     def test_shape_mismatch(self):
         with pytest.raises(ValidationError):
@@ -285,17 +264,14 @@ class TestKrr:
         # it come out, then its error.
         x = np.stack([np.linspace(0.0, 1.0, 30), np.linspace(0.2, 0.9, 30), np.linspace(0.1, 0.8, 30)])
         x[bad] = 0.5
-        curves = krr_conditional_expectation(x, x ** 2, np.linspace(0.1, 0.9, 20))
+        fits = krr_conditional_expectation(x, x ** 2, np.linspace(0.1, 0.9, 20))
         for _ in range(bad):
-            assert np.all(np.isfinite(next(curves).y_hat))
+            assert np.all(np.isfinite(next(fits)[0]))
         with pytest.raises(ValidationError, match="zero-variance"):
-            next(curves)
+            next(fits)
 
     def test_curve_finite(self, rng):
-        sample = linear_sample(rng)
-        grid = np.linspace(0.25, 0.75, 50)
-        curve = krr(sample.avg, sample.div, grid)
-        assert np.all(np.isfinite(curve.y_hat))
+        assert np.all(np.isfinite(krr(*linear_sample(rng), np.linspace(0.25, 0.75, 50))[0]))
 
 
 class TestSolveMatchesScipy:
@@ -308,9 +284,9 @@ class TestSolveMatchesScipy:
         x_eval = np.linspace(np.percentile(x, 1.0), np.percentile(x, 99.0), 100)
         fast = krr(x, y, x_eval)
         ref = scipy_factor_krr(x, y, x_eval)
-        assert fast.rank == ref.rank > 64
-        assert fast.ridge == ref.ridge
-        np.testing.assert_allclose(fast.y_hat, ref.y_hat, rtol=1e-10, atol=0)
+        assert fast[3] == ref[3] > 64
+        assert fast[2] == ref[2]
+        np.testing.assert_allclose(fast[0], ref[0], rtol=1e-10, atol=0)
 
     def test_permutation_test_agrees(self):
         sample_ind, sample_ood = split_samples(3)
@@ -332,9 +308,9 @@ class TestLowRankMatchesDense:
         x_eval = np.linspace(np.percentile(x, 1.0), np.percentile(x, 99.0), 100)
         fast = krr(x, y, x_eval)
         exact = dense_krr_curve(x, y, x_eval)
-        assert fast.ridge == exact.ridge
-        assert fast.rank < n
-        assert np.abs(fast.y_hat - exact.y_hat).max() <= 1e-9
+        assert fast[2] == exact[2]
+        assert fast[3] < n
+        assert np.abs(fast[0] - exact[0]).max() <= 1e-9
 
     def test_factor_reproduces_kernel(self, rng):
         x = rng.beta(0.7, 2.0, 300)
@@ -415,12 +391,12 @@ class TestLowRankMatchesDense:
         x_eval = np.linspace(0.05, 0.6, 100)
         tracemalloc.start()
         try:
-            curve = krr(x, y, x_eval)
+            y_hat, _, _, rank = krr(x, y, x_eval)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert curve.rank > 64
-        assert np.all(np.isfinite(curve.y_hat))
+        assert rank > 64
+        assert np.all(np.isfinite(y_hat))
         assert peak < 100 * 2**20
 
 
@@ -430,25 +406,33 @@ class TestSurrogateBatches:
     # test_stacked_factors_bit_equal_to_first_loop); another BLAS may not.
     @pytest.mark.parametrize("fits", [1, 2, 3, 7])
     def test_d_surrogates_bit_equal_whatever_the_batch(self, monkeypatch, fits):
-        sample_ind, sample_ood = split_samples(4)
-        default = permutation_test(sample_ind, sample_ood, n_surrogates=20, seed=4)
-        monkeypatch.setattr(conditional, "BLOCK_ELEMENTS", 64 * (sample_ind.n + 100) * fits)
-        assert conditional.fits_per_sweep(sample_ind.n + 100) == fits
-        batched = permutation_test(sample_ind, sample_ood, n_surrogates=20, seed=4)
-        assert batched.d_surrogates.tobytes() == default.d_surrogates.tobytes()
-        assert batched.p_value == default.p_value
+        # The observed split is split 0 of the first sweep: its d, curves and
+        # fits are the bits of the loop of one fit at a time, at any width.
+        ind, ood = split_samples(4)
+        loop = loop_permutation_test(krr, ind, ood, n_surrogates=20, seed=4)
+        default = permutation_test(ind, ood, n_surrogates=20, seed=4)
+        monkeypatch.setattr(conditional, "BLOCK_ELEMENTS", 64 * (ind[0].size + 100) * fits)
+        assert conditional.fits_per_sweep(ind[0].size + 100) == fits
+        batched = permutation_test(ind, ood, n_surrogates=20, seed=4)
+        for res in (default, batched):
+            for field in ("grid", "curves", "bandwidths", "ridges", "ranks", "d_surrogates"):
+                got, expected = getattr(res, field), getattr(loop, field)
+                assert got.dtype == expected.dtype and got.shape == expected.shape, field
+                assert got.tobytes() == expected.tobytes(), field
+            assert np.float64(res.d).tobytes() == np.float64(loop.d).tobytes()
+            assert res.p_value == loop.p_value
 
     def test_memory_within_one_fit_and_a_sweep(self):
-        sample_ind, sample_ood = (JointSample(s.avg[:400], s.div[:400]) for s in split_samples(5))
-        x_eval = evaluation_grid(sample_ind, sample_ood)
+        ind, ood = ((avg[:400], div[:400]) for avg, div in split_samples(5))
+        x_eval = evaluation_grid(ind[0], ood[0])
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            conditional.fit_sample_curve(sample_ind, x_eval)
+            krr(*ind, x_eval)
             one_fit = tracemalloc.get_traced_memory()[1] - start
             tracemalloc.reset_peak()
             start = tracemalloc.get_traced_memory()[0]
-            permutation_test(sample_ind, sample_ood, n_surrogates=400, seed=5)
+            permutation_test(ind, ood, n_surrogates=400, seed=5)
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
@@ -463,18 +447,17 @@ class TestSurrogateBatches:
 
 class TestEvaluationGrid:
     def test_within_overlap(self, rng):
-        a = linear_sample(rng)
-        b = JointSample(a.avg + 0.1, a.div)
+        a = linear_sample(rng)[0]
+        b = a + 0.1
         grid = evaluation_grid(a, b)
         assert grid.shape == (100,)
-        assert grid[0] >= max(a.avg.min(), b.avg.min())
-        assert grid[-1] <= min(a.avg.max(), b.avg.max())
+        assert grid[0] >= max(a.min(), b.min())
+        assert grid[-1] <= min(a.max(), b.max())
 
     def test_disjoint_supports_rejected(self, rng):
-        a = linear_sample(rng)
-        b = JointSample(a.avg + 10.0, a.div)
+        a = linear_sample(rng)[0]
         with pytest.raises(ValidationError):
-            evaluation_grid(a, b)
+            evaluation_grid(a, a + 10.0)
 
 
 class TestTrimPercentiles:
@@ -496,7 +479,7 @@ class TestTrimPercentiles:
     def test_grid_bit_equal_to_percentile_grid(self, n):
         rng = np.random.default_rng(n)
         for values in self._draws(rng, 2 * n).values():
-            a, b = JointSample(values[:n], values[n:]), JointSample(values[n:] + 0.01, values[:n])
+            a, b = values[:n], values[n:] + 0.01
             try:
                 expected = percentile_grid(a, b)
             except ValidationError as exc:
@@ -509,8 +492,8 @@ class TestTrimPercentiles:
     @pytest.mark.parametrize("count", [1, 3, 40])
     def test_non_finite_avg_ends_as_with_np_percentile(self, bad, count):
         rng = np.random.default_rng(count)
-        a, b = linear_sample(rng), linear_sample(rng)
-        a.avg[rng.choice(a.n, count, replace=False)] = bad
+        a, b = linear_sample(rng)[0], linear_sample(rng)[0]
+        a[rng.choice(a.size, count, replace=False)] = bad
         try:
             with np.errstate(invalid="ignore"):  # np.percentile subtracts inf from inf
                 expected = percentile_grid(a, b)
@@ -523,52 +506,34 @@ class TestTrimPercentiles:
 
 class TestDStatistic:
     def test_identical_curves(self):
-        c = ConditionalCurve(np.linspace(0, 1, 100), np.linspace(0.1, 0.3, 100), 0.1, 1e-6)
-        assert d_statistic(c, c) == 0.0
+        y = np.linspace(0.1, 0.3, 100)
+        assert d_statistic(np.linspace(0, 1, 100), y, y) == 0.0
 
     def test_scaled_curve(self):
         x = np.linspace(0, 1, 100)
         y = np.linspace(0.1, 0.3, 100)
-        a = ConditionalCurve(x, y, 0.1, 1e-6)
-        b = ConditionalCurve(x, 1.1 * y, 0.1, 1e-6)
-        assert abs(d_statistic(a, b) - 0.1) < 1e-12
+        assert abs(d_statistic(x, y, 1.1 * y) - 0.1) < 1e-12
 
     def test_partial_bump(self):
         # +1 on 10 of 100 unit-height grid points adds 10 to a denominator of 100.
-        x = np.linspace(0, 1, 100)
-        base = ConditionalCurve(x, np.ones(100), 0.1, 1e-6)
         bumped = np.ones(100)
         bumped[:10] += 1.0
-        assert d_statistic(base, ConditionalCurve(x, bumped, 0.1, 1e-6)) == pytest.approx(0.1)
-
-    def test_grid_mismatch(self):
-        a = ConditionalCurve(np.linspace(0, 1, 50), np.ones(50), 0.1, 1e-6)
-        b = ConditionalCurve(np.linspace(0, 2, 50), np.ones(50), 0.1, 1e-6)
-        with pytest.raises(ValidationError):
-            d_statistic(a, b)
+        assert d_statistic(np.linspace(0, 1, 100), np.ones(100), bumped) == pytest.approx(0.1)
 
     def test_nonpositive_denominator(self):
-        x = np.linspace(0, 1, 10)
-        a = ConditionalCurve(x, np.zeros(10), 0.1, 1e-6)
-        b = ConditionalCurve(x, np.ones(10), 0.1, 1e-6)
         with pytest.raises(NumericalError):
-            d_statistic(a, b)
+            d_statistic(np.linspace(0, 1, 10), np.zeros(10), np.ones(10))
 
     def test_integral_form(self):
         # Constant relative difference r over [0, 2] integrates to 2r.
         x = np.linspace(0.0, 2.0, 100)
-        a = ConditionalCurve(x, np.ones(100), 0.1, 1e-6)
-        b = ConditionalCurve(x, np.full(100, 1.2), 0.1, 1e-6)
-        assert d_statistic(a, b, integral=True) == pytest.approx(0.4, abs=1e-12)
+        assert d_statistic(x, np.ones(100), np.full(100, 1.2), integral=True) == pytest.approx(0.4, abs=1e-12)
 
     def test_integral_form_needs_positive_ind_curve(self):
-        x = np.linspace(0.0, 1.0, 10)
         y = np.ones(10)
         y[4] = 0.0
-        a = ConditionalCurve(x, y, 0.1, 1e-6)
-        b = ConditionalCurve(x, np.ones(10), 0.1, 1e-6)
         with pytest.raises(NumericalError, match=r"InD curve is 0 at grid x = 0\.444444, .* ratio-of-sums"):
-            d_statistic(a, b, integral=True)
+            d_statistic(np.linspace(0.0, 1.0, 10), y, np.ones(10), integral=True)
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 300), uniform=st.booleans())
     @settings(max_examples=200, deadline=None)
@@ -577,24 +542,34 @@ class TestDStatistic:
         x = np.linspace(r.uniform(0, 1), r.uniform(1, 3), n) if uniform else np.sort(r.uniform(0, 3, n))
         y_ind = r.uniform(0.01, 1.0, n)
         y_ood = r.uniform(0.01, 1.0, n)
-        d = d_statistic(ConditionalCurve(x, y_ind, 0.1, 1e-6), ConditionalCurve(x, y_ood, 0.1, 1e-6),
-                        integral=True)
-        assert d == float(trapezoid((y_ood - y_ind) / y_ind, x))
+        assert d_statistic(x, y_ind, y_ood, integral=True) == float(trapezoid((y_ood - y_ind) / y_ind, x))
 
 
 class TestPermutationTest:
     def test_duplicated_sample_null(self, rng):
         sample = linear_sample(rng)
-        twin = JointSample(sample.avg.copy(), sample.div.copy())
+        twin = tuple(column.copy() for column in sample)
         res = permutation_test(sample, twin, n_surrogates=100, seed=0)
         assert res.d == 0.0
         assert res.p_value >= 0.4
-        assert res.n_surrogates == 100
         assert res.d_surrogates.shape == (100,)
+        assert res.curves.shape == (2, 100) and res.grid.shape == (100,)
+        assert res.bandwidths.shape == res.ridges.shape == res.ranks.shape == (2,)
+
+    @pytest.mark.parametrize("side", [
+        (np.zeros(3), np.zeros(4)), (np.zeros((2, 2)), np.zeros((2, 2))), (np.zeros(5), np.zeros((5, 1))),
+    ], ids=["lengths", "2-d", "shapes"])
+    @pytest.mark.parametrize("bad_side", ["ind", "ood"])
+    def test_input_checks(self, rng, side, bad_side):
+        # Each side is two 1-d arrays of equal length, checked before anything else.
+        sample = linear_sample(rng, n=20)
+        sides = (side, sample) if bad_side == "ind" else (sample, side)
+        with pytest.raises(ValidationError, match="avg and div must be 1-d arrays of equal length"):
+            permutation_test(*sides, n_surrogates=0)
 
     def test_p_on_add_one_lattice(self, rng):
         sample = linear_sample(rng, n=80)
-        other = JointSample(sample.avg, sample.div * 1.05)
+        other = (sample[0], sample[1] * 1.05)
         res = permutation_test(sample, other, n_surrogates=100, seed=3)
         scaled = res.p_value * 101
         assert abs(scaled - round(scaled)) < 1e-9
@@ -602,7 +577,7 @@ class TestPermutationTest:
 
     def test_deterministic(self, rng):
         sample = linear_sample(rng, n=60)
-        other = JointSample(sample.avg, sample.div + 0.01)
+        other = (sample[0], sample[1] + 0.01)
         r1 = permutation_test(sample, other, n_surrogates=20, seed=5)
         r2 = permutation_test(sample, other, n_surrogates=20, seed=5)
         assert r1.d == r2.d
@@ -615,42 +590,43 @@ class TestPermutationTest:
         # observed InD, observed OOD, then InD and OOD per surrogate. The InD
         # fit in that place comes back nonpositive. The three surrogates share
         # one batch, with surrogate 1 in its middle.
-        sample_ind = linear_sample(rng, n=60)
-        sample_ood = JointSample(sample_ind.avg[:59], sample_ind.div[:59] + 0.01)
+        ind = linear_sample(rng, n=60)
+        ood = (ind[0][:59], ind[1][:59] + 0.01)
         assert conditional.fits_per_sweep(59 + 100) >= 3
         monkeypatch.setattr(conditional, "krr_conditional_expectation",
-                            nonpositive_ind_fit(sample_ind.n, (bad_call + 1) // 2))
+                            nonpositive_ind_fit(60, (bad_call + 1) // 2))
         with pytest.raises(NumericalError) as err:
-            permutation_test(sample_ind, sample_ood, n_surrogates=3, seed=1)
-        x_lo = evaluation_grid(sample_ind, sample_ood)[0]
+            permutation_test(ind, ood, n_surrogates=3, seed=1)
+        x_lo = evaluation_grid(ind[0], ood[0])[0]
         assert str(err.value).startswith(f"{fit}: InD curve has nonpositive total -50 (minimum -2 at grid x = {x_lo:.6g})")
 
-    @pytest.mark.parametrize("undefined_d", [False, True])
+    @pytest.mark.parametrize("undefined_d", [False, True, "observed"])
     def test_errors_come_in_loop_order(self, monkeypatch, undefined_d):
         # Three InD points drawn from a pool that is mostly 0.5: a surrogate
-        # after the first, in the same batch, has a zero-variance InD sample.
-        # With surrogate 0's InD fit made nonpositive, its undefined d ends
-        # the run first, as in the loop of one fit at a time.
-        sample_ind = JointSample(np.array([0.5, 0.5, 0.7]), np.array([0.1, 0.2, 0.3]))
-        ood_avg = np.concatenate([np.full(36, 0.5), [0.3, 0.4, 0.6, 0.7]])
-        sample_ood = JointSample(ood_avg, np.linspace(0.05, 0.4, 40))
-        pooled = np.concatenate([sample_ind.avg, sample_ood.avg])
+        # after the first, in the same sweep as the observed split, has a
+        # zero-variance InD sample. With surrogate 0's InD fit (True) or the
+        # observed one ("observed") made nonpositive, its undefined d ends
+        # the run first, as in the loop of one fit at a time; a NumericalError
+        # is the command line's exit 2.
+        ind = (np.array([0.5, 0.5, 0.7]), np.array([0.1, 0.2, 0.3]))
+        ood = (np.concatenate([np.full(36, 0.5), [0.3, 0.4, 0.6, 0.7]]), np.linspace(0.05, 0.4, 40))
+        pooled = np.concatenate([ind[0], ood[0]])
         degenerate = [bool(np.all(pooled[np.random.default_rng([seed, k]).permutation(43)[:3]] == 0.5))
                       for seed in range(50) for k in range(2)]
         seed = next(s for s in range(50) if degenerate[2 * s:2 * s + 2] == [False, True])
-        assert conditional.fits_per_sweep(40 + 100) >= 2
-        place = 2 if undefined_d else 0
+        assert conditional.fits_per_sweep(3 + 100) >= 3
         real = conditional.krr_conditional_expectation
-        bad = nonpositive_ind_fit(3, place, real)
+        nonpositive, first = {False: (0, "bandwidth undefined"), True: (2, "surrogate 0: "),
+                              "observed": (1, "observed fit: ")}[undefined_d]
+        bad = nonpositive_ind_fit(3, nonpositive, real)
         expected = NumericalError if undefined_d else ValidationError
         with pytest.raises(expected) as loop_err:
-            loop_permutation_test(lambda x, y, g: next(bad(x[None], y[None], g)),
-                                  sample_ind, sample_ood, n_surrogates=5, seed=seed)
-        monkeypatch.setattr(conditional, "krr_conditional_expectation", nonpositive_ind_fit(3, place, real))
+            loop_permutation_test(lambda x, y, g: next(bad(x[None], y[None], g)), ind, ood, n_surrogates=5, seed=seed)
+        monkeypatch.setattr(conditional, "krr_conditional_expectation", nonpositive_ind_fit(3, nonpositive, real))
         with pytest.raises(expected) as err:
-            permutation_test(sample_ind, sample_ood, n_surrogates=5, seed=seed)
+            permutation_test(ind, ood, n_surrogates=5, seed=seed)
         assert str(err.value) == str(loop_err.value)
-        assert str(err.value).startswith("surrogate 0: " if undefined_d else "bandwidth undefined")
+        assert str(err.value).startswith(first)
 
     def test_needs_one_surrogate(self, rng):
         sample = linear_sample(rng, n=20)
@@ -664,13 +640,12 @@ class TestPermutationTest:
             member_noise_scale=0.25, shift_strength=0.0, seed=7,
         ), tmp_path))
         members = store.member_probs(sorted(store.model_ids), "ind")
-        full = joint_sample(members, store.labels["ind"])
-        half = full.n // 2
+        avg, div = joint_sample(members, store.labels["ind"])
+        half = avg.size // 2
         ok = 0
         for trial in range(100):
-            perm = np.random.default_rng([101, trial]).permutation(full.n)
-            a = JointSample(full.avg[perm[:half]], full.div[perm[:half]])
-            b = JointSample(full.avg[perm[half:]], full.div[perm[half:]])
+            perm = np.random.default_rng([101, trial]).permutation(avg.size)
+            a, b = ((avg[take], div[take]) for take in (perm[:half], perm[half:]))
             res = permutation_test(a, b, n_surrogates=50, seed=trial)
             if abs(res.d) < 0.02 and res.p_value > 0.05:
                 ok += 1
