@@ -295,8 +295,8 @@ def _load_ensembles(arg: str, store: PredictionStore, pair: tuple[str, str]) -> 
 
 
 def cmd_trends(args: argparse.Namespace) -> None:
-    from .trends import (TABLE_CLASSES, diversity_ratio_check, effective_robustness,
-                         form_heterogeneous_ensembles, trend_points, trend_table)
+    from .trends import (diversity_ratio_check, effective_robustness, form_heterogeneous_ensembles,
+                         trend_points, trend_table)
 
     store = load_store(args.manifest)
     pair = _resolve_pair(store, args.pair)
@@ -316,40 +316,33 @@ def cmd_trends(args: argparse.Namespace) -> None:
                 ensembles.append(ens)
             heterogeneous.add(listed.get(frozenset(ens), ens))
 
-    # Every metric is scored in one pass; the diversity ratio reads the Brier points.
-    scored = trend_points(store, ensembles, pair, n_bins=args.bins, heterogeneous=frozenset(heterogeneous))
+    # Every metric is scored in one pass; the diversity ratio reads the Brier column.
+    scores = trend_points(store, ensembles, pair, n_bins=args.bins, heterogeneous=frozenset(heterogeneous))
     try:
-        ratio_report = asdict(diversity_ratio_check(scored, ensembles))
+        ratio_report = asdict(diversity_ratio_check(scores, ensembles))
     except ValidationError as exc:
         ratio_report = {"skipped": str(exc)}
-    points = [p for metric in metrics for p in scored if p.metric == metric]
-    rows = trend_table(points)
+    rows = trend_table(scores, metrics)
 
     # Effective robustness is measured from the fit over single models alone.
-    baselines = {r.metric: r.fit for r in rows if TABLE_CLASSES[r.model_class] == ("single",)}
+    baselines = {r.metric: r.fit for r in rows if r.model_class == "Single Model"}
+    # The points, metric by metric in --metric order, each metric's models in table order.
+    points = np.concatenate([scores.column(metric) for metric in metrics])
+    robustness = [effective_robustness(baselines[metric], *scores.column(metric).T) if metric in baselines
+                  else np.full(len(scores.ids), np.nan) for metric in metrics]
     write_csv(
         out / "trend_points.csv",
-        {
-            **{key: [getattr(p, key) for p in points]
-               for key in ("metric", "model_id", "model_class", "ind_value", "ood_value")},
-            "effective_robustness": [
-                effective_robustness(p, baselines[p.metric]) if p.metric in baselines else float("nan")
-                for p in points
-            ],
-        },
+        {"metric": np.repeat(metrics, len(scores.ids)), "model_id": scores.ids * len(metrics),
+         "model_class": scores.classes * len(metrics), "ind_value": points[:, 0], "ood_value": points[:, 1],
+         "effective_robustness": np.concatenate(robustness)},
     )
-    write_csv(
-        out / "trend_table.csv",
-        {
-            "metric": [r.metric for r in rows],
-            "model_class": [r.model_class for r in rows],
-            **{key: [getattr(r.fit, key) for r in rows]
-               for key in ("coefficient", "std_error", "t_statistic", "p_value", "r2", "n")},
-        },
-    )
+    # result.json's table; trend_table.csv holds every field of it but the intercept.
+    table = [{"metric": r.metric, "model_class": r.model_class, **asdict(r.fit)} for r in rows]
+    write_csv(out / "trend_table.csv", {key: [row[key] for row in table] for key in (
+        "metric", "model_class", "coefficient", "std_error", "t_statistic", "p_value", "r2", "n")})
 
     for metric in metrics:
-        _trends_figure(points, rows, metric, out / f"trends_{metric}.svg")
+        _trends_figure(scores, rows, metric, out / f"trends_{metric}.svg")
 
     _write_result(
         out / "result.json",
@@ -357,7 +350,7 @@ def cmd_trends(args: argparse.Namespace) -> None:
         {
             "inputs": {"manifest": str(args.manifest), "pair": list(pair)},
             "metrics": metrics,
-            "table": [{"metric": r.metric, "model_class": r.model_class, **asdict(r.fit)} for r in rows],
+            "table": table,
             "diversity_ratio": ratio_report,
             "ensembles": [list(e) for e in ensembles],
             "heterogeneous_skipped_bins": skipped_bins,
@@ -373,19 +366,18 @@ def cmd_trends(args: argparse.Namespace) -> None:
     )
 
 
-def _trends_figure(points, rows, metric: str, path: Path) -> None:
+def _trends_figure(scores, rows, metric: str, path: Path) -> None:
     from . import svgplot
-    from .trends import TABLE_CLASSES
 
-    pts = [p for p in points if p.metric == metric]
-    lim = svgplot.padded_limits(np.array([[p.ind_value, p.ood_value] for p in pts]))
+    column = scores.column(metric)
+    lim = svgplot.padded_limits(column)
     panel = svgplot.Panel(60, 40, 420, 420, lim, lim, title=f"Trend: {metric}",
                           xlabel="InD score", ylabel="OOD score")
     panel.line([lim[0], lim[1]], [lim[0], lim[1]], svgplot.LINE_COLOR, width=1.0, dash="5,4")
     fit_colors = {"All": svgplot.LINE_COLOR, "Single Model": svgplot.SINGLE_COLOR, "Ensemble": svgplot.ENSEMBLE_COLOR}
     for cls in ("Single Model", "Ensemble"):
-        grp = [p for p in pts if p.model_class in TABLE_CLASSES[cls]]
-        panel.scatter([p.ind_value for p in grp], [p.ood_value for p in grp], fit_colors[cls], r=3.5, opacity=0.8)
+        mask = scores.mask(cls)
+        panel.scatter(column[mask, 0], column[mask, 1], fit_colors[cls], r=3.5, opacity=0.8)
     gx = np.linspace(lim[0], lim[1], 50)
     y0 = 56
     for r in rows:

@@ -1,11 +1,14 @@
 """Linear accuracy-on-the-line style trends between paired test sets.
 
-Each model (single network or ensemble) contributes one point: its mean
-score on the in-distribution set against its mean score on the shifted
-set. Scores keep the lower-is-better orientation and axes are left
-untransformed. Effective robustness is the signed residual against a
-fitted baseline, positive when a model does better under shift than the
-baseline predicts.
+Each model (single network or ensemble) contributes one point per metric:
+its mean score on the in-distribution set against its mean score on the
+shifted set. `trend_points` returns every model's points as one table, a
+`TrendScores` of shape (models, TREND_METRICS, InD/OOD), and
+`trend_table`, `effective_robustness` and `diversity_ratio_check` read
+its columns and class masks. Scores keep the lower-is-better orientation
+and axes are left untransformed. Effective robustness is the signed
+residual against a fitted baseline, positive when a model does better
+under shift than the baseline predicts.
 
 An ensemble is a tuple of model ids, and its id is those ids joined by
 ``+``. `form_heterogeneous_ensembles` samples one from each accuracy bin
@@ -33,27 +36,34 @@ from .errors import NumericalError, ValidationError
 from .metrics import IDENTITY_TOL, SCORE_SUMS, ScoreSums, score_sums
 from .store import PredictionStore, form_ensemble, member_blocks
 
-MODEL_CLASSES = ("single", "ensemble", "heterogeneous")
 # Each trend table row, in order, and the model classes its fit covers.
-TABLE_CLASSES = {"All": MODEL_CLASSES, "Single Model": ("single",), "Ensemble": ("ensemble", "heterogeneous")}
-TREND_METRICS = ("zero_one", "nll", "brier", "ece", "resce")
+TABLE_CLASSES = {"All": ("single", "ensemble", "heterogeneous"), "Single Model": ("single",),
+                 "Ensemble": ("ensemble", "heterogeneous")}
+TREND_METRICS = (*SCORE_SUMS, "ece", "resce")
 # Members of each accuracy-binned heterogeneous ensemble.
 HET_ENSEMBLE_SIZE = 4
 
 
 @dataclass
-class TrendPoint:
-    """One model's (ind, ood) mean-score pair for one metric."""
+class TrendScores:
+    """Every scored model's InD and OOD mean of each of TREND_METRICS.
 
-    model_id: str
-    model_class: str
-    metric: str
-    ind_value: float
-    ood_value: float
+    Model k is `ids[k]`, of class `classes[k]` ("single", "ensemble" or
+    "heterogeneous"); `values[k, j]` holds its (InD, OOD) means of metric
+    TREND_METRICS[j].
+    """
 
-    def __post_init__(self) -> None:
-        if self.model_class not in MODEL_CLASSES:
-            raise ValidationError(f"unknown model class {self.model_class!r}")
+    ids: list[str]
+    classes: list[str]
+    values: np.ndarray
+
+    def column(self, metric: str) -> np.ndarray:
+        """The (models, 2) view of one metric's InD and OOD means."""
+        return self.values[:, TREND_METRICS.index(metric)]
+
+    def mask(self, row: str) -> np.ndarray:
+        """Which models the fit of TABLE_CLASSES row `row` covers."""
+        return np.array([c in TABLE_CLASSES[row] for c in self.classes], dtype=bool)
 
 
 @dataclass
@@ -168,17 +178,10 @@ def fit_trend_xy(ind: np.ndarray, ood: np.ndarray) -> TrendFit:
     )
 
 
-def fit_trend(points: Sequence[TrendPoint]) -> TrendFit:
-    ind = np.array([p.ind_value for p in points])
-    ood = np.array([p.ood_value for p in points])
-    return fit_trend_xy(ind, ood)
-
-
-def effective_robustness(point: TrendPoint, baseline: TrendFit) -> float:
-    """Predicted minus actual shifted score. Positive means the model beats
-    the baseline line (scores are errors, so lower is better)."""
-    predicted = baseline.intercept + baseline.coefficient * point.ind_value
-    return float(predicted - point.ood_value)
+def effective_robustness(baseline: TrendFit, ind: np.ndarray, ood: np.ndarray) -> np.ndarray:
+    """Predicted minus actual shifted score of each model. Positive means the
+    model beats the baseline line (scores are errors, so lower is better)."""
+    return baseline.intercept + baseline.coefficient * ind - ood
 
 
 def form_heterogeneous_ensembles(
@@ -242,7 +245,7 @@ def trend_points(
     pair: tuple[str, str],
     n_bins: int = 15,
     heterogeneous: frozenset[tuple[str, ...]] = frozenset(),
-) -> list[TrendPoint]:
+) -> TrendScores:
     """Score every single model and every ensemble on both sides of a pair.
 
     Each dataset is walked once, one block of store.member_blocks at a
@@ -257,9 +260,10 @@ def trend_points(
     Each ensemble is checked by `PredictionStore.check_ensemble` first, so an
     empty or repeated one, or one naming a model off the pair, is one
     ValidationError naming it.
-    Points come out metric by metric in TREND_METRICS order, singles first. An
-    ensemble's point is named by its members joined with ``+``, and is of
-    class "heterogeneous" when its tuple is in `heterogeneous`.
+    The table's rows are the singles in the pair's model order, then the
+    ensembles as given. An ensemble is named by its members joined with
+    ``+``, and is of class "heterogeneous" when its tuple is in
+    `heterogeneous`.
     """
     models = store.models_on_pair(pair)
     m = len(models)
@@ -271,13 +275,12 @@ def trend_points(
         rest = set(models).difference(ens)
         all_but_one = m >= 3 and len(ens) == m - 1 and len(rest) == 1
         forms.append(index[rest.pop()] if all_but_one else [index[k] for k in ens])
+    ids = [*models, *("+".join(ens) for ens in ensembles)]
+    classes = ["single"] * m + ["heterogeneous" if ens in heterogeneous else "ensemble" for ens in ensembles]
+    values = np.zeros((len(ids), len(TREND_METRICS), 2))
     if not models:
-        return []
+        return TrendScores(ids, classes, values)
     loo = any(isinstance(form, int) for form in forms)
-
-    scored = [(k, "single") for k in models] + [
-        ("+".join(ens), "heterogeneous" if ens in heterogeneous else "ensemble") for ens in ensembles
-    ]
 
     def walk(dataset: str) -> ScoreSums:
         """Score and bin sums over one dataset's blocks. A block's slots hold the
@@ -293,21 +296,16 @@ def trend_points(
                     continue
                 np.subtract(stack[-1], stack[form], out=slot)
                 slot /= m - 1
-            part = score_sums(stack[:len(scored)], labels[rows], n_bins=n_bins)
+            part = score_sums(stack[:len(ids)], labels[rows], n_bins=n_bins)
             sums = part if sums is None else sums + part
         return sums
 
-    values: list[list[dict]] = [[] for _ in scored]
-    for dataset in pair:
+    for side, dataset in enumerate(pair):
         sums = walk(dataset)
-        for k, (out, means) in enumerate(zip(values, (sums.scores / len(store.labels[dataset])).tolist())):
-            out.append(dict(zip(SCORE_SUMS, means)))
-            out[-1]["ece"], out[-1]["resce"] = sums.calibration_errors(k)
-    return [
-        TrendPoint(model_id, cls, metric, ind[metric], ood[metric])
-        for metric in TREND_METRICS
-        for (model_id, cls), (ind, ood) in zip(scored, values)
-    ]
+        values[:, :len(SCORE_SUMS), side] = sums.scores / len(store.labels[dataset])
+        for k in range(len(ids)):
+            values[k, len(SCORE_SUMS):, side] = sums.calibration_errors(k)
+    return TrendScores(ids, classes, values)
 
 
 @dataclass
@@ -317,19 +315,23 @@ class TrendRow:
     fit: TrendFit
 
 
-def trend_table(points: Sequence[TrendPoint]) -> list[TrendRow]:
-    """Fit one row per metric for each row of TABLE_CLASSES, over the points of its classes.
+def trend_table(scores: TrendScores, metrics: Sequence[str]) -> list[TrendRow]:
+    """Fit one row per metric, in sorted order, for each row of TABLE_CLASSES,
+    over the models of its classes in table order.
 
-    Rows with fewer than 3 points are omitted. When only one class is
+    A row is omitted when no line fits it: it has fewer than 3 models, or
+    its models' InD scores have zero variance. When only one class is
     present its row coincides with All.
     """
     rows: list[TrendRow] = []
-    for metric in sorted({p.metric for p in points}):
-        for cls, classes in TABLE_CLASSES.items():
-            grp = [p for p in points if p.metric == metric and p.model_class in classes]
-            if len(grp) < 3:
+    for metric in sorted(metrics):
+        column = scores.column(metric)
+        for cls in TABLE_CLASSES:
+            mask = scores.mask(cls)
+            ind, ood = column[mask, 0], column[mask, 1]
+            if len(ind) < 3 or float(ind.var()) == 0.0:
                 continue
-            rows.append(TrendRow(metric, cls, fit_trend(grp)))
+            rows.append(TrendRow(metric, cls, fit_trend_xy(ind, ood)))
     return rows
 
 
@@ -349,18 +351,22 @@ class DiversityRatioReport:
 
 
 def diversity_ratio_check(
-    points: Sequence[TrendPoint],
+    scores: TrendScores,
     ensembles: Sequence[tuple[str, ...]],
 ) -> DiversityRatioReport:
-    """Diversity ratio from the Brier trend points alone.
+    """Diversity ratio from the Brier column of the trend scores alone.
 
     By the Brier-gap identity an ensemble's mean variance diversity is its
     members' mean Brier score minus its own, so no predictions are read.
-    `points` must hold the Brier points of every ensemble and its members.
+    `scores` must hold every ensemble and its members. The members' mean
+    is one 1-d `np.mean` per dataset, in member order.
     """
-    brier_points = [p for p in points if p.metric == "brier"]
-    singles = {p.model_id: p for p in brier_points if p.model_class in TABLE_CLASSES["Single Model"]}
-    combined = {p.model_id: p for p in brier_points if p.model_class in TABLE_CLASSES["Ensemble"]}
+    brier = scores.column("brier")
+    single = scores.mask("Single Model")
+    singles, combined = (
+        {k: i for i, (k, inside) in enumerate(zip(scores.ids, mask)) if inside}
+        for mask in (single, scores.mask("Ensemble"))
+    )
     if not ensembles:
         raise ValidationError("diversity ratio needs at least one ensemble")
     if len(singles) < 3:
@@ -371,17 +377,16 @@ def diversity_ratio_check(
         if len(members) < 2:
             raise ValidationError(f"ensemble {eid!r} has fewer than two members")
         try:
-            point = combined[eid]
-            member_points = [singles[m] for m in members]
+            k = combined[eid]
+            rows = [singles[m] for m in members]
         except KeyError as exc:
             raise ValidationError(f"no brier trend point for {exc.args[0]!r}") from exc
-        div_ind = float(np.mean([p.ind_value for p in member_points])) - point.ind_value
-        div_ood = float(np.mean([p.ood_value for p in member_points])) - point.ood_value
+        div_ind, div_ood = (float(np.mean(brier[rows, side])) - float(brier[k, side]) for side in (0, 1))
         if div_ind <= IDENTITY_TOL:
             raise ValidationError(f"ensemble {eid!r} has zero mean diversity on the InD set")
         per_ens[eid] = div_ood / div_ind
 
-    fit = fit_trend(list(singles.values()))
+    fit = fit_trend_xy(brier[single, 0], brier[single, 1])
     ratio = float(np.mean(list(per_ens.values())))
     return DiversityRatioReport(
         ratio=ratio,

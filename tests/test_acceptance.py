@@ -309,8 +309,8 @@ def test_released_dump_trend_row():
             "set ENSDIAG_RELEASED_MANIFEST to the released manifest to enable",
         )
     store = load_store(manifest)
-    points = [p for p in trend_points(store, [], pair=store.pairs[0]) if p.metric == "zero_one"]
-    rows = {(r.metric, r.model_class): r.fit for r in trend_table(points)}
+    scores = trend_points(store, [], pair=store.pairs[0])
+    rows = {(r.metric, r.model_class): r.fit for r in trend_table(scores, ["zero_one"])}
     fit = rows[("zero_one", "All")]
     record(
         "released-dump trend row",

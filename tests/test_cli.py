@@ -818,6 +818,45 @@ class TestTrendsCommand:
         assert (out / "trends_zero_one.svg").is_file()
         assert (out / "trend_points.csv").is_file()
 
+    @pytest.mark.parametrize("arg,requested", [
+        ("resce,01", ("resce", "zero_one")),
+        ("01,brier,resce", ("zero_one", "brier", "resce")),
+    ])
+    def test_output_order(self, sim_dir, tmp_path, arg, requested):
+        # Points come metric by metric as --metric names them, singles first, then
+        # the ensembles as result.json lists them; table rows come in sorted metric order.
+        out = tmp_path / "tr"
+        assert run(["trends", "--manifest", sim_dir / "manifest.json", "--metric", arg, "--out", out]) == 0
+        result = json.loads((out / "result.json").read_text())
+        ids = ["m000", "m001", "m002", "m003", *("+".join(e) for e in result["ensembles"])]
+        assert len(ids) == 8
+        _, rows = read_csv(out / "trend_points.csv")
+        assert [row[:3] for row in rows] == [
+            [metric, pid, "single" if "+" not in pid else "ensemble"] for metric in requested for pid in ids
+        ]
+        _, table = read_csv(out / "trend_table.csv")
+        assert [row[:2] for row in table] == [
+            [metric, cls] for metric in sorted(requested) for cls in ("All", "Single Model", "Ensemble")
+        ]
+
+    def test_tied_row_left_out(self, tmp_path, capsys):
+        # On this store all four leave-one-out ensembles have InD 0-1 error 0.575,
+        # so no Ensemble line fits; the other rows are still fitted and written.
+        sim = tmp_path / "sim"
+        assert run(["simulate", "--n-points", 40, "--n-ood", 40, "--models", 4, "--seed", 0, "--out", sim]) == 0
+        out = tmp_path / "tr"
+        capsys.readouterr()
+        assert run(["trends", "--manifest", sim / "manifest.json", "--metric", "01", "--out", out]) == 0
+        assert capsys.readouterr().err == ""
+        _, rows = read_csv(out / "trend_points.csv")
+        ensemble_ind = {row[3] for row in rows if row[2] == "ensemble"}
+        assert ensemble_ind == {"0.575"}
+        _, table = read_csv(out / "trend_table.csv")
+        assert [row[:2] for row in table] == [["zero_one", "All"], ["zero_one", "Single Model"]]
+        result = json.loads((out / "result.json").read_text())
+        assert [(r["metric"], r["model_class"]) for r in result["table"]] == [("zero_one", "All"), ("zero_one", "Single Model")]
+        assert (out / "trends_zero_one.svg").is_file()
+
     def test_loo_ensembles_and_ratio(self, sim_dir, tmp_path):
         out = tmp_path / "tr"
         code = run([

@@ -22,10 +22,9 @@ from ensdiag.metrics import brier, compute_metric, score_sums
 from ensdiag.store import PredictionStore, form_ensemble, load_store, member_blocks, write_store
 from ensdiag.trends import (
     TREND_METRICS,
-    TrendPoint,
+    TrendScores,
     diversity_ratio_check,
     effective_robustness,
-    fit_trend,
     fit_trend_xy,
     form_heterogeneous_ensembles,
     t_two_sided_p,
@@ -37,11 +36,15 @@ HAND_X = np.array([0.0, 1.0, 2.0, 3.0])
 HAND_Y = np.array([0.0, 1.0, 2.0, 4.0])
 
 
-def points_from_xy(x, y, model_class="single", metric="brier"):
-    return [
-        TrendPoint(f"m{i}", model_class, metric, float(a), float(b))
-        for i, (a, b) in enumerate(zip(x, y))
-    ]
+def scores_from_xy(*groups, metrics=("brier",)):
+    """TrendScores of hand-set (x, y, model_class) groups, in order: each
+    metric of `metrics` holds the groups' (x, y), every other metric nan."""
+    classes = [cls for x, _, cls in groups for _ in x]
+    xy = np.concatenate([np.column_stack([x, y]) for x, y, _ in groups])
+    values = np.full((len(classes), len(TREND_METRICS), 2), np.nan)
+    for metric in metrics:
+        values[:, TREND_METRICS.index(metric)] = xy
+    return TrendScores([f"m{i}" for i in range(len(classes))], classes, values)
 
 
 class TestFitTrend:
@@ -79,8 +82,10 @@ class TestFitTrend:
             fit_trend_xy(np.full(5, 0.3), np.arange(5.0))
 
     def test_from_points(self):
-        fit = fit_trend(points_from_xy(HAND_X, HAND_Y))
-        assert fit.coefficient == pytest.approx(1.3, abs=1e-12)
+        rows = trend_table(scores_from_xy((HAND_X, HAND_Y, "single")), ["brier"])
+        assert [r.model_class for r in rows] == ["All", "Single Model"]
+        assert rows[0].fit == rows[1].fit == fit_trend_xy(HAND_X, HAND_Y)
+        assert rows[0].fit.coefficient == pytest.approx(1.3, abs=1e-12)
 
     def test_recovery_within_three_se(self):
         # y = 0.5 x + 0.1 + noise; the slope CI should cover 0.5 almost always.
@@ -189,20 +194,22 @@ class TestTTail:
 class TestEffectiveRobustness:
     def test_on_line_point(self):
         fit = fit_trend_xy(HAND_X, 2.0 * HAND_X + 1.0)
-        assert effective_robustness(TrendPoint("m", "single", "brier", 0.5, 2.0), fit) == pytest.approx(0.0, abs=1e-12)
+        assert effective_robustness(fit, np.array([0.5]), np.array([2.0])) == pytest.approx([0.0], abs=1e-12)
 
     def test_below_prediction_is_positive(self):
         fit = fit_trend_xy(HAND_X, 2.0 * HAND_X + 1.0)
-        point = TrendPoint("m", "single", "brier", 0.5, 1.95)
-        assert effective_robustness(point, fit) == pytest.approx(0.05, abs=1e-12)
+        got = effective_robustness(fit, np.array([0.5, 1.0]), np.array([1.95, 3.5]))
+        assert got == pytest.approx([0.05, -0.5], abs=1e-12)
 
     def test_residuals_average_to_zero(self, rng):
         x = rng.uniform(0.0, 1.0, 30)
         y = 0.4 * x + rng.normal(0.0, 0.05, 30)
-        pts = points_from_xy(x, y)
-        fit = fit_trend(pts)
-        residuals = [effective_robustness(p, fit) for p in pts]
+        fit = fit_trend_xy(x, y)
+        residuals = effective_robustness(fit, x, y)
+        assert residuals.shape == (30,)
         assert abs(np.mean(residuals)) < 1e-9
+        # Each entry is the one-point formula, bit for bit.
+        assert residuals.tolist() == [fit.intercept + fit.coefficient * a - b for a, b in zip(x.tolist(), y.tolist())]
 
 
 PAIR = ("ind", "ood")
@@ -275,25 +282,30 @@ def mixed_ensemble_store(rng, root):
 class TestTrendPoints:
     def test_counts_and_values(self, rng, tmp_path):
         store = build_store(rng, tmp_path)
-        pts = [p for p in trend_points(store, [("m0", "m1", "m2", "m3")], ("ind", "ood")) if p.metric == "brier"]
-        assert len(pts) == 5
-        singles = [p for p in pts if p.model_class == "single"]
-        assert len(singles) == 4
-        m0 = next(p for p in pts if p.model_id == "m0")
+        scores = trend_points(store, [("m0", "m1", "m2", "m3")], ("ind", "ood"))
+        assert scores.ids == ["m0", "m1", "m2", "m3", "m0+m1+m2+m3"]
+        assert scores.classes == ["single"] * 4 + ["ensemble"]
+        assert scores.values.shape == (5, len(TREND_METRICS), 2) and scores.values.dtype == np.float64
+        assert scores.mask("Single Model").tolist() == [True] * 4 + [False]
+        column = scores.column("brier")
+        assert np.shares_memory(column, scores.values)
         expected = brier(read(store, "m0", "ind"), store.labels["ind"]).mean()
-        assert m0.ind_value == pytest.approx(expected)
+        assert column[0, 0] == pytest.approx(expected)
 
     def test_one_sided_model_skipped(self, rng, tmp_path):
         datasets = random_datasets(rng)
         datasets["ind"][1]["m9"] = random_simplex(rng, 60, 5)
         store = load_store(write_kind_store(tmp_path, "probs", datasets, [("ind", "ood")]))
-        pts = trend_points(store, [], ("ind", "ood"))
-        assert all(p.model_id != "m9" for p in pts)
+        scores = trend_points(store, [], ("ind", "ood"))
+        assert "m9" not in scores.ids and len(scores.values) == len(scores.ids)
 
     def test_heterogeneous_class_assignment(self, rng, tmp_path):
         store = build_store(rng, tmp_path)
-        pts = trend_points(store, [("m0", "m1")], ("ind", "ood"), heterogeneous=frozenset({("m0", "m1")}))
-        assert next(p for p in pts if p.model_id == "m0+m1").model_class == "heterogeneous"
+        scores = trend_points(store, [("m0", "m1"), ("m1", "m2")], ("ind", "ood"),
+                              heterogeneous=frozenset({("m0", "m1")}))
+        assert scores.classes[-2:] == ["heterogeneous", "ensemble"]
+        assert scores.mask("Ensemble").tolist() == [False] * 4 + [True, True]
+        assert scores.mask("All").all()
 
     def test_equals_per_point_oracle(self, rng, tmp_path):
         store, ensembles, het = mixed_ensemble_store(rng, tmp_path)
@@ -322,7 +334,8 @@ class TestTrendPoints:
             for metric in TREND_METRICS
             for pid, members, cls in singles + combos
         ]
-        got = [(p.metric, p.model_id, p.model_class, p.ind_value, p.ood_value) for p in pts]
+        got = [(metric, pid, cls, *map(float, pts.column(metric)[k]))
+               for metric in TREND_METRICS for k, (pid, cls) in enumerate(zip(pts.ids, pts.classes))]
         # Brier is summed as sum p^2 - 2 p_y + 1, so it agrees to 1e-12 relative; the rest bit for bit.
         assert [g[:3] for g in got] == [e[:3] for e in expected]
         for g, e in zip(got, expected):
@@ -349,15 +362,11 @@ class TestTrendPoints:
         # All-but-one ensembles come from the block sum; only the heterogeneous one is formed.
         assert calls["form_ensemble"] == 2 * len(het)
         # One scoring call per block scores every model for every metric, so
-        # whichever metrics a caller reads, each has a point for every model.
+        # whichever metrics a caller reads, each has a value for every model.
         assert calls["score_sums"] == 2
-        ids = [*store.model_ids, *("+".join(e) for e in ensembles)]
+        assert pts.ids == [*store.model_ids, *("+".join(e) for e in ensembles)]
         for metric in metrics:
-            assert [p.model_id for p in pts if p.metric == metric] == ids
-
-    def test_invalid_class_rejected(self):
-        with pytest.raises(ValidationError):
-            TrendPoint("m", "committee", "brier", 0.1, 0.2)
+            assert np.isfinite(pts.column(metric)).all()
 
 
 def ensemble_forms(store, pair, tmp_path):
@@ -415,8 +424,7 @@ def test_score_sums_match_per_point_scores_across_blocks(rng, tmp_path, form):
 class TestTrendTable:
     def test_single_class_all_row_matches(self, rng):
         x = rng.uniform(0.0, 1.0, 6)
-        pts = points_from_xy(x, 0.8 * x + 0.05)
-        rows = trend_table(pts)
+        rows = trend_table(scores_from_xy((x, 0.8 * x + 0.05, "single")), ["brier"])
         by_class = {r.model_class: r for r in rows}
         assert set(by_class) == {"All", "Single Model"}
         assert by_class["All"].fit == by_class["Single Model"].fit
@@ -424,39 +432,47 @@ class TestTrendTable:
     def test_same_line_classes_agree(self, rng):
         x1 = rng.uniform(0.0, 1.0, 5)
         x2 = rng.uniform(0.0, 1.0, 5)
-        pts = points_from_xy(x1, 0.6 * x1 + 0.1, model_class="single")
-        pts += points_from_xy(x2, 0.6 * x2 + 0.1, model_class="ensemble")
-        rows = {r.model_class: r.fit for r in trend_table(pts)}
+        scores = scores_from_xy((x1, 0.6 * x1 + 0.1, "single"), (x2, 0.6 * x2 + 0.1, "ensemble"))
+        rows = {r.model_class: r.fit for r in trend_table(scores, ["brier"])}
         assert abs(rows["Single Model"].coefficient - rows["Ensemble"].coefficient) < 1e-6
         assert abs(rows["All"].coefficient - rows["Ensemble"].coefficient) < 1e-6
 
     def test_all_row_pools_disjoint_classes(self, rng):
         x = rng.uniform(0.0, 1.0, 4)
-        pts = points_from_xy(x, x, model_class="single")
-        pts += points_from_xy(x + 0.01, x, model_class="ensemble")
-        rows = {r.model_class: r.fit for r in trend_table(pts)}
+        scores = scores_from_xy((x, x, "single"), (x + 0.01, x, "ensemble"))
+        rows = {r.model_class: r.fit for r in trend_table(scores, ["brier"])}
         assert rows["All"].n == rows["Single Model"].n + rows["Ensemble"].n
+        # Each row fits its models in table order.
+        assert rows["All"] == fit_trend_xy(np.concatenate([x, x + 0.01]), np.concatenate([x, x]))
 
     def test_heterogeneous_counts_as_ensemble(self, rng):
         x = rng.uniform(0.0, 1.0, 4)
-        pts = points_from_xy(x, x, model_class="ensemble")
-        pts += points_from_xy(x, x + 0.01, model_class="heterogeneous")
-        rows = {r.model_class: r.fit for r in trend_table(pts)}
+        scores = scores_from_xy((x, x, "ensemble"), (x, x + 0.01, "heterogeneous"))
+        rows = {r.model_class: r.fit for r in trend_table(scores, ["brier"])}
         assert rows["Ensemble"].n == 8
 
     def test_small_class_omitted(self, rng):
         x = rng.uniform(0.0, 1.0, 5)
-        pts = points_from_xy(x, x, model_class="single")
-        pts += points_from_xy(x[:2], x[:2], model_class="ensemble")
-        classes = {r.model_class for r in trend_table(pts)}
+        scores = scores_from_xy((x, x, "single"), (x[:2], x[:2], "ensemble"))
+        classes = {r.model_class for r in trend_table(scores, ["brier"])}
         assert "Ensemble" not in classes
+
+    def test_tied_class_omitted(self, rng):
+        # Ensembles tied on InD fit no line, so their row is left out, not an error.
+        x = rng.uniform(0.0, 1.0, 5)
+        scores = scores_from_xy((x, x, "single"), (np.full(4, 0.5), x[:4], "ensemble"))
+        assert [r.model_class for r in trend_table(scores, ["brier"])] == ["All", "Single Model"]
+        tied = scores_from_xy((np.full(4, 0.5), x[:4], "single"))
+        assert trend_table(tied, ["brier"]) == []
 
     def test_one_row_per_metric_and_class(self, rng):
         x = rng.uniform(0.0, 1.0, 5)
-        pts = points_from_xy(x, x, metric="brier") + points_from_xy(x, x, metric="nll")
-        rows = trend_table(pts)
+        scores = scores_from_xy((x, x, "single"), metrics=("brier", "nll"))
+        rows = trend_table(scores, ["nll", "brier"])
         assert len(rows) == 4
         assert [r.metric for r in rows] == ["brier", "brier", "nll", "nll"]
+        # Only the metrics asked for are fitted.
+        assert [r.metric for r in trend_table(scores, ["nll"])] == ["nll", "nll"]
 
 
 def dyadic_simplex(rng, n, c, bits=12):
@@ -540,9 +556,10 @@ class TestDiversityRatio:
     def test_three_identical_members_rejected(self, rng, tmp_path):
         store = identical_members_store(rng, tmp_path, copies=3)
         ens = ("t0", "t1", "t2")
-        pts = {p.model_id: p for p in trend_points(store, [ens], ("ind", "ood")) if p.metric == "brier"}
+        scores = trend_points(store, [ens], ("ind", "ood"))
+        ind = dict(zip(scores.ids, scores.column("brier")[:, 0]))
         # The Brier gap of identical members is zero only up to rounding.
-        assert np.mean([pts[m].ind_value for m in ens]) != pts["t0+t1+t2"].ind_value
+        assert np.mean([ind[m] for m in ens]) != ind["t0+t1+t2"]
         with pytest.raises(ValidationError, match="zero mean diversity"):
             ratio_check(store, [ens])
 
@@ -568,6 +585,27 @@ class TestDiversityRatio:
         # The single-model Brier points agree to 1e-12 relative, and so does their fit.
         assert rep.c0 == pytest.approx(fit.coefficient, rel=1e-12, abs=0)
         assert rep.c0_std_error == pytest.approx(fit.std_error, rel=1e-12, abs=0)
+
+    def test_member_mean_is_one_1d_mean_per_dataset(self, tmp_path):
+        # From nine members on, a 1-d np.mean sums pairwise, while an axis-0 mean
+        # over the (members, 2) block sums in row order; the ratio keeps the former.
+        store = build_store(np.random.default_rng(1), tmp_path, models=tuple(f"m{k}" for k in range(12)), n=40, c=7)
+        ids = store.model_ids
+        ensembles = [tuple(ids[i:i + size]) for size in (9, 10) for i in range(13 - size)]
+        scores = trend_points(store, ensembles, ("ind", "ood"))
+        rep = diversity_ratio_check(scores, ensembles)
+        brier = dict(zip(scores.ids, scores.column("brier").tolist()))
+        expected, orders_differ = {}, False
+        for ens in ensembles:
+            eid = "+".join(ens)
+            member_means = [float(np.mean([brier[m][side] for m in ens])) for side in (0, 1)]
+            ind, ood = (mean - brier[eid][side] for side, mean in enumerate(member_means))
+            expected[eid] = ood / ind
+            orders_differ |= np.mean([brier[m] for m in ens], axis=0).tolist() != member_means
+        # The store is one on which the two summation orders part.
+        assert orders_differ
+        assert rep.per_ensemble_ratio == expected
+        assert rep.ratio == float(np.mean(list(expected.values())))
 
     def test_reads_no_predictions(self, rng, tmp_path, monkeypatch):
         store, ensembles, het = mixed_ensemble_store(rng, tmp_path)
@@ -619,17 +657,18 @@ class TestLeaveOneOutRunningSum:
             return compute_metric(metric, probs, labels).mean()
 
         members = {m: (m,) for m in store.model_ids} | {"+".join(e): e for e in listed}
-        assert len(pts) == len(TREND_METRICS) * len(members)
-        for p in pts:
-            for dataset, value in (("ind", p.ind_value), ("ood", p.ood_value)):
-                assert value == pytest.approx(oracle(members[p.model_id], p.metric, dataset), rel=1e-12, abs=1e-15)
+        assert pts.ids == list(members)
+        for metric in TREND_METRICS:
+            for pid, values in zip(pts.ids, pts.column(metric)):
+                for dataset, value in zip(("ind", "ood"), values):
+                    assert value == pytest.approx(oracle(members[pid], metric, dataset), rel=1e-12, abs=1e-15)
 
     def test_other_ensembles_are_formed_from_members(self, rng, tmp_path):
         store, ensembles = self._loo_store(rng, tmp_path)
         listed = [("m0", "m1"), ensembles[0]]
-        pair = [p for p in trend_points(store, listed, ("ind", "ood")) if p.metric == "nll"][-2]
-        assert pair.model_id == "m0+m1"
-        for dataset, value in (("ind", pair.ind_value), ("ood", pair.ood_value)):
+        scores = trend_points(store, listed, ("ind", "ood"))
+        assert scores.ids[-2] == "m0+m1"
+        for dataset, value in zip(("ind", "ood"), scores.column("nll")[-2].tolist()):
             probs = form_ensemble([read(store, "m0", dataset), read(store, "m1", dataset)])
             assert value == compute_metric("nll", probs, store.labels[dataset]).mean()
 
